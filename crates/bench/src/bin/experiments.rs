@@ -9,32 +9,29 @@
 //! Output is plain text; EXPERIMENTS.md records the paper-vs-measured
 //! comparison for each figure.
 
-use dust_bench::figures::{self, Effort};
+use dust_bench::figures::{self, Effort, FIGURES};
 use dust_bench::DEFAULT_SEED;
 
-const USAGE: &str = "usage: experiments <fig1|...|fig12|zoned|fleet|congestion|all> \
-[--seed N] [--full]
-
-  fig1   monitoring-module CPU vs VxLAN traffic (testbed sim)
-  fig6   local vs DUST resource utilization (testbed sim)
-  fig7   infeasible-optimization rate vs delta_io (4-k)
-  fig8   ILP time vs max-hop, 4-k, exhaustive enumeration
-  fig9   heuristic success split vs ILP (4-k)
-  fig10  ILP time vs max-hop, 8-k and 16-k
-  fig11  HFR and ILP time vs network scale
-  fig12  heuristic runtime vs scale (to 5120 nodes)
-  zoned  extension: zoned placement (paper's <=80-node-zone recommendation)
-  fleet  extension: all edge switches offload simultaneously
-  congestion  extension: QoS squeeze on offloaded telemetry
-  partition   extension: POP-style partitioned solve, gap/speedup vs k
-  int         extension: INT sampling, deterministic 1/N vs probabilistic p
-  storm       extension: zone_storm scenario convergence ladder
-  all    everything above, in order
-
-  --seed N   master seed (default printed in the header)
-  --full     paper-scale iteration counts (slower)";
+/// The usage text, derived from [`FIGURES`] so it cannot drift from
+/// what the dispatch accepts.
+fn usage() -> String {
+    let names: Vec<&str> = FIGURES.iter().map(|(name, ..)| *name).collect();
+    let mut out =
+        format!("usage: experiments <{}|all> [--seed N] [--quick|--full]\n\n", names.join("|"));
+    for (name, summary, _) in FIGURES {
+        out.push_str(&format!("  {name:<11} {summary}\n"));
+    }
+    out.push_str(
+        "  all         everything above, in order\n\n  \
+         --seed N   master seed (default printed in the header)\n  \
+         --quick    trimmed iteration counts (the default)\n  \
+         --full     paper-scale iteration counts (slower)",
+    );
+    out
+}
 
 fn main() {
+    let usage = usage();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cmd: Option<String> = None;
     let mut seed = DEFAULT_SEED;
@@ -44,56 +41,43 @@ fn main() {
         match a.as_str() {
             "--seed" => {
                 let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--seed needs a value\n{USAGE}");
+                    eprintln!("--seed needs a value\n{usage}");
                     std::process::exit(2);
                 });
                 seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid seed {v:?}\n{USAGE}");
+                    eprintln!("invalid seed {v:?}\n{usage}");
                     std::process::exit(2);
                 });
             }
             "--full" => effort = Effort::Full,
             "--quick" => effort = Effort::Quick,
             "-h" | "--help" => {
-                println!("{USAGE}");
+                println!("{usage}");
                 return;
             }
             other if cmd.is_none() && !other.starts_with('-') => cmd = Some(other.to_string()),
             other => {
-                eprintln!("unknown argument {other:?}\n{USAGE}");
+                eprintln!("unknown argument {other:?}\n{usage}");
                 std::process::exit(2);
             }
         }
     }
     let Some(cmd) = cmd else {
-        eprintln!("{USAGE}");
+        eprintln!("{usage}");
         std::process::exit(2);
     };
 
+    let run = match FIGURES.iter().find(|(name, ..)| *name == cmd) {
+        Some((_, _, run)) => *run,
+        None if cmd == "all" => figures::all,
+        None => {
+            eprintln!("unknown figure {cmd:?}\n{usage}");
+            std::process::exit(2);
+        }
+    };
     println!(
         "DUST experiment harness — seed {seed}, {} mode\n",
         if effort == Effort::Full { "full" } else { "quick" }
     );
-    let out = match cmd.as_str() {
-        "fig1" => figures::fig1(seed, effort),
-        "fig6" => figures::fig6(seed, effort),
-        "fig7" => figures::fig7(seed, effort),
-        "fig8" => figures::fig8(seed, effort),
-        "fig9" => figures::fig9(seed, effort),
-        "fig10" => figures::fig10(seed, effort),
-        "fig11" => figures::fig11(seed, effort),
-        "fig12" => figures::fig12(seed, effort),
-        "zoned" => figures::zoned(seed, effort),
-        "fleet" => figures::fleet(seed, effort),
-        "congestion" => figures::congestion(seed, effort),
-        "partition" => figures::partition(seed, effort),
-        "int" => figures::int_contrast(seed, effort),
-        "storm" => figures::zone_storm(seed, effort),
-        "all" => figures::all(seed, effort),
-        other => {
-            eprintln!("unknown figure {other:?}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    println!("{out}");
+    println!("{}", run(seed, effort));
 }

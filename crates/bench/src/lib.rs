@@ -1,16 +1,13 @@
 //! Shared experiment machinery for the figure-regeneration harness.
 //!
-//! The `experiments` binary (one subcommand per paper figure) and the
-//! micro-benches under `benches/` both build on these helpers: timing,
-//! aligned table printing, and the experiment configurations that
-//! mirror §V.
+//! The `experiments` binary (one subcommand per paper figure or
+//! ablation) builds on these helpers: timing, aligned table printing,
+//! and the experiment configurations that mirror §V.
 
 use dust::prelude::*;
 use std::time::{Duration, Instant};
 
-pub mod baseline;
 pub mod figures;
-pub mod harness;
 pub mod stats;
 
 /// Default master seed printed in every table header; every experiment is

@@ -1,14 +1,7 @@
 //! Small statistics helpers for the experiment harness: log-log
 //! least-squares (power-law) fits used to check the paper's quantitative
 //! shape claims (e.g. Fig. 11a's "negative power function of ~(−0.5)"
-//! for HFR vs scale), plus histogram-backed quantiles.
-//!
-//! Quantiles reuse the observability layer's mergeable log-scale
-//! [`Histogram`] instead of a private sort-based percentile: the bench
-//! harness then reports the *same* statistic the runtime metrics report,
-//! and per-shard histograms from parallel experiment runs merge exactly.
-
-use dust::obs::Histogram;
+//! for HFR vs scale).
 
 /// Least-squares fit of `y = a·x^b` via regression on `ln y = ln a + b·ln x`.
 ///
@@ -62,40 +55,9 @@ pub fn power_law_r2(points: &[(f64, f64)]) -> Option<f64> {
     Some(1.0 - ss_res / ss_tot)
 }
 
-/// Fold a slice of samples into the observability layer's mergeable
-/// log-scale [`Histogram`] (NaN samples are ignored, like the runtime).
-pub fn histogram_of(values: &[f64]) -> Histogram {
-    let mut h = Histogram::new();
-    for &v in values {
-        h.record(v);
-    }
-    h
-}
-
-/// Histogram-estimated quantile (`q` in `[0, 1]`) of a slice.
-///
-/// Bucket-resolution estimate — within one log-scale bucket (≤ 25 %
-/// relative error) of the exact order statistic, exact at the observed
-/// extremes. `None` on an empty slice or when every sample is NaN.
-pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
-    histogram_of(values).quantile(q)
-}
-
-/// Sample geometric mean of positive values (useful for averaging
-/// normalized timing ratios). Non-positive values are skipped.
-pub fn geomean(values: &[f64]) -> Option<f64> {
-    let logs: Vec<f64> = values.iter().copied().filter(|v| *v > 0.0).map(f64::ln).collect();
-    if logs.is_empty() {
-        None
-    } else {
-        Some((logs.iter().sum::<f64>() / logs.len() as f64).exp())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dust::prelude::SplitMix64;
 
     #[test]
     fn exact_power_law_recovered() {
@@ -122,48 +84,5 @@ mod tests {
         assert!(power_law_fit(&[(1.0, 2.0)]).is_none());
         assert!(power_law_fit(&[(1.0, 2.0), (1.0, 3.0)]).is_none()); // same x
         assert!(power_law_fit(&[(0.0, 2.0), (-1.0, 3.0)]).is_none()); // no logs
-    }
-
-    /// Seeded property test: the histogram-backed quantile tracks the
-    /// exact sorted order statistic within one log-bucket (25 %) at
-    /// every decile, and is exact at both extremes.
-    #[test]
-    fn quantile_tracks_exact_order_statistic() {
-        for seed in 0..8u64 {
-            let mut rng = SplitMix64::new(seed * 101 + 1);
-            let values: Vec<f64> = (0..500).map(|_| rng.range_f64(0.5, 5_000.0)).collect();
-            let mut sorted = values.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            for dec in 0..=10 {
-                let q = dec as f64 / 10.0;
-                let exact = sorted[((q * (sorted.len() - 1) as f64).round()) as usize];
-                let est = quantile(&values, q).unwrap();
-                assert!(
-                    est >= exact / 1.25 - 1e-9 && est <= exact * 1.25 + 1e-9,
-                    "seed {seed} q {q}: estimate {est} vs exact {exact}"
-                );
-            }
-            assert_eq!(quantile(&values, 0.0), Some(sorted[0]), "seed {seed}: min not exact");
-            assert_eq!(
-                quantile(&values, 1.0),
-                Some(sorted[sorted.len() - 1]),
-                "seed {seed}: max not exact"
-            );
-        }
-    }
-
-    #[test]
-    fn quantile_degenerate_inputs() {
-        assert!(quantile(&[], 0.5).is_none());
-        assert!(quantile(&[f64::NAN], 0.5).is_none());
-        assert_eq!(quantile(&[7.0], 0.5).map(f64::round), Some(7.0));
-    }
-
-    #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[1.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
-        assert!((geomean(&[2.0, 8.0, -1.0]).unwrap() - 4.0).abs() < 1e-12); // skips <= 0
-        assert!(geomean(&[]).is_none());
-        assert!(geomean(&[-1.0]).is_none());
     }
 }

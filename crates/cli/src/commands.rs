@@ -1243,6 +1243,17 @@ mod tests {
         assert!(out.contains("3 round(s) on 20 nodes, partitions = 2"), "{out}");
         assert!(out.contains("outcomes:"), "{out}");
         assert!(out.contains("objective gap vs exact"), "{out}");
+
+        // CI's smoke instance: POP at 16-k must stay fallback-free with a
+        // bounded gap (deterministic per seed: mean 4.850 %, max 7.489 %)
+        let opts = PlaceOptions { fat_tree: Some(16), partitions: Some(4), seed: 11, ..opts };
+        let out = cmd_place(None, &opts).unwrap();
+        assert!(out.contains("partition fallbacks = 0"), "{out}");
+        let mean = out
+            .split("objective gap vs exact: mean = ")
+            .nth(1)
+            .and_then(|rest| rest.split('%').next()?.parse::<f64>().ok());
+        assert!(mean.is_some_and(|m| m <= 10.0), "{out}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! per-node minimum-cost subproblem. Excess that cannot fit in one-hop
 //! candidates is recorded as `Cse_i`; the Heuristic Failure Rate is
 //! `HFR = Σ Cse_i / Σ Cs_i` (Eq. 4). A generalized `max_hop = h` variant
-//! is provided for the ablation benches (ablation 3 in DESIGN.md).
+//! is provided for `experiments ablations` (ablation 3 in DESIGN.md).
 //!
 //! Candidate capacity is consumed in Busy-node order (ascending id), so a
 //! candidate adjacent to two Busy nodes cannot be double-booked; the whole

@@ -203,7 +203,7 @@ impl ProfileRegistry {
 
     /// Per-scope-name self-time totals in nanoseconds, aggregated across
     /// all paths a name appears under, sorted by self-time descending
-    /// (ties by name). Feeds the `phase_self_ms` field of BENCH records.
+    /// (ties by name). Feeds the benchmark's per-layer `sim.*_ms` metrics.
     pub fn phase_self_ns(&self) -> Vec<(String, u64)> {
         let tree = lock(self);
         let mut by_name: Vec<(String, u64)> = Vec::new();

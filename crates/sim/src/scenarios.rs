@@ -449,7 +449,7 @@ pub const SCALE_FLEET_AGENT_COPIES: usize = 40;
 /// — resource-model walks over the deep agent stacks, link-state
 /// application, sampling — not by protocol traffic, which both cores
 /// share. At `k = 90` this is a 10 125-node fleet processing > 100 000
-/// events over a 10-second run — the `BENCH_seed.json` workload.
+/// events over a 10-second run — the `fleet_sim_k90` benchmark workload.
 pub fn scale_fleet(k: usize, duration_ms: u64, seed: u64, engine: EngineKind) -> SimReport {
     scale_fleet_sim(k, duration_ms, seed, engine).run()
 }

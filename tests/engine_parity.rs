@@ -131,12 +131,28 @@ fn federation_contents_identical_across_cores() {
 
 #[test]
 fn scale_scenario_cores_agree() {
-    // The bench workload itself (small k so the test stays quick): the
-    // scenario whose speedup BENCH_seed.json gates must also be exact.
+    // The `fleet_sim_k90` benchmark workload's scenario at small k (so
+    // the test stays quick): the cores must agree on its shape too.
     let event = scale_fleet(4, 2_000, 3, EngineKind::Event);
     let tick = scale_fleet(4, 2_000, 3, EngineKind::Tick);
     assert_eq!(event.events_processed, tick.events_processed);
     assert_eq!(event.peak_queue_len, tick.peak_queue_len);
     assert_eq!(event.end_ms, tick.end_ms);
     assert_eq!(event.placement_rounds, tick.placement_rounds);
+}
+
+#[test]
+fn scale_fleet_k90_shape_is_pinned() {
+    // The `fleet_sim_k90` benchmark workload, event core. The benchmark
+    // only checks that this shape repeats run to run; the numbers
+    // themselves are pinned here. A change to any of them is a change in
+    // simulation behaviour, not in speed.
+    let report = scale_fleet(90, 10_000, 1, EngineKind::Event);
+    let fed = &report.federation;
+    let nodes = fed.nodes();
+    assert_eq!(nodes.len(), 10_125);
+    assert_eq!(report.events_processed, 121_589);
+    assert_eq!(report.peak_queue_len, 3);
+    let points: usize = nodes.iter().filter_map(|&n| fed.store(n)).map(|db| db.point_count()).sum();
+    assert_eq!(points, 2_035_125);
 }
