@@ -1,15 +1,48 @@
-//! Shared argument parsing for the simulation-backed `dustctl` commands.
+//! Every `dustctl` flag grammar, as functions from the words after the
+//! command to a typed invocation or an error message.
 //!
-//! `sim`, `trace`, and `spans` accept the same run flags — the fault
-//! profile (`--loss`/`--dup`/`--delay`/`--jitter`), the run shape
-//! (`--duration`/`--seed`/`--engine`), and the reporting switches
-//! (`--metrics`/`--metrics-json`/`--metrics-prom`/`--slo`) — so this
-//! module owns that grammar in one place. Each command declares only its
-//! extras here; the three parsers cannot drift apart because there is
-//! exactly one.
+//! `sim`, `trace`, and `spans` accept the same run flags — what to run
+//! (`--scenario`, or the fault profile `--loss`/`--dup`/`--delay`/
+//! `--jitter`) and its shape (`--duration`/`--seed`/`--engine`) — so one
+//! parser owns that grammar and each command declares only its extras.
+//! `profile`, `place` and the file commands have their own parsers; all
+//! four read values through one typed `value` helper, so a flag means the
+//! same type everywhere, and the threshold/routing flags through one
+//! `base_option`. Errors are plain messages: the binary appends the
+//! usage text and exits 2.
 
-use crate::commands::SimOptions;
+use crate::commands::{Options, PlaceOptions, ProfileOptions, SimOptions};
 use dust::sim::EngineKind;
+use std::slice::Iter;
+use std::str::FromStr;
+
+/// The word after `flag`, parsed as `T`. Integer flags parse as their
+/// integer type, so a fraction, a negative or an out-of-range value is an
+/// error rather than a silently different number.
+fn value<T: FromStr>(it: &mut Iter<String>, flag: &str) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("{flag}: invalid number {v:?}"))
+}
+
+fn engine(it: &mut Iter<String>) -> Result<EngineKind, String> {
+    EngineKind::parse(&value::<String>(it, "--engine")?)
+}
+
+/// The threshold/routing flags every placement command shares. `Ok(false)`
+/// means `flag` is not one of them.
+fn base_option(o: &mut Options, flag: &str, it: &mut Iter<String>) -> Result<bool, String> {
+    match flag {
+        "--c-max" => o.c_max = value(it, flag)?,
+        "--co-max" => o.co_max = value(it, flag)?,
+        "--x-min" => o.x_min = value(it, flag)?,
+        "--max-hop" => o.max_hop = Some(value(it, flag)?),
+        "--enumerate" => o.enumerate_paths = true,
+        "--simplex" => o.simplex = true,
+        "--threads" => o.threads = value(it, flag)?,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
 
 /// Which simulation-backed subcommand is being parsed. Gates the
 /// command-specific flags (`--sweep` and the report switches for `sim`,
@@ -60,8 +93,7 @@ pub struct SimInvocation {
 }
 
 /// Parse the flags of one simulation-backed command. `args` excludes the
-/// command word itself. Errors are plain messages; the caller decides
-/// how to render them (the binary appends usage and exits 2).
+/// command word itself.
 pub fn parse_sim_invocation(
     kind: SimCommandKind,
     args: &[String],
@@ -69,52 +101,121 @@ pub fn parse_sim_invocation(
     let mut inv =
         SimInvocation { opts: SimOptions::default(), full: false, flow: None, phase: None };
     let s = &mut inv.opts;
+    let sim = kind == SimCommandKind::Sim;
     let mut it = args.iter();
-    let text = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let numeric = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<f64, String> {
-        let v = text(it, flag)?;
-        v.parse().map_err(|_| format!("{flag}: invalid number {v:?}"))
-    };
     while let Some(a) = it.next() {
         match a.as_str() {
             // -- shared by sim, trace, and spans --------------------------
-            "--loss" => s.loss = numeric(&mut it, "--loss")?,
-            "--dup" => s.dup = numeric(&mut it, "--dup")?,
-            "--delay" => s.delay_ms = numeric(&mut it, "--delay")? as u64,
-            "--jitter" => s.jitter_ms = numeric(&mut it, "--jitter")? as u64,
+            "--scenario" => s.scenario = Some(value(&mut it, a)?),
+            "--loss" => s.loss = value(&mut it, a)?,
+            "--dup" => s.dup = value(&mut it, a)?,
+            "--delay" => s.delay_ms = value(&mut it, a)?,
+            "--jitter" => s.jitter_ms = value(&mut it, a)?,
             "--duration" => {
-                s.duration_ms = numeric(&mut it, "--duration")? as u64;
+                s.duration_ms = value(&mut it, a)?;
                 s.duration_explicit = true;
             }
-            "--seed" => s.seed = numeric(&mut it, "--seed")? as u64,
-            "--engine" => s.engine = EngineKind::parse(&text(&mut it, "--engine")?)?,
+            "--seed" => s.seed = value(&mut it, a)?,
+            "--engine" => s.engine = engine(&mut it)?,
             // -- sim only -------------------------------------------------
-            "--scenario" if kind == SimCommandKind::Sim => {
-                s.scenario = Some(text(&mut it, "--scenario")?)
-            }
-            "--sweep" if kind == SimCommandKind::Sim => s.sweep = true,
-            "--profile" if kind == SimCommandKind::Sim => {
-                s.profile = Some(text(&mut it, "--profile")?)
-            }
-            "--metrics" if kind == SimCommandKind::Sim => s.metrics = true,
-            "--metrics-json" if kind == SimCommandKind::Sim => s.metrics_json = true,
-            "--metrics-prom" if kind == SimCommandKind::Sim => s.metrics_prom = true,
-            "--slo" if kind == SimCommandKind::Sim => s.slo = Some(text(&mut it, "--slo")?),
-            "--postmortem" if kind == SimCommandKind::Sim => {
-                s.postmortem = Some(text(&mut it, "--postmortem")?)
-            }
-            "--inject-breach" if kind == SimCommandKind::Sim => s.inject_breach = true,
+            "--sweep" if sim => s.sweep = true,
+            "--profile" if sim => s.profile = Some(value(&mut it, a)?),
+            "--metrics" if sim => s.metrics = true,
+            "--metrics-json" if sim => s.metrics_json = true,
+            "--metrics-prom" if sim => s.metrics_prom = true,
+            "--slo" if sim => s.slo = Some(value(&mut it, a)?),
+            "--postmortem" if sim => s.postmortem = Some(value(&mut it, a)?),
+            "--inject-breach" if sim => s.inject_breach = true,
             // -- trace / spans extras -------------------------------------
             "--full" if kind == SimCommandKind::Trace => inv.full = true,
-            "--flow" if kind == SimCommandKind::Spans => {
-                inv.flow = Some(numeric(&mut it, "--flow")? as u64)
-            }
-            "--phase" if kind == SimCommandKind::Spans => {
-                inv.phase = Some(text(&mut it, "--phase")?)
-            }
+            "--flow" if kind == SimCommandKind::Spans => inv.flow = Some(value(&mut it, a)?),
+            "--phase" if kind == SimCommandKind::Spans => inv.phase = Some(value(&mut it, a)?),
             other => return Err(format!("{}: unknown option {other:?}", kind.name())),
+        }
+    }
+    Ok(inv)
+}
+
+/// Parse `profile <scenario> [options]` into the scenario name and its
+/// options.
+pub fn parse_profile_invocation(args: &[String]) -> Result<(String, ProfileOptions), String> {
+    let Some(name) = args.first().filter(|a| !a.starts_with('-')) else {
+        return Err("profile needs a scenario name (profile help lists them)".into());
+    };
+    let mut p = ProfileOptions::default();
+    let mut it = args[1..].iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--seed" => p.seed = value(&mut it, a)?,
+            "--duration" => p.duration_ms = Some(value(&mut it, a)?),
+            "--engine" => p.engine = engine(&mut it)?,
+            "--out" => p.out = Some(value(&mut it, a)?),
+            other => return Err(format!("unknown profile option {other:?}")),
+        }
+    }
+    Ok((name.clone(), p))
+}
+
+/// Parse `place [file] [options]` into the optional state-file path and
+/// the placement options.
+pub fn parse_place_invocation(args: &[String]) -> Result<(Option<String>, PlaceOptions), String> {
+    let mut p = PlaceOptions::default();
+    let mut path = None;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if base_option(&mut p.base, a, &mut it)? {
+            continue;
+        }
+        match a.as_str() {
+            "--fat-tree" => p.fat_tree = Some(value(&mut it, a)?),
+            "--partitions" => p.partitions = Some(value(&mut it, a)?),
+            "--batch" => p.batch = value(&mut it, a)?,
+            "--seed" => p.seed = value(&mut it, a)?,
+            "--gap" => p.gap = true,
+            "--warm" => p.warm = true,
+            "--delta-threshold" => p.delta_threshold = Some(value(&mut it, a)?),
+            "--profile" => p.profile = Some(value(&mut it, a)?),
+            other if !other.starts_with('-') && path.is_none() => path = Some(other.to_string()),
+            other => return Err(format!("unknown place option {other:?}")),
+        }
+    }
+    Ok((path, p))
+}
+
+/// A parsed `roles`/`optimize`/`heuristic`/`zoned`/`dot` invocation.
+#[derive(Debug, Clone)]
+pub struct FileInvocation {
+    /// The network-state file to read.
+    pub path: String,
+    /// Threshold/routing options.
+    pub opts: Options,
+    /// `heuristic --hops N` (default one-hop reach).
+    pub hops: usize,
+    /// `zoned --zone-size N`.
+    pub zone_size: Option<usize>,
+    /// `zoned --sweep`: the cross-zone residual sweep.
+    pub sweep: bool,
+}
+
+/// Parse `<cmd> <file> [options]` for the commands that read a
+/// network-state file. `args` excludes the command word, which only names
+/// the command in the missing-file message.
+pub fn parse_file_invocation(cmd: &str, args: &[String]) -> Result<FileInvocation, String> {
+    let Some(path) = args.first().cloned() else {
+        return Err(format!("{cmd}: missing <file>"));
+    };
+    let mut inv =
+        FileInvocation { path, opts: Options::default(), hops: 1, zone_size: None, sweep: false };
+    let mut it = args[1..].iter();
+    while let Some(a) = it.next() {
+        if base_option(&mut inv.opts, a, &mut it)? {
+            continue;
+        }
+        match a.as_str() {
+            "--hops" => inv.hops = value(&mut it, a)?,
+            "--zone-size" => inv.zone_size = Some(value(&mut it, a)?),
+            "--sweep" => inv.sweep = true,
+            other => return Err(format!("unknown option {other:?}")),
         }
     }
     Ok(inv)
@@ -196,5 +297,97 @@ mod tests {
         assert_eq!(err, "--loss needs a value");
         let err = parse_sim_invocation(SimCommandKind::Sim, &argv("--seed banana")).unwrap_err();
         assert!(err.contains("invalid number"), "{err}");
+    }
+
+    /// `--seed V` through every grammar that takes a seed.
+    fn seed_through_every_grammar(v: &str) -> Vec<Result<u64, String>> {
+        let flags = argv(&format!("--seed {v}"));
+        let mut seeds: Vec<Result<u64, String>> =
+            [SimCommandKind::Sim, SimCommandKind::Trace, SimCommandKind::Spans]
+                .iter()
+                .map(|&kind| parse_sim_invocation(kind, &flags).map(|inv| inv.opts.seed))
+                .collect();
+        seeds.push(parse_place_invocation(&flags).map(|(_, p)| p.seed));
+        let profile = argv(&format!("testbed --seed {v}"));
+        seeds.push(parse_profile_invocation(&profile).map(|(_, p)| p.seed));
+        seeds
+    }
+
+    #[test]
+    fn integer_flags_parse_exactly_or_not_at_all() {
+        // 2^53 + 1 and u64::MAX - 3 both change value on a trip through f64
+        for seed in [9_007_199_254_740_993u64, u64::MAX - 3] {
+            for parsed in seed_through_every_grammar(&seed.to_string()) {
+                assert_eq!(parsed, Ok(seed));
+            }
+        }
+        // a negative, a fraction, and one past u64::MAX
+        for bad in ["-5", "2.9", "18446744073709551616"] {
+            for parsed in seed_through_every_grammar(bad) {
+                assert_eq!(parsed, Err(format!("--seed: invalid number {bad:?}")));
+            }
+        }
+        let err = parse_place_invocation(&argv("--fat-tree 4 --batch 2.7")).unwrap_err();
+        assert_eq!(err, "--batch: invalid number \"2.7\"");
+        let err = parse_file_invocation("heuristic", &argv("net.dust --hops -1")).unwrap_err();
+        assert_eq!(err, "--hops: invalid number \"-1\"");
+    }
+
+    #[test]
+    fn scenario_names_a_run_for_sim_trace_and_spans() {
+        for kind in [SimCommandKind::Sim, SimCommandKind::Trace, SimCommandKind::Spans] {
+            let inv = parse_sim_invocation(kind, &argv("--scenario churn --seed 17")).unwrap();
+            assert_eq!(inv.opts.scenario.as_deref(), Some("churn"));
+            assert!(!inv.opts.duration_explicit, "the scenario keeps its own duration");
+        }
+    }
+
+    #[test]
+    fn profile_place_and_file_grammars_parse_and_reject() {
+        let (name, p) = parse_profile_invocation(&argv(
+            "scale_fleet --seed 3 --duration 2000 --engine tick --out p.folded",
+        ))
+        .unwrap();
+        assert_eq!(name, "scale_fleet");
+        assert_eq!((p.seed, p.duration_ms, p.engine), (3, Some(2000), EngineKind::Tick));
+        assert_eq!(p.out.as_deref(), Some("p.folded"));
+        for no_name in ["", "--seed 3"] {
+            let err = parse_profile_invocation(&argv(no_name)).unwrap_err();
+            assert!(err.starts_with("profile needs a scenario name"), "{err}");
+        }
+        let err = parse_profile_invocation(&argv("testbed --loss 0.1")).unwrap_err();
+        assert_eq!(err, "unknown profile option \"--loss\"");
+
+        let (path, p) = parse_place_invocation(&argv(
+            "net.dust --partitions 4 --batch 3 --max-hop 6 --threads 2 --gap --warm \
+             --delta-threshold 0.1 --profile solve.folded",
+        ))
+        .unwrap();
+        assert_eq!(path.as_deref(), Some("net.dust"));
+        assert_eq!(
+            (p.partitions, p.batch, p.base.max_hop, p.base.threads),
+            (Some(4), 3, Some(6), 2)
+        );
+        assert!(p.gap && p.warm && p.delta_threshold == Some(0.1) && p.fat_tree.is_none());
+        assert_eq!(p.profile.as_deref(), Some("solve.folded"));
+        let err = parse_place_invocation(&argv("a.dust b.dust")).unwrap_err();
+        assert_eq!(err, "unknown place option \"b.dust\"");
+
+        let inv = parse_file_invocation(
+            "zoned",
+            &argv("net.dust --zone-size 3 --sweep --c-max 85 --co-max 55 --x-min 4 --simplex"),
+        )
+        .unwrap();
+        assert_eq!(
+            (inv.path.as_str(), inv.zone_size, inv.sweep, inv.hops),
+            ("net.dust", Some(3), true, 1)
+        );
+        assert_eq!((inv.opts.c_max, inv.opts.co_max, inv.opts.x_min), (85.0, 55.0, 4.0));
+        assert!(inv.opts.simplex && !inv.opts.enumerate_paths);
+        assert_eq!(parse_file_invocation("optimize", &[]).unwrap_err(), "optimize: missing <file>");
+        let err = parse_file_invocation("optimize", &argv("net.dust --fat-tree 4")).unwrap_err();
+        assert_eq!(err, "unknown option \"--fat-tree\"");
+        let err = parse_file_invocation("optimize", &argv("net.dust --threads abc")).unwrap_err();
+        assert_eq!(err, "--threads: invalid number \"abc\"");
     }
 }

@@ -2,6 +2,10 @@
 //! process entry point: each takes a parsed [`Nmdb`] plus options and
 //! returns the text to print.
 
+use crate::run::{
+    find_scenario, run, write_postmortem, write_profile, Outcome, Run, RunSpec, Target,
+    PROFILE_FLEET_DURATION_MS, PROFILE_FLEET_K,
+};
 use dust::core::zone_by_bfs;
 use dust::prelude::*;
 
@@ -97,7 +101,7 @@ pub struct SimOptions {
     /// [`cmd_sim`] report `slo_breached` so `main` can exit 1.
     pub slo: Option<String>,
     /// Where to write the flight-recorder post-mortem dump if a sim
-    /// invariant breaks (turns the recorder on even without --metrics).
+    /// invariant breaks or a scenario breaches its SLO.
     pub postmortem: Option<String>,
     /// Deliberately corrupt the first run's agent census after the fact
     /// so the invariant check (and post-mortem path) demonstrably fires.
@@ -157,29 +161,81 @@ impl SimOptions {
         Ok(())
     }
 
-    /// The fault ladder this invocation runs: the canned sweep or the
-    /// single profile assembled from the flags.
-    fn fault_ladder(&self) -> Vec<FaultConfig> {
-        if self.sweep {
-            [0.0, 0.05, 0.1, 0.2, 0.4]
-                .iter()
-                .map(|&loss| {
-                    FaultConfig::symmetric(FaultProfile {
-                        drop: loss,
-                        duplicate: loss / 2.0,
-                        delay_ms: 20,
-                        jitter_ms: 100,
-                    })
-                })
-                .collect()
-        } else {
-            vec![FaultConfig::symmetric(FaultProfile {
-                drop: self.loss,
-                duplicate: self.dup,
-                delay_ms: self.delay_ms,
-                jitter_ms: self.jitter_ms,
-            })]
+    /// The registry listing, when `--scenario help` (or `list`) asks for it.
+    fn scenario_help(&self) -> Option<String> {
+        let name = self.scenario.as_deref()?;
+        if name != "help" && name != "list" {
+            return None;
         }
+        let mut out = String::from("named scenarios (dustctl sim --scenario <name>):\n\n");
+        for sc in registry::all() {
+            out.push_str(&format!(
+                "  {:<12} {}\n               default {} s, slo {}\n",
+                sc.name,
+                sc.summary,
+                sc.default_duration_ms / 1000,
+                sc.slo_spec,
+            ));
+        }
+        Some(out)
+    }
+
+    /// The runs this invocation names. The fault model comes from exactly
+    /// one source — `--scenario`, `--sweep`, or the fault flags (all zero
+    /// = a perfect wire) — and any mix is an error.
+    fn run_specs(&self) -> Result<Vec<RunSpec>, String> {
+        let flags = FaultProfile {
+            drop: self.loss,
+            duplicate: self.dup,
+            delay_ms: self.delay_ms,
+            jitter_ms: self.jitter_ms,
+        };
+        let own_model = |what: &str| {
+            Err(format!("{what} carries its own fault model: drop --loss/--dup/--delay/--jitter"))
+        };
+        let targets = match &self.scenario {
+            Some(name) => {
+                let sc = find_scenario(name, "", "--scenario help describes them")?;
+                if !flags.is_ideal() {
+                    return own_model(&format!("scenario {}", sc.name));
+                }
+                if self.sweep || self.inject_breach {
+                    return Err("--sweep/--inject-breach apply to the chaos ladder, \
+                                not --scenario runs"
+                        .into());
+                }
+                vec![Target::Scenario(sc)]
+            }
+            None if self.sweep => {
+                if !flags.is_ideal() {
+                    return own_model("--sweep");
+                }
+                let rung = |p| Target::Faults(FaultConfig::symmetric(FaultProfile::chaos(p)));
+                [0.0, 0.05, 0.1, 0.2, 0.4].map(rung).to_vec()
+            }
+            None => vec![Target::Faults(FaultConfig::symmetric(flags))],
+        };
+        let slo = self.slo.as_deref().map(SloSpec::parse).transpose()?;
+        let run_spec = |target| RunSpec {
+            target,
+            seed: self.seed,
+            // a scenario keeps its own default duration unless --duration was passed
+            duration_ms: (self.duration_explicit || self.scenario.is_none())
+                .then_some(self.duration_ms),
+            engine: self.engine,
+            slo: slo.clone(),
+            profile: self.profile.is_some(),
+        };
+        Ok(targets.into_iter().map(run_spec).collect())
+    }
+
+    /// The single recorded run `trace` and `spans` analyze.
+    fn run_recorded(&self, what: &str) -> Result<Run, String> {
+        self.validate()?;
+        if self.sweep {
+            return Err(format!("{what} a single run; drop --sweep"));
+        }
+        run(&self.run_specs()?[0])
     }
 }
 
@@ -194,70 +250,97 @@ pub struct SimRun {
     pub slo_breached: bool,
 }
 
-/// `dustctl sim`: run the Fig. 5 testbed under an imperfect control plane
-/// and report what the retry/expiry machinery did about it. Exits nonzero
-/// (via `Err`) if a conservation invariant breaks — the whole point of
-/// the command is that it never should. With `--slo` the runs are watched
-/// by the online SLO engine; breaches land in the report (and the JSON)
-/// and flip [`SimRun::slo_breached`].
+/// `dustctl sim`: chaos-run the Fig. 5 testbed under the fault flags (or
+/// the `--sweep` ladder) and report what the retry/expiry machinery did
+/// about it, or run one `--scenario` registry entry under its attached
+/// SLO spec. A fault run exits nonzero (via `Err`) if a conservation
+/// invariant breaks — the whole point of the command is that it never
+/// should. SLO breaches (`--slo`, or a scenario's own spec) land in the
+/// report and the JSON and flip [`SimRun::slo_breached`]: a finding, so
+/// the report is still printed.
 pub fn cmd_sim(opts: &SimOptions) -> Result<SimRun, String> {
     opts.validate()?;
-    if opts.scenario.is_some() {
-        return cmd_sim_scenario(opts);
+    if let Some(output) = opts.scenario_help() {
+        return Ok(SimRun { output, slo_breached: false });
     }
-    let spec = match &opts.slo {
-        Some(s) => Some(SloSpec::parse(s)?),
-        None => None,
-    };
-    let observed = opts.metrics
-        || opts.metrics_json
-        || opts.metrics_prom
-        || spec.is_some()
-        || opts.postmortem.is_some()
-        || opts.profile.is_some();
-    let mut results: Vec<ChaosResult> = Vec::new();
-    let mut recorders: Vec<ObsHandle> = Vec::new();
-    let mut engines: Vec<SloEngine> = Vec::new();
-    for faults in opts.fault_ladder() {
-        let obs = if observed { ObsHandle::recording(opts.seed) } else { ObsHandle::disabled() };
-        if opts.profile.is_some() {
-            obs.enable_profiling();
-        }
-        match &spec {
-            Some(spec) => {
-                let (r, engine) = chaos_with_slo_on(
-                    faults,
-                    opts.duration_ms,
-                    opts.seed,
-                    obs.clone(),
-                    spec,
-                    opts.engine,
-                );
-                results.push(r);
-                engines.push(engine);
-            }
-            None => results.push(chaos_with_faults_observed_on(
-                faults,
-                opts.duration_ms,
-                opts.seed,
-                obs.clone(),
-                opts.engine,
-            )),
-        }
-        recorders.push(obs);
-    }
+    let mut runs = opts.run_specs()?.iter().map(run).collect::<Result<Vec<Run>, String>>()?;
     if opts.inject_breach {
         // simulate the unthinkable: an agent vanished (testing the
         // invariant check and the post-mortem machinery end to end)
-        results[0].agents_present = results[0].agents_present.saturating_sub(1);
+        if let Outcome::Chaos(r) = &mut runs[0].outcome {
+            r.agents_present = r.agents_present.saturating_sub(1);
+        }
     }
+    let mut out = match runs[0].target {
+        Target::Scenario(sc) => scenario_report(sc, &runs[0], opts),
+        _ => chaos_report(&runs, opts)?,
+    };
+    for r in &runs {
+        let label = r.target.label();
+        if opts.metrics {
+            out.push_str(&format!(
+                "\n-- metrics ({label}, seed {}, digest {:016x}) --\n{}",
+                opts.seed,
+                r.obs.digest().expect("recording handle"),
+                r.obs.metrics().expect("recording handle").to_text()
+            ));
+        }
+        if opts.metrics_prom {
+            out.push_str(&format!(
+                "\n-- prometheus ({label}, seed {}) --\n{}",
+                opts.seed,
+                r.obs.metrics().expect("recording handle").to_prometheus()
+            ));
+        }
+    }
+    if opts.metrics_json {
+        for r in &runs {
+            let breaches = r.slo.as_ref().map_or(String::new(), |e| {
+                let lines: Vec<String> =
+                    e.breaches().iter().map(|b| format!("\"{}\"", b.to_line())).collect();
+                format!(",\"slo_breaches\":[{}]", lines.join(","))
+            });
+            out.push_str(&format!(
+                "{{{},\"seed\":{},\"digest\":\"{:016x}\"{breaches},\"metrics\":{}}}\n",
+                r.target.json_head(),
+                opts.seed,
+                r.obs.digest().expect("recording handle"),
+                r.obs.metrics().expect("recording handle").to_json()
+            ));
+        }
+    }
+    if let Some(path) = opts.profile.as_deref() {
+        let artefact: String = runs
+            .iter()
+            .map(|r| {
+                let report = r.obs.profile_report().expect("profiling was enabled");
+                format!("# run: {}\n{report}", r.target.label())
+            })
+            .collect();
+        out.push('\n');
+        out.push_str(&write_profile(path, &artefact)?);
+    }
+    Ok(SimRun { output: out, slo_breached: runs.iter().any(Run::breached) })
+}
+
+/// The fault-run half of `sim`'s report: the table, the invariant audit
+/// (a violation is the `Err`, with the flight recorder dumped to
+/// `--postmortem`), and one SLO section per watched run.
+fn chaos_report(runs: &[Run], opts: &SimOptions) -> Result<String, String> {
+    let results: Vec<ChaosResult> = runs
+        .iter()
+        .map(|run| match run.outcome {
+            Outcome::Chaos(r) => r,
+            Outcome::Report(_) => unreachable!("fault runs produce a ChaosResult"),
+        })
+        .collect();
     let mut out = format!(
         "testbed chaos run: {:.0}s simulated, seed {}\n\n{}",
-        opts.duration_ms as f64 / 1000.0,
+        runs[0].duration_ms as f64 / 1000.0,
         opts.seed,
         crate::format::render_chaos(&results)
     );
-    for (i, r) in results.iter().enumerate() {
+    for (r, run) in results.iter().zip(runs) {
         let violated = if r.agents_present != r.agents_expected {
             Some(format!(
                 "loss {:.0}%: {} of {} monitor agents lost — conservation broken",
@@ -277,128 +360,34 @@ pub fn cmd_sim(opts: &SimOptions) -> Result<SimRun, String> {
             None
         };
         if let Some(msg) = violated {
-            return Err(write_postmortem(&msg, &recorders[i], opts.postmortem.as_deref()));
+            return Err(match write_postmortem(&msg, &run.obs, opts.postmortem.as_deref()) {
+                Some(note) => format!("{msg} ({note})"),
+                None => msg,
+            });
         }
     }
     out.push_str("\ninvariants: agents conserved, ledgers consistent, no leaked offers\n");
-    let slo_breached = engines.iter().any(|e| e.breached());
-    for (r, engine) in results.iter().zip(&engines) {
-        out.push_str(&format!("\n-- slo (loss {:.0}%) --\n{}", r.loss * 100.0, engine.report()));
-    }
-    for (r, obs) in results.iter().zip(&recorders) {
-        if opts.metrics {
-            let m = obs.metrics().expect("recording handle");
-            out.push_str(&format!(
-                "\n-- metrics (loss {:.0}%, seed {}, digest {:016x}) --\n{}",
-                r.loss * 100.0,
-                opts.seed,
-                obs.digest().expect("recording handle"),
-                m.to_text()
-            ));
-        }
-        if opts.metrics_prom {
-            let m = obs.metrics().expect("recording handle");
-            out.push_str(&format!(
-                "\n-- prometheus (loss {:.0}%, seed {}) --\n{}",
-                r.loss * 100.0,
-                opts.seed,
-                m.to_prometheus()
-            ));
+    for run in runs {
+        if let Some(engine) = &run.slo {
+            out.push_str(&format!("\n-- slo ({}) --\n{}", run.target.label(), engine.report()));
         }
     }
-    for (i, (r, obs)) in results.iter().zip(&recorders).enumerate() {
-        if opts.metrics_json {
-            let m = obs.metrics().expect("recording handle");
-            let breaches = match engines.get(i) {
-                Some(e) => {
-                    let lines: Vec<String> =
-                        e.breaches().iter().map(|b| format!("\"{}\"", b.to_line())).collect();
-                    format!(",\"slo_breaches\":[{}]", lines.join(","))
-                }
-                None => String::new(),
-            };
-            out.push_str(&format!(
-                "{{\"loss\":{},\"seed\":{},\"digest\":\"{:016x}\"{breaches},\"metrics\":{}}}\n",
-                r.loss,
-                opts.seed,
-                obs.digest().expect("recording handle"),
-                m.to_json()
-            ));
-        }
-    }
-    if let Some(path) = opts.profile.as_deref() {
-        let mut text = String::new();
-        for (r, obs) in results.iter().zip(&recorders) {
-            text.push_str(&format!("# run: loss {:.0}%\n", r.loss * 100.0));
-            text.push_str(&obs.profile_report().expect("profiling was enabled"));
-        }
-        std::fs::write(path, &text).map_err(|e| format!("profile write to {path} failed: {e}"))?;
-        out.push_str(&format!("\nprofile written to {path}\n"));
-    }
-    Ok(SimRun { output: out, slo_breached })
+    Ok(out)
 }
 
-/// `dustctl sim --scenario <name>`: run one registry scenario with its
-/// attached SLO spec evaluated by default (`--slo` overrides it). The
-/// run always records — the digest lands in the JSON line and two runs
-/// at the same seed are byte-identical, which is what the CI chaos gate
-/// diffs. A breach flips [`SimRun::slo_breached`] (exit 1) and, with
-/// `--postmortem`, dumps the flight recorder; unlike an invariant
-/// violation it is a finding, so the report is still printed.
-fn cmd_sim_scenario(opts: &SimOptions) -> Result<SimRun, String> {
-    let name = opts.scenario.as_deref().expect("caller checked");
-    if name == "help" || name == "list" {
-        let mut out = String::from("named scenarios (dustctl sim --scenario <name>):\n\n");
-        for sc in registry::all() {
-            out.push_str(&format!(
-                "  {:<12} {}\n               default {} s, slo {}\n",
-                sc.name,
-                sc.summary,
-                sc.default_duration_ms / 1000,
-                sc.slo_spec,
-            ));
-        }
-        return Ok(SimRun { output: out, slo_breached: false });
-    }
-    let Some(sc) = registry::find(name) else {
-        let names: Vec<&str> = registry::all().iter().map(|s| s.name).collect();
-        return Err(format!(
-            "unknown scenario {name:?} (have: {}; --scenario help describes them)",
-            names.join(", ")
-        ));
+/// The scenario half of `sim`'s report: what ran, the transfer summary,
+/// the SLO verdict and — on a breach, with `--postmortem` — the
+/// flight-recorder dump.
+fn scenario_report(sc: &Scenario, run: &Run, opts: &SimOptions) -> String {
+    let Outcome::Report(r) = &run.outcome else {
+        unreachable!("scenario runs produce a SimReport")
     };
-    if opts.loss != 0.0 || opts.dup != 0.0 || opts.delay_ms != 0 || opts.jitter_ms != 0 {
-        return Err(format!(
-            "scenario {} carries its own fault model: drop --loss/--dup/--delay/--jitter",
-            sc.name
-        ));
-    }
-    if opts.sweep || opts.inject_breach {
-        return Err("--sweep/--inject-breach apply to the chaos ladder, not --scenario runs".into());
-    }
-    let slo_override = match &opts.slo {
-        Some(s) => Some(SloSpec::parse(s)?),
-        None => None,
-    };
-    let obs = ObsHandle::recording(opts.seed);
-    if opts.profile.is_some() {
-        obs.enable_profiling();
-    }
-    let knobs = ScenarioKnobs {
-        duration_ms: opts.duration_explicit.then_some(opts.duration_ms),
-        seed: opts.seed,
-        engine: opts.engine,
-        obs: obs.clone(),
-        slo_override,
-    };
-    let duration = sc.duration(&knobs);
-    let run = sc.run(&knobs).map_err(|e| e.to_string())?;
-    let r = &run.report;
+    let slo = run.slo.as_ref().expect("scenario runs are always watched");
     let mut out = format!(
         "scenario {}: {}\n{:.0}s simulated, seed {}, slo {}\n\n",
         sc.name,
         sc.summary,
-        duration as f64 / 1000.0,
+        run.duration_ms as f64 / 1000.0,
         opts.seed,
         opts.slo.as_deref().unwrap_or(sc.slo_spec),
     );
@@ -417,75 +406,20 @@ fn cmd_sim_scenario(opts: &SimOptions) -> Result<SimRun, String> {
         Some(t) => format!("first transfer at {t} ms\n"),
         None => "no transfer landed\n".to_string(),
     });
-    out.push_str(&format!("\n-- slo --\n{}", run.slo.report()));
+    out.push_str(&format!("\n-- slo --\n{}", slo.report()));
     if run.breached() {
-        if let Some(path) = opts.postmortem.as_deref() {
-            let msg = format!("scenario {} breached its SLO", sc.name);
-            if let Some(dump) = obs.post_mortem(&msg) {
-                match std::fs::write(path, &dump) {
-                    Ok(()) => out.push_str(&format!("\npostmortem written to {path}\n")),
-                    Err(e) => out.push_str(&format!("\npostmortem write to {path} failed: {e}\n")),
-                }
-            }
+        let msg = format!("scenario {} breached its SLO", sc.name);
+        if let Some(note) = write_postmortem(&msg, &run.obs, opts.postmortem.as_deref()) {
+            out.push_str(&format!("\n{note}\n"));
         }
     }
-    let m = obs.metrics().expect("recording handle");
-    let digest = obs.digest().expect("recording handle");
-    if opts.metrics {
-        out.push_str(&format!(
-            "\n-- metrics (scenario {}, seed {}, digest {digest:016x}) --\n{}",
-            sc.name,
-            opts.seed,
-            m.to_text()
-        ));
-    }
-    if opts.metrics_prom {
-        out.push_str(&format!(
-            "\n-- prometheus (scenario {}, seed {}) --\n{}",
-            sc.name,
-            opts.seed,
-            m.to_prometheus()
-        ));
-    }
-    if opts.metrics_json {
-        let lines: Vec<String> =
-            run.slo.breaches().iter().map(|b| format!("\"{}\"", b.to_line())).collect();
-        out.push_str(&format!(
-            "{{\"scenario\":\"{}\",\"seed\":{},\"digest\":\"{digest:016x}\",\
-             \"slo_breaches\":[{}],\"metrics\":{}}}\n",
-            sc.name,
-            opts.seed,
-            lines.join(","),
-            m.to_json()
-        ));
-    }
-    if let Some(path) = opts.profile.as_deref() {
-        let text = format!(
-            "# run: scenario {}\n{}",
-            sc.name,
-            obs.profile_report().expect("profiling was enabled")
-        );
-        std::fs::write(path, &text).map_err(|e| format!("profile write to {path} failed: {e}"))?;
-        out.push_str(&format!("\nprofile written to {path}\n"));
-    }
-    Ok(SimRun { output: out, slo_breached: run.breached() })
+    out
 }
 
-/// On an invariant violation, dump the flight recorder to `path` (when
-/// requested and recording) and fold the outcome into the error message.
-fn write_postmortem(msg: &str, obs: &ObsHandle, path: Option<&str>) -> String {
-    let Some(path) = path else { return msg.to_string() };
-    let Some(dump) = obs.post_mortem(msg) else { return msg.to_string() };
-    match std::fs::write(path, &dump) {
-        Ok(()) => format!("{msg} (postmortem written to {path})"),
-        Err(e) => format!("{msg} (postmortem write to {path} failed: {e})"),
-    }
-}
-
-/// `dustctl trace`: run one chaos scenario with the trace recorder on
-/// and print the event census plus the run's digest — or, with `full`,
-/// the entire decoded event log. Two invocations with the same flags
-/// print byte-identical output; that is the feature.
+/// `dustctl trace`: run one fault profile or `--scenario` with the trace
+/// recorder on and print the event census plus the run's digest — or,
+/// with `full`, the entire decoded event log. Two invocations with the
+/// same flags print byte-identical output; that is the feature.
 ///
 /// The full dump *streams* into `out` one event at a time (traces grow
 /// with duration; a two-minute chaos run is tens of thousands of lines),
@@ -495,20 +429,11 @@ pub fn cmd_trace(
     full: bool,
     out: &mut dyn std::io::Write,
 ) -> Result<(), String> {
-    opts.validate()?;
-    if opts.sweep {
-        return Err("trace records a single run; drop --sweep".into());
+    if let Some(help) = opts.scenario_help() {
+        return out.write_all(help.as_bytes()).map_err(|e| format!("writing help: {e}"));
     }
-    let obs = ObsHandle::recording(opts.seed);
-    let faults = opts.fault_ladder().remove(0);
-    let r = chaos_with_faults_observed_on(
-        faults,
-        opts.duration_ms,
-        opts.seed,
-        obs.clone(),
-        opts.engine,
-    );
-    let trace = obs.trace_snapshot().expect("recording handle");
+    let run = opts.run_recorded("trace records")?;
+    let trace = run.obs.trace_snapshot().expect("recording handle");
     if full {
         return trace.write_text(out).map_err(|e| format!("writing trace: {e}"));
     }
@@ -518,9 +443,9 @@ pub fn cmd_trace(
         *by_kind.entry(e.event.kind()).or_insert(0) += 1;
     }
     let mut text = format!(
-        "trace: seed {}, loss {:.0}%, {} events, digest {:016x}\n",
+        "trace: seed {}, {}, {} events, digest {:016x}\n",
         opts.seed,
-        r.loss * 100.0,
+        run.target.label(),
         trace.len(),
         trace.digest()
     );
@@ -530,38 +455,29 @@ pub fn cmd_trace(
     out.write_all(text.as_bytes()).map_err(|e| format!("writing census: {e}"))
 }
 
-/// `dustctl spans`: run one chaos scenario, reconstruct every flow's
-/// causal span tree, and print a per-flow table, per-phase p50/p99
-/// latencies, and the critical-path breakdown. `flow` narrows the table
-/// to one transfer's request id; `phase` narrows the latency table to
-/// one phase name. Byte-identical per seed, like everything else here.
+/// `dustctl spans`: run one fault profile or `--scenario`, reconstruct
+/// every flow's causal span tree, and print a per-flow table, per-phase
+/// p50/p99 latencies, and the critical-path breakdown. `flow` narrows the
+/// table to one transfer's request id; `phase` narrows the latency table
+/// to one phase name. Byte-identical per seed, like everything else here.
 pub fn cmd_spans(
     opts: &SimOptions,
     flow: Option<u64>,
     phase: Option<&str>,
 ) -> Result<String, String> {
-    opts.validate()?;
-    if opts.sweep {
-        return Err("spans analyzes a single run; drop --sweep".into());
+    if let Some(help) = opts.scenario_help() {
+        return Ok(help);
     }
-    let obs = ObsHandle::recording(opts.seed);
-    let faults = opts.fault_ladder().remove(0);
-    let r = chaos_with_faults_observed_on(
-        faults,
-        opts.duration_ms,
-        opts.seed,
-        obs.clone(),
-        opts.engine,
-    );
-    let trace = obs.trace_snapshot().expect("recording handle");
+    let run = opts.run_recorded("spans analyzes")?;
+    let trace = run.obs.trace_snapshot().expect("recording handle");
     let forest = build_spans(&trace);
     let (t, reg, p) = forest.kind_counts();
     let mut out = format!(
-        "spans: seed {}, loss {:.0}%, {} events → {} flows \
+        "spans: seed {}, {}, {} events → {} flows \
          ({t} transfers, {reg} registrations, {p} rounds), \
          unflowed {}, orphan events {}\n\n",
         opts.seed,
-        r.loss * 100.0,
+        run.target.label(),
         forest.total_events,
         forest.flows.len(),
         forest.unflowed_events,
@@ -1107,9 +1023,7 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
     }
     if let Some(path) = opts.profile.as_deref() {
         let report = obs.profile_report().expect("profiling was enabled");
-        std::fs::write(path, &report)
-            .map_err(|e| format!("profile write to {path} failed: {e}"))?;
-        out.push_str(&format!("profile written to {path}\n"));
+        out.push_str(&write_profile(path, &report)?);
     }
     Ok(out)
 }
@@ -1128,14 +1042,6 @@ pub struct ProfileOptions {
     /// Write the artifact to this path instead of stdout.
     pub out: Option<String>,
 }
-
-/// The fat-tree arity `dustctl profile scale_fleet` uses: big enough
-/// that the per-event machinery dominates, small enough for an
-/// interactive command (the committed benchmark uses k = 90).
-const PROFILE_FLEET_K: usize = 24;
-
-/// Default simulated duration for `dustctl profile scale_fleet`, ms.
-const PROFILE_FLEET_DURATION_MS: u64 = 10_000;
 
 /// `dustctl profile <scenario>`: run one named scenario with the
 /// hierarchical profiler enabled and emit the folded-stack artifact —
@@ -1158,47 +1064,37 @@ pub fn cmd_profile(name: &str, opts: &ProfileOptions) -> Result<String, String> 
         ));
         return Ok(out);
     }
-    let obs = ObsHandle::recording(opts.seed);
-    obs.enable_profiling();
-    let (label, duration_ms, events) = if name == "scale_fleet" {
-        let duration = opts.duration_ms.unwrap_or(PROFILE_FLEET_DURATION_MS);
-        let mut sim =
-            scale_fleet_sim_on(PROFILE_FLEET_K, duration, opts.seed, obs.clone(), opts.engine);
-        let report = sim.run();
-        (format!("scale_fleet (k={PROFILE_FLEET_K})"), duration, report.events_processed)
+    let target = if name == "scale_fleet" {
+        Target::ScaleFleet
     } else {
-        let Some(sc) = registry::find(name) else {
-            let names: Vec<&str> = registry::all().iter().map(|s| s.name).collect();
-            return Err(format!(
-                "unknown scenario {name:?} (have: {}, scale_fleet; profile help lists them)",
-                names.join(", ")
-            ));
-        };
-        let knobs = ScenarioKnobs {
-            duration_ms: opts.duration_ms,
-            seed: opts.seed,
-            engine: opts.engine,
-            obs: obs.clone(),
-            slo_override: None,
-        };
-        let duration = sc.duration(&knobs);
-        let run = sc.run(&knobs).map_err(|e| e.to_string())?;
-        (sc.name.to_string(), duration, run.report.events_processed)
+        Target::Scenario(find_scenario(name, ", scale_fleet", "profile help lists them")?)
+    };
+    let run = run(&RunSpec {
+        target,
+        seed: opts.seed,
+        duration_ms: opts.duration_ms,
+        engine: opts.engine,
+        slo: None,
+        profile: true,
+    })?;
+    let Outcome::Report(report) = &run.outcome else {
+        unreachable!("scenario and fleet runs produce a SimReport")
     };
     let mut out = format!(
-        "profile: {label}, seed {}, engine {}, {:.0}s simulated, {events} events\n",
+        "profile: {}, seed {}, engine {}, {:.0}s simulated, {} events\n",
+        match target {
+            Target::Scenario(sc) => sc.name.to_string(),
+            other => other.label(),
+        },
         opts.seed,
         opts.engine,
-        duration_ms as f64 / 1000.0,
+        run.duration_ms as f64 / 1000.0,
+        report.events_processed,
     );
-    let report = obs.profile_report().expect("profiling was enabled");
+    let artefact = run.obs.profile_report().expect("profiling was enabled");
     match opts.out.as_deref() {
-        Some(path) => {
-            std::fs::write(path, &report)
-                .map_err(|e| format!("profile write to {path} failed: {e}"))?;
-            out.push_str(&format!("profile written to {path}\n"));
-        }
-        None => out.push_str(&report),
+        Some(path) => out.push_str(&write_profile(path, &artefact)?),
+        None => out.push_str(&artefact),
     }
     Ok(out)
 }
@@ -1442,6 +1338,15 @@ mod tests {
         let digest_line = full.lines().last().unwrap();
         assert!(digest_line.starts_with("digest "), "{digest_line}");
         assert!(trace_to_string(&SimOptions { sweep: true, ..o }, false).is_err());
+        // one run path: a scenario traced is the scenario `sim` digests
+        for name in ["churn", "int_burst"] {
+            let o = SimOptions { scenario: Some(name.into()), seed: 17, ..Default::default() };
+            let census = trace_to_string(&o, false).unwrap();
+            assert!(census.starts_with(&format!("trace: seed 17, scenario {name}, ")), "{census}");
+            let digest = census.lines().next().unwrap().rsplit("digest ").next().unwrap();
+            let json = cmd_sim(&SimOptions { metrics_json: true, ..o }).unwrap().output;
+            assert!(json.contains(&format!("\"digest\":\"{digest}\"")), "{digest} vs {json}");
+        }
     }
 
     #[test]
@@ -1464,6 +1369,12 @@ mod tests {
         assert!(only_t1.contains("t:1"), "{only_t1}");
         assert!(!only_t1.contains("\nn:"), "registrations filtered out: {only_t1}");
         assert!(cmd_spans(&SimOptions { sweep: true, ..o }, None, None).is_err());
+        // --scenario names the run here exactly as it does for sim
+        let o = SimOptions { scenario: Some("zone_storm".into()), seed: 7, ..Default::default() };
+        let storm = cmd_spans(&o, None, None).unwrap();
+        assert_eq!(storm, cmd_spans(&o, None, None).unwrap());
+        assert!(storm.starts_with("spans: seed 7, scenario zone_storm, "), "{storm}");
+        assert!(storm.lines().any(|l| l.starts_with("t:")), "storm fleet must offload: {storm}");
     }
 
     #[test]
@@ -1686,6 +1597,10 @@ mod tests {
         assert!(err.contains("carries its own fault model"), "{err}");
         let err = cmd_sim(&SimOptions { sweep: true, ..base() }).unwrap_err();
         assert!(err.contains("chaos ladder"), "{err}");
+        // the sweep is a fault source too: it must not swallow --loss silently
+        let err =
+            cmd_sim(&SimOptions { sweep: true, loss: 0.9, ..Default::default() }).unwrap_err();
+        assert!(err.contains("--sweep carries its own fault model"), "{err}");
         let err = cmd_sim(&SimOptions { scenario: Some("figment".into()), ..Default::default() })
             .unwrap_err();
         assert!(err.contains("unknown scenario"), "{err}");

@@ -6,3 +6,4 @@
 pub mod args;
 pub mod commands;
 pub mod format;
+mod run;

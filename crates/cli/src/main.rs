@@ -8,11 +8,14 @@
 //! dustctl zoned net.dust --zone-size 80 --sweep
 //! ```
 
-use dust::sim::EngineKind;
-use dust_cli::args::{parse_sim_invocation, SimCommandKind};
+use dust::prelude::Nmdb;
+use dust_cli::args::{
+    parse_file_invocation, parse_place_invocation, parse_profile_invocation, parse_sim_invocation,
+    SimCommandKind,
+};
 use dust_cli::commands::{
     cmd_dot, cmd_heuristic, cmd_optimize, cmd_place, cmd_profile, cmd_sim, cmd_spans, cmd_trace,
-    cmd_zoned, roles, Options, PlaceOptions, ProfileOptions,
+    cmd_zoned, roles,
 };
 use dust_cli::format::{example_file, parse_nmdb};
 
@@ -30,9 +33,9 @@ commands:
   dot       <file>             Graphviz view: roles colored + chosen routes
   sim                          chaos-run the testbed under a lossy control plane,
                                or run a named registry scenario (--scenario)
-  trace                        chaos-run with the trace recorder on; print the
+  trace                        the same run with the trace recorder on; print the
                                event census and the run's deterministic digest
-  spans                        chaos-run and reconstruct per-flow causal span
+  spans                        the same run, reconstructed into per-flow causal span
                                trees: flow table, per-phase p50/p99, critical path
   profile   <scenario>         run one scenario with the wall-clock profiler on
                                and print the folded-stack profile (counts are
@@ -71,7 +74,8 @@ place options (plus the file options above):
                 write the solver-side wall-clock profile (simplex, partition
                 deal/solve/repair, cost-matrix pricing) to PATH
 
-sim options:
+run options (sim, trace and spans name a run the same way; the fault
+model comes from exactly one of --scenario, --sweep, or the fault flags):
   --scenario NAME
                 run a named registry scenario (testbed, chaos, int_burst,
                 diurnal, flash_crowd, zone_storm, churn) with its own topology,
@@ -82,11 +86,14 @@ sim options:
   --dup P       duplication probability per message (default 0)
   --delay MS    base propagation delay per message (default 0)
   --jitter MS   extra uniform delay in 0..=MS, reorders messages (default 0)
-  --duration MS simulated time (default 120000)
+  --duration MS simulated time (default 120000, or the scenario's own)
   --seed N      master seed (default 0)
   --engine NAME simulation core: event (default) or tick; both produce
                 byte-identical output for the same flags
-  --sweep       sweep loss 0/5/10/20/40% instead of a single --loss run
+
+sim options (plus the run options above):
+  --sweep       sweep loss 0/5/10/20/40% instead of one fault-flag run
+                (excludes the fault flags)
   --metrics     append the recorded metrics (counters/gauges/histograms)
   --metrics-json
                 append one stable JSON object per run (includes the trace
@@ -112,201 +119,139 @@ profile options:
   --engine NAME simulation core to profile: event (default) or tick
   --out PATH    write the artifact to PATH instead of stdout
 
-trace options: same as sim (minus --sweep), plus
+trace options: the run options above, plus
   --full        stream the entire decoded event log instead of the census
 
-spans options: same as sim (minus --sweep), plus
+spans options: the run options above, plus
   --flow N      show only transfer flow N in the flow table
   --phase NAME  show only NAME in the phase-latency table
 
 exit status: 0 on success, 1 when no feasible placement exists, a sim
 invariant breaks, or an --slo rule breaches, 2 on usage errors";
 
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("dustctl: {msg}\n\n{USAGE}");
-    std::process::exit(2)
+/// How an invocation fails: a usage error prints the usage text and exits
+/// 2; a run that fails or finds something exits 1.
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+fn load(path: &str) -> Result<Nmdb, Failure> {
+    let input = std::fs::read_to_string(path)
+        .map_err(|e| Failure::Usage(format!("cannot read {path:?}: {e}")))?;
+    parse_nmdb(&input).map_err(|e| Failure::Usage(format!("{path}: {e}")))
+}
+
+fn sim_command(kind: SimCommandKind, args: &[String]) -> Result<(), Failure> {
+    use Failure::{Run, Usage};
+    let inv = parse_sim_invocation(kind, args).map_err(Usage)?;
+    match kind {
+        SimCommandKind::Trace => {
+            let stdout = std::io::stdout();
+            cmd_trace(&inv.opts, inv.full, &mut stdout.lock()).map_err(Run)?
+        }
+        SimCommandKind::Spans => {
+            print!("{}", cmd_spans(&inv.opts, inv.flow, inv.phase.as_deref()).map_err(Run)?)
+        }
+        SimCommandKind::Sim => {
+            let run = cmd_sim(&inv.opts).map_err(Run)?;
+            print!("{}", run.output);
+            if run.slo_breached {
+                return Err(Run("SLO breached (see report above)".into()));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn dispatch(args: &[String]) -> Result<(), Failure> {
+    use Failure::{Run, Usage};
+    let Some(cmd) = args.first().map(String::as_str) else {
+        return Err(Usage("missing command".into()));
+    };
+    let rest = &args[1..];
+    if let Some(kind) = SimCommandKind::from_name(cmd) {
+        return sim_command(kind, rest);
+    }
+    let out = match cmd {
+        "example" => example_file(),
+        "-h" | "--help" => format!("{USAGE}\n"),
+        "profile" => {
+            let (name, opts) = parse_profile_invocation(rest).map_err(Usage)?;
+            cmd_profile(&name, &opts).map_err(Run)?
+        }
+        "place" => {
+            let (path, opts) = parse_place_invocation(rest).map_err(Usage)?;
+            let nmdb = path.as_deref().map(load).transpose()?;
+            cmd_place(nmdb.as_ref(), &opts).map_err(Run)?
+        }
+        _ => {
+            let inv = parse_file_invocation(cmd, rest).map_err(Usage)?;
+            let nmdb = load(&inv.path)?;
+            // Solve-time failures (infeasible, hop starvation, bad
+            // thresholds) exit 1 without the usage text.
+            match cmd {
+                "roles" => roles(&nmdb, &inv.opts),
+                "optimize" => cmd_optimize(&nmdb, &inv.opts),
+                "heuristic" => cmd_heuristic(&nmdb, &inv.opts, inv.hops),
+                "zoned" => {
+                    let size = inv
+                        .zone_size
+                        .ok_or_else(|| Usage("zoned requires --zone-size N".into()))?;
+                    cmd_zoned(&nmdb, &inv.opts, size, inv.sweep)
+                }
+                "dot" => cmd_dot(&nmdb, &inv.opts),
+                other => return Err(Usage(format!("unknown command {other:?}"))),
+            }
+            .map_err(Run)?
+        }
+    };
+    print!("{out}");
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().cloned() else { fail("missing command") };
-    if cmd == "example" {
-        print!("{}", example_file());
-        return;
-    }
-    if cmd == "-h" || cmd == "--help" {
-        println!("{USAGE}");
-        return;
-    }
-    if let Some(kind) = SimCommandKind::from_name(&cmd) {
-        let inv = parse_sim_invocation(kind, &args[1..]).unwrap_or_else(|e| fail(e));
-        let run_err = |e: String| -> ! {
-            eprintln!("dustctl: {e}");
+    match dispatch(&args) {
+        Ok(()) => {}
+        Err(Failure::Usage(msg)) => {
+            eprintln!("dustctl: {msg}\n\n{USAGE}");
+            std::process::exit(2)
+        }
+        Err(Failure::Run(msg)) => {
+            eprintln!("dustctl: {msg}");
             std::process::exit(1)
-        };
-        match kind {
-            SimCommandKind::Trace => {
-                let stdout = std::io::stdout();
-                if let Err(e) = cmd_trace(&inv.opts, inv.full, &mut stdout.lock()) {
-                    run_err(e)
-                }
-            }
-            SimCommandKind::Spans => match cmd_spans(&inv.opts, inv.flow, inv.phase.as_deref()) {
-                Ok(out) => print!("{out}"),
-                Err(e) => run_err(e),
-            },
-            SimCommandKind::Sim => match cmd_sim(&inv.opts) {
-                Ok(run) => {
-                    print!("{}", run.output);
-                    if run.slo_breached {
-                        eprintln!("dustctl: SLO breached (see report above)");
-                        std::process::exit(1)
-                    }
-                }
-                Err(e) => run_err(e),
-            },
         }
-        return;
     }
-    if cmd == "profile" {
-        let Some(name) = args.get(1).cloned().filter(|a| !a.starts_with('-')) else {
-            fail("profile needs a scenario name (profile help lists them)")
-        };
-        let mut popts = ProfileOptions::default();
-        let mut it = args.iter().skip(2);
-        let value = |it: &mut dyn Iterator<Item = &String>, flag: &str| -> String {
-            it.next().unwrap_or_else(|| fail(format!("{flag} needs a value"))).clone()
-        };
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--seed" => {
-                    let v = value(&mut it, "--seed");
-                    popts.seed =
-                        v.parse().unwrap_or_else(|_| fail(format!("--seed: invalid number {v:?}")))
-                }
-                "--duration" => {
-                    let v = value(&mut it, "--duration");
-                    popts.duration_ms = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| fail(format!("--duration: invalid number {v:?}"))),
-                    )
-                }
-                "--engine" => {
-                    popts.engine =
-                        EngineKind::parse(&value(&mut it, "--engine")).unwrap_or_else(|e| fail(e))
-                }
-                "--out" => popts.out = Some(value(&mut it, "--out")),
-                other => fail(format!("unknown profile option {other:?}")),
-            }
-        }
-        match cmd_profile(&name, &popts) {
-            Ok(out) => print!("{out}"),
-            Err(e) => {
-                eprintln!("dustctl: {e}");
-                std::process::exit(1)
-            }
-        }
-        return;
-    }
-    if cmd == "place" {
-        let mut popts = PlaceOptions::default();
-        let mut path: Option<String> = None;
-        let mut it = args.iter().skip(1);
-        let numeric = |it: &mut dyn Iterator<Item = &String>, flag: &str| -> f64 {
-            let v = it.next().unwrap_or_else(|| fail(format!("{flag} needs a value")));
-            v.parse().unwrap_or_else(|_| fail(format!("{flag}: invalid number {v:?}")))
-        };
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--c-max" => popts.base.c_max = numeric(&mut it, "--c-max"),
-                "--co-max" => popts.base.co_max = numeric(&mut it, "--co-max"),
-                "--x-min" => popts.base.x_min = numeric(&mut it, "--x-min"),
-                "--max-hop" => popts.base.max_hop = Some(numeric(&mut it, "--max-hop") as usize),
-                "--enumerate" => popts.base.enumerate_paths = true,
-                "--simplex" => popts.base.simplex = true,
-                "--threads" => popts.base.threads = numeric(&mut it, "--threads") as usize,
-                "--fat-tree" => popts.fat_tree = Some(numeric(&mut it, "--fat-tree") as usize),
-                "--partitions" => {
-                    popts.partitions = Some(numeric(&mut it, "--partitions") as usize)
-                }
-                "--batch" => popts.batch = numeric(&mut it, "--batch") as usize,
-                "--seed" => popts.seed = numeric(&mut it, "--seed") as u64,
-                "--gap" => popts.gap = true,
-                "--warm" => popts.warm = true,
-                "--delta-threshold" => {
-                    popts.delta_threshold = Some(numeric(&mut it, "--delta-threshold"))
-                }
-                "--profile" => {
-                    popts.profile =
-                        Some(it.next().unwrap_or_else(|| fail("--profile needs a value")).clone())
-                }
-                other if !other.starts_with('-') && path.is_none() => path = Some(other.into()),
-                other => fail(format!("unknown place option {other:?}")),
-            }
-        }
-        let file_nmdb = path.map(|p| {
-            let input = std::fs::read_to_string(&p)
-                .unwrap_or_else(|e| fail(format!("cannot read {p:?}: {e}")));
-            parse_nmdb(&input).unwrap_or_else(|e| fail(format!("{p}: {e}")))
-        });
-        match cmd_place(file_nmdb.as_ref(), &popts) {
-            Ok(out) => print!("{out}"),
-            Err(e) => {
-                eprintln!("dustctl: {e}");
-                std::process::exit(1)
-            }
-        }
-        return;
-    }
-    let Some(path) = args.get(1).cloned() else { fail(format!("{cmd}: missing <file>")) };
+}
 
-    let mut opts = Options::default();
-    let mut hops = 1usize;
-    let mut zone_size: Option<usize> = None;
-    let mut sweep = false;
-    let mut it = args.iter().skip(2);
-    let numeric = |it: &mut dyn Iterator<Item = &String>, flag: &str| -> f64 {
-        let v = it.next().unwrap_or_else(|| fail(format!("{flag} needs a value")));
-        v.parse().unwrap_or_else(|_| fail(format!("{flag}: invalid number {v:?}")))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--c-max" => opts.c_max = numeric(&mut it, "--c-max"),
-            "--co-max" => opts.co_max = numeric(&mut it, "--co-max"),
-            "--x-min" => opts.x_min = numeric(&mut it, "--x-min"),
-            "--max-hop" => opts.max_hop = Some(numeric(&mut it, "--max-hop") as usize),
-            "--enumerate" => opts.enumerate_paths = true,
-            "--simplex" => opts.simplex = true,
-            "--threads" => opts.threads = numeric(&mut it, "--threads") as usize,
-            "--hops" => hops = numeric(&mut it, "--hops") as usize,
-            "--zone-size" => zone_size = Some(numeric(&mut it, "--zone-size") as usize),
-            "--sweep" => sweep = true,
-            other => fail(format!("unknown option {other:?}")),
-        }
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let input = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| fail(format!("cannot read {path:?}: {e}")));
-    let nmdb = parse_nmdb(&input).unwrap_or_else(|e| fail(format!("{path}: {e}")));
-
-    let result = match cmd.as_str() {
-        "roles" => roles(&nmdb, &opts),
-        "optimize" => cmd_optimize(&nmdb, &opts),
-        "heuristic" => cmd_heuristic(&nmdb, &opts, hops),
-        "zoned" => {
-            let size = zone_size.unwrap_or_else(|| fail("zoned requires --zone-size N"));
-            cmd_zoned(&nmdb, &opts, size, sweep)
-        }
-        "dot" => cmd_dot(&nmdb, &opts),
-        other => fail(format!("unknown command {other:?}")),
-    };
-    match result {
-        Ok(out) => print!("{out}"),
-        // Solve-time failures (infeasible, hop starvation, bad thresholds)
-        // exit 1 without the usage banner; usage errors exit 2 via fail().
-        Err(e) => {
-            eprintln!("dustctl: {e}");
-            std::process::exit(1)
+    #[test]
+    fn every_documented_flag_is_known_to_a_grammar() {
+        // a grammar that knows a flag either accepts it or asks for its
+        // value; only an unknown flag is reported as an unknown option
+        let knows = |result: Result<(), String>| !result.is_err_and(|e| e.contains("unknown"));
+        let mut flags: Vec<String> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .map(String::from)
+            .collect();
+        flags.sort();
+        flags.dedup();
+        assert!(flags.len() > 30, "USAGE lost its flags: {flags:?}");
+        for flag in flags {
+            let after_name = ["x".to_string(), flag.clone()];
+            let alone = &after_name[1..];
+            let known = [SimCommandKind::Sim, SimCommandKind::Trace, SimCommandKind::Spans]
+                .iter()
+                .any(|&kind| knows(parse_sim_invocation(kind, alone).map(drop)))
+                || knows(parse_profile_invocation(&after_name).map(drop))
+                || knows(parse_place_invocation(alone).map(drop))
+                || knows(parse_file_invocation("zoned", &after_name).map(drop));
+            assert!(known, "USAGE documents {flag}, which no grammar in args.rs parses");
         }
     }
 }

@@ -3,10 +3,13 @@
 //! DUST is "a dynamic traffic-aware solution that periodically monitors
 //! the in-device computational load of all nodes and makes distributed
 //! monitoring decisions accordingly" (§I). Re-running the optimizer every
-//! Update-Interval produces a fresh [`Placement`]; tearing everything down
-//! and re-issuing it would thrash the network. This module computes the
-//! *minimal action set* between two placements — which transfers to start,
-//! stop, or resize — so the Manager only signals what actually changed.
+//! Update-Interval produces a fresh [`crate::Placement`]; tearing
+//! everything down and re-issuing it would thrash the network. This module
+//! computes the *minimal action set* between two placements — which
+//! transfers to start, stop, or resize — so that a caller need only signal
+//! what actually changed. It is a library-only extension: neither
+//! `dust-proto` nor `dust-sim` calls it (the Manager's own delta path
+//! re-homes flows by re-priced `T_rmin`, not by diffing placements).
 
 use crate::optimizer::Assignment;
 use dust_topology::NodeId;

@@ -66,16 +66,11 @@ pub mod prelude {
     };
     pub use dust_proto::{Client, ClientMsg, Envelope, Manager, ManagerMsg, Priority, RequestId};
     pub use dust_sim::{
-        chaos_ladder, chaos_run, fig1_curve, fig6_contrast, registry, Scenario, ScenarioKnobs,
-        ScenarioRun, StormConfig,
-    };
-    pub use dust_sim::{
-        chaos_with_faults, chaos_with_faults_observed, chaos_with_faults_observed_on,
-        chaos_with_slo, chaos_with_slo_on, evaluate_flows, fleet, scale_fleet, scale_fleet_sim,
-        scale_fleet_sim_on, testbed_dust_config, testbed_nodes, testbed_observed,
-        testbed_observed_on, testbed_topology, ChaosResult, EngineKind, FaultConfig, FaultProfile,
-        FlowOutcome, NodeSpec, SimBuilder, SimConfig, SimNode, SimReport, Simulation,
-        TelemetryFlow, TrafficModel, Transport,
+        evaluate_flows, fig1_curve, fig6_contrast, fleet, registry, scale_fleet_sim_on,
+        testbed_dust_config, testbed_nodes, testbed_topology, ChaosResult, EngineKind, FaultConfig,
+        FaultProfile, FlowOutcome, NodeSpec, Scenario, ScenarioKnobs, ScenarioRun, SimBuilder,
+        SimConfig, SimNode, SimReport, Simulation, StormConfig, TelemetryFlow, TrafficModel,
+        Transport,
     };
     pub use dust_telemetry::{
         aggregate_load, compress, decompress, AgentKind, Alert, Comparison, Federation,

@@ -31,14 +31,12 @@
 #![warn(missing_docs)]
 
 pub mod branch_bound;
-pub mod export;
 pub mod partition;
 pub mod problem;
 pub mod simplex;
 pub mod transportation;
 
 pub use branch_bound::{solve_mip, solve_mip_with, MipOptions, MipSolution};
-pub use export::to_lp_format;
 pub use partition::{
     solve_partitioned_via, solve_partitioned_via_warm, solve_partitioned_with,
     solve_subs_sequential, PartitionOutcome, PartitionPlan, PartitionWarm, SubProblem,

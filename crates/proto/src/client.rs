@@ -140,7 +140,7 @@ impl Client {
 
     /// Begin registration: emits the `Offload-capable` message (§III-B).
     /// While the ACK is outstanding, [`Client::tick`] keeps retransmitting
-    /// the announcement every [`REGISTER_RETRY_MS`].
+    /// the announcement every `REGISTER_RETRY_MS`.
     pub fn register(&mut self, now_ms: u64) -> ClientMsg {
         self.phase = ClientPhase::Registering;
         self.last_register_ms = Some(now_ms);

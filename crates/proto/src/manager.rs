@@ -492,7 +492,7 @@ impl Manager {
     /// Before anything solves, the shared cost engine migrates its cached
     /// `T_rmin` rows across whatever link drift accumulated since the last
     /// round (incremental when few links moved, a full re-price past
-    /// [`MAX_DIRTY_FRACTION`]). With [`Manager::with_delta_placement`] on,
+    /// `MAX_DIRTY_FRACTION`). With [`Manager::with_delta_placement`] on,
     /// a round where the hosted flows all priced within their degradation
     /// threshold re-homes only the offenders; otherwise — and on every
     /// periodic cadence round — the full engine runs, warm-started from

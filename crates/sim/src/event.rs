@@ -1,6 +1,6 @@
 //! The event-driven simulation core.
 //!
-//! Processes exactly the same typed [`SimEvent`] sequence as the tick
+//! Processes exactly the same typed `SimEvent` sequence as the tick
 //! core in [`crate::runner`] — same `(time, seq)` order, same protocol
 //! calls, same observability emissions — so golden-trace digests,
 //! `--metrics-json` output, and every recorded metric series are
@@ -9,7 +9,7 @@
 //!
 //! * **Lazy link application.** The tick core re-rolls a per-edge RNG
 //!   over the whole graph at every STAT emission
-//!   ([`TrafficModel::apply_to_links`] is a pure function of
+//!   ([`crate::TrafficModel::apply_to_links`] is a pure function of
 //!   `(seed, time)`). The simulation's own graph copy is only ever read
 //!   by flow evaluation at sample points, so the event core just records
 //!   the last emission time and applies it on demand — an O(E) pass per

@@ -17,11 +17,14 @@
 //! * [`runner`] — the full wiring: protocol state machines, placement
 //!   rounds, physical agent movement, metric recording, failure injection;
 //! * [`scenarios`] — the shared Fig. 5 testbed fixtures (topology, agent
-//!   mixes, DUST config) and the parameterized chaos harness;
+//!   mixes, DUST config) and the fat-tree fleet workloads;
 //! * [`registry`] — the named scenario registry: every canned workload
 //!   (`testbed`, `chaos`, `int_burst`, `diurnal`, `flash_crowd`,
-//!   `zone_storm`) as a [`registry::Scenario`] descriptor carrying its
-//!   own SLO spec, plus the Fig. 1 / Fig. 6 experiment helpers.
+//!   `zone_storm`, `churn`) as a [`registry::Scenario`] descriptor carrying
+//!   its own SLO spec, the fault-parameterized [`registry::chaos`] run,
+//!   and the Fig. 1 / Fig. 6 experiment helpers. A run is named by one
+//!   [`registry::ScenarioKnobs`] value (seed, duration, core, observer,
+//!   SLO override).
 //!
 //! # Example
 //!
@@ -56,14 +59,10 @@ pub use builder::SimBuilder;
 pub use engine::{EngineKind, EventQueue, EventToken, Scheduled};
 pub use flows::{evaluate_flows, FlowOutcome, TelemetryFlow};
 pub use node::{NodeSpec, SimNode};
-pub use registry::{
-    chaos_ladder, chaos_run, fig1_curve, fig6_contrast, Scenario, ScenarioKnobs, ScenarioRun,
-};
+pub use registry::{fig1_curve, fig6_contrast, Scenario, ScenarioKnobs, ScenarioRun};
 pub use runner::{DriftConfig, SimConfig, SimReport, Simulation, StormConfig};
 pub use scenarios::{
-    chaos_with_faults, chaos_with_faults_observed, chaos_with_faults_observed_on, chaos_with_slo,
-    chaos_with_slo_on, congestion, fleet, scale_fleet, scale_fleet_sim, scale_fleet_sim_on,
-    testbed_dust_config, testbed_nodes, testbed_observed, testbed_observed_on, testbed_topology,
+    congestion, fleet, scale_fleet_sim_on, testbed_dust_config, testbed_nodes, testbed_topology,
     ChaosResult, CongestionResult, Fig1Row, Fig6Result, FleetResult,
 };
 pub use traffic::TrafficModel;

@@ -22,16 +22,19 @@
 //! | `zone_storm`  | 4-k fat-tree: CPU-cascade storm + a pod-wide outage   |
 //! | `churn`       | testbed under seeded link/agent drift, warm + delta   |
 //!
-//! The experiment helpers that used to live in [`crate::scenarios`]
-//! ([`fig1_curve`], [`fig6_contrast`], [`chaos_run`], [`chaos_ladder`])
-//! live here; the old `fig1`/`fig6`/`chaos`/`chaos_sweep` aliases have
-//! been removed.
+//! [`ScenarioKnobs`] is the one way to name a run: the registry entries
+//! take it through [`Scenario::run`], and [`chaos`] — the testbed under a
+//! caller-supplied fault model, which is what `dustctl sim --loss …`
+//! drives — takes the same knobs beside its [`FaultConfig`]. The Fig. 1 /
+//! Fig. 6 experiment helpers ([`fig1_curve`], [`fig6_contrast`]) live
+//! here too.
 
+use crate::builder::SimBuilder;
 use crate::engine::EngineKind;
-use crate::node::{NodeSpec, SimNode};
+use crate::node::SimNode;
 use crate::runner::{DriftConfig, SimReport, Simulation, StormConfig};
 use crate::scenarios::{
-    chaos_with_faults, testbed_dust_config, testbed_nodes, testbed_topology, ChaosResult, Fig1Row,
+    monitored_fat_tree, testbed_dust_config, testbed_nodes, testbed_topology, ChaosResult, Fig1Row,
     Fig6Result,
 };
 use crate::traffic::TrafficModel;
@@ -39,11 +42,11 @@ use crate::transport::{FaultConfig, FaultProfile};
 use dust_core::DustError;
 use dust_obs::{ObsHandle, SloEngine, SloSpec};
 use dust_telemetry::{IntSampling, MonitorAgent};
-use dust_topology::{FatTree, Link, Tier};
+use dust_topology::Graph;
 
 /// Per-invocation knobs for a registry scenario: everything the caller
 /// may vary without changing what the scenario *is*.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioKnobs {
     /// Simulated duration override; `None` runs the scenario's
     /// [`Scenario::default_duration_ms`].
@@ -56,18 +59,6 @@ pub struct ScenarioKnobs {
     pub obs: ObsHandle,
     /// Evaluate this spec instead of the scenario's attached one.
     pub slo_override: Option<SloSpec>,
-}
-
-impl Default for ScenarioKnobs {
-    fn default() -> Self {
-        ScenarioKnobs {
-            duration_ms: None,
-            seed: 0,
-            engine: EngineKind::default(),
-            obs: ObsHandle::disabled(),
-            slo_override: None,
-        }
-    }
 }
 
 impl ScenarioKnobs {
@@ -135,10 +126,18 @@ impl Scenario {
         knobs.duration_ms.unwrap_or(self.default_duration_ms)
     }
 
+    /// Assemble the simulation with no SLO engine watching it. An attached
+    /// engine schedules its own evaluation events, so a run built here
+    /// processes fewer events than one from [`Scenario::build`]; the trace
+    /// digest is the same unless a rule breaches.
+    pub fn build_unwatched(&self, knobs: &ScenarioKnobs) -> Result<Simulation, DustError> {
+        (self.make)(knobs, self.duration(knobs))
+    }
+
     /// Assemble the simulation with the SLO engine already attached
     /// (the scenario's own spec, or the override).
     pub fn build(&self, knobs: &ScenarioKnobs) -> Result<Simulation, DustError> {
-        let mut sim = (self.make)(knobs, self.duration(knobs))?;
+        let mut sim = self.build_unwatched(knobs)?;
         let spec = match &knobs.slo_override {
             Some(s) => s.clone(),
             None => self.slo(),
@@ -225,45 +224,15 @@ static REGISTRY: [Scenario; 7] = [
     },
 ];
 
-fn testbed_builder(knobs: &ScenarioKnobs, duration: u64) -> crate::builder::SimBuilder {
-    let (graph, dut) = testbed_topology();
-    Simulation::builder()
-        .graph(graph)
-        .nodes(testbed_nodes(dut))
-        .dust(testbed_dust_config())
-        .duration_ms(duration)
-        .seed(knobs.seed)
-        .full_monitoring_offload(true)
-        .engine(knobs.engine)
-        .obs(knobs.obs.clone())
-}
-
-fn make_testbed(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
-    testbed_builder(knobs, duration).traffic(TrafficModel::testbed()).build()
-}
-
-fn make_chaos(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
-    let faults = FaultConfig::symmetric(FaultProfile {
-        drop: 0.2,
-        duplicate: 0.1,
-        delay_ms: 20,
-        jitter_ms: 100,
-    });
-    testbed_builder(knobs, duration).traffic(TrafficModel::testbed()).faults(faults).build()
-}
-
-fn make_int_burst(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
-    let (graph, dut) = testbed_topology();
-    let mut nodes = testbed_nodes(dut);
-    // The INT class rides along with the periodic STAT deployment: one
-    // deterministic 1/N sampler and one seeded probabilistic sampler at
-    // the same expected fraction, so their *costs* are identical while
-    // their per-packet decision sequences differ (see
-    // `crates/sim/tests/int_sampling.rs`).
-    let d = &mut nodes[dut.index()];
-    d.local_agents_mut().push(MonitorAgent::int(IntSampling::Deterministic { n: 4 }));
-    d.local_agents_mut().push(MonitorAgent::int(IntSampling::Probabilistic { p: 0.25 }));
-    d.note_agents_changed();
+/// What every canned DUST run starts from: full monitoring offload at
+/// the testbed's thresholds and traffic over `graph`/`nodes`, with the
+/// knobs applied. Callers override only what they vary.
+pub(crate) fn offload_builder(
+    graph: Graph,
+    nodes: Vec<SimNode>,
+    knobs: &ScenarioKnobs,
+    duration: u64,
+) -> SimBuilder {
     Simulation::builder()
         .graph(graph)
         .nodes(nodes)
@@ -274,7 +243,37 @@ fn make_int_burst(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, Du
         .full_monitoring_offload(true)
         .engine(knobs.engine)
         .obs(knobs.obs.clone())
+}
+
+/// [`offload_builder`] over the Fig. 5 testbed.
+pub(crate) fn testbed_builder(knobs: &ScenarioKnobs, duration: u64) -> SimBuilder {
+    let (graph, dut) = testbed_topology();
+    offload_builder(graph, testbed_nodes(dut), knobs, duration)
+}
+
+fn make_testbed(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
+    testbed_builder(knobs, duration).build()
+}
+
+fn make_chaos(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
+    testbed_builder(knobs, duration)
+        .faults(FaultConfig::symmetric(FaultProfile::chaos(0.2)))
         .build()
+}
+
+fn make_int_burst(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
+    let (_, dut) = testbed_topology();
+    let mut nodes = testbed_nodes(dut);
+    // The INT class rides along with the periodic STAT deployment: one
+    // deterministic 1/N sampler and one seeded probabilistic sampler at
+    // the same expected fraction, so their *costs* are identical while
+    // their per-packet decision sequences differ (see
+    // `crates/sim/tests/int_sampling.rs`).
+    let d = &mut nodes[dut.index()];
+    d.local_agents_mut().push(MonitorAgent::int(IntSampling::Deterministic { n: 4 }));
+    d.local_agents_mut().push(MonitorAgent::int(IntSampling::Probabilistic { p: 0.25 }));
+    d.note_agents_changed();
+    testbed_builder(knobs, duration).nodes(nodes).build()
 }
 
 fn make_diurnal(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
@@ -300,19 +299,7 @@ fn make_flash_crowd(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, 
 }
 
 fn make_zone_storm(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustError> {
-    let ft = FatTree::new(4, Link::new(25_000.0, 0.2));
-    let edges = ft.tier_nodes(Tier::Edge);
-    let nodes: Vec<SimNode> = ft
-        .graph
-        .nodes()
-        .map(|n| {
-            if edges.contains(&n) {
-                SimNode::with_standard_agents(n, NodeSpec::aruba_8325())
-            } else {
-                SimNode::bare(n, NodeSpec::dpu())
-            }
-        })
-        .collect();
+    let (ft, _, nodes) = monitored_fat_tree(4);
     // Two correlated failure modes layered on the kill/revive path:
     // a CPU-cascade storm that takes out edge switches still Busy before
     // placement relieves them, and a zone outage killing all of pod 0
@@ -324,17 +311,7 @@ fn make_zone_storm(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, D
         max_cascades: 2,
     };
     let pod: Vec<_> = ft.pod_nodes(0);
-    let mut b = Simulation::builder()
-        .graph(ft.graph.clone())
-        .nodes(nodes)
-        .traffic(TrafficModel::testbed())
-        .dust(testbed_dust_config())
-        .duration_ms(duration)
-        .seed(knobs.seed)
-        .full_monitoring_offload(true)
-        .storm(storm)
-        .engine(knobs.engine)
-        .obs(knobs.obs.clone());
+    let mut b = offload_builder(ft.graph, nodes, knobs, duration).storm(storm);
     for &n in &pod {
         b = b.kill_at(duration / 2, n);
     }
@@ -354,7 +331,6 @@ fn make_churn(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustEr
     // delta path re-homing only flows whose T_rmin degraded > 10 %
     // between full solves every 8th round.
     testbed_builder(knobs, duration)
-        .traffic(TrafficModel::testbed())
         .drift(DriftConfig { links_per_tick: 1, ..DriftConfig::default() })
         .warm_start(true)
         .delta_placement(0.10, 8)
@@ -362,25 +338,20 @@ fn make_churn(knobs: &ScenarioKnobs, duration: u64) -> Result<Simulation, DustEr
 }
 
 // ---------------------------------------------------------------------
-// Experiment helpers (the former scenarios.rs free functions).
+// Experiment helpers and the fault-parameterized chaos run.
 // ---------------------------------------------------------------------
 
 /// Reproduce Fig. 1: monitoring-module CPU versus VxLAN traffic level on
 /// the DUT with all ten agents local. Each level runs `per_level_ms` of
 /// simulated time.
 pub fn fig1_curve(levels: &[f64], per_level_ms: u64, seed: u64) -> Vec<Fig1Row> {
-    let (graph, dut) = testbed_topology();
+    let (_, dut) = testbed_topology();
     levels
         .iter()
         .map(|&traffic| {
-            let mut sim = Simulation::builder()
-                .graph(graph.clone())
-                .nodes(testbed_nodes(dut))
+            let mut sim = testbed_builder(&ScenarioKnobs::seeded(seed), per_level_ms)
                 .traffic(TrafficModel::Constant(traffic))
-                .dust(testbed_dust_config())
                 .dust_enabled(false) // Fig. 1 measures the unoffloaded module
-                .duration_ms(per_level_ms)
-                .seed(seed)
                 .build()
                 .expect("fig1 knobs are consistent");
             let report = sim.run();
@@ -398,17 +369,10 @@ pub fn fig1_curve(levels: &[f64], per_level_ms: u64, seed: u64) -> Vec<Fig1Row> 
 /// of the run) to measure the settled state, mirroring how the testbed
 /// numbers were read.
 pub fn fig6_contrast(duration_ms: u64, seed: u64) -> Fig6Result {
-    let (graph, dut) = testbed_topology();
+    let (_, dut) = testbed_topology();
     let run = |dust_enabled: bool| -> (SimReport, usize) {
-        let mut sim = Simulation::builder()
-            .graph(graph.clone())
-            .nodes(testbed_nodes(dut))
-            .traffic(TrafficModel::testbed())
-            .dust(testbed_dust_config())
+        let mut sim = testbed_builder(&ScenarioKnobs::seeded(seed), duration_ms)
             .dust_enabled(dust_enabled)
-            .duration_ms(duration_ms)
-            .seed(seed)
-            .full_monitoring_offload(true)
             .build()
             .expect("fig6 knobs are consistent");
         let r = sim.run();
@@ -427,28 +391,81 @@ pub fn fig6_contrast(duration_ms: u64, seed: u64) -> Fig6Result {
     }
 }
 
-/// Run the Fig. 5 testbed with a uniformly lossy, duplicating, jittery
-/// control plane: drop probability `loss` both ways, duplication at
-/// `loss / 2`, 20 ms base delay with 100 ms jitter (enough to reorder).
+/// Run the Fig. 5 testbed under a caller-supplied control-plane fault
+/// model (`dustctl sim`'s flags, or a [`FaultProfile::chaos`] rung) and
+/// audit what the retry/expiry machinery did about it. The duration
+/// defaults to the `chaos` entry's; an SLO engine rides along iff
+/// [`ScenarioKnobs::slo_override`] is set (overload threshold = the
+/// testbed's `c_max`) and comes back holding any breaches. The engine is
+/// a pure observer: the [`ChaosResult`] is bit-identical with or without
+/// it, and with or without a recording `obs`. The reported `loss` is the
+/// Manager → Client drop probability.
 ///
 /// The invariant under test is *conservation*: whatever the control
 /// plane loses, no monitor agent may vanish — every agent is either
 /// local to its owner or hosted somewhere on its behalf, and the
 /// protocol ledgers quiesce to a mutually consistent state.
-pub fn chaos_run(loss: f64, duration_ms: u64, seed: u64) -> ChaosResult {
-    let faults = FaultConfig::symmetric(FaultProfile {
-        drop: loss,
-        duplicate: loss / 2.0,
-        delay_ms: 20,
-        jitter_ms: 100,
-    });
-    chaos_with_faults(faults, duration_ms, seed)
-}
+pub fn chaos(faults: FaultConfig, knobs: &ScenarioKnobs) -> (ChaosResult, Option<SloEngine>) {
+    let entry = find("chaos").expect("chaos is a registry entry");
+    let (_, dut) = testbed_topology();
+    let mut sim = testbed_builder(knobs, entry.duration(knobs))
+        .faults(faults)
+        .build()
+        .expect("chaos knobs are consistent");
+    if let Some(spec) = &knobs.slo_override {
+        sim.set_slo(SloEngine::new(spec.clone(), testbed_dust_config().c_max));
+    }
+    let report = sim.run();
 
-/// Sweep control-plane loss rates and collect one [`ChaosResult`] per
-/// rate — the degradation curve for `EXPERIMENTS.md` and `dust-bench`.
-pub fn chaos_ladder(losses: &[f64], duration_ms: u64, seed: u64) -> Vec<ChaosResult> {
-    losses.iter().map(|&l| chaos_run(l, duration_ms, seed)).collect()
+    // offers still unconfirmed at the end are fine while young (an offer
+    // may be mid-retry when time runs out); one older than the entire
+    // backoff ladder has leaked past the expiry machinery
+    let budget = 8 * sim.manager().offer_timeout_ms();
+    let unconfirmed_stale = sim
+        .manager()
+        .hostings()
+        .values()
+        .filter(|h| !h.confirmed && report.end_ms.saturating_sub(h.offered_ms) > budget)
+        .count();
+
+    // mutual ledger consistency: every confirmed hosting is mirrored on
+    // its client with the same owner and amount, and no client entry that
+    // the Manager still tracks diverges from the Manager's record
+    let mut consistent = true;
+    for (req, h) in sim.manager().hostings() {
+        if !h.confirmed {
+            continue;
+        }
+        let mirrored = sim.clients()[h.to.index()]
+            .hosted()
+            .any(|(r, w)| r == req && w.from == h.from && (w.amount - h.amount).abs() < 1e-9);
+        consistent &= mirrored;
+    }
+    for c in sim.clients() {
+        for (req, w) in c.hosted() {
+            if let Some(h) = sim.manager().hostings().get(req) {
+                consistent &=
+                    h.to == c.node && h.from == w.from && (h.amount - w.amount).abs() < 1e-9;
+            }
+        }
+    }
+
+    let result = ChaosResult {
+        loss: faults.to_client.drop,
+        transfers: report.transfers_applied,
+        replicas: report.replicas_applied,
+        msgs_sent: report.msgs_sent,
+        msgs_dropped: report.msgs_dropped,
+        msgs_duplicated: report.msgs_duplicated,
+        offer_retries: report.offer_retries,
+        offers_abandoned: report.offers_abandoned,
+        first_transfer_ms: report.first_transfer_ms,
+        agents_expected: 10,
+        agents_present: sim.agent_census(dut),
+        unconfirmed_stale,
+        ledgers_consistent: consistent,
+    };
+    (result, sim.take_slo())
 }
 
 #[cfg(test)]
@@ -681,7 +698,8 @@ mod tests {
 
     #[test]
     fn chaos_at_20_percent_loss_conserves_everything() {
-        let r = chaos_run(0.2, 120_000, 17);
+        let (r, _) =
+            chaos(FaultConfig::symmetric(FaultProfile::chaos(0.2)), &ScenarioKnobs::seeded(17));
         assert!(r.msgs_dropped > 0, "faults must actually fire");
         assert!(r.transfers > 0, "offloading must converge despite 20 % loss");
         assert_eq!(r.agents_present, r.agents_expected, "no monitor agent may ever be lost");
@@ -690,8 +708,12 @@ mod tests {
     }
 
     #[test]
-    fn chaos_ladder_degrades_gracefully() {
-        let rows = chaos_ladder(&[0.0, 0.1, 0.3], 90_000, 21);
+    fn chaos_degrades_gracefully_up_the_loss_ladder() {
+        let knobs = ScenarioKnobs { duration_ms: Some(90_000), ..ScenarioKnobs::seeded(21) };
+        let rows: Vec<ChaosResult> = [0.0, 0.1, 0.3]
+            .iter()
+            .map(|&p| chaos(FaultConfig::symmetric(FaultProfile::chaos(p)), &knobs).0)
+            .collect();
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(r.transfers > 0, "loss {} must still offload", r.loss);

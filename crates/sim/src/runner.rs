@@ -14,14 +14,14 @@
 //! ([`SimConfig::faults`]): it may be dropped, duplicated, or delayed with
 //! jitter, per direction, deterministically per seed. An ideal direction
 //! delivers inline (identical to a direct call); any fault profile routes
-//! the copies through the event queue as [`SimEvent::DeliverClient`] /
-//! [`SimEvent::DeliverManager`] events, so delayed copies interleave with
+//! the copies through the event queue as `SimEvent::DeliverClient` /
+//! `SimEvent::DeliverManager` events, so delayed copies interleave with
 //! the periodic events exactly as wall-clock delivery would.
 //!
 //! Two interchangeable cores drive the run ([`SimConfig::engine`]):
 //! the legacy fixed-cadence **tick** core in this module, and the
 //! **event** core in [`crate::event`], which processes the *same* typed
-//! event sequence — [`SimEvent::StatEmission`], offer expiry/backoff
+//! event sequence — `SimEvent::StatEmission`, offer expiry/backoff
 //! maintenance, fault-injected delivery, transfer completion, node
 //! kill/revive, and SLO evaluation — but batches telemetry cost updates
 //! per event-time and keeps hot per-node/per-flow state in arenas. The
@@ -407,7 +407,7 @@ impl Simulation {
 
     /// Attach an online SLO engine. The runner feeds it from the event
     /// loop — protocol counters after Manager activity, CPU samples and
-    /// a tick at each [`SimEvent::SloEvaluation`] point, and the
+    /// a tick at each `SimEvent::SloEvaluation` point, and the
     /// convergence clock when the first transfer lands — and traces every
     /// breach it fires as a [`TraceEvent::SloBreach`] (plus `slo.breaches`
     /// counters), so alerts are part of the digested event stream.

@@ -1,21 +1,22 @@
-//! Shared testbed fixtures and the parameterized chaos harness.
+//! Shared testbed fixtures and the fat-tree fleet workloads.
 //!
 //! [`testbed_topology`] mirrors Fig. 5's small VxLAN data-center prototype:
 //! a spine/leaf fabric where the DUT (an Aruba 8325-class leaf) runs the
 //! ten-agent monitoring deployment and neighboring servers offer spare
-//! compute. The named canned workloads and the Fig. 1 / Fig. 6 experiment
-//! helpers live in [`crate::registry`]; this module keeps the fixtures
-//! they are assembled from and the [`chaos_with_faults`] /
-//! [`chaos_with_slo`] harness the CLI drives with arbitrary fault knobs.
+//! compute. The named canned workloads, the Fig. 1 / Fig. 6 experiment
+//! helpers and the fault-parameterized [`crate::registry::chaos`] run live
+//! in [`crate::registry`]; this module keeps the fixtures they are
+//! assembled from, their result types, and the workloads that are not
+//! registry entries ([`fleet`], [`congestion`], [`scale_fleet_sim_on`]).
 
 use crate::engine::EngineKind;
 use crate::node::{NodeSpec, SimNode};
-use crate::runner::{SimReport, Simulation};
+use crate::registry::{offload_builder, testbed_builder, ScenarioKnobs};
+use crate::runner::Simulation;
 use crate::traffic::TrafficModel;
-use crate::transport::FaultConfig;
 use dust_core::DustConfig;
-use dust_obs::{ObsHandle, SloEngine, SloSpec};
-use dust_topology::{Graph, Link, NodeId};
+use dust_obs::ObsHandle;
+use dust_topology::{FatTree, Graph, Link, NodeId, Tier};
 
 /// The Fig. 5 testbed: 2 spines, 2 leaves, 2 servers. Returns the graph
 /// and the DUT's node id (leaf 0).
@@ -121,16 +122,14 @@ pub struct FleetResult {
     pub still_busy: usize,
 }
 
-/// Fleet scenario: DUST on a `k`-port fat-tree where every *edge* switch
-/// runs the full ten-agent deployment (DUT-class hardware) while
-/// aggregation/core switches are lightly loaded candidates. Exercises
-/// many simultaneous Busy nodes, shared destinations, and repeated
-/// placement rounds — the "at scale" claim of the abstract.
-pub fn fleet(k: usize, duration_ms: u64, seed: u64) -> FleetResult {
-    use dust_topology::{FatTree, Tier};
+/// A `k`-port fat-tree whose *edge* switches run the full ten-agent
+/// deployment (DUT-class hardware) while aggregation/core switches are
+/// lightly loaded candidates. Returns the tree, its edge tier and the
+/// matching SimNodes.
+pub(crate) fn monitored_fat_tree(k: usize) -> (FatTree, Vec<NodeId>, Vec<SimNode>) {
     let ft = FatTree::new(k, Link::new(25_000.0, 0.2));
     let edges = ft.tier_nodes(Tier::Edge);
-    let nodes: Vec<SimNode> = ft
+    let nodes = ft
         .graph
         .nodes()
         .map(|n| {
@@ -141,14 +140,16 @@ pub fn fleet(k: usize, duration_ms: u64, seed: u64) -> FleetResult {
             }
         })
         .collect();
-    let mut sim = Simulation::builder()
-        .graph(ft.graph.clone())
-        .nodes(nodes)
-        .traffic(TrafficModel::testbed())
-        .dust(testbed_dust_config())
-        .duration_ms(duration_ms)
-        .seed(seed)
-        .full_monitoring_offload(true)
+    (ft, edges, nodes)
+}
+
+/// Fleet scenario: DUST on a `k`-port fat-tree where every *edge* switch
+/// runs the full ten-agent deployment. Exercises many simultaneous Busy
+/// nodes, shared destinations, and repeated placement rounds — the "at
+/// scale" claim of the abstract.
+pub fn fleet(k: usize, duration_ms: u64, seed: u64) -> FleetResult {
+    let (ft, edges, nodes) = monitored_fat_tree(k);
+    let mut sim = offload_builder(ft.graph, nodes, &ScenarioKnobs::seeded(seed), duration_ms)
         .build()
         .expect("fleet knobs are consistent");
     let report = sim.run();
@@ -192,19 +193,13 @@ pub struct CongestionResult {
 /// while the data plane is untouched — measured via the flow-transport
 /// series the runner records.
 pub fn congestion(duration_ms: u64, seed: u64) -> CongestionResult {
-    let (graph, dut) = testbed_topology();
+    let (_, dut) = testbed_topology();
     let squeeze_from = duration_ms / 2;
     // traffic ramps from the normal 20 % to a 99.9 % squeeze by mid-run,
     // then holds saturated for the whole second half
     let traffic = TrafficModel::Ramp { from: 0.2, to: 0.999, duration_ms: squeeze_from.max(1) };
-    let mut sim = Simulation::builder()
-        .graph(graph)
-        .nodes(testbed_nodes(dut))
+    let mut sim = testbed_builder(&ScenarioKnobs::seeded(seed), duration_ms)
         .traffic(traffic)
-        .dust(testbed_dust_config())
-        .duration_ms(duration_ms)
-        .seed(seed)
-        .full_monitoring_offload(true)
         .link_jitter(0.0)
         .build()
         .expect("congestion knobs are consistent");
@@ -262,207 +257,13 @@ pub struct ChaosResult {
     pub ledgers_consistent: bool,
 }
 
-/// [`crate::registry::chaos_run`] with a caller-supplied fault model
-/// (e.g. from `dustctl sim` flags): same testbed, same invariants,
-/// arbitrary knobs. The reported `loss` is the Manager → Client drop
-/// probability.
-pub fn chaos_with_faults(faults: FaultConfig, duration_ms: u64, seed: u64) -> ChaosResult {
-    chaos_with_faults_observed(faults, duration_ms, seed, ObsHandle::disabled())
-}
-
-/// [`chaos_with_faults`] recording into `obs`: every protocol transition,
-/// fault-gate decision, solver solve, and resource sample lands in the
-/// handle's metrics and trace. Pass [`ObsHandle::disabled`] for the plain
-/// run — the scenario is bit-identical either way.
-pub fn chaos_with_faults_observed(
-    faults: FaultConfig,
-    duration_ms: u64,
-    seed: u64,
-    obs: ObsHandle,
-) -> ChaosResult {
-    chaos_with_faults_observed_on(faults, duration_ms, seed, obs, EngineKind::default())
-}
-
-/// [`chaos_with_faults_observed`] on an explicit simulation core — the
-/// `dustctl … --engine tick` compatibility path that pins the event core
-/// against the legacy tick core byte-for-byte.
-pub fn chaos_with_faults_observed_on(
-    faults: FaultConfig,
-    duration_ms: u64,
-    seed: u64,
-    obs: ObsHandle,
-    engine: EngineKind,
-) -> ChaosResult {
-    chaos_inner(faults, duration_ms, seed, obs, None, engine).0
-}
-
-/// [`chaos_with_faults_observed`] with an online SLO engine for `spec`
-/// riding along (overload threshold = the testbed's `c_max`). Returns
-/// the scenario result and the engine, whose [`SloEngine::breaches`]
-/// and [`SloEngine::report`] describe every rule that fired. The engine
-/// is a pure observer: the `ChaosResult` is bit-identical to
-/// [`chaos_with_faults`] at the same knobs and seed.
-pub fn chaos_with_slo(
-    faults: FaultConfig,
-    duration_ms: u64,
-    seed: u64,
-    obs: ObsHandle,
-    spec: &SloSpec,
-) -> (ChaosResult, SloEngine) {
-    chaos_with_slo_on(faults, duration_ms, seed, obs, spec, EngineKind::default())
-}
-
-/// [`chaos_with_slo`] on an explicit simulation core.
-pub fn chaos_with_slo_on(
-    faults: FaultConfig,
-    duration_ms: u64,
-    seed: u64,
-    obs: ObsHandle,
-    spec: &SloSpec,
-    engine: EngineKind,
-) -> (ChaosResult, SloEngine) {
-    let slo = SloEngine::new(spec.clone(), testbed_dust_config().c_max);
-    let (result, slo) = chaos_inner(faults, duration_ms, seed, obs, Some(slo), engine);
-    (result, slo.expect("engine attached above"))
-}
-
-fn chaos_inner(
-    faults: FaultConfig,
-    duration_ms: u64,
-    seed: u64,
-    obs: ObsHandle,
-    slo: Option<SloEngine>,
-    engine: EngineKind,
-) -> (ChaosResult, Option<SloEngine>) {
-    let (graph, dut) = testbed_topology();
-    let loss = faults.to_client.drop;
-    let agents_expected = 10;
-    let mut builder = Simulation::builder()
-        .graph(graph)
-        .nodes(testbed_nodes(dut))
-        .traffic(TrafficModel::testbed())
-        .dust(testbed_dust_config())
-        .duration_ms(duration_ms)
-        .seed(seed)
-        .full_monitoring_offload(true)
-        .faults(faults)
-        .engine(engine)
-        .obs(obs);
-    if let Some(slo) = slo {
-        builder = builder.slo(slo);
-    }
-    let mut sim = builder.build().expect("chaos knobs are consistent");
-    let report = sim.run();
-
-    // offers still unconfirmed at the end are fine while young (an offer
-    // may be mid-retry when time runs out); one older than the entire
-    // backoff ladder has leaked past the expiry machinery
-    let budget = 8 * sim.manager().offer_timeout_ms();
-    let unconfirmed_stale = sim
-        .manager()
-        .hostings()
-        .values()
-        .filter(|h| !h.confirmed && report.end_ms.saturating_sub(h.offered_ms) > budget)
-        .count();
-
-    // mutual ledger consistency: every confirmed hosting is mirrored on
-    // its client with the same owner and amount, and no client entry that
-    // the Manager still tracks diverges from the Manager's record
-    let mut consistent = true;
-    for (req, h) in sim.manager().hostings() {
-        if !h.confirmed {
-            continue;
-        }
-        let mirrored = sim.clients()[h.to.index()]
-            .hosted()
-            .any(|(r, w)| r == req && w.from == h.from && (w.amount - h.amount).abs() < 1e-9);
-        consistent &= mirrored;
-    }
-    for c in sim.clients() {
-        for (req, w) in c.hosted() {
-            if let Some(h) = sim.manager().hostings().get(req) {
-                consistent &=
-                    h.to == c.node && h.from == w.from && (h.amount - w.amount).abs() < 1e-9;
-            }
-        }
-    }
-
-    let result = ChaosResult {
-        loss,
-        transfers: report.transfers_applied,
-        replicas: report.replicas_applied,
-        msgs_sent: report.msgs_sent,
-        msgs_dropped: report.msgs_dropped,
-        msgs_duplicated: report.msgs_duplicated,
-        offer_retries: report.offer_retries,
-        offers_abandoned: report.offers_abandoned,
-        first_transfer_ms: report.first_transfer_ms,
-        agents_expected,
-        agents_present: sim.agent_census(dut),
-        unconfirmed_stale,
-        ledgers_consistent: consistent,
-    };
-    (result, sim.take_slo())
-}
-
-/// The Fig. 5 testbed DUST run (full monitoring offload, perfect wire)
-/// recording into `obs` — the golden-trace regression scenario.
-pub fn testbed_observed(duration_ms: u64, seed: u64, obs: ObsHandle) -> SimReport {
-    testbed_observed_on(duration_ms, seed, obs, EngineKind::default())
-}
-
-/// [`testbed_observed`] on an explicit simulation core.
-pub fn testbed_observed_on(
-    duration_ms: u64,
-    seed: u64,
-    obs: ObsHandle,
-    engine: EngineKind,
-) -> SimReport {
-    let (graph, dut) = testbed_topology();
-    let mut sim = Simulation::builder()
-        .graph(graph)
-        .nodes(testbed_nodes(dut))
-        .traffic(TrafficModel::testbed())
-        .dust(testbed_dust_config())
-        .duration_ms(duration_ms)
-        .seed(seed)
-        .full_monitoring_offload(true)
-        .engine(engine)
-        .obs(obs)
-        .build()
-        .expect("testbed knobs are consistent");
-    sim.run()
-}
-
 /// How many copies of the standard ten-agent deployment every switch in
-/// [`scale_fleet`] carries: a deep per-node monitoring stack whose
+/// [`scale_fleet_sim_on`] carries: a deep per-node monitoring stack whose
 /// resource model the tick core re-walks on every emission and sample,
 /// and the event core computes once per epoch.
 pub const SCALE_FLEET_AGENT_COPIES: usize = 40;
 
-/// The core-overhead bench scenario: a `k`-port fat-tree where *every*
-/// switch is a many-core telemetry appliance carrying
-/// [`SCALE_FLEET_AGENT_COPIES`] copies of the standard monitoring
-/// deployment. The core count keeps device-level CPU far below the Busy
-/// threshold, so the placement control plane stays quiet and the run is
-/// dominated by exactly the per-event machinery the event core optimizes
-/// — resource-model walks over the deep agent stacks, link-state
-/// application, sampling — not by protocol traffic, which both cores
-/// share. At `k = 90` this is a 10 125-node fleet processing > 100 000
-/// events over a 10-second run — the `fleet_sim_k90` benchmark workload.
-pub fn scale_fleet(k: usize, duration_ms: u64, seed: u64, engine: EngineKind) -> SimReport {
-    scale_fleet_sim(k, duration_ms, seed, engine).run()
-}
-
-/// The assembled-but-not-run [`scale_fleet`] simulation, so benchmarks
-/// can time [`Simulation::run`] in isolation — fleet construction is
-/// identical for both cores and would only dilute the measured core
-/// speedup.
-pub fn scale_fleet_sim(k: usize, duration_ms: u64, seed: u64, engine: EngineKind) -> Simulation {
-    scale_fleet_sim_on(k, duration_ms, seed, ObsHandle::disabled(), engine)
-}
-
-/// The interned deployment record every [`scale_fleet`] switch shares:
+/// The interned deployment record every [`scale_fleet_sim_on`] switch shares:
 /// [`SCALE_FLEET_AGENT_COPIES`] copies of the standard ten-agent
 /// deployment, built **once** per fleet. Before interning, construction
 /// materialised this 400-struct vector separately for each of the
@@ -477,10 +278,19 @@ pub fn scale_fleet_deployment() -> std::sync::Arc<Vec<dust_telemetry::MonitorAge
     )
 }
 
-/// [`scale_fleet_sim`] recording into `obs` — `dustctl profile
-/// scale_fleet` and the per-phase BENCH breakdown attach a profiling
-/// handle here. Pass [`ObsHandle::disabled`] for the plain benchmark
-/// run; the assembled fleet is bit-identical either way.
+/// The core-overhead bench scenario, assembled but not run (so the
+/// benchmark can time [`Simulation::run`] apart from fleet construction):
+/// a `k`-port fat-tree where *every* switch is a many-core telemetry
+/// appliance carrying [`SCALE_FLEET_AGENT_COPIES`] copies of the standard
+/// monitoring deployment. The core count keeps device-level CPU far below
+/// the Busy threshold, so the placement control plane stays quiet and the
+/// run is dominated by exactly the per-event machinery the event core
+/// optimizes — resource-model walks over the deep agent stacks, link-state
+/// application, sampling — not by protocol traffic, which both cores
+/// share. At `k = 90` this is a 10 125-node fleet processing > 100 000
+/// events over a 10-second run — the `fleet_sim_k90` benchmark workload,
+/// whose ruler pins this signature. Pass [`ObsHandle::disabled`] for the
+/// plain run; the assembled fleet is bit-identical either way.
 pub fn scale_fleet_sim_on(
     k: usize,
     duration_ms: u64,
@@ -488,7 +298,6 @@ pub fn scale_fleet_sim_on(
     obs: ObsHandle,
     engine: EngineKind,
 ) -> Simulation {
-    use dust_topology::FatTree;
     let ft = FatTree::new(k, Link::new(25_000.0, 0.2));
     let appliance =
         NodeSpec { cpu_cores: 4096.0, mem_gib: 4096.0, base_cpu_percent: 14.0, base_mem_gib: 9.6 };
@@ -520,7 +329,9 @@ pub fn scale_fleet_sim_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::FaultProfile;
+    use crate::registry::chaos;
+    use crate::transport::{FaultConfig, FaultProfile};
+    use dust_obs::SloSpec;
 
     #[test]
     fn testbed_shape() {
@@ -568,17 +379,21 @@ mod tests {
     }
 
     #[test]
-    fn chaos_with_slo_is_a_pure_observer_and_catches_loss() {
+    fn chaos_slo_engine_is_a_pure_observer_and_catches_loss() {
         let faults = FaultConfig::symmetric(FaultProfile {
             drop: 0.25,
             duplicate: 0.125,
             delay_ms: 20,
             jitter_ms: 100,
         });
-        let plain = chaos_with_faults(faults, 60_000, 9);
+        let knobs = ScenarioKnobs { duration_ms: Some(60_000), ..ScenarioKnobs::seeded(9) };
+        let (plain, _) = chaos(faults, &knobs);
         // thresholds tight enough that a 25 % lossy wire must trip them
         let spec = SloSpec::parse("retransmit_rate<=0.0,convergence<=1").unwrap();
-        let (watched, engine) = chaos_with_slo(faults, 60_000, 9, ObsHandle::recording(9), &spec);
+        let watched_knobs =
+            ScenarioKnobs { obs: ObsHandle::recording(9), slo_override: Some(spec), ..knobs };
+        let (watched, engine) = chaos(faults, &watched_knobs);
+        let engine = engine.expect("slo_override attaches an engine");
         assert_eq!(plain, watched, "SLO engine must not perturb the run");
         assert!(engine.breached(), "a lossy wire must breach a zero-retransmit budget");
         assert!(engine.report().contains("breach rule="), "{}", engine.report());
@@ -586,16 +401,19 @@ mod tests {
 
     #[test]
     fn chaos_counters_bit_identical_per_seed() {
-        let a = crate::registry::chaos_run(0.25, 60_000, 9);
-        let b = crate::registry::chaos_run(0.25, 60_000, 9);
+        let faults = FaultConfig::symmetric(FaultProfile::chaos(0.25));
+        let knobs = ScenarioKnobs { duration_ms: Some(60_000), ..ScenarioKnobs::seeded(9) };
+        let (a, _) = chaos(faults, &knobs);
+        let (b, _) = chaos(faults, &knobs);
         assert_eq!(a, b, "same seed must reproduce every counter bit-for-bit");
     }
 
     #[test]
     fn scale_fleet_cores_agree_and_stay_idle() {
         // small k keeps the test fast; the bench binary runs the real k=90
-        let ev = scale_fleet(4, 3_000, 9, EngineKind::Event);
-        let tk = scale_fleet(4, 3_000, 9, EngineKind::Tick);
+        let run_on = |e| scale_fleet_sim_on(4, 3_000, 9, ObsHandle::disabled(), e).run();
+        let ev = run_on(EngineKind::Event);
+        let tk = run_on(EngineKind::Tick);
         // under paper-default thresholds nobody classifies Busy…
         assert_eq!(ev.transfers_applied, 0, "paper defaults must not trigger offload");
         // …but the STAT pipeline runs fleet-wide on both cores identically
@@ -607,7 +425,7 @@ mod tests {
 
     #[test]
     fn scale_fleet_shares_one_deployment_record() {
-        let sim = scale_fleet_sim(8, 1_000, 1, EngineKind::Event);
+        let sim = scale_fleet_sim_on(8, 1_000, 1, ObsHandle::disabled(), EngineKind::Event);
         // the quiet control plane never mutates an agent list, so every
         // node must still point at the single interned record
         assert!(sim.nodes().iter().all(|n| n.agents_interned()));

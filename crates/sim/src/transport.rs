@@ -41,6 +41,12 @@ impl FaultProfile {
         FaultProfile { drop: p, ..FaultProfile::ideal() }
     }
 
+    /// The chaos-ladder rung at loss `p`: drop `p`, duplicate `p / 2`,
+    /// 20 ms base delay with 100 ms jitter (enough to reorder).
+    pub fn chaos(p: f64) -> Self {
+        FaultProfile { drop: p, duplicate: p / 2.0, delay_ms: 20, jitter_ms: 100 }
+    }
+
     /// True when this profile never touches a message: the transport may
     /// skip the queue and deliver inline.
     pub fn is_ideal(&self) -> bool {

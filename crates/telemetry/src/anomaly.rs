@@ -10,8 +10,11 @@
 //!   (spikes, stuck-at faults, level shifts);
 //! * [`TrendForecaster`] — double-exponential (Holt) smoothing that
 //!   projects a series forward, answering "when will this node cross
-//!   `C_max`?" before it happens — the proactive trigger the DUST-Manager
-//!   can act on instead of waiting for a Busy STAT.
+//!   `C_max`?" before it happens — a proactive trigger to act on instead
+//!   of waiting for a Busy STAT.
+//!
+//! Both are a library-only extension: neither `dust-proto` nor `dust-sim`
+//! calls them; the Manager reacts to Busy STATs only.
 
 /// Online EWMA mean/variance with z-score anomaly flagging.
 #[derive(Debug, Clone)]

@@ -4,9 +4,10 @@
 //! Agents" and the Network Monitor Service "can initiate network
 //! monitoring either based on user input or through automated triggers"
 //! (§III-A). This module provides those triggers: sustained-threshold
-//! rules with hysteresis and cooldown, evaluated against a [`Tsdb`].
-//! The simulator and Manager use them as an alternative Busy-node
-//! detection path (e.g. "CPU above 80 % for 30 s").
+//! rules with hysteresis and cooldown, evaluated against a [`Tsdb`] —
+//! an alternative Busy-node detection path (e.g. "CPU above 80 % for
+//! 30 s"). This is a library-only extension: neither `dust-proto` nor
+//! `dust-sim` calls it; Busy detection there reads the STAT stream.
 
 use crate::tsdb::Tsdb;
 

@@ -3,10 +3,11 @@
 //! The DUST-Manager programs "controllable routes" (§IV); a single best
 //! path is enough for the published optimizer, but replica substitution
 //! and congestion avoidance want ranked alternatives: when the primary
-//! route degrades, the Manager can fail over to the next-cheapest path
+//! route degrades, a caller could fail over to the next-cheapest path
 //! without re-running the whole placement. This module provides Yen's
 //! algorithm on top of the hop-bounded DP, with the same optional
-//! `max_hop` bound the rest of the routing stack uses.
+//! `max_hop` bound the rest of the routing stack uses. It is a
+//! library-only extension: neither `dust-proto` nor `dust-sim` calls it.
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::paths::{inv_lu_edge, Path};

@@ -170,15 +170,15 @@ fn lossy_control_plane_end_to_end() {
     // duplication, 120 ms of jitter-driven reordering. The retry/expiry
     // machinery must still offload, never lose a monitor agent, and
     // leave Manager and Client ledgers agreeing once traffic settles.
-    let r = chaos_with_faults(
+    let knobs = ScenarioKnobs { duration_ms: Some(180_000), ..ScenarioKnobs::seeded(99) };
+    let (r, _) = registry::chaos(
         FaultConfig::symmetric(FaultProfile {
             drop: 0.25,
             duplicate: 0.1,
             delay_ms: 20,
             jitter_ms: 120,
         }),
-        180_000,
-        99,
+        &knobs,
     );
     assert!(r.msgs_dropped > 0, "fault gate must actually fire");
     assert!(r.transfers > 0, "offloading must survive 25 % loss");
@@ -187,15 +187,14 @@ fn lossy_control_plane_end_to_end() {
     assert!(r.ledgers_consistent, "manager and client ledgers diverged");
 
     // determinism across the full e2e path
-    let again = chaos_with_faults(
+    let (again, _) = registry::chaos(
         FaultConfig::symmetric(FaultProfile {
             drop: 0.25,
             duplicate: 0.1,
             delay_ms: 20,
             jitter_ms: 120,
         }),
-        180_000,
-        99,
+        &knobs,
     );
     assert_eq!(r, again, "same seed must reproduce identical counters");
 }

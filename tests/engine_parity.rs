@@ -18,6 +18,18 @@ use dust::prelude::*;
 /// bit-dense, and the golden-trace seeds themselves.
 const SEEDS: [u64; 5] = [1, 7, 42, 0xDEAD_BEEF, u64::MAX - 3];
 
+/// The perfect-wire testbed with no SLO engine attached, on `engine`.
+fn run_testbed(seed: u64, obs: ObsHandle, engine: EngineKind) -> SimReport {
+    let knobs =
+        ScenarioKnobs { duration_ms: Some(30_000), engine, obs, ..ScenarioKnobs::seeded(seed) };
+    let testbed = registry::find("testbed").expect("registered scenario");
+    testbed.build_unwatched(&knobs).unwrap().run()
+}
+
+fn run_scale_fleet(k: usize, duration_ms: u64, seed: u64, engine: EngineKind) -> SimReport {
+    scale_fleet_sim_on(k, duration_ms, seed, ObsHandle::disabled(), engine).run()
+}
+
 fn assert_obs_equal(scenario: &str, seed: u64, tick: &ObsHandle, event: &ObsHandle) {
     let tt = tick.trace_snapshot().unwrap();
     let te = event.trace_snapshot().unwrap();
@@ -40,9 +52,9 @@ fn assert_obs_equal(scenario: &str, seed: u64, tick: &ObsHandle, event: &ObsHand
 fn testbed_cores_agree_at_every_seed() {
     for seed in SEEDS {
         let tick_obs = ObsHandle::recording(seed);
-        let tick = testbed_observed_on(30_000, seed, tick_obs.clone(), EngineKind::Tick);
+        let tick = run_testbed(seed, tick_obs.clone(), EngineKind::Tick);
         let event_obs = ObsHandle::recording(seed);
-        let event = testbed_observed_on(30_000, seed, event_obs.clone(), EngineKind::Event);
+        let event = run_testbed(seed, event_obs.clone(), EngineKind::Event);
 
         assert_obs_equal("testbed", seed, &tick_obs, &event_obs);
         assert_eq!(tick.transfers_applied, event.transfers_applied, "seed {seed}");
@@ -65,17 +77,17 @@ fn chaos_cores_agree_at_every_seed() {
         jitter_ms: 100,
     });
     for seed in SEEDS {
-        let tick_obs = ObsHandle::recording(seed);
-        let tick =
-            chaos_with_faults_observed_on(faults, 60_000, seed, tick_obs.clone(), EngineKind::Tick);
-        let event_obs = ObsHandle::recording(seed);
-        let event = chaos_with_faults_observed_on(
-            faults,
-            60_000,
-            seed,
-            event_obs.clone(),
-            EngineKind::Event,
-        );
+        let run_on = |engine: EngineKind| {
+            let knobs = ScenarioKnobs {
+                duration_ms: Some(60_000),
+                engine,
+                obs: ObsHandle::recording(seed),
+                ..ScenarioKnobs::seeded(seed)
+            };
+            (registry::chaos(faults, &knobs).0, knobs.obs)
+        };
+        let (tick, tick_obs) = run_on(EngineKind::Tick);
+        let (event, event_obs) = run_on(EngineKind::Event);
 
         assert_obs_equal("chaos", seed, &tick_obs, &event_obs);
         // ChaosResult derives PartialEq over every protocol counter.
@@ -118,8 +130,8 @@ fn registry_scenarios_agree_at_every_seed() {
 fn federation_contents_identical_across_cores() {
     // Beyond counters: the time-series databases the run leaves behind
     // must hold the same points on the same nodes.
-    let tick = testbed_observed_on(30_000, 42, ObsHandle::disabled(), EngineKind::Tick);
-    let event = testbed_observed_on(30_000, 42, ObsHandle::disabled(), EngineKind::Event);
+    let tick = run_testbed(42, ObsHandle::disabled(), EngineKind::Tick);
+    let event = run_testbed(42, ObsHandle::disabled(), EngineKind::Event);
     let tick_nodes = tick.federation.nodes();
     assert_eq!(tick_nodes, event.federation.nodes(), "federation topology diverges");
     for n in tick_nodes {
@@ -133,8 +145,8 @@ fn federation_contents_identical_across_cores() {
 fn scale_scenario_cores_agree() {
     // The `fleet_sim_k90` benchmark workload's scenario at small k (so
     // the test stays quick): the cores must agree on its shape too.
-    let event = scale_fleet(4, 2_000, 3, EngineKind::Event);
-    let tick = scale_fleet(4, 2_000, 3, EngineKind::Tick);
+    let event = run_scale_fleet(4, 2_000, 3, EngineKind::Event);
+    let tick = run_scale_fleet(4, 2_000, 3, EngineKind::Tick);
     assert_eq!(event.events_processed, tick.events_processed);
     assert_eq!(event.peak_queue_len, tick.peak_queue_len);
     assert_eq!(event.end_ms, tick.end_ms);
@@ -147,7 +159,7 @@ fn scale_fleet_k90_shape_is_pinned() {
     // only checks that this shape repeats run to run; the numbers
     // themselves are pinned here. A change to any of them is a change in
     // simulation behaviour, not in speed.
-    let report = scale_fleet(90, 10_000, 1, EngineKind::Event);
+    let report = run_scale_fleet(90, 10_000, 1, EngineKind::Event);
     let fed = &report.federation;
     let nodes = fed.nodes();
     assert_eq!(nodes.len(), 10_125);

@@ -30,7 +30,14 @@ const CHAOS_DIGEST: u64 = 0x0462984b186d8882;
 
 fn run_testbed() -> (ObsHandle, SimReport) {
     let obs = ObsHandle::recording(TESTBED_SEED);
-    let report = testbed_observed(TESTBED_DURATION_MS, TESTBED_SEED, obs.clone());
+    let knobs = ScenarioKnobs {
+        duration_ms: Some(TESTBED_DURATION_MS),
+        obs: obs.clone(),
+        ..ScenarioKnobs::seeded(TESTBED_SEED)
+    };
+    // unwatched: an SLO engine would add its own evaluation events
+    let testbed = registry::find("testbed").expect("registered scenario");
+    let report = testbed.build_unwatched(&knobs).unwrap().run();
     (obs, report)
 }
 
@@ -40,8 +47,12 @@ fn chaos_faults() -> FaultConfig {
 
 fn run_chaos() -> (ObsHandle, ChaosResult) {
     let obs = ObsHandle::recording(CHAOS_SEED);
-    let result =
-        chaos_with_faults_observed(chaos_faults(), CHAOS_DURATION_MS, CHAOS_SEED, obs.clone());
+    let knobs = ScenarioKnobs {
+        duration_ms: Some(CHAOS_DURATION_MS),
+        obs: obs.clone(),
+        ..ScenarioKnobs::seeded(CHAOS_SEED)
+    };
+    let (result, _) = registry::chaos(chaos_faults(), &knobs);
     (obs, result)
 }
 

@@ -130,9 +130,10 @@ fn tracing_does_not_perturb_the_simulation() {
     // equality at the same seed is the whole contract.
     for seed in 0..SEEDS {
         let faults = faults_for(seed);
-        let plain = chaos_with_faults(faults, DURATION_MS, seed);
-        let observed =
-            chaos_with_faults_observed(faults, DURATION_MS, seed, ObsHandle::recording(seed));
+        let knobs = ScenarioKnobs { duration_ms: Some(DURATION_MS), ..ScenarioKnobs::seeded(seed) };
+        let (plain, _) = registry::chaos(faults, &knobs);
+        let (observed, _) =
+            registry::chaos(faults, &ScenarioKnobs { obs: ObsHandle::recording(seed), ..knobs });
         assert_eq!(plain, observed, "seed {seed}: recorder perturbed the run");
     }
 }

@@ -12,9 +12,19 @@ use dust::prelude::*;
 const SEED: u64 = 42;
 const DURATION_MS: u64 = 60_000;
 
+/// The perfect-wire testbed with no SLO engine attached, recording into `obs`.
+fn run_testbed(obs: &ObsHandle) -> SimReport {
+    let knobs = ScenarioKnobs {
+        duration_ms: Some(DURATION_MS),
+        obs: obs.clone(),
+        ..ScenarioKnobs::seeded(SEED)
+    };
+    registry::find("testbed").expect("registered scenario").build_unwatched(&knobs).unwrap().run()
+}
+
 fn testbed_forest() -> (SpanForest, SimReport) {
     let obs = ObsHandle::recording(SEED);
-    let report = testbed_observed(DURATION_MS, SEED, obs.clone());
+    let report = run_testbed(&obs);
     let trace = obs.trace_snapshot().unwrap();
     (build_spans(&trace), report)
 }
@@ -79,7 +89,8 @@ fn lossy_transfers_grow_backoff_children_but_stay_complete() {
         jitter_ms: 100,
     });
     let obs = ObsHandle::recording(7);
-    let r = chaos_with_faults_observed(faults, 120_000, 7, obs.clone());
+    let (r, _) =
+        registry::chaos(faults, &ScenarioKnobs { obs: obs.clone(), ..ScenarioKnobs::seeded(7) });
     assert!(r.offer_retries > 0, "20 % loss must force retransmits");
     let forest = build_spans(&obs.trace_snapshot().unwrap());
     let backoffs: usize = forest.flows.iter().map(|f| f.backoffs.len()).sum();
@@ -101,8 +112,14 @@ fn slo_breaches_are_traced_deterministically_and_digested() {
     let spec = SloSpec::parse("retransmit_rate<=0.0,convergence<=1").unwrap();
     let run = |seed: u64| {
         let obs = ObsHandle::recording(seed);
-        let (r, engine) = chaos_with_slo(faults, 60_000, seed, obs.clone(), &spec);
-        (r, engine, obs)
+        let knobs = ScenarioKnobs {
+            duration_ms: Some(60_000),
+            obs: obs.clone(),
+            slo_override: Some(spec.clone()),
+            ..ScenarioKnobs::seeded(seed)
+        };
+        let (r, engine) = registry::chaos(faults, &knobs);
+        (r, engine.expect("slo_override attaches an engine"), obs)
     };
     let (ra, ea, oa) = run(9);
     let (rb, eb, ob) = run(9);
@@ -133,7 +150,7 @@ fn slo_breaches_are_traced_deterministically_and_digested() {
 fn post_mortem_dump_is_deterministic_and_window_bounded() {
     let run = || {
         let obs = ObsHandle::recording(SEED);
-        testbed_observed(DURATION_MS, SEED, obs.clone());
+        run_testbed(&obs);
         obs.post_mortem("invariant: agent census diverged").unwrap()
     };
     let (a, b) = (run(), run());
