@@ -22,6 +22,14 @@ pub enum DustError {
     /// Busy nodes and candidates both exist, but no (busy, candidate)
     /// pair is connected within the configured hop bound.
     NoPathWithinHops,
+    /// The transportation solver spent its whole pivot budget without
+    /// proving optimality (degenerate cycling is the only known way
+    /// there). The flows it stopped on are withheld rather than passed
+    /// off as a plan.
+    IterationLimit {
+        /// MODI pivots performed before giving up.
+        pivots: usize,
+    },
     /// The [`DustConfig`](crate::DustConfig) violates its invariants; the
     /// message says which one.
     BadConfig(String),
@@ -36,6 +44,9 @@ impl fmt::Display for DustError {
             DustError::Unbounded => write!(f, "the placement LP is unbounded"),
             DustError::NoPathWithinHops => {
                 write!(f, "no route between any busy node and any candidate within the hop bound")
+            }
+            DustError::IterationLimit { pivots } => {
+                write!(f, "the placement LP hit its pivot cap after {pivots} pivots, not optimal")
             }
             DustError::BadConfig(msg) => write!(f, "invalid DustConfig: {msg}"),
         }
@@ -56,6 +67,7 @@ mod tests {
             .to_string()
             .contains("x_min out of range"));
         assert!(DustError::Unbounded.to_string().contains("unbounded"));
+        assert!(DustError::IterationLimit { pivots: 7 }.to_string().contains("after 7 pivots"));
     }
 
     #[test]

@@ -16,7 +16,8 @@ use crate::config::DustConfig;
 use crate::error::DustError;
 use crate::state::Nmdb;
 use dust_lp::{
-    Cmp, PartitionWarm, Problem, SolveOptions, Status, TransportProblem, TransportStatus,
+    Cmp, PartitionWarm, Problem, SolveOptions, Status, TransportProblem, TransportSolution,
+    TransportStatus,
 };
 use dust_topology::{
     min_inv_lu_dp_path, min_inv_lu_enumerated, CostEngine, NodeId, Path, PathEngine,
@@ -194,8 +195,9 @@ pub fn optimize(nmdb: &Nmdb, cfg: &DustConfig, backend: SolverBackend) -> Placem
     match crate::PlacementRequest::new(nmdb, cfg).backend(backend).run_lp() {
         Ok(p) => p,
         // Unbounded cannot occur for well-formed placement instances
-        // (non-negative costs, finite supplies); fold it into the
-        // infeasible outcome the legacy status enum can express.
+        // (non-negative costs, finite supplies) and the pivot cap is not
+        // known to be reachable; fold both into the one failure the
+        // legacy status enum can express.
         Err(_) => Placement {
             status: PlacementStatus::Infeasible,
             assignments: Vec::new(),
@@ -210,6 +212,20 @@ pub fn optimize(nmdb: &Nmdb, cfg: &DustConfig, backend: SolverBackend) -> Placem
             warm: WarmState::default(),
             warm_used: false,
         },
+    }
+}
+
+/// Whether a transportation solve carries an optimal plan (`false`: the
+/// instance is infeasible). A solve its pivot cap stopped is neither — its
+/// flows are feasible but unoptimised — so it is an error, never folded
+/// into either answer.
+fn transport_optimal(sol: &TransportSolution) -> Result<bool, DustError> {
+    match sol.status {
+        TransportStatus::Optimal => Ok(true),
+        TransportStatus::Infeasible => Ok(false),
+        TransportStatus::IterationLimit => {
+            Err(DustError::IterationLimit { pivots: sol.iterations })
+        }
     }
 }
 
@@ -250,6 +266,9 @@ pub fn optimize_with_path(
 /// the instance drifted little. Ignored (solved cold) when the
 /// busy/candidate sets no longer match, when the bases are empty, or for
 /// the simplex backend.
+///
+/// A transportation solve that runs into its pivot cap surfaces as
+/// [`DustError::IterationLimit`], not as an infeasible placement.
 pub fn optimize_with_path_warm(
     nmdb: &Nmdb,
     cfg: &DustConfig,
@@ -352,12 +371,13 @@ pub fn optimize_with_path_warm(
                 }
             };
             warm_used = sol.warm_used;
-            if sol.status == TransportStatus::Optimal {
+            let optimal = transport_optimal(&sol)?;
+            if optimal {
                 shadow_prices =
                     candidates.iter().copied().zip(sol.col_potentials.iter().copied()).collect();
                 warm_next = WarmState { bases, busy: busy.clone(), candidates: candidates.clone() };
             }
-            (sol.status == TransportStatus::Optimal).then_some((sol.flow, sol.objective))
+            optimal.then_some((sol.flow, sol.objective))
         }
         SolverBackend::Simplex => {
             let n = candidates.len();
@@ -495,6 +515,27 @@ mod tests {
             let route = a.route.as_ref().unwrap();
             assert_eq!(route.hops(), 2);
         }
+    }
+
+    #[test]
+    fn pivot_cap_is_a_typed_error_not_an_infeasible_placement() {
+        let sol = |status| TransportSolution {
+            status,
+            flow: Vec::new(),
+            objective: f64::NAN,
+            iterations: 9,
+            degenerate_pivots: 9,
+            row_potentials: Vec::new(),
+            col_potentials: Vec::new(),
+            basis: None,
+            warm_used: false,
+        };
+        assert_eq!(transport_optimal(&sol(TransportStatus::Optimal)), Ok(true));
+        assert_eq!(transport_optimal(&sol(TransportStatus::Infeasible)), Ok(false));
+        assert_eq!(
+            transport_optimal(&sol(TransportStatus::IterationLimit)),
+            Err(DustError::IterationLimit { pivots: 9 })
+        );
     }
 
     #[test]

@@ -285,7 +285,8 @@ pub struct PartitionOutcome {
 ///
 /// `parts == 1` (or an instance too small to split) delegates to the
 /// whole-problem solver and is bit-identical to [`TransportProblem::solve_with`].
-/// Any infeasible subproblem triggers the exact whole-problem fallback.
+/// Any subproblem that comes back without an optimal answer (infeasible, or
+/// stopped at its pivot cap) triggers the exact whole-problem fallback.
 pub fn solve_partitioned_via<F>(
     p: &TransportProblem,
     parts: NonZeroUsize,
@@ -359,6 +360,7 @@ where
         obs.counter_inc("lp.partition.solves");
         obs.counter_add("lp.partition.subproblems", subs.len() as u64);
         for (sub, sol) in subs.iter().zip(&solutions) {
+            obs.counter_add("lp.degenerate_pivots", sol.degenerate_pivots as u64);
             if sol.warm_used {
                 obs.counter_inc("lp.warm_solves");
                 obs.counter_add("lp.warm_pivots", sol.iterations as u64);
@@ -377,11 +379,11 @@ where
         let bases = vec![solution.basis.clone()];
         PartitionOutcome { solution, parts: plan.parts(), fell_back, warm: PartitionWarm { bases } }
     };
-    if solutions.iter().any(|s| s.status == TransportStatus::Infeasible) {
+    if solutions.iter().any(|s| s.status != TransportStatus::Optimal) {
         // Groups keep at least their fair share of capacity, so reaching
-        // this means the joint problem is infeasible (or a caller-supplied
-        // solver misbehaved): the exact whole-problem solve is the
-        // authority either way.
+        // this means the joint problem is infeasible, a sub-solve ran
+        // into its pivot cap, or a caller-supplied solver misbehaved: the
+        // exact whole-problem solve is the authority either way.
         if obs.is_enabled() {
             obs.counter_inc("lp.partition.fallbacks");
         }
@@ -392,8 +394,10 @@ where
     let mut row_potentials = vec![0.0; m];
     let mut col_potentials = vec![0.0; n];
     let mut iterations = 0;
+    let mut degenerate_pivots = 0;
     for (sub, sol) in subs.iter().zip(&solutions) {
         iterations += sol.iterations;
+        degenerate_pivots += sol.degenerate_pivots;
         let w = sub.cols.len();
         for (si, &i) in sub.rows.iter().enumerate() {
             if let Some(&u) = sol.row_potentials.get(si) {
@@ -466,6 +470,7 @@ where
             return fallback(true);
         }
         iterations += sol.iterations;
+        degenerate_pivots += sol.degenerate_pivots;
         if obs.is_enabled() {
             obs.counter_inc("lp.partition.repairs");
             obs.observe("lp.partition.evicted", evicted_total);
@@ -496,6 +501,7 @@ where
             flow,
             objective,
             iterations,
+            degenerate_pivots,
             row_potentials,
             col_potentials,
             basis: None,
@@ -691,6 +697,22 @@ mod tests {
         let part = solve_partitioned_with(&p, nz(2), 3, &obs);
         assert!(part.fell_back);
         assert_eq!(part.solution.status, TransportStatus::Infeasible);
+        assert_eq!(obs.counter("lp.partition.fallbacks"), 1);
+    }
+
+    #[test]
+    fn a_sub_solve_stopped_at_its_pivot_cap_falls_back_too() {
+        let p = granular(12, 8);
+        let obs = ObsHandle::recording(0);
+        let out = solve_partitioned_via(&p, nz(3), 5, &obs, |subs| {
+            let mut solutions = solve_subs_sequential(subs);
+            solutions[1].status = TransportStatus::IterationLimit;
+            solutions[1].flow.clear(); // withheld, as the solver would
+            solutions
+        });
+        assert!(out.fell_back, "unoptimised flows must not be recombined");
+        assert_eq!(out.solution.status, TransportStatus::Optimal);
+        assert_eq!(out.solution.objective.to_bits(), p.solve().objective.to_bits());
         assert_eq!(obs.counter("lp.partition.fallbacks"), 1);
     }
 

@@ -9,9 +9,30 @@
 //! which is far faster than the general simplex for the many small problems
 //! the heuristic spawns (ablation 2 in DESIGN.md).
 //!
+//! Both phases keep indexed state instead of rescanning the `m × n` arrays:
+//!
+//! * **Vogel** caches, per open row and column, its two smallest open costs
+//!   and where they sit, and rescans a line only when the line just closed
+//!   was one of those two — a few hundred line rescans per solve at
+//!   121 × 360, where re-deriving every penalty at each of the `m + n − 1`
+//!   steps was two thirds of a cold solve.
+//! * **MODI** holds the basis as the adjacency lists of the spanning tree it
+//!   forms on the row and column vertices, so potentials, the entering
+//!   cell's cycle, the exported [`Basis`] and the warm-start peel all walk
+//!   `m + n − 1` tree edges. Per pivot, only the exact Dantzig pricing scan
+//!   (most negative reduced cost, row-major, first wins) still visits every
+//!   cell; it reads a per-cell bitmap for its O(1) membership test.
+//!
+//! None of this changes what the solver does: potentials are recomputed
+//! from the root each pivot (a subtree delta would round differently), so
+//! pivots, flows and bases are bit-identical to the plain textbook loops —
+//! `tests/transport_pins.rs` holds them to that.
+//!
 //! Unreachable (forbidden) pairs are modeled with `f64::INFINITY` costs;
 //! internally they become a big-M cost, and any positive flow left on them
-//! at the optimum proves the instance infeasible.
+//! at the optimum proves the instance infeasible. A search that exhausts
+//! its pivot budget reports [`TransportStatus::IterationLimit`] and
+//! withholds its flows rather than passing them off as optimal.
 
 /// A transportation instance.
 ///
@@ -34,6 +55,9 @@ pub enum TransportStatus {
     Optimal,
     /// Supply exceeds reachable capacity — no feasible shipment exists.
     Infeasible,
+    /// MODI hit its pivot cap before proving optimality. The flows it
+    /// stopped on are feasible but unoptimised, so they are withheld.
+    IterationLimit,
 }
 
 /// Transportation solution: flows and objective.
@@ -47,6 +71,9 @@ pub struct TransportSolution {
     pub objective: f64,
     /// MODI improvement pivots performed.
     pub iterations: usize,
+    /// Of those, pivots that moved no flow (`theta = 0`): the basis
+    /// changed, the solution did not.
+    pub degenerate_pivots: usize,
     /// Dual values `u_i` per source (empty unless optimal): the marginal
     /// cost of one more unit of supply at source `i`.
     pub row_potentials: Vec<f64>,
@@ -163,10 +190,11 @@ impl TransportProblem {
         opts: &SolveOptions,
     ) -> TransportSolution {
         let _prof = obs.prof_scope("lp.transport.solve");
-        let (s, warm) = self.solve_inner(opts.warm_start.as_ref());
+        let (s, warm) = self.solve_inner(opts.warm_start.as_ref(), None);
         if obs.is_enabled() {
             obs.counter_inc("lp.transport.solves");
             obs.counter_add("lp.transport.pivots", s.iterations as u64);
+            obs.counter_add("lp.degenerate_pivots", s.degenerate_pivots as u64);
             obs.observe("lp.transport.pivots", s.iterations as f64);
             match warm {
                 WarmUse::Accepted => {
@@ -193,7 +221,13 @@ impl TransportProblem {
         self.solve_with(&dust_obs::ObsHandle::disabled())
     }
 
-    fn solve_inner(&self, warm: Option<&Basis>) -> (TransportSolution, WarmUse) {
+    /// `pivot_cap` overrides the default MODI pivot budget; it exists so
+    /// the unit tests can reach [`TransportStatus::IterationLimit`].
+    fn solve_inner(
+        &self,
+        warm: Option<&Basis>,
+        pivot_cap: Option<usize>,
+    ) -> (TransportSolution, WarmUse) {
         const TOL: f64 = 1e-9;
         let m0 = self.supply.len();
         let n = self.capacity.len();
@@ -207,6 +241,7 @@ impl TransportProblem {
                     flow: vec![0.0; m0 * n],
                     objective: 0.0,
                     iterations: 0,
+                    degenerate_pivots: 0,
                     row_potentials: vec![0.0; m0],
                     col_potentials: vec![0.0; n],
                     basis: None,
@@ -216,19 +251,7 @@ impl TransportProblem {
             );
         }
         if n == 0 || total_supply > total_cap + TOL {
-            return (
-                TransportSolution {
-                    status: TransportStatus::Infeasible,
-                    flow: Vec::new(),
-                    objective: f64::NAN,
-                    iterations: 0,
-                    row_potentials: Vec::new(),
-                    col_potentials: Vec::new(),
-                    basis: None,
-                    warm_used: false,
-                },
-                WarmUse::Cold,
-            );
+            return (withheld(TransportStatus::Infeasible, 0, 0, false), WarmUse::Cold);
         }
 
         // Big-M for forbidden routes: dominates any mix of real costs.
@@ -255,36 +278,32 @@ impl TransportProblem {
                 Some(s) => (s, WarmUse::Accepted),
                 None => {
                     let mut st = State::vogel_initial(m, n, &supply, &demand, &c);
-                    st.complete_basis(m, n);
+                    st.complete_basis();
                     (st, if warm.is_some() { WarmUse::Rejected } else { WarmUse::Cold })
                 }
             };
-        let (iterations, u_bal, v_bal) = state.modi_optimize(m, n, &c);
+        let warm_used = warm_use == WarmUse::Accepted;
+        let pivot_cap = pivot_cap.unwrap_or(50 * (m + n).max(16) * (m + n).max(16));
+        let pivots = state.modi_optimize(&c, pivot_cap);
+        let (iterations, degenerate_pivots) = (pivots.count, pivots.degenerate);
+        let stopped =
+            |status| (withheld(status, iterations, degenerate_pivots, warm_used), warm_use);
+        let Some((u_bal, v_bal)) = pivots.duals else {
+            return stopped(TransportStatus::IterationLimit);
+        };
 
-        // Forbidden flow check (only real rows matter).
+        // The real rows of the balanced flows are the answer (the dummy row
+        // is last, so they are a prefix) — unless flow is left on a
+        // forbidden route.
+        let basis = state.export_basis();
+        let mut flow = state.flow;
+        flow.truncate(m0 * n);
         let mut objective = 0.0;
-        let mut flow = vec![0.0; m0 * n];
-        for i in 0..m0 {
-            for j in 0..n {
-                let f = state.flow[i * n + j];
-                if f > TOL && !self.cost[i * n + j].is_finite() {
-                    return (
-                        TransportSolution {
-                            status: TransportStatus::Infeasible,
-                            flow: Vec::new(),
-                            objective: f64::NAN,
-                            iterations,
-                            row_potentials: Vec::new(),
-                            col_potentials: Vec::new(),
-                            basis: None,
-                            warm_used: warm_use == WarmUse::Accepted,
-                        },
-                        warm_use,
-                    );
-                }
-                flow[i * n + j] = f;
-                objective += f * self.cost[i * n + j].min(big_m);
+        for (&f, &cost) in flow.iter().zip(&self.cost) {
+            if f > TOL && !cost.is_finite() {
+                return stopped(TransportStatus::Infeasible);
             }
+            objective += f * cost.min(big_m);
         }
         // Normalize duals so the dummy source's potential is zero: shifting
         // all u by -u_dummy and all v by +u_dummy preserves u_i + v_j and
@@ -293,43 +312,158 @@ impl TransportProblem {
         let shift = u_bal[m0];
         let row_potentials: Vec<f64> = u_bal[..m0].iter().map(|u| u - shift).collect();
         let col_potentials: Vec<f64> = v_bal.iter().map(|v| v + shift).collect();
-        let basis = Some(state.export_basis(m, n));
         (
             TransportSolution {
                 status: TransportStatus::Optimal,
                 flow,
                 objective,
                 iterations,
+                degenerate_pivots,
                 row_potentials,
                 col_potentials,
-                basis,
-                warm_used: warm_use == WarmUse::Accepted,
+                basis: Some(basis),
+                warm_used,
             },
             warm_use,
         )
     }
 }
 
-/// Internal solver state over the balanced instance.
+/// A solution that carries no flows: the instance is infeasible, or the
+/// pivot cap stopped the search.
+fn withheld(
+    status: TransportStatus,
+    iterations: usize,
+    degenerate_pivots: usize,
+    warm_used: bool,
+) -> TransportSolution {
+    TransportSolution {
+        status,
+        flow: Vec::new(),
+        objective: f64::NAN,
+        iterations,
+        degenerate_pivots,
+        row_potentials: Vec::new(),
+        col_potentials: Vec::new(),
+        basis: None,
+        warm_used,
+    }
+}
+
+/// The two smallest costs among the open cells of one row or column, as
+/// Vogel's method needs them, and where they sit.
+#[derive(Debug, Clone, Copy)]
+struct Least {
+    /// Smallest open cost, at its first index `k1`.
+    c1: f64,
+    /// Smallest cost over every *other* open cell, found at `k2`
+    /// (`INFINITY` / `usize::MAX` when `k1` is the only open cell).
+    c2: f64,
+    k1: usize,
+    k2: usize,
+}
+
+impl Least {
+    /// One pass over a line's open cells `(index, cost)`, ascending.
+    fn scan(open: impl Iterator<Item = (usize, f64)>) -> Least {
+        let mut l = Least { c1: f64::INFINITY, c2: f64::INFINITY, k1: usize::MAX, k2: usize::MAX };
+        for (k, v) in open {
+            if v < l.c1 {
+                (l.c2, l.k2) = (l.c1, l.k1);
+                (l.c1, l.k1) = (v, k);
+            } else if v < l.c2 {
+                (l.c2, l.k2) = (v, k);
+            }
+        }
+        l
+    }
+
+    /// Vogel's penalty: the regret of not taking the cheapest cell.
+    fn penalty(&self) -> f64 {
+        if self.c2.is_finite() {
+            self.c2 - self.c1
+        } else {
+            self.c1
+        }
+    }
+
+    /// Closing line `k` invalidates this cache only if it held one of the
+    /// two cells the cache stands on; closing any other leaves `c1`, `k1`
+    /// and `c2` exactly what a rescan would find.
+    fn stands_on(&self, k: usize) -> bool {
+        self.k1 == k || self.k2 == k
+    }
+}
+
+/// What [`State::modi_optimize`] did.
+struct Pivots {
+    /// Improvement pivots performed.
+    count: usize,
+    /// Of those, pivots that moved no flow (`theta == 0`).
+    degenerate: usize,
+    /// Optimal potentials `(u, v)` of the balanced instance; `None` when
+    /// the pivot cap stopped the search short of optimality.
+    duals: Option<(Vec<f64>, Vec<f64>)>,
+}
+
+/// Internal solver state over the balanced `m × n` instance.
+///
+/// The basis is held twice: as a per-cell bitmap, which only the pricing
+/// scan's O(1) membership test reads, and as the adjacency lists of the
+/// spanning tree it forms on the `m` row and `n` column vertices, which is
+/// what every walk of the basis (potentials, cycle, export, warm-start
+/// peel) follows — `m + n − 1` edges instead of `m · n` cells.
 struct State {
+    m: usize,
+    n: usize,
     /// Row-major flows, `m × n` (including the dummy row).
     flow: Vec<f64>,
     /// Basis membership per cell.
     basic: Vec<bool>,
+    /// Basic columns of each row, unordered.
+    row_adj: Vec<Vec<usize>>,
+    /// Basic rows of each column, unordered.
+    col_adj: Vec<Vec<usize>>,
 }
 
 impl State {
-    /// Collect the current basis as an exportable cell set.
-    fn export_basis(&self, m: usize, n: usize) -> Basis {
-        let mut cells = Vec::with_capacity(m + n - 1);
-        for i in 0..m {
-            for j in 0..n {
-                if self.basic[i * n + j] {
-                    cells.push((i as u32, j as u32));
-                }
-            }
+    fn new(m: usize, n: usize) -> State {
+        State {
+            m,
+            n,
+            flow: vec![0.0; m * n],
+            basic: vec![false; m * n],
+            row_adj: vec![Vec::new(); m],
+            col_adj: vec![Vec::new(); n],
         }
-        Basis { rows: m, cols: n, cells }
+    }
+
+    /// Make the nonbasic cell `(i, j)` basic.
+    fn insert(&mut self, i: usize, j: usize) {
+        self.basic[i * self.n + j] = true;
+        self.row_adj[i].push(j);
+        self.col_adj[j].push(i);
+    }
+
+    /// Make the basic cell `(i, j)` nonbasic.
+    fn remove(&mut self, i: usize, j: usize) {
+        self.basic[i * self.n + j] = false;
+        let at = self.row_adj[i].iter().position(|&x| x == j).expect("cell is basic");
+        self.row_adj[i].swap_remove(at);
+        let at = self.col_adj[j].iter().position(|&x| x == i).expect("cell is basic");
+        self.col_adj[j].swap_remove(at);
+    }
+
+    /// Collect the current basis as an exportable cell set, row-major.
+    fn export_basis(&self) -> Basis {
+        let mut cells: Vec<(u32, u32)> = self
+            .row_adj
+            .iter()
+            .enumerate()
+            .flat_map(|(i, cols)| cols.iter().map(move |&j| (i as u32, j as u32)))
+            .collect();
+        cells.sort_unstable();
+        Basis { rows: self.m, cols: self.n, cells }
     }
 
     /// Rebuild solver state from a previous round's basis: mark the cells
@@ -350,40 +484,42 @@ impl State {
         if basis.rows != m || basis.cols != n || basis.cells.len() != m + n - 1 {
             return None;
         }
-        let mut basic = vec![false; m * n];
-        // incident basic-cell indices per vertex (rows 0..m, cols m..m+n)
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); m + n];
-        for (k, &(bi, bj)) in basis.cells.iter().enumerate() {
+        let mut st = State::new(m, n);
+        for &(bi, bj) in &basis.cells {
             let (i, j) = (bi as usize, bj as usize);
-            if i >= m || j >= n || basic[i * n + j] {
+            if i >= m || j >= n || st.basic[i * n + j] {
                 return None;
             }
-            basic[i * n + j] = true;
-            adj[i].push(k);
-            adj[m + j].push(k);
+            st.insert(i, j);
         }
-        let mut degree: Vec<usize> = adj.iter().map(Vec::len).collect();
+        // vertices: rows 0..m, cols m..m+n
+        let mut degree: Vec<usize> = st.row_adj.iter().chain(&st.col_adj).map(Vec::len).collect();
         if degree.contains(&0) {
             return None; // an isolated vertex can never be spanned
         }
         // Each leaf's single remaining cell must carry the leaf's entire
         // residual balance; peeling a tree consumes every cell exactly once.
+        // A cell is spent once either end is peeled, so a leaf's remaining
+        // cell is the one toward its only unpeeled neighbour.
         let mut resid: Vec<f64> = supply.iter().chain(demand.iter()).copied().collect();
-        let mut used = vec![false; basis.cells.len()];
-        let mut flow = vec![0.0; m * n];
+        let mut peeled = vec![false; m + n];
         let mut leaves: Vec<usize> = (0..m + n).filter(|&v| degree[v] == 1).collect();
         let mut assigned = 0usize;
         while let Some(v) = leaves.pop() {
-            let Some(&k) = adj[v].iter().find(|&&k| !used[k]) else { continue };
-            let (i, j) = (basis.cells[k].0 as usize, basis.cells[k].1 as usize);
+            peeled[v] = true;
+            let other = if v < m {
+                st.row_adj[v].iter().map(|&j| m + j).find(|&w| !peeled[w])
+            } else {
+                st.col_adj[v - m].iter().copied().find(|&w| !peeled[w])
+            };
+            let Some(other) = other else { continue };
+            let (i, j) = if v < m { (v, other - m) } else { (other, v - m) };
             let f = resid[v];
             if f < -FEAS_TOL {
                 return None; // old basis is infeasible for the new balances
             }
-            flow[i * n + j] = f.max(0.0);
-            used[k] = true;
+            st.flow[i * n + j] = f.max(0.0);
             assigned += 1;
-            let other = if v < m { m + j } else { i };
             resid[other] -= f;
             degree[v] -= 1;
             degree[other] -= 1;
@@ -394,73 +530,56 @@ impl State {
         if assigned != basis.cells.len() {
             return None; // the cell set was not a spanning tree
         }
-        Some(State { flow, basic })
+        Some(st)
     }
 
     /// Vogel's approximation method initial basic feasible solution.
+    ///
+    /// Every open line's two smallest open costs are cached ([`Least`]) and
+    /// a line is rescanned only when the line just closed was one of the
+    /// two its cache stands on, so a step costs O(m + n) plus the rescans
+    /// it forces instead of a fresh O(m · n) sweep.
     fn vogel_initial(m: usize, n: usize, supply: &[f64], demand: &[f64], c: &[f64]) -> State {
         const TOL: f64 = 1e-12;
         let mut s = supply.to_vec();
         let mut d = demand.to_vec();
         let mut row_done = vec![false; m];
         let mut col_done = vec![false; n];
-        let mut flow = vec![0.0; m * n];
-        let mut basic = vec![false; m * n];
+        let mut st = State::new(m, n);
         let mut rows_left = m;
         let mut cols_left = n;
 
-        // two smallest costs among open cells of a row/col
-        let row_penalty = |i: usize, col_done: &[bool]| -> (f64, usize) {
-            let (mut c1, mut c2, mut jmin) = (f64::INFINITY, f64::INFINITY, usize::MAX);
-            for (j, _) in col_done.iter().enumerate().filter(|(_, d)| !**d) {
-                let v = c[i * n + j];
-                if v < c1 {
-                    c2 = c1;
-                    c1 = v;
-                    jmin = j;
-                } else if v < c2 {
-                    c2 = v;
-                }
-            }
-            (if c2.is_finite() { c2 - c1 } else { c1 }, jmin)
+        let scan_row = |i: usize, col_done: &[bool]| {
+            Least::scan((0..n).filter(|&j| !col_done[j]).map(|j| (j, c[i * n + j])))
         };
-        let col_penalty = |j: usize, row_done: &[bool]| -> (f64, usize) {
-            let (mut c1, mut c2, mut imin) = (f64::INFINITY, f64::INFINITY, usize::MAX);
-            for (i, _) in row_done.iter().enumerate().filter(|(_, d)| !**d) {
-                let v = c[i * n + j];
-                if v < c1 {
-                    c2 = c1;
-                    c1 = v;
-                    imin = i;
-                } else if v < c2 {
-                    c2 = v;
-                }
-            }
-            (if c2.is_finite() { c2 - c1 } else { c1 }, imin)
+        let scan_col = |j: usize, row_done: &[bool]| {
+            Least::scan((0..m).filter(|&i| !row_done[i]).map(|i| (i, c[i * n + j])))
         };
+        let mut rows: Vec<Least> = (0..m).map(|i| scan_row(i, &col_done)).collect();
+        let mut cols: Vec<Least> = (0..n).map(|j| scan_col(j, &row_done)).collect();
 
         while rows_left > 0 && cols_left > 0 {
             // pick the open row or column with the largest penalty
             let mut best_pen = -1.0;
             let mut pick: Option<(usize, usize)> = None; // (i, j)
-            for (i, _) in row_done.iter().enumerate().filter(|(_, d)| !**d) {
-                let (pen, j) = row_penalty(i, &col_done);
-                if j != usize::MAX && pen > best_pen {
+            for (i, l) in rows.iter().enumerate().filter(|&(i, _)| !row_done[i]) {
+                let pen = l.penalty();
+                if l.k1 != usize::MAX && pen > best_pen {
                     best_pen = pen;
-                    pick = Some((i, j));
+                    pick = Some((i, l.k1));
                 }
             }
-            for (j, _) in col_done.iter().enumerate().filter(|(_, d)| !**d) {
-                let (pen, i) = col_penalty(j, &row_done);
-                if i != usize::MAX && pen > best_pen {
+            for (j, l) in cols.iter().enumerate().filter(|&(j, _)| !col_done[j]) {
+                let pen = l.penalty();
+                if l.k1 != usize::MAX && pen > best_pen {
                     best_pen = pen;
-                    pick = Some((i, j));
+                    pick = Some((l.k1, j));
                 }
             }
             let Some((i, j)) = pick else { break };
             let q = s[i].min(d[j]);
-            flow[i * n + j] = q;
-            basic[i * n + j] = true;
+            st.flow[i * n + j] = q;
+            st.insert(i, j);
             s[i] -= q;
             d[j] -= q;
             // close exactly one of row/col per assignment (keeps the basis
@@ -469,18 +588,34 @@ impl State {
             if s[i] <= TOL && (d[j] > TOL || rows_left > 1) {
                 row_done[i] = true;
                 rows_left -= 1;
+                for (j, l) in cols.iter_mut().enumerate() {
+                    if !col_done[j] && l.stands_on(i) {
+                        *l = scan_col(j, &row_done);
+                    }
+                }
             } else {
                 col_done[j] = true;
                 cols_left -= 1;
+                for (i, l) in rows.iter_mut().enumerate() {
+                    if !row_done[i] && l.stands_on(j) {
+                        *l = scan_row(i, &col_done);
+                    }
+                }
             }
         }
-        State { flow, basic }
+        st
     }
 
     /// Ensure the basis is a spanning tree with exactly `m + n - 1` cells,
     /// adding zero-flow cells that join distinct components if VAM left the
-    /// basis degenerate.
-    fn complete_basis(&mut self, m: usize, n: usize) {
+    /// basis short (it closes the last row with columns still open when
+    /// rounding leaves residual demand).
+    fn complete_basis(&mut self) {
+        let (m, n) = (self.m, self.n);
+        let mut count: usize = self.row_adj.iter().map(Vec::len).sum();
+        if count >= m + n - 1 {
+            return;
+        }
         // union-find over m row-vertices and n col-vertices
         let mut parent: Vec<usize> = (0..m + n).collect();
         fn find(p: &mut Vec<usize>, x: usize) -> usize {
@@ -490,68 +625,79 @@ impl State {
             }
             p[x]
         }
-        let mut count = 0usize;
+        for i in 0..m {
+            for &j in &self.row_adj[i] {
+                let (a, b) = (find(&mut parent, i), find(&mut parent, m + j));
+                if a != b {
+                    parent[a] = b;
+                }
+            }
+        }
+        // Add the row-major-first zero cells that each join two components.
+        // One pass suffices: a cell passed over joins nothing, and merging
+        // components later cannot change that.
         for i in 0..m {
             for j in 0..n {
-                if self.basic[i * n + j] {
-                    count += 1;
+                if !self.basic[i * n + j] {
                     let (a, b) = (find(&mut parent, i), find(&mut parent, m + j));
                     if a != b {
                         parent[a] = b;
-                    }
-                }
-            }
-        }
-        // add zero cells joining components until spanning
-        'outer: while count < m + n - 1 {
-            for i in 0..m {
-                for j in 0..n {
-                    if !self.basic[i * n + j] {
-                        let (a, b) = (find(&mut parent, i), find(&mut parent, m + j));
-                        if a != b {
-                            parent[a] = b;
-                            self.basic[i * n + j] = true;
-                            count += 1;
-                            continue 'outer;
+                        self.insert(i, j);
+                        count += 1;
+                        if count == m + n - 1 {
+                            return;
                         }
                     }
                 }
             }
-            // all components already joined but count < m+n-1 can only
-            // happen on empty dimensions; bail out defensively
-            break;
         }
     }
 
-    /// MODI (u-v) optimization. Returns `(pivot count, u, v)` with the
-    /// final dual potentials of the balanced instance.
-    fn modi_optimize(&mut self, m: usize, n: usize, c: &[f64]) -> (usize, Vec<f64>, Vec<f64>) {
+    /// MODI (u-v) optimization from the current basis, for at most
+    /// `max_pivots` pivots.
+    ///
+    /// Per pivot, only the pricing scan (step 2) visits the `m × n`
+    /// arrays; potentials and the cycle walk the tree's adjacency lists,
+    /// and every buffer is allocated once, up front.
+    fn modi_optimize(&mut self, c: &[f64], max_pivots: usize) -> Pivots {
         const TOL: f64 = 1e-7;
-        let max_iters = 50 * (m + n).max(16) * (m + n).max(16);
-        let mut iters = 0usize;
+        let (m, n) = (self.m, self.n);
+        // Tree vertices: rows 0..m, then columns m..m+n, rooted at row 0.
+        let mut u = vec![f64::NAN; m];
+        let mut v = vec![f64::NAN; n];
+        let mut up = vec![0usize; m + n]; // neighbour toward the root
+        let mut depth = vec![0usize; m + n];
+        let mut stack: Vec<usize> = Vec::with_capacity(m + n);
+        // cycle cells (as flow indices) in path order, and its far half
+        let mut cycle: Vec<usize> = Vec::with_capacity(m + n);
+        let mut tail: Vec<usize> = Vec::with_capacity(m + n);
+        let mut pivots = Pivots { count: 0, degenerate: 0, duals: None };
         loop {
-            if iters >= max_iters {
-                // Should not happen; the flows remain feasible either way.
-                return (iters, vec![0.0; m], vec![0.0; n]);
-            }
-            // 1. potentials via BFS over the basis tree
-            let mut u = vec![f64::NAN; m];
-            let mut v = vec![f64::NAN; n];
+            // 1. potentials: u_i + v_j = c_ij on every tree edge, chained
+            //    outward from u_0 = 0. Each value depends only on the
+            //    unique tree path to the root, not on the visiting order —
+            //    recomputing from the root (instead of shifting a subtree
+            //    by a delta) is what keeps them bit-reproducible.
+            u.fill(f64::NAN);
+            v.fill(f64::NAN);
             u[0] = 0.0;
-            let mut stack = vec![(true, 0usize)]; // (is_row, idx)
-            while let Some((is_row, idx)) = stack.pop() {
-                if is_row {
-                    for j in 0..n {
-                        if self.basic[idx * n + j] && v[j].is_nan() {
-                            v[j] = c[idx * n + j] - u[idx];
-                            stack.push((false, j));
+            stack.push(0);
+            while let Some(x) = stack.pop() {
+                if x < m {
+                    for &j in &self.row_adj[x] {
+                        if v[j].is_nan() {
+                            v[j] = c[x * n + j] - u[x];
+                            (up[m + j], depth[m + j]) = (x, depth[x] + 1);
+                            stack.push(m + j);
                         }
                     }
                 } else {
-                    for i in 0..m {
-                        if self.basic[i * n + idx] && u[i].is_nan() {
-                            u[i] = c[i * n + idx] - v[idx];
-                            stack.push((true, i));
+                    let j = x - m;
+                    for &i in &self.col_adj[j] {
+                        if u[i].is_nan() {
+                            u[i] = c[i * n + j] - v[j];
+                            (up[i], depth[i]) = (x, depth[x] + 1);
+                            stack.push(i);
                         }
                     }
                 }
@@ -565,10 +711,11 @@ impl State {
             // 2. most negative reduced cost among nonbasic cells
             let mut best = -TOL;
             let mut enter: Option<(usize, usize)> = None;
-            for i in 0..m {
-                for j in 0..n {
-                    if !self.basic[i * n + j] {
-                        let rc = c[i * n + j] - u[i] - v[j];
+            let rows = c.chunks_exact(n).zip(self.basic.chunks_exact(n)).zip(&u);
+            for (i, ((c_row, basic_row), &ui)) in rows.enumerate() {
+                for (j, ((&cij, &basic), &vj)) in c_row.iter().zip(basic_row).zip(&v).enumerate() {
+                    if !basic {
+                        let rc = cij - ui - vj;
                         if rc < best {
                             best = rc;
                             enter = Some((i, j));
@@ -577,89 +724,55 @@ impl State {
                 }
             }
             let Some((ei, ej)) = enter else {
-                return (iters, u, v);
+                pivots.duals = Some((u, v));
+                return pivots;
             };
+            if pivots.count >= max_pivots {
+                return pivots;
+            }
 
-            // 3. unique cycle: tree path from row ei to col ej, then the
-            //    entering edge closes it. Find the path by BFS on the basis.
-            //    vertices: rows 0..m, cols m..m+n
-            let total = m + n;
-            let mut prev = vec![usize::MAX; total];
-            let mut seen = vec![false; total];
-            let start = ei;
-            let goal = m + ej;
-            seen[start] = true;
-            let mut queue = std::collections::VecDeque::from([start]);
-            while let Some(x) = queue.pop_front() {
-                if x == goal {
-                    break;
-                }
-                if x < m {
-                    for j in 0..n {
-                        if self.basic[x * n + j] && !seen[m + j] {
-                            seen[m + j] = true;
-                            prev[m + j] = x;
-                            queue.push_back(m + j);
-                        }
-                    }
+            // 3. unique cycle: the tree path from row ei to col ej, which
+            //    the entering cell closes. Climb from both ends to where
+            //    they meet; `cycle` lists the path's cells from the ei end.
+            let cell = |x: usize, y: usize| if x < m { x * n + (y - m) } else { y * n + (x - m) };
+            cycle.clear();
+            let (mut a, mut b) = (ei, m + ej);
+            while a != b {
+                if depth[a] >= depth[b] {
+                    cycle.push(cell(a, up[a]));
+                    a = up[a];
                 } else {
-                    let j = x - m;
-                    for i in 0..m {
-                        if self.basic[i * n + j] && !seen[i] {
-                            seen[i] = true;
-                            prev[i] = x;
-                            queue.push_back(i);
-                        }
-                    }
+                    tail.push(cell(b, up[b]));
+                    b = up[b];
                 }
             }
-            debug_assert!(seen[goal], "basis tree must connect entering endpoints");
+            cycle.extend(tail.drain(..).rev());
 
-            // reconstruct vertex path goal -> start, then edge list
-            let mut vpath = vec![goal];
-            let mut cur = goal;
-            while cur != start {
-                cur = prev[cur];
-                vpath.push(cur);
+            // 4. the entering cell is '+', then the path alternates -, +,
+            //    -, … from the ei end. theta = min flow on '-' cells (first
+            //    wins); update and swap basis.
+            let (mut theta, mut leave) = (f64::INFINITY, cycle[0]);
+            for &x in cycle.iter().step_by(2) {
+                if self.flow[x] < theta {
+                    theta = self.flow[x];
+                    leave = x;
+                }
             }
-            vpath.reverse(); // start (row ei) ... goal (col ej)
-
-            // cycle cells alternate starting with the entering cell (+):
-            // (ei, ej) is '+', then walking the tree path from col ej back
-            // toward row ei alternates -, +, -, ...
-            let mut plus: Vec<(usize, usize)> = vec![(ei, ej)];
-            let mut minus: Vec<(usize, usize)> = Vec::new();
-            // edges along vpath: (vpath[t], vpath[t+1]) are tree edges
-            for (t, w) in vpath.windows(2).enumerate() {
-                let (a, b) = (w[0], w[1]);
-                let cell = if a < m { (a, b - m) } else { (b, a - m) };
-                // t = 0 edge touches row ei → sign '-', then alternate
+            self.flow[ei * n + ej] += theta;
+            for (t, &x) in cycle.iter().enumerate() {
                 if t % 2 == 0 {
-                    minus.push(cell);
+                    self.flow[x] -= theta;
                 } else {
-                    plus.push(cell);
+                    self.flow[x] += theta;
                 }
             }
-
-            // 4. theta = min flow on '-' cells; update and swap basis
-            let (mut theta, mut leave) = (f64::INFINITY, minus[0]);
-            for &(i, j) in &minus {
-                let f = self.flow[i * n + j];
-                if f < theta {
-                    theta = f;
-                    leave = (i, j);
-                }
+            self.insert(ei, ej);
+            self.remove(leave / n, leave % n);
+            self.flow[leave] = 0.0;
+            pivots.count += 1;
+            if theta == 0.0 {
+                pivots.degenerate += 1;
             }
-            for &(i, j) in &plus {
-                self.flow[i * n + j] += theta;
-            }
-            for &(i, j) in &minus {
-                self.flow[i * n + j] -= theta;
-            }
-            self.basic[ei * n + ej] = true;
-            self.basic[leave.0 * n + leave.1] = false;
-            self.flow[leave.0 * n + leave.1] = 0.0;
-            iters += 1;
         }
     }
 }
@@ -1027,5 +1140,169 @@ mod warm_tests {
         assert_eq!(s.status, TransportStatus::Optimal);
         assert!((s.objective - 70.0).abs() < 1e-6);
         assert!(s.flow[0].abs() < 1e-9, "no flow on the forbidden route");
+    }
+}
+
+/// The cached-penalty Vogel start against the method as first written:
+/// every open line's two smallest open costs re-derived at every step.
+#[cfg(test)]
+mod vogel_tests {
+    use super::*;
+    use dust_topology::SplitMix64;
+
+    /// Returns the flows and the basic cells in assignment order.
+    fn vogel_rescanning(
+        m: usize,
+        n: usize,
+        supply: &[f64],
+        demand: &[f64],
+        c: &[f64],
+    ) -> (Vec<f64>, Vec<(u32, u32)>) {
+        let (mut s, mut d) = (supply.to_vec(), demand.to_vec());
+        let (mut row_done, mut col_done) = (vec![false; m], vec![false; n]);
+        let (mut flow, mut cells) = (vec![0.0; m * n], Vec::new());
+        let (mut rows_left, mut cols_left) = (m, n);
+        // (penalty, argmin) over one line's open cells `(index, cost)`
+        let penalty = |open: &mut dyn Iterator<Item = (usize, f64)>| {
+            let (mut c1, mut c2, mut k1) = (f64::INFINITY, f64::INFINITY, usize::MAX);
+            for (k, v) in open {
+                if v < c1 {
+                    (c2, c1, k1) = (c1, v, k);
+                } else if v < c2 {
+                    c2 = v;
+                }
+            }
+            (if c2.is_finite() { c2 - c1 } else { c1 }, k1)
+        };
+        while rows_left > 0 && cols_left > 0 {
+            let (mut best, mut pick) = (-1.0, None);
+            for i in (0..m).filter(|&i| !row_done[i]) {
+                let mut open = (0..n).filter(|&j| !col_done[j]).map(|j| (j, c[i * n + j]));
+                let (pen, j) = penalty(&mut open);
+                if j != usize::MAX && pen > best {
+                    (best, pick) = (pen, Some((i, j)));
+                }
+            }
+            for j in (0..n).filter(|&j| !col_done[j]) {
+                let mut open = (0..m).filter(|&i| !row_done[i]).map(|i| (i, c[i * n + j]));
+                let (pen, i) = penalty(&mut open);
+                if i != usize::MAX && pen > best {
+                    (best, pick) = (pen, Some((i, j)));
+                }
+            }
+            let Some((i, j)) = pick else { break };
+            let q = s[i].min(d[j]);
+            flow[i * n + j] = q;
+            cells.push((i as u32, j as u32));
+            s[i] -= q;
+            d[j] -= q;
+            if s[i] <= 1e-12 && (d[j] > 1e-12 || rows_left > 1) {
+                row_done[i] = true;
+                rows_left -= 1;
+            } else {
+                col_done[j] = true;
+                cols_left -= 1;
+            }
+        }
+        (flow, cells)
+    }
+
+    /// A balanced instance (dummy row last, zero cost) whose cost structure
+    /// rotates with the seed: real-valued, small integers (penalty ties),
+    /// mostly big-M, all equal (every penalty ties).
+    fn balanced_instance(seed: u64) -> (usize, usize, Vec<f64>, Vec<f64>, Vec<f64>) {
+        let mut rng = SplitMix64::new(seed);
+        let m = 3 + rng.below(12) as usize;
+        let n = 2 + rng.below(39) as usize;
+        let mut supply: Vec<f64> = (0..m - 1).map(|_| rng.range_u64(1, 6) as f64).collect();
+        let total: f64 = supply.iter().sum();
+        // integer balances, so rows and columns often exhaust together
+        let demand: Vec<f64> =
+            (0..n).map(|_| (total / n as f64).ceil() + rng.below(3) as f64).collect();
+        supply.push(demand.iter().sum::<f64>() - total);
+        let mut c: Vec<f64> = (0..(m - 1) * n)
+            .map(|_| match seed % 4 {
+                0 => rng.range_f64(0.1, 20.0),
+                1 => rng.range_u64(1, 5) as f64,
+                2 if rng.below(10) < 7 => 21e6,
+                2 => rng.range_f64(0.1, 20.0),
+                _ => 3.0,
+            })
+            .collect();
+        c.extend(std::iter::repeat_n(0.0, n));
+        (m, n, supply, demand, c)
+    }
+
+    #[test]
+    fn cached_penalties_pick_the_cells_a_rescan_picks() {
+        for seed in 0..64 {
+            let (m, n, supply, demand, c) = balanced_instance(seed);
+            let st = State::vogel_initial(m, n, &supply, &demand, &c);
+            let (flow, mut cells) = vogel_rescanning(m, n, &supply, &demand, &c);
+            cells.sort_unstable();
+            assert_eq!(st.export_basis().cells, cells, "seed {seed}");
+            let bits = |f: &[f64]| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&st.flow), bits(&flow), "seed {seed}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod pivot_cap_tests {
+    use super::*;
+    use dust_obs::ObsHandle;
+    use dust_topology::SplitMix64;
+
+    /// Real-valued costs and balances: Vogel's start is not optimal, and
+    /// nothing ties.
+    fn generic_instance() -> TransportProblem {
+        let mut rng = SplitMix64::new(5);
+        let (m, n) = (24, 72);
+        TransportProblem::new(
+            (0..m).map(|_| rng.range_f64(1.0, 10.0)).collect(),
+            (0..n).map(|_| rng.range_f64(5.0, 30.0)).collect(),
+            (0..m * n).map(|_| rng.range_f64(0.1, 20.0)).collect(),
+        )
+    }
+
+    #[test]
+    fn a_capped_solve_withholds_its_flows() {
+        let p = generic_instance();
+        let full = p.solve();
+        assert_eq!(full.status, TransportStatus::Optimal);
+        assert!(full.iterations >= 3, "instance must need pivots, took {}", full.iterations);
+        for cap in 0..full.iterations {
+            let (s, _) = p.solve_inner(None, Some(cap));
+            assert_eq!(s.status, TransportStatus::IterationLimit, "cap {cap}");
+            assert_eq!(s.iterations, cap, "pivots done are still reported");
+            assert!(s.flow.is_empty() && s.objective.is_nan() && s.basis.is_none());
+            assert!(s.row_potentials.is_empty() && s.col_potentials.is_empty());
+        }
+        // exactly enough pivots is not a limit: optimality is proved first
+        let (s, _) = p.solve_inner(None, Some(full.iterations));
+        assert_eq!(s.status, TransportStatus::Optimal);
+        assert_eq!(s.objective.to_bits(), full.objective.to_bits());
+        assert_eq!(s.basis, full.basis);
+    }
+
+    #[test]
+    fn zero_theta_pivots_are_counted() {
+        let obs = ObsHandle::recording(0);
+        let s = generic_instance().solve_with(&obs);
+        assert_eq!(s.degenerate_pivots, 0, "no ties, every pivot moves flow");
+        assert_eq!(obs.counter("lp.degenerate_pivots"), 0);
+        // every supply equals every other and total supply equals total
+        // capacity: partial sums collide, so bases carry zero-flow cells
+        let mut rng = SplitMix64::new(6);
+        let (m, n) = (6, 9);
+        let p = TransportProblem::new(
+            vec![n as f64; m],
+            vec![m as f64; n],
+            (0..m * n).map(|_| rng.range_f64(0.1, 20.0)).collect(),
+        );
+        let s = p.solve_with(&obs);
+        assert_eq!(s.status, TransportStatus::Optimal);
+        assert!(s.degenerate_pivots > 0 && s.degenerate_pivots <= s.iterations, "{s:?}");
+        assert_eq!(obs.counter("lp.degenerate_pivots"), s.degenerate_pivots as u64);
     }
 }

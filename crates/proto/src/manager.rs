@@ -522,8 +522,9 @@ impl Manager {
     /// fan-out — the classic placement round.
     fn full_round(&mut self, now_ms: u64, nmdb: &Nmdb) -> (Placement, Vec<Envelope<ManagerMsg>>) {
         let warm = if self.warm_enabled && !self.warm.is_empty() { Some(&self.warm) } else { None };
-        // Unbounded cannot occur for well-formed placement instances;
-        // fold it into the infeasible outcome like `dust_core::optimize`.
+        // Unbounded cannot occur for well-formed placement instances and
+        // a solve stopped at its pivot cap has no plan to act on; fold
+        // both into the infeasible outcome like `dust_core::optimize`.
         let placement = optimize_with_path_warm(
             nmdb,
             &self.cfg,

@@ -223,12 +223,44 @@ pub fn min_inv_lu_enumerated_from(g: &Graph, src: NodeId, max_hop: Option<usize>
     dist
 }
 
+/// One hop layer of the Bellman–Ford DP: relax every edge out of
+/// `frontier` — the nodes whose distance changed in the previous layer —
+/// reading `prev` and lowering `next`, which enters as a copy of `prev`.
+/// The nodes whose distance dropped are collected, once each, in `moved`.
+///
+/// Skipping the nodes outside the frontier loses nothing: a node that did
+/// not move offered the very same `prev[a] + c` candidates one layer
+/// earlier, so every minimum sees the same floats as a sweep of all edges.
+fn relax_layer(
+    g: &Graph,
+    prev: &[f64],
+    next: &mut [f64],
+    frontier: &[NodeId],
+    moved: &mut Vec<NodeId>,
+) {
+    moved.clear();
+    for &a in frontier {
+        for &(b, e) in g.neighbors(a) {
+            let through = prev[a.index()] + inv_lu_edge(g, e);
+            let so_far = next[b.index()];
+            if through < so_far {
+                if so_far == prev[b.index()] {
+                    moved.push(b); // b's first drop in this layer
+                }
+                next[b.index()] = through;
+            }
+        }
+    }
+}
+
 /// Minimum `Σ 1/Lu_e` from `src` to *every* node within `max_hop` hops via
 /// hop-bounded Bellman–Ford. Entry `dist[v]` is `f64::INFINITY` when `v` is
 /// unreachable within the bound.
 ///
 /// With strictly positive edge costs a minimum-cost walk is simple, so this
-/// equals the enumerated optimum at a fraction of the cost.
+/// equals the enumerated optimum at a fraction of the cost. Each layer
+/// relaxes only out of the previous layer's frontier, so a bounded search
+/// costs what it reaches, not `max_hop · |E|`.
 pub fn min_inv_lu_dp_from(g: &Graph, src: NodeId, max_hop: Option<usize>) -> Vec<f64> {
     let n = g.node_count();
     // Unbounded: n-1 hops suffice for any simple path.
@@ -236,25 +268,17 @@ pub fn min_inv_lu_dp_from(g: &Graph, src: NodeId, max_hop: Option<usize>) -> Vec
     let mut dist = vec![f64::INFINITY; n];
     dist[src.index()] = 0.0;
     let mut next = dist.clone();
+    let mut frontier = vec![src];
+    let mut moved = Vec::new();
     for _ in 0..bound {
-        let mut changed = false;
-        next.copy_from_slice(&dist);
-        for (i, e) in g.edges().iter().enumerate() {
-            let c = inv_lu_edge(g, EdgeId(i as u32));
-            let (a, b) = (e.a.index(), e.b.index());
-            if dist[a] + c < next[b] {
-                next[b] = dist[a] + c;
-                changed = true;
-            }
-            if dist[b] + c < next[a] {
-                next[a] = dist[b] + c;
-                changed = true;
-            }
+        relax_layer(g, &dist, &mut next, &frontier, &mut moved);
+        if moved.is_empty() {
+            break; // diameter reached
         }
-        std::mem::swap(&mut dist, &mut next);
-        if !changed {
-            break;
+        for &b in &moved {
+            dist[b.index()] = next[b.index()];
         }
+        std::mem::swap(&mut frontier, &mut moved);
     }
     // The source's own distance stays 0 but a path to itself is not
     // meaningful for offloading; callers filter src == dst beforehand.
@@ -285,36 +309,29 @@ pub fn min_inv_lu_dp_path(
     }
     let n = g.node_count();
     let bound = max_hop.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
-    // Exact layered DP: layers[h][v] = min cost reaching v in <= h hops.
-    // Layers stop growing once a sweep changes nothing (diameter reached),
-    // so memory is O(diameter · |V|) even when the bound is "unbounded".
-    let mut layers: Vec<Vec<f64>> = Vec::with_capacity(8);
-    let mut first = vec![f64::INFINITY; n];
-    first[src.index()] = 0.0;
-    layers.push(first);
-    for _ in 1..=bound {
-        let prev = layers.last().unwrap();
-        let mut next = prev.clone();
-        let mut changed = false;
-        for (i, e) in g.edges().iter().enumerate() {
-            let c = inv_lu_edge(g, EdgeId(i as u32));
-            let (a, b) = (e.a.index(), e.b.index());
-            if prev[a] + c < next[b] {
-                next[b] = prev[a] + c;
-                changed = true;
-            }
-            if prev[b] + c < next[a] {
-                next[a] = prev[b] + c;
-                changed = true;
-            }
-        }
-        if !changed {
+    // Exact layered DP: layer h, `layers[h * n..][v]`, is the min cost of
+    // reaching v in <= h hops. Layers stop growing once a layer moves
+    // nothing (diameter reached), so memory is O(diameter · |V|) even when
+    // the bound is "unbounded"; room for a small bound's layers is taken
+    // up front so they are one allocation.
+    let mut layers = Vec::with_capacity(n * (bound.min(7) + 1));
+    layers.resize(n, f64::INFINITY);
+    layers[src.index()] = 0.0;
+    let mut frontier = vec![src];
+    let mut moved = Vec::new();
+    let mut final_layer = 0;
+    for h in 1..=bound {
+        layers.extend_from_within((h - 1) * n..);
+        let (prev, next) = layers[(h - 1) * n..].split_at_mut(n);
+        relax_layer(g, prev, next, &frontier, &mut moved);
+        if moved.is_empty() {
             break;
         }
-        layers.push(next);
+        final_layer = h;
+        std::mem::swap(&mut frontier, &mut moved);
     }
-    let final_layer = layers.len() - 1;
-    let best = layers[final_layer][dst.index()];
+    let layer = |h: usize| &layers[h * n..(h + 1) * n];
+    let best = layer(final_layer)[dst.index()];
     if !best.is_finite() {
         return None;
     }
@@ -327,15 +344,15 @@ pub fn min_inv_lu_dp_path(
     let mut h = final_layer;
     while cur != src {
         debug_assert!(h > 0, "ran out of layers during reconstruction");
-        let target = layers[h][cur.index()];
-        if layers[h - 1][cur.index()] <= target {
+        let target = layer(h)[cur.index()];
+        if layer(h - 1)[cur.index()] <= target {
             h -= 1; // same cost with fewer hops: shorten
             continue;
         }
         let mut stepped = false;
         for &(u, e) in g.neighbors(cur) {
             let c = inv_lu_edge(g, e);
-            if (layers[h - 1][u.index()] + c - target).abs() <= 1e-12 * target.abs().max(1.0) {
+            if (layer(h - 1)[u.index()] + c - target).abs() <= 1e-12 * target.abs().max(1.0) {
                 edges.push(e);
                 nodes.push(u);
                 cur = u;
@@ -535,5 +552,127 @@ mod dp_path_tests {
         let mut g = Graph::with_nodes(4);
         g.add_default_edge(NodeId(0), NodeId(1));
         assert!(min_inv_lu_dp_path(&g, NodeId(0), NodeId(3), None).is_none());
+    }
+}
+
+/// The frontier-limited DP against the plain one it replaced: every edge
+/// swept in every layer. The two must agree to the bit, not to a tolerance —
+/// the cost matrix and the offered routes are pinned downstream.
+#[cfg(test)]
+mod frontier_tests {
+    use super::*;
+    use crate::fattree::FatTree;
+    use crate::graph::Link;
+    use crate::topologies::{example7, ring};
+    use crate::SplitMix64;
+
+    /// Layered distances by sweeping all edges per layer; the last layer is
+    /// the row `min_inv_lu_dp_from` returns.
+    fn full_sweep_layers(g: &Graph, src: NodeId, max_hop: Option<usize>) -> Vec<Vec<f64>> {
+        let n = g.node_count();
+        let bound = max_hop.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
+        let mut first = vec![f64::INFINITY; n];
+        first[src.index()] = 0.0;
+        let mut layers = vec![first];
+        for _ in 1..=bound {
+            let prev = layers.last().unwrap();
+            let mut next = prev.clone();
+            let mut changed = false;
+            for (i, e) in g.edges().iter().enumerate() {
+                let c = inv_lu_edge(g, EdgeId(i as u32));
+                let (a, b) = (e.a.index(), e.b.index());
+                if prev[a] + c < next[b] {
+                    next[b] = prev[a] + c;
+                    changed = true;
+                }
+                if prev[b] + c < next[a] {
+                    next[a] = prev[b] + c;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+            layers.push(next);
+        }
+        layers
+    }
+
+    /// The route the full-sweep layers backtrack to, by the same exact rule.
+    fn full_sweep_path(
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        max_hop: Option<usize>,
+    ) -> Option<(f64, Path)> {
+        let layers = full_sweep_layers(g, src, max_hop);
+        let mut h = layers.len() - 1;
+        let best = layers[h][dst.index()];
+        if src == dst || !best.is_finite() {
+            return None;
+        }
+        let (mut nodes, mut edges, mut cur) = (vec![dst], Vec::new(), dst);
+        while cur != src {
+            let target = layers[h][cur.index()];
+            if layers[h - 1][cur.index()] <= target {
+                h -= 1;
+                continue;
+            }
+            let &(u, e) = g.neighbors(cur).iter().find(|&&(u, e)| {
+                let via = layers[h - 1][u.index()] + inv_lu_edge(g, e);
+                (via - target).abs() <= 1e-12 * target.abs().max(1.0)
+            })?;
+            edges.push(e);
+            nodes.push(u);
+            cur = u;
+            h -= 1;
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some((best, Path { nodes, edges }))
+    }
+
+    /// Seeded heterogeneous utilizations, with one idle (`Lu = 0`) link
+    /// next to node 0.
+    fn loaded(mut g: Graph, seed: u64) -> Graph {
+        let mut rng = SplitMix64::new(seed);
+        let idle = g.neighbors(NodeId(0))[0].1;
+        g.retarget_utilization(|e, _| if e == idle { 0.0 } else { rng.range_f64(0.05, 0.95) });
+        g
+    }
+
+    #[test]
+    fn frontier_dp_matches_the_full_sweep_bit_for_bit() {
+        let graphs = [
+            loaded(FatTree::with_default_links(8).graph, 1),
+            loaded(FatTree::with_default_links(16).graph, 2),
+            loaded(ring(9, Link::default()), 3),
+            loaded(example7(Link::default()), 4),
+        ];
+        for (gi, g) in graphs.iter().enumerate() {
+            let n = g.node_count();
+            for max_hop in [Some(1), Some(2), Some(4), None] {
+                // node 0 sits on the idle link; the others spread over tiers
+                for src in [0, 1, n / 3, n / 2, n - 1].map(|v| NodeId(v as u32)) {
+                    let want = full_sweep_layers(g, src, max_hop);
+                    let got = min_inv_lu_dp_from(g, src, max_hop);
+                    let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(want.last().unwrap()),
+                        "graph {gi} src {src:?} {max_hop:?}"
+                    );
+                    for dst in g.nodes().step_by(1 + n / 40) {
+                        let want = full_sweep_path(g, src, dst, max_hop);
+                        let got = min_inv_lu_dp_path(g, src, dst, max_hop);
+                        assert_eq!(
+                            got.as_ref().map(|(c, p)| (c.to_bits(), p)),
+                            want.as_ref().map(|(c, p)| (c.to_bits(), p)),
+                            "graph {gi} {src:?}->{dst:?} {max_hop:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
