@@ -74,7 +74,7 @@ pub mod prelude {
     };
     pub use dust_telemetry::{
         aggregate_load, compress, decompress, AgentKind, Alert, Comparison, Federation,
-        MonitorAgent, Rule, RuleEngine, Series, Tsdb,
+        MonitorAgent, Rule, RuleEngine, Series, SeriesId, Tsdb,
     };
     pub use dust_topology::{
         paper_sizes, CostEngine, CostMatrix, FatTree, Graph, Link, NodeId, Path, PathEngine,

@@ -180,6 +180,16 @@ impl ObsHandle {
         }
     }
 
+    /// Record a batch of samples into one histogram under a single lock
+    /// acquisition. A histogram is order-independent (bucket counts,
+    /// count, fixed-point sum, min, max), so this leaves the registry
+    /// exactly as one [`ObsHandle::observe`] per value would.
+    pub fn observe_all(&self, name: &str, values: &[f64]) {
+        if let Some(c) = &self.core {
+            Self::lock(c).metrics.observe_all(name, values);
+        }
+    }
+
     /// Record a trace event at the mirrored sim time. Must only be
     /// called from deterministic (sequential) context.
     pub fn trace(&self, event: TraceEvent) {
@@ -331,6 +341,18 @@ mod tests {
         assert_eq!(dump, h.post_mortem("test").unwrap(), "dump is deterministic");
         // the full trace still has everything
         assert_eq!(h.trace_snapshot().unwrap().len(), 5);
+    }
+
+    #[test]
+    fn observe_all_matches_per_value_observes() {
+        let (batched, single) = (ObsHandle::recording(1), ObsHandle::recording(1));
+        let values = [12.5, 0.25, 99.0, 12.5];
+        batched.observe_all("sim.node.cpu_percent", &values);
+        for v in values {
+            single.observe("sim.node.cpu_percent", v);
+        }
+        assert_eq!(batched.metrics(), single.metrics());
+        ObsHandle::disabled().observe_all("x", &values); // inert, like every other call
     }
 
     #[test]

@@ -26,17 +26,26 @@ impl MetricsRegistry {
 
     /// Add `n` to a monotonic counter, creating it at zero first.
     pub fn counter_add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        with_slot(&mut self.counters, name, |c| *c += n);
     }
 
     /// Set a gauge to its latest value.
     pub fn gauge_set(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
+        with_slot(&mut self.gauges, name, |g| *g = v);
     }
 
     /// Record one sample into a named histogram.
     pub fn observe(&mut self, name: &str, v: f64) {
-        self.histograms.entry(name.to_string()).or_default().record(v);
+        with_slot(&mut self.histograms, name, |h| h.record(v));
+    }
+
+    /// Record every sample of `values` into a named histogram: the same
+    /// registry as one [`MetricsRegistry::observe`] per value (so an empty
+    /// slice creates nothing), for one name search.
+    pub(crate) fn observe_all(&mut self, name: &str, values: &[f64]) {
+        if !values.is_empty() {
+            with_slot(&mut self.histograms, name, |h| values.iter().for_each(|&v| h.record(v)));
+        }
     }
 
     /// Current value of a counter (0 when never touched).
@@ -213,6 +222,16 @@ impl MetricsRegistry {
     }
 }
 
+/// Apply `f` to `map[name]`, inserting the default first when absent.
+/// Metric calls sit on hot paths, so the name is looked up borrowed and
+/// only copied to the heap the first time it is seen.
+fn with_slot<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
+    }
+}
+
 /// JSON-safe float rendering (JSON has no inf/nan literals).
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
@@ -247,6 +266,32 @@ mod tests {
         m.counter_add("x", 2);
         m.counter_add("x", 3);
         assert_eq!(m.counter("x"), 5);
+    }
+
+    #[test]
+    fn observe_all_equals_one_observe_per_value() {
+        let values = [3.0, -1.5, 0.0, 900.5, 3.0, 1e-9];
+        let mut one_by_one = MetricsRegistry::new();
+        let mut batched = MetricsRegistry::new();
+        for v in values {
+            one_by_one.observe("h", v);
+        }
+        // split across calls, and in another order: histograms do not care
+        batched.observe_all("h", &values[3..]);
+        batched.observe_all("h", &values[..3]);
+        batched.observe_all("never", &[]);
+        assert_eq!(batched, one_by_one);
+        assert_eq!(batched.to_text(), one_by_one.to_text());
+        assert!(batched.histogram("never").is_none(), "an empty batch creates nothing");
+    }
+
+    #[test]
+    fn gauges_keep_the_last_write() {
+        let mut m = MetricsRegistry::new();
+        assert_eq!(m.gauge("g"), None);
+        m.gauge_set("g", 4.0);
+        m.gauge_set("g", -2.5);
+        assert_eq!(m.gauge("g"), Some(-2.5));
     }
 
     #[test]

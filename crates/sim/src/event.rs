@@ -25,12 +25,21 @@
 //!   ([`dust_proto::Client::tick_into`]); the telemetry flow set is
 //!   rebuilt only when the transfer ledger's version moves; liveness is
 //!   a flat bitmap instead of a hash probe per node.
+//! * **Resolve once, append many.** The first telemetry sample resolves
+//!   each node's three per-sample series to [`SeriesId`] handles and
+//!   reserves every point the run will record (the count follows from
+//!   the run's own duration and sample period); from then on a sample is
+//!   an index and a push per series — no name search, no regrowth. The
+//!   batch's CPU/memory histogram samples collect in two reused buffers
+//!   and reach the recorder in one [`dust_obs::ObsHandle::observe_all`]
+//!   each instead of one lock per node.
 
 use crate::engine::EventQueue;
 use crate::flows::{evaluate_flows, TelemetryFlow};
 use crate::node::SimNode;
-use crate::runner::{SimEvent, SimReport, Simulation};
+use crate::runner::{series, SimEvent, SimReport, Simulation};
 use dust_proto::ClientMsg;
+use dust_telemetry::SeriesId;
 
 /// Per-node cached aggregates, invalidated by agent-ledger epoch (and
 /// traffic fraction for the CPU/data sums, which depend on it).
@@ -61,6 +70,14 @@ struct HotState {
     links_pending: Option<u64>,
     /// Time whose link state is actually applied to the graph.
     links_applied: Option<u64>,
+    /// `handles[i]`: node `i`'s [`series::DEVICE_CPU`], [`series::DEVICE_MEM`]
+    /// and [`series::MONITOR_CPU`] series in its own store. Empty until
+    /// the first telemetry sample resolves them.
+    handles: Vec<[SeriesId; 3]>,
+    /// One batch's `sim.node.cpu_percent` / `sim.node.mem_percent`
+    /// samples, reused across batches and flushed once per batch.
+    cpu_batch: Vec<f64>,
+    mem_batch: Vec<f64>,
 }
 
 impl HotState {
@@ -73,6 +90,9 @@ impl HotState {
             flows_version: None,
             links_pending: None,
             links_applied: None,
+            handles: Vec::new(),
+            cpu_batch: Vec::new(),
+            mem_batch: Vec::new(),
         }
     }
 
@@ -153,22 +173,45 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
             SimEvent::TelemetrySample => {
                 let traffic = sim.traffic.fraction(now);
                 let batch = sim.obs.prof_scope("sim.telemetry_batch");
+                if hot.handles.is_empty() {
+                    // first sample: every later one lands `sample_period_ms`
+                    // after the last until `duration_ms`, so the point
+                    // count of each series is known now
+                    let points = (sim.cfg.duration_ms - now) / sim.cfg.sample_period_ms + 1;
+                    let points = usize::try_from(points).expect("a run's samples fit in memory");
+                    hot.handles.extend(sim.nodes.iter().map(|n| {
+                        let db = report.federation.store_mut(n.id);
+                        [series::DEVICE_CPU, series::DEVICE_MEM, series::MONITOR_CPU].map(|name| {
+                            let id = db.series_id(name);
+                            db.reserve(id, points);
+                            id
+                        })
+                    }));
+                }
+                let recording = sim.obs.is_enabled();
                 for i in 0..sim.nodes.len() {
                     let (raw, _) = hot.raw(&sim.nodes[i], i, traffic);
                     let mem = hot.mem(&sim.nodes[i], i);
                     let n = &sim.nodes[i];
                     let cpu = n.device_cpu_from_raw(raw, now);
                     let db = report.federation.store_mut(n.id);
-                    db.append("device-cpu", now, cpu);
-                    db.append("device-mem", now, mem);
-                    db.append("monitor-cpu", now, SimNode::monitoring_cpu_from_raw(raw, now));
-                    if sim.obs.is_enabled() {
-                        sim.obs.observe("sim.node.cpu_percent", cpu);
-                        sim.obs.observe("sim.node.mem_percent", mem);
+                    let [cpu_id, mem_id, monitor_id] = hot.handles[i];
+                    db.append_to(cpu_id, now, cpu);
+                    db.append_to(mem_id, now, mem);
+                    db.append_to(monitor_id, now, SimNode::monitoring_cpu_from_raw(raw, now));
+                    if recording {
+                        hot.cpu_batch.push(cpu);
+                        hot.mem_batch.push(mem);
                     }
                 }
+                if recording {
+                    sim.obs.observe_all("sim.node.cpu_percent", &hot.cpu_batch);
+                    sim.obs.observe_all("sim.node.mem_percent", &hot.mem_batch);
+                    hot.cpu_batch.clear();
+                    hot.mem_batch.clear();
+                }
                 drop(batch);
-                if sim.obs.is_enabled() {
+                if recording {
                     sim.obs.gauge_set("sim.active_transfers", sim.active.len() as f64);
                 }
                 if sim.slo.is_some() {
@@ -205,8 +248,8 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                     let outs = evaluate_flows(&sim.graph, &hot.flows, sim.cfg.update_interval_ms);
                     for (f, o) in hot.flows.iter().zip(&outs) {
                         let db = report.federation.store_mut(f.owner);
-                        db.append("telemetry-admitted-mbps", now, o.admitted_mbps);
-                        db.append("telemetry-dropped", now, o.dropped_fraction);
+                        db.append(series::TELEMETRY_ADMITTED_MBPS, now, o.admitted_mbps);
+                        db.append(series::TELEMETRY_DROPPED, now, o.dropped_fraction);
                     }
                 }
                 sim.handle_storm_check(now, &mut q);

@@ -234,11 +234,33 @@ impl SimEvent {
     }
 }
 
+/// Names of the series a run records into [`SimReport::federation`] —
+/// the one place both cores take them from, so the event core's handle
+/// table and the tick core's by-name appends cannot drift apart.
+pub mod series {
+    /// Device CPU, percent — every node, every sample.
+    pub const DEVICE_CPU: &str = "device-cpu";
+    /// Device memory, percent — every node, every sample.
+    pub const DEVICE_MEM: &str = "device-mem";
+    /// Monitoring CPU, percent of one core — every node, every sample.
+    pub const MONITOR_CPU: &str = "monitor-cpu";
+    /// Delivered telemetry rate, Mbps — on a flow's owner, at samples
+    /// where the transfer is routed.
+    pub const TELEMETRY_ADMITTED_MBPS: &str = "telemetry-admitted-mbps";
+    /// Dropped telemetry fraction — beside
+    /// [`TELEMETRY_ADMITTED_MBPS`], same samples.
+    pub const TELEMETRY_DROPPED: &str = "telemetry-dropped";
+}
+
 /// Summary of a finished run.
 #[derive(Debug)]
 pub struct SimReport {
-    /// Per-node metric series: `device-cpu`, `device-mem`, `monitor-cpu`
-    /// (percent of one core), recorded per [`SimConfig::sample_period_ms`].
+    /// Per-node metric series, named by [`series`]:
+    /// [`series::DEVICE_CPU`], [`series::DEVICE_MEM`] and
+    /// [`series::MONITOR_CPU`] on every node per
+    /// [`SimConfig::sample_period_ms`], plus
+    /// [`series::TELEMETRY_ADMITTED_MBPS`] / [`series::TELEMETRY_DROPPED`]
+    /// on the owner of each routed transfer.
     pub federation: Federation,
     /// Placement rounds that produced at least one Offload-Request.
     pub placements_with_assignments: usize,
@@ -964,9 +986,13 @@ impl Simulation {
                         let cpu = n.device_cpu_percent(now, traffic);
                         let mem = n.device_mem_percent();
                         let db = report.federation.store_mut(n.id);
-                        db.append("device-cpu", now, cpu);
-                        db.append("device-mem", now, mem);
-                        db.append("monitor-cpu", now, n.monitoring_cpu_core_percent(now, traffic));
+                        db.append(series::DEVICE_CPU, now, cpu);
+                        db.append(series::DEVICE_MEM, now, mem);
+                        db.append(
+                            series::MONITOR_CPU,
+                            now,
+                            n.monitoring_cpu_core_percent(now, traffic),
+                        );
                         if self.obs.is_enabled() {
                             self.obs.observe("sim.node.cpu_percent", cpu);
                             self.obs.observe("sim.node.mem_percent", mem);
@@ -999,8 +1025,8 @@ impl Simulation {
                         let outs = evaluate_flows(&self.graph, &flows, self.cfg.update_interval_ms);
                         for (f, o) in flows.iter().zip(&outs) {
                             let db = report.federation.store_mut(f.owner);
-                            db.append("telemetry-admitted-mbps", now, o.admitted_mbps);
-                            db.append("telemetry-dropped", now, o.dropped_fraction);
+                            db.append(series::TELEMETRY_ADMITTED_MBPS, now, o.admitted_mbps);
+                            db.append(series::TELEMETRY_DROPPED, now, o.dropped_fraction);
                         }
                     }
                     self.handle_storm_check(now, &mut q);
@@ -1121,6 +1147,14 @@ mod tests {
             after < before - 5.0,
             "offload must reduce DUT CPU: before {before:.1} after {after:.1}"
         );
+    }
+
+    #[test]
+    fn inverted_report_window_is_none() {
+        let report = two_node_sim(false).run();
+        assert!(report.mean(NodeId(0), series::DEVICE_CPU, 1_000, 5_000).is_some());
+        assert_eq!(report.mean(NodeId(0), series::DEVICE_CPU, 5_000, 1_000), None);
+        assert_eq!(report.max(NodeId(0), series::DEVICE_CPU, 5_000, 1_000), None);
     }
 
     #[test]

@@ -27,6 +27,15 @@
 //! let block = compress(db.series("cpu").unwrap());
 //! assert!(block.ratio() > 10.0);
 //! assert_eq!(decompress(&block).unwrap().len(), 100);
+//!
+//! // a writer on a hot path resolves the name once and appends through
+//! // the handle: no name search per point, no regrowth once reserved
+//! let mem = db.series_id("mem");
+//! db.reserve(mem, 100);
+//! for t in 0..100u64 {
+//!     db.append_to(mem, t * 1000, load.mem_mib);
+//! }
+//! assert_eq!(db.series("mem").unwrap().len(), 100);
 //! ```
 
 #![warn(missing_docs)]
@@ -45,4 +54,4 @@ pub use compress::{compress, compression_ratio, decompress, CompressedBlock};
 pub use federation::{Aggregation, Federation};
 pub use framing::{crc32, deframe, deframe_stream, frame, FrameError};
 pub use rules::{Alert, Comparison, Rule, RuleEngine};
-pub use tsdb::{Point, Series, Tsdb};
+pub use tsdb::{Point, Series, SeriesId, Tsdb};

@@ -110,7 +110,9 @@ impl RuleEngine {
     /// Evaluate all rules over samples in `(cursor, now]`, firing alerts.
     /// Evaluation is incremental: each call consumes only new samples, so
     /// calling repeatedly with a growing TSDB never re-fires on old data
-    /// (except through legitimate new violations after cooldown).
+    /// (except through legitimate new violations after cooldown). A
+    /// `now_ms` at or before a rule's cursor sees no samples and leaves the
+    /// cursor where it was.
     pub fn evaluate(&mut self, db: &Tsdb, now_ms: u64) -> Vec<Alert> {
         let mut alerts = Vec::new();
         for (rule, st) in self.rules.iter().zip(self.states.iter_mut()) {
@@ -136,7 +138,7 @@ impl RuleEngine {
                     st.violating_since = None;
                 }
             }
-            st.cursor_ms = now_ms.saturating_add(1);
+            st.cursor_ms = st.cursor_ms.max(now_ms.saturating_add(1));
         }
         alerts
     }
@@ -253,5 +255,21 @@ mod tests {
         let mut e = RuleEngine::new();
         e.add_rule(busy_rule(0, 0));
         assert!(e.evaluate(&db, 100).is_empty(), "Above is strict");
+    }
+
+    #[test]
+    fn an_earlier_now_sees_nothing_and_keeps_the_cursor() {
+        let mut db = db_with("cpu", &[(1000, 95.0), (2000, 96.0)]);
+        let mut e = RuleEngine::new();
+        e.add_rule(busy_rule(0, 0));
+        assert_eq!(e.evaluate(&db, 2000).len(), 2);
+        // the clock steps back: the window (cursor, now] is inverted
+        assert!(e.evaluate(&db, 500).is_empty());
+        // the cursor did not move back with it, so nothing old re-fires
+        assert!(e.evaluate(&db, 2000).is_empty());
+        db.append("cpu", 3000, 97.0);
+        let alerts = e.evaluate(&db, 3000);
+        assert_eq!(alerts.len(), 1);
+        assert_eq!(alerts[0].at_ms, 3000);
     }
 }

@@ -5,6 +5,24 @@
 //! small, deterministic store: append-only per-series point lists with
 //! range queries, bucketed downsampling, and retention trimming — the
 //! operations the Monitor Agents and the Time-Series Federation layer need.
+//!
+//! A writer that appends to the same series over and over resolves the
+//! name once and appends through the handle:
+//!
+//! ```
+//! use dust_telemetry::Tsdb;
+//!
+//! let mut db = Tsdb::new();
+//! db.append("mem", 0, 60.0); // by name: one index search per point
+//!
+//! let cpu = db.series_id("cpu"); // resolve once (creates the series) …
+//! db.reserve(cpu, 100); // … size it when the point count is known …
+//! for t in 0..100u64 {
+//!     db.append_to(cpu, t * 1000, 12.5); // … and append many: index + push
+//! }
+//! assert_eq!(db.series("cpu").unwrap().len(), 100);
+//! assert_eq!(db.series_names(), vec!["cpu", "mem"]);
+//! ```
 
 use std::collections::BTreeMap;
 
@@ -51,11 +69,11 @@ impl Series {
         self.points.is_empty()
     }
 
-    /// Points with `start <= ts < end`.
+    /// Points with `start <= ts < end`; empty when `end <= start`.
     pub fn range(&self, start_ms: u64, end_ms: u64) -> &[Point] {
         let lo = self.points.partition_point(|p| p.ts_ms < start_ms);
         let hi = self.points.partition_point(|p| p.ts_ms < end_ms);
-        &self.points[lo..hi]
+        &self.points[lo..hi.max(lo)]
     }
 
     /// Arithmetic mean over a range, `None` if the range is empty.
@@ -120,10 +138,23 @@ impl Series {
     }
 }
 
+/// Handle to one series of one [`Tsdb`], from [`Tsdb::series_id`].
+///
+/// Only meaningful for the store that issued it: ids are positions in
+/// that store's own series table, so the same name generally resolves to
+/// different ids in different stores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SeriesId(u32);
+
 /// A node-local TSDB: named series with shared retention policy.
+///
+/// Series live in a table in creation order; `index` maps each name to
+/// its position. Creation order is an internal detail — every name-facing
+/// method answers in sorted name order.
 #[derive(Debug, Clone, Default)]
 pub struct Tsdb {
-    series: BTreeMap<String, Series>,
+    series: Vec<Series>,
+    index: BTreeMap<String, u32>,
 }
 
 impl Tsdb {
@@ -132,25 +163,49 @@ impl Tsdb {
         Self::default()
     }
 
-    /// Append to (creating if needed) a named series. The existing-series
-    /// path allocates nothing — the simulator appends here per node per
-    /// sample, so the name is only materialized on first use.
-    pub fn append(&mut self, name: &str, ts_ms: u64, value: f64) {
-        if let Some(s) = self.series.get_mut(name) {
-            s.push(ts_ms, value);
-        } else {
-            self.series.entry(name.to_string()).or_default().push(ts_ms, value);
+    /// Resolve a series name to its handle, creating the (empty) series if
+    /// absent. The existing-series path allocates nothing; the name is only
+    /// materialized on first use.
+    pub fn series_id(&mut self, name: &str) -> SeriesId {
+        if let Some(&i) = self.index.get(name) {
+            return SeriesId(i);
         }
+        let i = u32::try_from(self.series.len()).expect("fewer than 2^32 series per store");
+        self.series.push(Series::default());
+        self.index.insert(name.to_string(), i);
+        SeriesId(i)
+    }
+
+    /// Append through a handle: an index and a push, no name search.
+    ///
+    /// # Panics
+    /// Panics on an out-of-order timestamp (see [`Series::push`]) or if
+    /// `id` was not issued by this store.
+    pub fn append_to(&mut self, id: SeriesId, ts_ms: u64, value: f64) {
+        self.series[id.0 as usize].push(ts_ms, value);
+    }
+
+    /// Make room for exactly `additional` more points in one series, so a
+    /// writer that knows its point count up front never regrows the list.
+    pub fn reserve(&mut self, id: SeriesId, additional: usize) {
+        self.series[id.0 as usize].points.reserve_exact(additional);
+    }
+
+    /// Append to (creating if needed) a named series:
+    /// [`Tsdb::series_id`] then [`Tsdb::append_to`].
+    pub fn append(&mut self, name: &str, ts_ms: u64, value: f64) {
+        let id = self.series_id(name);
+        self.append_to(id, ts_ms, value);
     }
 
     /// Look up a series.
     pub fn series(&self, name: &str) -> Option<&Series> {
-        self.series.get(name)
+        self.index.get(name).map(|&i| &self.series[i as usize])
     }
 
     /// Names of all stored series, sorted.
     pub fn series_names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
+        self.index.keys().map(String::as_str).collect()
     }
 
     /// Number of series.
@@ -160,12 +215,12 @@ impl Tsdb {
 
     /// Total stored points across series.
     pub fn point_count(&self) -> usize {
-        self.series.values().map(Series::len).sum()
+        self.series.iter().map(Series::len).sum()
     }
 
     /// Apply retention to every series; returns total points dropped.
     pub fn trim_all(&mut self, now_ms: u64, horizon_ms: u64) -> usize {
-        self.series.values_mut().map(|s| s.trim(now_ms, horizon_ms)).sum()
+        self.series.iter_mut().map(|s| s.trim(now_ms, horizon_ms)).sum()
     }
 }
 
@@ -224,6 +279,16 @@ mod tests {
     }
 
     #[test]
+    fn inverted_window_is_empty() {
+        let s = filled();
+        assert!(s.range(500, 200).is_empty());
+        assert!(s.range(500, 500).is_empty());
+        assert!(s.range(u64::MAX, 0).is_empty());
+        assert_eq!(s.mean(500, 200), None);
+        assert_eq!(s.max(500, 200), None);
+    }
+
+    #[test]
     fn downsample_averages_buckets() {
         let s = filled(); // points at 0,100,...,900
         let d = s.downsample(500); // buckets [0,500) and [500,1000)
@@ -273,5 +338,66 @@ mod tests {
         let d = s.downsample(500);
         assert_eq!(d.len(), 2);
         assert_eq!(d.points()[1].ts_ms, 2_000);
+    }
+
+    #[test]
+    fn append_through_a_handle_equals_append_by_name() {
+        // created in non-alphabetical order: creation order must not leak
+        let names = ["zeta", "alpha", "mid"];
+        let mut by_name = Tsdb::new();
+        let mut by_id = Tsdb::new();
+        let ids = names.map(|n| by_id.series_id(n));
+        for (&id, n) in ids.iter().zip(names) {
+            by_id.reserve(id, if n == "mid" { 0 } else { 20 });
+        }
+        for t in 0..20u64 {
+            for (k, (&id, n)) in ids.iter().zip(names).enumerate() {
+                let v = (t * 3 + k as u64) as f64;
+                by_name.append(n, t * 10, v);
+                by_id.append_to(id, t * 10, v);
+            }
+        }
+        for db in [&by_name, &by_id] {
+            assert_eq!(db.series_names(), vec!["alpha", "mid", "zeta"]);
+            assert_eq!(db.series_count(), 3);
+            assert_eq!(db.point_count(), 60);
+        }
+        for n in names {
+            assert_eq!(by_name.series(n), by_id.series(n), "{n}");
+        }
+        assert_eq!(by_name.trim_all(190, 50), by_id.trim_all(190, 50));
+        assert_eq!(by_name.point_count(), by_id.point_count());
+        for n in names {
+            assert_eq!(by_name.series(n), by_id.series(n), "{n} after trim");
+        }
+    }
+
+    #[test]
+    fn series_id_is_stable_and_creates_once() {
+        let mut db = Tsdb::new();
+        let b = db.series_id("b");
+        assert_eq!(db.series_count(), 1);
+        assert!(db.series("b").unwrap().is_empty(), "resolving creates the series, empty");
+        let a = db.series_id("a");
+        assert_ne!(a, b);
+        db.append_to(b, 5, 1.0);
+        assert_eq!(db.series_id("b"), b);
+        assert_eq!(db.series_id("a"), a);
+        assert_eq!(db.series_count(), 2);
+        assert_eq!(db.point_count(), 1);
+        // by-name appends land in the series the handle names
+        db.append("b", 6, 2.0);
+        db.append_to(b, 7, 3.0);
+        let values: Vec<f64> = db.series("b").unwrap().points().iter().map(|p| p.value).collect();
+        assert_eq!(values, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-order")]
+    fn append_through_a_handle_keeps_the_order_check() {
+        let mut db = Tsdb::new();
+        let id = db.series_id("cpu");
+        db.append_to(id, 100, 1.0);
+        db.append_to(id, 50, 2.0);
     }
 }

@@ -1,0 +1,202 @@
+//! Allocation budgets of the telemetry write path.
+//!
+//! "Resolve once, append many" is a claim about allocations as much as
+//! about time: once a series handle is resolved and sized, a sample is an
+//! index and a push; once a metric name has been seen, recording into it
+//! copies no name. A timing cannot pin that on a shared host — a count
+//! can, exactly. This binary installs a counting `#[global_allocator]`
+//! (its own test target for that reason) and counts per thread, so the
+//! harness running tests side by side cannot disturb a measurement.
+
+use dust::prelude::*;
+use dust::sim::series;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    // const-initialized and without a destructor, so touching it from
+    // inside the allocator can neither allocate nor observe a dead slot
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this wrapper.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from `System` through this wrapper.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (growing reallocations included) this thread makes in `f`.
+fn allocs_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+#[test]
+fn the_counter_counts() {
+    let (n, v) = allocs_in(|| Vec::<u64>::with_capacity(8));
+    assert_eq!((n, v.capacity()), (1, 8));
+    let (n, _) = allocs_in(|| std::hint::black_box(3 + 4));
+    assert_eq!(n, 0);
+}
+
+#[test]
+fn appends_through_a_reserved_handle_allocate_nothing() {
+    const N: u64 = 1_000;
+    let mut db = Tsdb::new();
+    let id = db.series_id("device-cpu");
+    db.reserve(id, N as usize);
+    let (n, ()) = allocs_in(|| {
+        for t in 0..N {
+            db.append_to(id, t * 150, t as f64);
+        }
+    });
+    assert_eq!(n, 0, "{N} appends into {N} reserved slots");
+    assert_eq!(db.point_count(), N as usize);
+    // the reservation was exact: the next point has to grow the list
+    let (n, ()) = allocs_in(|| db.append_to(id, N * 150, 0.0));
+    assert_eq!(n, 1, "point {N} + 1 regrows");
+}
+
+#[test]
+fn appends_by_name_to_an_existing_series_allocate_nothing() {
+    let mut db = Tsdb::new();
+    let id = db.series_id("device-mem");
+    db.reserve(id, 64);
+    db.append("device-mem", 0, 1.0);
+    let (n, ()) = allocs_in(|| {
+        for t in 1..64u64 {
+            db.append("device-mem", t, 1.0);
+        }
+    });
+    assert_eq!(n, 0, "the name is only copied when the series is created");
+    let (n, same) = allocs_in(|| db.series_id("device-mem"));
+    assert_eq!((n, same), (0, id));
+}
+
+#[test]
+fn metric_calls_on_a_known_name_allocate_nothing() {
+    let mut m = MetricsRegistry::new();
+    m.counter_add("proto.stats_ingested", 1);
+    m.gauge_set("sim.active_transfers", 0.0);
+    m.observe("sim.node.cpu_percent", 50.0);
+    let (n, ()) = allocs_in(|| {
+        for i in 0..1_000u64 {
+            m.counter_add("proto.stats_ingested", 1);
+            m.gauge_set("sim.active_transfers", i as f64);
+            m.observe("sim.node.cpu_percent", (i % 100) as f64);
+        }
+    });
+    assert_eq!(n, 0);
+    assert_eq!(m.counter("proto.stats_ingested"), 1_001);
+
+    // the same through a recording handle, batch call included
+    let obs = ObsHandle::recording(1);
+    obs.counter_inc("c");
+    obs.gauge_set("g", 0.0);
+    obs.observe_all("h", &[1.0, 2.0]);
+    let (n, ()) = allocs_in(|| {
+        obs.counter_inc("c");
+        obs.gauge_set("g", 1.0);
+        obs.observe("h", 3.0);
+        obs.observe_all("h", &[4.0, 5.0, 6.0]);
+    });
+    assert_eq!(n, 0);
+}
+
+/// A quiet `k = 4` fat-tree fleet (20 switches, no placement), sampling
+/// every `sample_period_ms` over 10 simulated seconds on the event core.
+fn quiet_fleet(sample_period_ms: u64, obs: ObsHandle) -> Simulation {
+    let ft = FatTree::new(4, Link::new(25_000.0, 0.2));
+    let spec =
+        NodeSpec { cpu_cores: 64.0, mem_gib: 256.0, base_cpu_percent: 10.0, base_mem_gib: 8.0 };
+    let nodes = ft.graph.nodes().map(|n| SimNode::with_standard_agents(n, spec)).collect();
+    Simulation::builder()
+        .graph(ft.graph.clone())
+        .nodes(nodes)
+        .traffic(TrafficModel::testbed())
+        .dust(DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp))
+        .dust_enabled(false)
+        .duration_ms(10_000)
+        .sample_period_ms(sample_period_ms)
+        .engine(EngineKind::Event)
+        .obs(obs)
+        .build()
+        .expect("consistent knobs")
+}
+
+#[test]
+fn samples_after_the_first_allocate_nothing() {
+    // Same fleet, same 10 s, 3 samples against 67: if any sample after the
+    // first allocated — a regrown series, a name copied, a map node — the
+    // longer series would cost more allocations. They cost the same: all
+    // of a run's telemetry allocations happen at its first sample.
+    let run = |period: u64, obs: ObsHandle| {
+        let mut sim = quiet_fleet(period, obs);
+        let (n, report) = allocs_in(|| sim.run());
+        let db = report.federation.store(NodeId(0)).expect("sampled");
+        (n, db.series(series::DEVICE_CPU).expect("recorded").len())
+    };
+    let (few, few_points) = run(4_000, ObsHandle::disabled());
+    let (many, many_points) = run(150, ObsHandle::disabled());
+    assert_eq!((few_points, many_points), (3, 67));
+    assert_eq!(few, many, "allocations must not depend on the number of samples");
+
+    // recording: the two batch buffers fill once, at the first sample too
+    let (few, _) = run(4_000, ObsHandle::recording(1));
+    let (many, _) = run(150, ObsHandle::recording(1));
+    assert_eq!(few, many, "recording run: allocations must not depend on the number of samples");
+}
+
+#[test]
+fn fleet_run_allocation_count_is_pinned() {
+    // `fleet_sim_k90`'s scenario at k = 12: 180 switches, 67 samples. What
+    // one run allocated when this pin was written: 2 042, or 11.3 per node
+    // — 8 per node at the first sample (the store's series table, its name
+    // index, three names and three exactly-sized point lists: 1 440), the
+    // rest in STAT ingest and the placement rounds. The parent of the
+    // change that added this test made 4 584 (25.5 per node): each of the
+    // 540 series grew its point list by doubling. A ceiling with < 10 %
+    // headroom rather than an equality, because the cost engine sizes its
+    // worker pool from the host.
+    const OBSERVED: u64 = 2_042;
+    let mut sim = scale_fleet_sim_on(12, 10_000, 1, ObsHandle::disabled(), EngineKind::Event);
+    let (n, report) = allocs_in(|| sim.run());
+    assert_eq!(report.federation.nodes().len(), 180);
+    assert!(
+        n <= OBSERVED + OBSERVED / 10,
+        "one k = 12 fleet run made {n} allocations ({:.1} per node), pinned at {OBSERVED} + 10 %",
+        n as f64 / 180.0
+    );
+}

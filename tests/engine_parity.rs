@@ -138,6 +138,12 @@ fn federation_contents_identical_across_cores() {
         let a = tick.federation.store(n).unwrap();
         let b = event.federation.store(n).unwrap();
         assert_eq!(a.point_count(), b.point_count(), "node {n:?} point counts diverge");
+        // the event core writes through per-store handles, the tick core
+        // by name: same series, same points, bit for bit
+        assert_eq!(a.series_names(), b.series_names(), "node {n:?} series sets diverge");
+        for name in a.series_names() {
+            assert_eq!(a.series(name), b.series(name), "node {n:?} series {name} diverges");
+        }
     }
 }
 
@@ -167,4 +173,13 @@ fn scale_fleet_k90_shape_is_pinned() {
     assert_eq!(report.peak_queue_len, 3);
     let points: usize = nodes.iter().filter_map(|&n| fed.store(n)).map(|db| db.point_count()).sum();
     assert_eq!(points, 2_035_125);
+    // 10 000 ms at one sample per 150 ms, first at t = 0: 67 points in
+    // each of the three per-sample series, and no store holds anything else
+    for &n in &nodes {
+        let db = fed.store(n).unwrap();
+        assert_eq!(db.series_names(), ["device-cpu", "device-mem", "monitor-cpu"], "{n:?}");
+        for name in db.series_names() {
+            assert_eq!(db.series(name).unwrap().len(), 67, "{n:?} {name}");
+        }
+    }
 }
