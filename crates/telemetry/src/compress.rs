@@ -9,71 +9,102 @@
 use crate::tsdb::Series;
 
 /// Bit-level writer over a growable byte buffer (MSB-first).
+///
+/// Bits gather in a 64-bit word, filled from its top, and reach the
+/// buffer eight bytes at a time; [`BitWriter::finish`] flushes the bytes
+/// the last partial word touches.
 #[derive(Debug, Default)]
 struct BitWriter {
     buf: Vec<u8>,
-    /// Bits used in the final byte (0..8).
+    /// Pending bits, left-aligned; the low `64 - used` bits are zero.
+    word: u64,
+    /// Bits pending in `word` (0..64).
     used: u8,
 }
 
 impl BitWriter {
     fn write_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.buf.push(0);
-            self.used = 8;
-        }
-        if bit {
-            let last = self.buf.len() - 1;
-            self.buf[last] |= 1 << (self.used - 1);
-        }
-        self.used -= 1;
+        self.write_bits(u64::from(bit), 1);
     }
 
+    /// Write the low `count` bits of `value`, most significant first.
     fn write_bits(&mut self, value: u64, count: u8) {
         debug_assert!(count <= 64);
-        for i in (0..count).rev() {
-            self.write_bit((value >> i) & 1 == 1);
+        if count == 0 {
+            return;
         }
+        let value = value & (u64::MAX >> (64 - count));
+        let free = 64 - self.used;
+        if count < free {
+            self.word |= value << (free - count);
+            self.used += count;
+            return;
+        }
+        // the word fills: its last `free` bits are the top of `value`
+        let rest = count - free;
+        self.buf.extend_from_slice(&(self.word | value >> rest).to_be_bytes());
+        self.word = if rest == 0 { 0 } else { value << (64 - rest) };
+        self.used = rest;
     }
 
-    fn finish(self) -> Vec<u8> {
+    fn finish(mut self) -> Vec<u8> {
+        let bytes = usize::from(self.used).div_ceil(8);
+        self.buf.extend_from_slice(&self.word.to_be_bytes()[..bytes]);
         self.buf
     }
 }
 
-/// Bit-level reader mirroring [`BitWriter`].
+/// Bit-level reader mirroring [`BitWriter`]: a bit position into the
+/// buffer, each read one byte-aligned load of the word the field starts in.
 #[derive(Debug)]
 struct BitReader<'a> {
     buf: &'a [u8],
+    /// Next bit to read, counted from the buffer's first (most
+    /// significant) bit.
     pos: usize,
-    /// Bits remaining in the current byte (8..=1).
-    left: u8,
 }
 
 impl<'a> BitReader<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        BitReader { buf, pos: 0, left: 8 }
+        BitReader { buf, pos: 0 }
     }
 
     fn read_bit(&mut self) -> Option<bool> {
-        if self.pos >= self.buf.len() {
-            return None;
-        }
-        let bit = (self.buf[self.pos] >> (self.left - 1)) & 1 == 1;
-        self.left -= 1;
-        if self.left == 0 {
-            self.pos += 1;
-            self.left = 8;
-        }
+        let byte = *self.buf.get(self.pos / 8)?;
+        let bit = byte >> (7 - self.pos % 8) & 1 == 1;
+        self.pos += 1;
         Some(bit)
     }
 
+    /// Read `count` bits (at most 64), most significant first; `None` when
+    /// fewer remain.
     fn read_bits(&mut self, count: u8) -> Option<u64> {
-        let mut v = 0u64;
-        for _ in 0..count {
-            v = (v << 1) | u64::from(self.read_bit()?);
+        debug_assert!(count <= 64);
+        let end = self.pos.checked_add(usize::from(count))?;
+        if end.div_ceil(8) > self.buf.len() {
+            return None;
         }
-        Some(v)
+        if count == 0 {
+            return Some(0);
+        }
+        let (at, skip) = (self.pos / 8, (self.pos % 8) as u32);
+        let tail = &self.buf[at..];
+        // the eight bytes the field starts in, zero-padded past the end
+        let word = match tail.first_chunk::<8>() {
+            Some(chunk) => u64::from_be_bytes(*chunk),
+            None => {
+                let mut padded = [0u8; 8];
+                padded[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(padded)
+            }
+        };
+        let mut bits = word << skip;
+        if u32::from(count) + skip > 64 {
+            // the field's last bits spill into a ninth byte
+            bits |= u64::from(tail[8]) >> (8 - skip);
+        }
+        self.pos = end;
+        Some(bits >> (64 - count))
     }
 }
 
@@ -193,12 +224,20 @@ fn encode_value(
 
 /// Decompress a block produced by [`compress`].
 ///
-/// Returns `None` on a truncated or corrupt payload.
+/// Returns `None` on a truncated or corrupt payload — one that runs out of
+/// bits, names a value window wider than 64 bits, or decodes a timestamp
+/// that overflows or precedes its predecessor (no valid [`Series`]
+/// compresses to that). It never panics, whatever the block holds.
 pub fn decompress(block: &CompressedBlock) -> Option<Series> {
-    let mut out = Series::default();
     if block.count == 0 {
-        return Some(out);
+        return Some(Series::default());
     }
+    // a point after the first costs at least two bits, so a count the
+    // payload cannot hold is corrupt — and never sizes an allocation
+    if block.count - 1 > block.bytes.len().saturating_mul(4) {
+        return None;
+    }
+    let mut out = Series::with_capacity(block.count);
     let mut r = BitReader::new(&block.bytes);
     let ts0 = r.read_bits(64)?;
     let v0 = f64::from_bits(r.read_bits(64)?);
@@ -206,9 +245,8 @@ pub fn decompress(block: &CompressedBlock) -> Option<Series> {
     if block.count == 1 {
         return Some(out);
     }
-    let first_delta = unzigzag(r.read_bits(64)?);
-    let mut prev_ts = (ts0 as i64 + first_delta) as u64;
-    let mut prev_delta = first_delta;
+    let mut prev_delta = unzigzag(r.read_bits(64)?);
+    let mut prev_ts = step_forward(ts0, prev_delta)?;
     let mut prev_bits = v0.to_bits();
     let mut prev_lead: u8 = 255;
     let mut prev_len: u8 = 0;
@@ -229,14 +267,18 @@ pub fn decompress(block: &CompressedBlock) -> Option<Series> {
         } else {
             unzigzag(r.read_bits(64)?)
         };
-        let delta = prev_delta + dod;
-        let ts = (prev_ts as i64 + delta) as u64;
-        prev_ts = ts;
-        prev_delta = delta;
+        prev_delta = prev_delta.checked_add(dod)?;
+        prev_ts = step_forward(prev_ts, prev_delta)?;
         let v = decode_value(&mut r, &mut prev_bits, &mut prev_lead, &mut prev_len)?;
-        out.push(ts, v);
+        out.push(prev_ts, v);
     }
     Some(out)
+}
+
+/// `ts + delta` when that is a timestamp a series could hold next: no
+/// overflow and not before `ts`.
+fn step_forward(ts: u64, delta: i64) -> Option<u64> {
+    ts.checked_add(u64::try_from(delta).ok()?)
 }
 
 fn decode_value(
@@ -248,19 +290,14 @@ fn decode_value(
     if !r.read_bit()? {
         return Some(f64::from_bits(*prev));
     }
-    let xor = if !r.read_bit()? {
-        // previous window
-        let bits = r.read_bits(*prev_len)?;
-        bits << (64 - *prev_lead - *prev_len)
-    } else {
-        let lead = r.read_bits(5)? as u8;
-        let len = r.read_bits(6)? as u8 + 1;
-        let bits = r.read_bits(len)?;
-        *prev_lead = lead;
-        *prev_len = len;
-        bits << (64 - lead - len)
-    };
-    *prev ^= xor;
+    if r.read_bit()? {
+        *prev_lead = r.read_bits(5)? as u8;
+        *prev_len = r.read_bits(6)? as u8 + 1;
+    }
+    // the window's zero bits below the meaningful ones; `None` for a window
+    // wider than the word, or a "previous window" before there was one
+    let trail = 64u8.checked_sub(prev_lead.checked_add(*prev_len)?)?;
+    *prev ^= r.read_bits(*prev_len)? << trail;
     Some(f64::from_bits(*prev))
 }
 
@@ -368,6 +405,45 @@ mod tests {
     fn zigzag_roundtrip() {
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN + 1] {
             assert_eq!(unzigzag(zigzag(v)), v);
+        }
+    }
+
+    #[test]
+    fn word_coder_matches_a_bit_at_a_time_packer() {
+        use dust_topology::SplitMix64;
+        for seed in 0..64u64 {
+            let mut rng = SplitMix64::new(seed);
+            // fields of every width, 64 included, at every bit offset
+            let fields: Vec<(u64, u8)> = (0..rng.range_u64(1, 80))
+                .map(|_| (rng.next_u64(), rng.below(65) as u8))
+                .map(|(v, n)| (if n == 64 { v } else { v & ((1 << n) - 1) }, n))
+                .collect();
+            let mut w = BitWriter::default();
+            let mut bits: Vec<bool> = Vec::new();
+            for &(v, n) in &fields {
+                w.write_bits(v, n);
+                bits.extend((0..n).rev().map(|i| v >> i & 1 == 1));
+            }
+            let bytes = w.finish();
+            let packed: Vec<u8> = bits
+                .chunks(8)
+                .map(|c| c.iter().enumerate().fold(0u8, |b, (i, &on)| b | u8::from(on) << (7 - i)))
+                .collect();
+            assert_eq!(bytes, packed, "seed {seed}");
+
+            let mut r = BitReader::new(&bytes);
+            for &(v, n) in &fields {
+                assert_eq!(r.read_bits(n), Some(v), "seed {seed}: {n} bits");
+            }
+            // what is left is padding: readable to the byte's end, then nothing
+            let padding = (bytes.len() * 8 - bits.len()) as u8;
+            assert_eq!(r.read_bits(padding), Some(0), "seed {seed}");
+            assert_eq!(r.read_bits(1), None);
+            assert_eq!(r.read_bit(), None);
+            assert_eq!(r.read_bits(0), Some(0));
+            // bit by bit from the start reads the same stream
+            let mut r = BitReader::new(&bytes);
+            assert!(bits.iter().all(|&on| r.read_bit() == Some(on)), "seed {seed}");
         }
     }
 }

@@ -13,10 +13,21 @@
 //! ascending id order. The table is as long as the largest id attached,
 //! so memory is O(largest id), not O(stores): ids far outside a graph's
 //! range cost one empty slot each.
+//!
+//! **Queries fold in place.** [`Federation::query`] walks each store's
+//! window once, closes bucket means the way [`Series::downsample`] does,
+//! and folds each into one ascending accumulator list shared by all
+//! stores — no per-store copy of the window, no per-bucket list of values.
+//! A store's buckets arrive ascending, so a per-store cursor into the
+//! accumulators only moves forward; a bucket no earlier store covered is
+//! an insert at the cursor. Every fold starts from the identity
+//! [`Iterator::sum`] and the extremum folds start from, and adds in store
+//! order, so a result is bit for bit what combining a collected list of
+//! per-store means would give. The query allocates for its accumulators
+//! and its result, independent of the number of stores.
 
-use crate::tsdb::{Point, Series, Tsdb};
+use crate::tsdb::{bucket_means, Series, Tsdb};
 use dust_topology::NodeId;
-use std::collections::BTreeMap;
 
 /// How matching points from different nodes combine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,13 +43,31 @@ pub enum Aggregation {
 }
 
 impl Aggregation {
-    fn combine(self, values: &[f64]) -> f64 {
-        debug_assert!(!values.is_empty());
+    /// What a fold over per-node values starts from: `Iterator::sum`'s
+    /// identity (`-0.0`, so a sum of `-0.0`s stays `-0.0`) or the extremum
+    /// no value can lose to.
+    fn identity(self) -> f64 {
         match self {
-            Aggregation::Sum => values.iter().sum(),
-            Aggregation::Mean => values.iter().sum::<f64>() / values.len() as f64,
-            Aggregation::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            Aggregation::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
+            Aggregation::Sum | Aggregation::Mean => -0.0,
+            Aggregation::Max => f64::NEG_INFINITY,
+            Aggregation::Min => f64::INFINITY,
+        }
+    }
+
+    /// Fold one more node's value into `acc`.
+    fn fold(self, acc: f64, value: f64) -> f64 {
+        match self {
+            Aggregation::Sum | Aggregation::Mean => acc + value,
+            Aggregation::Max => acc.max(value),
+            Aggregation::Min => acc.min(value),
+        }
+    }
+
+    /// The aggregate of `count` folded values.
+    fn finish(self, acc: f64, count: usize) -> f64 {
+        match self {
+            Aggregation::Mean => acc / count as f64,
+            _ => acc,
         }
     }
 }
@@ -112,46 +141,47 @@ impl Federation {
         agg: Aggregation,
     ) -> Series {
         assert!(bucket_ms > 0, "bucket width must be positive");
-        // bucket start → per-node bucket means
-        let mut buckets: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-        for db in self.stores.iter().flatten() {
-            let Some(s) = db.series(series) else { continue };
-            // per-node downsample restricted to the window
-            let mut window = Series::default();
-            for p in s.range(start_ms, end_ms) {
-                window.push(p.ts_ms, p.value);
-            }
-            for Point { ts_ms, value } in window.downsample(bucket_ms).points() {
-                buckets.entry(*ts_ms).or_default().push(*value);
-            }
+        // (bucket start, folded per-node means, nodes folded), ascending
+        let mut acc: Vec<(u64, f64, usize)> = Vec::new();
+        for s in self.stores.iter().flatten().filter_map(|db| db.series(series)) {
+            let mut cursor = 0;
+            bucket_means(s.range(start_ms, end_ms), bucket_ms, |bucket, mean| {
+                while acc.get(cursor).is_some_and(|a| a.0 < bucket) {
+                    cursor += 1;
+                }
+                match acc.get_mut(cursor) {
+                    Some(a) if a.0 == bucket => {
+                        a.1 = agg.fold(a.1, mean);
+                        a.2 += 1;
+                    }
+                    _ => acc.insert(cursor, (bucket, agg.fold(agg.identity(), mean), 1)),
+                }
+                cursor += 1;
+            });
         }
-        let mut out = Series::default();
-        for (ts, values) in buckets {
-            out.push(ts, agg.combine(&values));
+        let mut out = Series::with_capacity(acc.len());
+        for (bucket, folded, count) in acc {
+            out.push(bucket, agg.finish(folded, count));
         }
         out
     }
 
     /// Network-wide mean of the latest point of `series` on each node.
     pub fn latest_mean(&self, series: &str) -> Option<f64> {
-        let latest: Vec<f64> = self
+        let latest = self
             .stores
             .iter()
             .flatten()
-            .filter_map(|db| db.series(series))
-            .filter_map(|s| s.points().last().map(|p| p.value))
-            .collect();
-        if latest.is_empty() {
-            None
-        } else {
-            Some(latest.iter().sum::<f64>() / latest.len() as f64)
-        }
+            .filter_map(|db| db.series(series)?.points().last())
+            .fold((Aggregation::Mean.identity(), 0usize), |(sum, n), p| (sum + p.value, n + 1));
+        (latest.1 > 0).then(|| Aggregation::Mean.finish(latest.0, latest.1))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn fed_with_two_nodes() -> Federation {
         let mut f = Federation::new();
@@ -245,9 +275,21 @@ mod tests {
         assert_eq!(f.nodes(), vec![NodeId(5)]);
     }
 
-    /// The federation as it was before the dense table: an ordered map of
-    /// stores, every read a walk over it. Kept as the model the dense
-    /// layout is checked against.
+    /// The oracle for the in-place folds: combine a collected list.
+    fn combine(agg: Aggregation, values: &[f64]) -> f64 {
+        assert!(!values.is_empty());
+        match agg {
+            Aggregation::Sum => values.iter().sum(),
+            Aggregation::Mean => values.iter().sum::<f64>() / values.len() as f64,
+            Aggregation::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            Aggregation::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
+        }
+    }
+
+    /// The federation as it was before the dense table and the in-place
+    /// fold: an ordered map of stores, every read a walk over it, every
+    /// query a map of per-bucket value lists. Kept as the model the dense
+    /// layout and the folds are checked against.
     #[derive(Default)]
     struct MapFederation {
         stores: BTreeMap<NodeId, Tsdb>,
@@ -279,7 +321,7 @@ mod tests {
             }
             let mut out = Series::default();
             for (ts, values) in buckets {
-                out.push(ts, agg.combine(&values));
+                out.push(ts, combine(agg, &values));
             }
             out
         }
@@ -364,6 +406,101 @@ mod tests {
                 }
             }
             assert_eq!(touched, IDS.len(), "seed {seed}: every id, gaps included, was exercised");
+        }
+    }
+
+    /// A value's bits, every NaN as one pattern: Rust leaves a NaN's sign
+    /// and payload unspecified, everything else must match to the bit.
+    fn canon_bits(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    fn value_bits(s: &Series) -> Vec<(u64, u64)> {
+        s.points().iter().map(|p| (p.ts_ms, canon_bits(p.value))).collect()
+    }
+
+    const AGGS: [Aggregation; 4] =
+        [Aggregation::Sum, Aggregation::Mean, Aggregation::Max, Aggregation::Min];
+    const SPECIALS: [f64; 5] = [-0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    #[test]
+    fn one_store_one_bucket_keeps_every_bit() {
+        // where a fold's starting value shows: `0.0 + -0.0` is `0.0`, but
+        // the sum of the one-element list `[-0.0]` is `-0.0`
+        for v in SPECIALS.into_iter().chain([3.5]) {
+            for points in [1u64, 3] {
+                let mut dense = Federation::new();
+                let mut model = MapFederation::default();
+                for t in 0..points {
+                    dense.store_mut(NodeId(4)).append("x", 10 + t, v);
+                    model.stores.entry(NodeId(4)).or_default().append("x", 10 + t, v);
+                }
+                for agg in AGGS {
+                    let got = dense.query("x", 0, 100, 100, agg);
+                    assert_eq!(got.len(), 1);
+                    let want = model.query("x", 0, 100, 100, agg);
+                    assert_eq!(value_bits(&got), value_bits(&want), "{v} x {points} {agg:?}");
+                }
+                assert_eq!(
+                    dense.latest_mean("x").map(canon_bits),
+                    model.latest_mean("x").map(canon_bits),
+                    "latest of {v}"
+                );
+            }
+        }
+        let mut f = Federation::new();
+        f.store_mut(NodeId(0)).append("x", 0, -0.0);
+        f.store_mut(NodeId(1)).append("x", 0, -0.0);
+        for agg in AGGS {
+            let bits = f.query("x", 0, 1, 1, agg).points()[0].value.to_bits();
+            assert_eq!(bits, (-0.0f64).to_bits(), "{agg:?} of two -0.0");
+        }
+        assert_eq!(f.latest_mean("x").map(f64::to_bits), Some((-0.0f64).to_bits()));
+    }
+
+    #[test]
+    fn folds_match_the_collected_lists_on_special_values() {
+        use dust_topology::SplitMix64;
+        for seed in [3u64, 11, 29, 0xF01D] {
+            let mut rng = SplitMix64::new(seed);
+            let mut dense = Federation::new();
+            let mut model = MapFederation::default();
+            // stores cover different, gappy stretches of time, so later
+            // stores insert buckets before, between and after earlier ones
+            for node in (0..12u32).map(|i| NodeId(i * 5 % 12)) {
+                let mut ts = rng.below(900);
+                for _ in 0..rng.below(40) {
+                    ts += rng.below(3) * rng.below(90);
+                    let v = match rng.below(3) {
+                        0 => rng.range_f64(-10.0, 10.0),
+                        _ => SPECIALS[rng.below(5) as usize],
+                    };
+                    dense.store_mut(node).append("x", ts, v);
+                    model.stores.entry(node).or_default().append("x", ts, v);
+                }
+            }
+            assert_eq!(
+                dense.latest_mean("x").map(canon_bits),
+                model.latest_mean("x").map(canon_bits),
+                "seed {seed}"
+            );
+            for bucket in [1, 7, 64, 500, 10_000] {
+                for (from, to) in
+                    [(0, u64::MAX), (300, 1_500), (rng.below(2_000), rng.below(4_000))]
+                {
+                    for agg in AGGS {
+                        assert_eq!(
+                            value_bits(&dense.query("x", from, to, bucket, agg)),
+                            value_bits(&model.query("x", from, to, bucket, agg)),
+                            "seed {seed} {from}..{to} / {bucket} {agg:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

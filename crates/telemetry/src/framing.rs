@@ -53,18 +53,30 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-free
-/// bitwise implementation — adequate for telemetry frame sizes.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// `CRC_TABLE[b]` is the CRC register after shifting byte `b` through the
+/// reflected polynomial 0xEDB88320, built at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[b] = crc;
+        b += 1;
     }
-    !crc
+    table
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), one table
+/// look-up per byte.
+pub fn crc32(data: &[u8]) -> u32 {
+    !data
+        .iter()
+        .fold(0xFFFF_FFFF, |crc: u32, &b| CRC_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8))
 }
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -114,12 +126,16 @@ pub fn deframe(buf: &[u8]) -> Result<(CompressedBlock, usize), FrameError> {
         return Err(FrameError::BadMagic);
     }
     let mut pos = 4;
-    let count = read_varint(buf, &mut pos).ok_or(FrameError::BadHeader)? as usize;
-    let len = read_varint(buf, &mut pos).ok_or(FrameError::BadHeader)? as usize;
-    let end = pos.checked_add(len).ok_or(FrameError::BadHeader)?;
-    if buf.len() < end + 4 {
-        return Err(FrameError::Truncated);
-    }
+    let count = read_varint(buf, &mut pos).ok_or(FrameError::BadHeader)?;
+    let count = usize::try_from(count).map_err(|_| FrameError::BadHeader)?;
+    let len = read_varint(buf, &mut pos).ok_or(FrameError::BadHeader)?;
+    // a declared length the buffer cannot hold — or that no buffer could —
+    // is a truncated frame; nothing is indexed or added before this check
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| pos.checked_add(len))
+        .filter(|end| end.checked_add(4).is_some_and(|total| total <= buf.len()))
+        .ok_or(FrameError::Truncated)?;
     let payload = &buf[pos..end];
     let expected = u32::from_le_bytes(buf[end..end + 4].try_into().expect("4 bytes checked"));
     let actual = crc32(&buf[MAGIC.len()..end]);

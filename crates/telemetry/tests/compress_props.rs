@@ -2,7 +2,7 @@
 //! arbitrary monotone time series, and TSDB invariants must hold under
 //! random usage.
 
-use dust_telemetry::{compress, decompress, Series, Tsdb};
+use dust_telemetry::{compress, decompress, CompressedBlock, FrameError, Series, Tsdb};
 use dust_topology::SplitMix64;
 
 /// Arbitrary monotone series: random non-negative deltas and float values
@@ -330,11 +330,12 @@ const SEEDED_PINS: [(u64, u64); 64] = [
 
 #[test]
 fn wire_bytes_of_the_hand_cases_are_pinned() {
-    let got: Vec<(u64, u64)> = hand_cases().iter().map(|(_, s)| wire_pin(s)).collect();
-    for (((name, _), got), want) in hand_cases().iter().zip(&got).zip(&HAND_PINS) {
-        assert_eq!(got, want, "{name}: (payload, frame) FNV-1a; all: {got:#x?}");
+    let cases = hand_cases();
+    assert_eq!(cases.len(), HAND_PINS.len());
+    for ((name, s), want) in cases.iter().zip(HAND_PINS) {
+        let got = wire_pin(s);
+        assert_eq!(got, want, "{name}: (payload, frame) FNV-1a is {got:#x?}");
     }
-    assert_eq!(got.len(), HAND_PINS.len());
 }
 
 #[test]
@@ -362,11 +363,112 @@ fn truncated_blocks_are_none() {
     for s in seeded.chain(hand_cases().into_iter().map(|(_, s)| s)) {
         let block = compress(&s);
         for cut in 0..block.bytes.len() {
-            let short = dust_telemetry::CompressedBlock {
-                count: block.count,
-                bytes: block.bytes[..cut].to_vec(),
-            };
+            let short = CompressedBlock { count: block.count, bytes: block.bytes[..cut].to_vec() };
             assert!(decompress(&short).is_none(), "{} points cut at byte {cut}", s.len());
         }
     }
+}
+
+// ---- hostile input ------------------------------------------------------------
+//
+// `decompress` takes any `CompressedBlock` and `deframe` any bytes; the
+// frame CRC does not stand between a caller and `decompress`. Neither may
+// panic, in a debug build (overflow checks on) or a release build (this
+// file runs in both, see CI).
+
+/// `decompress` must answer; when it answers `Some`, with a valid series.
+fn assert_decodes_sanely(block: &CompressedBlock, ctx: &str) {
+    if let Some(s) = decompress(block) {
+        assert_eq!(s.len(), block.count, "{ctx}");
+        assert!(s.points().windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms), "{ctx}: out of order");
+    }
+}
+
+#[test]
+fn corrupt_blocks_never_panic() {
+    for seed in [5u64, 6, 9] {
+        let mut rng = SplitMix64::new(seed);
+        let s = arb_series(&mut rng);
+        assert!(s.len() >= 40, "seed {seed}: {} points", s.len());
+        let block = compress(&s);
+        // every single-bit flip
+        for bit in 0..block.bytes.len() * 8 {
+            let mut hit = block.clone();
+            hit.bytes[bit / 8] ^= 1 << (bit % 8);
+            assert_decodes_sanely(&hit, &format!("seed {seed} bit {bit}"));
+        }
+        // bytes overwritten in several places, the block cut or padded, and
+        // a count the payload cannot hold
+        for round in 0..2_000 {
+            let mut hit = block.clone();
+            for _ in 0..=rng.below(4) {
+                let at = rng.below(hit.bytes.len() as u64) as usize;
+                hit.bytes[at] = rng.next_u64() as u8;
+            }
+            match rng.below(8) {
+                0 => hit.bytes.truncate(rng.below(hit.bytes.len() as u64) as usize),
+                1 => hit.bytes.extend((0..rng.below(40)).map(|_| rng.next_u64() as u8)),
+                2 => hit.count += 1 + rng.below(500) as usize,
+                3 => hit.count = usize::MAX - rng.below(3) as usize,
+                _ => {}
+            }
+            assert_decodes_sanely(&hit, &format!("seed {seed} round {round}"));
+        }
+    }
+}
+
+#[test]
+fn corrupt_window_headers_and_timestamps_are_none() {
+    // "previous window" before any window was sent: after the 192 header
+    // bits, value control bits `10`
+    let mut bytes = vec![0u8; 24];
+    bytes.push(0b1000_0000);
+    assert_eq!(decompress(&CompressedBlock { count: 2, bytes }), None);
+    // a window of 31 leading zeros and 64 meaningful bits: `11`, 11111, 111111
+    let mut bytes = vec![0u8; 24];
+    bytes.extend([0xFF; 10]);
+    assert_eq!(decompress(&CompressedBlock { count: 2, bytes }), None);
+    // second timestamp before the first: first delta zigzag(-1) = 1
+    let mut bytes = vec![0u8; 24];
+    bytes[7] = 9; // ts0 = 9
+    bytes[23] = 1;
+    bytes.push(0);
+    assert_eq!(decompress(&CompressedBlock { count: 2, bytes }), None);
+    // second timestamp past u64::MAX: ts0 = u64::MAX, first delta +1
+    let mut bytes = vec![0xFF; 8];
+    bytes.extend([0u8; 16]);
+    bytes[23] = 2;
+    bytes.push(0);
+    assert_eq!(decompress(&CompressedBlock { count: 2, bytes }), None);
+}
+
+#[test]
+fn hostile_frame_lengths_are_truncated_frames() {
+    let varint = |mut v: u64| {
+        let mut out = Vec::new();
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+        out
+    };
+    let frame_claiming = |len: u64| {
+        let mut buf = b"DTF1".to_vec();
+        buf.push(1);
+        buf.extend(varint(len));
+        buf.extend([0xAB; 8]);
+        buf
+    };
+    // `pos + len` fits, `+ 4` for the checksum does not
+    let buf = frame_claiming(u64::MAX - 16);
+    assert_eq!(buf.len(), 23);
+    assert_eq!(deframe(&buf), Err(FrameError::Truncated));
+    for k in 0..32u64 {
+        assert_eq!(deframe(&frame_claiming(usize::MAX as u64 - k)), Err(FrameError::Truncated));
+        assert_eq!(deframe(&frame_claiming(u64::MAX - k)), Err(FrameError::Truncated));
+    }
+    // a length one past what is there, and exactly what is there
+    assert_eq!(deframe(&frame_claiming(5)), Err(FrameError::Truncated));
+    assert!(matches!(deframe(&frame_claiming(4)), Err(FrameError::BadChecksum { .. })));
 }

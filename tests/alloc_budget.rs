@@ -1,10 +1,11 @@
-//! Allocation budgets of the telemetry write path.
+//! Allocation budgets of the telemetry write, read and retention paths.
 //!
 //! "Resolve once, append many" is a claim about allocations as much as
 //! about time: once a series handle is resolved and sized, a sample is an
 //! index and a push; once a metric name has been seen, recording into it
-//! copies no name. A timing cannot pin that on a shared host — a count
-//! can, exactly. This binary installs a counting `#[global_allocator]`
+//! copies no name. So is "fold in place": a federated query allocates for
+//! its buckets, not for its stores, and retention allocates nothing. A
+//! timing cannot pin that on a shared host — a count can, exactly. This binary installs a counting `#[global_allocator]`
 //! (its own test target for that reason) and counts per thread, so the
 //! harness running tests side by side cannot disturb a measurement.
 
@@ -133,6 +134,70 @@ fn metric_calls_on_a_known_name_allocate_nothing() {
         obs.observe_all("h", &[4.0, 5.0, 6.0]);
     });
     assert_eq!(n, 0);
+}
+
+/// `stores` stores of one 264-point `cpu` series each, one point every
+/// 100 ms — `telemetry_rw`'s shape.
+fn steady_federation(stores: u32) -> Federation {
+    let mut fed = Federation::new();
+    for node in 0..stores {
+        let db = fed.store_mut(NodeId(node));
+        for t in 0..264u64 {
+            db.append("cpu", t * 100, f64::from(node) + t as f64 * 0.25);
+        }
+    }
+    fed
+}
+
+#[test]
+fn a_federated_query_allocates_for_its_buckets_not_its_stores() {
+    use dust::telemetry::Aggregation;
+    let (few, many) = (steady_federation(8), steady_federation(512));
+    for agg in [Aggregation::Mean, Aggregation::Max] {
+        let (n_few, a) = allocs_in(|| few.query("cpu", 20_000, 26_400, 800, agg));
+        let (n_many, b) = allocs_in(|| many.query("cpu", 20_000, 26_400, 800, agg));
+        assert_eq!((a.len(), b.len()), (8, 8), "same buckets");
+        assert_eq!(n_few, n_many, "{agg:?}: 512 stores must cost what 8 do");
+        // the accumulator list reaching 8 buckets, and the result
+        assert!(n_many <= 3, "{agg:?}: {n_many} allocations");
+    }
+    let (n, mean) = allocs_in(|| many.latest_mean("cpu"));
+    assert!(mean.is_some());
+    assert_eq!(n, 0, "latest_mean sums as it walks");
+}
+
+#[test]
+fn retention_allocates_nothing() {
+    let mut fed = steady_federation(4);
+    let mut dropped = 0;
+    let (n, ()) = allocs_in(|| {
+        // trims that only move the offset, trims that compact, a trim of
+        // everything
+        for now in [26_400, 27_000, 33_000, 40_000, u64::MAX] {
+            for node in 0..4 {
+                dropped += fed.store_mut(NodeId(node)).trim_all(now, 25_600);
+            }
+        }
+    });
+    assert_eq!((n, dropped), (0, 4 * 264));
+}
+
+#[test]
+fn compressing_allocates_only_the_output_buffer() {
+    let fed = steady_federation(1);
+    let series = fed.store(NodeId(0)).and_then(|db| db.series("cpu")).expect("filled");
+    let (n, block) = allocs_in(|| compress(series));
+    assert_eq!(block.count, 264);
+    // a byte buffer starts at 8 and doubles: what reaching this size takes
+    let mut doublings = 1;
+    while (8usize << (doublings - 1)) < block.bytes.len() {
+        doublings += 1;
+    }
+    assert!(n <= doublings, "{n} allocations for {} bytes", block.bytes.len());
+    // reading it back allocates the point list once, sized from the count
+    let (n, back) = allocs_in(|| decompress(&block));
+    assert_eq!(back.as_ref(), Some(series));
+    assert_eq!(n, 1);
 }
 
 /// A quiet `k = 4` fat-tree fleet (20 switches, no placement), sampling
