@@ -35,6 +35,20 @@ pub enum DustError {
     BadConfig(String),
 }
 
+impl DustError {
+    /// A stable one-word label for the variant, for metric names and
+    /// trace events (`proto.solve_errors.<kind>`).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            DustError::Infeasible => "infeasible",
+            DustError::Unbounded => "unbounded",
+            DustError::NoPathWithinHops => "no_path_within_hops",
+            DustError::IterationLimit { .. } => "iteration_limit",
+            DustError::BadConfig(_) => "bad_config",
+        }
+    }
+}
+
 impl fmt::Display for DustError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -58,6 +72,13 @@ impl std::error::Error for DustError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kinds_are_stable_labels() {
+        assert_eq!(DustError::IterationLimit { pivots: 7 }.kind(), "iteration_limit");
+        assert_eq!(DustError::BadConfig("x".to_string()).kind(), "bad_config");
+        assert_eq!(DustError::Unbounded.kind(), "unbounded");
+    }
 
     #[test]
     fn display_is_informative() {

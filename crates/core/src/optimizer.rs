@@ -313,7 +313,7 @@ pub fn optimize_with_path_warm(
     // ---- T_rmin matrix over controllable routes ---------------------------
     let t0 = Instant::now();
     let data: Vec<f64> = busy.iter().map(|&b| nmdb.state(b).data_mb).collect();
-    let costs =
+    let mut costs =
         engine.build_matrix(&nmdb.graph, &busy, &candidates, &data, cfg.max_hop, cfg.path_engine);
     let cost_time = t0.elapsed();
 
@@ -329,7 +329,10 @@ pub fn optimize_with_path_warm(
     let mut warm_used = false;
     let flows: Option<(Vec<f64>, f64)> = match backend {
         SolverBackend::Transportation => {
-            let tp = TransportProblem::new(supply.clone(), capacity.clone(), costs.t_rmin.clone());
+            // The problem takes the matrix for the solve and hands it back
+            // for `costs.at` below: a round never holds two copies of it.
+            let t_rmin = std::mem::take(&mut costs.t_rmin);
+            let tp = TransportProblem::new(supply, capacity, t_rmin);
             let offered = warm.filter(|w| w.matches(&busy, &candidates));
             let (sol, bases) = match path {
                 SolvePath::Exact => {
@@ -370,6 +373,7 @@ pub fn optimize_with_path_warm(
                     (out.solution, out.warm)
                 }
             };
+            costs.t_rmin = tp.cost;
             warm_used = sol.warm_used;
             let optimal = transport_optimal(&sol)?;
             if optimal {
@@ -525,6 +529,7 @@ mod tests {
             objective: f64::NAN,
             iterations: 9,
             degenerate_pivots: 9,
+            cells_priced: 0,
             row_potentials: Vec::new(),
             col_potentials: Vec::new(),
             basis: None,

@@ -361,6 +361,7 @@ where
         obs.counter_add("lp.partition.subproblems", subs.len() as u64);
         for (sub, sol) in subs.iter().zip(&solutions) {
             obs.counter_add("lp.degenerate_pivots", sol.degenerate_pivots as u64);
+            obs.counter_add("lp.cells_priced", sol.cells_priced);
             if sol.warm_used {
                 obs.counter_inc("lp.warm_solves");
                 obs.counter_add("lp.warm_pivots", sol.iterations as u64);
@@ -395,9 +396,11 @@ where
     let mut col_potentials = vec![0.0; n];
     let mut iterations = 0;
     let mut degenerate_pivots = 0;
+    let mut cells_priced = 0;
     for (sub, sol) in subs.iter().zip(&solutions) {
         iterations += sol.iterations;
         degenerate_pivots += sol.degenerate_pivots;
+        cells_priced += sol.cells_priced;
         let w = sub.cols.len();
         for (si, &i) in sub.rows.iter().enumerate() {
             if let Some(&u) = sol.row_potentials.get(si) {
@@ -471,6 +474,7 @@ where
         }
         iterations += sol.iterations;
         degenerate_pivots += sol.degenerate_pivots;
+        cells_priced += sol.cells_priced;
         if obs.is_enabled() {
             obs.counter_inc("lp.partition.repairs");
             obs.observe("lp.partition.evicted", evicted_total);
@@ -502,6 +506,7 @@ where
             objective,
             iterations,
             degenerate_pivots,
+            cells_priced,
             row_potentials,
             col_potentials,
             basis: None,

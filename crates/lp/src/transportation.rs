@@ -16,15 +16,24 @@
 //!   was one of those two — a few hundred line rescans per solve at
 //!   121 × 360, where re-deriving every penalty at each of the `m + n − 1`
 //!   steps was two thirds of a cold solve.
+//!   The penalties themselves sit in one flat array, touched only where a
+//!   cache was rescanned or a line closed, so a step is one maximum over
+//!   `m + n` numbers.
 //! * **MODI** holds the basis as the adjacency lists of the spanning tree it
 //!   forms on the row and column vertices, so potentials, the entering
 //!   cell's cycle, the exported [`Basis`] and the warm-start peel all walk
-//!   `m + n − 1` tree edges. Per pivot, only the exact Dantzig pricing scan
-//!   (most negative reduced cost, row-major, first wins) still visits every
-//!   cell; it reads a per-cell bitmap for its O(1) membership test.
+//!   `m + n − 1` tree edges. Pricing is the exact Dantzig rule (most
+//!   negative reduced cost, row-major, first wins) over a per-row cache of
+//!   each row's minimum: a pivot moves the duals of one cut-off component
+//!   only, so a row is scanned again only if its own dual, its basic set
+//!   or the dual under its cached minimum changed, and every other row
+//!   prices just the columns whose dual moved — a few per cent of the
+//!   `m · n` cells a full scan visits
+//!   ([`TransportSolution::cells_priced`]).
 //!
 //! None of this changes what the solver does: potentials are recomputed
-//! from the root each pivot (a subtree delta would round differently), so
+//! from the root each pivot (a subtree delta would round differently) and
+//! compared bitwise with the previous pivot's to find what moved, so
 //! pivots, flows and bases are bit-identical to the plain textbook loops —
 //! `tests/transport_pins.rs` holds them to that.
 //!
@@ -74,6 +83,11 @@ pub struct TransportSolution {
     /// Of those, pivots that moved no flow (`theta = 0`): the basis
     /// changed, the solution did not.
     pub degenerate_pivots: usize,
+    /// Reduced costs the pricing step evaluated, the first full scan of
+    /// all `(rows + 1) · cols` balanced cells included: a work count the
+    /// clock cannot fake (a full scan per pivot would be
+    /// `(iterations + 1) · (rows + 1) · cols`).
+    pub cells_priced: u64,
     /// Dual values `u_i` per source (empty unless optimal): the marginal
     /// cost of one more unit of supply at source `i`.
     pub row_potentials: Vec<f64>,
@@ -195,6 +209,7 @@ impl TransportProblem {
             obs.counter_inc("lp.transport.solves");
             obs.counter_add("lp.transport.pivots", s.iterations as u64);
             obs.counter_add("lp.degenerate_pivots", s.degenerate_pivots as u64);
+            obs.counter_add("lp.cells_priced", s.cells_priced);
             obs.observe("lp.transport.pivots", s.iterations as f64);
             match warm {
                 WarmUse::Accepted => {
@@ -242,6 +257,7 @@ impl TransportProblem {
                     objective: 0.0,
                     iterations: 0,
                     degenerate_pivots: 0,
+                    cells_priced: 0,
                     row_potentials: vec![0.0; m0],
                     col_potentials: vec![0.0; n],
                     basis: None,
@@ -251,7 +267,8 @@ impl TransportProblem {
             );
         }
         if n == 0 || total_supply > total_cap + TOL {
-            return (withheld(TransportStatus::Infeasible, 0, 0, false), WarmUse::Cold);
+            let none = Pivots { count: 0, degenerate: 0, cells_priced: 0, duals: None };
+            return (withheld(TransportStatus::Infeasible, &none, false), WarmUse::Cold);
         }
 
         // Big-M for forbidden routes: dominates any mix of real costs.
@@ -269,27 +286,26 @@ impl TransportProblem {
             }
         }
         // dummy row cost 0 (already zeroed)
-        let mut supply: Vec<f64> = self.supply.clone();
+        let mut supply: Vec<f64> = Vec::with_capacity(m);
+        supply.extend_from_slice(&self.supply);
         supply.push(total_cap - total_supply);
-        let demand: Vec<f64> = self.capacity.clone();
+        let demand = &self.capacity;
 
-        let (mut state, warm_use) =
-            match warm.and_then(|b| State::from_basis(m, n, &supply, &demand, b)) {
-                Some(s) => (s, WarmUse::Accepted),
-                None => {
-                    let mut st = State::vogel_initial(m, n, &supply, &demand, &c);
-                    st.complete_basis();
-                    (st, if warm.is_some() { WarmUse::Rejected } else { WarmUse::Cold })
-                }
-            };
+        let (mut state, warm_use) = match warm
+            .and_then(|b| State::from_basis(m, n, &supply, demand, b))
+        {
+            Some(s) => (s, WarmUse::Accepted),
+            None => {
+                let mut st = State::vogel_initial(m, n, supply, demand.clone(), &c, |_, _, _| ());
+                st.complete_basis();
+                (st, if warm.is_some() { WarmUse::Rejected } else { WarmUse::Cold })
+            }
+        };
         let warm_used = warm_use == WarmUse::Accepted;
         let pivot_cap = pivot_cap.unwrap_or(50 * (m + n).max(16) * (m + n).max(16));
-        let pivots = state.modi_optimize(&c, pivot_cap);
-        let (iterations, degenerate_pivots) = (pivots.count, pivots.degenerate);
-        let stopped =
-            |status| (withheld(status, iterations, degenerate_pivots, warm_used), warm_use);
-        let Some((u_bal, v_bal)) = pivots.duals else {
-            return stopped(TransportStatus::IterationLimit);
+        let mut pivots = state.modi_optimize(&c, pivot_cap, |_, _, _, _, _| ());
+        let Some((u_bal, v_bal)) = pivots.duals.take() else {
+            return (withheld(TransportStatus::IterationLimit, &pivots, warm_used), warm_use);
         };
 
         // The real rows of the balanced flows are the answer (the dummy row
@@ -301,7 +317,7 @@ impl TransportProblem {
         let mut objective = 0.0;
         for (&f, &cost) in flow.iter().zip(&self.cost) {
             if f > TOL && !cost.is_finite() {
-                return stopped(TransportStatus::Infeasible);
+                return (withheld(TransportStatus::Infeasible, &pivots, warm_used), warm_use);
             }
             objective += f * cost.min(big_m);
         }
@@ -317,8 +333,9 @@ impl TransportProblem {
                 status: TransportStatus::Optimal,
                 flow,
                 objective,
-                iterations,
-                degenerate_pivots,
+                iterations: pivots.count,
+                degenerate_pivots: pivots.degenerate,
+                cells_priced: pivots.cells_priced,
                 row_potentials,
                 col_potentials,
                 basis: Some(basis),
@@ -331,18 +348,14 @@ impl TransportProblem {
 
 /// A solution that carries no flows: the instance is infeasible, or the
 /// pivot cap stopped the search.
-fn withheld(
-    status: TransportStatus,
-    iterations: usize,
-    degenerate_pivots: usize,
-    warm_used: bool,
-) -> TransportSolution {
+fn withheld(status: TransportStatus, pivots: &Pivots, warm_used: bool) -> TransportSolution {
     TransportSolution {
         status,
         flow: Vec::new(),
         objective: f64::NAN,
-        iterations,
-        degenerate_pivots,
+        iterations: pivots.count,
+        degenerate_pivots: pivots.degenerate,
+        cells_priced: pivots.cells_priced,
         row_potentials: Vec::new(),
         col_potentials: Vec::new(),
         basis: None,
@@ -364,16 +377,25 @@ struct Least {
 }
 
 impl Least {
+    /// A line with no open cell.
+    const EMPTY: Least =
+        Least { c1: f64::INFINITY, c2: f64::INFINITY, k1: usize::MAX, k2: usize::MAX };
+
+    /// Take in the line's next open cell; indices must come ascending.
+    fn offer(&mut self, k: usize, v: f64) {
+        if v < self.c1 {
+            (self.c2, self.k2) = (self.c1, self.k1);
+            (self.c1, self.k1) = (v, k);
+        } else if v < self.c2 {
+            (self.c2, self.k2) = (v, k);
+        }
+    }
+
     /// One pass over a line's open cells `(index, cost)`, ascending.
     fn scan(open: impl Iterator<Item = (usize, f64)>) -> Least {
-        let mut l = Least { c1: f64::INFINITY, c2: f64::INFINITY, k1: usize::MAX, k2: usize::MAX };
+        let mut l = Least::EMPTY;
         for (k, v) in open {
-            if v < l.c1 {
-                (l.c2, l.k2) = (l.c1, l.k1);
-                (l.c1, l.k1) = (v, k);
-            } else if v < l.c2 {
-                (l.c2, l.k2) = (v, k);
-            }
+            l.offer(k, v);
         }
         l
     }
@@ -395,12 +417,46 @@ impl Least {
     }
 }
 
+/// Minimum reduced cost `c_ij − u_i − v_j` over one row's nonbasic cells
+/// and the first column attaining it (`(INFINITY, usize::MAX)` when every
+/// cell is basic).
+fn price_row(c_row: &[f64], basic_row: &[bool], ui: f64, v: &[f64]) -> (f64, usize) {
+    let (mut lo, mut at) = (f64::INFINITY, usize::MAX);
+    for (j, ((&cij, &basic), &vj)) in c_row.iter().zip(basic_row).zip(v).enumerate() {
+        if !basic {
+            let rc = cij - ui - vj;
+            if rc < lo {
+                (lo, at) = (rc, j);
+            }
+        }
+    }
+    (lo, at)
+}
+
+/// Index of the first largest value of a non-empty slice without NaNs —
+/// what a left-to-right strict-`>` scan finds — as a branch-free maximum
+/// over eight lanes, then the first element equal to it.
+fn first_max(xs: &[f64]) -> usize {
+    let max = |a: f64, b: f64| if a > b { a } else { b };
+    let mut lanes = [f64::NEG_INFINITY; 8];
+    let mut x8 = xs.chunks_exact(8);
+    for chunk in &mut x8 {
+        for k in 0..8 {
+            lanes[k] = max(chunk[k], lanes[k]);
+        }
+    }
+    let hi = x8.remainder().iter().copied().chain(lanes).fold(f64::NEG_INFINITY, max);
+    xs.iter().position(|&x| x == hi).expect("the maximum is attained")
+}
+
 /// What [`State::modi_optimize`] did.
 struct Pivots {
     /// Improvement pivots performed.
     count: usize,
     /// Of those, pivots that moved no flow (`theta == 0`).
     degenerate: usize,
+    /// Reduced costs evaluated by the pricing step, first scan included.
+    cells_priced: u64,
     /// Optimal potentials `(u, v)` of the balanced instance; `None` when
     /// the pivot cap stopped the search short of optimality.
     duals: Option<(Vec<f64>, Vec<f64>)>,
@@ -533,16 +589,27 @@ impl State {
         Some(st)
     }
 
-    /// Vogel's approximation method initial basic feasible solution.
+    /// Vogel's approximation method initial basic feasible solution;
+    /// `s` and `d` are the balances it works down.
     ///
     /// Every open line's two smallest open costs are cached ([`Least`]) and
     /// a line is rescanned only when the line just closed was one of the
-    /// two its cache stands on, so a step costs O(m + n) plus the rescans
-    /// it forces instead of a fresh O(m · n) sweep.
-    fn vogel_initial(m: usize, n: usize, supply: &[f64], demand: &[f64], c: &[f64]) -> State {
+    /// two its cache stands on; the penalties sit in one flat array that
+    /// changes only where a cache was rescanned or a line closed. A step
+    /// costs one maximum over `m + n` numbers plus the rescans it forces
+    /// instead of a fresh O(m · n) sweep.
+    ///
+    /// `watch(row_done, col_done, penalties)` is called before every pick;
+    /// it is the tests' window onto the caches and a no-op otherwise.
+    fn vogel_initial(
+        m: usize,
+        n: usize,
+        mut s: Vec<f64>,
+        mut d: Vec<f64>,
+        c: &[f64],
+        mut watch: impl FnMut(&[bool], &[bool], &[f64]),
+    ) -> State {
         const TOL: f64 = 1e-12;
-        let mut s = supply.to_vec();
-        let mut d = demand.to_vec();
         let mut row_done = vec![false; m];
         let mut col_done = vec![false; n];
         let mut st = State::new(m, n);
@@ -556,27 +623,30 @@ impl State {
             Least::scan((0..m).filter(|&i| !row_done[i]).map(|i| (i, c[i * n + j])))
         };
         let mut rows: Vec<Least> = (0..m).map(|i| scan_row(i, &col_done)).collect();
-        let mut cols: Vec<Least> = (0..n).map(|j| scan_col(j, &row_done)).collect();
+        // every column sees its rows in ascending order, as `scan_col` would
+        // show them, but the matrix is walked along its rows
+        let mut cols = vec![Least::EMPTY; n];
+        for (i, c_row) in c.chunks_exact(n).enumerate() {
+            for (l, &v) in cols.iter_mut().zip(c_row) {
+                l.offer(i, v);
+            }
+        }
+        // Penalties of the open lines, rows then columns. Costs are >= 0,
+        // so every live penalty is too: CLOSED marks a closed line or one
+        // with no open cell left.
+        const CLOSED: f64 = -1.0;
+        let live = |l: &Least| if l.k1 == usize::MAX { CLOSED } else { l.penalty() };
+        let mut pen: Vec<f64> = rows.iter().chain(&cols).map(live).collect();
 
         while rows_left > 0 && cols_left > 0 {
-            // pick the open row or column with the largest penalty
-            let mut best_pen = -1.0;
-            let mut pick: Option<(usize, usize)> = None; // (i, j)
-            for (i, l) in rows.iter().enumerate().filter(|&(i, _)| !row_done[i]) {
-                let pen = l.penalty();
-                if l.k1 != usize::MAX && pen > best_pen {
-                    best_pen = pen;
-                    pick = Some((i, l.k1));
-                }
+            watch(&row_done, &col_done, &pen);
+            // the open row or column with the largest penalty, rows first
+            let line = first_max(&pen);
+            if pen[line] == CLOSED {
+                break;
             }
-            for (j, l) in cols.iter().enumerate().filter(|&(j, _)| !col_done[j]) {
-                let pen = l.penalty();
-                if l.k1 != usize::MAX && pen > best_pen {
-                    best_pen = pen;
-                    pick = Some((l.k1, j));
-                }
-            }
-            let Some((i, j)) = pick else { break };
+            let (i, j) =
+                if line < m { (line, rows[line].k1) } else { (cols[line - m].k1, line - m) };
             let q = s[i].min(d[j]);
             st.flow[i * n + j] = q;
             st.insert(i, j);
@@ -588,17 +658,21 @@ impl State {
             if s[i] <= TOL && (d[j] > TOL || rows_left > 1) {
                 row_done[i] = true;
                 rows_left -= 1;
+                pen[i] = CLOSED;
                 for (j, l) in cols.iter_mut().enumerate() {
                     if !col_done[j] && l.stands_on(i) {
                         *l = scan_col(j, &row_done);
+                        pen[m + j] = live(l);
                     }
                 }
             } else {
                 col_done[j] = true;
                 cols_left -= 1;
+                pen[m + j] = CLOSED;
                 for (i, l) in rows.iter_mut().enumerate() {
                     if !row_done[i] && l.stands_on(j) {
                         *l = scan_row(i, &col_done);
+                        pen[i] = live(l);
                     }
                 }
             }
@@ -656,23 +730,62 @@ impl State {
     /// MODI (u-v) optimization from the current basis, for at most
     /// `max_pivots` pivots.
     ///
-    /// Per pivot, only the pricing scan (step 2) visits the `m × n`
-    /// arrays; potentials and the cycle walk the tree's adjacency lists,
-    /// and every buffer is allocated once, up front.
-    fn modi_optimize(&mut self, c: &[f64], max_pivots: usize) -> Pivots {
+    /// Potentials and the cycle walk the tree's adjacency lists, every
+    /// buffer is allocated once, up front, and pricing (step 2) visits
+    /// only the cells whose reduced cost can differ from the last pivot's.
+    ///
+    /// **The pricing cache.** `row_best[i]` holds the minimum reduced cost
+    /// over row `i`'s nonbasic cells and the *first* column attaining it —
+    /// what a left-to-right strict-`<` scan of the row finds. A pivot cuts
+    /// one tree edge, so only the duals of the component cut off from the
+    /// root move: after the full recompute of step 1, `u`/`v` are compared
+    /// *bitwise* with the previous pivot's. A row is scanned afresh iff
+    /// its own `u_i` changed, its basic set changed (the entering or
+    /// leaving cell's row), or the dual of the column its cached minimum
+    /// stands on changed; every other row prices just the columns whose
+    /// `v_j` changed and merges them into its cache (smaller value wins,
+    /// equal value goes to the smaller column). The entering cell is then
+    /// the first row, ascending, whose minimum beats the best so far — the
+    /// cell the row-major scan of all `m · n` cells picks, ties included.
+    /// The duals are diffed rather than shifted or derived from the cut
+    /// subtree: a delta rounds differently from the recompute, and the
+    /// diff also skips a dual that happens to come out equal.
+    ///
+    /// `watch(state, u, v, row_best, entering)` is called after every
+    /// pricing step; it is the tests' window onto the cache and a no-op
+    /// otherwise.
+    fn modi_optimize(
+        &mut self,
+        c: &[f64],
+        max_pivots: usize,
+        mut watch: impl FnMut(&State, &[f64], &[f64], &[(f64, usize)], Option<(usize, usize)>),
+    ) -> Pivots {
         const TOL: f64 = 1e-7;
         let (m, n) = (self.m, self.n);
         // Tree vertices: rows 0..m, then columns m..m+n, rooted at row 0.
         let mut u = vec![f64::NAN; m];
         let mut v = vec![f64::NAN; n];
+        // Last pivot's potentials; NaN differs from everything, so the
+        // first pricing step scans every row.
+        let mut prev_u = vec![f64::NAN; m];
+        let mut prev_v = vec![f64::NAN; n];
+        let mut row_best = vec![(f64::INFINITY, usize::MAX); m];
+        // columns whose potential moved in the last pivot
+        let mut moved: Vec<usize> = Vec::with_capacity(n);
+        // rows of the last pivot's entering and leaving cells: their basic
+        // sets changed
+        let mut swapped = (usize::MAX, usize::MAX);
         let mut up = vec![0usize; m + n]; // neighbour toward the root
         let mut depth = vec![0usize; m + n];
         let mut stack: Vec<usize> = Vec::with_capacity(m + n);
         // cycle cells (as flow indices) in path order, and its far half
         let mut cycle: Vec<usize> = Vec::with_capacity(m + n);
         let mut tail: Vec<usize> = Vec::with_capacity(m + n);
-        let mut pivots = Pivots { count: 0, degenerate: 0, duals: None };
+        let mut pivots = Pivots { count: 0, degenerate: 0, cells_priced: 0, duals: None };
+        let differs = |new: &[f64], old: &[f64], k: usize| new[k].to_bits() != old[k].to_bits();
         loop {
+            std::mem::swap(&mut u, &mut prev_u);
+            std::mem::swap(&mut v, &mut prev_v);
             // 1. potentials: u_i + v_j = c_ij on every tree edge, chained
             //    outward from u_0 = 0. Each value depends only on the
             //    unique tree path to the root, not on the visiting order —
@@ -708,21 +821,39 @@ impl State {
                 "basis does not span the bipartite graph"
             );
 
-            // 2. most negative reduced cost among nonbasic cells
+            // 2. most negative reduced cost among nonbasic cells, row-major
+            //    first: refresh the per-row minima, then take the first row
+            //    that beats the best so far.
+            moved.clear();
+            moved.extend((0..n).filter(|&j| differs(&v, &prev_v, j)));
             let mut best = -TOL;
             let mut enter: Option<(usize, usize)> = None;
-            let rows = c.chunks_exact(n).zip(self.basic.chunks_exact(n)).zip(&u);
-            for (i, ((c_row, basic_row), &ui)) in rows.enumerate() {
-                for (j, ((&cij, &basic), &vj)) in c_row.iter().zip(basic_row).zip(&v).enumerate() {
-                    if !basic {
-                        let rc = cij - ui - vj;
-                        if rc < best {
-                            best = rc;
-                            enter = Some((i, j));
+            for (i, cached) in row_best.iter_mut().enumerate() {
+                let (c_row, basic_row) = (&c[i * n..(i + 1) * n], &self.basic[i * n..(i + 1) * n]);
+                let (mut lo, mut at) = *cached;
+                let stale = i == swapped.0
+                    || i == swapped.1
+                    || differs(&u, &prev_u, i)
+                    || (at != usize::MAX && differs(&v, &prev_v, at));
+                if stale {
+                    (lo, at) = price_row(c_row, basic_row, u[i], &v);
+                    pivots.cells_priced += n as u64;
+                } else {
+                    for &j in moved.iter().filter(|&&j| !basic_row[j]) {
+                        let rc = c_row[j] - u[i] - v[j];
+                        if rc < lo || (rc == lo && j < at) {
+                            (lo, at) = (rc, j);
                         }
                     }
+                    pivots.cells_priced += moved.len() as u64;
+                }
+                *cached = (lo, at);
+                if lo < best {
+                    best = lo;
+                    enter = Some((i, at));
                 }
             }
+            watch(self, &u, &v, &row_best, enter);
             let Some((ei, ej)) = enter else {
                 pivots.duals = Some((u, v));
                 return pivots;
@@ -769,6 +900,7 @@ impl State {
             self.insert(ei, ej);
             self.remove(leave / n, leave % n);
             self.flow[leave] = 0.0;
+            swapped = (ei, leave / n);
             pivots.count += 1;
             if theta == 0.0 {
                 pivots.degenerate += 1;
@@ -1147,6 +1279,7 @@ mod warm_tests {
 /// every open line's two smallest open costs re-derived at every step.
 #[cfg(test)]
 mod vogel_tests {
+    use super::pricing_tests::tie_instance;
     use super::*;
     use dust_topology::SplitMix64;
 
@@ -1233,17 +1366,147 @@ mod vogel_tests {
         (m, n, supply, demand, c)
     }
 
+    /// Besides picking the same cells, the flat penalty array must hold,
+    /// before every pick, what re-deriving each open line's two smallest
+    /// open costs from the matrix gives — and `-1` on every closed line.
     #[test]
     fn cached_penalties_pick_the_cells_a_rescan_picks() {
-        for seed in 0..64 {
-            let (m, n, supply, demand, c) = balanced_instance(seed);
-            let st = State::vogel_initial(m, n, &supply, &demand, &c);
+        let instances = (0..64).map(balanced_instance).chain((0..120).map(tie_instance));
+        for (seed, (m, n, supply, demand, c)) in instances.enumerate() {
+            let mut step = 0;
+            let watch = |row_done: &[bool], col_done: &[bool], pen: &[f64]| {
+                step += 1;
+                for line in 0..m + n {
+                    let fresh = if line < m {
+                        let open = (0..n).filter(|&j| !col_done[j]);
+                        (!row_done[line]).then(|| Least::scan(open.map(|j| (j, c[line * n + j]))))
+                    } else {
+                        let open = (0..m).filter(|&i| !row_done[i]);
+                        (!col_done[line - m])
+                            .then(|| Least::scan(open.map(|i| (i, c[i * n + line - m]))))
+                    };
+                    let fresh = fresh.filter(|l| l.k1 != usize::MAX).map_or(-1.0, |l| l.penalty());
+                    assert_eq!(pen[line].to_bits(), fresh.to_bits(), "{seed}: step {step}, {line}");
+                }
+            };
+            let st = State::vogel_initial(m, n, supply.clone(), demand.clone(), &c, watch);
             let (flow, mut cells) = vogel_rescanning(m, n, &supply, &demand, &c);
             cells.sort_unstable();
             assert_eq!(st.export_basis().cells, cells, "seed {seed}");
             let bits = |f: &[f64]| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&st.flow), bits(&flow), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn first_max_is_the_first_of_equal_maxima() {
+        let mut rng = SplitMix64::new(9);
+        for len in 1..=40 {
+            for _ in 0..20 {
+                let xs: Vec<f64> = (0..len).map(|_| rng.below(4) as f64 - 1.0).collect();
+                let (mut hi, mut at) = (f64::NEG_INFINITY, usize::MAX);
+                for (k, &x) in xs.iter().enumerate() {
+                    if x > hi {
+                        (hi, at) = (x, k);
+                    }
+                }
+                assert_eq!(first_max(&xs), at, "{xs:?}");
+            }
+        }
+    }
+}
+
+/// The per-row pricing cache against the pricing step as first written:
+/// every nonbasic cell's reduced cost, row-major, strict `<`, first wins.
+#[cfg(test)]
+mod pricing_tests {
+    use super::*;
+    use dust_topology::SplitMix64;
+
+    fn full_scan(st: &State, c: &[f64], u: &[f64], v: &[f64]) -> Option<(usize, usize)> {
+        let mut best = -1e-7;
+        let mut enter = None;
+        let rows = c.chunks_exact(st.n).zip(st.basic.chunks_exact(st.n)).zip(u);
+        for (i, ((c_row, basic_row), &ui)) in rows.enumerate() {
+            for (j, ((&cij, &basic), &vj)) in c_row.iter().zip(basic_row).zip(v).enumerate() {
+                if !basic {
+                    let rc = cij - ui - vj;
+                    if rc < best {
+                        best = rc;
+                        enter = Some((i, j));
+                    }
+                }
+            }
+        }
+        enter
+    }
+
+    /// A balanced instance (dummy row last, zero cost) from one supply row
+    /// by 3 sinks to 60 by 200, sink counts on both sides of a multiple of
+    /// eight, whose cost structure rotates with the seed: real-valued,
+    /// `{0, 1, 2}`, repeated columns, whole big-M rows and columns, all
+    /// equal.
+    pub(super) fn tie_instance(seed: u64) -> (usize, usize, Vec<f64>, Vec<f64>, Vec<f64>) {
+        const ROWS: [usize; 8] = [1, 2, 4, 5, 9, 17, 33, 60];
+        const COLS: [usize; 12] = [3, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200];
+        let mut rng = SplitMix64::new(seed);
+        let (m0, n) = (ROWS[rng.below(8) as usize], COLS[rng.below(12) as usize]);
+        let shape = seed % 5;
+        let shut_row = |i: usize| shape == 3 && i % 3 == 2;
+        let shut_col = |j: usize| shape == 3 && j.is_multiple_of(4);
+        let mut supply: Vec<f64> =
+            (0..m0).map(|i| if shut_row(i) { 0.0 } else { rng.range_u64(1, 6) as f64 }).collect();
+        let total: f64 = supply.iter().sum();
+        let open_cols = (0..n).filter(|&j| !shut_col(j)).count() as f64;
+        let demand: Vec<f64> =
+            (0..n).map(|_| (total / open_cols).ceil() + rng.below(3) as f64).collect();
+        supply.push(demand.iter().sum::<f64>() - total);
+        let period = (n / 3).max(1);
+        let mut c = Vec::with_capacity((m0 + 1) * n);
+        for i in 0..m0 {
+            let base: Vec<f64> = (0..period).map(|_| rng.range_f64(0.1, 20.0)).collect();
+            c.extend((0..n).map(|j| match shape {
+                0 => rng.range_f64(0.1, 20.0),
+                1 => rng.below(3) as f64,
+                2 => base[j % period],
+                3 if shut_row(i) || shut_col(j) => 21e6,
+                3 => rng.range_f64(0.1, 20.0),
+                _ => 3.0,
+            }));
+        }
+        c.extend(std::iter::repeat_n(0.0, n));
+        (m0 + 1, n, supply, demand, c)
+    }
+
+    #[test]
+    fn cached_row_minima_match_a_fresh_scan_after_every_pivot() {
+        let mut pivots = 0;
+        for seed in 0..240 {
+            let (m, n, supply, demand, c) = tie_instance(seed);
+            // every other instance starts from the basis Vogel finds for the
+            // mirrored costs: about as far from optimal as a basis can be
+            let mut start = c.clone();
+            if (seed / 5) % 2 == 1 {
+                let max = c.iter().copied().fold(0.0, f64::max);
+                start[..(m - 1) * n].iter_mut().for_each(|x| *x = max - *x);
+            }
+            let mut st = State::vogel_initial(m, n, supply, demand, &start, |_, _, _| ());
+            st.complete_basis();
+            let mut step = 0;
+            let done = st.modi_optimize(&c, 50 * (m + n) * (m + n), |st, u, v, row_best, enter| {
+                step += 1;
+                for (i, &(lo, at)) in row_best.iter().enumerate() {
+                    let row = i * n..(i + 1) * n;
+                    let fresh = price_row(&c[row.clone()], &st.basic[row], u[i], v);
+                    let cached = (lo.to_bits(), at);
+                    assert_eq!(cached, (fresh.0.to_bits(), fresh.1), "{seed}: step {step}, {i}");
+                }
+                assert_eq!(enter, full_scan(st, &c, u, v), "{seed}: step {step}");
+            });
+            assert!(done.duals.is_some(), "seed {seed} ran into the pivot cap");
+            pivots += done.count;
+        }
+        assert!(pivots > 5_000, "the instances must exercise the cache: {pivots} pivots");
     }
 }
 

@@ -674,3 +674,35 @@ mod tie_pins {
         }
     }
 }
+
+/// `cells_priced` counts reduced costs evaluated. One full scan per pricing
+/// step — what the solver did before it cached row minima — would be
+/// `(pivots + 1) · (m + 1) · n`. A pivot moves the duals of one cut-off
+/// component, so on costs without ties (the shape of a placement round)
+/// the count must be a small fraction of that; degenerate pivots flip
+/// large components, so the tie-heavy kinds are only held to the ceiling.
+#[test]
+fn pricing_visits_a_fraction_of_the_cells() {
+    let (m, n) = SIZES[2];
+    let full_scan = ((m + 1) * n) as u64;
+    for (ki, &kind) in KINDS.iter().enumerate() {
+        let p = instance(kind, m, n, 1008 + ki as u64);
+        let cold = p.solve();
+        let ceiling = (cold.iterations as u64 + 1) * full_scan;
+        let percent = match kind {
+            Kind::Dense | Kind::Blocks => 15,
+            Kind::Integer | Kind::Balanced => 100,
+        };
+        assert!(
+            cold.cells_priced >= full_scan && cold.cells_priced * 100 <= percent * ceiling,
+            "{kind:?}: priced {} cells in {} pivots, a full scan each is {ceiling}",
+            cold.cells_priced,
+            cold.iterations
+        );
+        // a basis that is already optimal is priced once, in full
+        let obs = ObsHandle::recording(0);
+        let own = p.solve_with_options(&obs, &SolveOptions { warm_start: cold.basis });
+        assert_eq!((own.iterations, own.cells_priced), (0, full_scan), "{kind:?}");
+        assert_eq!(obs.counter("lp.cells_priced"), full_scan);
+    }
+}

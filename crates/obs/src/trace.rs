@@ -113,6 +113,10 @@ pub enum TraceEvent {
     /// Seeded churn drift retuned `links` link utilizations and scaled
     /// `agents` agent data rates.
     DriftApplied { links: u32, agents: u32 },
+    /// The Manager's full solve in `round` failed with a typed error —
+    /// `kind` is its label, e.g. `iteration_limit`, `unbounded` or
+    /// `bad_config` — and the round went on as an infeasible one.
+    SolveError { round: u64, kind: &'static str },
 }
 
 /// Sentinel `node` value on [`TraceEvent::SloBreach`] for rules that
@@ -183,6 +187,7 @@ impl TraceEvent {
             DeltaRound { .. } => "DeltaRound",
             Rehome { .. } => "Rehome",
             DriftApplied { .. } => "DriftApplied",
+            SolveError { .. } => "SolveError",
         }
     }
 
@@ -225,7 +230,7 @@ impl TraceEvent {
             | Keepalive { node }
             | ClientRegister { node }
             | ClientRegistered { node } => Some(FlowId::Registration(node)),
-            PlacementRound { round, .. } | DeltaRound { round, .. } => {
+            PlacementRound { round, .. } | DeltaRound { round, .. } | SolveError { round, .. } => {
                 Some(FlowId::Placement(round))
             }
             _ => None,
@@ -309,6 +314,7 @@ impl fmt::Display for TraceEvent {
             DriftApplied { links, agents } => {
                 write!(f, "DriftApplied links={links} agents={agents}")
             }
+            SolveError { round, kind } => write!(f, "SolveError round={round} kind={kind}"),
         }
     }
 }

@@ -524,7 +524,8 @@ impl Manager {
         let warm = if self.warm_enabled && !self.warm.is_empty() { Some(&self.warm) } else { None };
         // Unbounded cannot occur for well-formed placement instances and
         // a solve stopped at its pivot cap has no plan to act on; fold
-        // both into the infeasible outcome like `dust_core::optimize`.
+        // both into the infeasible outcome like `dust_core::optimize`, but
+        // leave a count and a trace event saying which it was.
         let placement = optimize_with_path_warm(
             nmdb,
             &self.cfg,
@@ -533,19 +534,26 @@ impl Manager {
             SolvePath::Exact,
             warm,
         )
-        .unwrap_or_else(|_| Placement {
-            status: PlacementStatus::Infeasible,
-            assignments: Vec::new(),
-            beta: f64::NAN,
-            busy: nmdb.busy_nodes(&self.cfg),
-            candidates: nmdb.candidate_nodes(&self.cfg),
-            cost_time: Duration::ZERO,
-            solve_time: Duration::ZERO,
-            shadow_prices: Vec::new(),
-            partitions: 1,
-            partition_fallback: false,
-            warm: WarmState::default(),
-            warm_used: false,
+        .unwrap_or_else(|err| {
+            let kind = err.kind();
+            self.obs.counter_inc("proto.solve_errors");
+            self.obs.counter_inc(&format!("proto.solve_errors.{kind}"));
+            self.obs
+                .trace_at(now_ms, TraceEvent::SolveError { round: self.placement_rounds, kind });
+            Placement {
+                status: PlacementStatus::Infeasible,
+                assignments: Vec::new(),
+                beta: f64::NAN,
+                busy: nmdb.busy_nodes(&self.cfg),
+                candidates: nmdb.candidate_nodes(&self.cfg),
+                cost_time: Duration::ZERO,
+                solve_time: Duration::ZERO,
+                shadow_prices: Vec::new(),
+                partitions: 1,
+                partition_fallback: false,
+                warm: WarmState::default(),
+                warm_used: false,
+            }
         });
         if self.warm_enabled && placement.status == PlacementStatus::Optimal {
             self.warm = placement.warm.clone();
@@ -1156,6 +1164,33 @@ mod tests {
         }
         assert_eq!(m.hostings().len(), 1);
         assert!(!m.hostings().values().next().unwrap().confirmed);
+    }
+
+    #[test]
+    fn a_failed_solve_is_folded_into_infeasible_but_counted_by_kind() {
+        let mut m = manager_on_line(2);
+        let obs = ObsHandle::recording(0);
+        m.set_obs(obs.clone());
+        register_and_stat(&mut m, NodeId(0), 90.0);
+        register_and_stat(&mut m, NodeId(1), 20.0);
+        // a config `Manager::new` would have refused: every solve fails
+        m.cfg.max_hop = Some(0);
+        let (placement, msgs) = m.run_placement(100);
+        assert_eq!(placement.status, PlacementStatus::Infeasible);
+        assert!(msgs.is_empty() && m.hostings().is_empty());
+        assert_eq!(obs.counter("proto.solve_errors"), 1);
+        assert_eq!(obs.counter("proto.solve_errors.bad_config"), 1);
+        assert_eq!(obs.counter("proto.solve_errors.iteration_limit"), 0);
+        assert_eq!(obs.counter("proto.solve_errors.unbounded"), 0);
+        let trace = obs.trace_snapshot().unwrap();
+        let event = TraceEvent::SolveError { round: 0, kind: "bad_config" };
+        assert!(trace.entries().iter().any(|e| e.t_ms == 100 && e.event == event));
+        // a solve that merely finds no room is not an error
+        m.cfg.max_hop = DustConfig::paper_defaults().max_hop;
+        m.handle(150, &ClientMsg::Stat { node: NodeId(1), utilization: 79.0, data_mb: 50.0 });
+        let (placement, _) = m.run_placement(200);
+        assert_eq!(placement.status, PlacementStatus::Infeasible);
+        assert_eq!(obs.counter("proto.solve_errors"), 1);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Allocation budgets of the telemetry write, read and retention paths.
+//! Allocation budgets of the telemetry write, read and retention paths, and
+//! of a transportation solve.
 //!
 //! "Resolve once, append many" is a claim about allocations as much as
 //! about time: once a series handle is resolved and sized, a sample is an
@@ -263,5 +264,39 @@ fn fleet_run_allocation_count_is_pinned() {
         n <= OBSERVED + OBSERVED / 10,
         "one k = 12 fleet run made {n} allocations ({:.1} per node), pinned at {OBSERVED} + 10 %",
         n as f64 / 180.0
+    );
+}
+
+/// MODI's buffers — potentials, last pivot's potentials, the per-row
+/// pricing cache, the cycle — are allocated once per solve. Two warm solves
+/// of one 121 × 360 instance (so neither pays for a Vogel start), one from
+/// its own optimal basis and one from the mirrored instance's, differ only
+/// by the few basis adjacency lists a pivot happens to grow.
+#[test]
+fn a_transport_solve_allocates_per_solve_not_per_pivot() {
+    use dust::lp::{SolveOptions, TransportProblem};
+    let (m, n) = (121, 360);
+    let mut rng = SplitMix64::new(1008);
+    let p = TransportProblem::new(
+        (0..m).map(|_| rng.range_f64(1.0, 10.0)).collect(),
+        (0..n).map(|_| rng.range_f64(5.0, 30.0)).collect(),
+        (0..m * n).map(|_| rng.range_f64(0.1, 20.0)).collect(),
+    );
+    let mut mirrored = p.clone();
+    mirrored.cost.iter_mut().for_each(|c| *c = 20.1 - *c);
+    let obs = ObsHandle::disabled();
+    let solve_from = |basis| {
+        let opts = SolveOptions { warm_start: basis };
+        allocs_in(|| p.solve_with_options(&obs, &opts))
+    };
+    let (none, own) = solve_from(p.solve().basis);
+    let (many, far) = solve_from(mirrored.solve().basis);
+    assert!(own.warm_used && far.warm_used, "both bases fit: same balances");
+    assert_eq!(own.iterations, 0);
+    assert!(far.iterations >= 100, "{} pivots", far.iterations);
+    assert!(
+        many >= none && ((many - none) as usize) < far.iterations / 8,
+        "{none} allocations for 0 pivots, {many} for {}",
+        far.iterations
     );
 }
