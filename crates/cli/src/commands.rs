@@ -875,8 +875,9 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
         let nmdb: &Nmdb = match (&mut steady, file_nmdb) {
             (Some(db), _) => {
                 if round > 0 {
-                    drift_links(&mut db.graph, opts.seed, round);
-                    engine.refresh(&mut db.graph, 0.25);
+                    let graph = std::sync::Arc::make_mut(&mut db.graph);
+                    drift_links(graph, opts.seed, round);
+                    engine.refresh(graph, 0.25);
                 }
                 db
             }

@@ -20,7 +20,7 @@ use dust_lp::{
     TransportStatus,
 };
 use dust_topology::{
-    min_inv_lu_dp_path, min_inv_lu_enumerated, CostEngine, NodeId, Path, PathEngine,
+    min_inv_lu_dp_path_with, min_inv_lu_enumerated, CostEngine, DpScratch, NodeId, Path, PathEngine,
 };
 use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
@@ -443,6 +443,7 @@ pub fn optimize_with_path_warm(
     // ---- Route extraction for the chosen pairs -----------------------------
     const FLOW_TOL: f64 = 1e-7;
     let mut assignments = Vec::new();
+    let mut scratch = DpScratch::default();
     for (r, &b) in busy.iter().enumerate() {
         for (c, &o) in candidates.iter().enumerate() {
             let x = flow[r * candidates.len() + c];
@@ -452,7 +453,8 @@ pub fn optimize_with_path_warm(
                         min_inv_lu_enumerated(&nmdb.graph, b, o, cfg.max_hop).map(|(_, p)| p)
                     }
                     PathEngine::HopBoundedDp => {
-                        min_inv_lu_dp_path(&nmdb.graph, b, o, cfg.max_hop).map(|(_, p)| p)
+                        min_inv_lu_dp_path_with(&nmdb.graph, b, o, cfg.max_hop, &mut scratch)
+                            .map(|(_, p)| p)
                     }
                 };
                 assignments.push(Assignment {
@@ -818,7 +820,7 @@ mod tests {
     /// node states — and therefore the busy/candidate sets a warm basis is
     /// keyed on — survive untouched.
     fn drifted(db: &Nmdb, seed: u64) -> Nmdb {
-        let mut g = db.graph.clone();
+        let mut g = Graph::clone(&db.graph);
         let mut s = seed;
         let edges = g.edge_count() as u64;
         for _ in 0..(edges / 4 + 1) {

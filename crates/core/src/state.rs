@@ -4,10 +4,12 @@
 //! and nodes' monitoring and offloading capabilities" in the NMDB (§III-B).
 //! Here the NMDB is a snapshot of the topology plus one [`NodeState`] per
 //! node; role classification (§III-B) and the `Cs`/`Cd` aggregates
-//! (Eq. 3c/3d) derive from it.
+//! (Eq. 3c/3d) derive from it. The topology is shared, not copied: a
+//! snapshot's own memory is its states vector.
 
 use crate::config::DustConfig;
 use dust_topology::{Graph, NodeId};
+use std::sync::Arc;
 
 /// Dynamic per-node state reported via `STAT` messages.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,18 +94,27 @@ pub fn classify(state: &NodeState, cfg: &DustConfig) -> Role {
 /// Snapshot of the network the optimization engine consumes.
 #[derive(Debug, Clone)]
 pub struct Nmdb {
-    /// Topology with live link utilizations.
-    pub graph: Graph,
+    /// Topology with the link utilizations of the moment the snapshot was
+    /// taken, shared with whoever handed it over (the Manager, another
+    /// snapshot). Reads go straight through (`&nmdb.graph` is a `&Graph`
+    /// wherever one is wanted). A writer calls `Arc::make_mut`, which
+    /// copies the topology only while someone else still holds it — so a
+    /// snapshot kept across a link drift goes on reading the links it was
+    /// taken with, at the price of one copy, made once, by whoever writes
+    /// first.
+    pub graph: Arc<Graph>,
     /// One state per node, indexable by `NodeId::index`.
     pub states: Vec<NodeState>,
 }
 
 impl Nmdb {
-    /// Bundle a topology with per-node states.
+    /// Bundle a topology with per-node states. Takes a [`Graph`] (moved
+    /// behind a fresh `Arc`) or an `Arc<Graph>` someone else also holds.
     ///
     /// # Panics
     /// Panics if `states.len() != graph.node_count()`.
-    pub fn new(graph: Graph, states: Vec<NodeState>) -> Self {
+    pub fn new(graph: impl Into<Arc<Graph>>, states: Vec<NodeState>) -> Self {
+        let graph = graph.into();
         assert_eq!(states.len(), graph.node_count(), "one NodeState per graph node required");
         Nmdb { graph, states }
     }

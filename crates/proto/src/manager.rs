@@ -19,13 +19,14 @@
 
 use crate::messages::{ClientMsg, Envelope, ManagerMsg, RequestId};
 use dust_core::{
-    optimize_with_path_warm, Assignment, DustConfig, DustError, Nmdb, NodeState, Placement,
-    PlacementStatus, SolvePath, SolverBackend, WarmState,
+    classify, optimize_with_path_warm, Assignment, DustConfig, DustError, Nmdb, NodeState,
+    Placement, PlacementStatus, Role, SolvePath, SolverBackend, WarmState,
 };
 use dust_lp::{SolveOptions, TransportProblem, TransportStatus};
 use dust_obs::{ObsHandle, TraceEvent};
 use dust_topology::{
-    min_inv_lu_dp_path, min_inv_lu_enumerated, CostEngine, Graph, NodeId, Path, PathEngine,
+    min_inv_lu_dp_path, min_inv_lu_dp_path_with, min_inv_lu_enumerated, CostEngine, DpScratch,
+    Graph, NodeId, Path, PathEngine,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -41,6 +42,27 @@ pub struct ClientRecord {
     /// Latest keepalive time (destinations only).
     pub last_keepalive: Option<u64>,
 }
+
+impl ClientRecord {
+    /// The node state the NMDB holds for this client. A client that is
+    /// not capable, or never reported, is a fully idle non-participant, so
+    /// it never becomes a placement target on stale ignorance. A STAT
+    /// travels as raw f64 bits, so a corrupt or hostile frame can smuggle
+    /// NaN/∞ here: that too is sanitized to idle rather than left to trip
+    /// [`NodeState`]'s invariants.
+    fn node_state(&self) -> NodeState {
+        match self.last_stat {
+            Some((_, u, d)) if self.capable && u.is_finite() && d.is_finite() => {
+                NodeState::new(u.clamp(0.0, 100.0), d.max(0.0))
+            }
+            _ => IDLE_NON_PARTICIPANT,
+        }
+    }
+}
+
+/// What the NMDB holds for a node the Manager knows nothing usable about.
+const IDLE_NON_PARTICIPANT: NodeState =
+    NodeState { utilization: 0.0, data_mb: 0.0, offload_capable: false, capacity_factor: 1.0 };
 
 /// One hosting arrangement brokered by the Manager.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,7 +132,10 @@ fn backoff(base_ms: u64, attempts: u32) -> u64 {
 pub struct Manager {
     cfg: DustConfig,
     backend: SolverBackend,
-    graph: Graph,
+    /// The fabric, shared copy-on-write with every [`Nmdb`] snapshot and
+    /// with whoever handed it over (the simulator keeps the same `Arc` as
+    /// its ground truth).
+    graph: Arc<Graph>,
     update_interval_ms: u64,
     /// A destination is declared failed after this long without keepalive.
     keepalive_timeout_ms: u64,
@@ -167,8 +192,13 @@ impl Manager {
     /// An invalid `cfg` or a zero update interval is a typed
     /// [`DustError::BadConfig`] — a daemon bootstrapping from an untrusted
     /// config file must never panic.
+    ///
+    /// `graph` is a [`Graph`] (moved behind a fresh `Arc`) or an
+    /// `Arc<Graph>`; either way the Manager shares it from here on and
+    /// copies it only to write while someone else still holds it
+    /// ([`Manager::graph_mut`]).
     pub fn new(
-        graph: Graph,
+        graph: impl Into<Arc<Graph>>,
         cfg: DustConfig,
         backend: SolverBackend,
         update_interval_ms: u64,
@@ -177,6 +207,15 @@ impl Manager {
         cfg.validate().map_err(DustError::BadConfig)?;
         if update_interval_ms == 0 {
             return Err(DustError::BadConfig("update interval must be positive".to_string()));
+        }
+        let mut graph = graph.into();
+        // A graph is born all-dirty, and draining that is a write. Do it
+        // while nobody else can hold this `Arc`, or the first round would
+        // copy the whole fabric to clear one flag. Nothing is lost: the
+        // engine is as new as the graph, and a new engine's first refresh
+        // is a full invalidation whatever the journal says.
+        if let Some(g) = Arc::get_mut(&mut graph) {
+            g.take_dirty();
         }
         Ok(Manager {
             cfg,
@@ -286,12 +325,23 @@ impl Manager {
         self.flows_rehomed
     }
 
+    /// The Manager's view of the fabric: the `Arc` every snapshot shares.
+    pub fn graph(&self) -> &Arc<Graph> {
+        &self.graph
+    }
+
     /// Mutable access to the Manager's view of the fabric, for applying
     /// link drift. Mutations made through [`Graph::link_mut`] are
     /// journaled, so the next placement round re-prices only the cost
     /// rows whose paths can cross a retuned link.
+    ///
+    /// Copy-on-write: while a snapshot, a cloned Manager or the simulator
+    /// still holds the same topology, the first call copies it (once —
+    /// the copy is the Manager's alone) and the other holders keep
+    /// reading the links as they were. To read, use [`Manager::graph`]:
+    /// it never copies.
     pub fn graph_mut(&mut self) -> &mut Graph {
-        &mut self.graph
+        Arc::make_mut(&mut self.graph)
     }
 
     /// Registered clients and their records.
@@ -457,30 +507,26 @@ impl Manager {
     /// Assemble the NMDB from the latest STATs. Nodes that never reported
     /// are treated as fully idle non-participants (capable = false) so they
     /// never become placement targets on stale ignorance.
+    ///
+    /// The snapshot shares the Manager's topology and owns only its node
+    /// states: one allocation, whatever the size of the fabric.
     pub fn snapshot(&self) -> Nmdb {
         let states = self
             .graph
             .nodes()
-            .map(|n| match self.registry.get(&n) {
-                Some(rec) if rec.capable => match rec.last_stat {
-                    // A STAT travels as raw f64 bits, so a corrupt or
-                    // hostile frame can smuggle NaN/∞ here; sanitize to
-                    // idle rather than let NodeState's invariants panic.
-                    Some((_, u, d)) if u.is_finite() && d.is_finite() => {
-                        NodeState::new(u.clamp(0.0, 100.0), d.max(0.0))
-                    }
-                    Some(_) => NodeState::new(0.0, 0.0).non_offloading(),
-                    None => NodeState::new(0.0, 0.0).non_offloading(),
-                },
-                _ => NodeState::new(0.0, 0.0).non_offloading(),
-            })
+            .map(|n| self.registry.get(&n).map_or(IDLE_NON_PARTICIPANT, ClientRecord::node_state))
             .collect();
-        Nmdb::new(self.graph.clone(), states)
+        Nmdb::new(Arc::clone(&self.graph), states)
     }
 
-    /// True when the latest STATs show at least one Busy node.
+    /// True when the latest STATs show at least one Busy node — what
+    /// `!snapshot().busy_nodes(cfg).is_empty()` would say, read off the
+    /// registry without building the snapshot.
     pub fn busy_detected(&self) -> bool {
-        !self.snapshot().busy_nodes(&self.cfg).is_empty()
+        let nodes = self.graph.node_count();
+        self.registry.iter().any(|(n, rec)| {
+            n.index() < nodes && classify(&rec.node_state(), &self.cfg) == Role::Busy
+        })
     }
 
     /// Run one optimization round ("DUST Monitoring Placement Workflow",
@@ -501,7 +547,14 @@ impl Manager {
     /// Returns the placement (for inspection) and the outgoing messages.
     pub fn run_placement(&mut self, now_ms: u64) -> (Placement, Vec<Envelope<ManagerMsg>>) {
         let _prof = self.obs.prof_scope("proto.placement_round");
-        self.engine.refresh(&mut self.graph, MAX_DIRTY_FRACTION);
+        // Draining the journal is a write to the graph; a round with
+        // nothing to drain must not be what copies a shared topology.
+        let dirty = if self.graph.journal_is_empty() {
+            Some(Vec::new())
+        } else {
+            Arc::make_mut(&mut self.graph).take_dirty()
+        };
+        self.engine.refresh_drained(&self.graph, dirty, MAX_DIRTY_FRACTION);
         let nmdb = self.snapshot();
         let (placement, out) = match self.try_delta_round(now_ms, &nmdb) {
             Some(delta) => delta,
@@ -689,6 +742,7 @@ impl Manager {
         let mut keep_fresh: Vec<(RequestId, f64)> = Vec::new();
         if !degraded.is_empty() {
             // ---- residual subproblem over the degraded flows only ---------
+            let mut scratch = DpScratch::default();
             let supply: Vec<f64> = degraded.iter().map(|r| self.hostings[r].amount).collect();
             let capacity: Vec<f64> = candidates.iter().map(|&c| nmdb.cd(c, &self.cfg)).collect();
             let cost_rows: Vec<f64> = degraded
@@ -732,10 +786,14 @@ impl Manager {
                             min_inv_lu_enumerated(&nmdb.graph, h.from, to, self.cfg.max_hop)
                                 .map(|(_, p)| p)
                         }
-                        PathEngine::HopBoundedDp => {
-                            min_inv_lu_dp_path(&nmdb.graph, h.from, to, self.cfg.max_hop)
-                                .map(|(_, p)| p)
-                        }
+                        PathEngine::HopBoundedDp => min_inv_lu_dp_path_with(
+                            &nmdb.graph,
+                            h.from,
+                            to,
+                            self.cfg.max_hop,
+                            &mut scratch,
+                        )
+                        .map(|(_, p)| p),
                     };
                     beta += x * t_rmin;
                     rehomes.push((req, Assignment { from: h.from, to, amount: x, t_rmin, route }));
@@ -1010,28 +1068,7 @@ impl Manager {
         // Only a *fresh* STAT may trigger a reclaim: firing a Release off a
         // stale report from a dead Busy node would end a hosting that is
         // still carrying real load.
-        let reclaimable: Vec<RequestId> = self
-            .hostings
-            .iter()
-            .filter(|(_, h)| h.confirmed)
-            .filter(|(_, h)| {
-                let total_hosted_for: f64 = self
-                    .hostings
-                    .values()
-                    .filter(|x| x.from == h.from && x.confirmed)
-                    .map(|x| x.amount)
-                    .sum();
-                match self.registry.get(&h.from).and_then(|r| r.last_stat) {
-                    Some((t, util, _)) => {
-                        now_ms.saturating_sub(t) <= self.keepalive_timeout_ms
-                            && util + total_hosted_for <= self.cfg.c_max
-                    }
-                    None => false,
-                }
-            })
-            .map(|(r, _)| *r)
-            .collect();
-        for req in reclaimable {
+        for req in self.reclaimable(now_ms) {
             let Some(h) = self.hostings.remove(&req) else { continue };
             self.obs.counter_inc("proto.reclaims");
             self.obs.trace_at(now_ms, TraceEvent::Reclaim { request: req.0, node: h.from.0 });
@@ -1062,6 +1099,26 @@ impl Manager {
         }
 
         out
+    }
+
+    /// Confirmed hostings whose Busy source could take its load back: its
+    /// last STAT is fresh and, with everything it shed added back, it
+    /// stays at or under `C_max`. In ledger (request-id) order.
+    fn reclaimable(&self, now_ms: u64) -> Vec<RequestId> {
+        // What each source shed, summed once over the ledger in request-id
+        // order — the terms and the order a per-hosting rescan would add.
+        let mut shed: BTreeMap<NodeId, f64> = BTreeMap::new();
+        for h in self.hostings.values().filter(|h| h.confirmed) {
+            shed.entry(h.from).and_modify(|total| *total += h.amount).or_insert(h.amount);
+        }
+        let fits = |from: NodeId| match self.registry.get(&from).and_then(|r| r.last_stat) {
+            Some((t, util, _)) => {
+                now_ms.saturating_sub(t) <= self.keepalive_timeout_ms
+                    && util + shed[&from] <= self.cfg.c_max
+            }
+            None => false,
+        };
+        self.hostings.iter().filter(|(_, h)| h.confirmed && fits(h.from)).map(|(r, _)| *r).collect()
     }
 
     /// Choose a replica destination: the capable node with the most recent
@@ -1444,6 +1501,260 @@ mod tests {
         let (placement, msgs) = m.run_placement(10);
         assert_eq!(placement.status, PlacementStatus::Infeasible, "no willing destination");
         assert!(msgs.is_empty());
+    }
+
+    // ---- one topology, shared copy-on-write --------------------------------
+
+    #[test]
+    fn a_snapshot_shares_the_topology_until_the_manager_writes() {
+        let (mut m, e1, _) = churn_manager();
+        assert!(m.graph().journal_is_empty(), "`new` drained the construction-time flag");
+        let before = m.snapshot();
+        assert!(Arc::ptr_eq(&before.graph, m.graph()));
+        // a quiet round has nothing to drain, so it must not copy either
+        register_and_stat(&mut m, NodeId(0), 20.0);
+        m.run_placement(0);
+        assert!(Arc::ptr_eq(&before.graph, m.graph()));
+
+        let (old_epoch, old_util) = (before.graph.epoch(), before.graph.edge(e1).link.utilization);
+        m.graph_mut().link_mut(e1).utilization = 0.123;
+        assert!(!Arc::ptr_eq(&before.graph, m.graph()), "the write split them");
+        assert_eq!(before.graph.epoch(), old_epoch);
+        assert_eq!(before.graph.edge(e1).link.utilization, old_util);
+        assert_ne!(m.graph().epoch(), old_epoch);
+        assert_eq!(m.graph().edge(e1).link.utilization, 0.123);
+        // the copy is the Manager's alone: writing again copies nothing
+        let after = Arc::as_ptr(m.graph());
+        drop(before);
+        m.graph_mut().link_mut(e1).utilization = 0.5;
+        m.run_placement(1000); // drains the journal in place
+        assert_eq!(Arc::as_ptr(m.graph()), after);
+        assert!(m.graph().journal_is_empty());
+        assert!(Arc::ptr_eq(&m.snapshot().graph, m.graph()));
+    }
+
+    #[test]
+    fn a_cloned_manager_that_drifts_a_link_leaves_the_original_alone() {
+        let (template, e1, e2) = churn_manager();
+        let mut slice = template.clone();
+        assert!(Arc::ptr_eq(template.graph(), slice.graph()));
+        let (epoch, u1) = (template.graph().epoch(), template.graph().edge(e1).link.utilization);
+        slice.graph_mut().link_mut(e1).utilization = 0.001;
+        slice
+            .graph_mut()
+            .retarget_utilization(|e, old| if e == e2 { 0.9 } else { old.link.utilization });
+        assert!(!Arc::ptr_eq(template.graph(), slice.graph()));
+        assert_eq!(template.graph().epoch(), epoch);
+        assert_eq!(template.graph().edge(e1).link.utilization, u1);
+        assert!(template.graph().journal_is_empty(), "the clone's journal is its own");
+        assert_eq!(slice.graph().edge(e1).link.utilization, 0.001);
+        assert_eq!(slice.graph().edge(e2).link.utilization, 0.9);
+    }
+
+    #[test]
+    fn a_graph_someone_else_holds_is_copied_at_the_first_drain_not_before() {
+        let shared = Arc::new(topologies::line(3, Link::default()));
+        let mut m = Manager::new(
+            Arc::clone(&shared),
+            DustConfig::paper_defaults(),
+            SolverBackend::Transportation,
+            1000,
+            3000,
+        )
+        .unwrap();
+        assert!(Arc::ptr_eq(&shared, m.graph()));
+        assert!(!shared.journal_is_empty(), "not the Manager's to drain");
+        m.run_placement(0);
+        assert!(!Arc::ptr_eq(&shared, m.graph()));
+        assert!(!shared.journal_is_empty() && m.graph().journal_is_empty());
+    }
+
+    // ---- busy_detected and the reclaim scan against what they replaced ----
+
+    #[test]
+    fn busy_detected_reads_the_registry_as_a_snapshot_would() {
+        use dust_topology::SplitMix64;
+        let c_max = DustConfig::paper_defaults().c_max;
+        // what a node can look like to the Manager; the first two are Busy
+        type Kind<'a> = &'a dyn Fn(&mut Manager, NodeId);
+        let kinds: [Kind; 10] = [
+            &|m, n| register_and_stat(m, n, c_max), // exactly at the threshold
+            &|m, n| register_and_stat(m, n, 150.0), // clamps to 100
+            &|m, n| register_and_stat(m, n, c_max - 1e-9),
+            &|m, n| register_and_stat(m, n, -5.0),
+            &|m, n| register_and_stat(m, n, f64::NAN),
+            &|m, n| register_and_stat(m, n, f64::INFINITY),
+            &|m, n| {
+                // a finite load beside a volume that is not
+                m.handle(0, &ClientMsg::OffloadCapable { node: n, capable: true });
+                m.handle(0, &ClientMsg::Stat { node: n, utilization: 95.0, data_mb: f64::NAN });
+            },
+            &|m, n| {
+                // overloaded, but not taking part
+                m.handle(0, &ClientMsg::OffloadCapable { node: n, capable: false });
+                m.handle(0, &ClientMsg::Stat { node: n, utilization: 95.0, data_mb: 10.0 });
+            },
+            &|m, n| {
+                // registered, never reported
+                m.handle(0, &ClientMsg::OffloadCapable { node: n, capable: true });
+            },
+            &|_, _| {}, // never registered
+        ];
+        let by_snapshot = |m: &Manager| !m.snapshot().busy_nodes(&m.cfg).is_empty();
+        for (k, kind) in kinds.iter().enumerate() {
+            let mut m = manager_on_line(1);
+            kind(&mut m, NodeId(0));
+            assert_eq!(m.busy_detected(), k < 2, "kind {k}");
+            assert_eq!(m.busy_detected(), by_snapshot(&m), "kind {k}");
+        }
+        let mut seen = [0u32; 2];
+        for seed in 0..200 {
+            let mut rng = SplitMix64::new(seed);
+            let mut m = manager_on_line(6);
+            // node 6 and 7 are off the fabric: a snapshot never sees them
+            for n in 0..8 {
+                kinds[rng.below(kinds.len() as u64) as usize](&mut m, NodeId(n));
+            }
+            assert_eq!(m.busy_detected(), by_snapshot(&m), "seed {seed}");
+            seen[usize::from(m.busy_detected())] += 1;
+        }
+        assert!(seen[0] >= 20 && seen[1] >= 20, "both answers exercised: {seen:?}");
+        // Busy only off the fabric is not Busy
+        let mut m = manager_on_line(2);
+        register_and_stat(&mut m, NodeId(5), 99.0);
+        assert!(!m.busy_detected() && !by_snapshot(&m));
+    }
+
+    /// The reclaim scan as it was: every confirmed hosting re-sums the
+    /// whole ledger for its source.
+    fn reclaimable_by_rescan(m: &Manager, now_ms: u64) -> Vec<RequestId> {
+        m.hostings
+            .iter()
+            .filter(|(_, h)| h.confirmed)
+            .filter(|(_, h)| {
+                let total_hosted_for: f64 = m
+                    .hostings
+                    .values()
+                    .filter(|x| x.from == h.from && x.confirmed)
+                    .map(|x| x.amount)
+                    .sum();
+                match m.registry.get(&h.from).and_then(|r| r.last_stat) {
+                    Some((t, util, _)) => {
+                        now_ms.saturating_sub(t) <= m.keepalive_timeout_ms
+                            && util + total_hosted_for <= m.cfg.c_max
+                    }
+                    None => false,
+                }
+            })
+            .map(|(r, _)| *r)
+            .collect()
+    }
+
+    fn hosting(from: u32, to: u32, amount: f64, confirmed: bool, now_ms: u64) -> Hosting {
+        Hosting {
+            from: NodeId(from),
+            to: NodeId(to),
+            amount,
+            confirmed,
+            data_mb: 50.0,
+            route: None,
+            offered_ms: now_ms,
+            attempts: 1,
+            t_rmin: 1.0,
+            rep_failed: None,
+            orig_request: None,
+        }
+    }
+
+    #[test]
+    fn reclaim_sums_each_source_once_and_releases_what_the_rescan_did() {
+        const NOW: u64 = 5_000;
+        let mut m = manager_on_line(8);
+        let c_max = m.cfg.c_max;
+        // sources 0, 1, 2 shed 7.75 each over three flows (2.5 + 1.25 + 4,
+        // exact in binary): with it added back source 0 lands just under
+        // C_max, source 1 exactly on it, source 2 just over
+        let shed = [2.5, 1.25, 4.0];
+        for (src, util) in [(0, c_max - 7.75 - 1e-9), (1, c_max - 7.75), (2, c_max - 7.75 + 1e-9)] {
+            m.handle(0, &ClientMsg::OffloadCapable { node: NodeId(src), capable: true });
+            let stat = ClientMsg::Stat { node: NodeId(src), utilization: util, data_mb: 50.0 };
+            m.handle(NOW, &stat);
+        }
+        for dst in 3..8 {
+            m.handle(0, &ClientMsg::OffloadCapable { node: NodeId(dst), capable: true });
+            m.handle(NOW, &ClientMsg::Stat { node: NodeId(dst), utilization: 20.0, data_mb: 1.0 });
+            m.handle(NOW, &ClientMsg::Keepalive { node: NodeId(dst) });
+        }
+        // interleaved request ids, so ledger order is not source order
+        let mut id = 0;
+        for (flow, &amount) in shed.iter().enumerate() {
+            for src in [2, 0, 1] {
+                id += 1;
+                m.hostings.insert(RequestId(id), hosting(src, 3 + flow as u32, amount, true, NOW));
+            }
+        }
+        // an offer still in flight counts for nothing, wherever it sorts
+        m.hostings.insert(RequestId(0), hosting(1, 6, 30.0, false, NOW));
+        m.hostings.insert(RequestId(id + 1), hosting(0, 7, 30.0, false, NOW));
+        m.next_request = id + 1;
+
+        let want = reclaimable_by_rescan(&m, NOW);
+        let of = |src: u32| -> Vec<RequestId> {
+            m.hostings
+                .iter()
+                .filter(|(_, h)| h.confirmed && h.from == NodeId(src))
+                .map(|(r, _)| *r)
+                .collect()
+        };
+        let mut under_and_at = [of(0), of(1)].concat();
+        under_and_at.sort();
+        assert_eq!(want, under_and_at, "the oracle itself: under and exactly at, not over");
+        assert_eq!(m.reclaimable(NOW), want);
+        let released: Vec<(NodeId, RequestId)> = m
+            .tick(NOW)
+            .iter()
+            .map(|e| match e.msg {
+                ManagerMsg::Release { request } => (e.to, request),
+                ref other => panic!("only reclaims are due: {other:?}"),
+            })
+            .collect();
+        let to_of = |r: &RequestId| NodeId(3 + ((r.0 - 1) / 3) as u32);
+        assert_eq!(released, want.iter().map(|r| (to_of(r), *r)).collect::<Vec<_>>());
+        assert_eq!(
+            m.hostings.values().filter(|h| h.confirmed).count(),
+            3,
+            "source 2 keeps its three"
+        );
+    }
+
+    #[test]
+    fn reclaim_matches_the_rescan_on_seeded_ledgers() {
+        use dust_topology::SplitMix64;
+        const NOW: u64 = 10_000;
+        let mut reclaimed = 0;
+        for seed in 0..60 {
+            let mut rng = SplitMix64::new(0xEC1A ^ seed);
+            let mut m = manager_on_line(12);
+            for src in 0..6 {
+                // source 5 never registers; the others report near the
+                // threshold, some of them too long ago to act on
+                if src < 5 {
+                    m.handle(0, &ClientMsg::OffloadCapable { node: NodeId(src), capable: true });
+                    let at = if rng.below(4) == 0 { NOW - 3_001 } else { NOW - rng.below(3_001) };
+                    let utilization = rng.range_f64(60.0, 80.0);
+                    m.handle(at, &ClientMsg::Stat { node: NodeId(src), utilization, data_mb: 5.0 });
+                }
+            }
+            for id in 1..=rng.below(40) {
+                let (from, to) = (rng.below(6) as u32, 6 + rng.below(6) as u32);
+                let h = hosting(from, to, rng.range_f64(0.1, 6.0), rng.below(5) != 0, NOW);
+                m.hostings.insert(RequestId(id), h);
+            }
+            let want = reclaimable_by_rescan(&m, NOW);
+            assert_eq!(m.reclaimable(NOW), want, "seed {seed}");
+            reclaimed += want.len();
+        }
+        assert!(reclaimed > 100, "the sweep reclaims: {reclaimed}");
     }
 
     // ---- warm-started and delta rounds -----------------------------------

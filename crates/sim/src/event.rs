@@ -10,11 +10,12 @@
 //! * **Lazy link application.** The tick core re-rolls a per-edge RNG
 //!   over the whole graph at every STAT emission
 //!   ([`crate::TrafficModel::apply_to_links`] is a pure function of
-//!   `(seed, time)`). The simulation's own graph copy is only ever read
-//!   by flow evaluation at sample points, so the event core just records
-//!   the last emission time and applies it on demand — an O(E) pass per
-//!   *flow-bearing sample* instead of per emission, and never when no
-//!   telemetry flow is routed.
+//!   `(seed, time)`). The simulation's own view of the graph is only ever
+//!   read by flow evaluation at sample points, so the event core just
+//!   records the last emission time and applies it on demand — an O(E)
+//!   pass per *flow-bearing sample* instead of per emission, and never
+//!   when no telemetry flow is routed (in which case the simulation never
+//!   writes to the topology and goes on sharing the Manager's).
 //! * **Epoch-keyed node caches.** Per-agent CPU/memory walks are cached
 //!   per node, keyed on [`SimNode::agents_epoch`] and the traffic
 //!   fraction's bit pattern; only the burst-window arithmetic (a pure
@@ -40,6 +41,7 @@ use crate::node::SimNode;
 use crate::runner::{series, SimEvent, SimReport, Simulation};
 use dust_proto::ClientMsg;
 use dust_telemetry::SeriesId;
+use std::sync::Arc;
 
 /// Per-node cached aggregates, invalidated by agent-ledger epoch (and
 /// traffic fraction for the CPU/data sums, which depend on it).
@@ -237,7 +239,7 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                     if hot.links_applied != hot.links_pending {
                         if let Some(t) = hot.links_pending {
                             sim.traffic.apply_to_links(
-                                &mut sim.graph,
+                                Arc::make_mut(&mut sim.graph),
                                 t,
                                 sim.cfg.link_jitter,
                                 sim.cfg.seed,

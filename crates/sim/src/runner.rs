@@ -39,6 +39,7 @@ use dust_proto::{Client, ClientMsg, Envelope, Manager, ManagerMsg, RequestId};
 use dust_telemetry::{Federation, IntSampling};
 use dust_topology::{EdgeId, Graph, NodeId, Path, SplitMix64};
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// Correlated failure-storm parameters: overload-induced cascades on top
 /// of the scheduled `kill_at`/`revive_at` injections.
@@ -322,7 +323,11 @@ pub(crate) struct Transfer {
 /// The wired-up simulation.
 #[derive(Debug)]
 pub struct Simulation {
-    pub(crate) graph: Graph,
+    /// The physical fabric: ground truth for telemetry-flow evaluation.
+    /// Starts as the very `Arc` the Manager prices from; the first write
+    /// on either side (`Arc::make_mut`) gives that side its own copy, so
+    /// a fleet nobody writes to keeps one topology in memory.
+    pub(crate) graph: Arc<Graph>,
     pub(crate) nodes: Vec<SimNode>,
     pub(crate) clients: Vec<Client>,
     pub(crate) manager: Manager,
@@ -368,8 +373,11 @@ impl Simulation {
         cfg: SimConfig,
     ) -> Self {
         assert_eq!(nodes.len(), graph.node_count(), "one SimNode per vertex");
+        // the Manager takes the graph while it is still uniquely owned
+        // (it drains the construction-time dirty flag in place) and the
+        // simulation shares what the Manager holds
         let mut manager = Manager::new(
-            graph.clone(),
+            graph,
             cfg.dust,
             cfg.backend,
             cfg.update_interval_ms,
@@ -386,7 +394,7 @@ impl Simulation {
             nodes.iter().map(|n| Client::new(n.id, true, cfg.dust.co_max + 10.0)).collect();
         let transport = Transport::new(cfg.seed, cfg.faults);
         Simulation {
-            graph,
+            graph: Arc::clone(manager.graph()),
             nodes,
             clients,
             manager,
@@ -838,10 +846,11 @@ impl Simulation {
     /// RNG is keyed on `(seed, now)` alone, so the draw sequence is a
     /// pure function of the event time, never of core-local state.
     ///
-    /// Link-capacity drift is written to *both* graph copies. The
-    /// simulation's copy feeds telemetry-flow evaluation (utilization is
+    /// Link-capacity drift is written to *both* views of the fabric (the
+    /// first write splits them if they still share one allocation). The
+    /// simulation's view feeds telemetry-flow evaluation (utilization is
     /// untouched — the traffic model owns it, and re-applies it lazily in
-    /// the event core). The Manager's copy feeds `T_rmin` pricing through
+    /// the event core). The Manager's view feeds `T_rmin` pricing through
     /// [`dust_topology::Graph::link_mut`], whose dirty journal lets
     /// [`dust_topology::CostEngine::refresh`] re-price only the crossing
     /// rows at the next placement round.
@@ -856,7 +865,7 @@ impl Simulation {
             // random walk with absolute guard rails so a long run can
             // neither collapse a link to zero nor grow it without bound
             let cap = (self.graph.edge(e).link.capacity_mbps * factor).clamp(100.0, 1.0e6);
-            self.graph.link_mut(e).capacity_mbps = cap;
+            Arc::make_mut(&mut self.graph).link_mut(e).capacity_mbps = cap;
             self.manager.graph_mut().link_mut(e).capacity_mbps = cap;
             links += 1;
         }
@@ -952,7 +961,7 @@ impl Simulation {
                 SimEvent::StatEmission => {
                     let traffic = self.traffic.fraction(now);
                     self.traffic.apply_to_links(
-                        &mut self.graph,
+                        Arc::make_mut(&mut self.graph),
                         now,
                         self.cfg.link_jitter,
                         self.cfg.seed,

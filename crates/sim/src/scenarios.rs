@@ -313,7 +313,7 @@ pub fn scale_fleet_sim_on(
     // quiet — but the config would be a time bomb).
     let dust = DustConfig::paper_defaults().with_engine(dust_topology::PathEngine::HopBoundedDp);
     Simulation::builder()
-        .graph(ft.graph.clone())
+        .graph(ft.graph)
         .nodes(nodes)
         .traffic(TrafficModel::testbed())
         .dust(dust)
@@ -421,6 +421,40 @@ mod tests {
         assert_eq!(ev.events_processed, tk.events_processed);
         assert_eq!(ev.peak_queue_len, tk.peak_queue_len);
         assert_eq!(ev.end_ms, tk.end_ms);
+    }
+
+    #[test]
+    fn a_quiet_fleet_keeps_one_topology_and_a_written_one_splits() {
+        use std::sync::Arc;
+        // nobody goes Busy, so no flow is routed and no link written: the
+        // simulator and the Manager end the run on the allocation they
+        // started on, and no snapshot outlived its round
+        let mut sim = scale_fleet_sim_on(8, 10_000, 1, ObsHandle::disabled(), EngineKind::Event);
+        assert!(Arc::ptr_eq(&sim.graph, sim.manager().graph()));
+        let report = sim.run();
+        assert_eq!((report.placement_rounds, report.transfers_applied), (2, 0));
+        assert!(Arc::ptr_eq(&sim.graph, sim.manager().graph()));
+        assert_eq!(Arc::strong_count(&sim.graph), 2, "one Graph alive, held twice");
+
+        // the testbed routes telemetry flows, so the simulator writes link
+        // load to its view; churn also drifts capacities, on both views
+        for name in ["testbed", "churn"] {
+            let scenario = crate::registry::find(name).expect("registered");
+            let mut sim = scenario.build_unwatched(&ScenarioKnobs::seeded(17)).expect("builds");
+            assert!(Arc::ptr_eq(&sim.graph, sim.manager().graph()), "{name}");
+            let report = sim.run();
+            assert!(report.transfers_applied > 0, "{name}");
+            assert!(!Arc::ptr_eq(&sim.graph, sim.manager().graph()), "{name}: a write splits");
+            let (ours, theirs) = (sim.graph.edges(), sim.manager().graph().edges());
+            assert!(
+                ours.iter().zip(theirs).all(|(a, b)| a.link.capacity_mbps == b.link.capacity_mbps),
+                "{name}: capacity drift lands on both views"
+            );
+            assert!(
+                ours.iter().zip(theirs).any(|(a, b)| a.link.utilization != b.link.utilization),
+                "{name}: traffic load lands on the simulator's view only"
+            );
+        }
     }
 
     #[test]

@@ -265,10 +265,24 @@ impl CostEngine {
     /// `cost.full_invalidations` counters; no trace events, so golden
     /// digests never depend on refresh cadence.
     pub fn refresh(&self, g: &mut Graph, max_dirty_fraction: f64) -> RefreshStats {
+        let dirty = g.take_dirty();
+        self.refresh_drained(g, dirty, max_dirty_fraction)
+    }
+
+    /// [`CostEngine::refresh`] for a caller that drained the journal
+    /// itself: `dirty` is what [`Graph::take_dirty`] returned for `g`
+    /// (`Some(vec![])` when [`Graph::journal_is_empty`] said there was
+    /// nothing to take). Only reads the graph, so a holder of a shared
+    /// `Arc<Graph>` re-validates the cache without copying the topology.
+    pub fn refresh_drained(
+        &self,
+        g: &Graph,
+        dirty: Option<Vec<EdgeId>>,
+        max_dirty_fraction: f64,
+    ) -> RefreshStats {
         let _prof = self.obs.prof_scope("cost.refresh");
         let cur = g.epoch();
         let prev = self.coherent_epoch.swap(cur, Ordering::Relaxed);
-        let dirty = g.take_dirty();
         if self.obs.is_enabled() {
             self.obs.counter_inc("cost.refreshes");
         }
@@ -968,9 +982,20 @@ mod engine_tests {
         // seeded drift sweep: after every targeted mutation, an engine
         // using incremental refresh and an always-cold engine must price
         // identical matrices
+        //
+        // `h` takes the same drift but refreshes the way the holder of a
+        // shared graph does — ask the journal, drain only when there is
+        // dirt, hand the result to the `&Graph` body — and must end every
+        // round with the same refresh outcome, cache and prices
         let (mut g, src, dst, data) = fat_tree_instance();
+        let mut h = g.clone();
         let inc = CostEngine::sequential();
-        inc.refresh(&mut g, 0.5);
+        let by_ref = CostEngine::sequential();
+        let refresh_by_ref = |h: &mut Graph| {
+            let dirty = if h.journal_is_empty() { Some(Vec::new()) } else { h.take_dirty() };
+            by_ref.refresh_drained(h, dirty, 0.5)
+        };
+        assert_eq!(inc.refresh(&mut g, 0.5), refresh_by_ref(&mut h));
         let mut state = 0x5EEDu64;
         let mut split = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -984,9 +1009,15 @@ mod engine_tests {
                 let e = EdgeId((split() % g.edge_count() as u64) as u32);
                 let u = 0.05 + 0.9 * (split() % 1000) as f64 / 1000.0;
                 g.link_mut(e).utilization = u;
+                h.link_mut(e).utilization = u;
             }
-            inc.refresh(&mut g, 0.5);
+            // every other round refreshes twice: the second finds nothing
+            for _ in 0..1 + round % 2 {
+                assert_eq!(inc.refresh(&mut g, 0.5), refresh_by_ref(&mut h), "round {round}");
+            }
             let a = inc.build_matrix(&g, &src, &dst, &data, Some(6), PathEngine::HopBoundedDp);
+            let b = by_ref.build_matrix(&h, &src, &dst, &data, Some(6), PathEngine::HopBoundedDp);
+            assert_eq!(inc.cached_rows(), by_ref.cached_rows(), "round {round}");
             let cold = CostEngine::sequential().build_matrix(
                 &g,
                 &src,
@@ -997,7 +1028,9 @@ mod engine_tests {
             );
             let x: Vec<u64> = a.t_rmin.iter().map(|v| v.to_bits()).collect();
             let y: Vec<u64> = cold.t_rmin.iter().map(|v| v.to_bits()).collect();
+            let z: Vec<u64> = b.t_rmin.iter().map(|v| v.to_bits()).collect();
             assert_eq!(x, y, "round {round}");
+            assert_eq!(x, z, "round {round}: by-reference refresh");
         }
     }
 

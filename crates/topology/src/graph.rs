@@ -307,12 +307,26 @@ impl Graph {
         self.dirty.clear();
     }
 
+    /// True when [`Graph::take_dirty`] would return `Some(vec![])`: no link
+    /// was touched and nothing structural happened since the last drain.
+    /// A holder of a shared (`Arc`) graph asks this first, so that a round
+    /// with nothing to drain never needs `&mut` — and so never copies.
+    #[inline]
+    pub fn journal_is_empty(&self) -> bool {
+        !self.dirty_all && self.dirty.is_empty()
+    }
+
     /// Drain the dirty-link journal accumulated since the last call (or
     /// since construction): `None` means *everything* is dirty (structural
     /// mutation, bulk retarget, journal overflow, or first call), `Some`
     /// lists the touched links, sorted and deduplicated — possibly empty
     /// when nothing changed. Clones carry their own copy of the journal,
     /// so draining one graph never blinds another.
+    ///
+    /// The journal lives inside the graph, so draining is a write: on a
+    /// graph behind a shared `Arc` it costs `Arc::make_mut`'s full copy.
+    /// Check [`Graph::journal_is_empty`] first and hand the result to
+    /// [`crate::CostEngine::refresh_drained`], which only reads the graph.
     pub fn take_dirty(&mut self) -> Option<Vec<EdgeId>> {
         if self.dirty_all {
             self.dirty_all = false;
@@ -482,6 +496,23 @@ mod tests {
             Some(vec![EdgeId(0), EdgeId(2)]),
             "sorted, deduplicated, exactly the touched links"
         );
+    }
+
+    #[test]
+    fn journal_is_empty_says_what_a_drain_would_find() {
+        let mut g = triangle();
+        assert!(!g.journal_is_empty(), "a fresh graph is all-dirty");
+        g.take_dirty();
+        assert!(g.journal_is_empty());
+        g.link_mut(EdgeId(1)).utilization = 0.7;
+        assert!(!g.journal_is_empty());
+        assert!(!g.clone().journal_is_empty(), "a clone carries the journal");
+        g.take_dirty();
+        g.retarget_utilization(|_, _| 0.4);
+        assert!(!g.journal_is_empty());
+        assert_eq!(g.take_dirty(), None);
+        assert!(g.journal_is_empty());
+        assert_eq!(g.take_dirty(), Some(vec![]));
     }
 
     #[test]

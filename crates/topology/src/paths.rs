@@ -294,6 +294,16 @@ pub fn min_inv_lu_dp(g: &Graph, src: NodeId, dst: NodeId, max_hop: Option<usize>
     d.is_finite().then_some(d)
 }
 
+/// The working memory of one [`min_inv_lu_dp_path_with`] call — the hop
+/// layers and the two frontier lists — kept by a caller that extracts many
+/// routes in a row, so each call refills it instead of allocating anew.
+#[derive(Debug, Default)]
+pub struct DpScratch {
+    layers: Vec<f64>,
+    frontier: Vec<NodeId>,
+    moved: Vec<NodeId>,
+}
+
 /// Like [`min_inv_lu_dp`] but also reconstructs the optimal route.
 ///
 /// Runs the hop-layered DP with parent pointers; the returned path has at
@@ -304,31 +314,45 @@ pub fn min_inv_lu_dp_path(
     dst: NodeId,
     max_hop: Option<usize>,
 ) -> Option<(f64, Path)> {
+    min_inv_lu_dp_path_with(g, src, dst, max_hop, &mut DpScratch::default())
+}
+
+/// [`min_inv_lu_dp_path`] in caller-owned working memory. Whatever a
+/// previous call left in `scratch` is overwritten, never read.
+pub fn min_inv_lu_dp_path_with(
+    g: &Graph,
+    src: NodeId,
+    dst: NodeId,
+    max_hop: Option<usize>,
+    scratch: &mut DpScratch,
+) -> Option<(f64, Path)> {
     if src == dst {
         return None;
     }
     let n = g.node_count();
     let bound = max_hop.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
+    let DpScratch { layers, frontier, moved } = scratch;
     // Exact layered DP: layer h, `layers[h * n..][v]`, is the min cost of
     // reaching v in <= h hops. Layers stop growing once a layer moves
     // nothing (diameter reached), so memory is O(diameter · |V|) even when
     // the bound is "unbounded"; room for a small bound's layers is taken
     // up front so they are one allocation.
-    let mut layers = Vec::with_capacity(n * (bound.min(7) + 1));
+    layers.clear();
+    layers.reserve(n * (bound.min(7) + 1));
     layers.resize(n, f64::INFINITY);
     layers[src.index()] = 0.0;
-    let mut frontier = vec![src];
-    let mut moved = Vec::new();
+    frontier.clear();
+    frontier.push(src);
     let mut final_layer = 0;
     for h in 1..=bound {
         layers.extend_from_within((h - 1) * n..);
         let (prev, next) = layers[(h - 1) * n..].split_at_mut(n);
-        relax_layer(g, prev, next, &frontier, &mut moved);
+        relax_layer(g, prev, next, frontier, moved);
         if moved.is_empty() {
             break;
         }
         final_layer = h;
-        std::mem::swap(&mut frontier, &mut moved);
+        std::mem::swap(frontier, moved);
     }
     let layer = |h: usize| &layers[h * n..(h + 1) * n];
     let best = layer(final_layer)[dst.index()];
@@ -649,6 +673,7 @@ mod frontier_tests {
             loaded(ring(9, Link::default()), 3),
             loaded(example7(Link::default()), 4),
         ];
+        let mut scratch = DpScratch::default();
         for (gi, g) in graphs.iter().enumerate() {
             let n = g.node_count();
             for max_hop in [Some(1), Some(2), Some(4), None] {
@@ -669,6 +694,14 @@ mod frontier_tests {
                             got.as_ref().map(|(c, p)| (c.to_bits(), p)),
                             want.as_ref().map(|(c, p)| (c.to_bits(), p)),
                             "graph {gi} {src:?}->{dst:?} {max_hop:?}"
+                        );
+                        // one scratch through every graph, bound and pair:
+                        // what the last call left behind must not show
+                        let reused = min_inv_lu_dp_path_with(g, src, dst, max_hop, &mut scratch);
+                        assert_eq!(
+                            reused.as_ref().map(|(c, p)| (c.to_bits(), p)),
+                            got.as_ref().map(|(c, p)| (c.to_bits(), p)),
+                            "graph {gi} {src:?}->{dst:?} {max_hop:?}: reused scratch"
                         );
                     }
                 }

@@ -1,11 +1,13 @@
-//! Allocation budgets of the telemetry write, read and retention paths, and
-//! of a transportation solve.
+//! Allocation budgets of the telemetry write, read and retention paths, of
+//! a transportation solve, and of an NMDB snapshot.
 //!
 //! "Resolve once, append many" is a claim about allocations as much as
 //! about time: once a series handle is resolved and sized, a sample is an
 //! index and a push; once a metric name has been seen, recording into it
 //! copies no name. So is "fold in place": a federated query allocates for
-//! its buckets, not for its stores, and retention allocates nothing. A
+//! its buckets, not for its stores, and retention allocates nothing. So is
+//! "a snapshot is the states vector only": it shares the topology, so what
+//! a quiet placement round allocates grows with the nodes, not the edges. A
 //! timing cannot pin that on a shared host — a count can, exactly. This binary installs a counting `#[global_allocator]`
 //! (its own test target for that reason) and counts per thread, so the
 //! harness running tests side by side cannot disturb a measurement.
@@ -21,10 +23,12 @@ thread_local! {
     // const-initialized and without a destructor, so touching it from
     // inside the allocator can neither allocate nor observe a dead slot
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(size: usize) {
     ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + size as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -32,7 +36,7 @@ fn count() {
 // allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -43,13 +47,13 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from `System` through this wrapper.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -65,12 +69,24 @@ fn allocs_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCS.with(Cell::get) - before, out)
 }
 
+/// Bytes this thread asks the allocator for in `f` (a growing
+/// reallocation counts its whole new size, as `benchmark/` counts it).
+fn bytes_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (BYTES.with(Cell::get) - before, out)
+}
+
 #[test]
 fn the_counter_counts() {
     let (n, v) = allocs_in(|| Vec::<u64>::with_capacity(8));
     assert_eq!((n, v.capacity()), (1, 8));
     let (n, _) = allocs_in(|| std::hint::black_box(3 + 4));
     assert_eq!(n, 0);
+    let (bytes, mut v) = bytes_in(|| Vec::<u64>::with_capacity(8));
+    assert_eq!(bytes, 64);
+    let (bytes, ()) = bytes_in(|| v.reserve_exact(16));
+    assert_eq!(bytes, 128);
 }
 
 #[test]
@@ -248,15 +264,16 @@ fn samples_after_the_first_allocate_nothing() {
 #[test]
 fn fleet_run_allocation_count_is_pinned() {
     // `fleet_sim_k90`'s scenario at k = 12: 180 switches, 67 samples. What
-    // one run allocated when this pin was written: 2 042, or 11.3 per node
-    // — 8 per node at the first sample (the store's series table, its name
-    // index, three names and three exactly-sized point lists: 1 440), the
-    // rest in STAT ingest and the placement rounds. The parent of the
-    // change that added this test made 4 584 (25.5 per node): each of the
-    // 540 series grew its point list by doubling. A ceiling with < 10 %
-    // headroom rather than an equality, because the cost engine sizes its
-    // worker pool from the host.
-    const OBSERVED: u64 = 2_042;
+    // one run allocates: 1 678, or 9.3 per node — 8 per node at the first
+    // sample (the store's series table, its name index, three names and
+    // three exactly-sized point lists: 1 440), the rest in STAT ingest and
+    // the placement rounds. Two earlier values are worth keeping: 4 584
+    // (25.5 per node) while each of the 540 series grew its point list by
+    // doubling, and 2 042 while every snapshot copied the topology (the
+    // run's two placement rounds each cloned 180 adjacency lists and the
+    // edge list). A ceiling with < 10 % headroom rather than an equality,
+    // because the cost engine sizes its worker pool from the host.
+    const OBSERVED: u64 = 1_678;
     let mut sim = scale_fleet_sim_on(12, 10_000, 1, ObsHandle::disabled(), EngineKind::Event);
     let (n, report) = allocs_in(|| sim.run());
     assert_eq!(report.federation.nodes().len(), 180);
@@ -265,6 +282,60 @@ fn fleet_run_allocation_count_is_pinned() {
         "one k = 12 fleet run made {n} allocations ({:.1} per node), pinned at {OBSERVED} + 10 %",
         n as f64 / 180.0
     );
+}
+
+/// A Manager over a `k`-port fat-tree with every switch registered and
+/// reporting `load` percent — the whole fleet an Offload-candidate, nobody
+/// Busy.
+fn idle_manager(k: usize, load: f64) -> Manager {
+    let graph = FatTree::new(k, Link::new(25_000.0, 0.2)).graph;
+    let nodes: Vec<NodeId> = graph.nodes().collect();
+    let cfg = DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp);
+    let mut m = Manager::new(graph, cfg, SolverBackend::Transportation, 1_000, 3_000)
+        .expect("paper defaults are valid");
+    for node in nodes {
+        m.handle(0, &ClientMsg::OffloadCapable { node, capable: true });
+        m.handle(0, &ClientMsg::Stat { node, utilization: load, data_mb: 50.0 });
+    }
+    m
+}
+
+#[test]
+fn a_snapshot_is_the_states_vector_only() {
+    let m = idle_manager(8, 20.0);
+    let (n, nmdb) = allocs_in(|| m.snapshot());
+    assert_eq!(nmdb.states.len(), 80);
+    assert_eq!(n, 1, "the states, and a shared topology");
+    let (n, busy) = allocs_in(|| m.busy_detected());
+    assert_eq!((n, busy), (0, false), "answered from the registry");
+    // the same with somebody Busy: the answer stops at the first one found
+    let mut m = m;
+    m.handle(10, &ClientMsg::Stat { node: NodeId(79), utilization: 95.0, data_mb: 50.0 });
+    let (n, busy) = allocs_in(|| m.busy_detected());
+    assert_eq!((n, busy), (0, true));
+}
+
+#[test]
+fn a_quiet_placement_round_allocates_per_node_not_per_edge() {
+    // `fleet_sim_k90`'s round at k = 12: 180 switches, 864 links, nobody
+    // Busy. The round owns a snapshot's states (32 bytes a node) and the
+    // candidate list (every node; 4 bytes each, grown by doubling): 43
+    // bytes a node. A copy of the topology alone is 864 edges of 24 bytes
+    // and 180 adjacency lists holding 1 728 entries of 8: 216 bytes a node
+    // here, and 1.4 kB a node at k = 90, where a node has 36 links.
+    let mut m = idle_manager(12, 20.0);
+    let nodes = m.graph().node_count() as u64;
+    assert_eq!((nodes, m.graph().edge_count()), (180, 864));
+    for round in 0..3 {
+        let (bytes, (placement, offers)) = bytes_in(|| m.run_placement(1_000 * round));
+        assert_eq!(placement.status, PlacementStatus::NoBusyNodes);
+        assert_eq!((offers.len(), placement.candidates.len()), (0, 180));
+        assert!(
+            bytes < 64 * nodes,
+            "round {round}: {bytes} bytes, {:.1} a node",
+            bytes as f64 / nodes as f64
+        );
+    }
 }
 
 /// MODI's buffers — potentials, last pivot's potentials, the per-row
