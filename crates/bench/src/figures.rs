@@ -312,93 +312,6 @@ pub fn fig12(seed: u64, effort: Effort) -> String {
     )
 }
 
-/// Extension experiment — zoned placement (the paper's §V-B scaling
-/// recommendation, implemented): global ILP vs per-pod zoned ILP (with and
-/// without the cross-zone residual sweep) vs the one-hop heuristic.
-pub fn zoned(seed: u64, effort: Effort) -> String {
-    use dust::core::{optimize_zoned, zone_fat_tree};
-    let plans: &[(usize, usize)] = match effort {
-        Effort::Quick => &[(8, 5), (16, 3)],
-        Effort::Full => &[(8, 15), (16, 8)],
-    };
-    let cfg = experiment_config().with_engine(PathEngine::HopBoundedDp);
-    let mut t = Table::new(&[
-        "k",
-        "method",
-        "mean time (s)",
-        "latency bound (s)",
-        "unplaced (% of Cs)",
-        "beta vs global",
-    ]);
-    for &(k, iters) in plans {
-        let ft = FatTree::with_default_links(k);
-        let zoning = zone_fat_tree(&ft);
-        type MethodAcc = (String, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
-        let mut acc: Vec<MethodAcc> = vec![
-            ("global ILP".into(), vec![], vec![], vec![], vec![]),
-            ("zoned ILP".into(), vec![], vec![], vec![], vec![]),
-            ("zoned + sweep".into(), vec![], vec![], vec![], vec![]),
-            ("heuristic (1-hop)".into(), vec![], vec![], vec![], vec![]),
-        ];
-        for i in 0..iters {
-            let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), seed + i as u64);
-            let total_cs = nmdb.total_cs(&cfg);
-            if total_cs <= 0.0 {
-                continue;
-            }
-            let (g, dg) = timed(|| optimize(&nmdb, &cfg, SolverBackend::Transportation));
-            let g_ok = g.status == PlacementStatus::Optimal;
-            let g_beta = if g_ok { g.beta } else { f64::NAN };
-            acc[0].1.push(dg.as_secs_f64());
-            acc[0].2.push(dg.as_secs_f64());
-            acc[0].3.push(if g_ok { 0.0 } else { 100.0 });
-            acc[0].4.push(1.0);
-
-            for (idx, sweep) in [(1usize, false), (2, true)] {
-                let (z, _) = timed(|| {
-                    optimize_zoned(&nmdb, &cfg, &zoning, SolverBackend::Transportation, sweep)
-                });
-                acc[idx].1.push(z.total_time.as_secs_f64());
-                acc[idx].2.push(z.max_zone_time.as_secs_f64());
-                acc[idx].3.push(z.residual_rate_percent(total_cs));
-                if g_ok && z.final_residual.is_empty() && g_beta > 0.0 {
-                    acc[idx].4.push(z.beta / g_beta);
-                }
-            }
-            let (h, dh) = timed(|| heuristic(&nmdb, &cfg));
-            acc[3].1.push(dh.as_secs_f64());
-            acc[3].2.push(dh.as_secs_f64());
-            acc[3].3.push(h.hfr_percent());
-            if g_ok && h.fully_offloaded() && g_beta > 0.0 {
-                acc[3].4.push(h.beta / g_beta);
-            }
-        }
-        for (name, times, lat, unplaced, ratio) in &acc {
-            let mean = |v: &Vec<f64>| {
-                if v.is_empty() {
-                    f64::NAN
-                } else {
-                    v.iter().sum::<f64>() / v.len() as f64
-                }
-            };
-            t.row(&[
-                k.to_string(),
-                name.clone(),
-                format!("{:.4}", mean(times)),
-                format!("{:.4}", mean(lat)),
-                format!("{:.1}", mean(unplaced).max(0.0)),
-                if ratio.is_empty() { "n/a".into() } else { format!("{:.3}x", mean(ratio)) },
-            ]);
-        }
-    }
-    format!(
-        "Extension — zoned placement (paper recommendation: zones of <= 80 nodes)\n{}\n\
-         'latency bound' = slowest single zone solve (zones parallelize on the Manager);\n\
-         'beta vs global' = optimality gap when everything placed (1.0x = matches global optimum).\n",
-        t.render()
-    )
-}
-
 /// Extension experiment — fleet scale-out: every edge switch of a fat-tree
 /// runs the ten-agent deployment and DUST drains them simultaneously.
 pub fn fleet(seed: u64, effort: Effort) -> String {
@@ -746,7 +659,6 @@ pub const FIGURES: &[Figure] = &[
     ("fig10", "ILP time vs max-hop, 8-k and 16-k", fig10),
     ("fig11", "HFR and ILP time vs network scale", fig11),
     ("fig12", "heuristic runtime vs scale (to 5120 nodes)", fig12),
-    ("zoned", "extension: zoned placement (paper's <=80-node-zone recommendation)", zoned),
     ("fleet", "extension: all edge switches offload simultaneously", fleet),
     ("congestion", "extension: QoS squeeze on offloaded telemetry", congestion),
     ("partition", "extension: POP-style partitioned solve, gap/speedup vs k", partition),

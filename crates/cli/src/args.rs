@@ -182,7 +182,7 @@ pub fn parse_place_invocation(args: &[String]) -> Result<(Option<String>, PlaceO
     Ok((path, p))
 }
 
-/// A parsed `roles`/`optimize`/`heuristic`/`zoned`/`dot` invocation.
+/// A parsed `roles`/`optimize`/`heuristic`/`dot` invocation.
 #[derive(Debug, Clone)]
 pub struct FileInvocation {
     /// The network-state file to read.
@@ -191,10 +191,6 @@ pub struct FileInvocation {
     pub opts: Options,
     /// `heuristic --hops N` (default one-hop reach).
     pub hops: usize,
-    /// `zoned --zone-size N`.
-    pub zone_size: Option<usize>,
-    /// `zoned --sweep`: the cross-zone residual sweep.
-    pub sweep: bool,
 }
 
 /// Parse `<cmd> <file> [options]` for the commands that read a
@@ -204,8 +200,7 @@ pub fn parse_file_invocation(cmd: &str, args: &[String]) -> Result<FileInvocatio
     let Some(path) = args.first().cloned() else {
         return Err(format!("{cmd}: missing <file>"));
     };
-    let mut inv =
-        FileInvocation { path, opts: Options::default(), hops: 1, zone_size: None, sweep: false };
+    let mut inv = FileInvocation { path, opts: Options::default(), hops: 1 };
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         if base_option(&mut inv.opts, a, &mut it)? {
@@ -213,8 +208,6 @@ pub fn parse_file_invocation(cmd: &str, args: &[String]) -> Result<FileInvocatio
         }
         match a.as_str() {
             "--hops" => inv.hops = value(&mut it, a)?,
-            "--zone-size" => inv.zone_size = Some(value(&mut it, a)?),
-            "--sweep" => inv.sweep = true,
             other => return Err(format!("unknown option {other:?}")),
         }
     }
@@ -374,16 +367,15 @@ mod tests {
         assert_eq!(err, "unknown place option \"b.dust\"");
 
         let inv = parse_file_invocation(
-            "zoned",
-            &argv("net.dust --zone-size 3 --sweep --c-max 85 --co-max 55 --x-min 4 --simplex"),
+            "heuristic",
+            &argv("net.dust --hops 2 --c-max 85 --co-max 55 --x-min 4 --simplex"),
         )
         .unwrap();
-        assert_eq!(
-            (inv.path.as_str(), inv.zone_size, inv.sweep, inv.hops),
-            ("net.dust", Some(3), true, 1)
-        );
+        assert_eq!((inv.path.as_str(), inv.hops), ("net.dust", 2));
         assert_eq!((inv.opts.c_max, inv.opts.co_max, inv.opts.x_min), (85.0, 55.0, 4.0));
         assert!(inv.opts.simplex && !inv.opts.enumerate_paths);
+        let err = parse_file_invocation("roles", &argv("net.dust --zone-size 3")).unwrap_err();
+        assert_eq!(err, "unknown option \"--zone-size\"");
         assert_eq!(parse_file_invocation("optimize", &[]).unwrap_err(), "optimize: missing <file>");
         let err = parse_file_invocation("optimize", &argv("net.dust --fat-tree 4")).unwrap_err();
         assert_eq!(err, "unknown option \"--fat-tree\"");

@@ -6,7 +6,6 @@ use crate::run::{
     find_scenario, run, write_postmortem, write_profile, Outcome, Run, RunSpec, Target,
     PROFILE_FLEET_DURATION_MS, PROFILE_FLEET_K,
 };
-use dust::core::zone_by_bfs;
 use dust::prelude::*;
 
 /// Threshold/routing options shared by all commands.
@@ -659,49 +658,6 @@ pub fn cmd_heuristic(nmdb: &Nmdb, opts: &Options, hops: usize) -> Result<String,
     Ok(out)
 }
 
-/// `dustctl zoned`: per-zone placement with optional cross-zone sweep.
-pub fn cmd_zoned(
-    nmdb: &Nmdb,
-    opts: &Options,
-    zone_size: usize,
-    sweep: bool,
-) -> Result<String, String> {
-    let cfg = opts.config()?;
-    if zone_size == 0 {
-        return Err("--zone-size must be at least 1".into());
-    }
-    let zoning = zone_by_bfs(&nmdb.graph, zone_size);
-    let report =
-        opts.request(nmdb, &cfg).zoned(&zoning, sweep).solve().map_err(|e| e.to_string())?;
-    let z = report.as_zoned().expect("zoned strategy was configured");
-    let total_cs = nmdb.total_cs(&cfg);
-    let mut out = format!(
-        "{} zones (max size {}), {} active; beta = {:.6}; unplaced = {:.1}% of Cs\n\
-         latency bound (slowest zone) = {:.2?}, sequential total = {:.2?}\n",
-        zoning.zone_count(),
-        zoning.max_zone_size(),
-        z.active_zones,
-        z.beta,
-        z.residual_rate_percent(total_cs),
-        z.max_zone_time,
-        z.total_time,
-    );
-    for a in &z.assignments {
-        out.push_str(&format!(
-            "  move {:6.2}% from {} to {}  (zone {} → {})\n",
-            a.amount,
-            a.from.0,
-            a.to.0,
-            zoning.zone_of[a.from.index()],
-            zoning.zone_of[a.to.index()],
-        ));
-    }
-    for (n, r) in &z.final_residual {
-        out.push_str(&format!("  UNPLACED {:.2}% on node {}\n", r, n.0));
-    }
-    Ok(out)
-}
-
 /// `dustctl dot`: render the network (roles colored, busy nodes red,
 /// candidates green) and the optimizer's chosen routes as Graphviz.
 pub fn cmd_dot(nmdb: &Nmdb, opts: &Options) -> Result<String, String> {
@@ -1124,6 +1080,13 @@ mod tests {
         let out = cmd_place(Some(&db), &PlaceOptions::default()).unwrap();
         assert!(out.contains("status: Optimal"), "{out}");
         assert!(out.contains("rounds/sec"), "{out}");
+
+        // a file-loaded problem splits like a generated one
+        let opts = PlaceOptions { partitions: Some(2), gap: true, ..Default::default() };
+        let out = cmd_place(Some(&db), &opts).unwrap();
+        assert!(out.contains("status: Optimal"), "{out}");
+        assert!(out.contains("total offloaded = 12.0%"), "{out}");
+        assert!(out.contains("objective gap vs exact: mean = 0.000%"), "{out}");
     }
 
     #[test]
@@ -1222,23 +1185,6 @@ mod tests {
     }
 
     #[test]
-    fn zoned_single_zone_matches_optimize() {
-        // S7 has no links, so BFS zoning yields the main zone plus S7 alone
-        let out = cmd_zoned(&fig4(), &Options::default(), 100, false).unwrap();
-        assert!(out.contains("2 zones"), "{out}");
-        assert!(out.contains("unplaced = 0.0%"), "{out}");
-    }
-
-    #[test]
-    fn zoned_small_zones_need_sweep() {
-        // zones of 2: S1's zone likely has no candidate → sweep rescues
-        let no_sweep = cmd_zoned(&fig4(), &Options::default(), 2, false).unwrap();
-        let sweep = cmd_zoned(&fig4(), &Options::default(), 2, true).unwrap();
-        assert!(sweep.contains("unplaced = 0.0%"), "{sweep}");
-        let _ = no_sweep;
-    }
-
-    #[test]
     fn dot_renders_roles_and_routes() {
         let out = cmd_dot(&fig4(), &Options::default()).unwrap();
         assert!(out.starts_with("graph dust {"), "{out}");
@@ -1252,7 +1198,6 @@ mod tests {
         let o = Options { co_max: 95.0, ..Default::default() }; // co_max above c_max
         assert!(roles(&fig4(), &o).is_err());
         assert!(cmd_heuristic(&fig4(), &Options::default(), 0).is_err());
-        assert!(cmd_zoned(&fig4(), &Options::default(), 0, false).is_err());
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub fn parse_nmdb(input: &str) -> Result<Nmdb, ParseError> {
     }
     let mut nodes: Vec<Option<NodeDecl>> = Vec::new();
     let mut edges: Vec<(u32, u32, f64, f64)> = Vec::new();
+    let line_count = input.lines().count();
 
     for (i, raw) in input.lines().enumerate() {
         let lineno = i + 1;
@@ -64,6 +65,14 @@ pub fn parse_nmdb(input: &str) -> Result<Nmdb, ParseError> {
                 let id: usize = fields[0]
                     .parse()
                     .map_err(|_| err(lineno, format!("invalid node id {:?}", fields[0])))?;
+                // dense ids need one line each and must fit a `NodeId`:
+                // refuse any other before the table is sized by it
+                if id >= line_count || id > u32::MAX as usize {
+                    return Err(err(
+                        lineno,
+                        format!("node id {id} cannot be dense in a {line_count}-line file"),
+                    ));
+                }
                 let utilization: f64 = fields[1]
                     .parse()
                     .map_err(|_| err(lineno, format!("invalid utilization {:?}", fields[1])))?;
@@ -304,6 +313,17 @@ mod tests {
             .unwrap_err()
             .message
             .contains("expected: edge"));
+    }
+
+    #[test]
+    fn rejects_ids_that_cannot_be_dense_before_sizing_by_them() {
+        for id in [u64::MAX, 4_000_000_000, u64::from(u32::MAX) + 1] {
+            let e = parse_nmdb(&format!("node {id} 50 1\n")).unwrap_err();
+            assert_eq!(e, err(1, format!("node id {id} cannot be dense in a 1-line file")));
+        }
+        // the last id a file can hold is one below its line count
+        assert!(parse_nmdb("node 1 50 1\nnode 0 50 1\n").is_ok());
+        assert!(parse_nmdb("node 2 50 1\nnode 0 50 1\n").unwrap_err().message.contains("dense"));
     }
 
     #[test]

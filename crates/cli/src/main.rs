@@ -5,17 +5,16 @@
 //! dustctl roles net.dust
 //! dustctl optimize net.dust --max-hop 6
 //! dustctl heuristic net.dust --hops 2
-//! dustctl zoned net.dust --zone-size 80 --sweep
 //! ```
 
 use dust::prelude::Nmdb;
 use dust_cli::args::{
     parse_file_invocation, parse_place_invocation, parse_profile_invocation, parse_sim_invocation,
-    SimCommandKind,
+    FileInvocation, SimCommandKind,
 };
 use dust_cli::commands::{
     cmd_dot, cmd_heuristic, cmd_optimize, cmd_place, cmd_profile, cmd_sim, cmd_spans, cmd_trace,
-    cmd_zoned, roles,
+    roles,
 };
 use dust_cli::format::{example_file, parse_nmdb};
 
@@ -28,8 +27,6 @@ commands:
   place     [file]             placement rounds through the exact or POP-style
                                partitioned solve path; reports rounds/sec
   heuristic <file> [--hops N]  Algorithm 1 (default one-hop reach)
-  zoned     <file> --zone-size N [--sweep]
-                               per-zone placement, optional cross-zone sweep
   dot       <file>             Graphviz view: roles colored + chosen routes
   sim                          chaos-run the testbed under a lossy control plane,
                                or run a named registry scenario (--scenario)
@@ -186,24 +183,19 @@ fn dispatch(args: &[String]) -> Result<(), Failure> {
             cmd_place(nmdb.as_ref(), &opts).map_err(Run)?
         }
         _ => {
+            // an unknown command is reported as one, before its flags
+            let run: fn(&Nmdb, &FileInvocation) -> Result<String, String> = match cmd {
+                "roles" => |db, inv| roles(db, &inv.opts),
+                "optimize" => |db, inv| cmd_optimize(db, &inv.opts),
+                "heuristic" => |db, inv| cmd_heuristic(db, &inv.opts, inv.hops),
+                "dot" => |db, inv| cmd_dot(db, &inv.opts),
+                other => return Err(Usage(format!("unknown command {other:?}"))),
+            };
             let inv = parse_file_invocation(cmd, rest).map_err(Usage)?;
             let nmdb = load(&inv.path)?;
             // Solve-time failures (infeasible, hop starvation, bad
             // thresholds) exit 1 without the usage text.
-            match cmd {
-                "roles" => roles(&nmdb, &inv.opts),
-                "optimize" => cmd_optimize(&nmdb, &inv.opts),
-                "heuristic" => cmd_heuristic(&nmdb, &inv.opts, inv.hops),
-                "zoned" => {
-                    let size = inv
-                        .zone_size
-                        .ok_or_else(|| Usage("zoned requires --zone-size N".into()))?;
-                    cmd_zoned(&nmdb, &inv.opts, size, inv.sweep)
-                }
-                "dot" => cmd_dot(&nmdb, &inv.opts),
-                other => return Err(Usage(format!("unknown command {other:?}"))),
-            }
-            .map_err(Run)?
+            run(&nmdb, &inv).map_err(Run)?
         }
     };
     print!("{out}");
@@ -250,7 +242,7 @@ mod tests {
                 .any(|&kind| knows(parse_sim_invocation(kind, alone).map(drop)))
                 || knows(parse_profile_invocation(&after_name).map(drop))
                 || knows(parse_place_invocation(alone).map(drop))
-                || knows(parse_file_invocation("zoned", &after_name).map(drop));
+                || knows(parse_file_invocation("heuristic", &after_name).map(drop));
             assert!(known, "USAGE documents {flag}, which no grammar in args.rs parses");
         }
     }

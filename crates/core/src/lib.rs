@@ -10,8 +10,8 @@
 //! * [`error`] — the typed [`DustError`] every fallible entry point
 //!   returns;
 //! * [`request`] — the unified [`PlacementRequest`] builder that fronts
-//!   all four placement strategies over one shared, parallel
-//!   [`CostEngine`](dust_topology::CostEngine);
+//!   both placement strategies (the exact LP and Algorithm 1) over one
+//!   shared, parallel [`CostEngine`](dust_topology::CostEngine);
 //! * [`optimizer`] — the min-cost "ILP" of Eq. 3 solved exactly over
 //!   controllable routes, with route extraction;
 //! * [`heuristic`](mod@heuristic) — Algorithm 1 (one-hop candidates) plus HFR (Eq. 4) and
@@ -46,26 +46,19 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod diff;
 pub mod error;
 pub mod feasibility;
 pub mod heuristic;
-pub mod integral;
 pub mod optimizer;
 pub mod request;
 pub mod scenario;
 pub mod state;
 pub mod success;
-pub mod zoning;
 
 pub use config::DustConfig;
-pub use diff::{apply_actions, placement_diff, TransferAction};
 pub use error::DustError;
 pub use feasibility::{capacity_precheck, estimate_io_rate, io_rate_sweep, IoRatePoint};
 pub use heuristic::{heuristic, heuristic_with, heuristic_with_hops, HeuristicOutcome};
-pub use integral::{
-    optimize_integral, optimize_integral_with, IntegralPlacement, UnitAssignment, WorkUnit,
-};
 pub use optimizer::{
     optimize, optimize_with, optimize_with_path, optimize_with_path_warm, Assignment, Placement,
     PlacementStatus, SolvePath, SolverBackend, WarmState,
@@ -74,6 +67,3 @@ pub use request::{PlacementReport, PlacementRequest, ReportOutcome};
 pub use scenario::{random_nmdb, scenario_stream, ScenarioParams};
 pub use state::{classify, Nmdb, NodeState, Role};
 pub use success::{classify_iteration, SuccessClass, SuccessTally};
-pub use zoning::{
-    optimize_zoned, optimize_zoned_with, zone_by_bfs, zone_fat_tree, ZonedPlacement, Zoning,
-};

@@ -1,4 +1,4 @@
-//! The unified placement API: one builder, four strategies, one engine.
+//! The unified placement API: one builder, two strategies, one engine.
 //!
 //! [`PlacementRequest`] is the single front door to the placement layer.
 //! It owns (or borrows) the [`CostEngine`] that prices `T_rmin` rows —
@@ -26,36 +26,29 @@
 //! assert!((report.total_offloaded() - 12.0).abs() < 1e-6);
 //! ```
 //!
-//! The four historical free functions ([`optimize`](crate::optimize),
-//! [`heuristic`](crate::heuristic()), [`optimize_zoned`](crate::optimize_zoned),
-//! [`optimize_integral`](crate::optimize_integral)) remain as thin wrappers
-//! over this builder.
+//! The two historical free functions ([`optimize`](crate::optimize) and
+//! [`heuristic`](crate::heuristic())) remain as thin wrappers over this
+//! builder.
 
 use crate::config::DustConfig;
 use crate::error::DustError;
 use crate::heuristic::{heuristic_with, HeuristicOutcome};
-use crate::integral::{optimize_integral_with, IntegralPlacement, WorkUnit};
 use crate::optimizer::{
     optimize_with_path_warm, Assignment, Placement, PlacementStatus, SolvePath, SolverBackend,
     WarmState,
 };
 use crate::state::Nmdb;
-use crate::zoning::{optimize_zoned_with, ZonedPlacement, Zoning};
 use dust_obs::ObsHandle;
 use dust_topology::{CostEngine, PathEngine};
 use std::num::NonZeroUsize;
 
 /// Which placement algorithm a request runs.
 #[derive(Debug, Clone, Copy)]
-enum Strategy<'a> {
+enum Strategy {
     /// Exact continuous placement (Eq. 3) — the default.
     Lp,
     /// Algorithm 1 with candidates within `hops` of each busy node.
     Heuristic { hops: usize },
-    /// Per-zone exact placement with an optional cross-zone sweep.
-    Zoned { zoning: &'a Zoning, sweep: bool },
-    /// Agent-level integral placement over indivisible work units.
-    Integral { units: &'a [WorkUnit] },
 }
 
 /// Either a request-owned engine or one shared by the caller.
@@ -83,7 +76,7 @@ pub struct PlacementRequest<'a> {
     nmdb: &'a Nmdb,
     cfg: DustConfig,
     backend: SolverBackend,
-    strategy: Strategy<'a>,
+    strategy: Strategy,
     engine: EngineRef<'a>,
     obs: ObsHandle,
     partitions: Option<NonZeroUsize>,
@@ -209,18 +202,6 @@ impl<'a> PlacementRequest<'a> {
         self
     }
 
-    /// Solve per zone, optionally sweeping leftovers across zones.
-    pub fn zoned(mut self, zoning: &'a Zoning, cross_zone_sweep: bool) -> Self {
-        self.strategy = Strategy::Zoned { zoning, sweep: cross_zone_sweep };
-        self
-    }
-
-    /// Solve the agent-level integral placement over `units`.
-    pub fn integral(mut self, units: &'a [WorkUnit]) -> Self {
-        self.strategy = Strategy::Integral { units };
-        self
-    }
-
     /// The worker-thread count the request will price rows with.
     pub fn thread_count(&self) -> usize {
         self.engine.get().threads()
@@ -228,13 +209,13 @@ impl<'a> PlacementRequest<'a> {
 
     /// Run the configured strategy and unify the outcome.
     ///
-    /// Hard failures become typed [`DustError`]s: an exact or integral
-    /// solve with no feasible placement returns
+    /// Hard failures become typed [`DustError`]s: an exact solve with no
+    /// feasible placement returns
     /// [`DustError::Infeasible`] — refined to
     /// [`DustError::NoPathWithinHops`] when the hop bound disconnects
     /// every (busy, candidate) pair — and an invalid configuration
     /// returns [`DustError::BadConfig`]. Partial outcomes (heuristic
-    /// residuals, zoned leftovers) are data, not errors.
+    /// residuals) are data, not errors.
     pub fn solve(&self) -> Result<PlacementReport, DustError> {
         let threads = self.thread_count();
         let outcome = match self.strategy {
@@ -246,16 +227,6 @@ impl<'a> PlacementRequest<'a> {
                 ReportOutcome::Lp(p)
             }
             Strategy::Heuristic { .. } => ReportOutcome::Heuristic(self.run_heuristic()?),
-            Strategy::Zoned { .. } => ReportOutcome::Zoned(self.run_zoned()?),
-            Strategy::Integral { .. } => {
-                let p = self.run_integral()?;
-                if !p.feasible {
-                    let busy = self.nmdb.busy_nodes(&self.cfg);
-                    let candidates = self.nmdb.candidate_nodes(&self.cfg);
-                    return Err(self.refine_infeasible(&busy, &candidates));
-                }
-                ReportOutcome::Integral(p)
-            }
         };
         Ok(PlacementReport { threads, outcome })
     }
@@ -279,31 +250,9 @@ impl<'a> PlacementRequest<'a> {
     pub fn run_heuristic(&self) -> Result<HeuristicOutcome, DustError> {
         let hops = match self.strategy {
             Strategy::Heuristic { hops } => hops,
-            _ => 1,
+            Strategy::Lp => 1,
         };
         heuristic_with(self.nmdb, &self.cfg, hops, self.engine.get())
-    }
-
-    /// Run the zoned placement; requires a zoning set via
-    /// [`zoned`](PlacementRequest::zoned).
-    pub fn run_zoned(&self) -> Result<ZonedPlacement, DustError> {
-        let Strategy::Zoned { zoning, sweep } = self.strategy else {
-            return Err(DustError::BadConfig(
-                "run_zoned requires a zoning (call .zoned(...) first)".to_string(),
-            ));
-        };
-        optimize_zoned_with(self.nmdb, &self.cfg, zoning, self.backend, sweep, self.engine.get())
-    }
-
-    /// Run the integral placement; requires units set via
-    /// [`integral`](PlacementRequest::integral).
-    pub fn run_integral(&self) -> Result<IntegralPlacement, DustError> {
-        let Strategy::Integral { units } = self.strategy else {
-            return Err(DustError::BadConfig(
-                "run_integral requires work units (call .integral(...) first)".to_string(),
-            ));
-        };
-        optimize_integral_with(self.nmdb, &self.cfg, units, self.engine.get())
     }
 
     /// Distinguish "no route within the hop bound" from a genuine
@@ -337,10 +286,6 @@ pub enum ReportOutcome {
     Lp(Placement),
     /// Algorithm 1 outcome (may carry residual excess).
     Heuristic(HeuristicOutcome),
-    /// Per-zone placement (may carry residual excess).
-    Zoned(ZonedPlacement),
-    /// Agent-level integral placement.
-    Integral(IntegralPlacement),
 }
 
 /// Unified result of [`PlacementRequest::solve`].
@@ -358,19 +303,14 @@ impl PlacementReport {
         match &self.outcome {
             ReportOutcome::Lp(p) => p.beta,
             ReportOutcome::Heuristic(h) => h.beta,
-            ReportOutcome::Zoned(z) => z.beta,
-            ReportOutcome::Integral(i) => i.beta,
         }
     }
 
-    /// Accepted offload decisions — empty for integral placements, whose
-    /// unit-level moves live in [`IntegralPlacement::moves`].
+    /// Accepted offload decisions.
     pub fn assignments(&self) -> &[Assignment] {
         match &self.outcome {
             ReportOutcome::Lp(p) => &p.assignments,
             ReportOutcome::Heuristic(h) => &h.assignments,
-            ReportOutcome::Zoned(z) => &z.assignments,
-            ReportOutcome::Integral(_) => &[],
         }
     }
 
@@ -394,29 +334,13 @@ impl PlacementReport {
             _ => None,
         }
     }
-
-    /// The zoned placement, when that strategy ran.
-    pub fn as_zoned(&self) -> Option<&ZonedPlacement> {
-        match &self.outcome {
-            ReportOutcome::Zoned(z) => Some(z),
-            _ => None,
-        }
-    }
-
-    /// The integral placement, when that strategy ran.
-    pub fn as_integral(&self) -> Option<&IntegralPlacement> {
-        match &self.outcome {
-            ReportOutcome::Integral(i) => Some(i),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::state::NodeState;
-    use dust_topology::{topologies, Link, NodeId};
+    use dust_topology::{topologies, Link};
 
     fn cfg() -> DustConfig {
         DustConfig::paper_defaults()
@@ -504,21 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn integral_strategy_routes_through_the_builder() {
-        let g = topologies::line(2, Link::default());
-        let db = Nmdb::new(g, vec![NodeState::new(90.0, 100.0), NodeState::new(20.0, 10.0)]);
-        let units = vec![
-            WorkUnit { owner: NodeId(0), weight: 6.0 },
-            WorkUnit { owner: NodeId(0), weight: 6.0 },
-        ];
-        let report = PlacementRequest::new(&db, &cfg()).integral(&units).solve().unwrap();
-        let ip = report.as_integral().unwrap();
-        assert!(ip.feasible);
-        assert_eq!(ip.moves.len(), 2);
-        assert!(report.assignments().is_empty(), "integral moves are unit-level");
-    }
-
-    #[test]
     fn partitions_knob_routes_through_the_builder() {
         let db = simple_nmdb();
         let exact = PlacementRequest::new(&db, &cfg()).solve().unwrap();
@@ -535,15 +444,6 @@ mod tests {
             .partitions(NonZeroUsize::new(4))
             .solve()
             .unwrap_err();
-        assert!(matches!(err, DustError::BadConfig(_)));
-    }
-
-    #[test]
-    fn run_zoned_without_zoning_is_a_bad_config() {
-        let db = simple_nmdb();
-        let err = PlacementRequest::new(&db, &cfg()).run_zoned().unwrap_err();
-        assert!(matches!(err, DustError::BadConfig(_)));
-        let err = PlacementRequest::new(&db, &cfg()).run_integral().unwrap_err();
         assert!(matches!(err, DustError::BadConfig(_)));
     }
 }

@@ -6,7 +6,7 @@ use dust_core::{
     heuristic, heuristic_with_hops, optimize, random_nmdb, DustConfig, PlacementRequest,
     PlacementStatus, ScenarioParams, SolverBackend,
 };
-use dust_topology::{FatTree, PathEngine, SplitMix64};
+use dust_topology::{FatTree, PathEngine};
 
 fn cfg() -> DustConfig {
     DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp)
@@ -223,52 +223,6 @@ fn builder_matches_legacy_at_every_thread_count() {
                 legacy_h.beta.to_bits(),
                 "seed {seed} threads {threads}"
             );
-        }
-    }
-}
-
-use dust_core::{apply_actions, placement_diff, Assignment, TransferAction};
-use dust_topology::NodeId;
-
-/// Random assignment lists with sources 0–5 and destinations 6–11.
-/// Deterministic in `seed`.
-fn arb_assignments(seed: u64) -> Vec<Assignment> {
-    let mut rng = SplitMix64::new(seed);
-    let n = rng.below(10) as usize;
-    (0..n)
-        .map(|_| Assignment {
-            from: NodeId(rng.below(6) as u32),
-            to: NodeId(6 + rng.below(6) as u32),
-            amount: rng.range_f64(0.1, 20.0),
-            t_rmin: 0.1,
-            route: None,
-        })
-        .collect()
-}
-
-/// Applying a diff always reproduces the target placement, and a diff
-/// against self is empty.
-#[test]
-fn diff_is_sound() {
-    for seed in 0..128u64 {
-        let prev = arb_assignments(seed);
-        let next = arb_assignments(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-        let actions = placement_diff(&prev, &next);
-        let applied = apply_actions(&prev, &actions);
-        let mut want = std::collections::BTreeMap::new();
-        for a in &next {
-            *want.entry((a.from, a.to)).or_insert(0.0) += a.amount;
-        }
-        assert_eq!(applied.len(), want.len(), "seed {seed}");
-        for (k, v) in &want {
-            assert!((applied[k] - v).abs() < 1e-9, "seed {seed}");
-        }
-        assert!(placement_diff(&next, &next).is_empty(), "seed {seed}");
-        // ordering invariant: no Start before the last Stop
-        let last_stop = actions.iter().rposition(|a| matches!(a, TransferAction::Stop { .. }));
-        let first_start = actions.iter().position(|a| matches!(a, TransferAction::Start { .. }));
-        if let (Some(stop), Some(start)) = (last_stop, first_start) {
-            assert!(stop < start, "seed {seed}: stops must precede starts");
         }
     }
 }

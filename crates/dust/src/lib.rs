@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`obs`] | `dust-obs` | metrics registry, deterministic event tracing, trace digests |
 //! | [`topology`] | `dust-topology` | graphs, fat-trees, bounded path enumeration, `T_rmin` costs |
-//! | [`lp`] | `dust-lp` | simplex, transportation solver, branch-and-bound |
+//! | [`lp`] | `dust-lp` | simplex, transportation solver, POP-style partitioned solve |
 //! | [`core`] | `dust-core` | thresholds, roles, NMDB, the placement ILP, Algorithm 1, HFR, `Δ_io` |
 //! | [`proto`] | `dust-proto` | Manager/Client state machines and every §III message |
 //! | [`telemetry`] | `dust-telemetry` | monitor agents, TSDB, Gorilla compression, federation |
@@ -54,11 +54,10 @@ pub use dust_topology as topology;
 pub mod prelude {
     pub use dust_core::{
         classify, classify_iteration, estimate_io_rate, heuristic, heuristic_with_hops,
-        io_rate_sweep, optimize, optimize_integral, optimize_zoned, random_nmdb, scenario_stream,
-        zone_by_bfs, zone_fat_tree, Assignment, DustConfig, DustError, HeuristicOutcome,
-        IntegralPlacement, IoRatePoint, Nmdb, NodeState, Placement, PlacementReport,
+        io_rate_sweep, optimize, random_nmdb, scenario_stream, Assignment, DustConfig, DustError,
+        HeuristicOutcome, IoRatePoint, Nmdb, NodeState, Placement, PlacementReport,
         PlacementRequest, PlacementStatus, ReportOutcome, Role, ScenarioParams, SolvePath,
-        SolverBackend, SuccessClass, SuccessTally, WorkUnit, ZonedPlacement, Zoning,
+        SolverBackend, SuccessClass, SuccessTally,
     };
     pub use dust_obs::{
         build_spans, FlightRecorder, FlowId, Histogram, MetricsRegistry, ObsHandle, SloBreach,
@@ -73,8 +72,8 @@ pub mod prelude {
         Transport,
     };
     pub use dust_telemetry::{
-        aggregate_load, compress, decompress, AgentKind, Alert, Comparison, Federation,
-        MonitorAgent, Rule, RuleEngine, Series, SeriesId, Tsdb,
+        aggregate_load, compress, decompress, AgentKind, Federation, MonitorAgent, Series,
+        SeriesId, Tsdb,
     };
     pub use dust_topology::{
         paper_sizes, CostEngine, CostMatrix, FatTree, Graph, Link, NodeId, Path, PathEngine,

@@ -1,15 +1,18 @@
 //! From-scratch linear programming for the DUST reproduction.
 //!
-//! Replaces the Gurobi toolkit of the paper's evaluation (§V-B) with three
-//! cooperating solvers:
+//! Replaces the Gurobi toolkit of the paper's evaluation (§V-B) with two
+//! cooperating solvers and a decomposition:
 //!
 //! * [`simplex`] — a general two-phase dense primal simplex over models
 //!   built with [`problem::Problem`];
 //! * [`transportation`] — a specialized Hitchcock-transportation solver
 //!   (Vogel + MODI) matching the exact structure of the placement model
 //!   (Eq. 3), much faster for the heuristic's many small subproblems;
-//! * [`branch_bound`] — LP-relaxation branch-and-bound for models with
-//!   integer variables.
+//! * [`partition`] — the POP-style split of one transportation problem
+//!   into seeded random subproblems, solved in parallel and recombined.
+//!
+//! The placement's `x_ij` are continuous (Eq. 3), so there is no integer
+//! layer.
 //!
 //! # Example
 //!
@@ -30,13 +33,11 @@
 
 #![warn(missing_docs)]
 
-pub mod branch_bound;
 pub mod partition;
 pub mod problem;
 pub mod simplex;
 pub mod transportation;
 
-pub use branch_bound::{solve_mip, solve_mip_with, MipOptions, MipSolution};
 pub use partition::{
     solve_partitioned_via, solve_partitioned_via_warm, solve_partitioned_with,
     solve_subs_sequential, PartitionOutcome, PartitionPlan, PartitionWarm, SubProblem,

@@ -2,9 +2,8 @@
 //!
 //! A thin, allocation-friendly modeling layer in the spirit of the Gurobi
 //! Python API the paper used: create variables with bounds, add linear
-//! constraints, set a linear objective, then hand the model to a solver
-//! ([`crate::simplex::solve`] or, with integer variables, the
-//! branch-and-bound layer in [`crate::branch_bound`]).
+//! constraints, set a linear objective, then hand the model to
+//! [`crate::simplex::solve`].
 
 use std::fmt;
 
@@ -71,11 +70,9 @@ pub struct VarDef {
     pub upper: f64,
     /// Objective coefficient.
     pub cost: f64,
-    /// Whether branch-and-bound must drive this variable to an integer.
-    pub integer: bool,
 }
 
-/// A linear (or mixed-integer) program under construction.
+/// A linear program under construction.
 #[derive(Debug, Clone, Default)]
 pub struct Problem {
     pub(crate) vars: Vec<VarDef>,
@@ -109,25 +106,13 @@ impl Problem {
         assert!(!lower.is_nan() && !upper.is_nan(), "variable bounds must not be NaN");
         assert!(lower <= upper, "empty variable domain [{lower}, {upper}]");
         assert!(cost.is_finite(), "objective coefficient must be finite, got {cost}");
-        self.vars.push(VarDef { lower, upper, cost, integer: false });
+        self.vars.push(VarDef { lower, upper, cost });
         Var(self.vars.len() - 1)
     }
 
     /// Add a non-negative continuous variable (`[0, ∞)`).
     pub fn add_nonneg(&mut self, cost: f64) -> Var {
         self.add_var(0.0, f64::INFINITY, cost)
-    }
-
-    /// Add an integer variable with bounds `[lower, upper]`.
-    pub fn add_int(&mut self, lower: f64, upper: f64, cost: f64) -> Var {
-        let v = self.add_var(lower, upper, cost);
-        self.vars[v.0].integer = true;
-        v
-    }
-
-    /// Add a binary (0/1) variable.
-    pub fn add_bool(&mut self, cost: f64) -> Var {
-        self.add_int(0.0, 1.0, cost)
     }
 
     /// Add the constraint `Σ terms  cmp  rhs`. Duplicate variables in
@@ -162,11 +147,6 @@ impl Problem {
     /// Variable metadata.
     pub fn var_def(&self, v: Var) -> &VarDef {
         &self.vars[v.0]
-    }
-
-    /// Indices of the integer-constrained variables.
-    pub fn integer_vars(&self) -> Vec<Var> {
-        self.vars.iter().enumerate().filter(|(_, d)| d.integer).map(|(i, _)| Var(i)).collect()
     }
 
     /// Evaluate the objective at a point.
@@ -242,15 +222,6 @@ mod tests {
         let _x = p.add_nonneg(2.0);
         let _y = p.add_nonneg(3.0);
         assert_eq!(p.objective_value(&[1.0, 2.0]), 8.0);
-    }
-
-    #[test]
-    fn integer_vars_listed() {
-        let mut p = Problem::new();
-        let _x = p.add_nonneg(0.0);
-        let b = p.add_bool(1.0);
-        let i = p.add_int(0.0, 10.0, 1.0);
-        assert_eq!(p.integer_vars(), vec![b, i]);
     }
 
     #[test]

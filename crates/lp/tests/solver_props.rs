@@ -1,11 +1,10 @@
-//! Seeded random-instance tests pitting the three solvers against each
+//! Seeded random-instance tests pitting the two solvers against each
 //! other and against first principles: the specialized transportation
 //! solver must match the general simplex on random instances, simplex
-//! optima must be feasible and never beaten by random feasible points,
-//! branch-and-bound must dominate LP-relaxation bounds correctly, and LP
-//! duality must hold exactly.
+//! optima must be feasible and never beaten by random feasible points, and
+//! LP duality must hold exactly.
 
-use dust_lp::{solve, solve_mip, Cmp, Problem, Sense, Status, TransportProblem, TransportStatus};
+use dust_lp::{solve, Cmp, Problem, Status, TransportProblem, TransportStatus};
 use dust_topology::SplitMix64;
 
 /// Build the transportation instance as a general LP and solve with simplex.
@@ -117,49 +116,6 @@ fn simplex_optimum_dominates_box_samples() {
         assert!(p.is_feasible(&s.x, 1e-6), "seed {seed}");
         // corners of the box clipped to the budget: all-zero is feasible
         assert!(s.objective <= 1e-9, "seed {seed}: all-zeros is feasible with objective 0");
-    }
-}
-
-/// Branch-and-bound objective is never better than the LP relaxation and
-/// its point is integral and feasible.
-#[test]
-fn mip_bounded_by_relaxation() {
-    for seed in 0..128u64 {
-        let mut rng = SplitMix64::new(seed);
-        let n = 1 + rng.below(3) as usize;
-        let costs: Vec<f64> = (0..4).map(|_| rng.range_f64(0.5, 5.0)).collect();
-        let weights: Vec<f64> = (0..4).map(|_| rng.range_f64(0.5, 5.0)).collect();
-        let budget = rng.range_f64(2.0, 10.0);
-        // knapsack: max Σ c_i b_i  s.t. Σ w_i b_i <= budget
-        let mut mip = Problem::new();
-        mip.set_sense(Sense::Maximize);
-        let vars: Vec<_> = (0..n).map(|i| mip.add_bool(costs[i % costs.len()])).collect();
-        let terms: Vec<_> =
-            vars.iter().enumerate().map(|(i, &v)| (v, weights[i % weights.len()])).collect();
-        mip.add_constraint(&terms, Cmp::Le, budget);
-
-        // LP relaxation: same model, continuous [0,1] vars
-        let mut lp = Problem::new();
-        lp.set_sense(Sense::Maximize);
-        let cvars: Vec<_> = (0..n).map(|i| lp.add_var(0.0, 1.0, costs[i % costs.len()])).collect();
-        let cterms: Vec<_> =
-            cvars.iter().enumerate().map(|(i, &v)| (v, weights[i % weights.len()])).collect();
-        lp.add_constraint(&cterms, Cmp::Le, budget);
-
-        let mi = solve_mip(&mip);
-        let re = solve(&lp);
-        assert_eq!(mi.status, Status::Optimal, "seed {seed}");
-        assert_eq!(re.status, Status::Optimal, "seed {seed}");
-        assert!(
-            mi.objective <= re.objective + 1e-6,
-            "seed {seed}: MIP {} must not beat relaxation {}",
-            mi.objective,
-            re.objective
-        );
-        assert!(mip.is_feasible(&mi.x, 1e-6), "seed {seed}");
-        for &v in &mi.x {
-            assert!((v - v.round()).abs() < 1e-6, "seed {seed}: non-integral value {v}");
-        }
     }
 }
 

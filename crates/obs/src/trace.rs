@@ -86,8 +86,6 @@ pub enum TraceEvent {
     SimplexSolve { pivots: u64, phase1: u64, phase2: u64 },
     /// One transportation-simplex solve finished (MODI pivots).
     TransportSolve { pivots: u64 },
-    /// One branch-and-bound solve finished (nodes explored).
-    BranchAndBound { nodes: u64 },
     /// Client sent (or retransmitted) an Offload-capable registration.
     ClientRegister { node: u32 },
     /// Client saw its first registration ACK and went Active.
@@ -178,7 +176,6 @@ impl TraceEvent {
             MatrixBuilt { .. } => "MatrixBuilt",
             SimplexSolve { .. } => "SimplexSolve",
             TransportSolve { .. } => "TransportSolve",
-            BranchAndBound { .. } => "BranchAndBound",
             ClientRegister { .. } => "ClientRegister",
             ClientRegistered { .. } => "ClientRegistered",
             PlacementRound { .. } => "PlacementRound",
@@ -290,7 +287,6 @@ impl fmt::Display for TraceEvent {
                 write!(f, "SimplexSolve pivots={pivots} phase1={phase1} phase2={phase2}")
             }
             TransportSolve { pivots } => write!(f, "TransportSolve pivots={pivots}"),
-            BranchAndBound { nodes } => write!(f, "BranchAndBound nodes={nodes}"),
             ClientRegister { node } => write!(f, "ClientRegister node={node}"),
             ClientRegistered { node } => write!(f, "ClientRegistered node={node}"),
             PlacementRound { round, offers } => {

@@ -7,7 +7,13 @@
 //! * [`compress`](mod@compress) — Gorilla-style in-situ compression (delta-of-delta
 //!   timestamps, XOR values) as performed by SmartNICs in the architecture;
 //! * [`federation`] — the Time-Series Federation aggregating series across
-//!   the network.
+//!   the network;
+//! * [`framing`] — CRC-checked frames that carry compressed blocks over
+//!   the wire.
+//!
+//! Alerting on these series is not here: a node held above `C_max` is
+//! what `dust_obs::slo`'s `overload_dwell` rule checks, per node, from the
+//! simulator's event loop.
 //!
 //! # Example
 //!
@@ -41,17 +47,13 @@
 #![warn(missing_docs)]
 
 pub mod agents;
-pub mod anomaly;
 pub mod compress;
 pub mod federation;
 pub mod framing;
-pub mod rules;
 pub mod tsdb;
 
 pub use agents::{aggregate_load, AgentKind, AgentLoad, IntSampler, IntSampling, MonitorAgent};
-pub use anomaly::{EwmaDetector, TrendForecaster};
 pub use compress::{compress, compression_ratio, decompress, CompressedBlock};
 pub use federation::{Aggregation, Federation};
 pub use framing::{crc32, deframe, deframe_stream, frame, FrameError};
-pub use rules::{Alert, Comparison, Rule, RuleEngine};
 pub use tsdb::{Point, Series, SeriesId, Tsdb};

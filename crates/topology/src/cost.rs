@@ -140,9 +140,8 @@ fn dirty_distances(g: &Graph, dirty: &[EdgeId]) -> Vec<usize> {
 /// Rows are cached keyed by `(graph epoch, source, hop bound, engine)`.
 /// The epoch ([`Graph::epoch`]) is reassigned on every graph mutation, so
 /// a changed link utilization can never serve a stale row, while repeated
-/// re-optimizations over an unchanged graph — `io_rate_sweep`, zoned
-/// per-zone solves, the periodic re-solve loop — hit the cache instead of
-/// re-enumerating. Cached rows store `Σ 1/Lu_e` (not `T_rmin`), so one
+/// re-optimizations over an unchanged graph — `io_rate_sweep`, the
+/// periodic re-solve loop — hit the cache instead of re-enumerating. Cached rows store `Σ 1/Lu_e` (not `T_rmin`), so one
 /// row serves every data volume `D_i`.
 #[derive(Debug, Default)]
 pub struct CostEngine {

@@ -31,7 +31,6 @@ pub mod cost;
 pub mod dot;
 pub mod fattree;
 pub mod graph;
-pub mod ksp;
 pub mod paths;
 pub mod rng;
 pub mod topologies;
@@ -40,7 +39,6 @@ pub use cost::{CostEngine, CostMatrix, PathEngine, RefreshStats};
 pub use dot::{placement_to_dot, to_dot, NodeStyle};
 pub use fattree::{paper_sizes, FatTree, Tier};
 pub use graph::{Edge, EdgeId, Graph, Link, NodeId};
-pub use ksp::k_shortest_paths;
 pub use paths::{
     count_simple_paths, enumerate_simple_paths, for_each_simple_path, min_inv_lu_dp,
     min_inv_lu_dp_from, min_inv_lu_dp_path, min_inv_lu_dp_path_with, min_inv_lu_enumerated,

@@ -1,7 +1,5 @@
 //! Heterogeneous fleet: DPUs, servers, and switches with different
-//! platform capacities (the κ coefficient of §IV-A's industry note), plus
-//! the *integral* agent-level placement — whole monitor agents, not
-//! fractional capacity — solved by branch-and-bound.
+//! platform capacities (the κ coefficient of §IV-A's industry note).
 //!
 //! ```sh
 //! cargo run -p dust --example heterogeneous_fleet
@@ -55,46 +53,4 @@ fn main() {
         );
     }
     println!("  beta = {:.6}", p.beta);
-
-    // Integral placement: the Busy leaf's excess is made of indivisible
-    // monitor agents with distinct weights.
-    let agents = MonitorAgent::standard_deployment();
-    let units: Vec<WorkUnit> = agents
-        .iter()
-        .map(|a| WorkUnit {
-            owner: NodeId(2),
-            // device-level share on the 8-core leaf at 20 % traffic
-            weight: a.kind.cpu_percent(0.2) / 8.0,
-        })
-        .collect();
-    let total: f64 = units.iter().map(|u| u.weight).sum();
-    println!(
-        "\n-- integral placement: {} agents, {:.1}% total device share, Cs = {:.1}% --",
-        units.len(),
-        total,
-        nmdb.cs(NodeId(2), &cfg)
-    );
-    let r = optimize_integral(&nmdb, &cfg, &units);
-    if r.feasible {
-        let mut moved = 0.0;
-        for m in &r.moves {
-            let a = &agents[m.unit];
-            println!(
-                "  agent {:24} ({:4.2}%) → node {}",
-                a.kind.name(),
-                units[m.unit].weight,
-                m.to.0
-            );
-            moved += units[m.unit].weight;
-        }
-        println!(
-            "  moved {:.2}% in {} units (continuous optimum would move exactly {:.2}%)",
-            moved,
-            r.moves.len(),
-            nmdb.cs(NodeId(2), &cfg)
-        );
-        println!("  integral beta = {:.6} (continuous beta = {:.6})", r.beta, p.beta);
-    } else {
-        println!("  no integral placement exists");
-    }
 }

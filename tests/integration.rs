@@ -161,55 +161,3 @@ fn success_classes_partition_iterations() {
     let (f, p, o) = tally.percentages();
     assert!((f + p + o - 100.0).abs() < 1e-9 || tally.comparable() == 0);
 }
-
-#[test]
-fn forecaster_predicts_overload_before_it_happens() {
-    // "The objective is to detect the potentially overloaded nodes (Busy
-    // node) while the node is not overloaded but efficiently utilized"
-    // (§IV-A): drive the DUT with ramping traffic, feed its CPU series to
-    // the trend forecaster, and check it projects the C_max crossing ahead
-    // of time.
-    use dust::telemetry::TrendForecaster;
-    let (graph, dut) = testbed_topology();
-    // ramp from idle to 20 % line rate over the run
-    let traffic = TrafficModel::Ramp { from: 0.0, to: 0.2, duration_ms: 120_000 };
-    let mut sim = Simulation::builder()
-        .graph(graph)
-        .nodes(dust::sim::scenarios::testbed_nodes(dut))
-        .traffic(traffic)
-        .dust(dust::sim::scenarios::testbed_dust_config())
-        .dust_enabled(false) // observe the undisturbed ramp
-        .duration_ms(120_000)
-        .build()
-        .expect("testbed knobs are consistent");
-    let report = sim.run();
-    let series = report.federation.store(dut).unwrap().series("device-cpu").unwrap();
-    let c_max = 25.0; // the calm reading crosses ~25 % mid-ramp
-    let mut forecaster = TrendForecaster::default_tuning();
-    let mut predicted_at: Option<u64> = None;
-    let mut crossed_at: Option<u64> = None;
-    for p in series.points() {
-        // skip the periodic aggregation-burst windows (30 s cadence, 2 s
-        // long): STAT smoothing would do this in production
-        if p.ts_ms % 30_000 < 2_000 {
-            continue;
-        }
-        forecaster.observe(p.ts_ms, p.value);
-        if crossed_at.is_none() && p.value >= c_max {
-            crossed_at = Some(p.ts_ms);
-        }
-        if predicted_at.is_none() && p.ts_ms > 10_000 {
-            if let Some(eta) = forecaster.ms_until(c_max) {
-                if eta > 0 && eta < 200_000 {
-                    predicted_at = Some(p.ts_ms);
-                }
-            }
-        }
-    }
-    let predicted = predicted_at.expect("forecaster must see the ramp coming");
-    let crossed = crossed_at.expect("the ramp must eventually cross");
-    assert!(
-        predicted + 5_000 < crossed,
-        "prediction at {predicted} ms must lead the crossing at {crossed} ms"
-    );
-}
