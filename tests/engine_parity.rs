@@ -30,6 +30,83 @@ fn run_scale_fleet(k: usize, duration_ms: u64, seed: u64, engine: EngineKind) ->
     scale_fleet_sim_on(k, duration_ms, seed, ObsHandle::disabled(), engine).run()
 }
 
+/// [`scale_fleet_sim_on`]'s fleet — every switch an appliance on the one
+/// interned deployment record — under any traffic model.
+fn scale_fleet_under(
+    k: usize,
+    duration_ms: u64,
+    seed: u64,
+    traffic: TrafficModel,
+    engine: EngineKind,
+) -> SimReport {
+    let ft = FatTree::new(k, Link::new(25_000.0, 0.2));
+    let appliance =
+        NodeSpec { cpu_cores: 4096.0, mem_gib: 4096.0, base_cpu_percent: 14.0, base_mem_gib: 9.6 };
+    let deployment = dust::sim::scenarios::scale_fleet_deployment();
+    let nodes = ft
+        .graph
+        .nodes()
+        .map(|n| SimNode::with_shared_agents(n, appliance, std::sync::Arc::clone(&deployment)))
+        .collect();
+    Simulation::builder()
+        .graph(ft.graph)
+        .nodes(nodes)
+        .traffic(traffic)
+        .dust(DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp))
+        .duration_ms(duration_ms)
+        .sample_period_ms(150)
+        .seed(seed)
+        .engine(engine)
+        .build()
+        .expect("scale knobs are consistent")
+        .run()
+}
+
+/// FNV-1a over every point of every series of every store, in node, name
+/// and time order: value bits, not values, so `-0.0` and NaN payloads count.
+fn federation_digest(fed: &Federation) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for n in fed.nodes() {
+        let db = fed.store(n).expect("listed stores exist");
+        eat(&n.0.to_le_bytes());
+        for name in db.series_names() {
+            eat(name.as_bytes());
+            eat(&[0xff]);
+            for p in db.series(name).expect("listed series exist").points() {
+                eat(&p.ts_ms.to_le_bytes());
+                eat(&p.value.to_bits().to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+/// The two federations hold the same stores, series and points, bit for bit.
+fn assert_federations_equal(label: &str, tick: &Federation, event: &Federation) {
+    let nodes = tick.nodes();
+    assert_eq!(nodes, event.nodes(), "{label}: federation topology diverges");
+    for n in nodes {
+        let (a, b) = (tick.store(n).unwrap(), event.store(n).unwrap());
+        assert_eq!(a.series_names(), b.series_names(), "{label}: {n:?} series sets diverge");
+        for name in a.series_names() {
+            let (pa, pb) = (a.series(name).unwrap().points(), b.series(name).unwrap().points());
+            assert_eq!(pa.len(), pb.len(), "{label}: {n:?} {name} point counts diverge");
+            for (x, y) in pa.iter().zip(pb) {
+                assert!(
+                    x.ts_ms == y.ts_ms && x.value.to_bits() == y.value.to_bits(),
+                    "{label}: {n:?} {name} diverges: tick {x:?} vs event {y:?}"
+                );
+            }
+        }
+    }
+    assert_eq!(federation_digest(tick), federation_digest(event), "{label}");
+}
+
 fn assert_obs_equal(scenario: &str, seed: u64, tick: &ObsHandle, event: &ObsHandle) {
     let tt = tick.trace_snapshot().unwrap();
     let te = event.trace_snapshot().unwrap();
@@ -160,6 +237,111 @@ fn scale_scenario_cores_agree() {
 }
 
 #[test]
+fn scale_fleet_contents_identical_across_cores() {
+    // Every node of the scale fleet shares one interned deployment, so the
+    // event core may price it once for all of them; the tick core walks
+    // every node at every event. Point for point, under constant traffic
+    // and under a ramp that moves the traffic fraction at every event.
+    let ramp = || TrafficModel::Ramp { from: 0.1, to: 0.9, duration_ms: 8_000 };
+    let mut digests = Vec::new();
+    for k in [4, 8] {
+        let tick = run_scale_fleet(k, 10_000, 5, EngineKind::Tick);
+        let event = run_scale_fleet(k, 10_000, 5, EngineKind::Event);
+        assert_federations_equal(&format!("k = {k} constant"), &tick.federation, &event.federation);
+        assert_eq!(tick.events_processed, event.events_processed, "k = {k}");
+        let mirror = scale_fleet_under(k, 10_000, 5, TrafficModel::testbed(), EngineKind::Event);
+        assert_eq!(federation_digest(&mirror.federation), federation_digest(&event.federation));
+        digests.push(federation_digest(&event.federation));
+
+        let tick = scale_fleet_under(k, 10_000, 5, ramp(), EngineKind::Tick);
+        let event = scale_fleet_under(k, 10_000, 5, ramp(), EngineKind::Event);
+        assert_federations_equal(&format!("k = {k} ramp"), &tick.federation, &event.federation);
+        assert_eq!(tick.events_processed, event.events_processed, "k = {k} ramp");
+        digests.push(federation_digest(&event.federation));
+    }
+    // k = 4 constant, k = 4 ramp, k = 8 constant, k = 8 ramp
+    let pinned = [
+        0x18da_1d92_941b_cf39,
+        0x3249_c08e_33ff_f689,
+        0x4b37_38c9_5e37_1d25,
+        0x2976_e845_61db_ba45,
+    ];
+    assert_eq!(digests, pinned);
+}
+
+/// A `k`-port fat-tree on two interned deployments that interleave in node
+/// order: edge switches are DUT-class and share the standard ten agents
+/// (Busy, so they offload), every other switch is a DPU sharing a
+/// two-agent record (a candidate, so it comes to host). Drift retunes one
+/// node's agents every 10 s, detaching it onto a private copy, and the
+/// traffic ramps, so no two events see the same fraction.
+fn mixed_shared_fleet(k: usize, seed: u64, engine: EngineKind, obs: ObsHandle) -> Simulation {
+    let ft = FatTree::new(k, Link::new(25_000.0, 0.2));
+    let edges = ft.tier_nodes(Tier::Edge);
+    let standard = std::sync::Arc::new(MonitorAgent::standard_deployment());
+    let light = std::sync::Arc::new(MonitorAgent::standard_deployment()[..2].to_vec());
+    let nodes = ft
+        .graph
+        .nodes()
+        .map(|n| {
+            if edges.contains(&n) {
+                SimNode::with_shared_agents(
+                    n,
+                    NodeSpec::aruba_8325(),
+                    std::sync::Arc::clone(&standard),
+                )
+            } else {
+                SimNode::with_shared_agents(n, NodeSpec::dpu(), std::sync::Arc::clone(&light))
+            }
+        })
+        .collect();
+    Simulation::builder()
+        .graph(ft.graph)
+        .nodes(nodes)
+        .traffic(TrafficModel::Ramp { from: 0.2, to: 0.5, duration_ms: 40_000 })
+        .dust(testbed_dust_config())
+        .duration_ms(60_000)
+        .sample_period_ms(500)
+        .drift(dust::sim::DriftConfig { period_ms: 10_000, ..Default::default() })
+        .seed(seed)
+        .engine(engine)
+        .obs(obs)
+        .build()
+        .expect("mixed fleet knobs are consistent")
+}
+
+#[test]
+fn mixed_shared_fleet_contents_identical_across_cores() {
+    // Nodes leave the shared record three ways — drift retunes them,
+    // offload moves their agents away, hosting adds someone else's — while
+    // their siblings keep sharing it. Both cores must record the same
+    // points through all of it.
+    let mut digests = Vec::new();
+    for seed in [3u64, 11] {
+        let (tick_obs, event_obs) = (ObsHandle::recording(seed), ObsHandle::recording(seed));
+        let mut tick_sim = mixed_shared_fleet(4, seed, EngineKind::Tick, tick_obs.clone());
+        let mut event_sim = mixed_shared_fleet(4, seed, EngineKind::Event, event_obs.clone());
+        let (tick, event) = (tick_sim.run(), event_sim.run());
+        assert_obs_equal("mixed fleet", seed, &tick_obs, &event_obs);
+        assert_federations_equal(&format!("seed {seed}"), &tick.federation, &event.federation);
+        assert_eq!(tick.transfers_applied, event.transfers_applied, "seed {seed}");
+        assert_eq!(tick.events_processed, event.events_processed, "seed {seed}");
+        digests.push(federation_digest(&event.federation));
+
+        // the run really went down every path
+        let nodes = event_sim.nodes();
+        assert!(event.transfers_applied > 0, "seed {seed}: nobody offloaded");
+        assert!(nodes.iter().any(|n| !n.hosted_agents.is_empty()), "seed {seed}: nobody hosts");
+        assert!(nodes.iter().any(|n| !n.agents_interned()), "seed {seed}: nobody detached");
+        assert!(
+            nodes.iter().any(|n| n.agents_interned() && n.hosted_agents.is_empty()),
+            "seed {seed}: nobody still shares a record"
+        );
+    }
+    assert_eq!(digests, [0x832d_2170_3801_a4bf, 0x754b_50cb_0b6d_7602]);
+}
+
+#[test]
 fn scale_fleet_k90_shape_is_pinned() {
     // The `fleet_sim_k90` benchmark workload, event core. The benchmark
     // only checks that this shape repeats run to run; the numbers
@@ -182,4 +364,6 @@ fn scale_fleet_k90_shape_is_pinned() {
             assert_eq!(db.series(name).unwrap().len(), 67, "{n:?} {name}");
         }
     }
+    // and every one of those points, bit for bit
+    assert_eq!(federation_digest(fed), 0x45c2_4569_25f7_bde5);
 }
