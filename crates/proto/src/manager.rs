@@ -1124,14 +1124,17 @@ impl Manager {
     /// Choose a replica destination: the capable node with the most recent
     /// STAT headroom below `CO_max`, excluding the failed node. Nodes whose
     /// last STAT is older than the keepalive timeout are presumed dead and
-    /// skipped — a stale record must not become the replica.
+    /// skipped — a stale record must not become the replica. A registrant
+    /// the topology does not have has no route, so it is never a candidate
+    /// (the rule [`Manager::busy_detected`] applies).
     fn pick_replacement(&self, now_ms: u64, failed: NodeId, amount: f64) -> Option<NodeId> {
         let committed = |n: NodeId| -> f64 {
             self.hostings.values().filter(|h| h.to == n).map(|h| h.amount).sum()
         };
+        let nodes = self.graph.node_count();
         self.registry
             .iter()
-            .filter(|(n, rec)| **n != failed && rec.capable)
+            .filter(|(n, rec)| n.index() < nodes && **n != failed && rec.capable)
             .filter_map(|(n, rec)| rec.last_stat.map(|(t, u, _)| (*n, t, u)))
             .filter(|(_, t, _)| now_ms.saturating_sub(*t) <= self.keepalive_timeout_ms)
             .map(|(n, _, u)| (n, u))
@@ -1388,6 +1391,29 @@ mod tests {
         // hosting re-homed to node 2
         assert!(m.hostings().values().any(|h| h.to == NodeId(2)));
         assert!(!m.hostings().values().any(|h| h.to == NodeId(1)));
+    }
+
+    #[test]
+    fn a_replica_is_never_picked_off_the_fabric() {
+        let mut m = manager_on_line(4);
+        register_and_stat(&mut m, NodeId(0), 90.0); // busy
+        register_and_stat(&mut m, NodeId(1), 20.0); // destination
+        let (_, msgs) = m.run_placement(0);
+        let req = first_request(&msgs);
+        m.handle(10, &ClientMsg::OffloadAck { node: NodeId(1), request: req, accept: true });
+        m.handle(500, &ClientMsg::Keepalive { node: NodeId(1) });
+        // a node the topology does not have reports the lightest load; a
+        // real one reports a little more
+        register_and_stat(&mut m, NodeId(99), 1.0);
+        register_and_stat(&mut m, NodeId(2), 10.0);
+        m.handle(4000, &ClientMsg::Stat { node: NodeId(99), utilization: 1.0, data_mb: 50.0 });
+        m.handle(4000, &ClientMsg::Stat { node: NodeId(2), utilization: 10.0, data_mb: 50.0 });
+        // node 1 is silent past the timeout: the REP (and its route) goes
+        // to the lightest node on the fabric
+        let out = m.tick(4500);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].to, NodeId(2));
+        assert!(matches!(&out[0].msg, ManagerMsg::Rep { route: Some(_), .. }), "{:?}", out[0]);
     }
 
     #[test]

@@ -186,6 +186,18 @@ impl SimNode {
         matches!(self.local_agents, AgentStore::Shared(_))
     }
 
+    /// The interned record that is this node's *whole* agent walk: its
+    /// local agents are still shared and it hosts nobody else's. Nodes
+    /// returning the same `Arc` get bit-identical [`SimNode::raw_agent_cpu`],
+    /// [`SimNode::data_mb`] and [`SimNode::agent_mem_gib`], so one walk of
+    /// the record prices them all.
+    pub fn shared_deployment(&self) -> Option<&Arc<Vec<MonitorAgent>>> {
+        match &self.local_agents {
+            AgentStore::Shared(record) if self.hosted_agents.is_empty() => Some(record),
+            _ => None,
+        }
+    }
+
     /// Current agent-list epoch: changes whenever a cached derivation of
     /// the agent lists (CPU sum, memory, data volume) could be stale.
     pub fn agents_epoch(&self) -> u64 {
@@ -201,7 +213,7 @@ impl SimNode {
     /// Raw agent CPU sum in percent of one core at `traffic_fraction` —
     /// local agents then hosted agents, before engine overhead and bursts.
     /// This is the expensive per-agent walk the event core caches per
-    /// [`SimNode::agents_epoch`].
+    /// [`SimNode::agents_epoch`], and per [`SimNode::shared_deployment`].
     pub fn raw_agent_cpu(&self, traffic_fraction: f64) -> f64 {
         self.local_agents
             .as_slice()
@@ -250,18 +262,29 @@ impl SimNode {
         self.device_cpu_from_raw(self.raw_agent_cpu(traffic_fraction), now_ms)
     }
 
-    /// Device memory utilization percent.
-    pub fn device_mem_percent(&self) -> f64 {
-        let agents_gib: f64 = self
-            .local_agents
+    /// Memory the agents take with their engine, GiB — local agents then
+    /// hosted agents: the per-agent walk of [`SimNode::device_mem_percent`].
+    pub fn agent_mem_gib(&self) -> f64 {
+        self.local_agents
             .as_slice()
             .iter()
             .chain(self.hosted_agents.iter().map(|(_, a)| a))
             .map(|a| a.kind.mem_mib() / 1024.0)
             .sum::<f64>()
-            * 1.3; // engine + TSDB overhead
+            * 1.3 // engine + TSDB overhead
+    }
+
+    /// Device memory from a precomputed [`SimNode::agent_mem_gib`]
+    /// (cached-path variant of [`SimNode::device_mem_percent`]; identical
+    /// arithmetic).
+    pub fn device_mem_from_agents(&self, agents_gib: f64) -> f64 {
         let stub = if self.offloaded_agents.is_empty() { 0.0 } else { OFFLOAD_STUB_MEM_GIB };
         ((self.spec.base_mem_gib + agents_gib + stub) / self.spec.mem_gib * 100.0).min(100.0)
+    }
+
+    /// Device memory utilization percent.
+    pub fn device_mem_percent(&self) -> f64 {
+        self.device_mem_from_agents(self.agent_mem_gib())
     }
 
     /// Telemetry data volume this node must ship per interval if its local
@@ -558,6 +581,22 @@ mod tests {
         assert_eq!(record.len(), 10);
         assert_eq!(b.local_agents().len(), 10);
         assert_eq!(a.local_agents().len() + moved.len(), 10);
+    }
+
+    #[test]
+    fn a_node_is_its_shared_deployment_until_it_detaches_or_hosts() {
+        let record = Arc::new(MonitorAgent::standard_deployment());
+        let on =
+            |id| SimNode::with_shared_agents(NodeId(id), NodeSpec::server(), Arc::clone(&record));
+        let shared = on(0);
+        assert!(shared.shared_deployment().is_some_and(|r| Arc::ptr_eq(r, &record)));
+        assert!(dut().shared_deployment().is_none(), "owned agents are nobody's record");
+        let mut hosting = on(1);
+        hosting.host_agents(NodeId(7), &MonitorAgent::standard_deployment()[..1]);
+        assert!(hosting.agents_interned() && hosting.shared_deployment().is_none());
+        let mut detached = on(2);
+        detached.local_agents_mut()[0].sampling = None;
+        assert!(detached.shared_deployment().is_none());
     }
 
     #[test]
