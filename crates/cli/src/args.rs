@@ -3,7 +3,7 @@
 //!
 //! `sim`, `trace`, and `spans` accept the same run flags — what to run
 //! (`--scenario`, or the fault profile `--loss`/`--dup`/`--delay`/
-//! `--jitter`) and its shape (`--duration`/`--seed`/`--engine`) — so one
+//! `--jitter`) and its shape (`--duration`/`--seed`) — so one
 //! parser owns that grammar and each command declares only its extras.
 //! `profile`, `place` and the file commands have their own parsers; all
 //! four read values through one typed `value` helper, so a flag means the
@@ -12,7 +12,6 @@
 //! usage text and exits 2.
 
 use crate::commands::{Options, PlaceOptions, ProfileOptions, SimOptions};
-use dust::sim::EngineKind;
 use std::slice::Iter;
 use std::str::FromStr;
 
@@ -22,10 +21,6 @@ use std::str::FromStr;
 fn value<T: FromStr>(it: &mut Iter<String>, flag: &str) -> Result<T, String> {
     let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
     v.parse().map_err(|_| format!("{flag}: invalid number {v:?}"))
-}
-
-fn engine(it: &mut Iter<String>) -> Result<EngineKind, String> {
-    EngineKind::parse(&value::<String>(it, "--engine")?)
 }
 
 /// The threshold/routing flags every placement command shares. `Ok(false)`
@@ -116,7 +111,6 @@ pub fn parse_sim_invocation(
                 s.duration_explicit = true;
             }
             "--seed" => s.seed = value(&mut it, a)?,
-            "--engine" => s.engine = engine(&mut it)?,
             // -- sim only -------------------------------------------------
             "--sweep" if sim => s.sweep = true,
             "--profile" if sim => s.profile = Some(value(&mut it, a)?),
@@ -148,7 +142,6 @@ pub fn parse_profile_invocation(args: &[String]) -> Result<(String, ProfileOptio
         match a.as_str() {
             "--seed" => p.seed = value(&mut it, a)?,
             "--duration" => p.duration_ms = Some(value(&mut it, a)?),
-            "--engine" => p.engine = engine(&mut it)?,
             "--out" => p.out = Some(value(&mut it, a)?),
             other => return Err(format!("unknown profile option {other:?}")),
         }
@@ -226,7 +219,6 @@ mod tests {
     fn defaults_when_no_flags() {
         let inv = parse_sim_invocation(SimCommandKind::Sim, &[]).unwrap();
         assert_eq!(inv.opts.duration_ms, 120_000);
-        assert_eq!(inv.opts.engine, EngineKind::Event);
         assert!(!inv.full && inv.flow.is_none() && inv.phase.is_none());
     }
 
@@ -245,14 +237,6 @@ mod tests {
             assert_eq!(inv.opts.duration_ms, 60_000);
             assert_eq!(inv.opts.seed, 7);
         }
-    }
-
-    #[test]
-    fn engine_flag_selects_the_tick_core() {
-        let inv = parse_sim_invocation(SimCommandKind::Trace, &argv("--engine tick")).unwrap();
-        assert_eq!(inv.opts.engine, EngineKind::Tick);
-        let err = parse_sim_invocation(SimCommandKind::Sim, &argv("--engine warp")).unwrap_err();
-        assert!(err.contains("unknown engine"), "{err}");
     }
 
     #[test]
@@ -337,12 +321,11 @@ mod tests {
 
     #[test]
     fn profile_place_and_file_grammars_parse_and_reject() {
-        let (name, p) = parse_profile_invocation(&argv(
-            "scale_fleet --seed 3 --duration 2000 --engine tick --out p.folded",
-        ))
-        .unwrap();
+        let (name, p) =
+            parse_profile_invocation(&argv("scale_fleet --seed 3 --duration 2000 --out p.folded"))
+                .unwrap();
         assert_eq!(name, "scale_fleet");
-        assert_eq!((p.seed, p.duration_ms, p.engine), (3, Some(2000), EngineKind::Tick));
+        assert_eq!((p.seed, p.duration_ms), (3, Some(2000)));
         assert_eq!(p.out.as_deref(), Some("p.folded"));
         for no_name in ["", "--seed 3"] {
             let err = parse_profile_invocation(&argv(no_name)).unwrap_err();

@@ -105,10 +105,6 @@ pub struct SimOptions {
     /// Deliberately corrupt the first run's agent census after the fact
     /// so the invariant check (and post-mortem path) demonstrably fires.
     pub inject_breach: bool,
-    /// Which simulation core runs the scenario. The default event core
-    /// and the legacy tick core produce byte-identical output for the
-    /// same flags; `--engine tick` exists to prove it.
-    pub engine: EngineKind,
     /// Run a named registry scenario instead of the chaos ladder
     /// (`--scenario help` lists the registry). Mutually exclusive with
     /// the fault flags, `--sweep`, and `--inject-breach`.
@@ -139,7 +135,6 @@ impl Default for SimOptions {
             slo: None,
             postmortem: None,
             inject_breach: false,
-            engine: EngineKind::default(),
             scenario: None,
             duration_explicit: false,
             profile: None,
@@ -221,7 +216,6 @@ impl SimOptions {
             // a scenario keeps its own default duration unless --duration was passed
             duration_ms: (self.duration_explicit || self.scenario.is_none())
                 .then_some(self.duration_ms),
-            engine: self.engine,
             slo: slo.clone(),
             profile: self.profile.is_some(),
         };
@@ -994,8 +988,6 @@ pub struct ProfileOptions {
     pub seed: u64,
     /// Simulated-duration override, ms (`None` = the scenario default).
     pub duration_ms: Option<u64>,
-    /// Which simulation core to profile.
-    pub engine: EngineKind,
     /// Write the artifact to this path instead of stdout.
     pub out: Option<String>,
 }
@@ -1030,7 +1022,6 @@ pub fn cmd_profile(name: &str, opts: &ProfileOptions) -> Result<String, String> 
         target,
         seed: opts.seed,
         duration_ms: opts.duration_ms,
-        engine: opts.engine,
         slo: None,
         profile: true,
     })?;
@@ -1038,13 +1029,12 @@ pub fn cmd_profile(name: &str, opts: &ProfileOptions) -> Result<String, String> 
         unreachable!("scenario and fleet runs produce a SimReport")
     };
     let mut out = format!(
-        "profile: {}, seed {}, engine {}, {:.0}s simulated, {} events\n",
+        "profile: {}, seed {}, engine event, {:.0}s simulated, {} events\n",
         match target {
             Target::Scenario(sc) => sc.name.to_string(),
             other => other.label(),
         },
         opts.seed,
-        opts.engine,
         run.duration_ms as f64 / 1000.0,
         report.events_processed,
     );
@@ -1514,6 +1504,17 @@ mod tests {
         let err = cmd_profile("figment", &ProfileOptions::default()).unwrap_err();
         assert!(err.contains("unknown scenario"), "{err}");
         assert!(err.contains("scale_fleet"), "{err}");
+    }
+
+    #[test]
+    fn profile_rejects_a_zero_duration_on_every_target() {
+        // the fleet is built through the same validating builder as a
+        // registry scenario, so a bad knob is a typed error, not a panic
+        let o = ProfileOptions { duration_ms: Some(0), ..Default::default() };
+        for name in ["scale_fleet", "testbed"] {
+            let err = cmd_profile(name, &o).unwrap_err();
+            assert!(err.contains("duration_ms must be positive"), "{name}: {err}");
+        }
     }
 
     #[test]

@@ -85,8 +85,6 @@ model comes from exactly one of --scenario, --sweep, or the fault flags):
   --jitter MS   extra uniform delay in 0..=MS, reorders messages (default 0)
   --duration MS simulated time (default 120000, or the scenario's own)
   --seed N      master seed (default 0)
-  --engine NAME simulation core: event (default) or tick; both produce
-                byte-identical output for the same flags
 
 sim options (plus the run options above):
   --sweep       sweep loss 0/5/10/20/40% instead of one fault-flag run
@@ -113,7 +111,6 @@ sim options (plus the run options above):
 profile options:
   --seed N      master seed (default 0)
   --duration MS override the scenario's default simulated time
-  --engine NAME simulation core to profile: event (default) or tick
   --out PATH    write the artifact to PATH instead of stdout
 
 trace options: the run options above, plus

@@ -54,7 +54,6 @@ pub struct RunSpec {
     pub seed: u64,
     /// `None` = the target's default.
     pub duration_ms: Option<u64>,
-    pub engine: EngineKind,
     /// Attaches an SLO engine to a fault run; replaces a scenario's spec.
     pub slo: Option<SloSpec>,
     /// Turn the wall-clock profiler on.
@@ -101,7 +100,6 @@ pub fn run(spec: &RunSpec) -> Result<Run, String> {
     let knobs = ScenarioKnobs {
         duration_ms: spec.duration_ms,
         seed: spec.seed,
-        engine: spec.engine,
         obs: obs.clone(),
         slo_override: spec.slo.clone(),
     };
@@ -117,8 +115,9 @@ pub fn run(spec: &RunSpec) -> Result<Run, String> {
         }
         Target::ScaleFleet => {
             let duration = spec.duration_ms.unwrap_or(PROFILE_FLEET_DURATION_MS);
-            let mut sim =
-                scale_fleet_sim_on(PROFILE_FLEET_K, duration, spec.seed, obs.clone(), spec.engine);
+            let mut sim = scale_fleet_builder(PROFILE_FLEET_K, duration, spec.seed, obs.clone())
+                .build()
+                .map_err(|e| e.to_string())?;
             (Outcome::Report(sim.run()), None, duration)
         }
     };

@@ -65,11 +65,11 @@ pub mod prelude {
     };
     pub use dust_proto::{Client, ClientMsg, Envelope, Manager, ManagerMsg, Priority, RequestId};
     pub use dust_sim::{
-        evaluate_flows, fig1_curve, fig6_contrast, fleet, registry, scale_fleet_sim_on,
-        testbed_dust_config, testbed_nodes, testbed_topology, ChaosResult, EngineKind, FaultConfig,
-        FaultProfile, FlowOutcome, NodeSpec, Scenario, ScenarioKnobs, ScenarioRun, SimBuilder,
-        SimConfig, SimNode, SimReport, Simulation, StormConfig, TelemetryFlow, TrafficModel,
-        Transport,
+        evaluate_flows, fig1_curve, fig6_contrast, fleet, registry, scale_fleet_builder,
+        scale_fleet_sim_on, testbed_dust_config, testbed_nodes, testbed_topology, ChaosResult,
+        EngineKind, FaultConfig, FaultProfile, FlowOutcome, NodeSpec, Scenario, ScenarioKnobs,
+        ScenarioRun, SimBuilder, SimConfig, SimNode, SimReport, Simulation, StormConfig,
+        TelemetryFlow, TrafficModel, Transport,
     };
     pub use dust_telemetry::{
         aggregate_load, compress, decompress, AgentKind, Federation, MonitorAgent, Series,

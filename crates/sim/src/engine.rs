@@ -14,36 +14,16 @@
 
 use std::collections::{BinaryHeap, HashSet};
 
-/// Which simulation core drives a [`crate::Simulation`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The simulation core, [`crate::event`] — the only one there is.
+///
+/// It selects nothing. It survives only as the last parameter of
+/// [`crate::scale_fleet_sim_on`], because the benchmark passes
+/// `EngineKind::Event` there and must build unedited; dropping the
+/// parameter, and this type with it, is an edit to the benchmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The event-driven core: identical observable behaviour to the tick
-    /// core, with per-event-time batching and arena-backed hot state.
-    #[default]
+    /// The event-driven core.
     Event,
-    /// The legacy fixed-cadence core, kept as the compatibility reference
-    /// that pins the event core's golden digests.
-    Tick,
-}
-
-impl EngineKind {
-    /// Parse a CLI-style engine name.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "event" => Ok(EngineKind::Event),
-            "tick" => Ok(EngineKind::Tick),
-            other => Err(format!("unknown engine '{other}' (expected 'event' or 'tick')")),
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EngineKind::Event => "event",
-            EngineKind::Tick => "tick",
-        })
-    }
 }
 
 /// A pending event of type `E` at a point in simulated time.
@@ -301,14 +281,5 @@ mod tests {
         assert_eq!(order, vec![(15, "middle"), (30, "expiry")]);
         let mut q2: EventQueue<&str> = EventQueue::new();
         assert!(q2.reschedule(t2, 40, "gone").is_none(), "fired token cannot move");
-    }
-
-    #[test]
-    fn engine_kind_parses_and_displays() {
-        assert_eq!(EngineKind::parse("tick").unwrap(), EngineKind::Tick);
-        assert_eq!(EngineKind::parse("event").unwrap(), EngineKind::Event);
-        assert!(EngineKind::parse("warp").is_err());
-        assert_eq!(EngineKind::default().to_string(), "event");
-        assert_eq!(EngineKind::Tick.to_string(), "tick");
     }
 }

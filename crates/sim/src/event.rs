@@ -1,27 +1,30 @@
-//! The event-driven simulation core.
+//! The simulation core.
 //!
-//! Processes exactly the same typed `SimEvent` sequence as the tick
-//! core in [`crate::runner`] — same `(time, seq)` order, same protocol
-//! calls, same observability emissions — so golden-trace digests,
-//! `--metrics-json` output, and every recorded metric series are
-//! bit-identical between the two. The speed comes from *how* each
-//! handler computes, never from reordering *what* happens:
+//! Pops the typed `SimEvent` sequence in `(time, seq)` order and
+//! dispatches it to the handlers on [`Simulation`] in [`crate::runner`].
+//! Its contract is with the pure per-node functions on [`SimNode`] —
+//! [`SimNode::device_cpu_percent`], [`SimNode::device_mem_percent`],
+//! [`SimNode::data_mb`] and [`SimNode::monitoring_cpu_core_percent`]:
+//! every value a run records or reports is bit-identical to what those
+//! return for the same node, traffic and time, however this core caches
+//! it. The speed comes from *how* each handler computes, never from
+//! reordering *what* happens:
 //!
-//! * **Lazy link application.** The tick core re-rolls a per-edge RNG
-//!   over the whole graph at every STAT emission
-//!   ([`crate::TrafficModel::apply_to_links`] is a pure function of
-//!   `(seed, time)`). The simulation's own view of the graph is only ever
-//!   read by flow evaluation at sample points, so the event core just
-//!   records the last emission time and applies it on demand — an O(E)
-//!   pass per *flow-bearing sample* instead of per emission, and never
-//!   when no telemetry flow is routed (in which case the simulation never
-//!   writes to the topology and goes on sharing the Manager's).
+//! * **Lazy link application.** A STAT emission sets every link's load
+//!   ([`crate::TrafficModel::apply_to_links`], a pure function of
+//!   `(seed, time)` that re-rolls a per-edge RNG over the whole graph).
+//!   The simulation's own view of the graph is only ever read by flow
+//!   evaluation at sample points, so the core records the last emission
+//!   time and applies it on demand — an O(E) pass per *flow-bearing
+//!   sample* instead of per emission, and never when no telemetry flow is
+//!   routed (in which case the simulation never writes to the topology
+//!   and goes on sharing the Manager's).
 //! * **Epoch-keyed node caches.** Per-agent CPU/memory walks are cached
 //!   per node, keyed on [`SimNode::agents_epoch`] and the traffic
 //!   fraction's bit pattern; only the burst-window arithmetic (a pure
 //!   function of the cached sum and `now`) runs per event. The shared
 //!   `*_from_raw` / `*_from_agents` helpers on [`SimNode`] keep the
-//!   arithmetic bit-identical with the uncached path.
+//!   arithmetic bit-identical with the pure functions.
 //! * **One walk per shared deployment.** A node whose whole walk is an
 //!   interned record ([`SimNode::shared_deployment`]) fills its cache from
 //!   a per-record memo instead of walking: every node of a fleet class
@@ -210,9 +213,7 @@ impl HotState {
     }
 }
 
-/// Run `sim` to completion on the event core. Called from
-/// [`Simulation::run`] when the configured engine is
-/// [`crate::engine::EngineKind::Event`].
+/// Run `sim` to completion; [`Simulation::run`] is its entry point.
 pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
     let mut report = Simulation::empty_report();
     let mut q: EventQueue<SimEvent> = EventQueue::new();
@@ -234,8 +235,9 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
         match ev.event {
             SimEvent::StatEmission => {
                 let traffic = sim.traffic.fraction(now);
-                // The tick core applies link jitter here; nothing below
-                // reads the graph, so note the time and move on.
+                // This emission's link load: nothing below reads the
+                // graph, so note the time and apply it before the next
+                // flow evaluation.
                 hot.links_pending = Some(now);
                 let walk = sim.obs.prof_scope("sim.resource_walk");
                 for i in 0..sim.nodes.len() {

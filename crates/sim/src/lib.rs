@@ -3,12 +3,10 @@
 //! Substitutes the paper's physical prototype — a VxLAN data-center
 //! topology of commercial switches — with a deterministic simulation:
 //!
-//! * [`engine`] — a deterministic event queue with cancelable timers and
-//!   the [`engine::EngineKind`] core selector;
+//! * [`engine`] — a deterministic event queue with cancelable timers;
 //! * [`builder`] — validating construction ([`Simulation::builder`]);
-//! * [`event`] — the event-driven core: identical observable behaviour
-//!   to the tick core, with per-event-time batching and arena-backed
-//!   hot state;
+//! * [`event`] — the simulation core: the event loop, with per-event-time
+//!   batching, per-node caches and arena-backed hot state;
 //! * [`node`] — the device resource model (Aruba-8325-class DUT, servers,
 //!   DPUs) where CPU/memory derive from which monitor agents run where;
 //! * [`traffic`] — VxLAN overlay traffic profiles projected onto links;
@@ -23,8 +21,8 @@
 //!   `zone_storm`, `churn`) as a [`registry::Scenario`] descriptor carrying
 //!   its own SLO spec, the fault-parameterized [`registry::chaos`] run,
 //!   and the Fig. 1 / Fig. 6 experiment helpers. A run is named by one
-//!   [`registry::ScenarioKnobs`] value (seed, duration, core, observer,
-//!   SLO override).
+//!   [`registry::ScenarioKnobs`] value (seed, duration, observer, SLO
+//!   override).
 //!
 //! # Example
 //!
@@ -62,8 +60,8 @@ pub use node::{NodeSpec, SimNode};
 pub use registry::{fig1_curve, fig6_contrast, Scenario, ScenarioKnobs, ScenarioRun};
 pub use runner::{series, DriftConfig, SimConfig, SimReport, Simulation, StormConfig};
 pub use scenarios::{
-    congestion, fleet, scale_fleet_sim_on, testbed_dust_config, testbed_nodes, testbed_topology,
-    ChaosResult, CongestionResult, Fig1Row, Fig6Result, FleetResult,
+    congestion, fleet, scale_fleet_builder, scale_fleet_sim_on, testbed_dust_config, testbed_nodes,
+    testbed_topology, ChaosResult, CongestionResult, Fig1Row, Fig6Result, FleetResult,
 };
 pub use traffic::TrafficModel;
 pub use transport::{Direction, FaultConfig, FaultProfile, Transport, TransportStats};

@@ -6,7 +6,7 @@
 //! entry is simultaneously a reproducible experiment and a pass/fail
 //! gate: [`Scenario::run`] always attaches an online [`SloEngine`] for
 //! the entry's spec (override it via [`ScenarioKnobs::slo_override`]),
-//! and a run is bit-identical per `(seed, duration, engine)` — the CI
+//! and a run is bit-identical per `(seed, duration)` — the CI
 //! chaos gate diffs two `dustctl sim --scenario <name> --metrics-json`
 //! invocations byte-for-byte.
 //!
@@ -30,7 +30,6 @@
 //! here too.
 
 use crate::builder::SimBuilder;
-use crate::engine::EngineKind;
 use crate::node::SimNode;
 use crate::runner::{DriftConfig, SimReport, Simulation, StormConfig};
 use crate::scenarios::{
@@ -53,8 +52,6 @@ pub struct ScenarioKnobs {
     pub duration_ms: Option<u64>,
     /// Master seed.
     pub seed: u64,
-    /// Which simulation core runs it (both produce identical output).
-    pub engine: EngineKind,
     /// Observability sink ([`ObsHandle::disabled`] for a plain run).
     pub obs: ObsHandle,
     /// Evaluate this spec instead of the scenario's attached one.
@@ -241,7 +238,6 @@ pub(crate) fn offload_builder(
         .duration_ms(duration)
         .seed(knobs.seed)
         .full_monitoring_offload(true)
-        .engine(knobs.engine)
         .obs(knobs.obs.clone())
 }
 
@@ -617,34 +613,27 @@ mod tests {
     }
 
     #[test]
-    fn churn_is_identical_across_cores_and_pinned_at_seed_42() {
+    fn churn_is_pinned_at_seed_42() {
         let sc = find("churn").unwrap();
-        let run_on = |engine: EngineKind| {
-            let knobs = ScenarioKnobs {
-                obs: ObsHandle::recording(42),
-                engine,
-                duration_ms: Some(60_000),
-                ..ScenarioKnobs::seeded(42)
-            };
-            sc.run(&knobs).unwrap();
-            (knobs.obs.digest().unwrap(), knobs.obs.metrics().unwrap().to_json())
+        let knobs = ScenarioKnobs {
+            obs: ObsHandle::recording(42),
+            duration_ms: Some(60_000),
+            ..ScenarioKnobs::seeded(42)
         };
-        let (tick_digest, tick_metrics) = run_on(EngineKind::Tick);
-        let (event_digest, event_metrics) = run_on(EngineKind::Event);
-        assert_eq!(tick_digest, event_digest, "churn must be core-agnostic");
-        assert_eq!(tick_metrics, event_metrics, "churn metrics must be core-agnostic");
+        sc.run(&knobs).unwrap();
+        let digest = knobs.obs.digest().unwrap();
         // Golden digest: any change to the churn event stream (drift
         // draws, delta-round decisions, re-home ordering) must be a
         // conscious one — regenerate with
-        //   dustctl sim --scenario churn --seed 42 --duration-ms 60000 --trace-digest
+        //   dustctl trace --scenario churn --seed 42 --duration 60000
         assert_eq!(
-            format!("{tick_digest:016x}"),
+            format!("{digest:016x}"),
             CHURN_GOLDEN_DIGEST_SEED42,
             "churn@42 golden digest moved"
         );
     }
 
-    /// Pinned by `churn_is_identical_across_cores_and_pinned_at_seed_42`.
+    /// Pinned by `churn_is_pinned_at_seed_42`.
     const CHURN_GOLDEN_DIGEST_SEED42: &str = "c9f9ba6ee7db0c4a";
 
     #[test]

@@ -18,18 +18,16 @@
 //! `SimEvent::DeliverManager` events, so delayed copies interleave with
 //! the periodic events exactly as wall-clock delivery would.
 //!
-//! Two interchangeable cores drive the run ([`SimConfig::engine`]):
-//! the legacy fixed-cadence **tick** core in this module, and the
-//! **event** core in [`crate::event`], which processes the *same* typed
-//! event sequence — `SimEvent::StatEmission`, offer expiry/backoff
-//! maintenance, fault-injected delivery, transfer completion, node
-//! kill/revive, and SLO evaluation — but batches telemetry cost updates
-//! per event-time and keeps hot per-node/per-flow state in arenas. The
-//! two cores are pinned bit-for-bit against each other by the golden
-//! trace digests and the `engine_parity` test suite.
+//! This module holds the state and the per-event handlers; the loop that
+//! pops the typed event sequence — `SimEvent::StatEmission`, offer
+//! expiry/backoff maintenance, fault-injected delivery, transfer
+//! completion, node kill/revive, and SLO evaluation — and dispatches it is
+//! the event core in [`crate::event`], which batches telemetry cost
+//! updates per event time and keeps hot per-node/per-flow state in arenas.
+//! What a run leaves behind is pinned by the golden trace digests and the
+//! per-run fingerprints in `tests/golden_trace.rs`.
 
-use crate::engine::{EngineKind, EventQueue};
-use crate::flows::{evaluate_flows, TelemetryFlow};
+use crate::engine::EventQueue;
 use crate::node::SimNode;
 use crate::traffic::TrafficModel;
 use crate::transport::{Direction, FaultConfig, Transport};
@@ -75,7 +73,7 @@ pub struct StormConfig {
 /// per-packet sampling fraction of one seeded node's local agents,
 /// shifting the data volume (`D_i`) its STATs report. Every draw comes
 /// from a SplitMix64 keyed on `(seed, now)`, so a run is bit-identical
-/// across cores and across repeats.
+/// across repeats.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Drift cadence, ms.
@@ -153,8 +151,6 @@ pub struct SimConfig {
     pub delta_full_every: u64,
     /// Master seed.
     pub seed: u64,
-    /// Which simulation core runs this configuration.
-    pub engine: EngineKind,
 }
 
 impl Default for SimConfig {
@@ -177,13 +173,12 @@ impl Default for SimConfig {
             delta_threshold: None,
             delta_full_every: 8,
             seed: 0,
-            engine: EngineKind::default(),
         }
     }
 }
 
-/// The typed events driving a simulation run. Both cores process the same
-/// sequence in the same `(time, seq)` order.
+/// The typed events driving a simulation run, processed in `(time, seq)`
+/// order.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum SimEvent {
     /// The fleet's STAT emission point: every live client observes its
@@ -216,9 +211,8 @@ pub(crate) enum SimEvent {
 }
 
 impl SimEvent {
-    /// Profiling scope name for this event kind, shared by both cores so
-    /// the per-kind self-time contrast in a profile compares like with
-    /// like (`dustctl profile`, EXPERIMENTS engine-core table).
+    /// Profiling scope name for this event kind (`dustctl profile`
+    /// attributes self-time per kind under it).
     pub(crate) fn scope_name(&self) -> &'static str {
         match self {
             SimEvent::StatEmission => "sim.event.stat_emission",
@@ -235,9 +229,8 @@ impl SimEvent {
     }
 }
 
-/// Names of the series a run records into [`SimReport::federation`] —
-/// the one place both cores take them from, so the event core's handle
-/// table and the tick core's by-name appends cannot drift apart.
+/// Names of the series a run records into [`SimReport::federation`] — the
+/// one place the simulator and its readers take them from.
 pub mod series {
     /// Device CPU, percent — every node, every sample.
     pub const DEVICE_CPU: &str = "device-cpu";
@@ -287,9 +280,9 @@ pub struct SimReport {
     /// Final simulated time, ms.
     pub end_ms: u64,
     /// Units of simulation work processed: queue events popped plus
-    /// messages delivered inline on an ideal wire. Identical for both
-    /// cores at the same configuration — a determinism cross-check and
-    /// the denominator of `dust-bench`'s events/sec.
+    /// messages delivered inline on an ideal wire. A pure function of the
+    /// configuration — a determinism cross-check and the denominator of
+    /// the benchmark's events/sec (`fleet_sim_k90`).
     pub events_processed: u64,
     /// Peak number of pending events observed in the queue.
     pub peak_queue_len: usize,
@@ -337,7 +330,7 @@ pub struct Simulation {
     pub(crate) dead: HashSet<NodeId>,
     /// Accepted transfers by request id. A `BTreeMap` so iteration order
     /// (flow evaluation, stale-transfer supersede traces) is a pure
-    /// function of contents — identical across cores and across runs.
+    /// function of contents — identical across runs.
     pub(crate) active: BTreeMap<RequestId, Transfer>,
     /// Bumped whenever `active` changes; the event core's flow arena
     /// rebuilds only when this moves.
@@ -724,10 +717,9 @@ impl Simulation {
         }
     }
 
-    /// Seed the queue exactly as both cores must see it: registrations
-    /// delivered at t = 0, then the periodic events, then injected kills
-    /// and revivals — the relative `seq` order at equal timestamps is part
-    /// of the determinism contract.
+    /// Seed the queue: registrations delivered at t = 0, then the periodic
+    /// events, then injected kills and revivals — the relative `seq` order
+    /// at equal timestamps is part of the determinism contract.
     pub(crate) fn seed_queue(&mut self, q: &mut EventQueue<SimEvent>, report: &mut SimReport) {
         // Registration at t = 0: every client announces itself. Lost
         // registrations are retransmitted by the client on its next ticks.
@@ -753,7 +745,7 @@ impl Simulation {
     }
 
     /// Manager timer maintenance (offer expiry/backoff, keepalive
-    /// timeouts → REP). Shared by both cores.
+    /// timeouts → REP).
     pub(crate) fn handle_offer_maintenance(
         &mut self,
         now: u64,
@@ -768,7 +760,7 @@ impl Simulation {
         q.schedule_in(self.cfg.update_interval_ms, SimEvent::OfferMaintenance);
     }
 
-    /// One Manager placement round. Shared by both cores.
+    /// One Manager placement round.
     pub(crate) fn handle_placement_round(
         &mut self,
         now: u64,
@@ -787,9 +779,9 @@ impl Simulation {
         q.schedule_in(self.cfg.placement_period_ms, SimEvent::PlacementRound);
     }
 
-    /// Online SLO evaluation over the sample recorded at `now`. Shared by
-    /// both cores (the cost is proportional to fleet size only when an
-    /// engine is attached, so the hot path never pays it).
+    /// Online SLO evaluation over the sample recorded at `now` (the cost
+    /// is proportional to fleet size only when an engine is attached, so
+    /// the hot path never pays it).
     pub(crate) fn handle_slo_evaluation(&mut self, now: u64) {
         let traffic = self.traffic.fraction(now);
         let samples: Vec<(u32, f64)> = self
@@ -808,13 +800,12 @@ impl Simulation {
         self.record_breaches(now, &fired);
     }
 
-    /// Failure-storm check at a telemetry sample point. Shared by both
-    /// cores: nodes are visited in id order and CPU is computed through
-    /// the same pure function the sample loop uses, so the cascade
-    /// decision sequence is bit-identical across cores. A triggered node
-    /// is killed through the normal [`SimEvent::NodeKill`] path
-    /// `cascade_delay_ms` later, so each core's liveness bookkeeping
-    /// stays in sync.
+    /// Failure-storm check at a telemetry sample point. Nodes are visited
+    /// in id order and CPU comes from the pure
+    /// [`SimNode::device_cpu_percent`], so the cascade decision sequence
+    /// is a function of the seed alone. A triggered node is killed through
+    /// the normal [`SimEvent::NodeKill`] path `cascade_delay_ms` later, so
+    /// the event loop's liveness bookkeeping sees it.
     pub(crate) fn handle_storm_check(&mut self, now: u64, q: &mut EventQueue<SimEvent>) {
         let Some(storm) = self.cfg.storm else { return };
         if now < storm.start_ms {
@@ -842,9 +833,9 @@ impl Simulation {
         }
     }
 
-    /// One churn step ([`SimConfig::drift`]). Shared by both cores: the
-    /// RNG is keyed on `(seed, now)` alone, so the draw sequence is a
-    /// pure function of the event time, never of core-local state.
+    /// One churn step ([`SimConfig::drift`]). The RNG is keyed on
+    /// `(seed, now)` alone, so the draw sequence is a pure function of the
+    /// event time.
     ///
     /// Link-capacity drift is written to *both* views of the fabric (the
     /// first write splits them if they still share one allocation). The
@@ -888,14 +879,14 @@ impl Simulation {
         q.schedule_in(drift.period_ms, SimEvent::DriftTick);
     }
 
-    /// Crash `node`. Shared by both cores.
+    /// Crash `node`.
     pub(crate) fn handle_kill(&mut self, now: u64, n: NodeId) {
         self.dead.insert(n);
         self.obs.counter_inc("sim.nodes_killed");
         self.obs.trace_at(now, TraceEvent::NodeKilled { node: n.0 });
     }
 
-    /// Revive `node` with a fresh client. Shared by both cores.
+    /// Revive `node` with a fresh client.
     pub(crate) fn handle_revive(
         &mut self,
         now: u64,
@@ -930,140 +921,9 @@ impl Simulation {
         report.msgs_duplicated = stats.duplicated;
     }
 
-    /// Run to completion on the configured engine.
+    /// Run to completion.
     pub fn run(&mut self) -> SimReport {
-        match self.cfg.engine {
-            EngineKind::Tick => self.run_tick(),
-            EngineKind::Event => crate::event::run_event(self),
-        }
-    }
-
-    /// The legacy fixed-cadence core: every handler recomputes its state
-    /// from scratch each firing. Kept as the reference implementation the
-    /// event core is pinned against.
-    fn run_tick(&mut self) -> SimReport {
-        let mut report = Self::empty_report();
-        let mut q: EventQueue<SimEvent> = EventQueue::new();
-        self.seed_queue(&mut q, &mut report);
-
-        while let Some(ev) = q.pop() {
-            let now = ev.at_ms;
-            if now > self.cfg.duration_ms {
-                break;
-            }
-            report.events_processed += 1;
-            report.peak_queue_len = report.peak_queue_len.max(q.len());
-            // Mirror the sim clock so layers without one (cost engine,
-            // solvers) stamp their trace events with this time.
-            self.obs.set_now(now);
-            let _prof = self.obs.prof_scope(ev.event.scope_name());
-            match ev.event {
-                SimEvent::StatEmission => {
-                    let traffic = self.traffic.fraction(now);
-                    self.traffic.apply_to_links(
-                        Arc::make_mut(&mut self.graph),
-                        now,
-                        self.cfg.link_jitter,
-                        self.cfg.seed,
-                    );
-                    let walk = self.obs.prof_scope("sim.resource_walk");
-                    for i in 0..self.nodes.len() {
-                        let id = self.nodes[i].id;
-                        if !self.alive(id) {
-                            continue;
-                        }
-                        let cpu = self.nodes[i].device_cpu_percent(now, traffic);
-                        let data = self.nodes[i].data_mb(traffic);
-                        self.clients[i].observe(cpu, data);
-                        for msg in self.clients[i].tick(now) {
-                            self.send_to_manager(now, msg, &mut q, &mut report);
-                        }
-                    }
-                    drop(walk);
-                    q.schedule_in(self.cfg.update_interval_ms, SimEvent::StatEmission);
-                }
-                SimEvent::OfferMaintenance => {
-                    self.handle_offer_maintenance(now, &mut q, &mut report);
-                }
-                SimEvent::PlacementRound => {
-                    self.handle_placement_round(now, &mut q, &mut report);
-                }
-                SimEvent::TelemetrySample => {
-                    let traffic = self.traffic.fraction(now);
-                    let batch = self.obs.prof_scope("sim.telemetry_batch");
-                    for n in &self.nodes {
-                        let cpu = n.device_cpu_percent(now, traffic);
-                        let mem = n.device_mem_percent();
-                        let db = report.federation.store_mut(n.id);
-                        db.append(series::DEVICE_CPU, now, cpu);
-                        db.append(series::DEVICE_MEM, now, mem);
-                        db.append(
-                            series::MONITOR_CPU,
-                            now,
-                            n.monitoring_cpu_core_percent(now, traffic),
-                        );
-                        if self.obs.is_enabled() {
-                            self.obs.observe("sim.node.cpu_percent", cpu);
-                            self.obs.observe("sim.node.mem_percent", mem);
-                        }
-                    }
-                    drop(batch);
-                    if self.obs.is_enabled() {
-                        self.obs.gauge_set("sim.active_transfers", self.active.len() as f64);
-                    }
-                    if self.slo.is_some() {
-                        q.schedule(now, SimEvent::SloEvaluation);
-                    }
-                    // Telemetry transport: every routed transfer streams its
-                    // owner's data over the chosen path at the lowest QoS
-                    // class (§III-C); record delivered rate and loss.
-                    let flows: Vec<TelemetryFlow> = self
-                        .active
-                        .values()
-                        .filter(|t| t.data_mb > 0.0)
-                        .filter_map(|t| {
-                            t.route.as_ref().map(|r| TelemetryFlow {
-                                owner: t.owner,
-                                host: t.host,
-                                route: r.clone(),
-                                data_mb: t.data_mb,
-                            })
-                        })
-                        .collect();
-                    if !flows.is_empty() {
-                        let outs = evaluate_flows(&self.graph, &flows, self.cfg.update_interval_ms);
-                        for (f, o) in flows.iter().zip(&outs) {
-                            let db = report.federation.store_mut(f.owner);
-                            db.append(series::TELEMETRY_ADMITTED_MBPS, now, o.admitted_mbps);
-                            db.append(series::TELEMETRY_DROPPED, now, o.dropped_fraction);
-                        }
-                    }
-                    self.handle_storm_check(now, &mut q);
-                    q.schedule_in(self.cfg.sample_period_ms, SimEvent::TelemetrySample);
-                }
-                SimEvent::SloEvaluation => {
-                    self.handle_slo_evaluation(now);
-                }
-                SimEvent::DriftTick => {
-                    self.handle_drift(now, &mut q);
-                }
-                SimEvent::NodeKill(n) => {
-                    self.handle_kill(now, n);
-                }
-                SimEvent::NodeRevive(n) => {
-                    self.handle_revive(now, n, &mut q, &mut report);
-                }
-                SimEvent::DeliverClient(env) => {
-                    self.deliver_manager_msg(now, env, &mut q, &mut report);
-                }
-                SimEvent::DeliverManager(msg) => {
-                    self.deliver_client_msg(now, &msg, &mut q, &mut report);
-                }
-            }
-            report.end_ms = now;
-        }
-        self.finish_report(&mut report);
-        report
+        crate::event::run_event(self)
     }
 
     /// Immutable view of the resource model (for assertions).
@@ -1111,10 +971,6 @@ mod tests {
 
     /// DUT (node 0) + idle server (node 1) on one link.
     fn two_node_sim(dust_enabled: bool) -> Simulation {
-        two_node_sim_on(dust_enabled, EngineKind::default())
-    }
-
-    fn two_node_sim_on(dust_enabled: bool, engine: EngineKind) -> Simulation {
         let g = topologies::line(2, Link::default());
         let nodes = vec![
             SimNode::with_standard_agents(NodeId(0), NodeSpec::aruba_8325()),
@@ -1130,7 +986,6 @@ mod tests {
             .dust(dust)
             .dust_enabled(dust_enabled)
             .duration_ms(60_000)
-            .engine(engine)
             .build()
             .expect("valid config")
     }
@@ -1164,28 +1019,6 @@ mod tests {
         assert!(report.mean(NodeId(0), series::DEVICE_CPU, 1_000, 5_000).is_some());
         assert_eq!(report.mean(NodeId(0), series::DEVICE_CPU, 5_000, 1_000), None);
         assert_eq!(report.max(NodeId(0), series::DEVICE_CPU, 5_000, 1_000), None);
-    }
-
-    #[test]
-    fn both_engines_report_identical_outcomes() {
-        let mut tick = two_node_sim_on(true, EngineKind::Tick);
-        let mut event = two_node_sim_on(true, EngineKind::Event);
-        let rt = tick.run();
-        let re = event.run();
-        assert_eq!(rt.transfers_applied, re.transfers_applied);
-        assert_eq!(rt.first_transfer_ms, re.first_transfer_ms);
-        assert_eq!(rt.events_processed, re.events_processed, "event accounting must agree");
-        assert_eq!(rt.peak_queue_len, re.peak_queue_len);
-        assert_eq!(rt.placement_rounds, re.placement_rounds);
-        assert_eq!(
-            rt.mean(NodeId(0), "device-cpu", 0, 60_000),
-            re.mean(NodeId(0), "device-cpu", 0, 60_000),
-            "recorded series must be bit-identical"
-        );
-        assert_eq!(
-            rt.mean(NodeId(0), "telemetry-admitted-mbps", 0, 60_000),
-            re.mean(NodeId(0), "telemetry-admitted-mbps", 0, 60_000),
-        );
     }
 
     #[test]

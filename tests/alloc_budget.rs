@@ -232,7 +232,6 @@ fn quiet_fleet(sample_period_ms: u64, obs: ObsHandle) -> Simulation {
         .dust_enabled(false)
         .duration_ms(10_000)
         .sample_period_ms(sample_period_ms)
-        .engine(EngineKind::Event)
         .obs(obs)
         .build()
         .expect("consistent knobs")
