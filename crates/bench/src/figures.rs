@@ -373,74 +373,6 @@ pub fn congestion(seed: u64, effort: Effort) -> String {
     )
 }
 
-/// Extension experiment — Fig. 8-style quality/latency sweep of the
-/// POP-style partitioned solve: objective gap and solve-time speedup vs
-/// the subproblem count `k` on a fat-tree with seeded random states.
-pub fn partition(seed: u64, effort: Effort) -> String {
-    use std::num::NonZeroUsize;
-    let (ft_k, rounds) = match effort {
-        Effort::Quick => (16, 3u64),
-        Effort::Full => (32, 5u64),
-    };
-    // hop-bounded DP pricing — enumeration is exponential at these scales
-    let cfg = DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp);
-    let graph = FatTree::with_default_links(ft_k).graph;
-    let engine = CostEngine::new();
-    let mut t =
-        Table::new(&["partitions", "mean solve (ms)", "speedup vs exact", "gap (%)", "fallbacks"]);
-    // one exact reference per round, reused by every k
-    let mut exact: Vec<Placement> = Vec::new();
-    for round in 0..rounds {
-        let nmdb = random_nmdb(&graph, &cfg, &experiment_params(), seed.wrapping_add(round));
-        exact.push(
-            PlacementRequest::new(&nmdb, &cfg)
-                .engine(&engine)
-                .run_lp()
-                .expect("generated instance is well-formed"),
-        );
-    }
-    let exact_ms =
-        exact.iter().map(|p| p.solve_time.as_secs_f64()).sum::<f64>() / rounds as f64 * 1e3;
-    for parts in [1usize, 2, 4, 8] {
-        let mut solve_ms = 0.0;
-        let mut gap_sum = 0.0;
-        let mut fallbacks = 0;
-        for round in 0..rounds {
-            let nmdb = random_nmdb(&graph, &cfg, &experiment_params(), seed.wrapping_add(round));
-            let p = PlacementRequest::new(&nmdb, &cfg)
-                .engine(&engine)
-                .partitions(Some(NonZeroUsize::new(parts).expect("parts > 0")))
-                .partition_seed(seed ^ round)
-                .run_lp()
-                .expect("generated instance is well-formed");
-            solve_ms += p.solve_time.as_secs_f64() * 1e3;
-            let e = &exact[round as usize];
-            if e.beta > 0.0 {
-                gap_sum += ((p.beta - e.beta) / e.beta * 100.0).max(0.0);
-            }
-            if p.partition_fallback {
-                fallbacks += 1;
-            }
-        }
-        solve_ms /= rounds as f64;
-        t.row(&[
-            parts.to_string(),
-            format!("{solve_ms:.1}"),
-            format!("{:.1}x", exact_ms / solve_ms.max(1e-9)),
-            format!("{:.2}", gap_sum / rounds as f64),
-            fallbacks.to_string(),
-        ]);
-    }
-    format!(
-        "Extension — POP-style partitioned placement ({ft_k}-k fat-tree, {rounds} rounds)
-{}
-         k=1 is bit-identical to the exact solve; larger k trades a small objective gap
-         for solver latency (column pruning + slack slicing + eviction repair).
-",
-        t.render()
-    )
-}
-
 /// Extension — INT-style per-packet sampling: deterministic `1/N`
 /// versus seeded probabilistic `p` at matched expected fractions. The
 /// realized report rate and the agent's modeled CPU cost must agree
@@ -661,7 +593,6 @@ pub const FIGURES: &[Figure] = &[
     ("fig12", "heuristic runtime vs scale (to 5120 nodes)", fig12),
     ("fleet", "extension: all edge switches offload simultaneously", fleet),
     ("congestion", "extension: QoS squeeze on offloaded telemetry", congestion),
-    ("partition", "extension: POP-style partitioned solve, gap/speedup vs k", partition),
     ("int", "extension: INT sampling, deterministic 1/N vs probabilistic p", int_contrast),
     ("storm", "extension: zone_storm scenario convergence ladder", zone_storm),
     (

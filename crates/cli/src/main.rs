@@ -24,8 +24,8 @@ commands:
   example                      print a sample network-state file
   roles     <file>             classify nodes (Busy / candidate / neutral)
   optimize  <file>             exact min-cost placement with routes
-  place     [file]             placement rounds through the exact or POP-style
-                               partitioned solve path; reports rounds/sec
+  place     [file]             exact placement rounds on a file or a generated
+                               fat-tree; reports rounds/sec
   heuristic <file> [--hops N]  Algorithm 1 (default one-hop reach)
   dot       <file>             Graphviz view: roles colored + chosen routes
   sim                          chaos-run the testbed under a lossy control plane,
@@ -50,15 +50,11 @@ options (all commands taking a file):
 
 place options (plus the file options above):
   --fat-tree K  solve on a generated k-port fat-tree with seeded random
-                states instead of a <file> (k = 64 is the paper's scale)
-  --partitions K
-                split the transport problem into K seeded random
-                subproblems solved in parallel (1 = exact; any infeasible
-                subproblem falls back to the exact whole-problem solve)
+                states instead of a <file> (K even, >= 2; k = 64 is the
+                paper's scale)
   --batch N     run N placement rounds back-to-back and report rounds/sec
                 (generated states re-seed per round with seed+i)
-  --seed N      base seed for generated states and the partition shuffle
-  --gap         also solve each round exactly; report the objective gap
+  --seed N      base seed for generated states
   --warm        steady-state mode: node states freeze at round 0, links
                 drift per round, each solve warm-starts from the previous
                 round's bases and re-prices only rows crossing drifted
@@ -68,8 +64,8 @@ place options (plus the file options above):
                 solve — when no assignment's re-priced T_rmin degraded by
                 more than fraction T
   --profile PATH
-                write the solver-side wall-clock profile (simplex, partition
-                deal/solve/repair, cost-matrix pricing) to PATH
+                write the solver-side wall-clock profile (cost-matrix
+                pricing, LP solve, route extraction) to PATH
 
 run options (sim, trace and spans name a run the same way; the fault
 model comes from exactly one of --scenario, --sweep, or the fault flags):

@@ -56,7 +56,7 @@ pub fn estimate_io_rate(
     let mut infeasible = 0usize;
     for nmdb in scenario_stream(graph, cfg, params, seed, iterations) {
         engine.retain_epoch(&nmdb.graph);
-        let p = optimize_with(&nmdb, cfg, SolverBackend::Transportation, &engine)
+        let p = optimize_with(&nmdb, cfg, SolverBackend::Transportation, &engine, None)
             .expect("threshold configs are validated by the sweep caller");
         if p.status == PlacementStatus::Infeasible {
             infeasible += 1;

@@ -60,8 +60,7 @@ pub use error::DustError;
 pub use feasibility::{capacity_precheck, estimate_io_rate, io_rate_sweep, IoRatePoint};
 pub use heuristic::{heuristic, heuristic_with, heuristic_with_hops, HeuristicOutcome};
 pub use optimizer::{
-    optimize, optimize_with, optimize_with_path, optimize_with_path_warm, Assignment, Placement,
-    PlacementStatus, SolvePath, SolverBackend, WarmState,
+    optimize, optimize_with, Assignment, Placement, PlacementStatus, SolverBackend, WarmState,
 };
 pub use request::{PlacementReport, PlacementRequest, ReportOutcome};
 pub use scenario::{random_nmdb, scenario_stream, ScenarioParams};

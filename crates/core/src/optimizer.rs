@@ -16,13 +16,11 @@ use crate::config::DustConfig;
 use crate::error::DustError;
 use crate::state::Nmdb;
 use dust_lp::{
-    Cmp, PartitionWarm, Problem, SolveOptions, Status, TransportProblem, TransportSolution,
-    TransportStatus,
+    Basis, Cmp, Problem, SolveOptions, Status, TransportProblem, TransportSolution, TransportStatus,
 };
 use dust_topology::{
     min_inv_lu_dp_path_with, min_inv_lu_enumerated, CostEngine, DpScratch, NodeId, Path, PathEngine,
 };
-use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 /// Which LP machinery solves the placement.
@@ -35,45 +33,23 @@ pub enum SolverBackend {
     Simplex,
 }
 
-/// How the transportation LP is attacked — the quality-vs-latency knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolvePath {
-    /// One whole-problem MODI solve: the exact optimum.
-    #[default]
-    Exact,
-    /// POP-style: deal the busy nodes into `parts` seeded random groups,
-    /// give each group a supply-proportional slice of every candidate's
-    /// capacity, solve the subproblems in parallel on the cost engine's
-    /// scoped-thread pool, and recombine. Near-optimal (typically well
-    /// under 1 % on fat-tree instances) at a fraction of the latency;
-    /// falls back to the exact solve if any subproblem is infeasible
-    /// (which supply-proportional shares only allow when the joint
-    /// problem is itself infeasible).
-    Partitioned {
-        /// Subproblem count (1 behaves exactly like [`SolvePath::Exact`]).
-        parts: NonZeroUsize,
-        /// Seed for the random row split.
-        seed: u64,
-    },
-}
-
-/// Spanning-tree bases carried from one placement round to the next so a
-/// drifting instance re-solves warm instead of cold.
+/// The spanning-tree basis carried from one placement round to the next
+/// so a drifting instance re-solves warm instead of cold.
 ///
-/// The bases are only offered back to the solver when the busy/candidate
-/// sets match the round they were exported from — a changed set reshapes
+/// The basis is only offered back to the solver when the busy/candidate
+/// sets match the round it was exported from — a changed set reshapes
 /// the LP's rows/columns, and although a mismatched basis would be
 /// rejected (or re-optimized) safely by MODI anyway, the guard keeps
 /// `lp.pivots_saved` honest. Feed the previous round's
-/// [`Placement::warm`] into [`optimize_with_path_warm`] (or
+/// [`Placement::warm`] into [`optimize_with`] (or
 /// `PlacementRequest::warm_start`).
 #[derive(Debug, Clone, Default)]
 pub struct WarmState {
-    /// Per-group bases (a single slot when the exact path ran).
-    pub bases: PartitionWarm,
-    /// Busy set the bases were exported under, in row order.
+    /// The optimal basis of the round it was exported from.
+    pub basis: Option<Basis>,
+    /// Busy set the basis was exported under, in row order.
     pub busy: Vec<NodeId>,
-    /// Candidate set the bases were exported under, in column order.
+    /// Candidate set the basis was exported under, in column order.
     pub candidates: Vec<NodeId>,
 }
 
@@ -81,10 +57,10 @@ impl WarmState {
     /// True when no basis is carried (cold round, infeasible round, or
     /// simplex backend).
     pub fn is_empty(&self) -> bool {
-        self.bases.is_empty()
+        self.basis.is_none()
     }
 
-    /// Whether these bases may be offered for a round over the given
+    /// Whether this basis may be offered for a round over the given
     /// busy/candidate sets.
     fn matches(&self, busy: &[NodeId], candidates: &[NodeId]) -> bool {
         !self.is_empty() && self.busy == busy && self.candidates == candidates
@@ -140,19 +116,12 @@ pub struct Placement {
     /// the marginal β saved by one more unit of spare capacity at that
     /// node — the most negative entries are the candidates most worth
     /// upgrading. Empty for the simplex backend or non-optimal outcomes.
-    /// Under [`SolvePath::Partitioned`] these are share-weighted averages
-    /// of the per-group duals, not the joint optimum's prices.
     pub shadow_prices: Vec<(NodeId, f64)>,
-    /// Subproblems the solve actually ran (1 = the whole-problem path).
-    pub partitions: usize,
-    /// True when a partitioned solve hit an infeasible subproblem and
-    /// re-ran the exact whole-problem solve instead.
-    pub partition_fallback: bool,
-    /// Bases for warm-starting the next round over the same busy/candidate
+    /// Basis for warm-starting the next round over the same busy/candidate
     /// sets (empty unless the transportation backend reached optimality).
     pub warm: WarmState,
     /// True when this round's solve actually started from an accepted
-    /// warm basis (at least one subproblem, for the partitioned path).
+    /// warm basis.
     pub warm_used: bool,
 }
 
@@ -207,8 +176,6 @@ pub fn optimize(nmdb: &Nmdb, cfg: &DustConfig, backend: SolverBackend) -> Placem
             cost_time: Duration::ZERO,
             solve_time: Duration::ZERO,
             shadow_prices: Vec::new(),
-            partitions: 1,
-            partition_fallback: false,
             warm: WarmState::default(),
             warm_used: false,
         },
@@ -229,62 +196,31 @@ fn transport_optimal(sol: &TransportSolution) -> Result<bool, DustError> {
     }
 }
 
-/// Run the optimization engine with an explicit shared [`CostEngine`].
+/// Run the optimization engine with an explicit shared [`CostEngine`],
+/// warm-started from a previous round's basis ([`Placement::warm`]) when
+/// one is given.
 ///
 /// This is the paper's "ILP" (continuous `x_ij`, Eq. 3) solved exactly.
 /// The `T_rmin` matrix comes from `engine` — parallel across its worker
 /// threads and memoized across calls on an unchanged graph. Routes for
 /// chosen assignments are reconstructed with the same path engine that
 /// produced the costs.
+///
+/// Warm and cold solves reach the same objective — the basis only skips
+/// the initial-assignment phase and most pivots when the instance drifted
+/// little. It is ignored (solved cold) when the busy/candidate sets no
+/// longer match, when it is empty, or for the simplex backend.
+///
+/// A transportation solve that runs into its pivot cap surfaces as
+/// [`DustError::IterationLimit`], not as an infeasible placement.
 pub fn optimize_with(
     nmdb: &Nmdb,
     cfg: &DustConfig,
     backend: SolverBackend,
     engine: &CostEngine,
-) -> Result<Placement, DustError> {
-    optimize_with_path(nmdb, cfg, backend, engine, SolvePath::Exact)
-}
-
-/// [`optimize_with`], plus the [`SolvePath`] choice: `Exact` reproduces
-/// the whole-problem solve bit for bit; `Partitioned` trades a bounded
-/// slice of objective quality for a large latency cut at fleet scale.
-/// Partitioning applies to the transportation backend only — combining it
-/// with [`SolverBackend::Simplex`] is a [`DustError::BadConfig`].
-pub fn optimize_with_path(
-    nmdb: &Nmdb,
-    cfg: &DustConfig,
-    backend: SolverBackend,
-    engine: &CostEngine,
-    path: SolvePath,
-) -> Result<Placement, DustError> {
-    optimize_with_path_warm(nmdb, cfg, backend, engine, path, None)
-}
-
-/// [`optimize_with_path`], plus warm-start bases from a previous round
-/// ([`Placement::warm`]). Warm and cold solves reach the same objective —
-/// the bases only skip the initial-assignment phase and most pivots when
-/// the instance drifted little. Ignored (solved cold) when the
-/// busy/candidate sets no longer match, when the bases are empty, or for
-/// the simplex backend.
-///
-/// A transportation solve that runs into its pivot cap surfaces as
-/// [`DustError::IterationLimit`], not as an infeasible placement.
-pub fn optimize_with_path_warm(
-    nmdb: &Nmdb,
-    cfg: &DustConfig,
-    backend: SolverBackend,
-    engine: &CostEngine,
-    path: SolvePath,
     warm: Option<&WarmState>,
 ) -> Result<Placement, DustError> {
     cfg.validate().map_err(DustError::BadConfig)?;
-    if let SolvePath::Partitioned { .. } = path {
-        if backend == SolverBackend::Simplex {
-            return Err(DustError::BadConfig(
-                "partitioned solves require the transportation backend".to_string(),
-            ));
-        }
-    }
     // Solver metrics (pivots, B&B nodes) are recorded through the
     // engine's observability handle — attach one with
     // `CostEngine::set_obs` or `PlacementRequest::obs`.
@@ -303,8 +239,6 @@ pub fn optimize_with_path_warm(
             cost_time: Duration::ZERO,
             solve_time: Duration::ZERO,
             shadow_prices: Vec::new(),
-            partitions: 1,
-            partition_fallback: false,
             warm: WarmState::default(),
             warm_used: false,
         });
@@ -323,8 +257,6 @@ pub fn optimize_with_path_warm(
     // ---- LP solve ----------------------------------------------------------
     let t1 = Instant::now();
     let mut shadow_prices: Vec<(NodeId, f64)> = Vec::new();
-    let mut partitions = 1usize;
-    let mut partition_fallback = false;
     let mut warm_next = WarmState::default();
     let mut warm_used = false;
     let flows: Option<(Vec<f64>, f64)> = match backend {
@@ -333,53 +265,20 @@ pub fn optimize_with_path_warm(
             // for `costs.at` below: a round never holds two copies of it.
             let t_rmin = std::mem::take(&mut costs.t_rmin);
             let tp = TransportProblem::new(supply, capacity, t_rmin);
-            let offered = warm.filter(|w| w.matches(&busy, &candidates));
-            let (sol, bases) = match path {
-                SolvePath::Exact => {
-                    let warm_start = offered.and_then(|w| {
-                        if w.bases.bases.len() == 1 {
-                            w.bases.bases[0].clone()
-                        } else {
-                            None
-                        }
-                    });
-                    let s = tp.solve_with_options(obs, &SolveOptions { warm_start });
-                    let bases = PartitionWarm { bases: vec![s.basis.clone()] };
-                    (s, bases)
-                }
-                SolvePath::Partitioned { parts, seed } => {
-                    // Subproblems run with detached observability so the
-                    // recorded trace stays identical for every thread
-                    // count; the partition counters land on `obs` inside
-                    // solve_partitioned_via_warm.
-                    let out = dust_lp::solve_partitioned_via_warm(
-                        &tp,
-                        parts,
-                        seed,
-                        obs,
-                        offered.map(|w| &w.bases),
-                        |subs| {
-                            engine.run_parallel(subs.len(), |i| {
-                                let sub = &subs[i];
-                                sub.problem.solve_with_options(
-                                    &dust_obs::ObsHandle::disabled(),
-                                    &SolveOptions { warm_start: sub.warm.clone() },
-                                )
-                            })
-                        },
-                    );
-                    partitions = out.parts;
-                    partition_fallback = out.fell_back;
-                    (out.solution, out.warm)
-                }
-            };
+            let warm_start =
+                warm.filter(|w| w.matches(&busy, &candidates)).and_then(|w| w.basis.clone());
+            let sol = tp.solve_with_options(obs, &SolveOptions { warm_start });
             costs.t_rmin = tp.cost;
             warm_used = sol.warm_used;
             let optimal = transport_optimal(&sol)?;
             if optimal {
                 shadow_prices =
                     candidates.iter().copied().zip(sol.col_potentials.iter().copied()).collect();
-                warm_next = WarmState { bases, busy: busy.clone(), candidates: candidates.clone() };
+                warm_next = WarmState {
+                    basis: sol.basis,
+                    busy: busy.clone(),
+                    candidates: candidates.clone(),
+                };
             }
             optimal.then_some((sol.flow, sol.objective))
         }
@@ -433,8 +332,6 @@ pub fn optimize_with_path_warm(
             cost_time,
             solve_time,
             shadow_prices: Vec::new(),
-            partitions,
-            partition_fallback,
             warm: WarmState::default(),
             warm_used,
         });
@@ -442,6 +339,7 @@ pub fn optimize_with_path_warm(
 
     // ---- Route extraction for the chosen pairs -----------------------------
     const FLOW_TOL: f64 = 1e-7;
+    let routes_scope = obs.prof_scope("core.routes");
     let mut assignments = Vec::new();
     let mut scratch = DpScratch::default();
     for (r, &b) in busy.iter().enumerate() {
@@ -467,6 +365,7 @@ pub fn optimize_with_path_warm(
             }
         }
     }
+    drop(routes_scope);
 
     obs.counter_inc("core.placements_optimal");
     Ok(Placement {
@@ -478,8 +377,6 @@ pub fn optimize_with_path_warm(
         cost_time,
         solve_time,
         shadow_prices,
-        partitions,
-        partition_fallback,
         warm: warm_next,
         warm_used,
     })
@@ -689,13 +586,9 @@ mod tests {
         assert_eq!(p.mean_hops(), Some(2.0));
     }
 
-    fn nz(k: usize) -> NonZeroUsize {
-        NonZeroUsize::new(k).unwrap()
-    }
-
     /// Thresholds from `cfg()` but `T_rmin` priced by the hop-bounded DP:
     /// exhaustive enumeration is exponential on fat-trees beyond 4-k, so
-    /// the partition tests would never finish under `paper_defaults`.
+    /// the fat-tree tests would never finish under `paper_defaults`.
     fn fat_cfg() -> DustConfig {
         cfg().with_engine(dust_topology::PathEngine::HopBoundedDp)
     }
@@ -703,107 +596,6 @@ mod tests {
     fn fat_tree_nmdb(k: usize, seed: u64) -> Nmdb {
         let ft = dust_topology::FatTree::with_default_links(k);
         crate::scenario::random_nmdb(&ft.graph, &fat_cfg(), &crate::ScenarioParams::default(), seed)
-    }
-
-    #[test]
-    fn partitioned_k1_matches_exact_bit_for_bit() {
-        let db = fat_tree_nmdb(8, 42);
-        let engine = CostEngine::sequential();
-        let exact = optimize_with(&db, &fat_cfg(), SolverBackend::Transportation, &engine).unwrap();
-        let part = optimize_with_path(
-            &db,
-            &fat_cfg(),
-            SolverBackend::Transportation,
-            &engine,
-            SolvePath::Partitioned { parts: nz(1), seed: 7 },
-        )
-        .unwrap();
-        assert_eq!(part.partitions, 1);
-        assert!(!part.partition_fallback);
-        assert_eq!(part.beta.to_bits(), exact.beta.to_bits());
-        assert_eq!(part.assignments.len(), exact.assignments.len());
-    }
-
-    #[test]
-    fn partitioned_solve_is_feasible_with_bounded_gap() {
-        let db = fat_tree_nmdb(8, 3);
-        let engine = CostEngine::new();
-        let exact = optimize_with(&db, &fat_cfg(), SolverBackend::Transportation, &engine).unwrap();
-        assert_eq!(exact.status, PlacementStatus::Optimal);
-        for k in [2usize, 4] {
-            let part = optimize_with_path(
-                &db,
-                &fat_cfg(),
-                SolverBackend::Transportation,
-                &engine,
-                SolvePath::Partitioned { parts: nz(k), seed: 1 },
-            )
-            .unwrap();
-            assert_eq!(part.status, PlacementStatus::Optimal, "k={k}");
-            assert!((part.total_offloaded() - exact.total_offloaded()).abs() < 1e-6);
-            assert!(part.beta >= exact.beta - 1e-9, "partitioned can't beat the optimum");
-            if !part.partition_fallback {
-                assert_eq!(part.partitions, k);
-                // random fat-tree instances are granular; a huge gap would
-                // mean recombination lost flow
-                assert!(part.beta <= exact.beta * 2.0, "k={k}: gap too large");
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_is_deterministic_for_any_thread_count() {
-        let db = fat_tree_nmdb(8, 11);
-        let path = SolvePath::Partitioned { parts: nz(4), seed: 5 };
-        let base = optimize_with_path(
-            &db,
-            &fat_cfg(),
-            SolverBackend::Transportation,
-            &CostEngine::sequential(),
-            path,
-        )
-        .unwrap();
-        for threads in [2usize, 8] {
-            let p = optimize_with_path(
-                &db,
-                &fat_cfg(),
-                SolverBackend::Transportation,
-                &CostEngine::with_threads(threads),
-                path,
-            )
-            .unwrap();
-            assert_eq!(p.beta.to_bits(), base.beta.to_bits(), "threads {threads}");
-            assert_eq!(p.assignments.len(), base.assignments.len());
-        }
-    }
-
-    #[test]
-    fn partitioned_k_beyond_busy_count_still_places_everything() {
-        let db = simple_nmdb(); // exactly one busy node
-        let part = optimize_with_path(
-            &db,
-            &cfg(),
-            SolverBackend::Transportation,
-            &CostEngine::new(),
-            SolvePath::Partitioned { parts: nz(64), seed: 0 },
-        )
-        .unwrap();
-        assert_eq!(part.status, PlacementStatus::Optimal);
-        assert!((part.total_offloaded() - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn partitioned_simplex_is_a_bad_config() {
-        let db = simple_nmdb();
-        let err = optimize_with_path(
-            &db,
-            &cfg(),
-            SolverBackend::Simplex,
-            &CostEngine::new(),
-            SolvePath::Partitioned { parts: nz(4), seed: 0 },
-        )
-        .unwrap_err();
-        assert!(matches!(err, DustError::BadConfig(_)));
     }
 
     // ---- warm-start rounds ------------------------------------------------
@@ -834,12 +626,13 @@ mod tests {
 
     #[test]
     fn warm_vs_cold_objective_equality_sweep() {
-        // 12 seeds × {testbed, 16-k fat-tree} × k∈{1,4}: after seeded link
-        // drift, a solve warm-started from the previous round's bases must
-        // land on the same objective a cold solve reaches. Warm starts trade
-        // pivots, never optimality.
+        // 12 seeds × {testbed, 16-k fat-tree}: after seeded link drift, a
+        // solve warm-started from the previous round's basis must land on
+        // the same objective a cold solve reaches. Warm starts trade pivots,
+        // never optimality.
         let testbed = topologies::example7(Link::default());
         let params = crate::ScenarioParams::default();
+        let tp = SolverBackend::Transportation;
         for seed in 0..12u64 {
             for topo in 0..2usize {
                 let base = if topo == 0 {
@@ -848,50 +641,26 @@ mod tests {
                     fat_tree_nmdb(16, seed)
                 };
                 let engine = CostEngine::new();
-                for k in [1usize, 4] {
-                    let path = SolvePath::Partitioned { parts: nz(k), seed: 9 };
-                    let first = optimize_with_path(
-                        &base,
-                        &fat_cfg(),
-                        SolverBackend::Transportation,
-                        &engine,
-                        path,
-                    )
-                    .unwrap();
-                    if first.status != PlacementStatus::Optimal {
-                        continue;
-                    }
-                    let next = drifted(&base, seed.wrapping_mul(2654435761).wrapping_add(k as u64));
-                    let cold = optimize_with_path(
-                        &next,
-                        &fat_cfg(),
-                        SolverBackend::Transportation,
-                        &engine,
-                        path,
-                    )
-                    .unwrap();
-                    let warm = optimize_with_path_warm(
-                        &next,
-                        &fat_cfg(),
-                        SolverBackend::Transportation,
-                        &engine,
-                        path,
-                        Some(&first.warm),
-                    )
-                    .unwrap();
-                    assert_eq!(cold.status, warm.status, "topo={topo} seed={seed} k={k}");
-                    if cold.status == PlacementStatus::Optimal {
-                        assert!(
-                            (warm.beta - cold.beta).abs() <= 1e-7 * (1.0 + cold.beta.abs()),
-                            "topo={topo} seed={seed} k={k}: warm {} vs cold {}",
-                            warm.beta,
-                            cold.beta
-                        );
-                        assert!(
-                            (warm.total_offloaded() - cold.total_offloaded()).abs() < 1e-6,
-                            "topo={topo} seed={seed} k={k}"
-                        );
-                    }
+                let first = optimize_with(&base, &fat_cfg(), tp, &engine, None).unwrap();
+                if first.status != PlacementStatus::Optimal {
+                    continue;
+                }
+                let next = drifted(&base, seed.wrapping_mul(2654435761).wrapping_add(1));
+                let cold = optimize_with(&next, &fat_cfg(), tp, &engine, None).unwrap();
+                let warm =
+                    optimize_with(&next, &fat_cfg(), tp, &engine, Some(&first.warm)).unwrap();
+                assert_eq!(cold.status, warm.status, "topo={topo} seed={seed}");
+                if cold.status == PlacementStatus::Optimal {
+                    assert!(
+                        (warm.beta - cold.beta).abs() <= 1e-7 * (1.0 + cold.beta.abs()),
+                        "topo={topo} seed={seed}: warm {} vs cold {}",
+                        warm.beta,
+                        cold.beta
+                    );
+                    assert!(
+                        (warm.total_offloaded() - cold.total_offloaded()).abs() < 1e-6,
+                        "topo={topo} seed={seed}"
+                    );
                 }
             }
         }
@@ -902,15 +671,15 @@ mod tests {
         let db = fat_tree_nmdb(8, 42);
         let obs = dust_obs::ObsHandle::recording(0);
         let engine = CostEngine::new().with_obs(obs.clone());
-        let first = optimize_with(&db, &fat_cfg(), SolverBackend::Transportation, &engine).unwrap();
+        let first =
+            optimize_with(&db, &fat_cfg(), SolverBackend::Transportation, &engine, None).unwrap();
         assert_eq!(first.status, PlacementStatus::Optimal);
-        assert!(!first.warm.is_empty(), "optimal transportation rounds must export bases");
-        let warm = optimize_with_path_warm(
+        assert!(!first.warm.is_empty(), "optimal transportation rounds must export a basis");
+        let warm = optimize_with(
             &db,
             &fat_cfg(),
             SolverBackend::Transportation,
             &engine,
-            SolvePath::Exact,
             Some(&first.warm),
         )
         .unwrap();
@@ -925,58 +694,22 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_warm_round_saves_pivots_and_matches_cold() {
-        let db = fat_tree_nmdb(8, 21);
-        let obs = dust_obs::ObsHandle::recording(0);
-        let engine = CostEngine::new().with_obs(obs.clone());
-        let path = SolvePath::Partitioned { parts: nz(4), seed: 3 };
-        let first =
-            optimize_with_path(&db, &fat_cfg(), SolverBackend::Transportation, &engine, path)
-                .unwrap();
-        assert_eq!(first.status, PlacementStatus::Optimal);
-        let next = drifted(&db, 5);
-        let saved_before = obs.counter("lp.pivots_saved");
-        let warm = optimize_with_path_warm(
-            &next,
-            &fat_cfg(),
-            SolverBackend::Transportation,
-            &engine,
-            path,
-            Some(&first.warm),
-        )
-        .unwrap();
-        let cold =
-            optimize_with_path(&next, &fat_cfg(), SolverBackend::Transportation, &engine, path)
-                .unwrap();
-        if !first.partition_fallback && !warm.partition_fallback {
-            assert!(warm.warm_used, "matching per-partition bases must be accepted");
-            assert!(obs.counter("lp.pivots_saved") > saved_before);
-        }
-        assert!(
-            (warm.beta - cold.beta).abs() <= 1e-7 * (1.0 + cold.beta.abs()),
-            "warm {} vs cold {}",
-            warm.beta,
-            cold.beta
-        );
-    }
-
-    #[test]
     fn warm_bases_are_ignored_when_the_busy_set_changes() {
         let db = fat_tree_nmdb(8, 7);
         let engine = CostEngine::new();
-        let first = optimize_with(&db, &fat_cfg(), SolverBackend::Transportation, &engine).unwrap();
+        let first =
+            optimize_with(&db, &fat_cfg(), SolverBackend::Transportation, &engine, None).unwrap();
         assert_eq!(first.status, PlacementStatus::Optimal);
         // flip one candidate to busy: the LP's rows/columns reshape, so the
-        // stale bases must be ignored, not trusted
+        // stale basis must be ignored, not trusted
         let mut db2 = db.clone();
         let flipped = first.candidates[0];
         db2.state_mut(flipped).utilization = 99.0;
-        let warm = optimize_with_path_warm(
+        let warm = optimize_with(
             &db2,
             &fat_cfg(),
             SolverBackend::Transportation,
             &engine,
-            SolvePath::Exact,
             Some(&first.warm),
         )
         .unwrap();
@@ -987,7 +720,7 @@ mod tests {
     fn simplex_backend_carries_no_warm_state() {
         let db = simple_nmdb();
         let engine = CostEngine::new();
-        let p = optimize_with(&db, &cfg(), SolverBackend::Simplex, &engine).unwrap();
+        let p = optimize_with(&db, &cfg(), SolverBackend::Simplex, &engine, None).unwrap();
         assert_eq!(p.status, PlacementStatus::Optimal);
         assert!(p.warm.is_empty());
         assert!(!p.warm_used);

@@ -34,13 +34,11 @@ use crate::config::DustConfig;
 use crate::error::DustError;
 use crate::heuristic::{heuristic_with, HeuristicOutcome};
 use crate::optimizer::{
-    optimize_with_path_warm, Assignment, Placement, PlacementStatus, SolvePath, SolverBackend,
-    WarmState,
+    optimize_with, Assignment, Placement, PlacementStatus, SolverBackend, WarmState,
 };
 use crate::state::Nmdb;
 use dust_obs::ObsHandle;
 use dust_topology::{CostEngine, PathEngine};
-use std::num::NonZeroUsize;
 
 /// Which placement algorithm a request runs.
 #[derive(Debug, Clone, Copy)]
@@ -79,8 +77,6 @@ pub struct PlacementRequest<'a> {
     strategy: Strategy,
     engine: EngineRef<'a>,
     obs: ObsHandle,
-    partitions: Option<NonZeroUsize>,
-    partition_seed: u64,
     warm: Option<&'a WarmState>,
 }
 
@@ -96,8 +92,6 @@ impl<'a> PlacementRequest<'a> {
             strategy: Strategy::Lp,
             engine: EngineRef::Owned(CostEngine::new()),
             obs: ObsHandle::disabled(),
-            partitions: None,
-            partition_seed: 0,
             warm: None,
         }
     }
@@ -154,41 +148,14 @@ impl<'a> PlacementRequest<'a> {
         self
     }
 
-    /// Solve the transportation LP POP-style in `parts` seeded random
-    /// subproblems, recombined after parallel solves on the engine's
-    /// thread pool — the quality-vs-latency knob for fleet-scale rounds.
-    /// `None` (the default) keeps the exact whole-problem solve;
-    /// `Some(1)` is bit-identical to it. Applies to the LP strategy with
-    /// the transportation backend; combining partitions with the simplex
-    /// backend fails as [`DustError::BadConfig`].
-    pub fn partitions(mut self, parts: Option<NonZeroUsize>) -> Self {
-        self.partitions = parts;
-        self
-    }
-
-    /// Seed for the partitioned solve's random row split
-    /// (default 0). Ignored without [`partitions`](Self::partitions).
-    pub fn partition_seed(mut self, seed: u64) -> Self {
-        self.partition_seed = seed;
-        self
-    }
-
-    /// Warm-start this solve from a previous round's bases
+    /// Warm-start this solve from a previous round's basis
     /// ([`Placement::warm`]). Warm and cold solves reach the same
-    /// objective; stale or mismatched bases are rejected cold by the
+    /// objective; a stale or mismatched basis is rejected cold by the
     /// solver. Applies to the LP strategy with the transportation
     /// backend only.
     pub fn warm_start(mut self, warm: &'a WarmState) -> Self {
         self.warm = Some(warm);
         self
-    }
-
-    /// The [`SolvePath`] this request will take.
-    pub fn solve_path(&self) -> SolvePath {
-        match self.partitions {
-            Some(parts) => SolvePath::Partitioned { parts, seed: self.partition_seed },
-            None => SolvePath::Exact,
-        }
     }
 
     /// Use Algorithm 1 (the paper's one-hop heuristic).
@@ -234,14 +201,7 @@ impl<'a> PlacementRequest<'a> {
     /// Run the exact LP regardless of the configured strategy, returning
     /// the full [`Placement`] (including the legacy status enum).
     pub fn run_lp(&self) -> Result<Placement, DustError> {
-        optimize_with_path_warm(
-            self.nmdb,
-            &self.cfg,
-            self.backend,
-            self.engine.get(),
-            self.solve_path(),
-            self.warm,
-        )
+        optimize_with(self.nmdb, &self.cfg, self.backend, self.engine.get(), self.warm)
     }
 
     /// Run the heuristic regardless of the configured strategy (reach
@@ -425,25 +385,5 @@ mod tests {
         let again = PlacementRequest::new(&db, &c).engine(&engine).solve().unwrap();
         assert_eq!(engine.cached_rows(), cached, "second solve must be all cache hits");
         assert_eq!(lp.beta().to_bits(), again.beta().to_bits());
-    }
-
-    #[test]
-    fn partitions_knob_routes_through_the_builder() {
-        let db = simple_nmdb();
-        let exact = PlacementRequest::new(&db, &cfg()).solve().unwrap();
-        let req =
-            PlacementRequest::new(&db, &cfg()).partitions(NonZeroUsize::new(2)).partition_seed(9);
-        assert!(matches!(req.solve_path(), SolvePath::Partitioned { seed: 9, .. }));
-        let part = req.solve().unwrap();
-        assert!((part.total_offloaded() - exact.total_offloaded()).abs() < 1e-9);
-        // the default stays exact
-        assert_eq!(PlacementRequest::new(&db, &cfg()).solve_path(), SolvePath::Exact);
-        // simplex + partitions is rejected, typed
-        let err = PlacementRequest::new(&db, &cfg())
-            .backend(SolverBackend::Simplex)
-            .partitions(NonZeroUsize::new(4))
-            .solve()
-            .unwrap_err();
-        assert!(matches!(err, DustError::BadConfig(_)));
     }
 }

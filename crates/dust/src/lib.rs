@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`obs`] | `dust-obs` | metrics registry, deterministic event tracing, trace digests |
 //! | [`topology`] | `dust-topology` | graphs, fat-trees, bounded path enumeration, `T_rmin` costs |
-//! | [`lp`] | `dust-lp` | simplex, transportation solver, POP-style partitioned solve |
+//! | [`lp`] | `dust-lp` | simplex, transportation solver with warm starts |
 //! | [`core`] | `dust-core` | thresholds, roles, NMDB, the placement ILP, Algorithm 1, HFR, `Δ_io` |
 //! | [`proto`] | `dust-proto` | Manager/Client state machines and every §III message |
 //! | [`telemetry`] | `dust-telemetry` | monitor agents, TSDB, Gorilla compression, federation |
@@ -56,8 +56,8 @@ pub mod prelude {
         classify, classify_iteration, estimate_io_rate, heuristic, heuristic_with_hops,
         io_rate_sweep, optimize, random_nmdb, scenario_stream, Assignment, DustConfig, DustError,
         HeuristicOutcome, IoRatePoint, Nmdb, NodeState, Placement, PlacementReport,
-        PlacementRequest, PlacementStatus, ReportOutcome, Role, ScenarioParams, SolvePath,
-        SolverBackend, SuccessClass, SuccessTally,
+        PlacementRequest, PlacementStatus, ReportOutcome, Role, ScenarioParams, SolverBackend,
+        SuccessClass, SuccessTally,
     };
     pub use dust_obs::{
         build_spans, FlightRecorder, FlowId, Histogram, MetricsRegistry, ObsHandle, SloBreach,

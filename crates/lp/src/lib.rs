@@ -1,15 +1,13 @@
 //! From-scratch linear programming for the DUST reproduction.
 //!
 //! Replaces the Gurobi toolkit of the paper's evaluation (§V-B) with two
-//! cooperating solvers and a decomposition:
+//! cooperating solvers:
 //!
 //! * [`simplex`] — a general two-phase dense primal simplex over models
 //!   built with [`problem::Problem`];
 //! * [`transportation`] — a specialized Hitchcock-transportation solver
 //!   (Vogel + MODI) matching the exact structure of the placement model
-//!   (Eq. 3), much faster for the heuristic's many small subproblems;
-//! * [`partition`] — the POP-style split of one transportation problem
-//!   into seeded random subproblems, solved in parallel and recombined.
+//!   (Eq. 3), much faster for the heuristic's many small subproblems.
 //!
 //! The placement's `x_ij` are continuous (Eq. 3), so there is no integer
 //! layer.
@@ -33,15 +31,10 @@
 
 #![warn(missing_docs)]
 
-pub mod partition;
 pub mod problem;
 pub mod simplex;
 pub mod transportation;
 
-pub use partition::{
-    solve_partitioned_via, solve_partitioned_via_warm, solve_partitioned_with,
-    solve_subs_sequential, PartitionOutcome, PartitionPlan, PartitionWarm, SubProblem,
-};
 pub use problem::{Cmp, Constraint, Problem, Sense, Var, VarDef};
 pub use simplex::{solve, solve_with, Options, Solution, Status};
 pub use transportation::{

@@ -97,8 +97,7 @@ pub struct TransportSolution {
     pub col_potentials: Vec<f64>,
     /// The optimal spanning-tree basis, reusable as
     /// [`SolveOptions::warm_start`] for the next solve of a similar
-    /// instance (`None` on infeasible or trivial solves, and on
-    /// recombined partitioned solutions).
+    /// instance (`None` on infeasible or trivial solves).
     pub basis: Option<Basis>,
     /// True when this solve started from an accepted warm-start basis
     /// instead of the Vogel initial-assignment phase.

@@ -19,8 +19,8 @@
 
 use crate::messages::{ClientMsg, Envelope, ManagerMsg, RequestId};
 use dust_core::{
-    classify, optimize_with_path_warm, Assignment, DustConfig, DustError, Nmdb, NodeState,
-    Placement, PlacementStatus, Role, SolvePath, SolverBackend, WarmState,
+    classify, optimize_with, Assignment, DustConfig, DustError, Nmdb, NodeState, Placement,
+    PlacementStatus, Role, SolverBackend, WarmState,
 };
 use dust_lp::{SolveOptions, TransportProblem, TransportStatus};
 use dust_obs::{ObsHandle, TraceEvent};
@@ -579,35 +579,28 @@ impl Manager {
         // a solve stopped at its pivot cap has no plan to act on; fold
         // both into the infeasible outcome like `dust_core::optimize`, but
         // leave a count and a trace event saying which it was.
-        let placement = optimize_with_path_warm(
-            nmdb,
-            &self.cfg,
-            self.backend,
-            &self.engine,
-            SolvePath::Exact,
-            warm,
-        )
-        .unwrap_or_else(|err| {
-            let kind = err.kind();
-            self.obs.counter_inc("proto.solve_errors");
-            self.obs.counter_inc(&format!("proto.solve_errors.{kind}"));
-            self.obs
-                .trace_at(now_ms, TraceEvent::SolveError { round: self.placement_rounds, kind });
-            Placement {
-                status: PlacementStatus::Infeasible,
-                assignments: Vec::new(),
-                beta: f64::NAN,
-                busy: nmdb.busy_nodes(&self.cfg),
-                candidates: nmdb.candidate_nodes(&self.cfg),
-                cost_time: Duration::ZERO,
-                solve_time: Duration::ZERO,
-                shadow_prices: Vec::new(),
-                partitions: 1,
-                partition_fallback: false,
-                warm: WarmState::default(),
-                warm_used: false,
-            }
-        });
+        let placement = optimize_with(nmdb, &self.cfg, self.backend, &self.engine, warm)
+            .unwrap_or_else(|err| {
+                let kind = err.kind();
+                self.obs.counter_inc("proto.solve_errors");
+                self.obs.counter_inc(&format!("proto.solve_errors.{kind}"));
+                self.obs.trace_at(
+                    now_ms,
+                    TraceEvent::SolveError { round: self.placement_rounds, kind },
+                );
+                Placement {
+                    status: PlacementStatus::Infeasible,
+                    assignments: Vec::new(),
+                    beta: f64::NAN,
+                    busy: nmdb.busy_nodes(&self.cfg),
+                    candidates: nmdb.candidate_nodes(&self.cfg),
+                    cost_time: Duration::ZERO,
+                    solve_time: Duration::ZERO,
+                    shadow_prices: Vec::new(),
+                    warm: WarmState::default(),
+                    warm_used: false,
+                }
+            });
         if self.warm_enabled && placement.status == PlacementStatus::Optimal {
             self.warm = placement.warm.clone();
         }
@@ -890,8 +883,6 @@ impl Manager {
             cost_time,
             solve_time,
             shadow_prices: Vec::new(),
-            partitions: 1,
-            partition_fallback: false,
             warm: WarmState::default(),
             warm_used: false,
         };
