@@ -17,6 +17,7 @@
 //! megabit); multiplying by the monitoring data volume `D_i` yields the
 //! paper's response time `Tr = Σ_e D_i / Lu_e`.
 
+use crate::cost::PathEngine;
 use crate::graph::{EdgeId, Graph, NodeId};
 
 /// A simple path: node sequence plus the edges traversed.
@@ -183,17 +184,69 @@ pub fn min_inv_lu_enumerated(
 /// [`min_inv_lu_enumerated`] call, at a fraction of the work. This is the
 /// row primitive [`crate::CostEngine`] parallelizes over sources.
 pub fn min_inv_lu_enumerated_from(g: &Graph, src: NodeId, max_hop: Option<usize>) -> Vec<f64> {
+    let mut dist = vec![f64::INFINITY; g.node_count()];
+    min_inv_lu_enumerated_into(g, src, max_hop, &mut dist, &mut RowScratch::default());
+    dist
+}
+
+/// The working memory of one row pricing — [`min_inv_lu_dp_into`] or
+/// [`min_inv_lu_enumerated_into`] — reserved up front for a graph's node
+/// count, so a pricing worker fills rows without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct RowScratch {
+    next: Vec<f64>,
+    frontier: Vec<NodeId>,
+    moved: Vec<NodeId>,
+    visited: Vec<bool>,
+    cost_stack: Vec<f64>,
+    frames: Vec<(NodeId, usize)>,
+}
+
+impl RowScratch {
+    /// Room for every row `engine` prices on an `n`-node graph: a DP
+    /// frontier holds each node at most once, a simple path at most `n`.
+    pub(crate) fn reserved(n: usize, engine: PathEngine) -> RowScratch {
+        let mut s = RowScratch::default();
+        match engine {
+            PathEngine::HopBoundedDp => {
+                s.next.reserve(n);
+                s.frontier.reserve(n);
+                s.moved.reserve(n);
+            }
+            PathEngine::Enumerate => {
+                s.visited.reserve(n);
+                s.cost_stack.reserve(n + 1);
+                s.frames.reserve(n + 1);
+            }
+        }
+        s
+    }
+}
+
+/// [`min_inv_lu_enumerated_from`] into `dist` (one entry per node),
+/// working in `scratch`.
+pub(crate) fn min_inv_lu_enumerated_into(
+    g: &Graph,
+    src: NodeId,
+    max_hop: Option<usize>,
+    dist: &mut [f64],
+    scratch: &mut RowScratch,
+) {
     let n = g.node_count();
     let bound = max_hop.unwrap_or(usize::MAX);
-    let mut dist = vec![f64::INFINITY; n];
+    dist.fill(f64::INFINITY);
     dist[src.index()] = 0.0;
     if bound == 0 || n == 0 {
-        return dist;
+        return;
     }
-    let mut visited = vec![false; n];
-    let mut cost_stack: Vec<f64> = vec![0.0];
+    let RowScratch { visited, cost_stack, frames, .. } = scratch;
+    visited.clear();
+    visited.resize(n, false);
+    cost_stack.clear();
+    cost_stack.push(0.0);
     // Iterative DFS over all simple paths: frame = (node, next neighbor idx).
-    let mut frames: Vec<(NodeId, usize)> = vec![(src, 0)];
+    frames.clear();
+    frames.push((src, 0));
     visited[src.index()] = true;
     while let Some(&mut (v, ref mut idx)) = frames.last_mut() {
         let neighbors = g.neighbors(v);
@@ -220,7 +273,6 @@ pub fn min_inv_lu_enumerated_from(g: &Graph, src: NodeId, max_hop: Option<usize>
         cost_stack.push(new_cost);
         frames.push((w, 0));
     }
-    dist
 }
 
 /// One hop layer of the Bellman–Ford DP: relax every edge out of
@@ -262,27 +314,42 @@ fn relax_layer(
 /// relaxes only out of the previous layer's frontier, so a bounded search
 /// costs what it reaches, not `max_hop · |E|`.
 pub fn min_inv_lu_dp_from(g: &Graph, src: NodeId, max_hop: Option<usize>) -> Vec<f64> {
+    let mut dist = vec![f64::INFINITY; g.node_count()];
+    min_inv_lu_dp_into(g, src, max_hop, &mut dist, &mut RowScratch::default());
+    dist
+}
+
+/// [`min_inv_lu_dp_from`] into `dist` (one entry per node), working in
+/// `scratch`.
+pub(crate) fn min_inv_lu_dp_into(
+    g: &Graph,
+    src: NodeId,
+    max_hop: Option<usize>,
+    dist: &mut [f64],
+    scratch: &mut RowScratch,
+) {
     let n = g.node_count();
     // Unbounded: n-1 hops suffice for any simple path.
     let bound = max_hop.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
-    let mut dist = vec![f64::INFINITY; n];
+    dist.fill(f64::INFINITY);
     dist[src.index()] = 0.0;
-    let mut next = dist.clone();
-    let mut frontier = vec![src];
-    let mut moved = Vec::new();
+    let RowScratch { next, frontier, moved, .. } = scratch;
+    next.clear();
+    next.extend_from_slice(dist);
+    frontier.clear();
+    frontier.push(src);
     for _ in 0..bound {
-        relax_layer(g, &dist, &mut next, &frontier, &mut moved);
+        relax_layer(g, dist, next, frontier, moved);
         if moved.is_empty() {
             break; // diameter reached
         }
-        for &b in &moved {
+        for &b in moved.iter() {
             dist[b.index()] = next[b.index()];
         }
-        std::mem::swap(&mut frontier, &mut moved);
+        std::mem::swap(frontier, moved);
     }
     // The source's own distance stays 0 but a path to itself is not
     // meaningful for offloading; callers filter src == dst beforehand.
-    dist
 }
 
 /// Minimum `Σ 1/Lu_e` between one pair of nodes via the DP engine.
