@@ -601,6 +601,49 @@ fn scale_fleet_k90_shape_is_pinned() {
     assert_eq!(federation_digest(fed), 0x45c2_4569_25f7_bde5);
 }
 
+/// `(k, duration_ms, samples, federation digest, points)` of
+/// [`scale_fleet_sim_on`] runs whose sample counts straddle a run of
+/// eight: one, a few, exactly eight, one past, and the 10 s run's 67.
+const SAMPLE_COUNT_PINS: [(usize, u64, u64, u64, usize); 10] = [
+    (4, 100, 1, 0xa91b_1b90_046f_d821, 60),
+    (4, 300, 3, 0x7003_2fd5_0132_b329, 180),
+    (4, 1_050, 8, 0x576a_d8bb_143b_899d, 480),
+    (4, 1_200, 9, 0xf222_2c0d_bcbb_ebe1, 540),
+    (4, 10_000, 67, 0x18da_1d92_941b_cf39, 4_020),
+    (8, 100, 1, 0xfc26_68ee_d2f2_ca85, 240),
+    (8, 300, 3, 0x9637_13ab_641f_b1d5, 720),
+    (8, 1_050, 8, 0xcc9c_6efa_b0a7_be05, 1_920),
+    (8, 1_200, 9, 0x2faa_e487_6062_4a65, 2_160),
+    (8, 10_000, 67, 0x4b37_38c9_5e37_1d25, 16_080),
+];
+
+#[test]
+fn sample_counts_around_a_run_of_eight_are_pinned() {
+    // Every series of these fleets is a per-sample series, one point per
+    // sample at t = 0, 150, 300, …: its length and its last timestamp
+    // follow from the sample count, and every point is in the digest.
+    let mut got = Vec::new();
+    for (k, duration_ms, samples, ..) in SAMPLE_COUNT_PINS {
+        let report =
+            scale_fleet_sim_on(k, duration_ms, 1, ObsHandle::disabled(), EngineKind::Event).run();
+        let fed = &report.federation;
+        let mut points = 0;
+        for n in fed.nodes() {
+            let db = fed.store(n).expect("listed stores exist");
+            assert_eq!(db.series_names(), ["device-cpu", "device-mem", "monitor-cpu"], "{n:?}");
+            for name in db.series_names() {
+                let s = db.series(name).expect("listed series exist");
+                let last = s.points().last().expect("sampled").ts_ms;
+                let at = format!("k {k}, {duration_ms} ms, {n:?} {name}");
+                assert_eq!((s.len() as u64, last), (samples, (samples - 1) * 150), "{at}");
+                points += s.len();
+            }
+        }
+        got.push((k, duration_ms, samples, federation_digest(fed), points));
+    }
+    assert_eq!(got, SAMPLE_COUNT_PINS);
+}
+
 /// One row per run of the sweep. Recorded from the tick core — the
 /// reference the event core was pinned against — and the event core
 /// alike: the two gave the same value for every row.
