@@ -50,6 +50,6 @@ pub mod qos;
 
 pub use client::{Client, ClientPhase, HostedWorkload};
 pub use codec::{decode_client, decode_manager, encode_client, encode_manager, CodecError};
-pub use manager::{ClientRecord, Hosting, Manager};
+pub use manager::{ClientRecord, ClientRegistry, Hosting, Manager};
 pub use messages::{ClientMsg, Envelope, ManagerMsg, RequestId};
 pub use qos::{admit, ClassifiedLoad, Priority};

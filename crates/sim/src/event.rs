@@ -41,18 +41,31 @@
 //!   the run's own duration and sample period) — in two passes, all
 //!   handles then all point lists, so the series tables' small
 //!   allocations do not interleave the large lists. From then on a sample
-//!   is an index and a push per series — no name search, no regrowth. The
-//!   batch's CPU/memory histogram samples collect in two reused buffers
-//!   and reach the recorder in one [`dust_obs::ObsHandle::observe_all`]
-//!   each instead of one lock per node.
+//!   is an index and a push per series — no name search, no regrowth.
+//!   The pushes are written in runs: a sample's per-node values go into
+//!   one reused buffer, and every `SAMPLE_RUN` (8) samples each series
+//!   takes its held points back-to-back, one list at a time, instead of
+//!   one point into each of the fleet's lists per sample. The run's last
+//!   sample writes a partial run, so the federation is whole when the run
+//!   ends; nothing reads it before then. A handler that comes to read it
+//!   mid-run must flush the held samples first. The flow series, written
+//!   only while flows are routed, append directly. The batch's CPU/memory
+//!   histogram samples collect in two reused buffers and reach the
+//!   recorder in one [`dust_obs::ObsHandle::observe_all`] each instead of
+//!   one lock per node.
 
 use crate::engine::EventQueue;
 use crate::flows::{evaluate_flows, TelemetryFlow};
 use crate::node::SimNode;
 use crate::runner::{series, SimEvent, SimReport, Simulation};
 use dust_proto::ClientMsg;
-use dust_telemetry::{MonitorAgent, SeriesId};
+use dust_telemetry::{Federation, MonitorAgent, SeriesId};
 use std::sync::Arc;
+
+/// Samples held back and written together, series by series: a run of
+/// points per series instead of one point into each of every node's three
+/// lists per sample.
+const SAMPLE_RUN: usize = 8;
 
 /// Per-node cached aggregates, invalidated by agent-ledger epoch (and
 /// traffic fraction for the CPU/data sums, which depend on it).
@@ -116,6 +129,12 @@ struct HotState {
     /// samples, reused across batches and flushed once per batch.
     cpu_batch: Vec<f64>,
     mem_batch: Vec<f64>,
+    /// The values of up to [`SAMPLE_RUN`] samples not yet written, node-major
+    /// within a sample: `run[(s * nodes + i) * 3 + j]` is sample `s`'s point
+    /// for `handles[i][j]`. Sized exactly at the first sample.
+    run: Vec<f64>,
+    /// The held samples' timestamps, oldest first.
+    run_at: Vec<u64>,
 }
 
 impl HotState {
@@ -134,7 +153,28 @@ impl HotState {
             handles: Vec::new(),
             cpu_batch: Vec::new(),
             mem_batch: Vec::new(),
+            run: Vec::new(),
+            run_at: Vec::new(),
         }
+    }
+
+    /// Write the held samples, series by series: each series takes its
+    /// points back-to-back through [`Tsdb::append_to`], which still checks
+    /// their order.
+    ///
+    /// [`Tsdb::append_to`]: dust_telemetry::Tsdb::append_to
+    fn flush_samples(&mut self, federation: &mut Federation, nodes: &[SimNode]) {
+        let stride = nodes.len() * 3;
+        for (i, (n, ids)) in nodes.iter().zip(&self.handles).enumerate() {
+            let db = federation.store_mut(n.id);
+            for (j, &id) in ids.iter().enumerate() {
+                for (s, &at) in self.run_at.iter().enumerate() {
+                    db.append_to(id, at, self.run[s * stride + i * 3 + j]);
+                }
+            }
+        }
+        self.run.clear();
+        self.run_at.clear();
     }
 
     /// The memo index of `node`'s shared deployment, added on first sight;
@@ -278,6 +318,9 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                         [series::DEVICE_CPU, series::DEVICE_MEM, series::MONITOR_CPU]
                             .map(|name| db.series_id(name))
                     }));
+                    let held = points.min(SAMPLE_RUN);
+                    hot.run.reserve_exact(held * sim.nodes.len() * 3);
+                    hot.run_at.reserve_exact(held);
                     for (n, ids) in sim.nodes.iter().zip(&hot.handles) {
                         let db = report.federation.store_mut(n.id);
                         for &id in ids {
@@ -289,17 +332,21 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                 for i in 0..sim.nodes.len() {
                     let (raw, _) = hot.raw(&sim.nodes[i], i, traffic);
                     let mem = hot.mem(&sim.nodes[i], i);
-                    let n = &sim.nodes[i];
-                    let cpu = n.device_cpu_from_raw(raw, now);
-                    let db = report.federation.store_mut(n.id);
-                    let [cpu_id, mem_id, monitor_id] = hot.handles[i];
-                    db.append_to(cpu_id, now, cpu);
-                    db.append_to(mem_id, now, mem);
-                    db.append_to(monitor_id, now, SimNode::monitoring_cpu_from_raw(raw, now));
+                    let cpu = sim.nodes[i].device_cpu_from_raw(raw, now);
+                    let monitor = SimNode::monitoring_cpu_from_raw(raw, now);
+                    hot.run.extend([cpu, mem, monitor]);
                     if recording {
                         hot.cpu_batch.push(cpu);
                         hot.mem_batch.push(mem);
                     }
+                }
+                hot.run_at.push(now);
+                // the run's last sample (its successor would land past the
+                // end) writes what it holds too, so the run ends with every
+                // point stored and inside this scope's time
+                let last = now.saturating_add(sim.cfg.sample_period_ms) > sim.cfg.duration_ms;
+                if hot.run_at.len() == SAMPLE_RUN || last {
+                    hot.flush_samples(&mut report.federation, &sim.nodes);
                 }
                 if recording {
                     sim.obs.observe_all("sim.node.cpu_percent", &hot.cpu_batch);
@@ -375,6 +422,7 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
         }
         report.end_ms = now;
     }
+    debug_assert!(hot.run_at.is_empty(), "the last sample writes every held point");
     sim.finish_report(&mut report);
     report
 }
