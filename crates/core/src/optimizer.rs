@@ -18,9 +18,7 @@ use crate::state::Nmdb;
 use dust_lp::{
     Basis, Cmp, Problem, SolveOptions, Status, TransportProblem, TransportSolution, TransportStatus,
 };
-use dust_topology::{
-    min_inv_lu_dp_path_with, min_inv_lu_enumerated, CostEngine, DpScratch, NodeId, Path, PathEngine,
-};
+use dust_topology::{min_inv_lu_enumerated, CostEngine, DpScratch, NodeId, Path, PathEngine};
 use std::time::{Duration, Instant};
 
 /// Which LP machinery solves the placement.
@@ -341,8 +339,11 @@ pub fn optimize_with(
     const FLOW_TOL: f64 = 1e-7;
     let routes_scope = obs.prof_scope("core.routes");
     let mut assignments = Vec::new();
+    // one DP per busy row that ships anything, backtracked to each of its
+    // destinations
     let mut scratch = DpScratch::default();
     for (r, &b) in busy.iter().enumerate() {
+        let mut ran = false;
         for (c, &o) in candidates.iter().enumerate() {
             let x = flow[r * candidates.len() + c];
             if x > FLOW_TOL {
@@ -351,8 +352,11 @@ pub fn optimize_with(
                         min_inv_lu_enumerated(&nmdb.graph, b, o, cfg.max_hop).map(|(_, p)| p)
                     }
                     PathEngine::HopBoundedDp => {
-                        min_inv_lu_dp_path_with(&nmdb.graph, b, o, cfg.max_hop, &mut scratch)
-                            .map(|(_, p)| p)
+                        if !ran {
+                            scratch.run(&nmdb.graph, b, cfg.max_hop);
+                            ran = true;
+                        }
+                        scratch.route_to(&nmdb.graph, o).map(|(_, p)| p)
                     }
                 };
                 assignments.push(Assignment {

@@ -9,33 +9,36 @@
 //! which is far faster than the general simplex for the many small problems
 //! the heuristic spawns (ablation 2 in DESIGN.md).
 //!
-//! Both phases keep indexed state instead of rescanning the `m × n` arrays:
+//! Both phases keep indexed state, so a step costs what it changes rather
+//! than a rescan of the `m × n` arrays:
 //!
 //! * **Vogel** caches, per open row and column, its two smallest open costs
 //!   and where they sit, and rescans a line only when the line just closed
 //!   was one of those two — a few hundred line rescans per solve at
 //!   121 × 360, where re-deriving every penalty at each of the `m + n − 1`
-//!   steps was two thirds of a cold solve.
-//!   The penalties themselves sit in one flat array, touched only where a
-//!   cache was rescanned or a line closed, so a step is one maximum over
-//!   `m + n` numbers.
+//!   steps was two thirds of a cold solve. A rescan walks an ascending
+//!   list of the open lines. The penalties sit at the leaves of a winner
+//!   tree (`Tournament`), so a step reads the largest at the root and a
+//!   changed penalty replays the matches on its way up.
 //! * **MODI** holds the basis as the adjacency lists of the spanning tree it
 //!   forms on the row and column vertices, so potentials, the entering
 //!   cell's cycle, the exported [`Basis`] and the warm-start peel all walk
-//!   `m + n − 1` tree edges. Pricing is the exact Dantzig rule (most
-//!   negative reduced cost, row-major, first wins) over a per-row cache of
-//!   each row's minimum: a pivot moves the duals of one cut-off component
-//!   only, so a row is scanned again only if its own dual, its basic set
-//!   or the dual under its cached minimum changed, and every other row
+//!   tree edges. A pivot cuts one tree edge, so only the duals of the
+//!   component cut off from the root can move; that component is re-hung
+//!   below the entering cell and only its potentials are recomputed
+//!   (`Duals::hang`). Pricing is the exact Dantzig rule (most negative
+//!   reduced cost, row-major, first wins) over a per-row cache of each
+//!   row's minimum: a row is scanned again only if its own dual, its basic
+//!   set or the dual under its cached minimum changed, and every other row
 //!   prices just the columns whose dual moved — a few per cent of the
 //!   `m · n` cells a full scan visits
 //!   ([`TransportSolution::cells_priced`]).
 //!
-//! None of this changes what the solver does: potentials are recomputed
-//! from the root each pivot (a subtree delta would round differently) and
-//! compared bitwise with the previous pivot's to find what moved, so
-//! pivots, flows and bases are bit-identical to the plain textbook loops —
-//! `tests/transport_pins.rs` holds them to that.
+//! None of this changes what the solver does. Each potential is the chain
+//! `u_i + v_j = c_ij` along its own tree path from the root, so the
+//! re-hung subtree's values are bit-equal to a recompute from the root,
+//! and pivots, flows and bases are bit-identical to the plain textbook
+//! loops — `tests/transport_pins.rs` holds them to that.
 //!
 //! Unreachable (forbidden) pairs are modeled with `f64::INFINITY` costs;
 //! internally they become a big-M cost, and any positive flow left on them
@@ -277,14 +280,9 @@ impl TransportProblem {
         // Balanced instance: extra dummy source absorbing spare capacity at
         // zero cost. Rows = m0 + 1 (dummy last), all sinks become equality.
         let m = m0 + 1;
-        let mut c = vec![0.0; m * n];
-        for i in 0..m0 {
-            for j in 0..n {
-                let v = self.cost[i * n + j];
-                c[i * n + j] = if v.is_finite() { v } else { big_m };
-            }
-        }
-        // dummy row cost 0 (already zeroed)
+        let mut c = Vec::with_capacity(m * n);
+        c.extend(self.cost.iter().map(|&v| if v.is_finite() { v } else { big_m }));
+        c.resize(m * n, 0.0); // the dummy row costs 0
         let mut supply: Vec<f64> = Vec::with_capacity(m);
         supply.extend_from_slice(&self.supply);
         supply.push(total_cap - total_supply);
@@ -309,17 +307,21 @@ impl TransportProblem {
 
         // The real rows of the balanced flows are the answer (the dummy row
         // is last, so they are a prefix) — unless flow is left on a
-        // forbidden route.
+        // forbidden route. Only basic cells carry flow and a nonbasic one
+        // holds exactly 0.0, so summing the basis cells, row-major as they
+        // are exported, adds what a sweep of every cell adds, bit for bit.
         let basis = state.export_basis();
-        let mut flow = state.flow;
-        flow.truncate(m0 * n);
         let mut objective = 0.0;
-        for (&f, &cost) in flow.iter().zip(&self.cost) {
+        for &(i, j) in basis.cells.iter().take_while(|&&(i, _)| (i as usize) < m0) {
+            let x = i as usize * n + j as usize;
+            let (f, cost) = (state.flow[x], self.cost[x]);
             if f > TOL && !cost.is_finite() {
                 return (withheld(TransportStatus::Infeasible, &pivots, warm_used), warm_use);
             }
             objective += f * cost.min(big_m);
         }
+        let mut flow = state.flow;
+        flow.truncate(m0 * n);
         // Normalize duals so the dummy source's potential is zero: shifting
         // all u by -u_dummy and all v by +u_dummy preserves u_i + v_j and
         // anchors sink potentials at "price relative to leaving capacity
@@ -432,20 +434,60 @@ fn price_row(c_row: &[f64], basic_row: &[bool], ui: f64, v: &[f64]) -> (f64, usi
     (lo, at)
 }
 
-/// Index of the first largest value of a non-empty slice without NaNs —
-/// what a left-to-right strict-`>` scan finds — as a branch-free maximum
-/// over eight lanes, then the first element equal to it.
-fn first_max(xs: &[f64]) -> usize {
-    let max = |a: f64, b: f64| if a > b { a } else { b };
-    let mut lanes = [f64::NEG_INFINITY; 8];
-    let mut x8 = xs.chunks_exact(8);
-    for chunk in &mut x8 {
-        for k in 0..8 {
-            lanes[k] = max(chunk[k], lanes[k]);
+/// A winner tree over a fixed number of values without NaNs: every inner
+/// node holds the index of its subtree's larger value, the smaller index
+/// on ties, so the root holds the first maximum — what a left-to-right
+/// strict-`>` scan finds. Changing one value replays the matches on its
+/// way to the root, one per level.
+struct Tournament {
+    /// The values, padded with `-∞` up to a power of two.
+    vals: Vec<f64>,
+    /// `win[k]` is the winning index below heap node `k` (root at 1,
+    /// children of `k` at `2k` and `2k + 1`, leaf `x` at `vals.len() + x`).
+    win: Vec<u32>,
+}
+
+impl Tournament {
+    /// A tree over `vals`, which must be non-empty.
+    fn new(vals: impl IntoIterator<Item = f64>) -> Tournament {
+        let vals = vals.into_iter();
+        // room for the padding up front, so it is one allocation
+        let mut padded = Vec::with_capacity(vals.size_hint().0.next_power_of_two());
+        padded.extend(vals);
+        let size = padded.len().next_power_of_two();
+        padded.resize(size, f64::NEG_INFINITY);
+        let mut t = Tournament { vals: padded, win: vec![0; 2 * size] };
+        for x in 0..size {
+            t.win[size + x] = x as u32;
+        }
+        for k in (1..size).rev() {
+            t.play(k);
+        }
+        t
+    }
+
+    /// The winner at heap node `k` from its children's winners. Every
+    /// index under the left child is below every index under the right
+    /// one, so the left wins ties.
+    fn play(&mut self, k: usize) {
+        let (a, b) = (self.win[2 * k], self.win[2 * k + 1]);
+        self.win[k] = if self.vals[b as usize] > self.vals[a as usize] { b } else { a };
+    }
+
+    /// Set value `x` and replay its matches.
+    fn set(&mut self, x: usize, val: f64) {
+        self.vals[x] = val;
+        let mut k = (self.vals.len() + x) / 2;
+        while k > 0 {
+            self.play(k);
+            k /= 2;
         }
     }
-    let hi = x8.remainder().iter().copied().chain(lanes).fold(f64::NEG_INFINITY, max);
-    xs.iter().position(|&x| x == hi).expect("the maximum is attained")
+
+    /// Index of the first largest value.
+    fn top(&self) -> usize {
+        self.win[1] as usize
+    }
 }
 
 /// What [`State::modi_optimize`] did.
@@ -459,6 +501,93 @@ struct Pivots {
     /// Optimal potentials `(u, v)` of the balanced instance; `None` when
     /// the pivot cap stopped the search short of optimality.
     duals: Option<(Vec<f64>, Vec<f64>)>,
+}
+
+/// The potentials of the basis tree, which is hung from row 0: tree
+/// vertices are the rows `0..m`, then the columns `m..m + n`, and `pot`
+/// holds `u_i` at vertex `i` and `v_j` at vertex `m + j`.
+struct Duals {
+    pot: Vec<f64>,
+    /// The pivot at which each potential's bits last changed.
+    at: Vec<usize>,
+    /// Each vertex's neighbour toward the root (`usize::MAX` at the root).
+    up: Vec<usize>,
+    /// Tree edges between each vertex and the root.
+    depth: Vec<usize>,
+    /// The columns whose `v_j` changed in the last [`Duals::hang`].
+    moved: Vec<usize>,
+    stack: Vec<usize>,
+}
+
+impl Duals {
+    /// The potentials of `st`'s basis, all stamped with pivot 0.
+    fn new(st: &State, c: &[f64]) -> Duals {
+        let k = st.m + st.n;
+        let mut d = Duals {
+            pot: vec![f64::NAN; k],
+            at: vec![0; k],
+            up: vec![usize::MAX; k],
+            depth: vec![0; k],
+            moved: Vec::with_capacity(st.n),
+            stack: Vec::with_capacity(k),
+        };
+        d.hang(st, c, 0, usize::MAX, 0);
+        debug_assert!(d.pot.iter().all(|x| !x.is_nan()), "basis does not span the bipartite graph");
+        d
+    }
+
+    /// Hang `top` below its tree neighbour `above` (`top` is the root, row
+    /// 0, when `above` is `usize::MAX`) and everything on `top`'s side of
+    /// that edge below `top`, setting `up`, `depth` and the potentials on
+    /// the way down by `u_i + v_j = c_ij` from `u_0 = 0`. A potential whose
+    /// bits change is stamped with pivot `now`, and a column's lands in
+    /// `moved`.
+    ///
+    /// Each potential is the chain along its own tree path to the root,
+    /// whatever order the walk takes, so a vertex whose path did not change
+    /// keeps its value and re-hanging one subtree gives every value a
+    /// recompute from the root would give, bit for bit.
+    fn hang(&mut self, st: &State, c: &[f64], top: usize, above: usize, now: usize) {
+        let (m, n) = (st.m, st.n);
+        self.moved.clear();
+        self.set(m, n, c, top, above, now);
+        self.stack.push(top);
+        while let Some(x) = self.stack.pop() {
+            if x < m {
+                for &j in &st.row_adj[x] {
+                    if m + j != self.up[x] {
+                        self.set(m, n, c, m + j, x, now);
+                        self.stack.push(m + j);
+                    }
+                }
+            } else {
+                for &i in &st.col_adj[x - m] {
+                    if i != self.up[x] {
+                        self.set(m, n, c, i, x, now);
+                        self.stack.push(i);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Hang vertex `y` from its tree neighbour `x`.
+    fn set(&mut self, m: usize, n: usize, c: &[f64], y: usize, x: usize, now: usize) {
+        let (p, depth) = if x == usize::MAX {
+            (0.0, 0)
+        } else {
+            let cell = if x < m { x * n + (y - m) } else { y * n + (x - m) };
+            (c[cell] - self.pot[x], self.depth[x] + 1)
+        };
+        if p.to_bits() != self.pot[y].to_bits() {
+            self.pot[y] = p;
+            self.at[y] = now;
+            if y >= m {
+                self.moved.push(y - m);
+            }
+        }
+        (self.up[y], self.depth[y]) = (x, depth);
+    }
 }
 
 /// Internal solver state over the balanced `m × n` instance.
@@ -592,36 +721,35 @@ impl State {
     /// `s` and `d` are the balances it works down.
     ///
     /// Every open line's two smallest open costs are cached ([`Least`]) and
-    /// a line is rescanned only when the line just closed was one of the
-    /// two its cache stands on; the penalties sit in one flat array that
-    /// changes only where a cache was rescanned or a line closed. A step
-    /// costs one maximum over `m + n` numbers plus the rescans it forces
-    /// instead of a fresh O(m · n) sweep.
+    /// a line is rescanned, along the ascending list of open lines across
+    /// it, only when the line just closed was one of the two its cache
+    /// stands on. The penalties are the leaves of a [`Tournament`], so a
+    /// step reads its line at the root and pays one climb per penalty the
+    /// closure changed, instead of a fresh O(m · n) sweep or a maximum
+    /// over all `m + n` lines.
     ///
-    /// `watch(row_done, col_done, penalties)` is called before every pick;
-    /// it is the tests' window onto the caches and a no-op otherwise.
+    /// `watch(open_rows, open_cols, penalties)` is called before every
+    /// pick; it is the tests' window onto the caches and a no-op otherwise.
     fn vogel_initial(
         m: usize,
         n: usize,
         mut s: Vec<f64>,
         mut d: Vec<f64>,
         c: &[f64],
-        mut watch: impl FnMut(&[bool], &[bool], &[f64]),
+        mut watch: impl FnMut(&[usize], &[usize], &[f64]),
     ) -> State {
         const TOL: f64 = 1e-12;
-        let mut row_done = vec![false; m];
-        let mut col_done = vec![false; n];
+        let mut open_rows: Vec<usize> = (0..m).collect();
+        let mut open_cols: Vec<usize> = (0..n).collect();
         let mut st = State::new(m, n);
-        let mut rows_left = m;
-        let mut cols_left = n;
 
-        let scan_row = |i: usize, col_done: &[bool]| {
-            Least::scan((0..n).filter(|&j| !col_done[j]).map(|j| (j, c[i * n + j])))
+        let scan_row = |i: usize, open_cols: &[usize]| {
+            Least::scan(open_cols.iter().map(|&j| (j, c[i * n + j])))
         };
-        let scan_col = |j: usize, row_done: &[bool]| {
-            Least::scan((0..m).filter(|&i| !row_done[i]).map(|i| (i, c[i * n + j])))
+        let scan_col = |j: usize, open_rows: &[usize]| {
+            Least::scan(open_rows.iter().map(|&i| (i, c[i * n + j])))
         };
-        let mut rows: Vec<Least> = (0..m).map(|i| scan_row(i, &col_done)).collect();
+        let mut rows: Vec<Least> = (0..m).map(|i| scan_row(i, &open_cols)).collect();
         // every column sees its rows in ascending order, as `scan_col` would
         // show them, but the matrix is walked along its rows
         let mut cols = vec![Least::EMPTY; n];
@@ -635,13 +763,18 @@ impl State {
         // with no open cell left.
         const CLOSED: f64 = -1.0;
         let live = |l: &Least| if l.k1 == usize::MAX { CLOSED } else { l.penalty() };
-        let mut pen: Vec<f64> = rows.iter().chain(&cols).map(live).collect();
+        let mut pen = Tournament::new(rows.iter().chain(&cols).map(live));
+        // closing line `k` of an ascending open list
+        let close = |open: &mut Vec<usize>, k: usize| {
+            let at = open.binary_search(&k).expect("the line is open");
+            open.remove(at);
+        };
 
-        while rows_left > 0 && cols_left > 0 {
-            watch(&row_done, &col_done, &pen);
+        while !open_rows.is_empty() && !open_cols.is_empty() {
+            watch(&open_rows, &open_cols, &pen.vals[..m + n]);
             // the open row or column with the largest penalty, rows first
-            let line = first_max(&pen);
-            if pen[line] == CLOSED {
+            let line = pen.top();
+            if pen.vals[line] == CLOSED {
                 break;
             }
             let (i, j) =
@@ -654,24 +787,22 @@ impl State {
             // close exactly one of row/col per assignment (keeps the basis
             // at m + n - 1 cells); close the exhausted one, preferring the
             // row on ties unless it is the last row.
-            if s[i] <= TOL && (d[j] > TOL || rows_left > 1) {
-                row_done[i] = true;
-                rows_left -= 1;
-                pen[i] = CLOSED;
-                for (j, l) in cols.iter_mut().enumerate() {
-                    if !col_done[j] && l.stands_on(i) {
-                        *l = scan_col(j, &row_done);
-                        pen[m + j] = live(l);
+            if s[i] <= TOL && (d[j] > TOL || open_rows.len() > 1) {
+                close(&mut open_rows, i);
+                pen.set(i, CLOSED);
+                for &j in &open_cols {
+                    if cols[j].stands_on(i) {
+                        cols[j] = scan_col(j, &open_rows);
+                        pen.set(m + j, live(&cols[j]));
                     }
                 }
             } else {
-                col_done[j] = true;
-                cols_left -= 1;
-                pen[m + j] = CLOSED;
-                for (i, l) in rows.iter_mut().enumerate() {
-                    if !row_done[i] && l.stands_on(j) {
-                        *l = scan_row(i, &col_done);
-                        pen[i] = live(l);
+                close(&mut open_cols, j);
+                pen.set(m + j, CLOSED);
+                for &i in &open_rows {
+                    if rows[i].stands_on(j) {
+                        rows[i] = scan_row(i, &open_cols);
+                        pen.set(i, live(&rows[i]));
                     }
                 }
             }
@@ -729,26 +860,32 @@ impl State {
     /// MODI (u-v) optimization from the current basis, for at most
     /// `max_pivots` pivots.
     ///
-    /// Potentials and the cycle walk the tree's adjacency lists, every
-    /// buffer is allocated once, up front, and pricing (step 2) visits
-    /// only the cells whose reduced cost can differ from the last pivot's.
+    /// The potentials are kept across pivots ([`Duals`]), the cycle walks
+    /// the tree's parent pointers, every buffer is allocated once, up
+    /// front, and pricing (step 1) visits only the cells whose reduced cost
+    /// can differ from the last pivot's.
+    ///
+    /// **The potentials.** The whole tree is hung from row 0 once, up
+    /// front. After that, a pivot cuts the leaving edge, and only the
+    /// component cut off from the root can change duals; the cycle says
+    /// which end of the entering cell lies in it. That component is re-hung below the
+    /// entering cell ([`Duals::hang`]), and its potentials are recomputed
+    /// down the same chain rule: O(component), not O(m + n), and bit-equal
+    /// to a recompute from the root. A potential whose bits change is
+    /// stamped with the pivot; a value that happens to come out equal is
+    /// not.
     ///
     /// **The pricing cache.** `row_best[i]` holds the minimum reduced cost
     /// over row `i`'s nonbasic cells and the *first* column attaining it —
-    /// what a left-to-right strict-`<` scan of the row finds. A pivot cuts
-    /// one tree edge, so only the duals of the component cut off from the
-    /// root move: after the full recompute of step 1, `u`/`v` are compared
-    /// *bitwise* with the previous pivot's. A row is scanned afresh iff
-    /// its own `u_i` changed, its basic set changed (the entering or
-    /// leaving cell's row), or the dual of the column its cached minimum
-    /// stands on changed; every other row prices just the columns whose
-    /// `v_j` changed and merges them into its cache (smaller value wins,
-    /// equal value goes to the smaller column). The entering cell is then
-    /// the first row, ascending, whose minimum beats the best so far — the
-    /// cell the row-major scan of all `m · n` cells picks, ties included.
-    /// The duals are diffed rather than shifted or derived from the cut
-    /// subtree: a delta rounds differently from the recompute, and the
-    /// diff also skips a dual that happens to come out equal.
+    /// what a left-to-right strict-`<` scan of the row finds. A row is
+    /// scanned afresh iff its own `u_i` was stamped by the last pivot, its
+    /// basic set changed (the entering or leaving cell's row), or the dual
+    /// of the column its cached minimum stands on was stamped; every other
+    /// row prices just the stamped columns and merges them into its cache
+    /// (smaller value wins, equal value goes to the smaller column). The
+    /// entering cell is then the first row, ascending, whose minimum beats
+    /// the best so far — the cell the row-major scan of all `m · n` cells
+    /// picks, ties included.
     ///
     /// `watch(state, u, v, row_best, entering)` is called after every
     /// pricing step; it is the tests' window onto the cache and a no-op
@@ -761,70 +898,24 @@ impl State {
     ) -> Pivots {
         const TOL: f64 = 1e-7;
         let (m, n) = (self.m, self.n);
-        // Tree vertices: rows 0..m, then columns m..m+n, rooted at row 0.
-        let mut u = vec![f64::NAN; m];
-        let mut v = vec![f64::NAN; n];
-        // Last pivot's potentials; NaN differs from everything, so the
-        // first pricing step scans every row.
-        let mut prev_u = vec![f64::NAN; m];
-        let mut prev_v = vec![f64::NAN; n];
+        // Every dual is stamped with pivot 0, so the first pricing step
+        // scans every row.
+        let mut duals = Duals::new(self, c);
         let mut row_best = vec![(f64::INFINITY, usize::MAX); m];
-        // columns whose potential moved in the last pivot
-        let mut moved: Vec<usize> = Vec::with_capacity(n);
         // rows of the last pivot's entering and leaving cells: their basic
         // sets changed
         let mut swapped = (usize::MAX, usize::MAX);
-        let mut up = vec![0usize; m + n]; // neighbour toward the root
-        let mut depth = vec![0usize; m + n];
-        let mut stack: Vec<usize> = Vec::with_capacity(m + n);
         // cycle cells (as flow indices) in path order, and its far half
         let mut cycle: Vec<usize> = Vec::with_capacity(m + n);
         let mut tail: Vec<usize> = Vec::with_capacity(m + n);
         let mut pivots = Pivots { count: 0, degenerate: 0, cells_priced: 0, duals: None };
-        let differs = |new: &[f64], old: &[f64], k: usize| new[k].to_bits() != old[k].to_bits();
         loop {
-            std::mem::swap(&mut u, &mut prev_u);
-            std::mem::swap(&mut v, &mut prev_v);
-            // 1. potentials: u_i + v_j = c_ij on every tree edge, chained
-            //    outward from u_0 = 0. Each value depends only on the
-            //    unique tree path to the root, not on the visiting order —
-            //    recomputing from the root (instead of shifting a subtree
-            //    by a delta) is what keeps them bit-reproducible.
-            u.fill(f64::NAN);
-            v.fill(f64::NAN);
-            u[0] = 0.0;
-            stack.push(0);
-            while let Some(x) = stack.pop() {
-                if x < m {
-                    for &j in &self.row_adj[x] {
-                        if v[j].is_nan() {
-                            v[j] = c[x * n + j] - u[x];
-                            (up[m + j], depth[m + j]) = (x, depth[x] + 1);
-                            stack.push(m + j);
-                        }
-                    }
-                } else {
-                    let j = x - m;
-                    for &i in &self.col_adj[j] {
-                        if u[i].is_nan() {
-                            u[i] = c[i * n + j] - v[j];
-                            (up[i], depth[i]) = (x, depth[x] + 1);
-                            stack.push(i);
-                        }
-                    }
-                }
-            }
-            // A properly completed basis spans all vertices; guard anyway.
-            debug_assert!(
-                u.iter().all(|x| !x.is_nan()) && v.iter().all(|x| !x.is_nan()),
-                "basis does not span the bipartite graph"
-            );
-
-            // 2. most negative reduced cost among nonbasic cells, row-major
+            // 1. most negative reduced cost among nonbasic cells, row-major
             //    first: refresh the per-row minima, then take the first row
             //    that beats the best so far.
-            moved.clear();
-            moved.extend((0..n).filter(|&j| differs(&v, &prev_v, j)));
+            let now = pivots.count;
+            let (u, v) = duals.pot.split_at(m);
+            let (u_at, v_at) = duals.at.split_at(m);
             let mut best = -TOL;
             let mut enter: Option<(usize, usize)> = None;
             for (i, cached) in row_best.iter_mut().enumerate() {
@@ -832,19 +923,19 @@ impl State {
                 let (mut lo, mut at) = *cached;
                 let stale = i == swapped.0
                     || i == swapped.1
-                    || differs(&u, &prev_u, i)
-                    || (at != usize::MAX && differs(&v, &prev_v, at));
+                    || u_at[i] == now
+                    || (at != usize::MAX && v_at[at] == now);
                 if stale {
-                    (lo, at) = price_row(c_row, basic_row, u[i], &v);
+                    (lo, at) = price_row(c_row, basic_row, u[i], v);
                     pivots.cells_priced += n as u64;
                 } else {
-                    for &j in moved.iter().filter(|&&j| !basic_row[j]) {
+                    for &j in duals.moved.iter().filter(|&&j| !basic_row[j]) {
                         let rc = c_row[j] - u[i] - v[j];
                         if rc < lo || (rc == lo && j < at) {
                             (lo, at) = (rc, j);
                         }
                     }
-                    pivots.cells_priced += moved.len() as u64;
+                    pivots.cells_priced += duals.moved.len() as u64;
                 }
                 *cached = (lo, at);
                 if lo < best {
@@ -852,18 +943,21 @@ impl State {
                     enter = Some((i, at));
                 }
             }
-            watch(self, &u, &v, &row_best, enter);
+            watch(self, u, v, &row_best, enter);
             let Some((ei, ej)) = enter else {
-                pivots.duals = Some((u, v));
+                let v = duals.pot.split_off(m);
+                pivots.duals = Some((duals.pot, v));
                 return pivots;
             };
             if pivots.count >= max_pivots {
                 return pivots;
             }
 
-            // 3. unique cycle: the tree path from row ei to col ej, which
+            // 2. unique cycle: the tree path from row ei to col ej, which
             //    the entering cell closes. Climb from both ends to where
-            //    they meet; `cycle` lists the path's cells from the ei end.
+            //    they meet; `cycle` lists the path's cells from the ei end,
+            //    the first `near` of them on ei's own climb.
+            let (up, depth) = (&duals.up, &duals.depth);
             let cell = |x: usize, y: usize| if x < m { x * n + (y - m) } else { y * n + (x - m) };
             cycle.clear();
             let (mut a, mut b) = (ei, m + ej);
@@ -876,18 +970,20 @@ impl State {
                     b = up[b];
                 }
             }
+            let near = cycle.len();
             cycle.extend(tail.drain(..).rev());
 
-            // 4. the entering cell is '+', then the path alternates -, +,
+            // 3. the entering cell is '+', then the path alternates -, +,
             //    -, … from the ei end. theta = min flow on '-' cells (first
             //    wins); update and swap basis.
-            let (mut theta, mut leave) = (f64::INFINITY, cycle[0]);
-            for &x in cycle.iter().step_by(2) {
-                if self.flow[x] < theta {
-                    theta = self.flow[x];
-                    leave = x;
+            let (mut theta, mut out) = (f64::INFINITY, 0);
+            for t in (0..cycle.len()).step_by(2) {
+                if self.flow[cycle[t]] < theta {
+                    theta = self.flow[cycle[t]];
+                    out = t;
                 }
             }
+            let leave = cycle[out];
             self.flow[ei * n + ej] += theta;
             for (t, &x) in cycle.iter().enumerate() {
                 if t % 2 == 0 {
@@ -904,6 +1000,12 @@ impl State {
             if theta == 0.0 {
                 pivots.degenerate += 1;
             }
+
+            // 4. the leaving edge lay on the climb from the end of the
+            //    entering cell that it cut off from the root: hang that
+            //    side from the other end.
+            let (inside, outside) = if out < near { (ei, m + ej) } else { (m + ej, ei) };
+            duals.hang(self, c, inside, outside, pivots.count);
         }
     }
 }
@@ -1373,16 +1475,16 @@ mod vogel_tests {
         let instances = (0..64).map(balanced_instance).chain((0..120).map(tie_instance));
         for (seed, (m, n, supply, demand, c)) in instances.enumerate() {
             let mut step = 0;
-            let watch = |row_done: &[bool], col_done: &[bool], pen: &[f64]| {
+            let watch = |open_rows: &[usize], open_cols: &[usize], pen: &[f64]| {
                 step += 1;
+                assert!(open_rows.is_sorted() && open_cols.is_sorted(), "{seed}: step {step}");
                 for line in 0..m + n {
                     let fresh = if line < m {
-                        let open = (0..n).filter(|&j| !col_done[j]);
-                        (!row_done[line]).then(|| Least::scan(open.map(|j| (j, c[line * n + j]))))
+                        let open = open_cols.iter().map(|&j| (j, c[line * n + j]));
+                        open_rows.contains(&line).then(|| Least::scan(open))
                     } else {
-                        let open = (0..m).filter(|&i| !row_done[i]);
-                        (!col_done[line - m])
-                            .then(|| Least::scan(open.map(|i| (i, c[i * n + line - m]))))
+                        let open = open_rows.iter().map(|&i| (i, c[i * n + line - m]));
+                        open_cols.contains(&(line - m)).then(|| Least::scan(open))
                     };
                     let fresh = fresh.filter(|l| l.k1 != usize::MAX).map_or(-1.0, |l| l.penalty());
                     assert_eq!(pen[line].to_bits(), fresh.to_bits(), "{seed}: step {step}, {line}");
@@ -1395,6 +1497,23 @@ mod vogel_tests {
             let bits = |f: &[f64]| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&st.flow), bits(&flow), "seed {seed}");
         }
+    }
+
+    /// Index of the first largest value of a non-empty slice without NaNs —
+    /// what a left-to-right strict-`>` scan finds — as a branch-free maximum
+    /// over eight lanes, then the first element equal to it: the reference
+    /// the winner tree is checked against.
+    fn first_max(xs: &[f64]) -> usize {
+        let max = |a: f64, b: f64| if a > b { a } else { b };
+        let mut lanes = [f64::NEG_INFINITY; 8];
+        let mut x8 = xs.chunks_exact(8);
+        for chunk in &mut x8 {
+            for k in 0..8 {
+                lanes[k] = max(chunk[k], lanes[k]);
+            }
+        }
+        let hi = x8.remainder().iter().copied().chain(lanes).fold(f64::NEG_INFINITY, max);
+        xs.iter().position(|&x| x == hi).expect("the maximum is attained")
     }
 
     #[test]
@@ -1410,6 +1529,29 @@ mod vogel_tests {
                     }
                 }
                 assert_eq!(first_max(&xs), at, "{xs:?}");
+            }
+        }
+    }
+
+    /// Penalty-shaped arrays — a few distinct values, so ties are the
+    /// rule, and `-1` closures — under single-point updates: after every
+    /// update the root names the line `first_max` finds.
+    #[test]
+    fn tournament_root_is_first_max_under_single_point_updates() {
+        let mut rng = SplitMix64::new(11);
+        for len in (1..=40).chain([63, 64, 65, 481]) {
+            let draw = |rng: &mut SplitMix64| match rng.below(6) {
+                0 => -1.0,
+                k => (k % 3) as f64 * 0.5,
+            };
+            let mut xs: Vec<f64> = (0..len).map(|_| draw(&mut rng)).collect();
+            let mut t = Tournament::new(xs.iter().copied());
+            assert_eq!(t.top(), first_max(&xs), "len {len}: built {xs:?}");
+            for step in 0..3 * len {
+                let k = rng.below(len as u64) as usize;
+                xs[k] = if step % 7 == 6 { -1.0 } else { draw(&mut rng) };
+                t.set(k, xs[k]);
+                assert_eq!(t.top(), first_max(&xs), "len {len}: step {step}, {xs:?}");
             }
         }
     }
@@ -1438,6 +1580,36 @@ mod pricing_tests {
             }
         }
         enter
+    }
+
+    /// The potentials recomputed from the root over `st`'s basis — the
+    /// reference the re-hung ones are checked against: `u_i + v_j = c_ij`
+    /// on every tree edge, chained outward from `u_0 = 0`.
+    fn potentials_from_root(st: &State, c: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let (m, n) = (st.m, st.n);
+        let mut u = vec![f64::NAN; m];
+        let mut v = vec![f64::NAN; n];
+        u[0] = 0.0;
+        let mut stack = vec![0];
+        while let Some(x) = stack.pop() {
+            if x < m {
+                for &j in &st.row_adj[x] {
+                    if v[j].is_nan() {
+                        v[j] = c[x * n + j] - u[x];
+                        stack.push(m + j);
+                    }
+                }
+            } else {
+                let j = x - m;
+                for &i in &st.col_adj[j] {
+                    if u[i].is_nan() {
+                        u[i] = c[i * n + j] - v[j];
+                        stack.push(i);
+                    }
+                }
+            }
+        }
+        (u, v)
     }
 
     /// A balanced instance (dummy row last, zero cost) from one supply row
@@ -1494,6 +1666,11 @@ mod pricing_tests {
             let mut step = 0;
             let done = st.modi_optimize(&c, 50 * (m + n) * (m + n), |st, u, v, row_best, enter| {
                 step += 1;
+                // the re-hung potentials are the from-root ones, bit for bit
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let (root_u, root_v) = potentials_from_root(st, &c);
+                assert_eq!(bits(u), bits(&root_u), "{seed}: step {step}, u");
+                assert_eq!(bits(v), bits(&root_v), "{seed}: step {step}, v");
                 for (i, &(lo, at)) in row_best.iter().enumerate() {
                     let row = i * n..(i + 1) * n;
                     let fresh = price_row(&c[row.clone()], &st.basic[row], u[i], v);

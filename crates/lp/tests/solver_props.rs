@@ -1,8 +1,9 @@
 //! Seeded random-instance tests pitting the two solvers against each
 //! other and against first principles: the specialized transportation
-//! solver must match the general simplex on random instances, simplex
-//! optima must be feasible and never beaten by random feasible points, and
-//! LP duality must hold exactly.
+//! solver must match the general simplex on random instances, both must
+//! match an enumeration of every basis on tiny ones, simplex optima must
+//! be feasible and never beaten by random feasible points, and LP duality
+//! must hold exactly.
 
 use dust_lp::{solve, Cmp, Problem, Status, TransportProblem, TransportStatus};
 use dust_topology::SplitMix64;
@@ -69,6 +70,111 @@ fn transportation_matches_simplex() {
             (a, b) => panic!("seed {seed}: status mismatch: {a:?} vs {b:?}"),
         }
     }
+}
+
+/// A tiny instance, at most 3 sources by 4 sinks: small integer balances
+/// (zeros included) and costs, so Vogel penalties, reduced costs and
+/// `theta` tie and bases carry zero-flow cells, with about one cell in five
+/// forbidden. Every third seed draws real-valued costs instead.
+fn tiny_transport(seed: u64) -> TransportProblem {
+    let mut rng = SplitMix64::new(seed);
+    let m = 1 + rng.below(3) as usize;
+    let n = 1 + rng.below(4) as usize;
+    let supply: Vec<f64> = (0..m).map(|_| rng.below(5) as f64).collect();
+    let capacity: Vec<f64> = (0..n).map(|_| rng.below(7) as f64).collect();
+    let cost: Vec<f64> = (0..m * n)
+        .map(|_| match rng.below(5) {
+            0 => f64::INFINITY,
+            _ if seed.is_multiple_of(3) => rng.range_f64(0.1, 20.0),
+            _ => rng.below(4) as f64,
+        })
+        .collect();
+    TransportProblem::new(supply, capacity, cost)
+}
+
+/// The optimum by brute force: balance the instance with a zero-cost
+/// slack source, then try every set of `rows + cols − 1` cells. A set
+/// that is a spanning tree fixes its flows (peel a leaf, which must carry
+/// its whole residual balance, and repeat); the tree is a vertex of the
+/// feasible region when no flow is negative and no forbidden cell carries
+/// any. The cheapest vertex is the optimum; none means infeasible.
+fn transport_by_enumeration(tp: &TransportProblem) -> Option<f64> {
+    const TOL: f64 = 1e-9;
+    let (m0, n) = (tp.supply.len(), tp.capacity.len());
+    let slack = tp.capacity.iter().sum::<f64>() - tp.supply.iter().sum::<f64>();
+    if slack < -TOL {
+        return None;
+    }
+    // vertices: rows 0..m (the slack source last), then columns m..m + n
+    let m = m0 + 1;
+    let mut balance = tp.supply.clone();
+    balance.push(slack.max(0.0));
+    balance.extend(&tp.capacity);
+    let cost = |i: usize, j: usize| if i < m0 { tp.cost[i * n + j] } else { 0.0 };
+    let mut best: Option<f64> = None;
+    for set in 0u32..1 << (m * n) {
+        if set.count_ones() as usize != m + n - 1 {
+            continue;
+        }
+        let cells: Vec<(usize, usize)> =
+            (0..m * n).filter(|&x| set >> x & 1 == 1).map(|x| (x / n, x % n)).collect();
+        let mut resid = balance.clone();
+        let mut peeled = vec![false; cells.len()];
+        let mut objective = 0.0;
+        let mut vertex = true;
+        for _ in 0..cells.len() {
+            // a vertex on exactly one unpeeled cell; none left means a cycle
+            let ends = |(i, j): (usize, usize)| [i, m + j];
+            let leaf = (0..m + n).find_map(|x| {
+                let mut on =
+                    (0..cells.len()).filter(|&e| !peeled[e] && ends(cells[e]).contains(&x));
+                let e = on.next()?;
+                on.next().is_none().then_some((x, e))
+            });
+            let Some((x, e)) = leaf else {
+                vertex = false;
+                break;
+            };
+            peeled[e] = true;
+            let f = resid[x];
+            let (i, j) = cells[e];
+            resid[if x == i { m + j } else { i }] -= f;
+            let c = cost(i, j);
+            if f < -TOL || (!c.is_finite() && f > TOL) {
+                vertex = false;
+                break;
+            }
+            if c.is_finite() {
+                objective += f * c;
+            }
+        }
+        if vertex && best.is_none_or(|b| objective < b) {
+            best = Some(objective);
+        }
+    }
+    best
+}
+
+/// A differential oracle on tiny instances: the transportation solver, the
+/// dense simplex and the enumeration of every basis agree on the optimum
+/// to 1e-9 and on which instances are infeasible.
+#[test]
+fn three_solvers_agree_on_tiny_instances() {
+    let mut infeasible = 0;
+    for seed in 0..240u64 {
+        let tp = tiny_transport(seed);
+        let fast = tp.solve();
+        let fast = (fast.status == TransportStatus::Optimal).then_some(fast.objective);
+        let general = transport_via_simplex(&tp);
+        let brute = transport_by_enumeration(&tp);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
+        match (fast, general, brute) {
+            (Some(a), Some(b), Some(c)) if close(a, c) && close(b, c) => {}
+            (None, None, None) => infeasible += 1,
+            other => panic!("seed {seed}: transport/simplex/enumeration {other:?} on {tp:?}"),
+        }
+    }
+    assert!((40..160).contains(&infeasible), "{infeasible} of 240 instances infeasible");
 }
 
 /// Optimal transportation flows satisfy supply equality and capacity.

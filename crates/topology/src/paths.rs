@@ -361,14 +361,101 @@ pub fn min_inv_lu_dp(g: &Graph, src: NodeId, dst: NodeId, max_hop: Option<usize>
     d.is_finite().then_some(d)
 }
 
-/// The working memory of one [`min_inv_lu_dp_path_with`] call — the hop
-/// layers and the two frontier lists — kept by a caller that extracts many
-/// routes in a row, so each call refills it instead of allocating anew.
+/// The hop-layered DP from one source, kept so that routes to many
+/// destinations backtrack through one [`DpScratch::run`], and so that a
+/// caller extracting many routes in a row refills the layers and frontier
+/// lists instead of allocating anew.
 #[derive(Debug, Default)]
 pub struct DpScratch {
     layers: Vec<f64>,
     frontier: Vec<NodeId>,
     moved: Vec<NodeId>,
+    /// The source of the last run.
+    src: Option<NodeId>,
+    /// The last layer that moved: `layers` holds `final_layer + 1` of them.
+    final_layer: usize,
+}
+
+impl DpScratch {
+    /// Run the exact layered DP out of `src` within `max_hop` hops,
+    /// overwriting whatever a previous run left here: layer h,
+    /// `layers[h * n..][v]`, is the min cost of reaching v in <= h hops.
+    pub fn run(&mut self, g: &Graph, src: NodeId, max_hop: Option<usize>) {
+        let n = g.node_count();
+        let bound = max_hop.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
+        let DpScratch { layers, frontier, moved, .. } = self;
+        // Layers stop growing once a layer moves nothing (diameter
+        // reached), so memory is O(diameter · |V|) even when the bound is
+        // "unbounded"; room for a small bound's layers is taken up front so
+        // they are one allocation.
+        layers.clear();
+        layers.reserve(n * (bound.min(7) + 1));
+        layers.resize(n, f64::INFINITY);
+        layers[src.index()] = 0.0;
+        frontier.clear();
+        frontier.push(src);
+        let mut final_layer = 0;
+        for h in 1..=bound {
+            layers.extend_from_within((h - 1) * n..);
+            let (prev, next) = layers[(h - 1) * n..].split_at_mut(n);
+            relax_layer(g, prev, next, frontier, moved);
+            if moved.is_empty() {
+                break;
+            }
+            final_layer = h;
+            std::mem::swap(frontier, moved);
+        }
+        (self.src, self.final_layer) = (Some(src), final_layer);
+    }
+
+    /// The optimal route from the last [`DpScratch::run`]'s source to
+    /// `dst` and its cost, backtracked through that run's layers; `g` must
+    /// be the graph it ran on. `None` when `dst` is the source, is out of
+    /// reach within the bound, or nothing has run.
+    pub fn route_to(&self, g: &Graph, dst: NodeId) -> Option<(f64, Path)> {
+        let src = self.src.filter(|&s| s != dst)?;
+        let n = g.node_count();
+        let layer = |h: usize| &self.layers[h * n..(h + 1) * n];
+        let best = layer(self.final_layer)[dst.index()];
+        if !best.is_finite() {
+            return None;
+        }
+        // Backtrack exactly: at layer h and node v, find a predecessor u
+        // with layers[h-1][u] + c(u,v) == layers[h][v]; if layers[h-1][v]
+        // already equals layers[h][v] the optimal path is shorter — stay
+        // on v.
+        let mut nodes = vec![dst];
+        let mut edges = Vec::new();
+        let mut cur = dst;
+        let mut h = self.final_layer;
+        while cur != src {
+            debug_assert!(h > 0, "ran out of layers during reconstruction");
+            let target = layer(h)[cur.index()];
+            if layer(h - 1)[cur.index()] <= target {
+                h -= 1; // same cost with fewer hops: shorten
+                continue;
+            }
+            let mut stepped = false;
+            for &(u, e) in g.neighbors(cur) {
+                let c = inv_lu_edge(g, e);
+                if (layer(h - 1)[u.index()] + c - target).abs() <= 1e-12 * target.abs().max(1.0) {
+                    edges.push(e);
+                    nodes.push(u);
+                    cur = u;
+                    h -= 1;
+                    stepped = true;
+                    break;
+                }
+            }
+            debug_assert!(stepped, "no predecessor found; DP tables inconsistent");
+            if !stepped {
+                return None;
+            }
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some((best, Path { nodes, edges }))
+    }
 }
 
 /// Like [`min_inv_lu_dp`] but also reconstructs the optimal route.
@@ -384,8 +471,9 @@ pub fn min_inv_lu_dp_path(
     min_inv_lu_dp_path_with(g, src, dst, max_hop, &mut DpScratch::default())
 }
 
-/// [`min_inv_lu_dp_path`] in caller-owned working memory. Whatever a
-/// previous call left in `scratch` is overwritten, never read.
+/// [`min_inv_lu_dp_path`] in caller-owned working memory: one
+/// [`DpScratch::run`] out of `src`, then [`DpScratch::route_to`] `dst`.
+/// Whatever a previous call left in `scratch` is overwritten, never read.
 pub fn min_inv_lu_dp_path_with(
     g: &Graph,
     src: NodeId,
@@ -396,70 +484,8 @@ pub fn min_inv_lu_dp_path_with(
     if src == dst {
         return None;
     }
-    let n = g.node_count();
-    let bound = max_hop.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
-    let DpScratch { layers, frontier, moved } = scratch;
-    // Exact layered DP: layer h, `layers[h * n..][v]`, is the min cost of
-    // reaching v in <= h hops. Layers stop growing once a layer moves
-    // nothing (diameter reached), so memory is O(diameter · |V|) even when
-    // the bound is "unbounded"; room for a small bound's layers is taken
-    // up front so they are one allocation.
-    layers.clear();
-    layers.reserve(n * (bound.min(7) + 1));
-    layers.resize(n, f64::INFINITY);
-    layers[src.index()] = 0.0;
-    frontier.clear();
-    frontier.push(src);
-    let mut final_layer = 0;
-    for h in 1..=bound {
-        layers.extend_from_within((h - 1) * n..);
-        let (prev, next) = layers[(h - 1) * n..].split_at_mut(n);
-        relax_layer(g, prev, next, frontier, moved);
-        if moved.is_empty() {
-            break;
-        }
-        final_layer = h;
-        std::mem::swap(frontier, moved);
-    }
-    let layer = |h: usize| &layers[h * n..(h + 1) * n];
-    let best = layer(final_layer)[dst.index()];
-    if !best.is_finite() {
-        return None;
-    }
-    // Backtrack exactly: at layer h and node v, find a predecessor u with
-    // layers[h-1][u] + c(u,v) == layers[h][v]; if layers[h-1][v] already
-    // equals layers[h][v] the optimal path is shorter — stay on v.
-    let mut nodes = vec![dst];
-    let mut edges = Vec::new();
-    let mut cur = dst;
-    let mut h = final_layer;
-    while cur != src {
-        debug_assert!(h > 0, "ran out of layers during reconstruction");
-        let target = layer(h)[cur.index()];
-        if layer(h - 1)[cur.index()] <= target {
-            h -= 1; // same cost with fewer hops: shorten
-            continue;
-        }
-        let mut stepped = false;
-        for &(u, e) in g.neighbors(cur) {
-            let c = inv_lu_edge(g, e);
-            if (layer(h - 1)[u.index()] + c - target).abs() <= 1e-12 * target.abs().max(1.0) {
-                edges.push(e);
-                nodes.push(u);
-                cur = u;
-                h -= 1;
-                stepped = true;
-                break;
-            }
-        }
-        debug_assert!(stepped, "no predecessor found; DP tables inconsistent");
-        if !stepped {
-            return None;
-        }
-    }
-    nodes.reverse();
-    edges.reverse();
-    Some((best, Path { nodes, edges }))
+    scratch.run(g, src, max_hop);
+    scratch.route_to(g, dst)
 }
 
 #[cfg(test)]
@@ -754,6 +780,10 @@ mod frontier_tests {
                         bits(want.last().unwrap()),
                         "graph {gi} src {src:?} {max_hop:?}"
                     );
+                    // one scratch through every graph, bound and source, and
+                    // one run per source backtracked to every destination:
+                    // what the last run left behind must not show
+                    scratch.run(g, src, max_hop);
                     for dst in g.nodes().step_by(1 + n / 40) {
                         let want = full_sweep_path(g, src, dst, max_hop);
                         let got = min_inv_lu_dp_path(g, src, dst, max_hop);
@@ -762,13 +792,11 @@ mod frontier_tests {
                             want.as_ref().map(|(c, p)| (c.to_bits(), p)),
                             "graph {gi} {src:?}->{dst:?} {max_hop:?}"
                         );
-                        // one scratch through every graph, bound and pair:
-                        // what the last call left behind must not show
-                        let reused = min_inv_lu_dp_path_with(g, src, dst, max_hop, &mut scratch);
+                        let shared = scratch.route_to(g, dst);
                         assert_eq!(
-                            reused.as_ref().map(|(c, p)| (c.to_bits(), p)),
+                            shared.as_ref().map(|(c, p)| (c.to_bits(), p)),
                             got.as_ref().map(|(c, p)| (c.to_bits(), p)),
-                            "graph {gi} {src:?}->{dst:?} {max_hop:?}: reused scratch"
+                            "graph {gi} {src:?}->{dst:?} {max_hop:?}: shared run"
                         );
                     }
                 }
