@@ -18,7 +18,9 @@ use crate::state::Nmdb;
 use dust_lp::{
     Basis, Cmp, Problem, SolveOptions, Status, TransportProblem, TransportSolution, TransportStatus,
 };
-use dust_topology::{min_inv_lu_enumerated, CostEngine, DpScratch, NodeId, Path, PathEngine};
+use dust_topology::{
+    min_inv_lu_enumerated, CostEngine, CostMatrix, DpScratch, NodeId, Path, PathEngine,
+};
 use std::time::{Duration, Instant};
 
 /// Which LP machinery solves the placement.
@@ -242,10 +244,10 @@ pub fn optimize_with(
         });
     }
 
-    // ---- T_rmin matrix over controllable routes ---------------------------
+    // ---- T_rmin of the pairs within the hop bound ---------------------------
     let t0 = Instant::now();
     let data: Vec<f64> = busy.iter().map(|&b| nmdb.state(b).data_mb).collect();
-    let mut costs =
+    let costs =
         engine.build_matrix(&nmdb.graph, &busy, &candidates, &data, cfg.max_hop, cfg.path_engine);
     let cost_time = t0.elapsed();
 
@@ -253,20 +255,23 @@ pub fn optimize_with(
     let capacity: Vec<f64> = candidates.iter().map(|&c| nmdb.cd(c, cfg)).collect();
 
     // ---- LP solve ----------------------------------------------------------
+    // Each backend hands back what it ships, `(row, column, x, T_rmin)`
+    // row-major, and β.
+    const FLOW_TOL: f64 = 1e-7;
     let t1 = Instant::now();
     let mut shadow_prices: Vec<(NodeId, f64)> = Vec::new();
     let mut warm_next = WarmState::default();
     let mut warm_used = false;
-    let flows: Option<(Vec<f64>, f64)> = match backend {
+    type Shipped = Vec<(usize, usize, f64, f64)>;
+    let shipped: Option<(Shipped, f64)> = match backend {
         SolverBackend::Transportation => {
-            // The problem takes the matrix for the solve and hands it back
-            // for `costs.at` below: a round never holds two copies of it.
-            let t_rmin = std::mem::take(&mut costs.t_rmin);
-            let tp = TransportProblem::new(supply, capacity, t_rmin);
+            // The problem takes the matrix's rows for the solve: a round
+            // never holds two copies of them.
+            let CostMatrix { row_start, columns, t_rmin, .. } = costs;
+            let tp = TransportProblem::sparse(supply, capacity, row_start, columns, t_rmin);
             let warm_start =
                 warm.filter(|w| w.matches(&busy, &candidates)).and_then(|w| w.basis.clone());
             let sol = tp.solve_with_options(obs, &SolveOptions { warm_start });
-            costs.t_rmin = tp.cost;
             warm_used = sol.warm_used;
             let optimal = transport_optimal(&sol)?;
             if optimal {
@@ -278,48 +283,54 @@ pub fn optimize_with(
                     candidates: candidates.clone(),
                 };
             }
-            optimal.then_some((sol.flow, sol.objective))
+            optimal.then(|| {
+                let shipped = sol.flows.iter().filter(|f| f.2 > FLOW_TOL).map(|&(r, c, x)| {
+                    let (r, c) = (r as usize, c as usize);
+                    (r, c, x, tp.cost_at(r, c))
+                });
+                (shipped.collect(), sol.objective)
+            })
         }
         SolverBackend::Simplex => {
-            let n = candidates.len();
+            // a variable per pair within the bound, row-major; the other
+            // pairs are simply not modeled
             let mut p = Problem::new();
-            let mut vars = Vec::with_capacity(busy.len() * n);
-            for r in 0..busy.len() {
-                for c in 0..n {
-                    let t = costs.at(r, c);
-                    // Unreachable pairs are simply not modeled (equivalent
-                    // to a forbidden cell).
-                    vars.push(t.is_finite().then(|| p.add_nonneg(t)));
-                }
-            }
+            let vars: Vec<_> = costs.t_rmin.iter().map(|&t| p.add_nonneg(t)).collect();
+            let mut col_terms = vec![Vec::new(); candidates.len()];
             for (r, &s) in supply.iter().enumerate() {
-                let terms: Vec<_> =
-                    (0..n).filter_map(|c| vars[r * n + c].map(|v| (v, 1.0))).collect();
+                let at = costs.row_start[r] as usize..costs.row_start[r + 1] as usize;
+                for (&c, &v) in costs.columns[at.clone()].iter().zip(&vars[at.clone()]) {
+                    col_terms[c as usize].push((v, 1.0));
+                }
+                let terms: Vec<_> = vars[at].iter().map(|&v| (v, 1.0)).collect();
                 p.add_constraint(&terms, Cmp::Eq, s);
             }
-            for (c, &cap) in capacity.iter().enumerate() {
-                let terms: Vec<_> =
-                    (0..busy.len()).filter_map(|r| vars[r * n + c].map(|v| (v, 1.0))).collect();
-                p.add_constraint(&terms, Cmp::Le, cap);
+            for (terms, &cap) in col_terms.iter().zip(&capacity) {
+                p.add_constraint(terms, Cmp::Le, cap);
             }
             let sol = dust_lp::solve_with(&p, dust_lp::Options::default(), obs);
             if sol.status == Status::Unbounded {
                 return Err(DustError::Unbounded);
             }
             sol.is_optimal().then(|| {
-                let mut flow = vec![0.0; busy.len() * n];
-                for (idx, v) in vars.iter().enumerate() {
-                    if let Some(v) = v {
-                        flow[idx] = sol.x[v.index()];
+                let mut shipped = Vec::new();
+                for r in 0..busy.len() {
+                    let (cols, t) = costs.row(r);
+                    let at = costs.row_start[r] as usize;
+                    for (k, (&c, &t)) in cols.iter().zip(t).enumerate() {
+                        let x = sol.x[vars[at + k].index()];
+                        if x > FLOW_TOL {
+                            shipped.push((r, c as usize, x, t));
+                        }
                     }
                 }
-                (flow, sol.objective)
+                (shipped, sol.objective)
             })
         }
     };
     let solve_time = t1.elapsed();
 
-    let Some((flow, beta)) = flows else {
+    let Some((shipped, beta)) = shipped else {
         obs.counter_inc("core.placements_infeasible");
         return Ok(Placement {
             status: PlacementStatus::Infeasible,
@@ -336,38 +347,27 @@ pub fn optimize_with(
     };
 
     // ---- Route extraction for the chosen pairs -----------------------------
-    const FLOW_TOL: f64 = 1e-7;
     let routes_scope = obs.prof_scope("core.routes");
-    let mut assignments = Vec::new();
+    let mut assignments = Vec::with_capacity(shipped.len());
     // one DP per busy row that ships anything, backtracked to each of its
     // destinations
     let mut scratch = DpScratch::default();
-    for (r, &b) in busy.iter().enumerate() {
-        let mut ran = false;
-        for (c, &o) in candidates.iter().enumerate() {
-            let x = flow[r * candidates.len() + c];
-            if x > FLOW_TOL {
-                let route = match cfg.path_engine {
-                    PathEngine::Enumerate => {
-                        min_inv_lu_enumerated(&nmdb.graph, b, o, cfg.max_hop).map(|(_, p)| p)
-                    }
-                    PathEngine::HopBoundedDp => {
-                        if !ran {
-                            scratch.run(&nmdb.graph, b, cfg.max_hop);
-                            ran = true;
-                        }
-                        scratch.route_to(&nmdb.graph, o).map(|(_, p)| p)
-                    }
-                };
-                assignments.push(Assignment {
-                    from: b,
-                    to: o,
-                    amount: x,
-                    t_rmin: costs.at(r, c),
-                    route,
-                });
+    let mut ran = usize::MAX;
+    for (r, c, x, t_rmin) in shipped {
+        let (b, o) = (busy[r], candidates[c]);
+        let route = match cfg.path_engine {
+            PathEngine::Enumerate => {
+                min_inv_lu_enumerated(&nmdb.graph, b, o, cfg.max_hop).map(|(_, p)| p)
             }
-        }
+            PathEngine::HopBoundedDp => {
+                if ran != r {
+                    scratch.run(&nmdb.graph, b, cfg.max_hop);
+                    ran = r;
+                }
+                scratch.route_to(&nmdb.graph, o).map(|(_, p)| p)
+            }
+        };
+        assignments.push(Assignment { from: b, to: o, amount: x, t_rmin, route });
     }
     drop(routes_scope);
 
@@ -428,7 +428,7 @@ mod tests {
     fn pivot_cap_is_a_typed_error_not_an_infeasible_placement() {
         let sol = |status| TransportSolution {
             status,
-            flow: Vec::new(),
+            flows: Vec::new(),
             objective: f64::NAN,
             iterations: 9,
             degenerate_pivots: 9,

@@ -816,15 +816,17 @@ impl Manager {
             let mut scratch = DpScratch::default();
             let supply: Vec<f64> = degraded.iter().map(|r| self.hostings[r].amount).collect();
             let capacity: Vec<f64> = candidates.iter().map(|&c| nmdb.cd(c, &self.cfg)).collect();
-            let cost_rows: Vec<f64> = degraded
-                .iter()
-                .flat_map(|r| {
-                    let row = row_of[&self.hostings[r].from];
-                    (0..candidates.len()).map(move |c| (row, c))
-                })
-                .map(|(row, c)| costs.at(row, c))
-                .collect();
-            let tp = TransportProblem::new(supply, capacity, cost_rows);
+            // one row per degraded flow: its source's reachable candidates
+            let mut row_start = Vec::with_capacity(degraded.len() + 1);
+            let (mut columns, mut cost) = (Vec::new(), Vec::new());
+            row_start.push(0);
+            for r in &degraded {
+                let (cols, t) = costs.row(row_of[&self.hostings[r].from]);
+                columns.extend_from_slice(cols);
+                cost.extend_from_slice(t);
+                row_start.push(columns.len() as u32);
+            }
+            let tp = TransportProblem::sparse(supply, capacity, row_start, columns, cost);
             let sol = tp.solve_with_options(self.engine.obs(), &SolveOptions::default());
             if sol.status != TransportStatus::Optimal {
                 // residual infeasible (e.g. candidates too full): let the
@@ -834,11 +836,11 @@ impl Manager {
             const FLOW_TOL: f64 = 1e-7;
             for (i, &req) in degraded.iter().enumerate() {
                 let h = &self.hostings[&req];
-                let pieces: Vec<(usize, f64)> = (0..candidates.len())
-                    .filter_map(|c| {
-                        let x = sol.flow[i * candidates.len() + c];
-                        (x > FLOW_TOL).then_some((c, x))
-                    })
+                let pieces: Vec<(usize, f64)> = sol
+                    .flows
+                    .iter()
+                    .filter(|&&(r, _, x)| r as usize == i && x > FLOW_TOL)
+                    .map(|&(_, c, x)| (c as usize, x))
                     .collect();
                 // the residual may re-pick the current destination — keep
                 // the hosting and just rebaseline so the same drift does
