@@ -373,3 +373,28 @@ fn a_transport_solve_allocates_per_solve_not_per_pivot() {
         far.iterations
     );
 }
+
+/// A cold solve allocates for the admissible cells, not for all `m · n`:
+/// an instance that admits a tenth of its cells, a band of columns per
+/// row, allocates at most a third of the bytes its fully admissible twin
+/// of the same shape, balances and costs does.
+#[test]
+fn a_sparse_solve_allocates_for_its_admissible_cells() {
+    use dust::lp::{TransportProblem, TransportStatus};
+    let (m, n) = (121, 360);
+    let mut rng = SplitMix64::new(1010);
+    let supply: Vec<f64> = (0..m).map(|_| rng.range_f64(1.0, 10.0)).collect();
+    let capacity: Vec<f64> = (0..n).map(|_| rng.range_f64(5.0, 30.0)).collect();
+    let cost: Vec<f64> = (0..m * n).map(|_| rng.range_f64(0.1, 20.0)).collect();
+    let band = |k: usize| (k % n + n - (k / n) * n / m) % n < n / 10;
+    let banded = cost.iter().enumerate().map(|(k, &c)| if band(k) { c } else { f64::INFINITY });
+    let full = TransportProblem::new(supply.clone(), capacity.clone(), cost.clone());
+    let sparse = TransportProblem::new(supply, capacity, banded.collect());
+    let (full_bytes, f) = bytes_in(|| full.solve());
+    let (sparse_bytes, s) = bytes_in(|| sparse.solve());
+    assert_eq!((f.status, s.status), (TransportStatus::Optimal, TransportStatus::Optimal));
+    assert!(
+        3 * sparse_bytes <= full_bytes,
+        "{sparse_bytes} bytes for a tenth of the cells, {full_bytes} for all of them"
+    );
+}

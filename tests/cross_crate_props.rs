@@ -5,13 +5,14 @@ use dust::lp::{solve, Cmp, Problem, Status};
 use dust::prelude::*;
 use dust::topology::SplitMix64;
 
-/// Rebuild a placement as an explicit LP from first principles and check
-/// the optimizer's β matches.
-fn beta_via_raw_lp(nmdb: &Nmdb, cfg: &DustConfig) -> Option<f64> {
+/// Rebuild a placement as an explicit LP from first principles, and
+/// return its β with the cost matrix it was built on: a variable for each
+/// pair within the hop bound, none for the others.
+fn beta_via_raw_lp(nmdb: &Nmdb, cfg: &DustConfig) -> (Option<f64>, Option<CostMatrix>) {
     let busy = nmdb.busy_nodes(cfg);
     let cands = nmdb.candidate_nodes(cfg);
     if busy.is_empty() {
-        return Some(0.0);
+        return (Some(0.0), None);
     }
     let data: Vec<f64> = busy.iter().map(|&b| nmdb.state(b).data_mb).collect();
     let costs =
@@ -35,33 +36,59 @@ fn beta_via_raw_lp(nmdb: &Nmdb, cfg: &DustConfig) -> Option<f64> {
         p.add_constraint(&terms, Cmp::Le, nmdb.cd(o, cfg));
     }
     let s = solve(&p);
-    (s.status == Status::Optimal).then_some(s.objective)
+    ((s.status == Status::Optimal).then_some(s.objective), Some(costs))
 }
 
-/// The full placement pipeline equals a hand-built LP of Eq. 3.
+/// The full placement pipeline equals a hand-built LP of Eq. 3, on 4-k
+/// and 8-k fat-trees at hop bounds of one and two, where most pairs have
+/// no variable, and with no bound. Every assignment ships over a pair
+/// within the bound: its `T_rmin` is the matrix's, finite, and its route
+/// runs from the Busy node to the candidate in at most `max_hop` hops.
 #[test]
 fn placement_equals_first_principles_lp() {
-    for outer in 0..16u64 {
-        let seed = SplitMix64::new(outer).next_u64();
-        let ft = FatTree::with_default_links(4);
-        let cfg = DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp);
-        let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
-        let p = optimize(&nmdb, &cfg, SolverBackend::Transportation);
-        let raw = beta_via_raw_lp(&nmdb, &cfg);
-        match (p.status, raw) {
-            (PlacementStatus::Optimal, Some(beta)) => {
-                assert!(
-                    (p.beta - beta).abs() <= 1e-5 * (1.0 + beta.abs()),
-                    "seed {seed}: pipeline {} vs raw LP {}",
-                    p.beta,
-                    beta
-                );
+    let mut bounded_assignments = 0;
+    for (k, max_hop) in [4, 8].into_iter().flat_map(|k| [Some(1), Some(2), None].map(|h| (k, h))) {
+        let ft = FatTree::with_default_links(k);
+        let cfg = DustConfig::paper_defaults()
+            .with_engine(PathEngine::HopBoundedDp)
+            .with_max_hop(max_hop);
+        for outer in 0..16u64 {
+            let seed = SplitMix64::new(outer).next_u64();
+            let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
+            let p = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+            let (raw, costs) = beta_via_raw_lp(&nmdb, &cfg);
+            let what = format!("k {k}, max_hop {max_hop:?}, seed {seed}");
+            match (p.status, raw) {
+                (PlacementStatus::Optimal, Some(beta)) => {
+                    assert!(
+                        (p.beta - beta).abs() <= 1e-5 * (1.0 + beta.abs()),
+                        "{what}: pipeline {} vs raw LP {}",
+                        p.beta,
+                        beta
+                    );
+                }
+                (PlacementStatus::Infeasible, None) => {}
+                (PlacementStatus::NoBusyNodes, Some(b)) => assert!(b.abs() < 1e-9, "{what}"),
+                (a, b) => panic!("{what}: status mismatch {a:?} vs {b:?}"),
             }
-            (PlacementStatus::Infeasible, None) => {}
-            (PlacementStatus::NoBusyNodes, Some(b)) => assert!(b.abs() < 1e-9, "seed {seed}"),
-            (a, b) => panic!("seed {seed}: status mismatch {a:?} vs {b:?}"),
+            let Some(costs) = costs else { continue };
+            for a in &p.assignments {
+                let r = costs.sources.iter().position(|&b| b == a.from).expect("a Busy source");
+                let c = costs.destinations.iter().position(|&o| o == a.to).expect("a candidate");
+                assert!(a.t_rmin.is_finite(), "{what}: {a:?}");
+                assert_eq!(a.t_rmin.to_bits(), costs.at(r, c).to_bits(), "{what}: {a:?}");
+                let route = a.route.as_ref().expect("a routed assignment");
+                assert_eq!(
+                    (route.nodes.first(), route.nodes.last()),
+                    (Some(&a.from), Some(&a.to)),
+                    "{what}: {a:?}"
+                );
+                assert!(max_hop.is_none_or(|h| route.hops() <= h), "{what}: {a:?}");
+                bounded_assignments += usize::from(max_hop.is_some());
+            }
         }
     }
+    assert!(bounded_assignments > 50, "{bounded_assignments} assignments under a hop bound");
 }
 
 /// Applying an optimal placement to the NMDB de-busies every node
