@@ -746,6 +746,22 @@ fn fat_tree_graph(k: usize) -> Result<Graph, String> {
     Ok(FatTree::with_default_links(k).graph)
 }
 
+/// FNV-1a over every assignment's route, in placement order: its node
+/// ids, then its edge ids, little-endian; an assignment without a route
+/// hashes one `0xff` byte.
+fn route_digest(assignments: &[Assignment]) -> u64 {
+    let fnv = |h: u64, bytes: &[u8]| {
+        bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    };
+    assignments.iter().fold(0xcbf2_9ce4_8422_2325, |h, a| match &a.route {
+        Some(p) => {
+            let h = p.nodes.iter().fold(h, |h, n| fnv(h, &n.0.to_le_bytes()));
+            p.edges.iter().fold(h, |h, e| fnv(h, &e.0.to_le_bytes()))
+        }
+        None => fnv(h, &[0xff]),
+    })
+}
+
 /// `dustctl place`: run exact placement rounds — from a file or a
 /// generated fat-tree — reporting solve throughput (rounds/sec). With
 /// `--warm` the batch becomes one steady-state instance whose links drift
@@ -896,6 +912,7 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
                 p.total_offloaded(),
                 p.assignments.len(),
             ));
+            out.push_str(&format!("route digest = {:#018x}\n", route_digest(&p.assignments)));
         }
     } else {
         out.push_str(&format!(
@@ -1036,6 +1053,7 @@ mod tests {
         assert!(out.contains("status: Optimal"), "{out}");
         assert!(out.contains("rounds/sec"), "{out}");
         assert!(out.contains("total offloaded = 12.0%"), "{out}");
+        assert!(out.contains("route digest = 0x"), "{out}");
     }
 
     #[test]

@@ -5,9 +5,14 @@
 //! digest of the exported basis and of every assignment; a rewrite of the
 //! solver must walk the same pivots to the same answer. `cells_priced` is
 //! pinned as a ceiling: a solver may price fewer cells, never more.
+//!
+//! The routes the placements carry are pinned apart from the solves, node
+//! id for node id and edge id for edge id: over the same corpus and
+//! batch, over a fat-tree whose links all carry the same load (every
+//! route ties with its mirror images), and over Algorithm 1's routes.
 
-use dust_core::{optimize_with, random_nmdb, DustConfig, Nmdb, NodeState, Placement};
-use dust_core::{ScenarioParams, SolverBackend};
+use dust_core::{heuristic_with, optimize_with, random_nmdb, Assignment, DustConfig, Nmdb};
+use dust_core::{NodeState, Placement, ScenarioParams, SolverBackend};
 use dust_obs::ObsHandle;
 use dust_topology::{CostEngine, FatTree, PathEngine, SplitMix64, Tier};
 
@@ -150,6 +155,194 @@ fn hop_bounded_solves_price_a_third_of_their_ceiling() {
         assert!(3 * got.2 <= pin.2, "seed {seed}: priced {} of a ceiling of {}", got.2, pin.2);
     }
 }
+
+/// FNV-1a over every assignment's route, in the order the placement lists
+/// them: its node ids, then its edge ids; an assignment without a route
+/// hashes one `0xff` byte.
+fn route_digest(assignments: &[Assignment]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for a in assignments {
+        match &a.route {
+            Some(p) => {
+                for n in &p.nodes {
+                    h = fnv1a(h, &n.0.to_le_bytes());
+                }
+                for e in &p.edges {
+                    h = fnv1a(h, &e.0.to_le_bytes());
+                }
+            }
+            None => h = fnv1a(h, &[0xff]),
+        }
+    }
+    h
+}
+
+/// The hop-bounded DP under `hop` (`0`: no bound).
+fn dp_cfg(hop: usize) -> DustConfig {
+    DustConfig::paper_defaults()
+        .with_max_hop((hop > 0).then_some(hop))
+        .with_engine(PathEngine::HopBoundedDp)
+}
+
+fn routes_of(nmdb: &Nmdb, cfg: &DustConfig) -> u64 {
+    let engine = CostEngine::with_threads(1);
+    let p = optimize_with(nmdb, cfg, SolverBackend::Transportation, &engine, None).expect("solves");
+    route_digest(&p.assignments)
+}
+
+/// `decide_nmdb(8, seed)` with every link at the same load: equal-cost
+/// routes tie everywhere, so the pins read which tie a route takes.
+fn uniform_nmdb(seed: u64) -> Nmdb {
+    let db = decide_nmdb(8, seed);
+    let mut graph = dust_topology::Graph::clone(&db.graph);
+    graph.retarget_utilization(|_, _| 0.5);
+    let states = graph.nodes().map(|n| *db.state(n)).collect();
+    Nmdb::new(graph, states)
+}
+
+fn assert_routes(got: &[u64], want: &[u64], what: &str) {
+    if got != want {
+        for h in got {
+            eprintln!("    {h:#018x},");
+        }
+        panic!("{what}: the routes left their pins");
+    }
+}
+
+#[test]
+fn decide_and_cli_batch_routes_are_pinned() {
+    let mut got = Vec::new();
+    for k in SIZES {
+        for hop in HOPS {
+            for seed in SEEDS {
+                got.push(routes_of(&decide_nmdb(k, seed), &dp_cfg(hop)));
+            }
+        }
+    }
+    let graph = FatTree::with_default_links(16).graph;
+    for seed in 11..14 {
+        got.push(routes_of(
+            &random_nmdb(&graph, &dp_cfg(0), &ScenarioParams::default(), seed),
+            &dp_cfg(0),
+        ));
+    }
+    assert_routes(&got, DECIDE_ROUTES, "the decide corpus and the CLI batch");
+}
+
+#[test]
+fn tied_and_heuristic_routes_are_pinned() {
+    let mut got = Vec::new();
+    for hop in HOPS {
+        for seed in SEEDS {
+            got.push(routes_of(&uniform_nmdb(seed), &dp_cfg(hop)));
+        }
+    }
+    let engine = CostEngine::with_threads(1);
+    for hops in [1, 2] {
+        for seed in SEEDS {
+            for db in [uniform_nmdb(seed), decide_nmdb(16, seed)] {
+                let h = heuristic_with(&db, &DustConfig::paper_defaults(), hops, &engine)
+                    .expect("a valid config and hop count");
+                got.push(route_digest(&h.assignments));
+            }
+        }
+    }
+    assert_routes(&got, TIED_AND_HEURISTIC_ROUTES, "tied links and Algorithm 1");
+}
+
+/// The decide corpus in `DECIDE`'s order, then the CLI batch.
+#[rustfmt::skip]
+const DECIDE_ROUTES: &[u64] = &[
+    0xaf66998210839595,
+    0x2eaf68037ff9208a,
+    0xcbf29ce484222325,
+    0x3a6f718ef1231a82,
+    0xbf097670d91e893d,
+    0xab1fec2aeb2f6e7a,
+    0x37ff96318eb33265,
+    0x3a6f718ef1231a82,
+    0xbf097670d91e893d,
+    0xab1fec2aeb2f6e7a,
+    0x37ff96318eb33265,
+    0x3a6f718ef1231a82,
+    0xbf097670d91e893d,
+    0xab1fec2aeb2f6e7a,
+    0x37ff96318eb33265,
+    0x3a6f718ef1231a82,
+    0xf39cc43bb75f45b1,
+    0x0138e76224744ed3,
+    0xcbf29ce484222325,
+    0xa6015e99401e91bf,
+    0x6a05375411ffe8c6,
+    0x0138e76224744ed3,
+    0xa58c7694940e8ae9,
+    0xa6015e99401e91bf,
+    0x6a05375411ffe8c6,
+    0x0138e76224744ed3,
+    0xa58c7694940e8ae9,
+    0xa6015e99401e91bf,
+    0x6a05375411ffe8c6,
+    0x0138e76224744ed3,
+    0xa58c7694940e8ae9,
+    0xa6015e99401e91bf,
+    0xe245b975e134e598,
+    0x672a79b351bd47d8,
+    0xb97b1067b65c3c94,
+    0x9e5abee1b4b1d9c1,
+    0xe245b975e134e598,
+    0x672a79b351bd47d8,
+    0xc9e9f23d8f1cce67,
+    0x2cfd1b542b2d6ee9,
+    0xe245b975e134e598,
+    0x672a79b351bd47d8,
+    0xc9e9f23d8f1cce67,
+    0x2cfd1b542b2d6ee9,
+    0xe245b975e134e598,
+    0x672a79b351bd47d8,
+    0xc9e9f23d8f1cce67,
+    0x2cfd1b542b2d6ee9,
+    0x0414807d130cb9a7,
+    0xb2faafee8cc22559,
+    0xb7a990b769f8a0d2,
+];
+
+/// The uniform-link 8-k tree in `HOPS × SEEDS` order, then Algorithm 1 at
+/// one and two hops, per seed the uniform tree and then the 16-k one.
+#[rustfmt::skip]
+const TIED_AND_HEURISTIC_ROUTES: &[u64] = &[
+    0x0f6184402b442400,
+    0x0fd3b829475c2c86,
+    0xcbf29ce484222325,
+    0x11024fdb79a942af,
+    0xf9a85d14a1202211,
+    0x8981010be2066d97,
+    0xcec455de33c2b463,
+    0x6f30af8c47438c88,
+    0xf9a85d14a1202211,
+    0xa14b22c9c4199e87,
+    0xcec455de33c2b463,
+    0x6f30af8c47438c88,
+    0xf9a85d14a1202211,
+    0xa14b22c9c4199e87,
+    0xcec455de33c2b463,
+    0x6f30af8c47438c88,
+    0x8e64bc1cb83b3f3d,
+    0x27582bc2298bef62,
+    0xad0ffe8828264104,
+    0x43a6ba85595e330c,
+    0x8d80b53febf1d688,
+    0x768430550aea5052,
+    0xef2d96028dc38f23,
+    0x015c2dbbde8f45d6,
+    0x9ce5ef7e65d99d03,
+    0x24a177d77b950dad,
+    0xad0ffe8828264104,
+    0x9861ee5a48e7b7e9,
+    0x35fca5a60fe904ec,
+    0xa58c7694940e8ae9,
+    0xef2d96028dc38f23,
+    0xe1a9336b8738125d,
+];
 
 /// `(k, hop, seed)` in `SIZES × HOPS × SEEDS` order.
 #[rustfmt::skip]
