@@ -15,7 +15,7 @@ use crate::config::DustConfig;
 use crate::error::DustError;
 use crate::optimizer::Assignment;
 use crate::state::Nmdb;
-use dust_topology::{min_inv_lu_dp_path, CostEngine, NodeId, PathEngine};
+use dust_topology::{CostEngine, NodeId, PathEngine};
 use std::time::{Duration, Instant};
 
 /// Result of one heuristic round.
@@ -106,7 +106,8 @@ pub fn heuristic_with(
     // Remaining spare capacity per node, consumed as assignments land.
     let mut remaining_cd: Vec<f64> = nmdb.graph.nodes().map(|n| nmdb.cd(n, cfg)).collect();
 
-    let mut assignments = Vec::new();
+    let mut assignments: Vec<Assignment> = Vec::new();
+    let (mut scratch, mut dests) = (engine.route_scratch(), Vec::new());
     let mut residual = Vec::new();
     let mut total_cs = 0.0;
     let mut total_cse = 0.0;
@@ -135,6 +136,7 @@ pub fn heuristic_with(
             a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
         });
 
+        let first = assignments.len();
         for (t_rmin, c) in priced {
             if cs <= 1e-12 {
                 break;
@@ -146,11 +148,18 @@ pub fn heuristic_with(
             remaining_cd[c.index()] -= take;
             cs -= take;
             beta += take * t_rmin;
-            // Routes are reconstructed only for accepted assignments — a
-            // handful per Busy node — keeping the heuristic at
-            // O(hops·|E|) per Busy node overall.
-            let route = min_inv_lu_dp_path(&nmdb.graph, b, c, Some(hops)).map(|(_, p)| p);
-            assignments.push(Assignment { from: b, to: c, amount: take, t_rmin, route });
+            assignments.push(Assignment { from: b, to: c, amount: take, t_rmin, route: None });
+        }
+        // Routes are reconstructed only for accepted assignments — a
+        // handful per Busy node — by one DP pruned to their hop cones.
+        let taken = &mut assignments[first..];
+        if !taken.is_empty() {
+            dests.clear();
+            dests.extend(taken.iter().map(|a| a.to));
+            scratch.run_to(&nmdb.graph, b, &dests, Some(hops));
+            for a in taken {
+                a.route = scratch.route_to(&nmdb.graph, a.to).map(|(_, p)| p);
+            }
         }
         if cs > 1e-12 {
             residual.push((b, cs));

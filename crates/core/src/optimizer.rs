@@ -18,9 +18,7 @@ use crate::state::Nmdb;
 use dust_lp::{
     Basis, Cmp, Problem, SolveOptions, Status, TransportProblem, TransportSolution, TransportStatus,
 };
-use dust_topology::{
-    min_inv_lu_enumerated, CostEngine, CostMatrix, DpScratch, NodeId, Path, PathEngine,
-};
+use dust_topology::{min_inv_lu_enumerated, CostEngine, CostMatrix, NodeId, Path, PathEngine};
 use std::time::{Duration, Instant};
 
 /// Which LP machinery solves the placement.
@@ -349,25 +347,27 @@ pub fn optimize_with(
     // ---- Route extraction for the chosen pairs -----------------------------
     let routes_scope = obs.prof_scope("core.routes");
     let mut assignments = Vec::with_capacity(shipped.len());
-    // one DP per busy row that ships anything, backtracked to each of its
-    // destinations
-    let mut scratch = DpScratch::default();
-    let mut ran = usize::MAX;
-    for (r, c, x, t_rmin) in shipped {
-        let (b, o) = (busy[r], candidates[c]);
-        let route = match cfg.path_engine {
-            PathEngine::Enumerate => {
-                min_inv_lu_enumerated(&nmdb.graph, b, o, cfg.max_hop).map(|(_, p)| p)
-            }
-            PathEngine::HopBoundedDp => {
-                if ran != r {
-                    scratch.run(&nmdb.graph, b, cfg.max_hop);
-                    ran = r;
-                }
-                scratch.route_to(&nmdb.graph, o).map(|(_, p)| p)
-            }
-        };
-        assignments.push(Assignment { from: b, to: o, amount: x, t_rmin, route });
+    // one DP per busy row that ships anything, pruned to the hop cones of
+    // that row's destinations and backtracked to each of them; `shipped`
+    // is row-major, so a row's destinations are one run of it
+    let mut scratch = engine.route_scratch();
+    let mut dests = Vec::new();
+    for run in shipped.chunk_by(|a, b| a.0 == b.0) {
+        let b = busy[run[0].0];
+        if cfg.path_engine == PathEngine::HopBoundedDp {
+            dests.clear();
+            dests.extend(run.iter().map(|&(_, c, _, _)| candidates[c]));
+            scratch.run_to(&nmdb.graph, b, &dests, cfg.max_hop);
+        }
+        for &(_, c, x, t_rmin) in run {
+            let o = candidates[c];
+            let route = match cfg.path_engine {
+                PathEngine::Enumerate => min_inv_lu_enumerated(&nmdb.graph, b, o, cfg.max_hop),
+                PathEngine::HopBoundedDp => scratch.route_to(&nmdb.graph, o),
+            };
+            let route = route.map(|(_, p)| p);
+            assignments.push(Assignment { from: b, to: o, amount: x, t_rmin, route });
+        }
     }
     drop(routes_scope);
 

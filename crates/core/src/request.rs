@@ -51,7 +51,7 @@ enum Strategy {
 
 /// Either a request-owned engine or one shared by the caller.
 enum EngineRef<'a> {
-    Owned(CostEngine),
+    Owned(Box<CostEngine>),
     Shared(&'a CostEngine),
 }
 
@@ -90,7 +90,7 @@ impl<'a> PlacementRequest<'a> {
             cfg: *cfg,
             backend: SolverBackend::default(),
             strategy: Strategy::Lp,
-            engine: EngineRef::Owned(CostEngine::new()),
+            engine: EngineRef::Owned(Box::new(CostEngine::new())),
             obs: ObsHandle::disabled(),
             warm: None,
         }
@@ -137,7 +137,8 @@ impl<'a> PlacementRequest<'a> {
     /// Replaces any engine previously set via
     /// [`engine`](PlacementRequest::engine), losing its cache.
     pub fn threads(mut self, n: usize) -> Self {
-        self.engine = EngineRef::Owned(CostEngine::with_threads(n).with_obs(self.obs.clone()));
+        self.engine =
+            EngineRef::Owned(Box::new(CostEngine::with_threads(n).with_obs(self.obs.clone())));
         self
     }
 

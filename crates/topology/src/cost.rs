@@ -7,11 +7,11 @@
 //! volume `D_i` in megabits.
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::paths::{min_inv_lu_dp_into, min_inv_lu_enumerated_into, RowScratch};
+use crate::paths::{min_inv_lu_dp_into, min_inv_lu_enumerated_into, DpScratch, RowScratch};
 use dust_obs::{LocalProfiler, ObsHandle, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 /// Which routing engine computes `T_rmin` (ablation 1 in DESIGN.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -104,13 +104,15 @@ fn hop_key(max_hop: Option<usize>) -> u64 {
     max_hop.map_or(u64::MAX, |h| h as u64)
 }
 
-/// Price the `Σ 1/Lu_e` row from `src` with `engine` into `row`.
+/// Price the `Σ 1/Lu_e` row from `src` with `engine` into `row`, which
+/// comes back one entry per node; a buffer with room for them is filled
+/// without allocating.
 fn price_row_into(
     g: &Graph,
     src: NodeId,
     max_hop: Option<usize>,
     engine: PathEngine,
-    row: &mut [f64],
+    row: &mut Vec<f64>,
     scratch: &mut RowScratch,
 ) {
     match engine {
@@ -177,6 +179,9 @@ pub struct CostEngine {
     /// ones eligible for migration at the next refresh. `0` = never
     /// refreshed (no epoch is ever handed out as 0).
     coherent_epoch: AtomicU64,
+    /// The hop layers routes over this engine's graph backtrack through,
+    /// kept from one placement round to the next.
+    routes: Mutex<DpScratch>,
 }
 
 /// What one [`CostEngine::refresh`] did to the cache.
@@ -208,6 +213,7 @@ impl CostEngine {
             cache: RwLock::new(HashMap::new()),
             obs: ObsHandle::disabled(),
             coherent_epoch: AtomicU64::new(0),
+            routes: Mutex::default(),
         }
     }
 
@@ -243,6 +249,14 @@ impl CostEngine {
         } else {
             self.threads
         }
+    }
+
+    /// The working memory route extraction runs its DPs in: a round that
+    /// routes through it allocates no layers a previous round already
+    /// grew. Every run overwrites what the last one left, so a scratch a
+    /// panicking holder left behind is as good as any.
+    pub fn route_scratch(&self) -> MutexGuard<'_, DpScratch> {
+        self.routes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of rows currently cached (all epochs).
@@ -388,7 +402,7 @@ impl CostEngine {
         if let Some(row) = self.cache.read().expect("cost cache poisoned").get(&key) {
             return Arc::clone(row);
         }
-        let mut row = vec![f64::INFINITY; g.node_count()];
+        let mut row = Vec::with_capacity(g.node_count());
         price_row_into(g, src, max_hop, engine, &mut row, &mut RowScratch::default());
         let mut cache = self.cache.write().expect("cost cache poisoned");
         Arc::clone(cache.entry(key).or_insert(Arc::new(row)))
@@ -440,7 +454,8 @@ impl CostEngine {
         // calling thread and in source order: a buffer per uncached row,
         // each worker's scratch, the cache entries. Workers only fill
         // buffers, so the heap a round leaves behind does not depend on
-        // which thread priced which row.
+        // which thread priced which row. A buffer is allocated with room
+        // for its row, not filled: the row kernel writes every entry.
         let n = g.node_count();
         let key = |src: NodeId| -> RowKey { (g.epoch(), src, hop_key(max_hop), engine) };
         // a cached row, or the buffer a worker prices the row into
@@ -452,7 +467,7 @@ impl CostEngine {
                 .iter()
                 .map(|&src| match cache.get(&key(src)) {
                     Some(row) => Ok(Arc::clone(row)),
-                    None => Err(Mutex::new(vec![f64::INFINITY; n])),
+                    None => Err(Mutex::new(Vec::with_capacity(n))),
                 })
                 .collect()
         };
@@ -583,23 +598,30 @@ impl CostEngine {
         // T_rmin of row r's pair with `dst`: offloading to yourself is free
         // (the role model never produces that pair), and a pair with no
         // path inside the bound costs INFINITY (or NaN, at no data) and is
-        // left out
-        let price = |r: usize, dst: NodeId| {
-            if sources[r] == dst {
-                0.0
-            } else {
-                data_mb[r] * rows[r][dst.index()]
-            }
-        };
+        // left out. A row is read in chunks of destinations: each entry is
+        // written to a small buffer and the write cursor advances only past
+        // the finite ones, so no branch depends on the data; a chunk that
+        // keeps nothing costs the matrix nothing.
+        const CHUNK: usize = 64;
         let mut row_start = Vec::with_capacity(sources.len() + 1);
-        let (mut columns, mut t_rmin) = (Vec::new(), Vec::new());
+        // a power-of-two start keeps the doubling a push would do
+        let (mut columns, mut t_rmin) = (Vec::with_capacity(CHUNK), Vec::with_capacity(CHUNK));
+        let (mut chunk_cols, mut chunk_t) = ([0u32; CHUNK], [0.0f64; CHUNK]);
         row_start.push(0);
-        for r in 0..sources.len() {
-            for (c, &dst) in destinations.iter().enumerate() {
-                let t = price(r, dst);
-                if t.is_finite() {
-                    columns.push(c as u32);
-                    t_rmin.push(t);
+        for (r, (&src, row)) in sources.iter().zip(&rows).enumerate() {
+            let d = data_mb[r];
+            for (at, chunk) in destinations.chunks(CHUNK).enumerate() {
+                let mut kept = 0;
+                for (i, &dst) in chunk.iter().enumerate() {
+                    let t = d * row[dst.index()];
+                    let t = if src == dst { 0.0 } else { t };
+                    chunk_cols[kept] = (at * CHUNK + i) as u32;
+                    chunk_t[kept] = t;
+                    kept += usize::from(t.is_finite());
+                }
+                if kept > 0 {
+                    columns.extend_from_slice(&chunk_cols[..kept]);
+                    t_rmin.extend_from_slice(&chunk_t[..kept]);
                 }
             }
             row_start.push(columns.len() as u32);
