@@ -41,7 +41,7 @@ pub use fattree::{paper_sizes, FatTree, Tier};
 pub use graph::{Edge, EdgeId, Graph, Link, NodeId};
 pub use paths::{
     count_simple_paths, enumerate_simple_paths, for_each_simple_path, min_inv_lu_dp,
-    min_inv_lu_dp_from, min_inv_lu_dp_path, min_inv_lu_dp_path_with, min_inv_lu_enumerated,
-    min_inv_lu_enumerated_from, DpScratch, Path,
+    min_inv_lu_dp_from, min_inv_lu_dp_path, min_inv_lu_enumerated, min_inv_lu_enumerated_from,
+    DpScratch, Path,
 };
 pub use rng::SplitMix64;
