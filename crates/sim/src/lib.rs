@@ -58,7 +58,7 @@ pub use engine::{EngineKind, EventQueue, Scheduled};
 pub use flows::{evaluate_flows, FlowOutcome, TelemetryFlow};
 pub use node::{NodeSpec, SimNode};
 pub use registry::{fig1_curve, fig6_contrast, Scenario, ScenarioKnobs, ScenarioRun};
-pub use runner::{series, DriftConfig, SimConfig, SimReport, Simulation, StormConfig};
+pub use runner::{series, DriftConfig, SimReport, Simulation, StormConfig};
 pub use scenarios::{
     congestion, fleet, scale_fleet_builder, scale_fleet_sim_on, testbed_dust_config, testbed_nodes,
     testbed_topology, ChaosResult, CongestionResult, Fig1Row, Fig6Result, FleetResult,

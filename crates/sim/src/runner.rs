@@ -11,7 +11,7 @@
 //! keepalive → REP replica-substitution path (§III-C).
 //!
 //! Every control-plane envelope crosses the [`Transport`] fault gate
-//! ([`SimConfig::faults`]): it may be dropped, duplicated, or delayed with
+//! ([`SimBuilder::faults`](crate::SimBuilder::faults)): it may be dropped, duplicated, or delayed with
 //! jitter, per direction, deterministically per seed. An ideal direction
 //! delivers inline (identical to a direct call); any fault profile routes
 //! the copies through the event queue as `SimEvent::DeliverClient` /
@@ -102,23 +102,19 @@ impl Default for DriftConfig {
     }
 }
 
-/// Simulation parameters.
-///
-/// Prefer [`Simulation::builder`], which validates knob combinations and
-/// returns a loud [`dust_core::DustError::BadConfig`] instead of silently
-/// accepting inconsistent settings.
+/// How often the Manager runs a placement round, ms.
+const PLACEMENT_PERIOD_MS: u64 = 5_000;
+
+/// Simulation parameters: what [`Simulation::builder`] sets and validates
+/// before a run starts.
 #[derive(Debug, Clone)]
-pub struct SimConfig {
+pub(crate) struct SimConfig {
     /// Placement thresholds and routing options.
     pub dust: DustConfig,
-    /// LP backend for the Manager's optimization engine.
-    pub backend: SolverBackend,
     /// STAT cadence handed out in ACKs, ms.
     pub update_interval_ms: u64,
     /// Keepalive silence tolerated before replica substitution, ms.
     pub keepalive_timeout_ms: u64,
-    /// How often the Manager runs a placement round, ms.
-    pub placement_period_ms: u64,
     /// Metric sampling cadence, ms.
     pub sample_period_ms: u64,
     /// Total simulated time, ms.
@@ -157,10 +153,8 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             dust: DustConfig::paper_defaults(),
-            backend: SolverBackend::Transportation,
             update_interval_ms: 1_000,
             keepalive_timeout_ms: 4_000,
-            placement_period_ms: 5_000,
             sample_period_ms: 1_000,
             duration_ms: 120_000,
             dust_enabled: true,
@@ -195,7 +189,7 @@ pub(crate) enum SimEvent {
     /// Online SLO evaluation over the sample just recorded (scheduled
     /// only when an engine is attached).
     SloEvaluation,
-    /// Apply one seeded churn step ([`SimConfig::drift`]): retune link
+    /// Apply one seeded churn step ([`SimBuilder::drift`](crate::SimBuilder::drift)): retune link
     /// capacities and agent sampling rates.
     DriftTick,
     /// Stop a node (crash): it stops sending anything.
@@ -252,7 +246,7 @@ pub struct SimReport {
     /// Per-node metric series, named by [`series`]:
     /// [`series::DEVICE_CPU`], [`series::DEVICE_MEM`] and
     /// [`series::MONITOR_CPU`] on every node per
-    /// [`SimConfig::sample_period_ms`], plus
+    /// [`SimBuilder::sample_period_ms`](crate::SimBuilder::sample_period_ms), plus
     /// [`series::TELEMETRY_ADMITTED_MBPS`] / [`series::TELEMETRY_DROPPED`]
     /// on the owner of each routed transfer.
     pub federation: Federation,
@@ -372,7 +366,7 @@ impl Simulation {
         let mut manager = Manager::new(
             graph,
             cfg.dust,
-            cfg.backend,
+            SolverBackend::Transportation,
             cfg.update_interval_ms,
             cfg.keepalive_timeout_ms,
         )
@@ -415,12 +409,6 @@ impl Simulation {
             c.set_obs(obs.clone());
         }
         self.obs = obs;
-    }
-
-    /// Builder form of [`Simulation::set_obs`].
-    pub fn with_obs(mut self, obs: ObsHandle) -> Self {
-        self.set_obs(obs);
-        self
     }
 
     /// The attached observability handle (disabled by default).
@@ -730,7 +718,7 @@ impl Simulation {
         q.schedule(self.cfg.update_interval_ms, SimEvent::StatEmission);
         q.schedule(self.cfg.update_interval_ms, SimEvent::OfferMaintenance);
         if self.cfg.dust_enabled {
-            q.schedule(self.cfg.placement_period_ms, SimEvent::PlacementRound);
+            q.schedule(PLACEMENT_PERIOD_MS, SimEvent::PlacementRound);
         }
         q.schedule(0, SimEvent::TelemetrySample);
         if let Some(d) = &self.cfg.drift {
@@ -776,7 +764,7 @@ impl Simulation {
             self.send_to_client(now, env, q, report);
         }
         self.poll_slo_protocol(now);
-        q.schedule_in(self.cfg.placement_period_ms, SimEvent::PlacementRound);
+        q.schedule_in(PLACEMENT_PERIOD_MS, SimEvent::PlacementRound);
     }
 
     /// Online SLO evaluation over the sample recorded at `now` (the cost
@@ -833,7 +821,7 @@ impl Simulation {
         }
     }
 
-    /// One churn step ([`SimConfig::drift`]). The RNG is keyed on
+    /// One churn step ([`SimBuilder::drift`](crate::SimBuilder::drift)). The RNG is keyed on
     /// `(seed, now)` alone, so the draw sequence is a pure function of the
     /// event time.
     ///

@@ -226,11 +226,6 @@ impl CostEngine {
         self
     }
 
-    /// Attach an observability handle to an existing engine.
-    pub fn set_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
-    }
-
     /// The attached observability handle (disabled by default).
     pub fn obs(&self) -> &ObsHandle {
         &self.obs
