@@ -117,7 +117,7 @@ pub fn fig8(seed: u64, effort: Effort) -> String {
         let mut feasible = 0;
         for i in 0..iterations {
             let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), seed + i as u64);
-            let (p, d) = timed(|| optimize(&nmdb, &cfg, SolverBackend::Transportation));
+            let (p, d) = timed(|| optimize(&nmdb, &cfg));
             times.push(d);
             if p.status == PlacementStatus::Optimal {
                 feasible += 1;
@@ -189,7 +189,7 @@ pub fn fig10(seed: u64, effort: Effort) -> String {
             let mut times = Vec::new();
             for i in 0..*iterations {
                 let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), seed + i as u64);
-                let (_, d) = timed(|| optimize(&nmdb, &cfg, SolverBackend::Transportation));
+                let (_, d) = timed(|| optimize(&nmdb, &cfg));
                 times.push(d);
             }
             let mean = mean_secs(&times);
@@ -248,7 +248,7 @@ pub fn fig11(seed: u64, effort: Effort) -> String {
             for i in 0..ilp_iters {
                 let nmdb =
                     random_nmdb(&ft.graph, &cfg_i, &experiment_params(), seed + 1000 + i as u64);
-                let (_, d) = timed(|| optimize(&nmdb, &cfg_i, SolverBackend::Transportation));
+                let (_, d) = timed(|| optimize(&nmdb, &cfg_i));
                 times.push(d);
             }
             format!("{:.4}", mean_secs(&times))
@@ -272,7 +272,7 @@ pub fn fig11(seed: u64, effort: Effort) -> String {
         "Fig. 11 — scalability: HFR of the heuristic (a) and mean ILP time (b) vs network size\n{}\n\
          fitted HFR power-law exponent vs node count: {fit} (paper: ~ -0.5)\n\
          paper: HFR falls 47.92 % -> 11.04 %; ILP time rises 0.2 s -> 153+ s.\n\
-         The ILP column stops at 320 nodes, as in the paper (beyond that, zone into <=80-node pods).\n",
+         The ILP column stops at 320 nodes, as in the paper.\n",
         t.render()
     )
 }
@@ -460,9 +460,9 @@ pub fn zone_storm(seed: u64, effort: Effort) -> String {
 }
 
 /// DESIGN.md's three "design choices to ablate", one table each:
-/// route enumeration vs hop-bounded DP, transportation vs general
-/// simplex (wall-clock plus the deterministic pivot census), and the
-/// heuristic's 1/2/4-hop reach.
+/// route enumeration vs hop-bounded DP, the transportation solver vs the
+/// reference simplex (wall-clock plus the deterministic pivot census), and
+/// the heuristic's 1/2/4-hop reach.
 pub fn ablations(seed: u64, effort: Effort) -> String {
     use dust::lp::{solve, Cmp, Problem, TransportProblem};
     let reps = match effort {
@@ -496,7 +496,8 @@ pub fn ablations(seed: u64, effort: Effort) -> String {
         ]);
     }
 
-    // 2. LP backends on 32 seeded placement-shaped instances per size:
+    // 2. the transportation solver against the reference simplex on 32
+    // seeded placement-shaped instances per size:
     // m supplies, n generous capacities, uniform random costs. Pivot
     // quantiles come from the runtime's own log-scale histogram.
     let mut solvers = Table::new(&[
@@ -597,7 +598,7 @@ pub const FIGURES: &[Figure] = &[
     ("storm", "extension: zone_storm scenario convergence ladder", zone_storm),
     (
         "ablations",
-        "DESIGN.md's design choices: path engine, LP backend, heuristic reach",
+        "DESIGN.md's design choices: path engine, LP solver vs reference, heuristic reach",
         ablations,
     ),
 ];

@@ -21,8 +21,6 @@ pub struct Options {
     pub max_hop: Option<usize>,
     /// Use the paper-faithful path enumeration instead of the fast DP.
     pub enumerate_paths: bool,
-    /// Use the general simplex instead of the transportation solver.
-    pub simplex: bool,
     /// Worker threads pricing `T_rmin` rows (0 = one per core).
     pub threads: usize,
 }
@@ -36,7 +34,6 @@ impl Default for Options {
             x_min: d.x_min,
             max_hop: None,
             enumerate_paths: false,
-            simplex: false,
             threads: 0,
         }
     }
@@ -55,14 +52,6 @@ impl Options {
             });
         cfg.validate()?;
         Ok(cfg)
-    }
-
-    fn backend(&self) -> SolverBackend {
-        if self.simplex {
-            SolverBackend::Simplex
-        } else {
-            SolverBackend::Transportation
-        }
     }
 
     /// A fresh cost engine pricing with `--threads` workers.
@@ -568,7 +557,7 @@ pub fn roles(nmdb: &Nmdb, opts: &Options) -> Result<String, String> {
 pub fn cmd_optimize(nmdb: &Nmdb, opts: &Options) -> Result<String, String> {
     let cfg = opts.config()?;
     let engine = opts.engine();
-    let p = optimize_with(nmdb, &cfg, opts.backend(), &engine, None).map_err(|e| e.to_string())?;
+    let p = optimize_with(nmdb, &cfg, &engine, None).map_err(|e| e.to_string())?;
     if p.status == PlacementStatus::Infeasible {
         let e = infeasible_cause(nmdb, &cfg, &engine, &p);
         let hint = match e {
@@ -667,8 +656,7 @@ pub fn cmd_dot(nmdb: &Nmdb, opts: &Options) -> Result<String, String> {
         .collect();
     // an infeasible outcome is data: the graph still renders, just without
     // a route overlay
-    let p = optimize_with(nmdb, &cfg, opts.backend(), &opts.engine(), None)
-        .map_err(|e| e.to_string())?;
+    let p = optimize_with(nmdb, &cfg, &opts.engine(), None).map_err(|e| e.to_string())?;
     let routes: Vec<_> = p.assignments.iter().filter_map(|a| a.route.clone()).collect();
     Ok(placement_to_dot(&nmdb.graph, "dust", &styles, &routes))
 }
@@ -690,7 +678,7 @@ pub struct PlaceOptions {
     pub profile: Option<String>,
     /// Steady-state mode: freeze the node states at round 0, drift link
     /// utilizations between rounds, and warm-start each solve from the
-    /// previous round's simplex bases (transportation backend only).
+    /// previous round's spanning-tree bases.
     pub warm: bool,
     /// With `warm`: hold the previous placement — skipping the solve
     /// entirely — when no assignment's re-priced `T_rmin` degraded by
@@ -768,9 +756,6 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
     let cfg = opts.base.config()?;
     if opts.batch == 0 {
         return Err("--batch must be at least 1".into());
-    }
-    if opts.warm && opts.base.simplex {
-        return Err("--warm needs the transportation backend (drop --simplex)".into());
     }
     if let Some(t) = opts.delta_threshold {
         if !opts.warm {
@@ -869,8 +854,7 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
             fresh = opts.base.engine().with_obs(obs.clone());
             (&fresh, None)
         };
-        let p = optimize_with(nmdb, &cfg, opts.base.backend(), round_engine, warm)
-            .map_err(|e| e.to_string())?;
+        let p = optimize_with(nmdb, &cfg, round_engine, warm).map_err(|e| e.to_string())?;
         if p.warm_used {
             warm_rounds += 1;
         }
@@ -1109,9 +1093,13 @@ mod tests {
 
     #[test]
     fn place_warm_rejects_bad_flag_combinations() {
-        let base = Options { simplex: true, ..Options::default() };
-        let opts = PlaceOptions { fat_tree: Some(4), warm: true, base, ..Default::default() };
-        assert!(cmd_place(None, &opts).is_err());
+        let opts = PlaceOptions {
+            fat_tree: Some(4),
+            warm: true,
+            delta_threshold: Some(f64::NAN),
+            ..Default::default()
+        };
+        assert!(cmd_place(None, &opts).is_err(), "NaN threshold rejected");
         let opts =
             PlaceOptions { fat_tree: Some(4), delta_threshold: Some(0.1), ..Default::default() };
         assert!(cmd_place(None, &opts).is_err(), "--delta-threshold needs --warm");
@@ -1161,9 +1149,11 @@ mod tests {
 
     #[test]
     fn simplex_and_enumerate_flags_work() {
-        let o = Options { simplex: true, enumerate_paths: true, ..Default::default() };
-        let out = cmd_optimize(&fig4(), &o).unwrap();
-        assert!(out.contains("status: Optimal"));
+        // --enumerate prices by exhaustive search and places as the DP
+        // does; --simplex is an unknown option, which args.rs pins
+        let o = Options { enumerate_paths: true, ..Default::default() };
+        let dp = cmd_optimize(&fig4(), &Options::default()).unwrap();
+        assert_eq!(cmd_optimize(&fig4(), &o).unwrap(), dp);
     }
 
     #[test]

@@ -45,7 +45,6 @@ options (all commands taking a file):
   --x-min X     minimum utilization (default 5)
   --max-hop N   hop bound on routes (default unlimited)
   --enumerate   paper-faithful exhaustive path enumeration
-  --simplex     use the general simplex instead of the transportation solver
   --threads N   T_rmin pricing threads (default: one per core)
 
 place options (plus the file options above):
@@ -226,7 +225,7 @@ mod tests {
             .collect();
         flags.sort();
         flags.dedup();
-        assert!(flags.len() > 30, "USAGE lost its flags: {flags:?}");
+        assert_eq!(flags.len(), 30, "USAGE gained or lost a flag: {flags:?}");
         for flag in flags {
             let after_name = ["x".to_string(), flag.clone()];
             let alone = &after_name[1..];

@@ -15,10 +15,6 @@ pub enum DustError {
     /// reachable candidates can absorb (the "Infeasible Optimization"
     /// outcome counted by Fig. 7).
     Infeasible,
-    /// The LP relaxation was unbounded — impossible for well-formed
-    /// placement instances (costs are non-negative and supplies finite),
-    /// so this indicates a malformed custom problem.
-    Unbounded,
     /// Busy nodes and candidates both exist, but no (busy, candidate)
     /// pair is connected within the configured hop bound.
     NoPathWithinHops,
@@ -41,7 +37,6 @@ impl DustError {
     pub fn kind(&self) -> &'static str {
         match self {
             DustError::Infeasible => "infeasible",
-            DustError::Unbounded => "unbounded",
             DustError::NoPathWithinHops => "no_path_within_hops",
             DustError::IterationLimit { .. } => "iteration_limit",
             DustError::BadConfig(_) => "bad_config",
@@ -55,7 +50,6 @@ impl fmt::Display for DustError {
             DustError::Infeasible => {
                 write!(f, "infeasible: busy excess exceeds reachable candidate capacity")
             }
-            DustError::Unbounded => write!(f, "the placement LP is unbounded"),
             DustError::NoPathWithinHops => {
                 write!(f, "no route between any busy node and any candidate within the hop bound")
             }
@@ -77,7 +71,8 @@ mod tests {
     fn kinds_are_stable_labels() {
         assert_eq!(DustError::IterationLimit { pivots: 7 }.kind(), "iteration_limit");
         assert_eq!(DustError::BadConfig("x".to_string()).kind(), "bad_config");
-        assert_eq!(DustError::Unbounded.kind(), "unbounded");
+        assert_eq!(DustError::Infeasible.kind(), "infeasible");
+        assert_eq!(DustError::NoPathWithinHops.kind(), "no_path_within_hops");
     }
 
     #[test]
@@ -87,8 +82,9 @@ mod tests {
         assert!(DustError::BadConfig("x_min out of range".into())
             .to_string()
             .contains("x_min out of range"));
-        assert!(DustError::Unbounded.to_string().contains("unbounded"));
-        assert!(DustError::IterationLimit { pivots: 7 }.to_string().contains("after 7 pivots"));
+        assert!(DustError::IterationLimit { pivots: 7 }
+            .to_string()
+            .contains("after 7 pivots, not optimal"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! io-rate estimator behind Fig. 7.
 
 use crate::config::DustConfig;
-use crate::optimizer::{optimize_with, PlacementStatus, SolverBackend};
+use crate::optimizer::{optimize_with, PlacementStatus};
 use crate::scenario::{scenario_stream, ScenarioParams};
 use crate::state::Nmdb;
 use dust_topology::{CostEngine, Graph};
@@ -56,7 +56,7 @@ pub fn estimate_io_rate(
     let mut infeasible = 0usize;
     for nmdb in scenario_stream(graph, cfg, params, seed, iterations) {
         engine.retain_epoch(&nmdb.graph);
-        let p = optimize_with(&nmdb, cfg, SolverBackend::Transportation, &engine, None)
+        let p = optimize_with(&nmdb, cfg, &engine, None)
             .expect("threshold configs are validated by the sweep caller");
         if p.status == PlacementStatus::Infeasible {
             infeasible += 1;

@@ -25,7 +25,7 @@
 //! # Example
 //!
 //! ```
-//! use dust_core::{optimize_with, DustConfig, NodeState, Nmdb, PlacementStatus, SolverBackend};
+//! use dust_core::{optimize_with, DustConfig, NodeState, Nmdb, PlacementStatus};
 //! use dust_topology::{topologies, CostEngine, Link};
 //!
 //! // 0 (busy) — 1 (neutral) — 2 (candidate)
@@ -37,7 +37,7 @@
 //! ]);
 //! let cfg = DustConfig::paper_defaults();
 //! let engine = CostEngine::with_threads(2);
-//! let p = optimize_with(&nmdb, &cfg, SolverBackend::Transportation, &engine, None)?;
+//! let p = optimize_with(&nmdb, &cfg, &engine, None)?;
 //! assert_eq!(p.status, PlacementStatus::Optimal);
 //! assert!((p.total_offloaded() - 12.0).abs() < 1e-6);
 //! # Ok::<(), dust_core::DustError>(())
@@ -61,7 +61,7 @@ pub use feasibility::{capacity_precheck, estimate_io_rate, io_rate_sweep, IoRate
 pub use heuristic::{heuristic_with, HeuristicOutcome};
 pub use optimizer::{
     assign_run, infeasible_cause, optimize_with, routes_from, solve_placement, Assignment,
-    LpSolution, Placement, PlacementLp, PlacementStatus, SolverBackend, WarmState, FLOW_TOL,
+    LpSolution, Placement, PlacementLp, PlacementStatus, WarmState, FLOW_TOL,
 };
 pub use request::{heuristic, heuristic_with_hops, optimize};
 pub use scenario::{random_nmdb, scenario_stream, ScenarioParams};

@@ -9,30 +9,19 @@
 //!    full-offload equality (3b) constraints, and
 //! 4. extracts the chosen routes so the Manager can program them.
 //!
-//! Two interchangeable LP backends are offered (ablation 2 in DESIGN.md):
-//! the specialized transportation solver and the general two-phase simplex.
+//! The LP is a Hitchcock transportation problem, solved by `dust-lp`'s
+//! transportation solver (Vogel + MODI); the dense simplex there is only
+//! the reference tests compare against (ablation 2 in DESIGN.md).
 
 use crate::config::DustConfig;
 use crate::error::DustError;
 use crate::state::Nmdb;
-use dust_lp::{
-    Basis, Cmp, Problem, SolveOptions, Status, TransportProblem, TransportSolution, TransportStatus,
-};
+use dust_lp::{Basis, SolveOptions, TransportProblem, TransportSolution, TransportStatus};
 use dust_obs::ObsHandle;
 use dust_topology::{
     min_inv_lu_enumerated, CostEngine, CostMatrix, DpScratch, Graph, NodeId, Path, PathEngine,
 };
 use std::time::{Duration, Instant};
-
-/// Which LP machinery solves the placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Vogel + MODI transportation solver (fast, structure-aware).
-    #[default]
-    Transportation,
-    /// General two-phase simplex over the explicit LP.
-    Simplex,
-}
 
 /// The spanning-tree basis carried from one placement round to the next
 /// so a drifting instance re-solves warm instead of cold.
@@ -54,8 +43,8 @@ pub struct WarmState {
 }
 
 impl WarmState {
-    /// True when no basis is carried (cold round, infeasible round, or
-    /// simplex backend).
+    /// True when no basis is carried (a round that did not reach an
+    /// optimal solve).
     pub fn is_empty(&self) -> bool {
         self.basis.is_none()
     }
@@ -112,13 +101,13 @@ pub struct Placement {
     pub cost_time: Duration,
     /// Wall time spent in the LP solve proper.
     pub solve_time: Duration,
-    /// Shadow price per Offload-candidate (transportation backend only):
-    /// the marginal β saved by one more unit of spare capacity at that
-    /// node — the most negative entries are the candidates most worth
-    /// upgrading. Empty for the simplex backend or non-optimal outcomes.
+    /// Shadow price per Offload-candidate: the marginal β saved by one
+    /// more unit of spare capacity at that node — the most negative
+    /// entries are the candidates most worth upgrading. Empty for
+    /// non-optimal outcomes.
     pub shadow_prices: Vec<(NodeId, f64)>,
     /// Basis for warm-starting the next round over the same busy/candidate
-    /// sets (empty unless the transportation backend reached optimality).
+    /// sets (empty unless the solve reached optimality).
     pub warm: WarmState,
     /// True when this round's solve actually started from an accepted
     /// warm basis.
@@ -214,9 +203,9 @@ pub struct LpSolution {
     pub shipped: Vec<(usize, usize, f64, f64)>,
     /// `β = Σ x · T_rmin`, as the solver summed it.
     pub objective: f64,
-    /// Each column's dual (transportation backend only).
+    /// Each column's dual.
     pub column_duals: Vec<f64>,
-    /// The optimal spanning-tree basis (transportation backend only).
+    /// The optimal spanning-tree basis.
     pub basis: Option<Basis>,
     /// True when the solve started from the offered warm basis.
     pub warm_used: bool,
@@ -236,78 +225,38 @@ fn transport_optimal(sol: &TransportSolution) -> Result<bool, DustError> {
     }
 }
 
-/// Solve one placement LP with `backend`, recording solver metrics through
-/// `obs`; the transportation backend starts from `warm` when it is a
-/// usable basis (the simplex ignores it). Every placement solve — a full
-/// round's through [`optimize_with`], a Manager's residual re-home — runs
-/// here.
+/// Solve one placement LP with the transportation solver, recording
+/// solver metrics through `obs` and starting from `warm` when it is a
+/// usable basis. Every placement solve — a full round's through
+/// [`optimize_with`], a Manager's residual re-home — runs here.
 ///
-/// A transportation solve that runs into its pivot cap is
-/// [`DustError::IterationLimit`]; an unbounded simplex is
-/// [`DustError::Unbounded`].
+/// A solve that runs into its pivot cap is [`DustError::IterationLimit`].
 pub fn solve_placement(
     lp: PlacementLp,
-    backend: SolverBackend,
     obs: &ObsHandle,
     warm: Option<Basis>,
 ) -> Result<LpSolution, DustError> {
     let PlacementLp { supply, capacity, row_start, columns, t_rmin } = lp;
-    let mut solution = LpSolution { objective: f64::NAN, ..LpSolution::default() };
-    match backend {
-        SolverBackend::Transportation => {
-            // The problem takes the instance's rows for the solve: a round
-            // never holds two copies of them.
-            let tp = TransportProblem::sparse(supply, capacity, row_start, columns, t_rmin);
-            let sol = tp.solve_with_options(obs, &SolveOptions { warm_start: warm });
-            solution.warm_used = sol.warm_used;
-            solution.optimal = transport_optimal(&sol)?;
-            if solution.optimal {
-                let shipped = sol.flows.iter().filter(|f| f.2 > FLOW_TOL).map(|&(r, c, x)| {
-                    let (r, c) = (r as usize, c as usize);
-                    (r, c, x, tp.cost_at(r, c))
-                });
-                solution.shipped = shipped.collect();
-                solution.objective = sol.objective;
-                solution.column_duals = sol.col_potentials;
-                solution.basis = sol.basis;
-            }
-        }
-        SolverBackend::Simplex => {
-            // a variable per listed pair, row-major; the other pairs are
-            // simply not modeled
-            let mut p = Problem::new();
-            let vars: Vec<_> = t_rmin.iter().map(|&t| p.add_nonneg(t)).collect();
-            let mut col_terms = vec![Vec::new(); capacity.len()];
-            for (r, &s) in supply.iter().enumerate() {
-                let at = row_start[r] as usize..row_start[r + 1] as usize;
-                for (&c, &v) in columns[at.clone()].iter().zip(&vars[at.clone()]) {
-                    col_terms[c as usize].push((v, 1.0));
-                }
-                let terms: Vec<_> = vars[at].iter().map(|&v| (v, 1.0)).collect();
-                p.add_constraint(&terms, Cmp::Eq, s);
-            }
-            for (terms, &cap) in col_terms.iter().zip(&capacity) {
-                p.add_constraint(terms, Cmp::Le, cap);
-            }
-            let sol = dust_lp::solve_with(&p, dust_lp::Options::default(), obs);
-            if sol.status == Status::Unbounded {
-                return Err(DustError::Unbounded);
-            }
-            solution.optimal = sol.is_optimal();
-            if solution.optimal {
-                for (r, at) in row_start.windows(2).enumerate() {
-                    for k in at[0] as usize..at[1] as usize {
-                        let x = sol.x[vars[k].index()];
-                        if x > FLOW_TOL {
-                            solution.shipped.push((r, columns[k] as usize, x, t_rmin[k]));
-                        }
-                    }
-                }
-                solution.objective = sol.objective;
-            }
-        }
+    // The problem takes the instance's rows for the solve: a round never
+    // holds two copies of them.
+    let tp = TransportProblem::sparse(supply, capacity, row_start, columns, t_rmin);
+    let sol = tp.solve_with_options(obs, &SolveOptions { warm_start: warm });
+    if !transport_optimal(&sol)? {
+        let warm_used = sol.warm_used;
+        return Ok(LpSolution { objective: f64::NAN, warm_used, ..LpSolution::default() });
     }
-    Ok(solution)
+    let shipped = sol.flows.iter().filter(|f| f.2 > FLOW_TOL).map(|&(r, c, x)| {
+        let (r, c) = (r as usize, c as usize);
+        (r, c, x, tp.cost_at(r, c))
+    });
+    Ok(LpSolution {
+        optimal: true,
+        shipped: shipped.collect(),
+        objective: sol.objective,
+        column_duals: sol.col_potentials,
+        basis: sol.basis,
+        warm_used: sol.warm_used,
+    })
 }
 
 /// Run the optimization engine with an explicit shared [`CostEngine`],
@@ -323,14 +272,13 @@ pub fn solve_placement(
 /// Warm and cold solves reach the same objective — the basis only skips
 /// the initial-assignment phase and most pivots when the instance drifted
 /// little. It is ignored (solved cold) when the busy/candidate sets no
-/// longer match, when it is empty, or for the simplex backend.
+/// longer match or when it is empty.
 ///
-/// A transportation solve that runs into its pivot cap surfaces as
+/// A solve that runs into its pivot cap surfaces as
 /// [`DustError::IterationLimit`], not as an infeasible placement.
 pub fn optimize_with(
     nmdb: &Nmdb,
     cfg: &DustConfig,
-    backend: SolverBackend,
     engine: &CostEngine,
     warm: Option<&WarmState>,
 ) -> Result<Placement, DustError> {
@@ -362,7 +310,7 @@ pub fn optimize_with(
     // ---- LP solve ----------------------------------------------------------
     let t1 = Instant::now();
     let warm_start = warm.filter(|w| w.matches(&busy, &candidates)).and_then(|w| w.basis.clone());
-    let solution = solve_placement(lp, backend, obs, warm_start)?;
+    let solution = solve_placement(lp, obs, warm_start)?;
     let solve_time = t1.elapsed();
     if !solution.optimal {
         obs.counter_inc("core.placements_infeasible");
@@ -507,19 +455,21 @@ mod tests {
         )
     }
 
+    /// `T_rmin` of `simple_nmdb`'s one pair: 100 MB over two default links
+    /// (`Lu` = 10 000 × 0.5 = 5 000 Mbps each).
+    const SIMPLE_T_RMIN: f64 = 100.0 * 2.0 / 5_000.0;
+
     #[test]
     fn basic_offload_places_all_excess() {
-        let db = simple_nmdb();
-        for backend in [SolverBackend::Transportation, SolverBackend::Simplex] {
-            let p = optimize(&db, &cfg(), backend);
-            assert_eq!(p.status, PlacementStatus::Optimal, "{backend:?}");
-            assert!((p.total_offloaded() - 10.0).abs() < 1e-6);
-            assert_eq!(p.assignments.len(), 1);
-            let a = &p.assignments[0];
-            assert_eq!((a.from, a.to), (NodeId(0), NodeId(2)));
-            let route = a.route.as_ref().unwrap();
-            assert_eq!(route.hops(), 2);
-        }
+        let p = optimize(&simple_nmdb(), &cfg());
+        assert_eq!(p.status, PlacementStatus::Optimal);
+        assert!((p.total_offloaded() - 10.0).abs() < 1e-6);
+        assert_eq!(p.assignments.len(), 1);
+        let a = &p.assignments[0];
+        assert_eq!((a.from, a.to), (NodeId(0), NodeId(2)));
+        assert!((a.t_rmin - SIMPLE_T_RMIN).abs() < 1e-12);
+        let route = a.route.as_ref().unwrap();
+        assert_eq!(route.hops(), 2);
     }
 
     #[test]
@@ -544,24 +494,23 @@ mod tests {
         );
         // an invalid configuration is typed too
         let bad = cfg().with_thresholds(60.0, 70.0, 5.0);
-        let tp = SolverBackend::Transportation;
-        let err = optimize_with(&simple_nmdb(), &bad, tp, &CostEngine::new(), None).unwrap_err();
+        let err = optimize_with(&simple_nmdb(), &bad, &CostEngine::new(), None).unwrap_err();
         assert!(matches!(err, DustError::BadConfig(_)));
     }
 
     #[test]
     fn backends_agree_on_objective() {
-        let db = simple_nmdb();
-        let a = optimize(&db, &cfg(), SolverBackend::Transportation);
-        let b = optimize(&db, &cfg(), SolverBackend::Simplex);
-        assert!((a.beta - b.beta).abs() < 1e-6 * (1.0 + a.beta.abs()));
+        // the one candidate takes all 10 points of excess: β = 10 · T_rmin
+        let p = optimize(&simple_nmdb(), &cfg());
+        let closed_form = 10.0 * SIMPLE_T_RMIN;
+        assert!((p.beta - closed_form).abs() < 1e-9 * (1.0 + closed_form), "β = {}", p.beta);
     }
 
     #[test]
     fn no_busy_nodes_short_circuits() {
         let g = topologies::line(2, Link::default());
         let db = Nmdb::new(g, vec![NodeState::new(50.0, 1.0), NodeState::new(50.0, 1.0)]);
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = optimize(&db, &cfg());
         assert_eq!(p.status, PlacementStatus::NoBusyNodes);
     }
 
@@ -570,7 +519,7 @@ mod tests {
         // busy node has 19 points of excess, single candidate only 1 spare
         let g = topologies::line(2, Link::default());
         let db = Nmdb::new(g, vec![NodeState::new(99.0, 10.0), NodeState::new(49.0, 1.0)]);
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = optimize(&db, &cfg());
         assert_eq!(p.status, PlacementStatus::Infeasible);
     }
 
@@ -579,10 +528,10 @@ mod tests {
         // candidate exists but is 2 hops away with max_hop = 1
         let db = simple_nmdb();
         let c = cfg().with_max_hop(Some(1));
-        let p = optimize(&db, &c, SolverBackend::Transportation);
+        let p = optimize(&db, &c);
         assert_eq!(p.status, PlacementStatus::Infeasible);
         // …and feasible again at 2 hops
-        let p2 = optimize(&db, &cfg().with_max_hop(Some(2)), SolverBackend::Transportation);
+        let p2 = optimize(&db, &cfg().with_max_hop(Some(2)));
         assert_eq!(p2.status, PlacementStatus::Optimal);
     }
 
@@ -590,7 +539,7 @@ mod tests {
     fn hop_starvation_is_distinguished_from_capacity_shortfall() {
         let cause = |db: &Nmdb, c: &DustConfig| {
             let engine = CostEngine::new();
-            let p = optimize_with(db, c, SolverBackend::Transportation, &engine, None).unwrap();
+            let p = optimize_with(db, c, &engine, None).unwrap();
             assert_eq!(p.status, PlacementStatus::Infeasible);
             infeasible_cause(db, c, &engine, &p)
         };
@@ -611,7 +560,7 @@ mod tests {
             g,
             vec![NodeState::new(90.0, 50.0), NodeState::new(44.0, 1.0), NodeState::new(44.0, 1.0)],
         );
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = optimize(&db, &cfg());
         assert_eq!(p.status, PlacementStatus::Optimal);
         assert_eq!(p.assignments.len(), 2, "flexible offloading must split");
         assert!((p.total_offloaded() - 10.0).abs() < 1e-6);
@@ -628,10 +577,13 @@ mod tests {
             g,
             vec![NodeState::new(20.0, 1.0), NodeState::new(85.0, 10.0), NodeState::new(88.0, 10.0)],
         );
-        let p = optimize(&db, &cfg(), SolverBackend::Simplex);
+        let p = optimize(&db, &cfg());
         assert_eq!(p.status, PlacementStatus::Optimal);
         assert!((p.total_offloaded() - (5.0 + 8.0)).abs() < 1e-6);
         assert!(p.assignments.iter().all(|a| a.to == NodeId(0)));
+        // one default link of 10 MB each: T_rmin = 10 / 5 000 s
+        let closed_form = (5.0 + 8.0) * 10.0 / 5_000.0;
+        assert!((p.beta - closed_form).abs() < 1e-12, "β = {}", p.beta);
     }
 
     #[test]
@@ -644,7 +596,7 @@ mod tests {
             g,
             vec![NodeState::new(85.0, 100.0), NodeState::new(10.0, 1.0), NodeState::new(10.0, 1.0)],
         );
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = optimize(&db, &cfg());
         assert_eq!(p.status, PlacementStatus::Optimal);
         assert_eq!(p.assignments.len(), 1);
         assert_eq!(p.assignments[0].to, NodeId(1), "faster route must win");
@@ -653,7 +605,7 @@ mod tests {
     #[test]
     fn beta_equals_sum_of_amount_times_trmin() {
         let db = simple_nmdb();
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = optimize(&db, &cfg());
         let recomputed: f64 = p.assignments.iter().map(|a| a.amount * a.t_rmin).sum();
         assert!((p.beta - recomputed).abs() < 1e-9 * (1.0 + p.beta.abs()));
     }
@@ -661,13 +613,8 @@ mod tests {
     #[test]
     fn engines_produce_same_placement() {
         let db = simple_nmdb();
-        let e =
-            optimize(&db, &cfg().with_engine(PathEngine::Enumerate), SolverBackend::Transportation);
-        let d = optimize(
-            &db,
-            &cfg().with_engine(PathEngine::HopBoundedDp),
-            SolverBackend::Transportation,
-        );
+        let e = optimize(&db, &cfg().with_engine(PathEngine::Enumerate));
+        let d = optimize(&db, &cfg().with_engine(PathEngine::HopBoundedDp));
         assert_eq!(e.status, d.status);
         assert!((e.beta - d.beta).abs() < 1e-9);
     }
@@ -688,7 +635,7 @@ mod tests {
                 NodeState::new(10.0, 1.0), // spare 40 on the slow route
             ],
         );
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = optimize(&db, &cfg());
         assert_eq!(p.status, PlacementStatus::Optimal);
         let price = |n: u32| {
             p.shadow_prices.iter().find(|(id, _)| *id == NodeId(n)).map(|(_, v)| *v).unwrap()
@@ -698,15 +645,20 @@ mod tests {
             "binding fast candidate must be worth upgrading: {:?}",
             p.shadow_prices
         );
-        // simplex backend leaves the field empty
-        let ps = optimize(&db, &cfg(), SolverBackend::Simplex);
-        assert!(ps.shadow_prices.is_empty());
+        // both cells ship (4 fast, 6 slow), so the duals differ by exactly
+        // the two routes' T_rmin: 100 MB over Lu 50 against over Lu 9 000
+        let gap = 100.0 / 50.0 - 100.0 / 9_000.0;
+        assert!((price(2) - price(1) - gap).abs() < 1e-9, "{:?}", p.shadow_prices);
+        // a round with no busy node prices nothing
+        let mut quiet = db.clone();
+        quiet.state_mut(NodeId(0)).utilization = 50.0;
+        assert!(optimize(&quiet, &cfg()).shadow_prices.is_empty());
     }
 
     #[test]
     fn mean_hops_reported() {
         let db = simple_nmdb();
-        let p = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let p = optimize(&db, &cfg());
         assert_eq!(p.mean_hops(), Some(2.0));
     }
 
@@ -756,7 +708,6 @@ mod tests {
         // never optimality.
         let testbed = topologies::example7(Link::default());
         let params = crate::ScenarioParams::default();
-        let tp = SolverBackend::Transportation;
         for seed in 0..12u64 {
             for topo in 0..2usize {
                 let base = if topo == 0 {
@@ -765,14 +716,13 @@ mod tests {
                     fat_tree_nmdb(16, seed)
                 };
                 let engine = CostEngine::new();
-                let first = optimize_with(&base, &fat_cfg(), tp, &engine, None).unwrap();
+                let first = optimize_with(&base, &fat_cfg(), &engine, None).unwrap();
                 if first.status != PlacementStatus::Optimal {
                     continue;
                 }
                 let next = drifted(&base, seed.wrapping_mul(2654435761).wrapping_add(1));
-                let cold = optimize_with(&next, &fat_cfg(), tp, &engine, None).unwrap();
-                let warm =
-                    optimize_with(&next, &fat_cfg(), tp, &engine, Some(&first.warm)).unwrap();
+                let cold = optimize_with(&next, &fat_cfg(), &engine, None).unwrap();
+                let warm = optimize_with(&next, &fat_cfg(), &engine, Some(&first.warm)).unwrap();
                 assert_eq!(cold.status, warm.status, "topo={topo} seed={seed}");
                 if cold.status == PlacementStatus::Optimal {
                     assert!(
@@ -795,20 +745,12 @@ mod tests {
         let db = fat_tree_nmdb(8, 42);
         let obs = dust_obs::ObsHandle::recording(0);
         let engine = CostEngine::new().with_obs(obs.clone());
-        let first =
-            optimize_with(&db, &fat_cfg(), SolverBackend::Transportation, &engine, None).unwrap();
+        let first = optimize_with(&db, &fat_cfg(), &engine, None).unwrap();
         assert_eq!(first.status, PlacementStatus::Optimal);
         assert!(!first.warm.is_empty(), "optimal transportation rounds must export a basis");
         let cached = engine.cached_rows();
         assert!(cached > 0, "the solve must populate the shared cache");
-        let warm = optimize_with(
-            &db,
-            &fat_cfg(),
-            SolverBackend::Transportation,
-            &engine,
-            Some(&first.warm),
-        )
-        .unwrap();
+        let warm = optimize_with(&db, &fat_cfg(), &engine, Some(&first.warm)).unwrap();
         assert!(warm.warm_used);
         assert_eq!(engine.cached_rows(), cached, "second solve must be all cache hits");
         // flows are re-derived from the basis by leaf-peeling, so the sum
@@ -824,32 +766,34 @@ mod tests {
     fn warm_bases_are_ignored_when_the_busy_set_changes() {
         let db = fat_tree_nmdb(8, 7);
         let engine = CostEngine::new();
-        let first =
-            optimize_with(&db, &fat_cfg(), SolverBackend::Transportation, &engine, None).unwrap();
+        let first = optimize_with(&db, &fat_cfg(), &engine, None).unwrap();
         assert_eq!(first.status, PlacementStatus::Optimal);
         // flip one candidate to busy: the LP's rows/columns reshape, so the
         // stale basis must be ignored, not trusted
         let mut db2 = db.clone();
         let flipped = first.candidates[0];
         db2.state_mut(flipped).utilization = 99.0;
-        let warm = optimize_with(
-            &db2,
-            &fat_cfg(),
-            SolverBackend::Transportation,
-            &engine,
-            Some(&first.warm),
-        )
-        .unwrap();
+        let warm = optimize_with(&db2, &fat_cfg(), &engine, Some(&first.warm)).unwrap();
         assert!(!warm.warm_used);
     }
 
     #[test]
     fn simplex_backend_carries_no_warm_state() {
-        let db = simple_nmdb();
+        // only an optimal solve exports a basis: a round that never solves
+        // (no busy node) or solves to infeasibility carries none
         let engine = CostEngine::new();
-        let p = optimize_with(&db, &cfg(), SolverBackend::Simplex, &engine, None).unwrap();
-        assert_eq!(p.status, PlacementStatus::Optimal);
-        assert!(p.warm.is_empty());
-        assert!(!p.warm_used);
+        let solved = optimize_with(&simple_nmdb(), &cfg(), &engine, None).unwrap();
+        assert!(!solved.warm.is_empty());
+        let g = topologies::line(2, Link::default());
+        let quiet = Nmdb::new(g.clone(), vec![NodeState::new(50.0, 1.0); 2]);
+        let short = Nmdb::new(g, vec![NodeState::new(99.0, 10.0), NodeState::new(49.0, 1.0)]);
+        for (db, status) in
+            [(quiet, PlacementStatus::NoBusyNodes), (short, PlacementStatus::Infeasible)]
+        {
+            let p = optimize_with(&db, &cfg(), &engine, Some(&solved.warm)).unwrap();
+            assert_eq!(p.status, status);
+            assert!(p.warm.is_empty(), "{status:?}");
+            assert!(!p.warm_used, "{status:?}");
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! an engine of their own instead:
 //!
 //! ```
-//! use dust_core::{heuristic_with_hops, optimize, DustConfig, Nmdb, NodeState, SolverBackend};
+//! use dust_core::{heuristic_with_hops, optimize, DustConfig, Nmdb, NodeState};
 //! use dust_topology::{topologies, Link};
 //!
 //! let g = topologies::line(3, Link::default());
@@ -18,7 +18,7 @@
 //!     NodeState::new(25.0, 10.0),
 //! ]);
 //! let cfg = DustConfig::paper_defaults().with_max_hop(Some(10));
-//! let p = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+//! let p = optimize(&nmdb, &cfg);
 //! assert!((p.total_offloaded() - 12.0).abs() < 1e-6);
 //! // the candidate is two hops away: Algorithm 1 needs that much reach
 //! let h = heuristic_with_hops(&nmdb, &cfg, 2);
@@ -27,7 +27,7 @@
 
 use crate::config::DustConfig;
 use crate::heuristic::{heuristic_with, HeuristicOutcome};
-use crate::optimizer::{optimize_with, Placement, PlacementStatus, SolverBackend};
+use crate::optimizer::{optimize_with, Placement, PlacementStatus};
 use crate::state::Nmdb;
 use dust_topology::CostEngine;
 
@@ -38,13 +38,11 @@ use dust_topology::CostEngine;
 ///
 /// # Panics
 /// Panics when `cfg` is invalid.
-pub fn optimize(nmdb: &Nmdb, cfg: &DustConfig, backend: SolverBackend) -> Placement {
+pub fn optimize(nmdb: &Nmdb, cfg: &DustConfig) -> Placement {
     cfg.validate().expect("invalid DustConfig");
-    // Unbounded cannot occur for well-formed placement instances
-    // (non-negative costs, finite supplies) and the pivot cap is not known
-    // to be reachable; fold both into the one failure the status enum can
-    // express.
-    optimize_with(nmdb, cfg, backend, &CostEngine::new(), None).unwrap_or_else(|_| {
+    // The pivot cap is not known to be reachable; fold it into the one
+    // failure the status enum can express.
+    optimize_with(nmdb, cfg, &CostEngine::new(), None).unwrap_or_else(|_| {
         let (busy, candidates) = (nmdb.busy_nodes(cfg), nmdb.candidate_nodes(cfg));
         Placement::unsolved(PlacementStatus::Infeasible, busy, candidates)
     })
@@ -99,11 +97,10 @@ mod tests {
     #[test]
     fn thread_counts_do_not_change_the_answer() {
         let db = simple_nmdb();
-        let base = optimize(&db, &cfg(), SolverBackend::Transportation);
+        let base = optimize(&db, &cfg());
         for n in [1usize, 2, 4, 8] {
             let engine = CostEngine::with_threads(n);
-            let p =
-                optimize_with(&db, &cfg(), SolverBackend::Transportation, &engine, None).unwrap();
+            let p = optimize_with(&db, &cfg(), &engine, None).unwrap();
             assert_eq!(p.beta.to_bits(), base.beta.to_bits(), "threads {n}");
             assert_eq!(engine.threads(), n);
         }
@@ -116,8 +113,7 @@ mod tests {
         let db = simple_nmdb();
         let bad = cfg().with_thresholds(60.0, 70.0, 5.0);
         let engine = CostEngine::new();
-        let err =
-            optimize_with(&db, &bad, SolverBackend::Transportation, &engine, None).unwrap_err();
+        let err = optimize_with(&db, &bad, &engine, None).unwrap_err();
         assert!(matches!(err, DustError::BadConfig(_)));
         let err = heuristic_with(&db, &bad, 1, &engine).unwrap_err();
         assert!(matches!(err, DustError::BadConfig(_)));
@@ -140,10 +136,10 @@ mod tests {
         let db = simple_nmdb();
         let c = cfg().with_engine(PathEngine::HopBoundedDp).with_max_hop(Some(2));
         let engine = CostEngine::with_threads(2);
-        let lp = optimize_with(&db, &c, SolverBackend::Transportation, &engine, None).unwrap();
+        let lp = optimize_with(&db, &c, &engine, None).unwrap();
         let cached = engine.cached_rows();
         assert!(cached > 0, "the solve must populate the shared cache");
-        let again = optimize_with(&db, &c, SolverBackend::Transportation, &engine, None).unwrap();
+        let again = optimize_with(&db, &c, &engine, None).unwrap();
         assert_eq!(engine.cached_rows(), cached, "second solve must be all cache hits");
         assert_eq!(lp.beta.to_bits(), again.beta.to_bits());
         // Algorithm 1 at the same reach reads the rows the LP priced

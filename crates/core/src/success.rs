@@ -7,7 +7,7 @@
 //! excess with the optimization placing the rest (75.5 %).
 
 use crate::config::DustConfig;
-use crate::optimizer::{PlacementStatus, SolverBackend};
+use crate::optimizer::PlacementStatus;
 use crate::request::{heuristic, optimize};
 use crate::state::Nmdb;
 
@@ -73,7 +73,7 @@ impl SuccessTally {
 
 /// Classify one network state by running both algorithms on it.
 pub fn classify_iteration(nmdb: &Nmdb, cfg: &DustConfig) -> SuccessClass {
-    let opt = optimize(nmdb, cfg, SolverBackend::Transportation);
+    let opt = optimize(nmdb, cfg);
     match opt.status {
         PlacementStatus::NoBusyNodes => return SuccessClass::NoBusyNodes,
         PlacementStatus::Infeasible => return SuccessClass::OptimizationInfeasible,

@@ -1,34 +1,40 @@
-//! Seeded random-scenario tests for the placement engine: LP-backend
-//! agreement, optimality dominance over the heuristic, conservation
+//! Seeded random-scenario tests for the placement engine: agreement with
+//! the reference simplex, optimality dominance over the heuristic, conservation
 //! invariants, and thread-count invariance on random fat-tree states.
 
 use dust_core::{
     heuristic, heuristic_with, heuristic_with_hops, optimize, optimize_with, random_nmdb,
-    DustConfig, PlacementStatus, ScenarioParams, SolverBackend,
+    DustConfig, PlacementStatus, ScenarioParams,
 };
 use dust_topology::{CostEngine, FatTree, PathEngine};
+
+#[path = "../../../tests/support/raw_lp.rs"]
+mod raw_lp;
+use raw_lp::beta_via_raw_lp;
 
 fn cfg() -> DustConfig {
     DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp)
 }
 
-/// Both LP backends agree on status and objective for random states.
+/// The placement and the reference simplex over the explicit LP agree on
+/// status and objective for random states.
 #[test]
 fn backends_agree() {
     let ft = FatTree::with_default_links(4);
     let c = cfg();
     for seed in 0..24u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let a = optimize(&db, &c, SolverBackend::Transportation);
-        let b = optimize(&db, &c, SolverBackend::Simplex);
-        assert_eq!(a.status, b.status, "seed {seed}: status must agree");
-        if a.status == PlacementStatus::Optimal {
-            assert!(
-                (a.beta - b.beta).abs() <= 1e-5 * (1.0 + a.beta.abs()),
+        let a = optimize_with(&db, &c, &CostEngine::new(), None).unwrap();
+        match (a.status, beta_via_raw_lp(&db, &c).0) {
+            (PlacementStatus::Optimal, Some(b)) => assert!(
+                (a.beta - b).abs() <= 1e-5 * (1.0 + a.beta.abs()),
                 "seed {seed}: beta {} vs {}",
                 a.beta,
-                b.beta
-            );
+                b
+            ),
+            (PlacementStatus::Infeasible, None) => {}
+            (PlacementStatus::NoBusyNodes, Some(b)) => assert_eq!(b, 0.0, "seed {seed}"),
+            (a, b) => panic!("seed {seed}: status mismatch {a:?} vs {b:?}"),
         }
     }
 }
@@ -40,7 +46,7 @@ fn placement_respects_constraints() {
     let c = cfg();
     for seed in 0..24u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let p = optimize(&db, &c, SolverBackend::Transportation);
+        let p = optimize(&db, &c);
         if p.status != PlacementStatus::Optimal {
             continue;
         }
@@ -82,7 +88,7 @@ fn heuristic_never_beats_optimum() {
     let c = cfg();
     for seed in 0..24u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let p = optimize(&db, &c, SolverBackend::Transportation);
+        let p = optimize(&db, &c);
         let h = heuristic(&db, &c);
         if p.status == PlacementStatus::Optimal && h.fully_offloaded() && h.total_cs > 0.0 {
             assert!(
@@ -151,8 +157,8 @@ fn determinism() {
     for seed in 0..24u64 {
         let db1 = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
         let db2 = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let p1 = optimize(&db1, &c, SolverBackend::Transportation);
-        let p2 = optimize(&db2, &c, SolverBackend::Transportation);
+        let p1 = optimize(&db1, &c);
+        let p2 = optimize(&db2, &c);
         assert_eq!(p1.status, p2.status, "seed {seed}");
         assert_eq!(p1.assignments.len(), p2.assignments.len(), "seed {seed}");
         let h1 = heuristic(&db1, &c);
@@ -172,7 +178,7 @@ fn beta_monotone_in_max_hop() {
         let mut prev = f64::INFINITY;
         for h in [2usize, 4, 8] {
             let c = base.with_max_hop(Some(h));
-            let p = optimize(&db, &c, SolverBackend::Transportation);
+            let p = optimize(&db, &c);
             if p.status == PlacementStatus::Optimal {
                 assert!(
                     p.beta <= prev + 1e-6 * (1.0 + prev.abs()),
@@ -192,14 +198,13 @@ fn beta_monotone_in_max_hop() {
 fn builder_matches_legacy_at_every_thread_count() {
     let ft = FatTree::with_default_links(4);
     let c = cfg();
-    let tp = SolverBackend::Transportation;
     for seed in 0..12u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let base = optimize(&db, &c, tp);
+        let base = optimize(&db, &c);
         let base_h = heuristic(&db, &c);
         for threads in [1usize, 2, 7] {
             let engine = CostEngine::with_threads(threads);
-            let p = optimize_with(&db, &c, tp, &engine, None).unwrap();
+            let p = optimize_with(&db, &c, &engine, None).unwrap();
             assert_eq!(p.status, base.status, "seed {seed} threads {threads}");
             assert_eq!(p.beta.to_bits(), base.beta.to_bits(), "seed {seed} threads {threads}");
             assert_eq!(p.assignments.len(), base.assignments.len(), "seed {seed}");

@@ -12,7 +12,7 @@
 //! route ties with its mirror images), and over Algorithm 1's routes.
 
 use dust_core::{heuristic_with, optimize_with, random_nmdb, Assignment, DustConfig, Nmdb};
-use dust_core::{NodeState, Placement, ScenarioParams, SolverBackend};
+use dust_core::{NodeState, Placement, ScenarioParams};
 use dust_obs::ObsHandle;
 use dust_topology::{CostEngine, FatTree, PathEngine, SplitMix64, Tier};
 
@@ -55,8 +55,7 @@ type Pin = (u64, u64, u64, u64, u64);
 fn solve(nmdb: &Nmdb, cfg: &DustConfig) -> Pin {
     let obs = ObsHandle::recording(0);
     let engine = CostEngine::with_threads(1).with_obs(obs.clone());
-    let p: Placement =
-        optimize_with(nmdb, cfg, SolverBackend::Transportation, &engine, None).expect("solves");
+    let p: Placement = optimize_with(nmdb, cfg, &engine, None).expect("solves");
     let mut h =
         fnv1a(0xcbf2_9ce4_8422_2325, format!("{:?} {:?}", p.status, p.warm.basis).as_bytes());
     for a in &p.assignments {
@@ -186,7 +185,7 @@ fn dp_cfg(hop: usize) -> DustConfig {
 
 fn routes_of(nmdb: &Nmdb, cfg: &DustConfig) -> u64 {
     let engine = CostEngine::with_threads(1);
-    let p = optimize_with(nmdb, cfg, SolverBackend::Transportation, &engine, None).expect("solves");
+    let p = optimize_with(nmdb, cfg, &engine, None).expect("solves");
     route_digest(&p.assignments)
 }
 

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`obs`] | `dust-obs` | metrics registry, deterministic event tracing, trace digests |
 //! | [`topology`] | `dust-topology` | graphs, fat-trees, bounded path enumeration, `T_rmin` costs |
-//! | [`lp`] | `dust-lp` | simplex, transportation solver with warm starts |
+//! | [`lp`] | `dust-lp` | transportation solver with warm starts; the reference simplex |
 //! | [`core`] | `dust-core` | thresholds, roles, NMDB, the placement ILP, Algorithm 1, HFR, `Δ_io` |
 //! | [`proto`] | `dust-proto` | Manager/Client state machines and every §III message |
 //! | [`telemetry`] | `dust-telemetry` | monitor agents, TSDB, Gorilla compression, federation |
@@ -30,7 +30,7 @@
 //! // exact placement (the paper's ILP), priced by the parallel memoizing
 //! // cost engine; share the engine across rounds to reuse its rows …
 //! let engine = CostEngine::with_threads(4);
-//! let p = optimize_with(&nmdb, &cfg, SolverBackend::Transportation, &engine, None)?;
+//! let p = optimize_with(&nmdb, &cfg, &engine, None)?;
 //! if p.status == PlacementStatus::Infeasible {
 //!     // hop bound or capacity? the engine already holds the rows to tell
 //!     let _why = infeasible_cause(&nmdb, &cfg, &engine, &p);
@@ -58,14 +58,15 @@ pub mod prelude {
         classify, classify_iteration, estimate_io_rate, heuristic, heuristic_with,
         heuristic_with_hops, infeasible_cause, io_rate_sweep, optimize, optimize_with, random_nmdb,
         scenario_stream, Assignment, DustConfig, DustError, HeuristicOutcome, IoRatePoint, Nmdb,
-        NodeState, Placement, PlacementStatus, Role, ScenarioParams, SolverBackend, SuccessClass,
-        SuccessTally,
+        NodeState, Placement, PlacementStatus, Role, ScenarioParams, SuccessClass, SuccessTally,
     };
     pub use dust_obs::{
         build_spans, FlightRecorder, FlowId, Histogram, MetricsRegistry, ObsHandle, SloBreach,
         SloEngine, SloKind, SloSpec, SpanForest, SpanOutcome, Trace, TraceAssert, TraceEvent,
     };
-    pub use dust_proto::{Client, ClientMsg, Envelope, Manager, ManagerMsg, Priority, RequestId};
+    pub use dust_proto::{
+        Client, ClientMsg, Envelope, Manager, ManagerMsg, Priority, RequestId, SolverBackend,
+    };
     pub use dust_sim::{
         evaluate_flows, fig1_curve, fig6_contrast, fleet, registry, scale_fleet_builder,
         scale_fleet_sim_on, testbed_dust_config, testbed_nodes, testbed_topology, ChaosResult,

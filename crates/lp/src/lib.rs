@@ -1,13 +1,14 @@
 //! From-scratch linear programming for the DUST reproduction.
 //!
 //! Replaces the Gurobi toolkit of the paper's evaluation (§V-B) with two
-//! cooperating solvers:
+//! solvers:
 //!
-//! * [`simplex`] — a general two-phase dense primal simplex over models
-//!   built with [`problem::Problem`];
 //! * [`transportation`] — a specialized Hitchcock-transportation solver
 //!   (Vogel + MODI) matching the exact structure of the placement model
-//!   (Eq. 3), much faster for the heuristic's many small subproblems.
+//!   (Eq. 3); every placement the product makes is solved here;
+//! * [`simplex`] — a general two-phase dense primal simplex over models
+//!   built with [`problem::Problem`], kept as the reference that tests
+//!   check the transportation solver against.
 //!
 //! The placement's `x_ij` are continuous (Eq. 3), so there is no integer
 //! layer.
@@ -36,7 +37,7 @@ pub mod simplex;
 pub mod transportation;
 
 pub use problem::{Cmp, Constraint, Problem, Sense, Var, VarDef};
-pub use simplex::{solve, solve_with, Options, Solution, Status};
+pub use simplex::{solve, Solution, Status};
 pub use transportation::{
     Basis, SolveOptions, TransportProblem, TransportSolution, TransportStatus,
 };

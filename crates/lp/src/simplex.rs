@@ -1,7 +1,9 @@
 //! Two-phase dense primal simplex.
 //!
-//! This is the workhorse that replaces the Gurobi toolkit the paper used
-//! (§V). The solver accepts any [`Problem`] built by the modeling layer:
+//! The reference solver: no product path calls it. Tests solve the
+//! explicit placement LP with it and compare the transportation solver's
+//! answer against it, and ablation 2 times the two. The solver accepts
+//! any [`Problem`] built by the modeling layer:
 //!
 //! 1. **Standard-form conversion** — variables are shifted to have zero
 //!    lower bounds (free variables are split into positive/negative parts,
@@ -55,27 +57,12 @@ impl Solution {
     }
 }
 
-/// Tunable solver knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct Options {
-    /// Numerical tolerance for feasibility and pricing.
-    pub tol: f64,
-    /// Hard cap on pivots per phase.
-    pub max_iterations: usize,
-    /// Pivot count after which Dantzig pricing yields to Bland's rule.
-    pub bland_after: usize,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options { tol: 1e-9, max_iterations: 200_000, bland_after: 5_000 }
-    }
-}
-
-/// Solve with default [`Options`] and no observability.
-pub fn solve(p: &Problem) -> Solution {
-    solve_with(p, Options::default(), &dust_obs::ObsHandle::disabled())
-}
+/// Numerical tolerance for feasibility and pricing.
+const TOL: f64 = 1e-9;
+/// Hard cap on pivots per phase.
+const MAX_ITERATIONS: usize = 200_000;
+/// Pivot count after which Dantzig pricing yields to Bland's rule.
+const BLAND_AFTER: usize = 5_000;
 
 /// How each original variable maps into the standard-form column space.
 enum VarMap {
@@ -143,12 +130,7 @@ impl Tableau {
 /// Run primal simplex on `tab` minimizing `costs` over `allowed` columns.
 /// Returns `(status, objective, iterations)`. `tab` must start from a basic
 /// feasible solution (identity-like basis with non-negative RHS).
-fn run_simplex(
-    tab: &mut Tableau,
-    costs: &[f64],
-    allowed: &[bool],
-    opts: Options,
-) -> (Status, f64, usize) {
+fn run_simplex(tab: &mut Tableau, costs: &[f64], allowed: &[bool]) -> (Status, f64, usize) {
     let w = tab.cols + 1;
     // Reduced-cost row z[c] = costs[c] - c_B^T B^{-1} A_c, maintained densely.
     let mut z = vec![0.0; w];
@@ -165,20 +147,20 @@ fn run_simplex(
 
     let mut iters = 0usize;
     loop {
-        if iters >= opts.max_iterations {
+        if iters >= MAX_ITERATIONS {
             return (Status::IterationLimit, f64::NAN, iters);
         }
         // Pricing: entering column with negative reduced cost.
-        let use_bland = iters >= opts.bland_after;
+        let use_bland = iters >= BLAND_AFTER;
         let mut enter: Option<usize> = None;
-        let mut best = -opts.tol;
+        let mut best = -TOL;
         for c in 0..tab.cols {
             if !allowed[c] {
                 continue;
             }
             let rc = z[c];
             if use_bland {
-                if rc < -opts.tol {
+                if rc < -TOL {
                     enter = Some(c);
                     break;
                 }
@@ -197,10 +179,10 @@ fn run_simplex(
         let mut best_ratio = f64::INFINITY;
         for r in 0..tab.rows {
             let a = tab.at(r, pc);
-            if a > opts.tol {
+            if a > TOL {
                 let ratio = tab.rhs(r) / a;
-                let better = ratio < best_ratio - opts.tol
-                    || (ratio < best_ratio + opts.tol
+                let better = ratio < best_ratio - TOL
+                    || (ratio < best_ratio + TOL
                         && leave.is_some_and(|lr| tab.basis[r] < tab.basis[lr]));
                 if better {
                     best_ratio = ratio;
@@ -225,29 +207,8 @@ fn run_simplex(
     }
 }
 
-/// The single solver entry point: solve `p` with explicit options and
-/// record solver metrics into `obs` — pivot counters and histograms
-/// split by phase, plus one `SimplexSolve` trace event. A disabled
-/// handle skips all recording, preserving the untraced path exactly.
-pub fn solve_with(p: &Problem, opts: Options, obs: &dust_obs::ObsHandle) -> Solution {
-    let _prof = obs.prof_scope("lp.simplex.solve");
-    let s = solve_inner(p, opts);
-    if obs.is_enabled() {
-        obs.counter_inc("lp.simplex.solves");
-        obs.counter_add("lp.simplex.pivots", s.iterations as u64);
-        obs.counter_add("lp.simplex.phase1_iterations", s.phase1_iterations as u64);
-        obs.counter_add("lp.simplex.phase2_iterations", s.phase2_iterations as u64);
-        obs.observe("lp.simplex.pivots", s.iterations as f64);
-        obs.trace(dust_obs::TraceEvent::SimplexSolve {
-            pivots: s.iterations as u64,
-            phase1: s.phase1_iterations as u64,
-            phase2: s.phase2_iterations as u64,
-        });
-    }
-    s
-}
-
-pub(crate) fn solve_inner(p: &Problem, opts: Options) -> Solution {
+/// Solve `p`: the one entry point.
+pub fn solve(p: &Problem) -> Solution {
     // ---- 1. Standard-form conversion -------------------------------------
     let minimize = p.sense() == Sense::Minimize;
     let mut maps: Vec<VarMap> = Vec::with_capacity(p.num_vars());
@@ -368,7 +329,7 @@ pub(crate) fn solve_inner(p: &Problem, opts: Options) -> Solution {
             p1_costs[a] = 1.0;
         }
         let allowed = vec![true; n_total_guess];
-        let (st, obj, it) = run_simplex(&mut tab, &p1_costs, &allowed, opts);
+        let (st, obj, it) = run_simplex(&mut tab, &p1_costs, &allowed);
         total_iters += it;
         phase1_iters = it;
         match st {
@@ -405,7 +366,7 @@ pub(crate) fn solve_inner(p: &Problem, opts: Options) -> Solution {
                 // find a non-artificial column with nonzero entry to pivot in
                 let mut pivoted = false;
                 for c in 0..n_struct + n_slack {
-                    if tab.at(r, c).abs() > opts.tol {
+                    if tab.at(r, c).abs() > TOL {
                         tab.pivot(r, c);
                         pivoted = true;
                         break;
@@ -424,7 +385,7 @@ pub(crate) fn solve_inner(p: &Problem, opts: Options) -> Solution {
     p2_costs[..n_struct].copy_from_slice(&costs);
     let mut allowed = vec![true; n_total_guess];
     allowed[n_struct + n_slack..].fill(false); // artificials may never re-enter
-    let (st, obj, it) = run_simplex(&mut tab, &p2_costs, &allowed, opts);
+    let (st, obj, it) = run_simplex(&mut tab, &p2_costs, &allowed);
     total_iters += it;
     let phase2_iters = it;
     match st {

@@ -8,7 +8,9 @@
 use dust_lp::{solve, Cmp, Problem, Status, TransportProblem, TransportStatus};
 use dust_topology::SplitMix64;
 
-/// Build the transportation instance as a general LP and solve with simplex.
+/// Build the transportation instance as a general LP and solve with simplex:
+/// `Some(objective)` when optimal, `None` when infeasible. Any other stop
+/// panics, so an unfinished oracle never agrees with an infeasible answer.
 fn transport_via_simplex(tp: &TransportProblem) -> Option<f64> {
     let m = tp.supply.len();
     let n = tp.capacity.len();
@@ -33,7 +35,11 @@ fn transport_via_simplex(tp: &TransportProblem) -> Option<f64> {
         p.add_constraint(&terms, Cmp::Le, tp.capacity[j]);
     }
     let s = solve(&p);
-    (s.status == Status::Optimal).then_some(s.objective)
+    match s.status {
+        Status::Optimal => Some(s.objective),
+        Status::Infeasible => None,
+        other => panic!("the reference simplex stopped without an answer: {other:?}"),
+    }
 }
 
 /// A random transportation instance: 1–4 sources, 1–4 sinks, ~10 % of the

@@ -100,7 +100,7 @@ impl MetricsRegistry {
     /// ```text
     /// counter proto.offers_sent 12
     /// gauge cost.workers 4
-    /// hist lp.simplex.pivots count=5 min=2 max=9 buckets=141:3,145:2
+    /// hist lp.transport.pivots count=5 min=2 max=9 buckets=141:3,145:2
     /// ```
     pub fn to_text(&self) -> String {
         let mut out = String::new();

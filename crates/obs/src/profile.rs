@@ -1,7 +1,7 @@
 //! Hierarchical wall-clock profiler.
 //!
 //! Answers the question the metrics tier deliberately avoids: *how long
-//! did the host spend where?* Scopes are named phases (`lp.simplex.solve`,
+//! did the host spend where?* Scopes are named phases (`lp.transport.solve`,
 //! `sim.event.telemetry_sample`, …) opened with an RAII [`ScopeTimer`]
 //! and assembled into a call tree of invocation counts plus total/self
 //! wall-clock nanoseconds. The artifact is a folded-stack text export —

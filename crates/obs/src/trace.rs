@@ -82,8 +82,6 @@ pub enum TraceEvent {
     CacheMiss { node: u32 },
     /// Cost matrix assembled: totals for one build.
     MatrixBuilt { rows: u32, hits: u32, misses: u32 },
-    /// One simplex solve finished (pivot counts by phase).
-    SimplexSolve { pivots: u64, phase1: u64, phase2: u64 },
     /// One transportation-simplex solve finished (MODI pivots).
     TransportSolve { pivots: u64 },
     /// Client sent (or retransmitted) an Offload-capable registration.
@@ -112,8 +110,8 @@ pub enum TraceEvent {
     /// `agents` agent data rates.
     DriftApplied { links: u32, agents: u32 },
     /// The Manager's full solve in `round` failed with a typed error —
-    /// `kind` is its label, e.g. `iteration_limit`, `unbounded` or
-    /// `bad_config` — and the round went on as an infeasible one.
+    /// `kind` is its label, e.g. `iteration_limit` or `bad_config` —
+    /// and the round went on as an infeasible one.
     SolveError { round: u64, kind: &'static str },
 }
 
@@ -174,7 +172,6 @@ impl TraceEvent {
             CacheHit { .. } => "CacheHit",
             CacheMiss { .. } => "CacheMiss",
             MatrixBuilt { .. } => "MatrixBuilt",
-            SimplexSolve { .. } => "SimplexSolve",
             TransportSolve { .. } => "TransportSolve",
             ClientRegister { .. } => "ClientRegister",
             ClientRegistered { .. } => "ClientRegistered",
@@ -282,9 +279,6 @@ impl fmt::Display for TraceEvent {
             CacheMiss { node } => write!(f, "CacheMiss node={node}"),
             MatrixBuilt { rows, hits, misses } => {
                 write!(f, "MatrixBuilt rows={rows} hits={hits} misses={misses}")
-            }
-            SimplexSolve { pivots, phase1, phase2 } => {
-                write!(f, "SimplexSolve pivots={pivots} phase1={phase1} phase2={phase2}")
             }
             TransportSolve { pivots } => write!(f, "TransportSolve pivots={pivots}"),
             ClientRegister { node } => write!(f, "ClientRegister node={node}"),

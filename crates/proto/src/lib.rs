@@ -9,8 +9,8 @@
 //! # Example: full registration → offload → ACK handshake
 //!
 //! ```
-//! use dust_proto::{Client, Manager, ClientMsg, ManagerMsg};
-//! use dust_core::{DustConfig, SolverBackend};
+//! use dust_proto::{Client, Manager, ClientMsg, ManagerMsg, SolverBackend};
+//! use dust_core::DustConfig;
 //! use dust_topology::{topologies, Link, NodeId};
 //!
 //! let g = topologies::line(2, Link::default());
@@ -50,6 +50,6 @@ pub mod qos;
 
 pub use client::{Client, ClientPhase, HostedWorkload};
 pub use codec::{decode_client, decode_manager, encode_client, encode_manager, CodecError};
-pub use manager::{ClientRecord, ClientRegistry, Hosting, Manager};
+pub use manager::{ClientRecord, ClientRegistry, Hosting, Manager, SolverBackend};
 pub use messages::{ClientMsg, Envelope, ManagerMsg, RequestId};
 pub use qos::{admit, ClassifiedLoad, Priority};

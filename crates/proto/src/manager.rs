@@ -25,7 +25,7 @@
 use crate::messages::{ClientMsg, Envelope, ManagerMsg, RequestId};
 use dust_core::{
     assign_run, classify, optimize_with, solve_placement, Assignment, DustConfig, DustError, Nmdb,
-    NodeState, Placement, PlacementLp, PlacementStatus, Role, SolverBackend, WarmState, FLOW_TOL,
+    NodeState, Placement, PlacementLp, PlacementStatus, Role, WarmState, FLOW_TOL,
 };
 use dust_obs::{ObsHandle, TraceEvent};
 use dust_topology::{CostEngine, DpScratch, Graph, NodeId, Path};
@@ -221,11 +221,23 @@ fn backoff(base_ms: u64, attempts: u32) -> u64 {
     base_ms.saturating_mul(1 << attempts.saturating_sub(1).min(3))
 }
 
+/// The placement solver, the transportation solver behind
+/// [`dust_core::solve_placement`] — the only one there is.
+///
+/// It selects nothing. It survives only as a parameter of
+/// [`Manager::new`], because the benchmark passes
+/// `SolverBackend::Transportation` there and must build unedited; dropping
+/// the parameter, and this type with it, is an edit to the benchmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolverBackend {
+    /// Vogel + MODI transportation solver.
+    Transportation,
+}
+
 /// The DUST-Manager.
 #[derive(Debug, Clone)]
 pub struct Manager {
     cfg: DustConfig,
-    backend: SolverBackend,
     /// The fabric, shared copy-on-write with every [`Nmdb`] snapshot and
     /// with whoever handed it over (the simulator keeps the same `Arc` as
     /// its ground truth).
@@ -291,6 +303,8 @@ impl Manager {
     /// `Arc<Graph>`; either way the Manager shares it from here on and
     /// copies it only to write while someone else still holds it
     /// ([`Manager::graph_mut`]).
+    ///
+    /// `backend` selects nothing: see [`SolverBackend`].
     pub fn new(
         graph: impl Into<Arc<Graph>>,
         cfg: DustConfig,
@@ -298,6 +312,7 @@ impl Manager {
         update_interval_ms: u64,
         keepalive_timeout_ms: u64,
     ) -> Result<Self, DustError> {
+        let SolverBackend::Transportation = backend;
         cfg.validate().map_err(DustError::BadConfig)?;
         if update_interval_ms == 0 {
             return Err(DustError::BadConfig("update interval must be positive".to_string()));
@@ -314,7 +329,6 @@ impl Manager {
         let registry = ClientRegistry::new(graph.node_count());
         Ok(Manager {
             cfg,
-            backend,
             graph,
             update_interval_ms,
             keepalive_timeout_ms,
@@ -664,23 +678,19 @@ impl Manager {
     /// fan-out — the classic placement round.
     fn full_round(&mut self, now_ms: u64, nmdb: &Nmdb) -> (Placement, Vec<Envelope<ManagerMsg>>) {
         let warm = if self.warm_enabled && !self.warm.is_empty() { Some(&self.warm) } else { None };
-        // Unbounded cannot occur for well-formed placement instances and
-        // a solve stopped at its pivot cap has no plan to act on; fold
-        // both into the infeasible outcome like `dust_core::optimize`, but
-        // leave a count and a trace event saying which it was.
-        let placement = optimize_with(nmdb, &self.cfg, self.backend, &self.engine, warm)
-            .unwrap_or_else(|err| {
-                let kind = err.kind();
-                self.obs.counter_inc("proto.solve_errors");
-                self.obs.counter_inc(&format!("proto.solve_errors.{kind}"));
-                self.obs.trace_at(
-                    now_ms,
-                    TraceEvent::SolveError { round: self.placement_rounds, kind },
-                );
-                let (busy, candidates) =
-                    (nmdb.busy_nodes(&self.cfg), nmdb.candidate_nodes(&self.cfg));
-                Placement::unsolved(PlacementStatus::Infeasible, busy, candidates)
-            });
+        // A solve stopped at its pivot cap, or refused by a bad config, has
+        // no plan to act on; fold it into the infeasible outcome like
+        // `dust_core::optimize`, but leave a count and a trace event saying
+        // which it was.
+        let placement = optimize_with(nmdb, &self.cfg, &self.engine, warm).unwrap_or_else(|err| {
+            let kind = err.kind();
+            self.obs.counter_inc("proto.solve_errors");
+            self.obs.counter_inc(&format!("proto.solve_errors.{kind}"));
+            self.obs
+                .trace_at(now_ms, TraceEvent::SolveError { round: self.placement_rounds, kind });
+            let (busy, candidates) = (nmdb.busy_nodes(&self.cfg), nmdb.candidate_nodes(&self.cfg));
+            Placement::unsolved(PlacementStatus::Infeasible, busy, candidates)
+        });
         if self.warm_enabled && placement.status == PlacementStatus::Optimal {
             self.warm = placement.warm.clone();
         }
@@ -822,7 +832,7 @@ impl Manager {
                 lp.push_row(h.amount, cols, t);
             }
             let t1 = Instant::now();
-            let solution = solve_placement(lp, self.backend, self.engine.obs(), None).ok()?;
+            let solution = solve_placement(lp, self.engine.obs(), None).ok()?;
             solve_time = t1.elapsed();
             if !solution.optimal {
                 // residual infeasible (e.g. candidates too full): let the
@@ -1234,7 +1244,7 @@ mod tests {
         assert_eq!(obs.counter("proto.solve_errors"), 1);
         assert_eq!(obs.counter("proto.solve_errors.bad_config"), 1);
         assert_eq!(obs.counter("proto.solve_errors.iteration_limit"), 0);
-        assert_eq!(obs.counter("proto.solve_errors.unbounded"), 0);
+        assert_eq!(obs.counter("proto.solve_errors.infeasible"), 0);
         let trace = obs.trace_snapshot().unwrap();
         let event = TraceEvent::SolveError { round: 0, kind: "bad_config" };
         assert!(trace.entries().iter().any(|e| e.t_ms == 100 && e.event == event));

@@ -4,10 +4,10 @@
 //! must pass through a Manager and a Client without panicking or
 //! corrupting their ledgers.
 
-use dust_core::{DustConfig, SolverBackend};
+use dust_core::DustConfig;
 use dust_proto::{
     decode_client, decode_manager, encode_client, encode_manager, Client, ClientMsg, Manager,
-    ManagerMsg, RequestId,
+    ManagerMsg, RequestId, SolverBackend,
 };
 use dust_topology::{topologies, EdgeId, Link, NodeId, Path, SplitMix64};
 

@@ -9,8 +9,8 @@
 //! with exactly the right amount, and no unconfirmed offer outlives its
 //! retry budget.
 
-use dust_core::{DustConfig, SolverBackend};
-use dust_proto::{Client, ClientMsg, Envelope, Manager, ManagerMsg};
+use dust_core::DustConfig;
+use dust_proto::{Client, ClientMsg, Envelope, Manager, ManagerMsg, SolverBackend};
 use dust_topology::{topologies, Link, NodeId, SplitMix64};
 use std::collections::BTreeMap;
 

@@ -2,8 +2,8 @@
 //! random message sequences must never violate the bookkeeping invariants
 //! the rest of the system relies on.
 
-use dust_core::{DustConfig, SolverBackend};
-use dust_proto::{Client, ClientMsg, Manager, ManagerMsg, RequestId};
+use dust_core::DustConfig;
+use dust_proto::{Client, ClientMsg, Manager, ManagerMsg, RequestId, SolverBackend};
 use dust_topology::{topologies, Link, NodeId, SplitMix64};
 
 /// Random actions to throw at a client.

@@ -5,9 +5,9 @@
 //! its β, its assignments, the baselines it leaves on the ledger and the
 //! LP work it records.
 
-use dust_core::{DustConfig, Placement, SolverBackend};
+use dust_core::{DustConfig, Placement};
 use dust_obs::ObsHandle;
-use dust_proto::{ClientMsg, Envelope, Manager, ManagerMsg};
+use dust_proto::{ClientMsg, Envelope, Manager, ManagerMsg, SolverBackend};
 use dust_topology::{EdgeId, FatTree, NodeId, Path, PathEngine, SplitMix64, Tier};
 use std::collections::BTreeMap;
 

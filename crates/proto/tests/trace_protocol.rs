@@ -14,9 +14,9 @@
 //! * a request is confirmed at most once, no matter how many duplicate
 //!   ACKs the gate injects.
 
-use dust_core::{DustConfig, SolverBackend};
+use dust_core::DustConfig;
 use dust_obs::{ObsHandle, Trace, TraceAssert, TraceEvent};
-use dust_proto::{Client, ClientMsg, Envelope, Manager, ManagerMsg};
+use dust_proto::{Client, ClientMsg, Envelope, Manager, ManagerMsg, SolverBackend};
 use dust_topology::{topologies, Link, NodeId, SplitMix64};
 use std::collections::BTreeMap;
 

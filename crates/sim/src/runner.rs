@@ -31,9 +31,9 @@ use crate::engine::EventQueue;
 use crate::node::SimNode;
 use crate::traffic::TrafficModel;
 use crate::transport::{Direction, FaultConfig, Transport};
-use dust_core::{DustConfig, SolverBackend};
+use dust_core::DustConfig;
 use dust_obs::{ObsHandle, SloBreach, SloEngine, TraceEvent};
-use dust_proto::{Client, ClientMsg, Envelope, Manager, ManagerMsg, RequestId};
+use dust_proto::{Client, ClientMsg, Envelope, Manager, ManagerMsg, RequestId, SolverBackend};
 use dust_telemetry::{Federation, IntSampling};
 use dust_topology::{EdgeId, Graph, NodeId, Path, SplitMix64};
 use std::collections::{BTreeMap, HashSet};

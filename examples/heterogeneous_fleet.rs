@@ -44,7 +44,7 @@ fn main() {
 
     // Continuous placement: κ = 0.4 servers absorb 2.5x their headroom in
     // source units, so they dominate the solution.
-    let p = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+    let p = optimize(&nmdb, &cfg);
     println!("\n-- continuous placement ({:?}) --", p.status);
     for a in &p.assignments {
         println!(

@@ -30,7 +30,7 @@ fn main() {
         .collect();
     let nmdb = Nmdb::new(graph, states);
 
-    let placement = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+    let placement = optimize(&nmdb, &cfg);
     println!("status: {:?}, beta = {:.6} s·%", placement.status, placement.beta);
     for a in &placement.assignments {
         let route = a.route.as_ref().expect("optimal assignments carry routes");
@@ -56,7 +56,7 @@ fn main() {
         nmdb.candidate_nodes(&cfg).len()
     );
 
-    let exact = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+    let exact = optimize(&nmdb, &cfg);
     println!(
         "ILP:        {:?}, beta {:.6}, {} assignments, mean hops {:?}",
         exact.status,

@@ -43,7 +43,7 @@ fn main() {
             // nodes and runs heuristic-only at 5120 (Fig. 12).
             if k <= 16 {
                 let t = Instant::now();
-                let _ = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+                let _ = optimize(&nmdb, &cfg);
                 ilp_ms += t.elapsed().as_secs_f64() * 1e3;
                 ilp_runs += 1;
             }

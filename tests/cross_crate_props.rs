@@ -1,43 +1,12 @@
 //! Cross-crate seeded tests: invariants that only hold when every layer
 //! cooperates (topology costs → LP optimum → placement → protocol).
 
-use dust::lp::{solve, Cmp, Problem, Status};
 use dust::prelude::*;
 use dust::topology::SplitMix64;
 
-/// Rebuild a placement as an explicit LP from first principles, and
-/// return its β with the cost matrix it was built on: a variable for each
-/// pair within the hop bound, none for the others.
-fn beta_via_raw_lp(nmdb: &Nmdb, cfg: &DustConfig) -> (Option<f64>, Option<CostMatrix>) {
-    let busy = nmdb.busy_nodes(cfg);
-    let cands = nmdb.candidate_nodes(cfg);
-    if busy.is_empty() {
-        return (Some(0.0), None);
-    }
-    let data: Vec<f64> = busy.iter().map(|&b| nmdb.state(b).data_mb).collect();
-    let costs =
-        CostMatrix::build(&nmdb.graph, &busy, &cands, &data, cfg.max_hop, PathEngine::HopBoundedDp);
-    let mut p = Problem::new();
-    let mut vars = Vec::new();
-    for r in 0..busy.len() {
-        for c in 0..cands.len() {
-            let t = costs.at(r, c);
-            vars.push(t.is_finite().then(|| p.add_nonneg(t)));
-        }
-    }
-    for (r, &b) in busy.iter().enumerate() {
-        let terms: Vec<_> =
-            (0..cands.len()).filter_map(|c| vars[r * cands.len() + c].map(|v| (v, 1.0))).collect();
-        p.add_constraint(&terms, Cmp::Eq, nmdb.cs(b, cfg));
-    }
-    for (c, &o) in cands.iter().enumerate() {
-        let terms: Vec<_> =
-            (0..busy.len()).filter_map(|r| vars[r * cands.len() + c].map(|v| (v, 1.0))).collect();
-        p.add_constraint(&terms, Cmp::Le, nmdb.cd(o, cfg));
-    }
-    let s = solve(&p);
-    ((s.status == Status::Optimal).then_some(s.objective), Some(costs))
-}
+#[path = "support/raw_lp.rs"]
+mod raw_lp;
+use raw_lp::beta_via_raw_lp;
 
 /// The full placement pipeline equals a hand-built LP of Eq. 3, on 4-k
 /// and 8-k fat-trees at hop bounds of one and two, where most pairs have
@@ -55,7 +24,7 @@ fn placement_equals_first_principles_lp() {
         for outer in 0..16u64 {
             let seed = SplitMix64::new(outer).next_u64();
             let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
-            let p = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+            let p = optimize_with(&nmdb, &cfg, &CostEngine::new(), None).unwrap();
             let (raw, costs) = beta_via_raw_lp(&nmdb, &cfg);
             let what = format!("k {k}, max_hop {max_hop:?}, seed {seed}");
             match (p.status, raw) {
@@ -100,7 +69,7 @@ fn applying_placement_debusies_network() {
         let ft = FatTree::with_default_links(4);
         let cfg = DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp);
         let mut nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
-        let p = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+        let p = optimize(&nmdb, &cfg);
         if p.status != PlacementStatus::Optimal {
             continue;
         }
@@ -152,7 +121,7 @@ fn manager_snapshot_matches_direct_optimization() {
                 manager.handle(1_000, &m);
             }
         }
-        let direct = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+        let direct = optimize(&nmdb, &cfg);
         let (via_manager, _) = manager.run_placement(1_001);
         // link utilizations differ (manager snapshot clones the topology as
         // built), so only compare status and totals — the graph is shared.

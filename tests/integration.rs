@@ -4,6 +4,10 @@
 use dust::prelude::*;
 use dust::topology::topologies;
 
+#[path = "support/raw_lp.rs"]
+mod raw_lp;
+use raw_lp::beta_via_raw_lp;
+
 fn paper_cfg() -> DustConfig {
     DustConfig::paper_defaults()
 }
@@ -26,7 +30,7 @@ fn fig4_example_offloads_to_both_candidates_when_needed() {
         })
         .collect();
     let nmdb = Nmdb::new(graph, states);
-    let p = optimize(&nmdb, &paper_cfg(), SolverBackend::Transportation);
+    let p = optimize(&nmdb, &paper_cfg());
     assert_eq!(p.status, PlacementStatus::Optimal);
     assert_eq!(p.assignments.len(), 2, "flexible offloading splits across S2 and S6");
     assert!((p.total_offloaded() - 20.0).abs() < 1e-6);
@@ -40,16 +44,17 @@ fn ilp_matches_simplex_on_fat_tree_scenarios() {
     let cfg = paper_cfg().with_engine(PathEngine::HopBoundedDp);
     for seed in 0..10 {
         let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
-        let t = optimize(&nmdb, &cfg, SolverBackend::Transportation);
-        let s = optimize(&nmdb, &cfg, SolverBackend::Simplex);
-        assert_eq!(t.status, s.status, "seed {seed}");
-        if t.status == PlacementStatus::Optimal {
-            assert!(
-                (t.beta - s.beta).abs() < 1e-5 * (1.0 + t.beta.abs()),
+        let t = optimize_with(&nmdb, &cfg, &CostEngine::new(), None).unwrap();
+        match (t.status, beta_via_raw_lp(&nmdb, &cfg).0) {
+            (PlacementStatus::Optimal, Some(s)) => assert!(
+                (t.beta - s).abs() < 1e-5 * (1.0 + t.beta.abs()),
                 "seed {seed}: {} vs {}",
                 t.beta,
-                s.beta
-            );
+                s
+            ),
+            (PlacementStatus::Infeasible, None) => {}
+            (PlacementStatus::NoBusyNodes, Some(s)) => assert_eq!(s, 0.0, "seed {seed}"),
+            (a, b) => panic!("seed {seed}: status mismatch {a:?} vs {b:?}"),
         }
     }
 }
@@ -61,8 +66,8 @@ fn path_engines_agree_across_whole_placement() {
         let slow = paper_cfg().with_engine(PathEngine::Enumerate).with_max_hop(Some(6));
         let fast = paper_cfg().with_engine(PathEngine::HopBoundedDp).with_max_hop(Some(6));
         let nmdb = random_nmdb(&ft.graph, &slow, &ScenarioParams::default(), seed);
-        let a = optimize(&nmdb, &slow, SolverBackend::Transportation);
-        let b = optimize(&nmdb, &fast, SolverBackend::Transportation);
+        let a = optimize(&nmdb, &slow);
+        let b = optimize(&nmdb, &fast);
         assert_eq!(a.status, b.status);
         if a.status == PlacementStatus::Optimal {
             assert!((a.beta - b.beta).abs() < 1e-6 * (1.0 + a.beta.abs()));
@@ -131,7 +136,7 @@ fn heuristic_residual_is_placeable_by_ilp() {
     let mut checked = 0;
     for seed in 0..40 {
         let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
-        let p = optimize(&nmdb, &cfg, SolverBackend::Transportation);
+        let p = optimize(&nmdb, &cfg);
         if p.status != PlacementStatus::Optimal {
             continue;
         }
