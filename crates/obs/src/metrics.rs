@@ -166,7 +166,7 @@ impl MetricsRegistry {
         }
         for (k, v) in &self.gauges {
             let n = sanitize(k);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", json_f64(*v)));
+            out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", prom_f64(*v)));
         }
         for (k, h) in &self.histograms {
             let n = sanitize(k);
@@ -179,7 +179,7 @@ impl MetricsRegistry {
                 }
             }
             out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-            out.push_str(&format!("{n}_sum {}\n", json_f64(h.sum())));
+            out.push_str(&format!("{n}_sum {}\n", prom_f64(h.sum())));
             out.push_str(&format!("{n}_count {}\n", h.count()));
         }
         out
@@ -238,6 +238,18 @@ fn json_f64(v: f64) -> String {
         format!("{v}")
     } else {
         "null".to_string()
+    }
+}
+
+/// Prometheus float rendering: the text format spells the non-finite
+/// values `NaN`, `+Inf` and `-Inf` (and has no `null`).
+fn prom_f64(v: f64) -> String {
+    if v.is_nan() {
+        "NaN".to_string()
+    } else if v.is_infinite() {
+        if v > 0.0 { "+Inf" } else { "-Inf" }.to_string()
+    } else {
+        format!("{v}")
     }
 }
 
@@ -349,11 +361,15 @@ mod tests {
         // matches the metric-name grammar, every metric is TYPE-declared
         // before its first sample, histograms carry _sum and _count,
         // the +Inf bucket equals _count, and cumulative buckets never
-        // decrease. Runs against a registry with all three kinds and
-        // awkward inputs (negative + fractional samples, dotted names).
+        // decrease, and every sample value is a float the format accepts.
+        // Runs against a registry with all three kinds and awkward inputs
+        // (negative + fractional samples, dotted names, non-finite gauges).
         let mut m = MetricsRegistry::new();
         m.counter_add("proto.offers_sent", 3);
         m.gauge_set("sim.active-transfers", 2.5);
+        m.gauge_set("core.gap_nan", f64::NAN);
+        m.gauge_set("core.gap_pos_inf", f64::INFINITY);
+        m.gauge_set("core.gap_neg_inf", f64::NEG_INFINITY);
         for v in [0.1, 7.25, -2.0, 1e9, 0.0] {
             m.observe("span.offer_ms", v);
         }
@@ -379,6 +395,9 @@ mod tests {
             }
             assert!(!line.starts_with('#'), "only TYPE comments expected: {line}");
             let (sample, value) = line.rsplit_once(' ').expect("sample line shape");
+            let float_ok = matches!(value, "NaN" | "+Inf" | "-Inf")
+                || value.parse::<f64>().is_ok_and(f64::is_finite);
+            assert!(float_ok, "sample value is not a Prometheus float: {line}");
             let bare = sample.split('{').next().unwrap();
             assert!(name_ok(bare), "bad sample name {bare:?}");
             let base = bare
@@ -416,6 +435,11 @@ mod tests {
         }
         // the _sum value reflects the fixed-point accumulator exactly
         assert!(p.contains("dust_span_offer_ms_sum 1000000005.35\n"), "{p}");
+        assert!(p.contains("dust_core_gap_nan NaN\n"), "{p}");
+        assert!(p.contains("dust_core_gap_pos_inf +Inf\n"), "{p}");
+        assert!(p.contains("dust_core_gap_neg_inf -Inf\n"), "{p}");
+        // JSON keeps its `null`: it has no spelling for the non-finite values
+        assert!(m.to_json().contains("\"core.gap_nan\":null"));
     }
 
     #[test]
