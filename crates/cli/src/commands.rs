@@ -88,7 +88,7 @@ pub struct SimOptions {
     /// `convergence<=15000,retransmit_rate<=0.25`. Any breach makes
     /// [`cmd_sim`] report `slo_breached` so `main` can exit 1.
     pub slo: Option<String>,
-    /// Where to write the flight-recorder post-mortem dump if a sim
+    /// Where to write the trace's post-mortem dump if a sim
     /// invariant breaks or a scenario breaches its SLO.
     pub postmortem: Option<String>,
     /// Deliberately corrupt the first run's agent census after the fact
@@ -306,7 +306,7 @@ pub fn cmd_sim(opts: &SimOptions) -> Result<SimRun, String> {
 }
 
 /// The fault-run half of `sim`'s report: the table, the invariant audit
-/// (a violation is the `Err`, with the flight recorder dumped to
+/// (a violation is the `Err`, with the post-mortem dump written to
 /// `--postmortem`), and one SLO section per watched run.
 fn chaos_report(runs: &[Run], opts: &SimOptions) -> Result<String, String> {
     let results: Vec<ChaosResult> = runs
@@ -359,7 +359,7 @@ fn chaos_report(runs: &[Run], opts: &SimOptions) -> Result<String, String> {
 
 /// The scenario half of `sim`'s report: what ran, the transfer summary,
 /// the SLO verdict and — on a breach, with `--postmortem` — the
-/// flight-recorder dump.
+/// post-mortem dump.
 fn scenario_report(sc: &Scenario, run: &Run, opts: &SimOptions) -> String {
     let Outcome::Report(r) = &run.outcome else {
         unreachable!("scenario runs produce a SimReport")
@@ -821,7 +821,7 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
                 if round > 0 {
                     let graph = std::sync::Arc::make_mut(&mut db.graph);
                     drift_links(graph, opts.seed, round);
-                    engine.refresh(graph, 0.25);
+                    engine.refresh(graph);
                 }
                 db
             }

@@ -94,8 +94,8 @@ sim options (plus the run options above):
                 convergence<=15000,retransmit_rate<=0.25,abandons<=0,
                 overload_dwell<=20000
   --postmortem PATH
-                on an invariant violation, write the flight-recorder dump
-                (the most recent trace events + digest) to PATH
+                on an invariant violation, write the post-mortem dump
+                (the trace's most recent events + digest) to PATH
   --inject-breach
                 corrupt the first run's agent census after the fact, to
                 exercise the invariant check and post-mortem path

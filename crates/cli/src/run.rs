@@ -73,8 +73,8 @@ pub enum Outcome {
 #[derive(Debug)]
 pub struct Run {
     pub target: Target,
-    /// The recording handle that watched the run: metrics, trace, flight
-    /// recorder, and the profile when the spec asked for one.
+    /// The recording handle that watched the run: metrics, trace, and
+    /// the profile when the spec asked for one.
     pub obs: ObsHandle,
     pub outcome: Outcome,
     /// The SLO engine that watched the run, holding any breaches.
@@ -139,8 +139,8 @@ pub fn write_profile(path: &str, artefact: &str) -> Result<String, String> {
     Ok(format!("profile written to {path}\n"))
 }
 
-/// Dump `obs`'s flight recorder to `path` (when one was given); returns
-/// what happened.
+/// Write `obs`'s post-mortem dump (its trace's tail) to `path` (when
+/// one was given); returns what happened.
 pub fn write_postmortem(reason: &str, obs: &ObsHandle, path: Option<&str>) -> Option<String> {
     let path = path?;
     let dump = obs.post_mortem(reason)?;

@@ -61,8 +61,8 @@ pub mod prelude {
         NodeState, Placement, PlacementStatus, Role, ScenarioParams, SuccessClass, SuccessTally,
     };
     pub use dust_obs::{
-        build_spans, FlightRecorder, FlowId, Histogram, MetricsRegistry, ObsHandle, SloBreach,
-        SloEngine, SloKind, SloSpec, SpanForest, SpanOutcome, Trace, TraceAssert, TraceEvent,
+        build_spans, FlowId, Histogram, MetricsRegistry, ObsHandle, SloBreach, SloEngine, SloKind,
+        SloSpec, SpanForest, SpanOutcome, Trace, TraceAssert, TraceEvent,
     };
     pub use dust_proto::{
         Client, ClientMsg, Envelope, Manager, ManagerMsg, Priority, RequestId, SolverBackend,

@@ -7,11 +7,10 @@
 //! "every `Abandon` is preceded by the full retry budget of
 //! `Retransmit` events").
 //!
-//! With [`TraceAssert::with_postmortem`], a failing assertion writes a
-//! flight-recorder style dump (the tail of the trace) to the given path
-//! before panicking, so CI can upload the black box as an artifact.
+//! With [`TraceAssert::with_postmortem`], a failing assertion writes
+//! the trace's [`Trace::post_mortem`] dump to the given path before
+//! panicking, so CI can upload the black box as an artifact.
 
-use crate::flight::{dump_entries, DEFAULT_FLIGHT_CAPACITY};
 use crate::trace::{Trace, TraceEntry};
 use std::path::PathBuf;
 
@@ -28,8 +27,8 @@ impl<'a> TraceAssert<'a> {
         TraceAssert { trace, dump_path: None }
     }
 
-    /// On assertion failure, write a post-mortem dump (the last
-    /// [`DEFAULT_FLIGHT_CAPACITY`] entries) to `path` before panicking.
+    /// On assertion failure, write the trace's post-mortem dump (the
+    /// last [`crate::POST_MORTEM_WINDOW`] entries) to `path` before panicking.
     /// Parent directories are created; write errors are swallowed — a
     /// failing assertion must still panic with its own message.
     pub fn with_postmortem(mut self, path: impl Into<PathBuf>) -> Self {
@@ -42,10 +41,8 @@ impl<'a> TraceAssert<'a> {
     #[track_caller]
     fn fail(&self, msg: String) -> ! {
         if let Some(path) = &self.dump_path {
-            let entries = self.trace.entries();
-            let tail = &entries[entries.len().saturating_sub(DEFAULT_FLIGHT_CAPACITY)..];
             let reason = msg.split(':').next().unwrap_or("assert");
-            let dump = dump_entries(self.trace.seed(), reason, tail, entries.len() as u64);
+            let dump = self.trace.post_mortem(reason);
             if let Some(dir) = path.parent() {
                 let _ = std::fs::create_dir_all(dir);
             }

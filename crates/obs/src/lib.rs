@@ -14,8 +14,8 @@
 //! On top of the trace sit three analysis tiers (all deterministic pure
 //! functions of the recorded stream): [`span::build_spans`] reconstructs
 //! per-flow causal span trees from the flow identities events carry
-//! ([`TraceEvent::flow`]), a [`FlightRecorder`] ring keeps the most
-//! recent events for O(capacity) post-mortem dumps
+//! ([`TraceEvent::flow`]), [`Trace::post_mortem`] renders the trace's
+//! last [`POST_MORTEM_WINDOW`] events as a deterministic dump
 //! ([`ObsHandle::post_mortem`]), and an [`SloEngine`] evaluates
 //! declarative health rules online as the sim feeds it.
 //!
@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod assert;
-mod flight;
 mod hist;
 mod metrics;
 pub mod profile;
@@ -48,16 +47,12 @@ pub mod span;
 mod trace;
 
 pub use assert::TraceAssert;
-pub use flight::{dump_entries, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use hist::{Histogram, NUM_BUCKETS, SUB_BUCKETS};
 pub use metrics::MetricsRegistry;
 pub use profile::{LocalProfiler, ProfileRegistry, ScopeTimer};
 pub use slo::{SloBreach, SloEngine, SloKind, SloRule, SloSpec};
 pub use span::{build_spans, FlowSpans, Span, SpanForest, SpanOutcome};
-pub use trace::{
-    DecodedTrace, FlowId, Trace, TraceEntry, TraceEvent, SLO_GLOBAL, TRACE_FORMAT_VERSION,
-    TRACE_MAGIC,
-};
+pub use trace::{FlowId, Trace, TraceEntry, TraceEvent, POST_MORTEM_WINDOW, SLO_GLOBAL};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -78,21 +73,6 @@ struct ObsCore {
 struct ObsInner {
     metrics: MetricsRegistry,
     trace: Trace,
-    /// Bounded ring of the most recent trace entries, kept alongside the
-    /// full trace so post-mortem dumps are O(capacity) regardless of run
-    /// length.
-    flight: FlightRecorder,
-}
-
-impl ObsInner {
-    /// Append to the trace and mirror into the flight ring; the entry's
-    /// sequence number is shared so a post-mortem window lines up with
-    /// the full trace.
-    fn record(&mut self, t_ms: u64, event: TraceEvent) {
-        let seq = self.trace.len() as u64;
-        self.trace.record(t_ms, event);
-        self.flight.push(TraceEntry { t_ms, seq, event });
-    }
 }
 
 /// Shared handle to one run's metrics + trace. Clones are cheap and all
@@ -108,22 +88,14 @@ impl ObsHandle {
         ObsHandle { core: None }
     }
 
-    /// A live handle recording into a fresh registry and trace, with a
-    /// [`DEFAULT_FLIGHT_CAPACITY`]-entry flight recorder riding along.
+    /// A live handle recording into a fresh registry and trace.
     pub fn recording(seed: u64) -> Self {
-        Self::recording_with_flight(seed, DEFAULT_FLIGHT_CAPACITY)
-    }
-
-    /// Like [`ObsHandle::recording`] with an explicit flight-recorder
-    /// ring capacity (how many trailing events a post-mortem retains).
-    pub fn recording_with_flight(seed: u64, flight_capacity: usize) -> Self {
         ObsHandle {
             core: Some(Arc::new(ObsCore {
                 now_ms: AtomicU64::new(0),
                 inner: Mutex::new(ObsInner {
                     metrics: MetricsRegistry::new(),
                     trace: Trace::new(seed),
-                    flight: FlightRecorder::new(flight_capacity),
                 }),
                 profile: profile::ProfileSlot::new(),
             })),
@@ -195,26 +167,23 @@ impl ObsHandle {
     pub fn trace(&self, event: TraceEvent) {
         if let Some(c) = &self.core {
             let t = c.now_ms.load(Ordering::Relaxed);
-            Self::lock(c).record(t, event);
+            Self::lock(c).trace.record(t, event);
         }
     }
 
     /// Record a trace event at an explicit sim time.
     pub fn trace_at(&self, t_ms: u64, event: TraceEvent) {
         if let Some(c) = &self.core {
-            Self::lock(c).record(t_ms, event);
+            Self::lock(c).trace.record(t_ms, event);
         }
     }
 
-    /// Render a post-mortem dump of the flight-recorder window (the most
-    /// recent events) tagged with `reason`. `None` when disabled. The
-    /// dump is deterministic: same events in, same bytes out — see
-    /// [`FlightRecorder::dump`].
+    /// Render a post-mortem dump of the trace's most recent events
+    /// tagged with `reason`. `None` when disabled. The dump is
+    /// deterministic: same events in, same bytes out — see
+    /// [`Trace::post_mortem`].
     pub fn post_mortem(&self, reason: &str) -> Option<String> {
-        self.core.as_ref().map(|c| {
-            let g = Self::lock(c);
-            g.flight.dump(g.trace.seed(), reason)
-        })
+        self.core.as_ref().map(|c| Self::lock(c).trace.post_mortem(reason))
     }
 
     /// Snapshot of the metrics so far (`None` when disabled).
@@ -329,18 +298,19 @@ mod tests {
 
     #[test]
     fn post_mortem_dumps_the_trailing_window() {
-        let h = ObsHandle::recording_with_flight(9, 2);
-        for i in 0..5u64 {
+        let h = ObsHandle::recording(9);
+        let total = POST_MORTEM_WINDOW as u64 + 3;
+        for i in 0..total {
             h.trace_at(i * 10, TraceEvent::Abandon { request: i });
         }
         let dump = h.post_mortem("test").unwrap();
-        assert!(dump.starts_with("postmortem reason=test seed=9 window=2 dropped=3\n"), "{dump}");
-        assert!(dump.contains("30 3 Abandon req=3\n"));
-        assert!(dump.contains("40 4 Abandon req=4\n"));
-        assert!(!dump.contains("req=2"), "evicted entries must not appear");
+        assert!(dump.starts_with("postmortem reason=test seed=9 window=256 dropped=3\n"), "{dump}");
+        assert!(dump.contains("\n30 3 Abandon req=3\n"));
+        assert!(dump.contains("\n2580 258 Abandon req=258\n"));
+        assert!(!dump.contains("req=2\n"), "entries before the window must not appear");
         assert_eq!(dump, h.post_mortem("test").unwrap(), "dump is deterministic");
         // the full trace still has everything
-        assert_eq!(h.trace_snapshot().unwrap().len(), 5);
+        assert_eq!(h.trace_snapshot().unwrap().len(), total as usize);
     }
 
     #[test]

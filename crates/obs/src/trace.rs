@@ -10,18 +10,17 @@
 //!
 //! Event payloads are integers only (node ids, request ids, counts):
 //! no floats means no formatting ambiguity in the encoding.
+//!
+//! The trace is also the run's black box: [`Trace::post_mortem`]
+//! renders its last [`POST_MORTEM_WINDOW`] entries as the dump a
+//! broken sim invariant or a failing [`crate::TraceAssert`] leaves
+//! behind.
 
 use std::fmt;
 use std::io;
 
-/// Version of the [`Trace::to_binary`] encoding. Bumped whenever the
-/// framing (not the event payload) changes; [`Trace::decode_binary`]
-/// refuses streams from other versions with a loud error instead of
-/// silently mismatching digests.
-pub const TRACE_FORMAT_VERSION: u16 = 2;
-
-/// Magic bytes opening every versioned binary trace stream.
-pub const TRACE_MAGIC: [u8; 4] = *b"DTRC";
+/// How many trailing entries a [`Trace::post_mortem`] dump keeps.
+pub const POST_MORTEM_WINDOW: usize = 256;
 
 /// One structured event. Fields are raw ids (`u32` node, `u64` request)
 /// so the crate stays dependency-free.
@@ -327,10 +326,10 @@ impl TraceEntry {
     }
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -405,90 +404,36 @@ impl Trace {
         writeln!(out, "digest {:016x}", self.digest)
     }
 
-    /// Compact binary encoding: magic `DTRC`, format version, then
-    /// `seed, count` and one length-prefixed encoded line per entry (all
-    /// integers little-endian). The digest is recomputed on decode, so a
-    /// tampered stream is detectable by comparing digests, and a stream
-    /// from a different format version is rejected loudly.
-    pub fn to_binary(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.entries.len() * 32);
-        out.extend_from_slice(&TRACE_MAGIC);
-        out.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        for e in &self.entries {
-            let line = e.to_line();
-            out.extend_from_slice(&(line.len() as u32).to_le_bytes());
-            out.extend_from_slice(line.as_bytes());
+    /// Render the last [`POST_MORTEM_WINDOW`] entries as a
+    /// deterministic post-mortem dump tagged with `reason`. Format:
+    ///
+    /// ```text
+    /// postmortem reason=<reason> seed=<seed> window=<kept> dropped=<older>
+    /// <t_ms> <seq> <event>         (one line per kept entry)
+    /// digest <fnv1a-64 over all preceding lines>
+    /// ```
+    ///
+    /// Whitespace in `reason` is folded to `_` so the header stays one
+    /// token-parseable line. The digest covers the header and every entry
+    /// line, so two dumps are byte-identical iff their digests match.
+    pub fn post_mortem(&self, reason: &str) -> String {
+        let reason: String =
+            reason.chars().map(|c| if c.is_whitespace() { '_' } else { c }).collect();
+        let tail = &self.entries[self.entries.len().saturating_sub(POST_MORTEM_WINDOW)..];
+        let dropped = self.entries.len() - tail.len();
+        let mut out = format!(
+            "postmortem reason={reason} seed={} window={} dropped={dropped}\n",
+            self.seed,
+            tail.len()
+        );
+        for e in tail {
+            out.push_str(&e.to_line());
+            out.push('\n');
         }
+        let digest = fnv1a(FNV_OFFSET, out.as_bytes());
+        out.push_str(&format!("digest {digest:016x}\n"));
         out
     }
-
-    /// Decode a versioned binary stream produced by [`Trace::to_binary`].
-    ///
-    /// The digest is recomputed from the decoded lines exactly as the
-    /// recorder computed it, so `decoded.digest` can be compared against
-    /// a golden value. Fails loudly (with the offending magic/version in
-    /// the message) on format drift instead of returning garbage that
-    /// would only surface later as a digest mismatch.
-    pub fn decode_binary(bytes: &[u8]) -> Result<DecodedTrace, String> {
-        fn take<'a>(bytes: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8], String> {
-            if bytes.len() < n {
-                return Err(format!("truncated trace stream: expected {n} bytes for {what}"));
-            }
-            let (head, tail) = bytes.split_at(n);
-            *bytes = tail;
-            Ok(head)
-        }
-        let mut rest = bytes;
-        let magic = take(&mut rest, 4, "magic")?;
-        if magic != TRACE_MAGIC {
-            return Err(format!(
-                "not a DUST trace: bad magic {magic:02x?} (expected {TRACE_MAGIC:02x?})"
-            ));
-        }
-        let version = u16::from_le_bytes(take(&mut rest, 2, "version")?.try_into().unwrap());
-        if version != TRACE_FORMAT_VERSION {
-            return Err(format!(
-                "trace format v{version} but this build reads v{TRACE_FORMAT_VERSION}; \
-                 re-record the trace (golden digests are format-versioned)"
-            ));
-        }
-        let seed = u64::from_le_bytes(take(&mut rest, 8, "seed")?.try_into().unwrap());
-        let count = u64::from_le_bytes(take(&mut rest, 8, "count")?.try_into().unwrap());
-        let mut lines = Vec::with_capacity(count.min(1 << 20) as usize);
-        let mut digest = fnv1a(FNV_OFFSET, &seed.to_le_bytes());
-        for i in 0..count {
-            let len =
-                u32::from_le_bytes(take(&mut rest, 4, "line length")?.try_into().unwrap()) as usize;
-            let raw = take(&mut rest, len, "line body")?;
-            let line = std::str::from_utf8(raw)
-                .map_err(|_| format!("entry {i}: line is not UTF-8"))?
-                .to_string();
-            digest = fnv1a(digest, line.as_bytes());
-            digest = fnv1a(digest, b"\n");
-            lines.push(line);
-        }
-        if !rest.is_empty() {
-            return Err(format!("trailing garbage: {} bytes past the last entry", rest.len()));
-        }
-        Ok(DecodedTrace { version, seed, lines, digest })
-    }
-}
-
-/// A binary trace stream decoded by [`Trace::decode_binary`]: the raw
-/// encoded lines plus the digest recomputed over them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodedTrace {
-    /// Format version the stream was encoded with.
-    pub version: u16,
-    /// Seed of the recorded run.
-    pub seed: u64,
-    /// One encoded `<t_ms> <seq> <event>` line per entry.
-    pub lines: Vec<String>,
-    /// FNV-1a digest recomputed over seed + lines (matches
-    /// [`Trace::digest`] for an untampered stream).
-    pub digest: u64,
 }
 
 #[cfg(test)]
@@ -537,18 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_encoding_is_deterministic() {
-        let mk = || {
-            let mut t = Trace::new(8);
-            t.record(1, TraceEvent::Stat { node: 4 });
-            t.record(2, TraceEvent::Keepalive { node: 4 });
-            t.to_binary()
-        };
-        assert_eq!(mk(), mk());
-        assert!(mk().len() > 16);
-    }
-
-    #[test]
     fn request_accessor_covers_lifecycle_events() {
         assert_eq!(TraceEvent::Abandon { request: 7 }.request(), Some(7));
         assert_eq!(TraceEvent::Stat { node: 1 }.request(), None);
@@ -571,50 +504,60 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trips_through_decode() {
-        let mut t = Trace::new(42);
-        t.record(0, TraceEvent::ClientRegister { node: 1 });
-        t.record(5, TraceEvent::Offer { request: 9, from: 1, to: 2 });
-        let d = Trace::decode_binary(&t.to_binary()).expect("decode");
-        assert_eq!(d.version, TRACE_FORMAT_VERSION);
-        assert_eq!(d.seed, 42);
-        assert_eq!(d.lines.len(), 2);
-        assert_eq!(d.lines[0], t.entries()[0].to_line());
-        assert_eq!(d.digest, t.digest(), "decode must recompute the recorder's digest");
-    }
-
-    #[test]
-    fn decode_rejects_bad_magic_loudly() {
-        let err = Trace::decode_binary(b"NOPE\x02\x00rest").unwrap_err();
-        assert!(err.contains("bad magic"), "got: {err}");
-    }
-
-    #[test]
-    fn decode_rejects_other_versions_loudly() {
-        let mut bytes = Trace::new(1).to_binary();
-        bytes[4] = TRACE_FORMAT_VERSION as u8 + 1; // bump the version field
-        let err = Trace::decode_binary(&bytes).unwrap_err();
-        assert!(err.contains("trace format v"), "got: {err}");
-        assert!(err.contains("re-record"), "got: {err}");
-    }
-
-    #[test]
-    fn decode_rejects_truncation_and_trailing_garbage() {
-        let mut t = Trace::new(1);
-        t.record(0, TraceEvent::Abandon { request: 1 });
-        let bytes = t.to_binary();
-        assert!(Trace::decode_binary(&bytes[..bytes.len() - 1]).is_err());
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert!(Trace::decode_binary(&longer).unwrap_err().contains("trailing garbage"));
-    }
-
-    #[test]
     fn write_text_streams_the_same_bytes_as_to_text() {
         let mut t = Trace::new(9);
         t.record(1, TraceEvent::PlacementRound { round: 0, offers: 3 });
         let mut streamed = Vec::new();
         t.write_text(&mut streamed).unwrap();
         assert_eq!(String::from_utf8(streamed).unwrap(), t.to_text());
+    }
+
+    fn trace_of(seed: u64, n: u64) -> Trace {
+        let mut t = Trace::new(seed);
+        for i in 0..n {
+            t.record(i * 10, TraceEvent::Abandon { request: i });
+        }
+        t
+    }
+
+    /// The `seq` of every entry line in a post-mortem dump.
+    fn dumped_seqs(dump: &str) -> Vec<u64> {
+        let body = dump.lines().skip(1).take_while(|l| !l.starts_with("digest "));
+        body.map(|l| l.split(' ').nth(1).unwrap().parse().unwrap()).collect()
+    }
+
+    #[test]
+    fn ring_keeps_the_most_recent_entries_in_order() {
+        let total = POST_MORTEM_WINDOW as u64 + 44;
+        let dump = trace_of(1, total).post_mortem("x");
+        let seqs = dumped_seqs(&dump);
+        assert_eq!(seqs, (44..total).collect::<Vec<_>>(), "window must be the tail, oldest first");
+        assert!(dump.starts_with("postmortem reason=x seed=1 window=256 dropped=44\n"));
+    }
+
+    #[test]
+    fn window_is_stable_before_wraparound() {
+        let dump = trace_of(1, 3).post_mortem("x");
+        assert_eq!(dumped_seqs(&dump), vec![0, 1, 2]);
+        assert!(dump.starts_with("postmortem reason=x seed=1 window=3 dropped=0\n"));
+    }
+
+    #[test]
+    fn dump_is_deterministic_and_counts_evictions() {
+        let mk = || trace_of(7, POST_MORTEM_WINDOW as u64 + 3).post_mortem("ledger drift");
+        let dump = mk();
+        assert_eq!(dump, mk(), "same window must dump identical bytes");
+        assert!(dump.starts_with("postmortem reason=ledger_drift seed=7 window=256 dropped=3\n"));
+        assert!(dump.trim_end().lines().last().unwrap().starts_with("digest "));
+    }
+
+    #[test]
+    fn dump_digest_is_sensitive_to_content() {
+        let mut a = Trace::new(1);
+        a.record(0, TraceEvent::Abandon { request: 0 });
+        let mut b = Trace::new(1);
+        b.record(0, TraceEvent::Abandon { request: 1 });
+        let digest = |d: String| d.lines().last().unwrap().to_string();
+        assert_ne!(digest(a.post_mortem("x")), digest(b.post_mortem("x")));
     }
 }

@@ -210,12 +210,6 @@ const MAX_RELEASE_ATTEMPTS: u32 = 5;
 /// against slow aggregate drift no single flow's threshold catches.
 const DEFAULT_DELTA_FULL_EVERY: u64 = 8;
 
-/// Dirty-link fraction above which the cost engine gives up on
-/// incremental row migration and re-prices everything (matches the
-/// break-even observed on fat-trees: past roughly a quarter of links
-/// dirty, the BFS reachability pass saves fewer rows than it costs).
-const MAX_DIRTY_FRACTION: f64 = 0.25;
-
 /// Exponential backoff: `base`, `2·base`, `4·base`, then `8·base` capped.
 fn backoff(base_ms: u64, attempts: u32) -> u64 {
     base_ms.saturating_mul(1 << attempts.saturating_sub(1).min(3))
@@ -641,9 +635,10 @@ impl Manager {
     /// Before anything solves, the shared cost engine migrates its cached
     /// `T_rmin` rows across whatever link drift accumulated since the last
     /// round (incremental when few links moved, a full re-price past
-    /// `MAX_DIRTY_FRACTION`). With [`Manager::with_delta_placement`] on,
-    /// a round where the hosted flows all priced within their degradation
-    /// threshold re-homes only the offenders; otherwise — and on every
+    /// [`dust_topology::MAX_DIRTY_FRACTION`] of them). With
+    /// [`Manager::with_delta_placement`] on, a round where the hosted
+    /// flows all priced within their degradation threshold re-homes only
+    /// the offenders; otherwise — and on every
     /// periodic cadence round — the full engine runs, warm-started from
     /// the previous round's bases when [`Manager::with_warm_start`] is on.
     ///
@@ -657,7 +652,7 @@ impl Manager {
         } else {
             Arc::make_mut(&mut self.graph).take_dirty()
         };
-        self.engine.refresh_drained(&self.graph, dirty, MAX_DIRTY_FRACTION);
+        self.engine.refresh_drained(&self.graph, dirty);
         let nmdb = self.snapshot();
         let (placement, out) = match self.try_delta_round(now_ms, &nmdb) {
             Some(delta) => delta,

@@ -184,6 +184,13 @@ pub struct CostEngine {
     routes: Mutex<DpScratch>,
 }
 
+/// Dirty-link fraction (of the edge count) above which
+/// [`CostEngine::refresh`] gives up on incremental row migration and
+/// re-prices everything: the break-even observed on fat-trees, where past
+/// roughly a quarter of links dirty the BFS reachability pass saves fewer
+/// rows than it costs.
+pub const MAX_DIRTY_FRACTION: f64 = 0.25;
+
 /// What one [`CostEngine::refresh`] did to the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RefreshStats {
@@ -259,11 +266,6 @@ impl CostEngine {
         self.cache.read().expect("cost cache poisoned").len()
     }
 
-    /// Drop every cached row.
-    pub fn clear(&self) {
-        self.cache.write().expect("cost cache poisoned").clear();
-    }
-
     /// Evict rows priced under epochs other than `g`'s current one.
     /// Long-lived engines re-pricing a mutating graph call this to keep
     /// the cache from accumulating dead epochs.
@@ -290,15 +292,15 @@ impl CostEngine {
     /// *might* reach are dropped and re-priced on demand.
     ///
     /// Precision degrades safely: an all-dirty journal, an empty cache
-    /// epoch, or a dirty fraction above `max_dirty_fraction` (of the edge
-    /// count) falls back to full invalidation, i.e. exactly
+    /// epoch, or a dirty fraction above [`MAX_DIRTY_FRACTION`] (of the
+    /// edge count) falls back to full invalidation, i.e. exactly
     /// [`CostEngine::retain_epoch`]. Records `cost.rows_migrated`,
     /// `cost.rows_invalidated`, `cost.refreshes`, and
     /// `cost.full_invalidations` counters; no trace events, so golden
     /// digests never depend on refresh cadence.
-    pub fn refresh(&self, g: &mut Graph, max_dirty_fraction: f64) -> RefreshStats {
+    pub fn refresh(&self, g: &mut Graph) -> RefreshStats {
         let dirty = g.take_dirty();
-        self.refresh_drained(g, dirty, max_dirty_fraction)
+        self.refresh_drained(g, dirty)
     }
 
     /// [`CostEngine::refresh`] for a caller that drained the journal
@@ -306,12 +308,7 @@ impl CostEngine {
     /// (`Some(vec![])` when [`Graph::journal_is_empty`] said there was
     /// nothing to take). Only reads the graph, so a holder of a shared
     /// `Arc<Graph>` re-validates the cache without copying the topology.
-    pub fn refresh_drained(
-        &self,
-        g: &Graph,
-        dirty: Option<Vec<EdgeId>>,
-        max_dirty_fraction: f64,
-    ) -> RefreshStats {
+    pub fn refresh_drained(&self, g: &Graph, dirty: Option<Vec<EdgeId>>) -> RefreshStats {
         let _prof = self.obs.prof_scope("cost.refresh");
         let cur = g.epoch();
         let prev = self.coherent_epoch.swap(cur, Ordering::Relaxed);
@@ -328,7 +325,7 @@ impl CostEngine {
             Some(d) => {
                 prev == 0
                     || g.edge_count() == 0
-                    || (d.len() as f64) > max_dirty_fraction * g.edge_count() as f64
+                    || (d.len() as f64) > MAX_DIRTY_FRACTION * g.edge_count() as f64
             }
         };
         let mut cache = self.cache.write().expect("cost cache poisoned");
@@ -894,7 +891,7 @@ mod engine_tests {
         let mut g = line(8, Link::default());
         let obs = ObsHandle::recording(0);
         let eng = CostEngine::sequential().with_obs(obs.clone());
-        eng.refresh(&mut g, 0.5); // first refresh: establishes coherence (full)
+        eng.refresh(&mut g); // first refresh: establishes coherence (full)
         let src = [NodeId(0), NodeId(7)];
         let dst: Vec<NodeId> = (1..7).map(NodeId).collect();
         let data = [10.0, 10.0];
@@ -902,7 +899,7 @@ mod engine_tests {
         assert_eq!(eng.cached_rows(), 2);
 
         g.link_mut(EdgeId(0)).utilization = 0.95;
-        let stats = eng.refresh(&mut g, 0.5);
+        let stats = eng.refresh(&mut g);
         assert!(!stats.full);
         assert_eq!(stats.migrated, 1, "node 7's bounded row is provably clean");
         assert_eq!(stats.invalidated, 1, "node 0's row crosses the dirty link");
@@ -932,13 +929,13 @@ mod engine_tests {
         use crate::topologies::line;
         let mut g = line(6, Link::default());
         let eng = CostEngine::sequential();
-        eng.refresh(&mut g, 1.0);
+        eng.refresh(&mut g);
         let src = [NodeId(5)];
         let dst = [NodeId(0)];
         eng.build_matrix(&g, &src, &dst, &[10.0], None, PathEngine::HopBoundedDp);
         let before = eng.build_matrix(&g, &src, &dst, &[10.0], None, PathEngine::HopBoundedDp);
         g.link_mut(EdgeId(0)).utilization = 0.01;
-        let stats = eng.refresh(&mut g, 1.0);
+        let stats = eng.refresh(&mut g);
         assert_eq!(stats.migrated, 0, "an unbounded row sees every link");
         assert_eq!(stats.invalidated, 1);
         let after = eng.build_matrix(&g, &src, &dst, &[10.0], None, PathEngine::HopBoundedDp);
@@ -953,15 +950,15 @@ mod engine_tests {
         let mut g = line(10, Link::default());
         let obs = ObsHandle::recording(0);
         let eng = CostEngine::sequential().with_obs(obs.clone());
-        eng.refresh(&mut g, 0.25);
+        eng.refresh(&mut g);
         let src: Vec<NodeId> = (0..4).map(NodeId).collect();
         let dst = [NodeId(9)];
         eng.build_matrix(&g, &src, &dst, &[1.0; 4], Some(3), PathEngine::HopBoundedDp);
-        // touch 4 of 9 links: 44% dirty > 25% threshold
+        // touch 4 of 9 links: 44% dirty > MAX_DIRTY_FRACTION
         for e in 0..4 {
             g.link_mut(EdgeId(e)).utilization = 0.9;
         }
-        let stats = eng.refresh(&mut g, 0.25);
+        let stats = eng.refresh(&mut g);
         assert!(stats.full);
         assert_eq!(stats.migrated, 0);
         assert_eq!(stats.invalidated, 4);
@@ -974,14 +971,14 @@ mod engine_tests {
         use crate::topologies::line;
         let mut g = line(5, Link::default());
         let eng = CostEngine::sequential();
-        eng.refresh(&mut g, 1.0);
+        eng.refresh(&mut g);
         let src = [NodeId(4)];
         eng.build_matrix(&g, &src, &[NodeId(0)], &[1.0], Some(2), PathEngine::HopBoundedDp);
         // a new edge changes reachability: the bounded row from node 4
         // would be wrong to keep even though no *link state* was touched
         let n = g.add_node();
         g.add_edge(NodeId(0), n, Link::default());
-        let stats = eng.refresh(&mut g, 1.0);
+        let stats = eng.refresh(&mut g);
         assert!(stats.full);
         assert_eq!(eng.cached_rows(), 0);
     }
@@ -991,9 +988,9 @@ mod engine_tests {
         use crate::topologies::line;
         let mut g = line(4, Link::default());
         let eng = CostEngine::sequential();
-        eng.refresh(&mut g, 0.5);
+        eng.refresh(&mut g);
         eng.build_matrix(&g, &[NodeId(0)], &[NodeId(3)], &[1.0], None, PathEngine::HopBoundedDp);
-        let stats = eng.refresh(&mut g, 0.5);
+        let stats = eng.refresh(&mut g);
         assert_eq!(stats, RefreshStats::default());
         assert_eq!(eng.cached_rows(), 1);
     }
@@ -1014,9 +1011,9 @@ mod engine_tests {
         let by_ref = CostEngine::sequential();
         let refresh_by_ref = |h: &mut Graph| {
             let dirty = if h.journal_is_empty() { Some(Vec::new()) } else { h.take_dirty() };
-            by_ref.refresh_drained(h, dirty, 0.5)
+            by_ref.refresh_drained(h, dirty)
         };
-        assert_eq!(inc.refresh(&mut g, 0.5), refresh_by_ref(&mut h));
+        assert_eq!(inc.refresh(&mut g), refresh_by_ref(&mut h));
         let mut state = 0x5EEDu64;
         let mut split = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -1034,7 +1031,7 @@ mod engine_tests {
             }
             // every other round refreshes twice: the second finds nothing
             for _ in 0..1 + round % 2 {
-                assert_eq!(inc.refresh(&mut g, 0.5), refresh_by_ref(&mut h), "round {round}");
+                assert_eq!(inc.refresh(&mut g), refresh_by_ref(&mut h), "round {round}");
             }
             let a = inc.build_matrix(&g, &src, &dst, &data, Some(6), PathEngine::HopBoundedDp);
             let b = by_ref.build_matrix(&h, &src, &dst, &data, Some(6), PathEngine::HopBoundedDp);

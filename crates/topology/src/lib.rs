@@ -35,7 +35,7 @@ pub mod paths;
 pub mod rng;
 pub mod topologies;
 
-pub use cost::{CostEngine, CostMatrix, PathEngine, RefreshStats};
+pub use cost::{CostEngine, CostMatrix, PathEngine, RefreshStats, MAX_DIRTY_FRACTION};
 pub use dot::{placement_to_dot, to_dot, NodeStyle};
 pub use fattree::{paper_sizes, FatTree, Tier};
 pub use graph::{Edge, EdgeId, Graph, Link, NodeId};

@@ -3,7 +3,7 @@
 //! Two canned scenarios — the Fig. 5 testbed under a perfect wire and the
 //! same testbed under 20 % control-plane loss — run at fixed seeds with
 //! the trace recorder on. Each test runs its scenario twice in-process and
-//! requires (a) the two traces to be bit-identical (digest, binary
+//! requires (a) the two traces to be bit-identical (digest, text
 //! encoding, and metrics text all equal) and (b) the digest and a handful
 //! of load-bearing counters to match golden values checked in below.
 //!
@@ -72,7 +72,7 @@ fn testbed_trace_is_bit_identical_across_runs() {
     let ta = a.trace_snapshot().unwrap();
     let tb = b.trace_snapshot().unwrap();
     TraceAssert::new(&ta).assert_same_digest(&tb);
-    assert_eq!(ta.to_binary(), tb.to_binary(), "binary encodings diverge");
+    assert_eq!(ta.to_text(), tb.to_text(), "text encodings diverge");
     assert_eq!(
         a.metrics().unwrap().to_text(),
         b.metrics().unwrap().to_text(),
@@ -105,7 +105,7 @@ fn chaos_trace_is_bit_identical_across_runs() {
     let ta = a.trace_snapshot().unwrap();
     let tb = b.trace_snapshot().unwrap();
     TraceAssert::new(&ta).assert_same_digest(&tb);
-    assert_eq!(ta.to_binary(), tb.to_binary(), "binary encodings diverge");
+    assert_eq!(ta.to_text(), tb.to_text(), "text encodings diverge");
     assert_eq!(
         a.metrics().unwrap().to_text(),
         b.metrics().unwrap().to_text(),
@@ -157,7 +157,7 @@ fn registry_scenarios_are_bit_identical_across_runs() {
         let ta = a.trace_snapshot().unwrap();
         let tb = b.trace_snapshot().unwrap();
         TraceAssert::new(&ta).assert_same_digest(&tb);
-        assert_eq!(ta.to_binary(), tb.to_binary(), "{name}: binary encodings diverge");
+        assert_eq!(ta.to_text(), tb.to_text(), "{name}: text encodings diverge");
         assert_eq!(
             a.metrics().unwrap().to_text(),
             b.metrics().unwrap().to_text(),
@@ -208,35 +208,6 @@ fn zone_storm_trace_matches_golden_digest() {
         .expect("StormCascade")
         .expect("TransferApplied")
         .assert_digest(ZONE_STORM_DIGEST);
-}
-
-#[test]
-fn trace_binary_format_is_versioned_and_round_trips() {
-    use dust::obs::{DecodedTrace, TRACE_FORMAT_VERSION, TRACE_MAGIC};
-    // The golden digests above are only comparable across builds that
-    // speak the same trace format. Pin the version: bumping it is a
-    // deliberate act that must arrive in the same diff as new digests.
-    assert_eq!(TRACE_FORMAT_VERSION, 2, "format bumped — re-record the golden digests");
-
-    let (obs, _) = run_testbed();
-    let trace = obs.trace_snapshot().unwrap();
-    let bytes = trace.to_binary();
-    assert_eq!(&bytes[..4], &TRACE_MAGIC, "stream must open with the magic");
-
-    let decoded: DecodedTrace = dust::obs::Trace::decode_binary(&bytes).unwrap();
-    assert_eq!(decoded.version, TRACE_FORMAT_VERSION);
-    assert_eq!(decoded.seed, TESTBED_SEED);
-    assert_eq!(decoded.lines.len(), trace.len());
-    assert_eq!(decoded.digest, TESTBED_DIGEST, "decode must reproduce the golden digest");
-
-    // a future-format stream fails loudly, not with a digest mismatch
-    let mut future = bytes.clone();
-    future[4] = 0xff;
-    future[5] = 0xff;
-    let err = dust::obs::Trace::decode_binary(&future).unwrap_err();
-    assert!(err.contains("golden digests are format-versioned"), "{err}");
-    let err = dust::obs::Trace::decode_binary(b"nope").unwrap_err();
-    assert!(err.contains("bad magic") || err.contains("truncated"), "{err}");
 }
 
 #[test]
