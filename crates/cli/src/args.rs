@@ -163,7 +163,6 @@ pub fn parse_place_invocation(args: &[String]) -> Result<(Option<String>, PlaceO
             "--batch" => p.batch = value(&mut it, a)?,
             "--seed" => p.seed = value(&mut it, a)?,
             "--warm" => p.warm = true,
-            "--delta-threshold" => p.delta_threshold = Some(value(&mut it, a)?),
             "--profile" => p.profile = Some(value(&mut it, a)?),
             other if !other.starts_with('-') && path.is_none() => path = Some(other.to_string()),
             other => return Err(format!("unknown place option {other:?}")),
@@ -332,13 +331,12 @@ mod tests {
         assert_eq!(err, "unknown profile option \"--loss\"");
 
         let (path, p) = parse_place_invocation(&argv(
-            "net.dust --batch 3 --max-hop 6 --threads 2 --warm --delta-threshold 0.1 \
-             --profile solve.folded",
+            "net.dust --batch 3 --max-hop 6 --threads 2 --warm --profile solve.folded",
         ))
         .unwrap();
         assert_eq!(path.as_deref(), Some("net.dust"));
         assert_eq!((p.batch, p.base.max_hop, p.base.threads), (3, Some(6), 2));
-        assert!(p.warm && p.delta_threshold == Some(0.1) && p.fat_tree.is_none());
+        assert!(p.warm && p.fat_tree.is_none());
         assert_eq!(p.profile.as_deref(), Some("solve.folded"));
         let err = parse_place_invocation(&argv("a.dust b.dust")).unwrap_err();
         assert_eq!(err, "unknown place option \"b.dust\"");

@@ -680,10 +680,6 @@ pub struct PlaceOptions {
     /// utilizations between rounds, and warm-start each solve from the
     /// previous round's spanning-tree bases.
     pub warm: bool,
-    /// With `warm`: hold the previous placement — skipping the solve
-    /// entirely — when no assignment's re-priced `T_rmin` degraded by
-    /// more than this fraction.
-    pub delta_threshold: Option<f64>,
 }
 
 impl Default for PlaceOptions {
@@ -695,7 +691,6 @@ impl Default for PlaceOptions {
             seed: 0,
             profile: None,
             warm: false,
-            delta_threshold: None,
         }
     }
 }
@@ -757,14 +752,6 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
     if opts.batch == 0 {
         return Err("--batch must be at least 1".into());
     }
-    if let Some(t) = opts.delta_threshold {
-        if !opts.warm {
-            return Err("--delta-threshold requires --warm".into());
-        }
-        if !t.is_finite() || t < 0.0 {
-            return Err("--delta-threshold must be finite and non-negative".into());
-        }
-    }
     let generated_graph = match (file_nmdb, opts.fat_tree) {
         (None, Some(k)) => Some(fat_tree_graph(k)?),
         (None, None) => return Err("place needs a <file> or --fat-tree K".into()),
@@ -809,7 +796,6 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
     let mut no_busy = 0usize;
     let mut infeasible = 0usize;
     let mut warm_rounds = 0usize;
-    let mut held_rounds = 0usize;
     let mut beta_sum = 0.0f64;
 
     let started = std::time::Instant::now();
@@ -831,22 +817,6 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
                 &storage
             }
         };
-        // delta hold: when every assignment's re-priced T_rmin is still
-        // within the threshold of what the last solve paid, the previous
-        // placement stands and the round costs only the row reads
-        if let (Some(t), Some(prev)) = (opts.delta_threshold, &last) {
-            let intact = prev.status == PlacementStatus::Optimal
-                && !prev.assignments.is_empty()
-                && prev.assignments.iter().all(|a| {
-                    let row = engine.row(&nmdb.graph, a.from, cfg.max_hop, cfg.path_engine);
-                    let fresh = row[a.to.index()];
-                    fresh.is_finite() && fresh <= a.t_rmin * (1.0 + t)
-                });
-            if intact {
-                held_rounds += 1;
-                continue;
-            }
-        }
         let fresh;
         let (round_engine, warm) = if opts.warm {
             (&engine, last.as_ref().map(|pl| &pl.warm))
@@ -910,7 +880,7 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
             "warm starts: {} of {} solved round(s) reused bases; pivots warm = {}, \
              cold = {}, saved = {}\n",
             warm_rounds,
-            opts.batch - held_rounds,
+            opts.batch,
             obs.counter("lp.warm_pivots"),
             obs.counter("lp.cold_pivots"),
             obs.counter("lp.pivots_saved"),
@@ -922,14 +892,6 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
             obs.counter("cost.full_invalidations"),
             obs.counter("cost.rows_migrated"),
             obs.counter("cost.rows_invalidated"),
-        ));
-    }
-    if let Some(t) = opts.delta_threshold {
-        out.push_str(&format!(
-            "delta hold (threshold {:.2}): held = {} round(s), solved = {}\n",
-            t,
-            held_rounds,
-            opts.batch - held_rounds,
         ));
     }
     if let Some(path) = opts.profile.as_deref() {
@@ -1078,38 +1040,6 @@ mod tests {
         // node states freeze at round 0, so every later round's bases match
         assert!(out.contains("warm starts: 5 of 6"), "{out}");
         assert!(out.contains("cost refresh:"), "{out}");
-    }
-
-    #[test]
-    fn place_delta_threshold_holds_undegraded_rounds() {
-        // a huge threshold means no drift ever degrades an assignment
-        // past it: round 0 solves, every later round is held
-        let db = fig4();
-        let opts =
-            PlaceOptions { batch: 4, warm: true, delta_threshold: Some(1e6), ..Default::default() };
-        let out = cmd_place(Some(&db), &opts).unwrap();
-        assert!(out.contains("held = 3 round(s), solved = 1"), "{out}");
-    }
-
-    #[test]
-    fn place_warm_rejects_bad_flag_combinations() {
-        let opts = PlaceOptions {
-            fat_tree: Some(4),
-            warm: true,
-            delta_threshold: Some(f64::NAN),
-            ..Default::default()
-        };
-        assert!(cmd_place(None, &opts).is_err(), "NaN threshold rejected");
-        let opts =
-            PlaceOptions { fat_tree: Some(4), delta_threshold: Some(0.1), ..Default::default() };
-        assert!(cmd_place(None, &opts).is_err(), "--delta-threshold needs --warm");
-        let opts = PlaceOptions {
-            fat_tree: Some(4),
-            warm: true,
-            delta_threshold: Some(-0.5),
-            ..Default::default()
-        };
-        assert!(cmd_place(None, &opts).is_err(), "negative threshold rejected");
     }
 
     #[test]

@@ -58,10 +58,6 @@ place options (plus the file options above):
                 drift per round, each solve warm-starts from the previous
                 round's bases and re-prices only rows crossing drifted
                 links (reports pivots saved and refresh behavior)
-  --delta-threshold T
-                with --warm, hold the previous placement — skipping the
-                solve — when no assignment's re-priced T_rmin degraded by
-                more than fraction T
   --profile PATH
                 write the solver-side wall-clock profile (cost-matrix
                 pricing, LP solve, route extraction) to PATH
@@ -225,7 +221,7 @@ mod tests {
             .collect();
         flags.sort();
         flags.dedup();
-        assert_eq!(flags.len(), 30, "USAGE gained or lost a flag: {flags:?}");
+        assert_eq!(flags.len(), 29, "USAGE gained or lost a flag: {flags:?}");
         for flag in flags {
             let after_name = ["x".to_string(), flag.clone()];
             let alone = &after_name[1..];

@@ -108,21 +108,12 @@ fn place_output_is_pinned() {
     };
     let warm = PlaceOptions { batch: 4, warm: true, ..Default::default() };
     assert_eq!(
-        run(Some(&fig4()), warm.clone()),
+        run(Some(&fig4()), warm),
         "place: 4 round(s) on 7 nodes, threads = auto\n\
          outcomes: optimal = 4, no-busy = 0, infeasible = 0\n\
          mean beta = 0.637424 s·%\n\
          warm starts: 3 of 4 solved round(s) reused bases; pivots warm = 1, cold = 0, saved = 9\n\
          cost refresh: 2 incremental, 1 full invalidation(s), rows migrated = 0, invalidated = 3\n"
-    );
-    assert_eq!(
-        run(Some(&fig4()), PlaceOptions { delta_threshold: Some(0.1), ..warm }),
-        "place: 4 round(s) on 7 nodes, threads = auto\n\
-         outcomes: optimal = 1, no-busy = 0, infeasible = 0\n\
-         mean beta = 0.720000 s·%\n\
-         warm starts: 0 of 1 solved round(s) reused bases; pivots warm = 0, cold = 0, saved = 0\n\
-         cost refresh: 2 incremental, 1 full invalidation(s), rows migrated = 0, invalidated = 3\n\
-         delta hold (threshold 0.10): held = 3 round(s), solved = 1\n"
     );
     assert_eq!(
         run(Some(&all_busy()), PlaceOptions::default()),

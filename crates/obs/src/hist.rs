@@ -1,4 +1,4 @@
-//! Fixed-bucket log-scale histogram with exactly mergeable snapshots.
+//! Fixed-bucket log-scale histogram.
 //!
 //! Buckets are derived from the IEEE-754 representation of the recorded
 //! value: one power-of-two decade per exponent, split into
@@ -8,18 +8,11 @@
 //! range land in a dedicated underflow bucket, values above in an
 //! overflow bucket.
 //!
-//! The struct stores integer counts, exact `min`/`max`, and a running
-//! sample sum kept as a 256-bit two's-complement **fixed-point**
-//! accumulator (units of `2^-64`) rather than a float: float addition
-//! is not associative, and [`Histogram::merge`] must be *exactly*
-//! associative and commutative so that merging per-shard histograms is
-//! bit-identical to recording the union in one pass. That property is
-//! load-bearing: the trace-digest regression tests hash metric
-//! snapshots, and any order-dependence here would make parallel runs
-//! diverge. Each sample contributes a fixed integer increment (a pure
-//! function of its bits — truncated below `2^-64`, saturated beyond the
-//! accumulator's range), so the total is scheduling-invariant; the sum
-//! only becomes a float at exposition time ([`Histogram::sum`]).
+//! The struct stores integer counts, exact `min`/`max`, and the running
+//! sample sum as an `f64`. A float sum depends on the order its samples
+//! arrive in; every histogram is recorded from sequential code (under
+//! the one [`crate::ObsHandle`] lock, or by its owner), so a run at a
+//! given seed sums its samples in the same order and gets the same bits.
 
 /// Linear sub-buckets per power-of-two decade.
 pub const SUB_BUCKETS: usize = 4;
@@ -49,96 +42,8 @@ pub struct Histogram {
     count: u64,
     min: f64,
     max: f64,
-    /// Sample sum as a 256-bit two's-complement little-endian integer in
-    /// units of `2^-64` (see module docs). Wrapping adds only, so merge
-    /// stays exactly associative and commutative.
-    sum_fixed: [u64; 4],
-}
-
-/// The fixed-point accumulator: 4 little-endian limbs, units of `2^-64`.
-type Fixed = [u64; 4];
-
-/// Two's-complement negation of a 4-limb value.
-fn fixed_negate(x: Fixed) -> Fixed {
-    let mut out = [0u64; 4];
-    let mut carry = 1u64;
-    for (o, limb) in out.iter_mut().zip(x) {
-        let (v, c) = (!limb).overflowing_add(carry);
-        *o = v;
-        carry = u64::from(c);
-    }
-    out
-}
-
-/// `a += b`, wrapping at 2^256 (two's-complement arithmetic).
-fn fixed_add(a: &mut Fixed, b: &Fixed) {
-    let mut carry = 0u64;
-    for (ai, bi) in a.iter_mut().zip(b) {
-        let (v1, c1) = ai.overflowing_add(*bi);
-        let (v2, c2) = v1.overflowing_add(carry);
-        *ai = v2;
-        carry = u64::from(c1) + u64::from(c2);
-    }
-}
-
-/// The fixed-point increment one sample contributes: a pure function of
-/// the value's bits. Magnitudes below `2^-64` truncate toward zero;
-/// magnitudes at or beyond `2^192` (and infinities) saturate to the
-/// largest representable magnitude. NaN never reaches this (dropped by
-/// `record`); `-0.0` contributes zero like `+0.0`.
-fn fixed_from_f64(v: f64) -> Fixed {
-    let bits = v.to_bits();
-    let neg = bits >> 63 != 0;
-    let exp = (bits >> 52) & 0x7ff;
-    let frac = bits & ((1u64 << 52) - 1);
-    // largest positive two's-complement magnitude (top/sign bit clear)
-    const SATURATED: Fixed = [u64::MAX, u64::MAX, u64::MAX, i64::MAX as u64];
-    let mag: Fixed = if exp == 0x7ff {
-        SATURATED // infinity: saturate
-    } else {
-        // v = m * 2^e exactly; in units of 2^-64 that is m << (e + 64)
-        let (m, e) =
-            if exp == 0 { (frac, -1074i64) } else { (frac | (1 << 52), exp as i64 - 1075) };
-        let s = e + 64;
-        if m == 0 || s <= -64 {
-            [0u64; 4]
-        } else if s < 0 {
-            [m >> (-s) as u32, 0, 0, 0]
-        } else if 52 + s >= 255 {
-            SATURATED // would reach the sign bit: saturate
-        } else {
-            let limb = (s / 64) as usize;
-            let wide = u128::from(m) << (s % 64) as u32;
-            let mut out = [0u64; 4];
-            out[limb] = wide as u64;
-            if limb + 1 < 4 {
-                out[limb + 1] = (wide >> 64) as u64;
-            }
-            out
-        }
-    };
-    if neg {
-        fixed_negate(mag)
-    } else {
-        mag
-    }
-}
-
-/// Exposition-time conversion: `Σ limb_i · 2^(64·i − 64)` with the sign
-/// read from the top bit. Floats appear only here, never on the
-/// recording path.
-fn fixed_to_f64(x: &Fixed) -> f64 {
-    let neg = x[3] >> 63 != 0;
-    let mag = if neg { fixed_negate(*x) } else { *x };
-    let mut v = 0.0f64;
-    for (i, limb) in mag.iter().enumerate() {
-        v += *limb as f64 * (2.0f64).powi(64 * i as i32 - 64);
-    }
-    if neg {
-        -v
-    } else {
-        v
-    }
+    /// Sum of the recorded samples, in recording order.
+    sum: f64,
 }
 
 impl Default for Histogram {
@@ -196,7 +101,7 @@ impl Histogram {
             count: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            sum_fixed: [0; 4],
+            sum: 0.0,
         }
     }
 
@@ -207,7 +112,7 @@ impl Histogram {
         }
         self.counts[bucket_of(v)] += 1;
         self.count += 1;
-        fixed_add(&mut self.sum_fixed, &fixed_from_f64(v));
+        self.sum += v;
         if v < self.min {
             self.min = v;
         }
@@ -231,28 +136,10 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Sum of the recorded samples, converted from the fixed-point
-    /// accumulator (see module docs); `0.0` when empty. Resolution is
-    /// `2^-64` per sample, so integer-valued and typical fractional
-    /// samples sum exactly; the conversion to `f64` happens only here.
+    /// Sum of the recorded samples, added in recording order; `0.0`
+    /// when empty.
     pub fn sum(&self) -> f64 {
-        fixed_to_f64(&self.sum_fixed)
-    }
-
-    /// Fold another histogram into this one. Exactly associative and
-    /// commutative: only integer adds and min/max, no float summation.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        fixed_add(&mut self.sum_fixed, &other.sum_fixed);
-        if other.min < self.min {
-            self.min = other.min;
-        }
-        if other.max > self.max {
-            self.max = other.max;
-        }
+        self.sum
     }
 
     /// Estimate the `q`-quantile (`0.0..=1.0`). The estimate is the
@@ -298,19 +185,13 @@ impl Histogram {
     }
 
     /// Stable one-line text encoding:
-    /// `count=N min=<f64> max=<f64> sum=<hex> buckets=i:c,i:c`.
-    /// `min`/`max` use Rust's shortest-roundtrip float formatting and
-    /// `sum` is the raw 256-bit accumulator as 64 hex digits (big-endian
-    /// limb order), so decoding restores the histogram bit-for-bit. An
-    /// empty histogram omits min/max/sum.
-    pub fn encode(&self) -> String {
+    /// `count=N min=<f64> max=<f64> sum=<f64> buckets=i:c,i:c`, floats in
+    /// Rust's shortest-roundtrip formatting. An empty histogram omits
+    /// min/max/sum.
+    pub(crate) fn encode(&self) -> String {
         let mut s = format!("count={}", self.count);
         if self.count > 0 {
-            s.push_str(&format!(" min={} max={}", self.min, self.max));
-            s.push_str(&format!(
-                " sum={:016x}{:016x}{:016x}{:016x}",
-                self.sum_fixed[3], self.sum_fixed[2], self.sum_fixed[1], self.sum_fixed[0]
-            ));
+            s.push_str(&format!(" min={} max={} sum={}", self.min, self.max, self.sum));
         }
         s.push_str(" buckets=");
         let mut first = true;
@@ -324,46 +205,6 @@ impl Histogram {
             }
         }
         s
-    }
-
-    /// Inverse of [`Histogram::encode`]. Returns `None` on malformed
-    /// input (unknown key, bad number, bucket index out of range). A
-    /// missing `sum` key is tolerated — pre-sum encodings decode with a
-    /// zero accumulator — so persisted metric text stays readable.
-    pub fn decode(text: &str) -> Option<Histogram> {
-        let mut h = Histogram::new();
-        let mut saw_count = false;
-        for tok in text.split_whitespace() {
-            let (key, val) = tok.split_once('=')?;
-            match key {
-                "count" => {
-                    h.count = val.parse().ok()?;
-                    saw_count = true;
-                }
-                "min" => h.min = val.parse().ok()?,
-                "max" => h.max = val.parse().ok()?,
-                "sum" => {
-                    if val.len() != 64 || !val.is_ascii() {
-                        return None;
-                    }
-                    for (i, chunk) in (0..4).map(|i| (i, &val[i * 16..(i + 1) * 16])) {
-                        h.sum_fixed[3 - i] = u64::from_str_radix(chunk, 16).ok()?;
-                    }
-                }
-                "buckets" => {
-                    for pair in val.split(',').filter(|p| !p.is_empty()) {
-                        let (i, c) = pair.split_once(':')?;
-                        let i: usize = i.parse().ok()?;
-                        if i >= NUM_BUCKETS {
-                            return None;
-                        }
-                        h.counts[i] = c.parse().ok()?;
-                    }
-                }
-                _ => return None,
-            }
-        }
-        saw_count.then_some(h)
     }
 }
 
@@ -415,28 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trips_empty() {
-        let h = Histogram::new();
-        assert_eq!(Histogram::decode(&h.encode()), Some(h));
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(Histogram::decode("nonsense"), None);
-        assert_eq!(Histogram::decode("count=2 buckets=999999:1"), None);
-        assert_eq!(Histogram::decode("count=x buckets="), None);
-        assert_eq!(Histogram::decode("count=1 sum=beef buckets="), None);
-    }
-
-    #[test]
-    fn decode_tolerates_missing_sum() {
-        // pre-sum encodings (no `sum=` key) must still decode
-        let h = Histogram::decode("count=1 min=2 max=2 buckets=265:1").unwrap();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 0.0, "legacy text decodes with a zero accumulator");
-    }
-
-    #[test]
     fn sum_is_exact_for_representable_values() {
         let mut h = Histogram::new();
         for v in [1.0, 2.5, 0.25, 1e6, -3.5] {
@@ -444,54 +263,5 @@ mod tests {
         }
         assert_eq!(h.sum(), 1.0 + 2.5 + 0.25 + 1e6 - 3.5);
         assert_eq!(Histogram::new().sum(), 0.0);
-    }
-
-    #[test]
-    fn sum_merge_is_exactly_associative() {
-        // shard a value set whose float-summation order matters (1e16
-        // and 1.0 don't commute in f64) three ways: all groupings of the
-        // fixed-point accumulator agree bit-for-bit
-        let vals = [1e16, 1.0, 1.0, -1e16, 0.5, 1e-20];
-        let shard = |r: std::ops::Range<usize>| {
-            let mut h = Histogram::new();
-            for &v in &vals[r] {
-                h.record(v);
-            }
-            h
-        };
-        let (a, b, c) = (shard(0..2), shard(2..4), shard(4..6));
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc, "merge grouping must not change a single bit");
-        let mut one_pass = Histogram::new();
-        for v in vals {
-            one_pass.record(v);
-        }
-        assert_eq!(ab_c, one_pass);
-    }
-
-    #[test]
-    fn sum_saturates_instead_of_overflowing() {
-        let mut h = Histogram::new();
-        h.record(f64::INFINITY);
-        assert!(h.sum() > 1e50, "saturated accumulator reads as a huge finite sum");
-        let mut h = Histogram::new();
-        h.record(f64::MAX); // beyond 2^192: saturates, no panic
-        assert!(h.sum().is_finite());
-    }
-
-    #[test]
-    fn sum_round_trips_through_encoding() {
-        let mut h = Histogram::new();
-        for v in [0.1, 7.25, -2.0, 1e12] {
-            h.record(v);
-        }
-        let back = Histogram::decode(&h.encode()).unwrap();
-        assert_eq!(back, h, "sum limbs survive the text round trip bit-for-bit");
     }
 }

@@ -4,8 +4,8 @@
 //! the workspace. Two halves:
 //!
 //! * [`MetricsRegistry`] — monotonic counters, gauges, and log-scale
-//!   [`Histogram`]s with exactly mergeable snapshots and stable
-//!   text/JSON encodings.
+//!   [`Histogram`]s, read back by name and rendered as stable
+//!   text/JSON/Prometheus expositions.
 //! * [`Trace`] — an append-only structured event log keyed by sim time
 //!   and seed, with a running FNV-1a digest so two runs at the same
 //!   seed are bit-identical iff their digests match. [`TraceAssert`]
@@ -31,8 +31,9 @@
 //! are passed by value/clone, recording never fails, and nothing reads
 //! back from the registry on the hot path. Callers in parallel regions
 //! must restrict themselves to counter increments (commutative — totals
-//! are deterministic regardless of interleaving) and must not emit
-//! trace events, whose order would depend on thread scheduling; the
+//! are deterministic regardless of interleaving) and must neither
+//! observe histograms, whose float sums depend on sample order, nor
+//! emit trace events, whose order would depend on thread scheduling; the
 //! cost engine, for example, decides cache hits in a sequential pre-pass
 //! and emits a single summary event per matrix build.
 
@@ -153,9 +154,8 @@ impl ObsHandle {
     }
 
     /// Record a batch of samples into one histogram under a single lock
-    /// acquisition. A histogram is order-independent (bucket counts,
-    /// count, fixed-point sum, min, max), so this leaves the registry
-    /// exactly as one [`ObsHandle::observe`] per value would.
+    /// acquisition, in slice order, so this leaves the registry exactly
+    /// as one [`ObsHandle::observe`] per value would.
     pub fn observe_all(&self, name: &str, values: &[f64]) {
         if let Some(c) = &self.core {
             Self::lock(c).metrics.observe_all(name, values);
@@ -186,9 +186,9 @@ impl ObsHandle {
         self.core.as_ref().map(|c| Self::lock(c).trace.post_mortem(reason))
     }
 
-    /// Snapshot of the metrics so far (`None` when disabled).
+    /// Copy of the metrics so far (`None` when disabled).
     pub fn metrics(&self) -> Option<MetricsRegistry> {
-        self.core.as_ref().map(|c| Self::lock(c).metrics.snapshot())
+        self.core.as_ref().map(|c| Self::lock(c).metrics.clone())
     }
 
     /// Copy of the trace so far (`None` when disabled).

@@ -40,9 +40,10 @@ use dust_topology::{Graph, NodeId, PathEngine};
 ///
 /// Required: [`graph`](SimBuilder::graph) and [`nodes`](SimBuilder::nodes)
 /// (one [`SimNode`] per vertex). Everything else defaults to the paper's
-/// testbed parameters — STATs every second, four seconds of keepalive
-/// silence tolerated, a placement round every five seconds, a sample every
-/// second, two-minute runs — and traffic to [`TrafficModel::testbed`].
+/// testbed parameters — a sample every second, two-minute runs — and
+/// traffic to [`TrafficModel::testbed`]. The protocol's cadences are
+/// fixed, not knobs: STATs every second, four seconds of keepalive
+/// silence tolerated, a placement round every five seconds.
 #[derive(Debug, Default)]
 pub struct SimBuilder {
     graph: Option<Graph>,
@@ -85,18 +86,6 @@ impl SimBuilder {
     /// Placement thresholds and routing options.
     pub fn dust(mut self, dust: DustConfig) -> Self {
         self.cfg.dust = dust;
-        self
-    }
-
-    /// STAT cadence handed out in ACKs, ms.
-    pub fn update_interval_ms(mut self, ms: u64) -> Self {
-        self.cfg.update_interval_ms = ms;
-        self
-    }
-
-    /// Keepalive silence tolerated before replica substitution, ms.
-    pub fn keepalive_timeout_ms(mut self, ms: u64) -> Self {
-        self.cfg.keepalive_timeout_ms = ms;
         self
     }
 
@@ -222,21 +211,11 @@ impl SimBuilder {
             }
         }
         let cfg = &self.cfg;
-        if cfg.update_interval_ms == 0 {
-            return bad("update_interval_ms must be positive".into());
-        }
         if cfg.sample_period_ms == 0 {
             return bad("sample_period_ms must be positive".into());
         }
         if cfg.duration_ms == 0 {
             return bad("duration_ms must be positive".into());
-        }
-        if cfg.keepalive_timeout_ms < cfg.update_interval_ms {
-            return bad(format!(
-                "keepalive_timeout_ms ({}) below update_interval_ms ({}): every node \
-                 would be declared dead between its own STATs",
-                cfg.keepalive_timeout_ms, cfg.update_interval_ms
-            ));
         }
         if !cfg.link_jitter.is_finite() || !(0.0..=1.0).contains(&cfg.link_jitter) {
             return bad(format!("link_jitter must lie in [0, 1], got {}", cfg.link_jitter));
@@ -456,23 +435,10 @@ mod tests {
         let err = msg(Simulation::builder()
             .graph(g)
             .nodes(nodes)
-            .update_interval_ms(0)
+            .sample_period_ms(0)
             .build()
             .unwrap_err());
-        assert!(err.contains("update_interval_ms"), "{err}");
-    }
-
-    #[test]
-    fn keepalive_below_update_interval_is_loud() {
-        let (g, nodes) = two_nodes();
-        let err = msg(Simulation::builder()
-            .graph(g)
-            .nodes(nodes)
-            .update_interval_ms(2_000)
-            .keepalive_timeout_ms(1_000)
-            .build()
-            .unwrap_err());
-        assert!(err.contains("keepalive_timeout_ms"), "{err}");
+        assert!(err.contains("sample_period_ms"), "{err}");
     }
 
     #[test]

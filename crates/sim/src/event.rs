@@ -57,7 +57,7 @@
 use crate::engine::EventQueue;
 use crate::flows::{evaluate_flows, TelemetryFlow};
 use crate::node::SimNode;
-use crate::runner::{series, SimEvent, SimReport, Simulation};
+use crate::runner::{series, SimEvent, SimReport, Simulation, UPDATE_INTERVAL_MS};
 use dust_proto::ClientMsg;
 use dust_telemetry::{Federation, MonitorAgent, SeriesId};
 use std::sync::Arc;
@@ -293,7 +293,7 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                     }
                 }
                 drop(walk);
-                q.schedule_in(sim.cfg.update_interval_ms, SimEvent::StatEmission);
+                q.schedule_in(UPDATE_INTERVAL_MS, SimEvent::StatEmission);
             }
             SimEvent::OfferMaintenance => {
                 sim.handle_offer_maintenance(now, &mut q, &mut report);
@@ -389,7 +389,7 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                         }
                         hot.links_applied = hot.links_pending;
                     }
-                    let outs = evaluate_flows(&sim.graph, &hot.flows, sim.cfg.update_interval_ms);
+                    let outs = evaluate_flows(&sim.graph, &hot.flows, UPDATE_INTERVAL_MS);
                     for (f, o) in hot.flows.iter().zip(&outs) {
                         let db = report.federation.store_mut(f.owner);
                         db.append(series::TELEMETRY_ADMITTED_MBPS, now, o.admitted_mbps);

@@ -105,16 +105,18 @@ impl Default for DriftConfig {
 /// How often the Manager runs a placement round, ms.
 const PLACEMENT_PERIOD_MS: u64 = 5_000;
 
+/// STAT cadence handed out in ACKs, ms.
+pub(crate) const UPDATE_INTERVAL_MS: u64 = 1_000;
+
+/// Keepalive silence tolerated before replica substitution, ms.
+const KEEPALIVE_TIMEOUT_MS: u64 = 4_000;
+
 /// Simulation parameters: what [`Simulation::builder`] sets and validates
 /// before a run starts.
 #[derive(Debug, Clone)]
 pub(crate) struct SimConfig {
     /// Placement thresholds and routing options.
     pub dust: DustConfig,
-    /// STAT cadence handed out in ACKs, ms.
-    pub update_interval_ms: u64,
-    /// Keepalive silence tolerated before replica substitution, ms.
-    pub keepalive_timeout_ms: u64,
     /// Metric sampling cadence, ms.
     pub sample_period_ms: u64,
     /// Total simulated time, ms.
@@ -153,8 +155,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             dust: DustConfig::paper_defaults(),
-            update_interval_ms: 1_000,
-            keepalive_timeout_ms: 4_000,
             sample_period_ms: 1_000,
             duration_ms: 120_000,
             dust_enabled: true,
@@ -367,8 +367,8 @@ impl Simulation {
             graph,
             cfg.dust,
             SolverBackend::Transportation,
-            cfg.update_interval_ms,
-            cfg.keepalive_timeout_ms,
+            UPDATE_INTERVAL_MS,
+            KEEPALIVE_TIMEOUT_MS,
         )
         .expect("builder pre-validated the SimConfig")
         .with_warm_start(cfg.warm_start);
@@ -403,7 +403,7 @@ impl Simulation {
     /// the runner itself record metrics and trace events through it.
     /// Instrumentation never feeds back into simulation decisions, so a
     /// run at a given seed is bit-identical with tracing on or off.
-    pub fn set_obs(&mut self, obs: ObsHandle) {
+    pub(crate) fn set_obs(&mut self, obs: ObsHandle) {
         self.manager.set_obs(obs.clone());
         for c in &mut self.clients {
             c.set_obs(obs.clone());
@@ -422,7 +422,7 @@ impl Simulation {
     /// convergence clock when the first transfer lands — and traces every
     /// breach it fires as a [`TraceEvent::SloBreach`] (plus `slo.breaches`
     /// counters), so alerts are part of the digested event stream.
-    pub fn set_slo(&mut self, engine: SloEngine) {
+    pub(crate) fn set_slo(&mut self, engine: SloEngine) {
         self.slo = Some(engine);
     }
 
@@ -715,8 +715,8 @@ impl Simulation {
             let reg = self.clients[i].register(0);
             self.send_to_manager(0, reg, q, report);
         }
-        q.schedule(self.cfg.update_interval_ms, SimEvent::StatEmission);
-        q.schedule(self.cfg.update_interval_ms, SimEvent::OfferMaintenance);
+        q.schedule(UPDATE_INTERVAL_MS, SimEvent::StatEmission);
+        q.schedule(UPDATE_INTERVAL_MS, SimEvent::OfferMaintenance);
         if self.cfg.dust_enabled {
             q.schedule(PLACEMENT_PERIOD_MS, SimEvent::PlacementRound);
         }
@@ -745,7 +745,7 @@ impl Simulation {
             self.send_to_client(now, env, q, report);
         }
         self.poll_slo_protocol(now);
-        q.schedule_in(self.cfg.update_interval_ms, SimEvent::OfferMaintenance);
+        q.schedule_in(UPDATE_INTERVAL_MS, SimEvent::OfferMaintenance);
     }
 
     /// One Manager placement round.

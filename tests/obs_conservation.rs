@@ -43,8 +43,13 @@ fn faults_for(seed: u64) -> FaultConfig {
 /// attached, returning the finished simulation (for ledger access) and
 /// its observability handle.
 fn run_observed(seed: u64) -> (Simulation, ObsHandle) {
-    let (graph, dut) = testbed_topology();
     let obs = ObsHandle::recording(seed);
+    (run_observed_into(seed, obs.clone()), obs)
+}
+
+/// [`run_observed`] recording into a caller's handle.
+fn run_observed_into(seed: u64, obs: ObsHandle) -> Simulation {
+    let (graph, dut) = testbed_topology();
     let mut sim = Simulation::builder()
         .graph(graph)
         .nodes(testbed_nodes(dut))
@@ -54,11 +59,11 @@ fn run_observed(seed: u64) -> (Simulation, ObsHandle) {
         .seed(seed)
         .full_monitoring_offload(true)
         .faults(faults_for(seed))
-        .obs(obs.clone())
+        .obs(obs)
         .build()
         .expect("testbed knobs are consistent");
     sim.run();
-    (sim, obs)
+    sim
 }
 
 #[test]
@@ -140,19 +145,20 @@ fn tracing_does_not_perturb_the_simulation() {
 
 #[test]
 fn merged_metrics_equal_the_sum_of_runs() {
-    // Snapshot merging is how a sweep aggregates per-run registries; the
-    // merge of two runs' counters must equal their arithmetic sum.
+    // Two runs recording into one shared handle leave counters that are
+    // the arithmetic sum of the two runs recorded apart.
     let (_, a) = run_observed(1);
     let (_, b) = run_observed(2);
-    let ma = a.metrics().unwrap();
-    let mb = b.metrics().unwrap();
-    let mut merged = ma.snapshot();
-    merged.merge(&mb);
+    let shared = ObsHandle::recording(1);
+    run_observed_into(1, shared.clone());
+    run_observed_into(2, shared.clone());
+    let (ma, mb, merged) = (a.metrics().unwrap(), b.metrics().unwrap(), shared.metrics().unwrap());
     for name in ["proto.offers_sent", "sim.transfers_applied", "sim.transport.to_client.sent"] {
+        assert!(ma.counter(name) > 0, "seed 1 never moved {name}");
         assert_eq!(
             merged.counter(name),
             ma.counter(name) + mb.counter(name),
-            "merge broke counter {name}"
+            "shared handle broke counter {name}"
         );
     }
 }

@@ -67,7 +67,7 @@ fn per_phase_quantiles_are_byte_identical_across_runs() {
     let (ha, hb) = (a.phase_histograms(), b.phase_histograms());
     assert_eq!(ha.len(), hb.len());
     for (name, h) in &ha {
-        assert_eq!(h.encode(), hb[name].encode(), "phase {name}: histogram text encodings diverge");
+        assert_eq!(h, &hb[name], "phase {name}: histograms diverge");
         for q in [0.5, 0.99] {
             assert_eq!(
                 h.quantile(q).map(f64::to_bits),
