@@ -289,7 +289,9 @@ mod tests {
     /// The federation as it was before the dense table and the in-place
     /// fold: an ordered map of stores, every read a walk over it, every
     /// query a map of per-bucket value lists. Kept as the model the dense
-    /// layout and the folds are checked against.
+    /// layout and the folds are checked against; it finds windows and
+    /// buckets its own way, not through [`Series::range`] or
+    /// [`bucket_means`].
     #[derive(Default)]
     struct MapFederation {
         stores: BTreeMap<NodeId, Tsdb>,
@@ -311,12 +313,15 @@ mod tests {
         ) -> Series {
             let mut buckets: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
             for s in self.stores.values().filter_map(|db| db.series(series)) {
-                let mut window = Series::default();
-                for p in s.range(start, end) {
-                    window.push(p.ts_ms, p.value);
+                // this store's window by a filter, its buckets by a
+                // division per point
+                let mut runs: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+                for p in s.points().iter().filter(|p| start <= p.ts_ms && p.ts_ms < end) {
+                    runs.entry(p.ts_ms / bucket * bucket).or_default().push(p.value);
                 }
-                for p in window.downsample(bucket).points() {
-                    buckets.entry(p.ts_ms).or_default().push(p.value);
+                for (b, run) in runs {
+                    let sum = run[1..].iter().fold(run[0], |a, v| a + v);
+                    buckets.entry(b).or_default().push(sum / run.len() as f64);
                 }
             }
             let mut out = Series::default();

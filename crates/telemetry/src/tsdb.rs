@@ -17,13 +17,19 @@
 //! at its end, which is why [`Series::push`] can check order against the
 //! list's last element without knowing about `head`.
 //!
-//! **Windows are searched from the end they are near.** Monitoring reads
-//! ask for recent data and retention cuts the oldest, so [`Series::range`]
-//! finds its bounds by doubling steps back from the newest point and
-//! [`Series::trim`] finds its cutoff by doubling steps forward from the
-//! oldest, each finishing with a binary search inside the last step:
-//! O(log d) for a bound `d` points from that end, never worse than
-//! O(log n), and the probes land on the cache lines the scan reads next.
+//! **A window search starts where the bound should be.** Telemetry is
+//! sampled on a period, so a timestamp's index is close to where it would
+//! sit if the points were evenly spaced between the oldest and the newest.
+//! [`Series::range`] and [`Series::trim`] find every bound the same way:
+//! probe that guessed index, gallop away from it in steps of 1, 2, 4, …
+//! until a probe crosses the bound, and binary-search inside the last
+//! step. That is one or two probes on periodic data, never worse than
+//! O(log n), and the answer is the index `partition_point` returns.
+//!
+//! **A bucket walk divides once per bucket.** [`Series::downsample`] and
+//! the federation's queries close bucket means by comparing each point
+//! with the open bucket's end; only the point that opens the next bucket
+//! pays a division.
 //!
 //! A writer that appends to the same series over and over resolves the
 //! name once and appends through the handle:
@@ -32,7 +38,7 @@
 //! use dust_telemetry::Tsdb;
 //!
 //! let mut db = Tsdb::new();
-//! db.append("mem", 0, 60.0); // by name: one index search per point
+//! db.append("mem", 0, 60.0); // by name: a walk over the store's names per point
 //!
 //! let cpu = db.series_id("cpu"); // resolve once (creates the series) …
 //! db.reserve(cpu, 100); // … size it when the point count is known …
@@ -43,8 +49,6 @@
 //! assert_eq!(db.series_names(), vec!["cpu", "mem"]);
 //! ```
 
-use std::collections::BTreeMap;
-
 /// One timestamped measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
@@ -54,36 +58,44 @@ pub struct Point {
     pub value: f64,
 }
 
-/// `points.partition_point(|p| p.ts_ms < ts)`, searched from the newest
-/// point: probes at 1, 2, 4, … from the end until one is older than `ts`,
-/// then a binary search inside that last step.
-fn partition_from_newest(points: &[Point], ts: u64) -> usize {
-    let (mut lo, mut hi, mut step) = (0, points.len(), 1);
-    while hi > 0 {
-        let i = points.len().saturating_sub(step);
-        if points[i].ts_ms < ts {
-            lo = i + 1;
-            break;
-        }
-        hi = i;
-        step *= 2;
+/// `points.partition_point(|p| p.ts_ms < ts)`, started where `ts` would
+/// sit if the timestamps were evenly spaced: the probe at the guessed
+/// index decides the side, steps of 1, 2, 4, … gallop away from it until
+/// one crosses `ts`, and a binary search finishes inside the last step.
+fn partition(points: &[Point], ts: u64) -> usize {
+    let (Some(first), Some(last)) = (points.first(), points.last()) else { return 0 };
+    if ts <= first.ts_ms {
+        return 0;
     }
-    lo + points[lo..hi].partition_point(|p| p.ts_ms < ts)
-}
-
-/// `points.partition_point(|p| p.ts_ms < ts)`, searched from the oldest
-/// point: probes at 0, 1, 3, 7, … until one is not older than `ts`, then a
-/// binary search inside that last step.
-fn partition_from_oldest(points: &[Point], ts: u64) -> usize {
-    let (mut lo, mut hi, mut step) = (0, points.len(), 1);
-    while lo < points.len() {
-        let i = (step - 1).min(points.len() - 1);
-        if points[i].ts_ms >= ts {
-            hi = i;
-            break;
+    if ts > last.ts_ms {
+        return points.len();
+    }
+    // first < ts <= last: the answer is in 1..len, the guess in 0..len
+    let top = points.len() - 1;
+    let guess = (u128::from(ts - first.ts_ms) * top as u128 / u128::from(last.ts_ms - first.ts_ms))
+        as usize;
+    // the answer is in lo..=hi
+    let (mut lo, mut hi, mut step) = (1, top, 1);
+    if points[guess].ts_ms < ts {
+        lo = guess + 1;
+        while guess + step < hi {
+            if points[guess + step].ts_ms >= ts {
+                hi = guess + step;
+                break;
+            }
+            lo = guess + step + 1;
+            step *= 2;
         }
-        lo = i + 1;
-        step *= 2;
+    } else {
+        hi = guess;
+        while step < guess {
+            if points[guess - step].ts_ms < ts {
+                lo = guess - step + 1;
+                break;
+            }
+            hi = guess - step;
+            step *= 2;
+        }
     }
     lo + points[lo..hi].partition_point(|p| p.ts_ms < ts)
 }
@@ -91,20 +103,26 @@ fn partition_from_oldest(points: &[Point], ts: u64) -> usize {
 /// Mean of each run of `points` sharing a bucket of `bucket_ms` (aligned
 /// to `t = 0`), handed to `emit` as `(bucket start, mean)` in ascending
 /// order; empty buckets are skipped. Callers reject `bucket_ms == 0`.
+///
+/// A point joins the open bucket while it is older than the bucket's end;
+/// only a point past the end divides, to find the bucket it opens.
 pub(crate) fn bucket_means(points: &[Point], bucket_ms: u64, mut emit: impl FnMut(u64, f64)) {
     let mut rest = points.iter();
     let Some(first) = rest.next() else { return };
     // a bucket's sum starts from its first value, not from 0.0: a bucket of
     // `-0.0`s must average to `-0.0`
     let (mut cur, mut sum, mut n) = (first.ts_ms / bucket_ms * bucket_ms, first.value, 1usize);
+    // `None`: the open bucket runs to `u64::MAX`
+    let mut end = cur.checked_add(bucket_ms);
     for p in rest {
-        let b = p.ts_ms / bucket_ms * bucket_ms;
-        if b == cur {
+        if end.is_none_or(|end| p.ts_ms < end) {
             sum += p.value;
             n += 1;
         } else {
             emit(cur, sum / n as f64);
-            (cur, sum, n) = (b, p.value, 1);
+            cur = p.ts_ms / bucket_ms * bucket_ms;
+            end = cur.checked_add(bucket_ms);
+            (sum, n) = (p.value, 1);
         }
     }
     emit(cur, sum / n as f64);
@@ -177,11 +195,11 @@ impl Series {
     }
 
     /// Points with `start <= ts < end`; empty when `end <= start`.
-    /// Searched from the newest point (see the module docs).
+    /// Each bound is searched from its guessed index (see the module docs).
     pub fn range(&self, start_ms: u64, end_ms: u64) -> &[Point] {
         let live = self.points();
-        let hi = partition_from_newest(live, end_ms);
-        let lo = partition_from_newest(&live[..hi], start_ms);
+        let hi = partition(live, end_ms);
+        let lo = partition(&live[..hi], start_ms);
         &live[lo..hi]
     }
 
@@ -223,12 +241,12 @@ impl Series {
     /// Drop points older than `horizon_ms` before `now_ms` (retention).
     /// Returns the number of points dropped.
     ///
-    /// The cutoff is searched from the oldest point; the dropped points
+    /// The cutoff is searched from its guessed index; the dropped points
     /// become dead prefix, compacted away here and nowhere else (see the
     /// module docs).
     pub fn trim(&mut self, now_ms: u64, horizon_ms: u64) -> usize {
         let cutoff = now_ms.saturating_sub(horizon_ms);
-        let dropped = partition_from_oldest(self.points(), cutoff);
+        let dropped = partition(self.points(), cutoff);
         self.head += dropped;
         let spare = self.points.capacity() - self.points.len();
         if self.head >= self.len() || self.head > spare {
@@ -249,13 +267,19 @@ pub struct SeriesId(u32);
 
 /// A node-local TSDB: named series with shared retention policy.
 ///
-/// Series live in a table in creation order; `index` maps each name to
-/// its position. Creation order is an internal detail — every name-facing
-/// method answers in sorted name order.
+/// Series live in a table in creation order. Their names sit back to back
+/// in one `String`, in the same order, and `spans[i]` is where series
+/// `i`'s name starts and ends in it: a look-up walks the spans, comparing
+/// lengths, and reads a name's bytes only when its length matches. The
+/// walk is O(series in the store), and stores hold a handful of series.
+/// Creation order is an internal detail — every name-facing method
+/// answers in sorted name order.
 #[derive(Debug, Clone, Default)]
 pub struct Tsdb {
     series: Vec<Series>,
-    index: BTreeMap<String, u32>,
+    names: String,
+    /// `(start, end)` of each series' name in `names`, by series slot.
+    spans: Vec<(u32, u32)>,
 }
 
 impl Tsdb {
@@ -264,16 +288,27 @@ impl Tsdb {
         Self::default()
     }
 
+    /// The slot of the series named `name`, if there is one.
+    fn slot(&self, name: &str) -> Option<usize> {
+        self.spans.iter().position(|&(start, end)| {
+            (end - start) as usize == name.len()
+                && &self.names.as_bytes()[start as usize..end as usize] == name.as_bytes()
+        })
+    }
+
     /// Resolve a series name to its handle, creating the (empty) series if
     /// absent. The existing-series path allocates nothing; the name is only
-    /// materialized on first use.
+    /// copied in on first use.
     pub fn series_id(&mut self, name: &str) -> SeriesId {
-        if let Some(&i) = self.index.get(name) {
-            return SeriesId(i);
+        if let Some(i) = self.slot(name) {
+            return SeriesId(i as u32);
         }
         let i = u32::try_from(self.series.len()).expect("fewer than 2^32 series per store");
+        let start = u32::try_from(self.names.len()).expect("under 4 GiB of names per store");
+        self.names.push_str(name);
+        let end = u32::try_from(self.names.len()).expect("under 4 GiB of names per store");
         self.series.push(Series::default());
-        self.index.insert(name.to_string(), i);
+        self.spans.push((start, end));
         SeriesId(i)
     }
 
@@ -301,12 +336,18 @@ impl Tsdb {
 
     /// Look up a series.
     pub fn series(&self, name: &str) -> Option<&Series> {
-        self.index.get(name).map(|&i| &self.series[i as usize])
+        self.slot(name).map(|i| &self.series[i])
     }
 
     /// Names of all stored series, sorted.
     pub fn series_names(&self) -> Vec<&str> {
-        self.index.keys().map(String::as_str).collect()
+        let mut names: Vec<&str> = self
+            .spans
+            .iter()
+            .map(|&(start, end)| &self.names[start as usize..end as usize])
+            .collect();
+        names.sort_unstable();
+        names
     }
 
     /// Number of series.
@@ -686,23 +727,143 @@ mod tests {
     }
 
     #[test]
-    fn both_searches_equal_partition_point_at_every_cut() {
+    fn the_search_equals_partition_point_at_every_cut() {
         use dust_topology::SplitMix64;
-        for seed in 0..200u64 {
-            let mut rng = SplitMix64::new(seed);
-            let len = rng.below(70) as usize;
-            let mut ts = rng.below(5);
-            let points: Vec<Point> = (0..len)
-                .map(|_| {
-                    ts += rng.below(3) * rng.below(4); // runs of duplicates
-                    Point { ts_ms: ts, value: 0.0 }
-                })
-                .collect();
-            for cut in (0..ts + 3).chain([u64::MAX - 1, u64::MAX]) {
-                let want = points.partition_point(|p| p.ts_ms < cut);
-                assert_eq!(partition_from_newest(&points, cut), want, "seed {seed} cut {cut}");
-                assert_eq!(partition_from_oldest(&points, cut), want, "seed {seed} cut {cut}");
+        // four spacings, then every cut checked: each stored timestamp and
+        // its neighbours, the ends of `u64`, and random cuts
+        for shape in ["even", "duplicates", "bursts", "geometric"] {
+            for seed in 0..150u64 {
+                let mut rng = SplitMix64::new(seed);
+                let len = rng.below(70) as usize;
+                // every third run is shifted so that it ends at `u64::MAX`
+                let mut ts = rng.below(5);
+                let mut stamps: Vec<u64> = (0..len)
+                    .map(|_| {
+                        let at = ts;
+                        let gap = match shape {
+                            "even" => 100,
+                            "duplicates" => rng.below(3) * rng.below(4),
+                            "bursts" if rng.below(8) == 0 => 1 + rng.below(5_000),
+                            "bursts" => 0,
+                            _ => ts.max(1),
+                        };
+                        ts = ts.saturating_add(gap);
+                        at
+                    })
+                    .collect();
+                if seed % 3 == 0 {
+                    let shift = u64::MAX - stamps.last().copied().unwrap_or(0);
+                    stamps.iter_mut().for_each(|t| *t = t.saturating_add(shift));
+                }
+                let points: Vec<Point> =
+                    stamps.iter().map(|&ts_ms| Point { ts_ms, value: 0.0 }).collect();
+                let around =
+                    stamps.iter().flat_map(|&t| [t.saturating_sub(1), t, t.saturating_add(1)]);
+                let random = (0..20).map(|_| rng.next_u64());
+                for cut in around.chain([0, 1, u64::MAX - 1, u64::MAX]).chain(random) {
+                    let want = points.partition_point(|p| p.ts_ms < cut);
+                    assert_eq!(partition(&points, cut), want, "{shape} seed {seed} cut {cut}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn buckets_that_reach_u64_max_match_the_list_model() {
+        use dust_topology::SplitMix64;
+        // the last buckets' ends overflow: `u64::MAX / 7 * 7 + 7` does not
+        // fit, and neither does any bucket's end at width `u64::MAX` once a
+        // point sits at `u64::MAX`
+        for seed in 0..100u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut ts = u64::MAX - rng.below(3_000);
+            let mut model = ListSeries::default();
+            for _ in 0..rng.below(80) {
+                model.0.push(Point { ts_ms: ts, value: rng.range_f64(-5.0, 5.0) });
+                ts = ts.saturating_add(rng.below(3) * rng.below(60));
+            }
+            let mut s = Series::default();
+            model.0.iter().for_each(|p| s.push(p.ts_ms, p.value));
+            for bucket in [1, 7, 800, u64::MAX / 2, u64::MAX - 1, u64::MAX, 1 + rng.below(500)] {
+                assert_eq!(
+                    bits(s.downsample(bucket).points()),
+                    bits(&model.downsample(bucket)),
+                    "seed {seed} / {bucket}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn name_table_matches_the_map_model() {
+        use dust_topology::SplitMix64;
+        use std::collections::BTreeMap;
+        // prefixes of one another, equal lengths (`cpu`/`mem`/`μs`, `ab`/
+        // `ba`), the empty name and multi-byte names
+        const NAMES: [&str; 11] =
+            ["cpu", "cpu2", "cp", "mem", "", "温度", "μs", "ab", "ba", "c", "温"];
+        for seed in [1u64, 7, 42, 0xDEAD_BEEF] {
+            let mut rng = SplitMix64::new(seed);
+            let mut db = Tsdb::new();
+            let mut model: BTreeMap<String, Vec<Point>> = BTreeMap::new();
+            // the handle each name got, in creation order
+            let mut created: Vec<(&str, SeriesId)> = Vec::new();
+            for step in 0..400u64 {
+                let name = NAMES[rng.below(NAMES.len() as u64) as usize];
+                let ctx = format!("seed {seed} step {step} {name:?}");
+                match rng.below(3) {
+                    0 => {
+                        let id = db.series_id(name);
+                        match created.iter().find(|(n, _)| *n == name) {
+                            Some(&(_, first)) => assert_eq!(id, first, "{ctx}: stable"),
+                            None => {
+                                assert_eq!(id.0 as usize, created.len(), "{ctx}: creation order");
+                                created.push((name, id));
+                            }
+                        }
+                        model.entry(name.to_string()).or_default();
+                    }
+                    1 => {
+                        db.append(name, step, step as f64);
+                        model
+                            .entry(name.to_string())
+                            .or_default()
+                            .push(Point { ts_ms: step, value: step as f64 });
+                        if !created.iter().any(|(n, _)| *n == name) {
+                            created.push((name, SeriesId(created.len() as u32)));
+                        }
+                    }
+                    _ => {
+                        if let Some(&(_, id)) = created.iter().find(|(n, _)| *n == name) {
+                            db.append_to(id, step, -(step as f64));
+                            model
+                                .get_mut(name)
+                                .expect("created")
+                                .push(Point { ts_ms: step, value: -(step as f64) });
+                        }
+                    }
+                }
+                let names: Vec<&str> = model.keys().map(String::as_str).collect();
+                assert_eq!(db.series_names(), names, "{ctx}: sorted");
+                assert_eq!(db.series_count(), model.len(), "{ctx}");
+                for n in NAMES.into_iter().chain(["cpu3", "温度度", "me"]) {
+                    assert_eq!(
+                        db.series(n).map(|s| bits(s.points())),
+                        model.get(n).map(|pts| bits(pts)),
+                        "{ctx}: series {n:?}"
+                    );
+                }
+                if step % 40 == 39 {
+                    let mut copy = db.clone();
+                    assert_eq!(copy.series_names(), db.series_names(), "{ctx}: clone");
+                    for &(n, id) in &created {
+                        assert_eq!(copy.series(n), db.series(n), "{ctx}: clone of {n:?}");
+                        assert_eq!(copy.series_id(n), id, "{ctx}: clone keeps {n:?}'s handle");
+                    }
+                    assert_eq!(copy.series_count(), db.series_count(), "{ctx}: nothing created");
+                }
+            }
+            assert_eq!(created.len(), NAMES.len(), "seed {seed}: every name was created");
         }
     }
 }
