@@ -579,6 +579,49 @@ fn mixed_shared_fleet_digests_are_pinned() {
 }
 
 #[test]
+fn shared_fleet_slot_changes_are_pinned() {
+    // The scale fleet shares one deployment record until drift retunes a
+    // node, which detaches it onto its own copy. At k = 4 one node drifts
+    // every 450 ms (samples 3, 6, … and, at 67 samples, the last one); at
+    // k = 8 three drift every 1 050 ms (sample 7, the end of a run of
+    // eight). Each run unwatched and recorded: the recorded JSON carries
+    // the `sim.node.*_percent` histograms, which see every sampled value in
+    // the order it arrives.
+    let json_fnv = |obs: &ObsHandle| {
+        let mut h = Fnv::new();
+        h.eat(obs.metrics().expect("a recording run").to_json().as_bytes());
+        h.0
+    };
+    let mut got = Vec::new();
+    for (k, nodes_per_tick, period_ms) in [(4, 1, 450), (8, 3, 1_050)] {
+        // 9 and 67 samples
+        for duration_ms in [1_200, 10_000] {
+            let drift = dust::sim::DriftConfig { nodes_per_tick, period_ms, ..Default::default() };
+            let run = |obs: ObsHandle| {
+                let mut sim = scale_fleet_builder(k, duration_ms, 2, obs)
+                    .drift(drift)
+                    .build()
+                    .expect("scale knobs are consistent");
+                let digest = federation_digest(&sim.run().federation);
+                (digest, sim.nodes().iter().filter(|n| !n.agents_interned()).count())
+            };
+            let (quiet, detached) = run(ObsHandle::disabled());
+            let obs = ObsHandle::recording(2);
+            assert_eq!(run(obs.clone()), (quiet, detached), "k {k}, {duration_ms} ms");
+            got.push((k, duration_ms, detached, quiet, json_fnv(&obs)));
+        }
+    }
+    // (k, duration, nodes detached, federation digest, metrics JSON FNV)
+    let pinned = [
+        (4, 1_200, 2, 0x1f28_23db_8409_f9eb, 0xc87d_e78b_3c1f_c6d8),
+        (4, 10_000, 13, 0x4cba_9f5e_a0b1_35ed, 0xdffd_ceac_826a_164f),
+        (8, 1_200, 3, 0x200a_bf5b_87dd_3385, 0x1c90_18e4_fbdb_e16c),
+        (8, 10_000, 25, 0xeb14_cc67_cb65_6f8b, 0xd9ee_05e9_06cc_e828),
+    ];
+    assert_eq!(got, pinned);
+}
+
+#[test]
 fn scale_fleet_k90_shape_is_pinned() {
     // The `fleet_sim_k90` benchmark workload. The benchmark only checks
     // that this shape repeats run to run; the numbers themselves are
