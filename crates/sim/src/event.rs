@@ -35,24 +35,34 @@
 //!   ([`dust_proto::Client::tick_into`]); the telemetry flow set is
 //!   rebuilt only when the transfer ledger's version moves; liveness is
 //!   a flat bitmap instead of a hash probe per node.
-//! * **Resolve once, append many.** The first telemetry sample resolves
-//!   each node's three per-sample series to [`SeriesId`] handles and
-//!   reserves every point the run will record (the count follows from
-//!   the run's own duration and sample period) — in two passes, all
-//!   handles then all point lists, so the series tables' small
-//!   allocations do not interleave the large lists. From then on a sample
-//!   is an index and a push per series — no name search, no regrowth.
-//!   The pushes are written in runs: a sample's per-node values go into
-//!   one reused buffer, and every `SAMPLE_RUN` (8) samples each series
-//!   takes its held points back-to-back, one list at a time, instead of
-//!   one point into each of the fleet's lists per sample. The run's last
-//!   sample writes a partial run, so the federation is whole when the run
-//!   ends; nothing reads it before then. A handler that comes to read it
-//!   mid-run must flush the held samples first. The flow series, written
-//!   only while flows are routed, append directly. The batch's CPU/memory
-//!   histogram samples collect in two reused buffers and reach the
-//!   recorder in one [`dust_obs::ObsHandle::observe_all`] each instead of
-//!   one lock per node.
+//! * **One sample per class, one pass per series.** A node's three
+//!   sampled values are a pure function of `(traffic, now)` and, for a
+//!   node whose whole walk is a shared record, of a key: the record, its
+//!   spec's bits and whether it has offloaded agents. Nodes with the same
+//!   key share a *slot*; every other node has a slot of its own. A sample
+//!   computes one `[device-cpu, device-mem, monitor-cpu]` triple per slot,
+//!   from a representative member, so a fleet of one class costs one
+//!   computation per sample, not one per node. The first telemetry sample
+//!   resolves each node's three series to [`SeriesId`] handles and reserves
+//!   every point the run will record (the count follows from the run's own
+//!   duration and sample period) — all handles, then all point lists, so
+//!   the series tables' small allocations do not interleave the large
+//!   lists. The per-slot values are held, and a hold ends when another
+//!   sample would not fit in `SAMPLE_RUN` (8) values per node, at a slot
+//!   change, or at the run's last sample; each series then takes its held
+//!   points back-to-back in one ordered pass. A fleet of one class holds
+//!   the whole run and writes each series once; a fleet of nodes on their
+//!   own writes runs of eight. A node whose key changes (drift detached
+//!   it, an offload or a hosting moved agents) ends the hold before the
+//!   slots are reassigned, so each series gets the same points in the same
+//!   order. The run's last sample writes what is held, so the federation
+//!   is whole when the run ends; nothing reads it before then. A handler
+//!   that comes to read it mid-run must flush the held samples first. The
+//!   flow series, written only while flows are routed, append directly.
+//!   The batch's CPU/memory histogram samples, one per node in node order,
+//!   collect in two reused buffers and reach the recorder in one
+//!   [`dust_obs::ObsHandle::observe_all`] each instead of one lock per
+//!   node.
 
 use crate::engine::EventQueue;
 use crate::flows::{evaluate_flows, TelemetryFlow};
@@ -62,10 +72,23 @@ use dust_proto::ClientMsg;
 use dust_telemetry::{Federation, MonitorAgent, SeriesId};
 use std::sync::Arc;
 
-/// Samples held back and written together, series by series: a run of
-/// points per series instead of one point into each of every node's three
-/// lists per sample.
+/// Held values per node: a hold ends before it would keep more than
+/// `SAMPLE_RUN` samples' worth of values for every node, so a fleet whose
+/// nodes each have a slot of their own writes runs of eight, and one of a
+/// single class holds up to `SAMPLE_RUN × nodes` samples.
 const SAMPLE_RUN: usize = 8;
+
+/// What a shared-record node's sampled values depend on besides
+/// `(traffic, now)`: nodes with equal keys share a sample slot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SlotKey {
+    /// Memo index of the node's [`SimNode::shared_deployment`].
+    deployment: usize,
+    /// The bits of its [`crate::node::NodeSpec`].
+    spec: [u64; 4],
+    /// Whether its `offloaded_agents` is empty (no offload stub).
+    local: bool,
+}
 
 /// Per-node cached aggregates, invalidated by agent-ledger epoch (and
 /// traffic fraction for the CPU/data sums, which depend on it).
@@ -129,9 +152,20 @@ struct HotState {
     /// samples, reused across batches and flushed once per batch.
     cpu_batch: Vec<f64>,
     mem_batch: Vec<f64>,
-    /// The values of up to [`SAMPLE_RUN`] samples not yet written, node-major
-    /// within a sample: `run[(s * nodes + i) * 3 + j]` is sample `s`'s point
-    /// for `handles[i][j]`. Sized exactly at the first sample.
+    /// `slot_of[i]`: node `i`'s sample slot. The shared slots come first,
+    /// `classes[s]` keying slot `s`; a slot past them is one node's own.
+    slot_of: Vec<u32>,
+    /// `slot_epoch[i]`: node `i`'s [`SimNode::agents_epoch`] when its slot
+    /// was last checked.
+    slot_epoch: Vec<u64>,
+    /// `reps[s]`: the node whose values slot `s` takes.
+    reps: Vec<u32>,
+    /// The shared slots' keys, in slot order.
+    classes: Vec<SlotKey>,
+    /// The held samples' values, slot-major within a sample:
+    /// `run[(s * slots + slot) * 3 + j]` is sample `s`'s point for
+    /// `handles[i][j]` of every node `i` in `slot`. At most
+    /// `SAMPLE_RUN × nodes × 3` values, reserved at the first sample.
     run: Vec<f64>,
     /// The held samples' timestamps, oldest first.
     run_at: Vec<u64>,
@@ -153,6 +187,10 @@ impl HotState {
             handles: Vec::new(),
             cpu_batch: Vec::new(),
             mem_batch: Vec::new(),
+            slot_of: vec![0; n],
+            slot_epoch: vec![0; n],
+            reps: Vec::with_capacity(n),
+            classes: Vec::with_capacity(4),
             run: Vec::new(),
             run_at: Vec::new(),
         }
@@ -164,17 +202,92 @@ impl HotState {
     ///
     /// [`Tsdb::append_to`]: dust_telemetry::Tsdb::append_to
     fn flush_samples(&mut self, federation: &mut Federation, nodes: &[SimNode]) {
-        let stride = nodes.len() * 3;
-        for (i, (n, ids)) in nodes.iter().zip(&self.handles).enumerate() {
+        let stride = self.reps.len() * 3;
+        for ((n, ids), &slot) in nodes.iter().zip(&self.handles).zip(&self.slot_of) {
             let db = federation.store_mut(n.id);
             for (j, &id) in ids.iter().enumerate() {
-                for (s, &at) in self.run_at.iter().enumerate() {
-                    db.append_to(id, at, self.run[s * stride + i * 3 + j]);
+                let values = self.run[slot as usize * 3 + j..].iter().step_by(stride);
+                for (&at, &value) in self.run_at.iter().zip(values) {
+                    db.append_to(id, at, value);
                 }
             }
         }
         self.run.clear();
         self.run_at.clear();
+    }
+
+    /// The key of `node`'s shared slot; `None` for a node on its own.
+    fn slot_key(&mut self, node: &SimNode) -> Option<SlotKey> {
+        let deployment = self.deployment(node)?;
+        let s = node.spec;
+        Some(SlotKey {
+            deployment,
+            spec: [s.cpu_cores, s.mem_gib, s.base_cpu_percent, s.base_mem_gib].map(f64::to_bits),
+            local: node.offloaded_agents.is_empty(),
+        })
+    }
+
+    /// Give every node its slot: one per distinct key, in first-seen
+    /// order, then one per node on its own. Nothing may be held.
+    fn assign_slots(&mut self, nodes: &[SimNode]) {
+        debug_assert!(self.run_at.is_empty(), "held values are laid out by the old slots");
+        self.classes.clear();
+        self.reps.clear();
+        for (i, n) in nodes.iter().enumerate() {
+            self.slot_epoch[i] = n.agents_epoch();
+            self.slot_of[i] = match self.slot_key(n) {
+                Some(key) => {
+                    let at = self.classes.iter().position(|&c| c == key);
+                    at.unwrap_or_else(|| {
+                        self.classes.push(key);
+                        self.reps.push(i as u32);
+                        self.classes.len() - 1
+                    }) as u32
+                }
+                None => u32::MAX,
+            };
+        }
+        for (i, slot) in self.slot_of.iter_mut().enumerate() {
+            if *slot == u32::MAX {
+                *slot = self.reps.len() as u32;
+                self.reps.push(i as u32);
+            }
+        }
+    }
+
+    /// Whether some node's key moved off its slot's since the slots were
+    /// assigned: a shared node's key changed, or a node on its own came to
+    /// share a record. Only a node whose agent epoch moved is re-keyed.
+    fn slots_changed(&mut self, nodes: &[SimNode]) -> bool {
+        for (i, n) in nodes.iter().enumerate() {
+            let epoch = n.agents_epoch();
+            if self.slot_epoch[i] != epoch {
+                self.slot_epoch[i] = epoch;
+                let assigned = self.classes.get(self.slot_of[i] as usize).copied();
+                if self.slot_key(n) != assigned {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Hold the sample at `now`: one `[device-cpu, device-mem, monitor-cpu]`
+    /// per slot, each from the slot's representative. Returns whether the
+    /// hold is full — whether another sample would take it past
+    /// `SAMPLE_RUN` values per node.
+    fn hold_sample(&mut self, nodes: &[SimNode], traffic: f64, now: u64) -> bool {
+        for s in 0..self.reps.len() {
+            let i = self.reps[s] as usize;
+            let node = &nodes[i];
+            let (raw, _) = self.raw(node, i, traffic);
+            let mem = self.mem(node, i);
+            let cpu = node.device_cpu_from_raw(raw, now);
+            let monitor = SimNode::monitoring_cpu_from_raw(raw, now);
+            self.run.extend([cpu, mem, monitor]);
+        }
+        self.run_at.push(now);
+        (self.run_at.len() + 1) * self.reps.len() > SAMPLE_RUN * nodes.len()
     }
 
     /// The memo index of `node`'s shared deployment, added on first sight;
@@ -318,34 +431,38 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                         [series::DEVICE_CPU, series::DEVICE_MEM, series::MONITOR_CPU]
                             .map(|name| db.series_id(name))
                     }));
-                    let held = points.min(SAMPLE_RUN);
-                    hot.run.reserve_exact(held * sim.nodes.len() * 3);
-                    hot.run_at.reserve_exact(held);
+                    hot.assign_slots(&sim.nodes);
+                    // `held × slots ≤ SAMPLE_RUN × nodes` and `slots ≥ 1`,
+                    // whatever the slots become later in the run
+                    let nodes = sim.nodes.len();
+                    hot.run.reserve_exact(points.min(SAMPLE_RUN) * nodes * 3);
+                    hot.run_at.reserve_exact(points.min(SAMPLE_RUN * nodes));
                     for (n, ids) in sim.nodes.iter().zip(&hot.handles) {
                         let db = report.federation.store_mut(n.id);
                         for &id in ids {
                             db.reserve(id, points);
                         }
                     }
+                } else if hot.slots_changed(&sim.nodes) {
+                    // the held values are laid out by the old slots
+                    hot.flush_samples(&mut report.federation, &sim.nodes);
+                    hot.assign_slots(&sim.nodes);
                 }
+                let at = hot.run.len();
+                let full = hot.hold_sample(&sim.nodes, traffic, now);
                 let recording = sim.obs.is_enabled();
-                for i in 0..sim.nodes.len() {
-                    let (raw, _) = hot.raw(&sim.nodes[i], i, traffic);
-                    let mem = hot.mem(&sim.nodes[i], i);
-                    let cpu = sim.nodes[i].device_cpu_from_raw(raw, now);
-                    let monitor = SimNode::monitoring_cpu_from_raw(raw, now);
-                    hot.run.extend([cpu, mem, monitor]);
-                    if recording {
-                        hot.cpu_batch.push(cpu);
-                        hot.mem_batch.push(mem);
+                if recording {
+                    for &slot in &hot.slot_of {
+                        let v = &hot.run[at + slot as usize * 3..];
+                        hot.cpu_batch.push(v[0]);
+                        hot.mem_batch.push(v[1]);
                     }
                 }
-                hot.run_at.push(now);
                 // the run's last sample (its successor would land past the
                 // end) writes what it holds too, so the run ends with every
                 // point stored and inside this scope's time
                 let last = now.saturating_add(sim.cfg.sample_period_ms) > sim.cfg.duration_ms;
-                if hot.run_at.len() == SAMPLE_RUN || last {
+                if full || last {
                     hot.flush_samples(&mut report.federation, &sim.nodes);
                 }
                 if recording {
@@ -432,7 +549,85 @@ mod tests {
     use super::*;
     use crate::node::NodeSpec;
     use dust_telemetry::IntSampling;
-    use dust_topology::NodeId;
+    use dust_topology::{NodeId, SplitMix64};
+
+    /// Retune every local agent of `node`, detaching it from its record.
+    fn retune(node: &mut SimNode, p: f64) {
+        for agent in node.local_agents_mut() {
+            agent.sampling = Some(IntSampling::Probabilistic { p });
+        }
+        node.note_agents_changed();
+    }
+
+    /// `n` nodes drawn from `seed`: each on one of two records and one of
+    /// two specs, and then left sharing, detached, hosting, offloaded, or
+    /// still sharing while it pays the offload stub for an agent it has
+    /// also sent away.
+    fn node_mix(seed: u64, n: u32) -> Vec<SimNode> {
+        let records = [
+            Arc::new(MonitorAgent::standard_deployment()),
+            Arc::new(MonitorAgent::standard_deployment()[3..].to_vec()),
+        ];
+        let specs = [NodeSpec::aruba_8325(), NodeSpec::dpu()];
+        let mut rng = SplitMix64::new(seed);
+        (0..n)
+            .map(|i| {
+                let record = &records[rng.below(2) as usize];
+                let spec = specs[rng.below(2) as usize];
+                let mut node = SimNode::with_shared_agents(NodeId(i), spec, Arc::clone(record));
+                match rng.below(8) {
+                    0 => retune(&mut node, rng.range_f64(0.4, 1.0)),
+                    1 => node.host_agents(NodeId(0), &record[..1]),
+                    2 => drop(node.offload_all_to(NodeId(0))),
+                    3 => {
+                        node.offloaded_agents.push((NodeId(0), record[0]));
+                        node.note_agents_changed();
+                    }
+                    _ => {}
+                }
+                node
+            })
+            .collect()
+    }
+
+    /// Distinct shared keys — record, spec bits, offload stub — plus the
+    /// nodes on their own, counted without [`HotState`].
+    fn distinct_slots(nodes: &[SimNode]) -> usize {
+        let mut keys = Vec::new();
+        let mut own = 0;
+        for n in nodes {
+            let Some(record) = n.shared_deployment() else {
+                own += 1;
+                continue;
+            };
+            let s = n.spec;
+            let spec = [s.cpu_cores, s.mem_gib, s.base_cpu_percent, s.base_mem_gib];
+            let key = (Arc::as_ptr(record), spec.map(f64::to_bits), n.offloaded_agents.is_empty());
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        keys.len() + own
+    }
+
+    /// Hold one sample and check every node's slot triple against the
+    /// pure per-node functions, bit for bit.
+    fn sample_and_check(hot: &mut HotState, nodes: &[SimNode], traffic: f64, now: u64, at: &str) {
+        let base = hot.run.len();
+        hot.hold_sample(nodes, traffic, now);
+        assert_eq!(hot.run.len() - base, hot.reps.len() * 3, "{at}");
+        for (i, n) in nodes.iter().enumerate() {
+            let slot = hot.slot_of[i] as usize;
+            let got: Vec<u64> =
+                hot.run[base + slot * 3..][..3].iter().map(|v| v.to_bits()).collect();
+            let want = [
+                n.device_cpu_percent(now, traffic),
+                n.device_mem_percent(),
+                n.monitoring_cpu_core_percent(now, traffic),
+            ];
+            assert_eq!(got, want.map(f64::to_bits), "{at}: node {i}, t {now}, traffic {traffic}");
+        }
+    }
 
     #[test]
     fn each_shared_deployment_walks_once_per_traffic_value() {
@@ -487,5 +682,69 @@ mod tests {
             assert_eq!(hot.walks, walks, "traffic {traffic}");
         }
         assert_eq!(hot.memo.len(), 2);
+    }
+
+    #[test]
+    fn every_node_reads_its_own_values_from_its_slot() {
+        for seed in 1..=8u64 {
+            let mut nodes = node_mix(seed, 48);
+            let mut hot = HotState::new(nodes.len());
+            // the dead are sampled like the living
+            for i in [5, 29] {
+                hot.alive[i] = false;
+            }
+            hot.assign_slots(&nodes);
+            let at = format!("seed {seed}");
+            assert_eq!(hot.reps.len(), distinct_slots(&nodes), "{at}");
+            assert!(hot.reps.len() < nodes.len(), "{at}: somebody shares a slot");
+            // into, inside and out of the burst window, traffic moving
+            for (now, traffic) in [(0, 0.2), (1_500, 0.35), (3_000, 0.9)] {
+                sample_and_check(&mut hot, &nodes, traffic, now, &at);
+            }
+            hot.run.clear();
+            hot.run_at.clear();
+
+            // a node on its own that stays on its own changes no slot
+            let own = nodes.iter().position(|n| !n.agents_interned()).expect("a detached node");
+            retune(&mut nodes[own], 0.5);
+            assert!(!hot.slots_changed(&nodes), "{at}");
+            // one leaving its record does, and so does one coming back to it
+            let shared = nodes.iter().position(|n| n.shared_deployment().is_some()).unwrap();
+            retune(&mut nodes[shared], 0.7);
+            assert!(hot.slots_changed(&nodes), "{at}");
+            hot.assign_slots(&nodes);
+            let host =
+                nodes.iter().position(|n| n.agents_interned() && n.shared_deployment().is_none());
+            if let Some(host) = host {
+                nodes[host].drop_hosted_for(NodeId(0));
+                assert!(hot.slots_changed(&nodes), "{at}");
+                hot.assign_slots(&nodes);
+            }
+            assert_eq!(hot.reps.len(), distinct_slots(&nodes), "{at}");
+            sample_and_check(&mut hot, &nodes, 0.45, 4_500, &at);
+        }
+    }
+
+    #[test]
+    fn a_hold_keeps_sample_run_values_per_node() {
+        let spec = NodeSpec::aruba_8325();
+        let record = Arc::new(MonitorAgent::standard_deployment());
+        let held = |nodes: &[SimNode]| {
+            let mut hot = HotState::new(nodes.len());
+            hot.assign_slots(nodes);
+            (1..).find(|&s| hot.hold_sample(nodes, 0.2, s as u64 * 150)).unwrap()
+        };
+        let own: Vec<SimNode> =
+            (0..6).map(|i| SimNode::with_standard_agents(NodeId(i), spec)).collect();
+        assert_eq!(held(&own), SAMPLE_RUN);
+        let shared: Vec<SimNode> = (0..6)
+            .map(|i| SimNode::with_shared_agents(NodeId(i), spec, Arc::clone(&record)))
+            .collect();
+        assert_eq!(held(&shared), SAMPLE_RUN * 6);
+        // one class and four nodes on their own, 5 slots: 9 samples hold
+        // 45 of the 48 values, and a tenth would pass them
+        let mixed: Vec<SimNode> =
+            shared[..2].iter().cloned().chain(own[2..].iter().cloned()).collect();
+        assert_eq!(held(&mixed), 9);
     }
 }

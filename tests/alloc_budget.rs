@@ -261,6 +261,30 @@ fn samples_after_the_first_allocate_nothing() {
 }
 
 #[test]
+fn shared_fleet_samples_after_the_first_allocate_nothing() {
+    // The twin of the test above on the scale fleet, whose switches share
+    // one deployment record and so one sample slot: it holds a whole run's
+    // samples, not eight, and the hold must be sized at the first sample.
+    let run = |period: u64, obs: ObsHandle| {
+        let mut sim = scale_fleet_builder(4, 10_000, 1, obs)
+            .sample_period_ms(period)
+            .build()
+            .expect("scale knobs are consistent");
+        let (n, report) = allocs_in(|| sim.run());
+        let db = report.federation.store(NodeId(0)).expect("sampled");
+        (n, db.series(series::DEVICE_CPU).expect("recorded").len())
+    };
+    let (few, few_points) = run(4_000, ObsHandle::disabled());
+    let (many, many_points) = run(150, ObsHandle::disabled());
+    assert_eq!((few_points, many_points), (3, 67));
+    assert_eq!(few, many, "allocations must not depend on the number of samples");
+
+    let (few, _) = run(4_000, ObsHandle::recording(1));
+    let (many, _) = run(150, ObsHandle::recording(1));
+    assert_eq!(few, many, "recording run: allocations must not depend on the number of samples");
+}
+
+#[test]
 fn fleet_run_allocation_count_is_pinned() {
     // `fleet_sim_k90`'s scenario at k = 12: 180 switches, 67 samples. What
     // one run allocates: 1 651, or 9.2 per node — 8 per node at the first
