@@ -253,3 +253,78 @@ fn cache_invalidates_on_epoch_change() {
         assert_eq!(after.t_rmin, truth.t_rmin, "seed {seed}: stale row served after mutation");
     }
 }
+
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The exhaustive enumerator's answers, bit for bit: on fat-trees 4 and
+/// 6, a 9-ring, Fig. 7's example and a 3-regular 16-node graph, each with
+/// uniform links (equal-hop routes tie exactly) and with seeded loads from
+/// four values plus one idle link, at hop bounds 1–4, one FNV-1a digest
+/// folds every `min_inv_lu_enumerated_from` row's bits and, for a spread
+/// of pairs, the route `min_inv_lu_enumerated` picks (cost bits, nodes,
+/// edges) and `count_simple_paths`. Which of two tied routes wins, and
+/// where the walk stops, are part of the answer.
+#[test]
+fn enumerated_rows_routes_and_counts_are_pinned() {
+    use dust_topology::min_inv_lu_enumerated_from;
+    use dust_topology::topologies::{example7, ring};
+    let built: Vec<(&str, Graph)> = vec![
+        ("fat-tree 4", FatTree::new(4, Link::default()).graph),
+        ("fat-tree 6", FatTree::new(6, Link::default()).graph),
+        ("ring 9", ring(9, Link::default())),
+        ("example7", example7(Link::default())),
+        ("random-regular 16x3", random_regular(16, 3, 5, Link::default())),
+    ];
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let (mut routes, mut paths) = (0usize, 0u64);
+    for (seed, (name, g)) in built.into_iter().enumerate() {
+        let mut loaded = g.clone();
+        let mut rng = SplitMix64::new(seed as u64 + 11);
+        let idle = loaded.neighbors(NodeId(0))[0].1;
+        loaded.retarget_utilization(|e, _| {
+            if e == idle {
+                0.0
+            } else {
+                [0.25, 0.5, 0.5, 0.75][rng.below(4) as usize]
+            }
+        });
+        for (g, loads) in [(g, "uniform"), (loaded, "loaded")] {
+            let n = g.node_count() as u32;
+            for max_hop in 1..=4 {
+                let at = format!("{name} {loads} hop {max_hop}");
+                for src in (0..n).map(NodeId) {
+                    let row = min_inv_lu_enumerated_from(&g, src, Some(max_hop));
+                    for d in &row {
+                        h = fnv1a(h, &d.to_bits().to_le_bytes());
+                    }
+                    if src.0 % 3 != 0 {
+                        continue;
+                    }
+                    for dst in (0..n).filter(|d| d % 2 == 1).map(NodeId) {
+                        match min_inv_lu_enumerated(&g, src, dst, Some(max_hop)) {
+                            Some((cost, path)) => {
+                                assert_eq!(cost.to_bits(), row[dst.index()].to_bits(), "{at}");
+                                routes += 1;
+                                h = fnv1a(h, &cost.to_bits().to_le_bytes());
+                                for v in &path.nodes {
+                                    h = fnv1a(h, &v.0.to_le_bytes());
+                                }
+                                for e in &path.edges {
+                                    h = fnv1a(h, &e.0.to_le_bytes());
+                                }
+                            }
+                            None => h = fnv1a(h, &[0xff]),
+                        }
+                        let count = count_simple_paths(&g, src, dst, Some(max_hop));
+                        paths += count;
+                        h = fnv1a(h, &count.to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!((routes, paths), (2_140, 10_244), "digest {h:#018x}");
+    assert_eq!(h, 0x6775_dfb4_f122_8989, "digest {h:#018x}");
+}
