@@ -421,7 +421,7 @@ pub fn infeasible_cause(
         return DustError::Infeasible;
     }
     let reachable = busy.iter().any(|&b| {
-        let row = engine.row(&nmdb.graph, b, cfg.max_hop, cfg.path_engine);
+        let row = &engine.rows(&nmdb.graph, &[b], cfg.max_hop, cfg.path_engine)[0];
         candidates.iter().any(|c| row[c.index()].is_finite())
     });
     if reachable {

@@ -6,8 +6,9 @@
 //! * [`transportation`] — a specialized Hitchcock-transportation solver
 //!   (Vogel + MODI) matching the exact structure of the placement model
 //!   (Eq. 3); every placement the product makes is solved here;
-//! * [`simplex`] — a general two-phase dense primal simplex over models
-//!   built with [`problem::Problem`], kept as the reference that tests
+//! * [`simplex`] — a two-phase dense primal simplex over the one LP shape
+//!   [`problem::Problem`] builds (non-negative variables, `=` and `≤` rows,
+//!   minimised: Eq. 3 written out), kept as the reference that tests
 //!   check the transportation solver against.
 //!
 //! The placement's `x_ij` are continuous (Eq. 3), so there is no integer
@@ -16,18 +17,22 @@
 //! # Example
 //!
 //! ```
-//! use dust_lp::{Problem, Cmp, Sense, solve};
+//! use dust_lp::{Problem, Cmp, Status, solve};
 //!
-//! // max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18
+//! // ship 30 and 20 units to two sinks of room 25 and 30 at costs
+//! // [[1, 4], [3, 2]]: x11 = 25, x12 = 5, x22 = 20, cost 85
 //! let mut p = Problem::new();
-//! p.set_sense(Sense::Maximize);
-//! let x = p.add_nonneg(3.0);
-//! let y = p.add_nonneg(5.0);
-//! p.add_constraint(&[(x, 1.0)], Cmp::Le, 4.0);
-//! p.add_constraint(&[(y, 2.0)], Cmp::Le, 12.0);
-//! p.add_constraint(&[(x, 3.0), (y, 2.0)], Cmp::Le, 18.0);
+//! let x11 = p.add_nonneg(1.0);
+//! let x12 = p.add_nonneg(4.0);
+//! let x21 = p.add_nonneg(3.0);
+//! let x22 = p.add_nonneg(2.0);
+//! p.add_constraint(&[(x11, 1.0), (x12, 1.0)], Cmp::Eq, 30.0);
+//! p.add_constraint(&[(x21, 1.0), (x22, 1.0)], Cmp::Eq, 20.0);
+//! p.add_constraint(&[(x11, 1.0), (x21, 1.0)], Cmp::Le, 25.0);
+//! p.add_constraint(&[(x12, 1.0), (x22, 1.0)], Cmp::Le, 30.0);
 //! let s = solve(&p);
-//! assert!((s.objective - 36.0).abs() < 1e-6);
+//! assert_eq!(s.status, Status::Optimal);
+//! assert!((s.objective - 85.0).abs() < 1e-6);
 //! ```
 
 #![warn(missing_docs)]
@@ -36,7 +41,7 @@ pub mod problem;
 pub mod simplex;
 pub mod transportation;
 
-pub use problem::{Cmp, Constraint, Problem, Sense, Var, VarDef};
+pub use problem::{Cmp, Constraint, Problem, Var};
 pub use simplex::{solve, Solution, Status};
 pub use transportation::{
     Basis, SolveOptions, TransportProblem, TransportSolution, TransportStatus,

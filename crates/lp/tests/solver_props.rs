@@ -1,9 +1,8 @@
 //! Seeded random-instance tests pitting the two solvers against each
 //! other and against first principles: the specialized transportation
-//! solver must match the general simplex on random instances, both must
-//! match an enumeration of every basis on tiny ones, simplex optima must
-//! be feasible and never beaten by random feasible points, and LP duality
-//! must hold exactly.
+//! solver must match the reference simplex on random instances, both must
+//! match an enumeration of every basis on tiny ones, and LP duality must
+//! hold exactly.
 
 use dust_lp::{solve, Cmp, Problem, Status, TransportProblem, TransportStatus};
 use dust_topology::SplitMix64;
@@ -204,30 +203,6 @@ fn transportation_flows_feasible() {
         for &(_, _, f) in &s.flows {
             assert!(f >= -1e-9, "seed {seed}: negative flow {f}");
         }
-    }
-}
-
-/// Simplex optimum on random bounded LPs is feasible and not beaten by
-/// sampled feasible corners of the box.
-#[test]
-fn simplex_optimum_dominates_box_samples() {
-    for seed in 0..128u64 {
-        let mut rng = SplitMix64::new(seed);
-        let n = 1 + rng.below(4) as usize;
-        let costs: Vec<f64> = (0..4).map(|_| rng.range_f64(-5.0, 5.0)).collect();
-        let caps: Vec<f64> = (0..4).map(|_| rng.range_f64(1.0, 10.0)).collect();
-        let mut p = Problem::new();
-        let vars: Vec<_> =
-            (0..n).map(|i| p.add_var(0.0, caps[i % caps.len()], costs[i % costs.len()])).collect();
-        // a coupling constraint to make it non-trivial
-        let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-        let budget: f64 = caps.iter().take(n).sum::<f64>() / 2.0;
-        p.add_constraint(&terms, Cmp::Le, budget);
-        let s = solve(&p);
-        assert_eq!(s.status, Status::Optimal, "seed {seed}");
-        assert!(p.is_feasible(&s.x, 1e-6), "seed {seed}");
-        // corners of the box clipped to the budget: all-zero is feasible
-        assert!(s.objective <= 1e-9, "seed {seed}: all-zeros is feasible with objective 0");
     }
 }
 

@@ -41,6 +41,8 @@ impl Gate {
 
 struct Harness {
     manager: Manager,
+    /// The config `manager` was built with.
+    cfg: DustConfig,
     clients: BTreeMap<NodeId, Client>,
     /// Per-client observed local load (constant per scenario).
     load: BTreeMap<NodeId, (f64, f64)>,
@@ -51,9 +53,10 @@ impl Harness {
     fn new(seed: u64, drop: f64, dup: f64) -> Self {
         let n = 4usize;
         let g = topologies::star(n, Link::default());
+        let cfg = DustConfig::paper_defaults();
         let manager = Manager::new(
             g,
-            DustConfig::paper_defaults(),
+            cfg,
             SolverBackend::Transportation,
             UPDATE_INTERVAL_MS,
             KEEPALIVE_TIMEOUT_MS,
@@ -69,7 +72,13 @@ impl Harness {
         load.insert(NodeId(1), (25.0, 10.0));
         load.insert(NodeId(2), (30.0, 10.0));
         load.insert(NodeId(3), (35.0, 10.0));
-        Harness { manager, clients, load, gate: Gate { rng: SplitMix64::new(seed), drop, dup } }
+        Harness {
+            manager,
+            cfg,
+            clients,
+            load,
+            gate: Gate { rng: SplitMix64::new(seed), drop, dup },
+        }
     }
 
     /// Pass a client→manager message through the gate and deliver it,
@@ -112,7 +121,9 @@ impl Harness {
         }
         let maintenance = self.manager.tick(now);
         self.deliver_all(now, maintenance);
-        if now.is_multiple_of(UPDATE_INTERVAL_MS) && self.manager.busy_detected() {
+        if now.is_multiple_of(UPDATE_INTERVAL_MS)
+            && !self.manager.snapshot().busy_nodes(&self.cfg).is_empty()
+        {
             let (_, offers) = self.manager.run_placement(now);
             self.deliver_all(now, offers);
         }

@@ -49,6 +49,8 @@ impl Gate {
 
 struct Harness {
     manager: Manager,
+    /// The config `manager` was built with.
+    cfg: DustConfig,
     clients: BTreeMap<NodeId, Client>,
     load: BTreeMap<NodeId, (f64, f64)>,
     gate: Gate,
@@ -59,13 +61,14 @@ impl Harness {
     fn new(seed: u64, drop: f64, dup: f64) -> Self {
         let n = 4usize;
         let g = topologies::star(n, Link::default());
+        let cfg = DustConfig::paper_defaults();
         let obs = ObsHandle::recording(seed);
         // A short offer timeout squeezes the full exponential-backoff
         // ladder (base·{1,2,4,8,8} ≈ 11.5 s) inside the lossy phase so
         // heavy-loss runs actually reach Abandon.
         let mut manager = Manager::new(
             g,
-            DustConfig::paper_defaults(),
+            cfg,
             SolverBackend::Transportation,
             UPDATE_INTERVAL_MS,
             KEEPALIVE_TIMEOUT_MS,
@@ -87,6 +90,7 @@ impl Harness {
         load.insert(NodeId(3), (35.0, 10.0));
         Harness {
             manager,
+            cfg,
             clients,
             load,
             gate: Gate { rng: SplitMix64::new(seed), drop, dup },
@@ -130,7 +134,9 @@ impl Harness {
         }
         let maintenance = self.manager.tick(now);
         self.deliver_all(now, maintenance);
-        if now.is_multiple_of(UPDATE_INTERVAL_MS) && self.manager.busy_detected() {
+        if now.is_multiple_of(UPDATE_INTERVAL_MS)
+            && !self.manager.snapshot().busy_nodes(&self.cfg).is_empty()
+        {
             let (_, offers) = self.manager.run_placement(now);
             self.deliver_all(now, offers);
         }

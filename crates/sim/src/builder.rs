@@ -309,10 +309,11 @@ impl SimBuilder {
                 ));
             }
         }
-        for &(at, node) in &self.kills {
+        let kills = self.kills.iter().map(|k| ("kill", k));
+        for (what, &(at, node)) in kills.chain(self.revives.iter().map(|r| ("revive", r))) {
             if at > cfg.duration_ms {
                 return bad(format!(
-                    "kill of {node:?} at {at} ms lands after duration_ms ({} ms)",
+                    "{what} of {node:?} at {at} ms lands after duration_ms ({} ms)",
                     cfg.duration_ms
                 ));
             }
@@ -463,15 +464,28 @@ mod tests {
 
     #[test]
     fn kill_after_duration_is_loud() {
+        // a kill or a revive past the end would never fire
         let (g, nodes) = two_nodes();
-        let err = msg(Simulation::builder()
-            .graph(g)
-            .nodes(nodes)
-            .duration_ms(10_000)
-            .kill_at(20_000, NodeId(1))
-            .build()
-            .unwrap_err());
-        assert!(err.contains("after duration_ms"), "{err}");
+        let late_kill = Simulation::builder().kill_at(20_000, NodeId(1));
+        let late_revive =
+            Simulation::builder().kill_at(5_000, NodeId(1)).revive_at(20_000, NodeId(1));
+        for (b, what) in [(late_kill, "kill"), (late_revive, "revive")] {
+            let err = msg(b
+                .graph(g.clone())
+                .nodes(nodes.clone())
+                .duration_ms(10_000)
+                .build()
+                .unwrap_err());
+            assert_eq!(
+                err,
+                format!("{what} of NodeId(1) at 20000 ms lands after duration_ms (10000 ms)"),
+                "{err}"
+            );
+        }
+        // the last instant of the run is inside it
+        let (g, nodes) = two_nodes();
+        let at_end = Simulation::builder().kill_at(10_000, NodeId(1)).revive_at(10_000, NodeId(1));
+        assert!(at_end.graph(g).nodes(nodes).duration_ms(10_000).build().is_ok());
     }
 
     #[test]

@@ -132,8 +132,6 @@ struct HotState {
     /// Agent walks taken: a CPU/data walk counts one, a memory walk one.
     #[cfg(test)]
     walks: u64,
-    /// `alive[i]` mirrors `!sim.dead.contains(node i)`.
-    alive: Vec<bool>,
     /// Reused STAT/keepalive buffer.
     stat_buf: Vec<ClientMsg>,
     /// Flow arena: rebuilt only when `sim.active_version` moves.
@@ -178,7 +176,6 @@ impl HotState {
             memo: Vec::with_capacity(4),
             #[cfg(test)]
             walks: 0,
-            alive: vec![true; n],
             stat_buf: Vec::new(),
             flows: Vec::new(),
             flows_version: None,
@@ -371,9 +368,6 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
     let mut report = Simulation::empty_report();
     let mut q: EventQueue<SimEvent> = EventQueue::new();
     let mut hot = HotState::new(sim.nodes.len());
-    for d in &sim.dead {
-        hot.alive[d.index()] = false;
-    }
     sim.seed_queue(&mut q, &mut report);
 
     while let Some(ev) = q.pop() {
@@ -394,7 +388,7 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                 hot.links_pending = Some(now);
                 let walk = sim.obs.prof_scope("sim.resource_walk");
                 for i in 0..sim.nodes.len() {
-                    if !hot.alive[i] {
+                    if !sim.alive[i] {
                         continue;
                     }
                     let (raw, data) = hot.raw(&sim.nodes[i], i, traffic);
@@ -524,11 +518,9 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
             }
             SimEvent::NodeKill(n) => {
                 sim.handle_kill(now, n);
-                hot.alive[n.index()] = false;
             }
             SimEvent::NodeRevive(n) => {
                 sim.handle_revive(now, n, &mut q, &mut report);
-                hot.alive[n.index()] = true;
             }
             SimEvent::DeliverClient(env) => {
                 sim.deliver_manager_msg(now, env, &mut q, &mut report);
@@ -689,10 +681,6 @@ mod tests {
         for seed in 1..=8u64 {
             let mut nodes = node_mix(seed, 48);
             let mut hot = HotState::new(nodes.len());
-            // the dead are sampled like the living
-            for i in [5, 29] {
-                hot.alive[i] = false;
-            }
             hot.assign_slots(&nodes);
             let at = format!("seed {seed}");
             assert_eq!(hot.reps.len(), distinct_slots(&nodes), "{at}");

@@ -3,7 +3,7 @@
 //! Substitutes the paper's physical prototype — a VxLAN data-center
 //! topology of commercial switches — with a deterministic simulation:
 //!
-//! * [`engine`] — a deterministic event queue with cancelable timers;
+//! * [`engine`] — a deterministic event queue firing in `(time, insertion)` order;
 //! * [`builder`] — validating construction ([`Simulation::builder`]);
 //! * [`event`] — the simulation core: the event loop, with per-event-time
 //!   batching, per-node caches and arena-backed hot state;

@@ -321,7 +321,8 @@ pub struct Simulation {
     pub(crate) traffic: TrafficModel,
     pub(crate) transport: Transport,
     pub(crate) cfg: SimConfig,
-    pub(crate) dead: HashSet<NodeId>,
+    /// `alive[i]`: node `i` is up (not killed, or revived since).
+    pub(crate) alive: Vec<bool>,
     /// Accepted transfers by request id. A `BTreeMap` so iteration order
     /// (flow evaluation, stale-transfer supersede traces) is a pure
     /// function of contents — identical across runs.
@@ -380,6 +381,7 @@ impl Simulation {
         let clients =
             nodes.iter().map(|n| Client::new(n.id, true, cfg.dust.co_max + 10.0)).collect();
         let transport = Transport::new(cfg.seed, cfg.faults);
+        let n = nodes.len();
         Simulation {
             graph: Arc::clone(manager.graph()),
             nodes,
@@ -388,7 +390,7 @@ impl Simulation {
             traffic,
             transport,
             cfg,
-            dead: HashSet::new(),
+            alive: vec![true; n],
             active: BTreeMap::new(),
             active_version: 0,
             kills: Vec::new(),
@@ -478,7 +480,7 @@ impl Simulation {
     }
 
     pub(crate) fn alive(&self, n: NodeId) -> bool {
-        !self.dead.contains(&n)
+        self.alive[n.index()]
     }
 
     /// Pass a Manager → client envelope through the fault gate. An ideal
@@ -869,7 +871,7 @@ impl Simulation {
 
     /// Crash `node`.
     pub(crate) fn handle_kill(&mut self, now: u64, n: NodeId) {
-        self.dead.insert(n);
+        self.alive[n.index()] = false;
         self.obs.counter_inc("sim.nodes_killed");
         self.obs.trace_at(now, TraceEvent::NodeKilled { node: n.0 });
     }
@@ -882,7 +884,7 @@ impl Simulation {
         q: &mut EventQueue<SimEvent>,
         report: &mut SimReport,
     ) {
-        self.dead.remove(&n);
+        self.alive[n.index()] = true;
         self.obs.counter_inc("sim.nodes_revived");
         self.obs.trace_at(now, TraceEvent::NodeRevived { node: n.0 });
         // The process restarted: the reborn client has no memory of

@@ -373,50 +373,12 @@ impl CostEngine {
         stats
     }
 
-    /// The cached `Σ 1/Lu_e` row from `src` to every node of `g`, priced
-    /// on demand with `engine` under the hop bound. Records one cache
-    /// hit/miss into the attached [`ObsHandle`]; this entry point is for
-    /// sequential callers — the internal fan-out uses an uncounted path
-    /// so worker scheduling never reorders trace events.
-    pub fn row(
-        &self,
-        g: &Graph,
-        src: NodeId,
-        max_hop: Option<usize>,
-        engine: PathEngine,
-    ) -> Arc<Vec<f64>> {
-        if self.obs.is_enabled() {
-            let key: RowKey = (g.epoch(), src, hop_key(max_hop), engine);
-            let hit = self.cache.read().expect("cost cache poisoned").contains_key(&key);
-            self.record_lookup(src, hit);
-        }
-        let key: RowKey = (g.epoch(), src, hop_key(max_hop), engine);
-        if let Some(row) = self.cache.read().expect("cost cache poisoned").get(&key) {
-            return Arc::clone(row);
-        }
-        let mut row = Vec::with_capacity(g.node_count());
-        price_row_into(g, src, max_hop, engine, &mut row, &mut RowScratch::default());
-        let mut cache = self.cache.write().expect("cost cache poisoned");
-        Arc::clone(cache.entry(key).or_insert(Arc::new(row)))
-    }
-
-    /// One hit-or-miss accounting step (sequential context only).
-    fn record_lookup(&self, src: NodeId, hit: bool) {
-        if hit {
-            self.obs.counter_inc("cost.cache_hits");
-            self.obs.trace(TraceEvent::CacheHit { node: src.0 });
-        } else {
-            self.obs.counter_inc("cost.cache_misses");
-            self.obs.counter_inc("cost.rows_priced");
-            self.obs.trace(TraceEvent::CacheMiss { node: src.0 });
-        }
-    }
-
     /// Price the rows for `sources` in parallel, returning them in source
     /// order. This is the fan-out core behind [`CostEngine::build_matrix`]:
     /// workers pull row indices from a shared cursor and each writes into
     /// its own slot, so the result — and everything assembled from it — is
-    /// identical for any thread count.
+    /// identical for any thread count. One source's cached row is
+    /// `rows(g, &[src], ..)[0]`.
     pub fn rows(
         &self,
         g: &Graph,
@@ -468,10 +430,14 @@ impl CostEngine {
             for (slot, &src) in slots.iter().zip(sources) {
                 if slot.is_ok() {
                     hits += 1;
+                    self.obs.counter_inc("cost.cache_hits");
+                    self.obs.trace(TraceEvent::CacheHit { node: src.0 });
                 } else {
                     misses += 1;
+                    self.obs.counter_inc("cost.cache_misses");
+                    self.obs.counter_inc("cost.rows_priced");
+                    self.obs.trace(TraceEvent::CacheMiss { node: src.0 });
                 }
-                self.record_lookup(src, slot.is_ok());
             }
             self.obs.gauge_set("cost.workers", workers.max(1) as f64);
         }
@@ -706,7 +672,7 @@ mod tests {
         assert!(m.t_rmin.iter().all(|t| t.is_finite()));
         let eng = CostEngine::sequential();
         for (r, &s) in src.iter().enumerate() {
-            let raw = eng.row(&g, s, Some(2), PathEngine::HopBoundedDp);
+            let raw = &eng.rows(&g, &[s], Some(2), PathEngine::HopBoundedDp)[0];
             for (c, &d) in dst.iter().enumerate() {
                 let want = [10.0, 20.0][r] * raw[d.index()];
                 assert_eq!(m.at(r, c).to_bits(), want.to_bits(), "{s:?} -> {d:?}");

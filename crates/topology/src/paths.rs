@@ -6,7 +6,11 @@
 //!
 //! * [`for_each_simple_path`] / [`enumerate_simple_paths`] — the
 //!   paper-faithful exhaustive enumerator, whose cost explodes with
-//!   `max-hop` exactly like the computation-time curves of Figs. 8 and 10;
+//!   `max-hop` exactly like the computation-time curves of Figs. 8 and 10.
+//!   It and the enumerator's row kernel ([`min_inv_lu_enumerated_from`],
+//!   the `Enumerate` engine's row) are one depth-first walk,
+//!   `walk_simple_paths`, with two visitors: one stops at the destination
+//!   and reports the path, the other lowers every node's minimum;
 //! * [`min_inv_lu_dp`] — a hop-bounded Bellman–Ford dynamic program that
 //!   computes the same minimum in `O(max_hop · |E|)`. Because edge costs
 //!   `1/Lu_e` are strictly positive, a minimum-cost walk never revisits a
@@ -107,53 +111,21 @@ pub fn for_each_simple_path<F>(
     if src == dst {
         return;
     }
-    let bound = max_hop.unwrap_or(usize::MAX);
-    if bound == 0 {
-        return;
-    }
-    let mut visited = vec![false; g.node_count()];
-    let mut node_stack = vec![src];
-    let mut edge_stack: Vec<EdgeId> = Vec::new();
-    let mut cost_stack: Vec<f64> = vec![0.0];
-    // Iterative DFS: frame = (node, next neighbor index to try).
-    let mut frames: Vec<(NodeId, usize)> = vec![(src, 0)];
-    visited[src.index()] = true;
-
-    while let Some(&mut (v, ref mut idx)) = frames.last_mut() {
-        let neighbors = g.neighbors(v);
-        if *idx >= neighbors.len() {
-            frames.pop();
-            visited[v.index()] = false;
-            node_stack.pop();
-            edge_stack.pop();
-            cost_stack.pop();
-            continue;
+    let (mut nodes, mut edges) = (Vec::new(), Vec::new());
+    walk_simple_paths(g, src, max_hop, &mut RowScratch::default(), |w, cost, frames| {
+        if w != dst {
+            return true;
         }
-        let (w, e) = neighbors[*idx];
-        *idx += 1;
-        if visited[w.index()] {
-            continue;
+        nodes.clear();
+        edges.clear();
+        for &(v, next) in frames {
+            nodes.push(v);
+            edges.push(g.neighbors(v)[next - 1].1);
         }
-        let new_cost = cost_stack.last().unwrap() + inv_lu_edge(g, e);
-        if w == dst {
-            node_stack.push(w);
-            edge_stack.push(e);
-            f(&node_stack, &edge_stack, new_cost);
-            node_stack.pop();
-            edge_stack.pop();
-            continue;
-        }
-        if edge_stack.len() + 1 >= bound {
-            // Extending through w would exceed the hop budget before
-            // reaching dst.
-            continue;
-        }
-        visited[w.index()] = true;
-        node_stack.push(w);
-        edge_stack.push(e);
-        cost_stack.push(new_cost);
-        frames.push((w, 0));
-    }
+        nodes.push(w);
+        f(&nodes, &edges, cost);
+        false
+    });
 }
 
 /// Collect every simple path from `src` to `dst` within `max_hop` hops.
@@ -251,6 +223,55 @@ impl RowScratch {
     }
 }
 
+/// The one depth-first walk over the simple paths from `src` with at most
+/// `max_hop` edges, neighbours in adjacency order. Each step to an
+/// unvisited neighbour `w` calls `visit(w, cost, frames)`: `cost` is the
+/// path's `Σ 1/Lu_e` summed from `src` outwards, and `frames` is the path
+/// up to `w`'s predecessor, each node with the index one past the
+/// neighbour the path left it by. `visit` returns whether to extend the
+/// path past `w`; a path at the hop bound is never extended.
+fn walk_simple_paths(
+    g: &Graph,
+    src: NodeId,
+    max_hop: Option<usize>,
+    scratch: &mut RowScratch,
+    mut visit: impl FnMut(NodeId, f64, &[(NodeId, usize)]) -> bool,
+) {
+    let bound = max_hop.unwrap_or(usize::MAX);
+    if bound == 0 {
+        return;
+    }
+    let RowScratch { visited, cost_stack, frames, .. } = scratch;
+    visited.clear();
+    visited.resize(g.node_count(), false);
+    cost_stack.clear();
+    cost_stack.push(0.0);
+    frames.clear();
+    frames.push((src, 0));
+    visited[src.index()] = true;
+    while let Some(&mut (v, ref mut next)) = frames.last_mut() {
+        let neighbors = g.neighbors(v);
+        if *next >= neighbors.len() {
+            frames.pop();
+            visited[v.index()] = false;
+            cost_stack.pop();
+            continue;
+        }
+        let (w, e) = neighbors[*next];
+        *next += 1;
+        if visited[w.index()] {
+            continue;
+        }
+        let cost = cost_stack.last().unwrap() + inv_lu_edge(g, e);
+        if !visit(w, cost, frames) || frames.len() >= bound {
+            continue;
+        }
+        visited[w.index()] = true;
+        cost_stack.push(cost);
+        frames.push((w, 0));
+    }
+}
+
 /// [`min_inv_lu_enumerated_from`] into `dist`, which it sets to one entry
 /// per node (within the capacity it brings, allocating nothing), working
 /// in `scratch`.
@@ -261,48 +282,15 @@ pub(crate) fn min_inv_lu_enumerated_into(
     dist: &mut Vec<f64>,
     scratch: &mut RowScratch,
 ) {
-    let n = g.node_count();
-    let bound = max_hop.unwrap_or(usize::MAX);
     dist.clear();
-    dist.resize(n, f64::INFINITY);
+    dist.resize(g.node_count(), f64::INFINITY);
     dist[src.index()] = 0.0;
-    if bound == 0 || n == 0 {
-        return;
-    }
-    let RowScratch { visited, cost_stack, frames, .. } = scratch;
-    visited.clear();
-    visited.resize(n, false);
-    cost_stack.clear();
-    cost_stack.push(0.0);
-    // Iterative DFS over all simple paths: frame = (node, next neighbor idx).
-    frames.clear();
-    frames.push((src, 0));
-    visited[src.index()] = true;
-    while let Some(&mut (v, ref mut idx)) = frames.last_mut() {
-        let neighbors = g.neighbors(v);
-        if *idx >= neighbors.len() {
-            frames.pop();
-            visited[v.index()] = false;
-            cost_stack.pop();
-            continue;
+    walk_simple_paths(g, src, max_hop, scratch, |w, cost, _| {
+        if cost < dist[w.index()] {
+            dist[w.index()] = cost;
         }
-        let (w, e) = neighbors[*idx];
-        *idx += 1;
-        if visited[w.index()] {
-            continue;
-        }
-        let new_cost = cost_stack.last().unwrap() + inv_lu_edge(g, e);
-        if new_cost < dist[w.index()] {
-            dist[w.index()] = new_cost;
-        }
-        if frames.len() >= bound {
-            // w sits at the hop budget; nothing beyond it can qualify.
-            continue;
-        }
-        visited[w.index()] = true;
-        cost_stack.push(new_cost);
-        frames.push((w, 0));
-    }
+        true
+    });
 }
 
 /// One hop layer of the Bellman–Ford DP: relax every edge out of

@@ -332,13 +332,12 @@ fn a_snapshot_is_the_states_vector_only() {
     let (n, nmdb) = allocs_in(|| m.snapshot());
     assert_eq!(nmdb.states.len(), 80);
     assert_eq!(n, 1, "the states, and a shared topology");
-    let (n, busy) = allocs_in(|| m.busy_detected());
-    assert_eq!((n, busy), (0, false), "answered from the registry");
-    // the same with somebody Busy: the answer stops at the first one found
+    // the same with somebody Busy
     let mut m = m;
     m.handle(10, &ClientMsg::Stat { node: NodeId(79), utilization: 95.0, data_mb: 50.0 });
-    let (n, busy) = allocs_in(|| m.busy_detected());
-    assert_eq!((n, busy), (0, true));
+    let (n, nmdb) = allocs_in(|| m.snapshot());
+    assert_eq!(nmdb.states[79].utilization, 95.0);
+    assert_eq!(n, 1);
 }
 
 #[test]
