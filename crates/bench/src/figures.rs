@@ -555,8 +555,9 @@ pub fn ablations(seed: u64, effort: Effort) -> String {
         let ft = FatTree::with_default_links(k);
         let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), seed);
         for hops in [1usize, 2, 4] {
-            let hfr = heuristic_with_hops(&nmdb, &cfg, hops).hfr_percent();
-            let secs = mean_of(reps, || heuristic_with_hops(&nmdb, &cfg, hops));
+            let run = || heuristic_with(&nmdb, &cfg, hops, &CostEngine::new()).unwrap();
+            let hfr = run().hfr_percent();
+            let secs = mean_of(reps, run);
             reach.row(&[
                 k.to_string(),
                 hops.to_string(),

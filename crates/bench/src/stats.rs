@@ -31,30 +31,6 @@ pub fn power_law_fit(points: &[(f64, f64)]) -> Option<(f64, f64)> {
     Some((ln_a.exp(), b))
 }
 
-/// Coefficient of determination (R²) of a power-law fit on the log-log
-/// points. `None` under the same conditions as [`power_law_fit`].
-pub fn power_law_r2(points: &[(f64, f64)]) -> Option<f64> {
-    let (a, b) = power_law_fit(points)?;
-    let logs: Vec<(f64, f64)> = points
-        .iter()
-        .filter(|(x, y)| *x > 0.0 && *y > 0.0)
-        .map(|(x, y)| (x.ln(), y.ln()))
-        .collect();
-    let mean_y = logs.iter().map(|(_, y)| y).sum::<f64>() / logs.len() as f64;
-    let ss_tot: f64 = logs.iter().map(|(_, y)| (y - mean_y).powi(2)).sum();
-    let ss_res: f64 = logs
-        .iter()
-        .map(|(x, y)| {
-            let pred = a.ln() + b * x;
-            (y - pred).powi(2)
-        })
-        .sum();
-    if ss_tot < 1e-15 {
-        return Some(1.0);
-    }
-    Some(1.0 - ss_res / ss_tot)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,7 +43,6 @@ mod tests {
         let (a, b) = power_law_fit(&pts).unwrap();
         assert!((a - 3.0).abs() < 1e-9);
         assert!((b + 0.5).abs() < 1e-9);
-        assert!((power_law_r2(&pts).unwrap() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -75,7 +50,6 @@ mod tests {
         let pts = [(10.0, 9.5), (100.0, 3.1), (1000.0, 1.05), (10000.0, 0.29)];
         let (_, b) = power_law_fit(&pts).unwrap();
         assert!((b + 0.5).abs() < 0.05, "exponent {b}");
-        assert!(power_law_r2(&pts).unwrap() > 0.99);
     }
 
     #[test]

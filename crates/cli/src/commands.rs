@@ -807,7 +807,8 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
                 if round > 0 {
                     let graph = std::sync::Arc::make_mut(&mut db.graph);
                     drift_links(graph, opts.seed, round);
-                    engine.refresh(graph);
+                    let dirty = graph.take_dirty();
+                    engine.refresh(graph, dirty);
                 }
                 db
             }

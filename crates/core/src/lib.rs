@@ -63,7 +63,7 @@ pub use optimizer::{
     assign_run, infeasible_cause, optimize_with, routes_from, solve_placement, Assignment,
     LpSolution, Placement, PlacementLp, PlacementStatus, WarmState, FLOW_TOL,
 };
-pub use request::{heuristic, heuristic_with_hops, optimize};
+pub use request::{heuristic, optimize};
 pub use scenario::{random_nmdb, scenario_stream, ScenarioParams};
 pub use state::{classify, Nmdb, NodeState, Role};
 pub use success::{classify_iteration, SuccessClass, SuccessTally};

@@ -16,7 +16,7 @@
 use crate::config::DustConfig;
 use crate::error::DustError;
 use crate::state::Nmdb;
-use dust_lp::{Basis, SolveOptions, TransportProblem, TransportSolution, TransportStatus};
+use dust_lp::{Basis, TransportProblem, TransportSolution, TransportStatus};
 use dust_obs::ObsHandle;
 use dust_topology::{
     min_inv_lu_enumerated, CostEngine, CostMatrix, DpScratch, Graph, NodeId, Path, PathEngine,
@@ -240,7 +240,7 @@ pub fn solve_placement(
     // The problem takes the instance's rows for the solve: a round never
     // holds two copies of them.
     let tp = TransportProblem::sparse(supply, capacity, row_start, columns, t_rmin);
-    let sol = tp.solve_with_options(obs, &SolveOptions { warm_start: warm });
+    let sol = tp.solve_with(obs, warm.as_ref());
     if !transport_optimal(&sol)? {
         let warm_used = sol.warm_used;
         return Ok(LpSolution { objective: f64::NAN, warm_used, ..LpSolution::default() });

@@ -1,15 +1,15 @@
 //! One-shot placement requests: the exact LP and Algorithm 1 on one
 //! snapshot, each priced with a fresh [`CostEngine`].
 //!
-//! [`optimize`], [`heuristic`] and [`heuristic_with_hops`] call
-//! [`optimize_with`] and [`heuristic_with`] with `CostEngine::new()`, so a
-//! request shares no cached rows with any other. Callers that run rounds
-//! (the Manager, `dustctl place --warm`) call the `_with` functions with
-//! an engine of their own instead:
+//! [`optimize`] and [`heuristic`] call [`optimize_with`] and
+//! [`heuristic_with`] with `CostEngine::new()`, so a request shares no
+//! cached rows with any other. Callers that run rounds (the Manager,
+//! `dustctl place --warm`) or want Algorithm 1 with more than one hop of
+//! reach call the `_with` functions with an engine of their own instead:
 //!
 //! ```
-//! use dust_core::{heuristic_with_hops, optimize, DustConfig, Nmdb, NodeState};
-//! use dust_topology::{topologies, Link};
+//! use dust_core::{heuristic_with, optimize, DustConfig, Nmdb, NodeState};
+//! use dust_topology::{topologies, CostEngine, Link};
 //!
 //! let g = topologies::line(3, Link::default());
 //! let nmdb = Nmdb::new(g, vec![
@@ -21,7 +21,7 @@
 //! let p = optimize(&nmdb, &cfg);
 //! assert!((p.total_offloaded() - 12.0).abs() < 1e-6);
 //! // the candidate is two hops away: Algorithm 1 needs that much reach
-//! let h = heuristic_with_hops(&nmdb, &cfg, 2);
+//! let h = heuristic_with(&nmdb, &cfg, 2, &CostEngine::new()).unwrap();
 //! assert!(h.fully_offloaded());
 //! ```
 
@@ -49,25 +49,14 @@ pub fn optimize(nmdb: &Nmdb, cfg: &DustConfig) -> Placement {
 }
 
 /// Run Algorithm 1 with the paper's one-hop candidate restriction,
-/// pricing with a fresh [`CostEngine`].
-pub fn heuristic(nmdb: &Nmdb, cfg: &DustConfig) -> HeuristicOutcome {
-    heuristic_with_hops(nmdb, cfg, 1)
-}
-
-/// Generalized Algorithm 1: candidates within `hops` of each Busy node,
-/// priced with a fresh [`CostEngine`].
-///
-/// `hops = 1` is the published algorithm. Larger values trade runtime for a
-/// lower HFR (ablation 3 in DESIGN.md). [`heuristic_with`] shares an
-/// engine across rounds and returns a bad input as a typed error.
+/// pricing with a fresh [`CostEngine`]. [`heuristic_with`] takes a wider
+/// reach, shares an engine across rounds and returns a bad config as a
+/// typed error.
 ///
 /// # Panics
-/// Panics if `hops == 0` or `cfg` is invalid.
-pub fn heuristic_with_hops(nmdb: &Nmdb, cfg: &DustConfig, hops: usize) -> HeuristicOutcome {
-    assert!(hops >= 1, "heuristic needs at least one hop of reach");
-    cfg.validate().expect("invalid DustConfig");
-    heuristic_with(nmdb, cfg, hops, &CostEngine::new())
-        .expect("config and hop count validated above")
+/// Panics when `cfg` is invalid.
+pub fn heuristic(nmdb: &Nmdb, cfg: &DustConfig) -> HeuristicOutcome {
+    heuristic_with(nmdb, cfg, 1, &CostEngine::new()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -125,7 +114,7 @@ mod tests {
         let db = simple_nmdb();
         assert!(heuristic(&db, &cfg()).nothing_offloaded());
         // the generalized reach succeeds
-        let h = heuristic_with_hops(&db, &cfg(), 2);
+        let h = heuristic_with(&db, &cfg(), 2, &CostEngine::new()).unwrap();
         assert!(h.fully_offloaded());
         let placed: f64 = h.assignments.iter().map(|a| a.amount).sum();
         assert!((placed - 10.0).abs() < 1e-9);

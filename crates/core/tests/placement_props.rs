@@ -3,8 +3,8 @@
 //! invariants, and thread-count invariance on random fat-tree states.
 
 use dust_core::{
-    heuristic, heuristic_with, heuristic_with_hops, optimize, optimize_with, random_nmdb,
-    DustConfig, PlacementStatus, ScenarioParams,
+    heuristic, heuristic_with, optimize, optimize_with, random_nmdb, DustConfig, PlacementStatus,
+    ScenarioParams,
 };
 use dust_topology::{CostEngine, FatTree, PathEngine};
 
@@ -110,7 +110,7 @@ fn hfr_bounds_and_monotonicity() {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
         let mut prev = f64::INFINITY;
         for hops in [1usize, 2, 4, 6] {
-            let h = heuristic_with_hops(&db, &c, hops);
+            let h = heuristic_with(&db, &c, hops, &CostEngine::new()).unwrap();
             let rate = h.hfr_percent();
             assert!((0.0..=100.0 + 1e-9).contains(&rate), "seed {seed}: HFR {rate} out of range");
             assert!(

@@ -56,9 +56,9 @@ pub use dust_topology as topology;
 pub mod prelude {
     pub use dust_core::{
         classify, classify_iteration, estimate_io_rate, heuristic, heuristic_with,
-        heuristic_with_hops, infeasible_cause, io_rate_sweep, optimize, optimize_with, random_nmdb,
-        scenario_stream, Assignment, DustConfig, DustError, HeuristicOutcome, IoRatePoint, Nmdb,
-        NodeState, Placement, PlacementStatus, Role, ScenarioParams, SuccessClass, SuccessTally,
+        infeasible_cause, io_rate_sweep, optimize, optimize_with, random_nmdb, scenario_stream,
+        Assignment, DustConfig, DustError, HeuristicOutcome, IoRatePoint, Nmdb, NodeState,
+        Placement, PlacementStatus, Role, ScenarioParams, SuccessClass, SuccessTally,
     };
     pub use dust_obs::{
         build_spans, FlowId, Histogram, MetricsRegistry, ObsHandle, SloBreach, SloEngine, SloKind,

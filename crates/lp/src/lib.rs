@@ -43,6 +43,4 @@ pub mod transportation;
 
 pub use problem::{Cmp, Constraint, Problem, Var};
 pub use simplex::{solve, Solution, Status};
-pub use transportation::{
-    Basis, SolveOptions, TransportProblem, TransportSolution, TransportStatus,
-};
+pub use transportation::{Basis, TransportProblem, TransportSolution, TransportStatus};

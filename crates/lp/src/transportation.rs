@@ -130,8 +130,8 @@ pub struct TransportSolution {
     /// of one more unit of capacity at sink `j` — which Offload-candidate
     /// is worth upgrading.
     pub col_potentials: Vec<f64>,
-    /// The optimal spanning-tree basis, reusable as
-    /// [`SolveOptions::warm_start`] for the next solve of a similar
+    /// The optimal spanning-tree basis, reusable as the `warm` basis of
+    /// [`TransportProblem::solve_with`] for the next solve of a similar
     /// instance (`None` on infeasible or trivial solves).
     pub basis: Option<Basis>,
     /// True when this solve started from an accepted warm-start basis
@@ -153,7 +153,7 @@ impl TransportSolution {
 /// The cells live on the *balanced* instance (real supply rows plus the
 /// dummy slack source the solver appends), so a basis round-trips between
 /// solves without the caller ever seeing the balancing. Feeding a stale
-/// basis back in via [`SolveOptions::warm_start`] can never change the
+/// basis back in via [`TransportProblem::solve_with`] can never change the
 /// answer: MODI converges to the optimum from *any* basic feasible
 /// solution, and a basis that no longer fits (changed dimensions, not
 /// spanning, or infeasible for the new supplies/capacities) is silently
@@ -186,21 +186,11 @@ impl Basis {
     }
 }
 
-/// Knobs for one transportation solve.
-#[derive(Debug, Clone, Default)]
-pub struct SolveOptions {
-    /// Reuse this spanning-tree basis from a previous round instead of
-    /// running the Vogel initial-assignment phase. A basis that does not
-    /// fit the current instance falls back to the cold start (counted as
-    /// `lp.warm_rejects`); an accepted one pins `lp.pivots_saved` by the
-    /// `rows + cols - 1` initial assignments it skipped.
-    pub warm_start: Option<Basis>,
-}
-
 /// How a solve used (or didn't use) its warm-start basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WarmUse {
-    /// No warm basis was offered.
+    /// No warm basis was offered, or the solve ended (trivial, or
+    /// infeasible by capacity) before a start was chosen.
     Cold,
     /// A warm basis was offered but did not fit the instance.
     Rejected,
@@ -303,33 +293,30 @@ impl TransportProblem {
         cols.binary_search(&(j as u32)).map_or(f64::INFINITY, |k| costs[k])
     }
 
-    /// The single entry point: solve and record solver metrics into
-    /// `obs` — a MODI pivot counter and histogram plus one
-    /// `TransportSolve` trace event. A disabled handle skips all
-    /// recording, preserving the untraced path exactly.
-    pub fn solve_with(&self, obs: &dust_obs::ObsHandle) -> TransportSolution {
-        self.solve_with_options(obs, &SolveOptions::default())
-    }
-
-    /// Solve with explicit [`SolveOptions`] (warm-start basis reuse).
-    /// Warm and cold solves reach the same objective; the split between
-    /// `lp.warm_pivots` and `lp.cold_pivots` records where the pivots
-    /// went, and `lp.pivots_saved` the initial assignments a warm start
-    /// skipped.
-    pub fn solve_with_options(
-        &self,
-        obs: &dust_obs::ObsHandle,
-        opts: &SolveOptions,
-    ) -> TransportSolution {
+    /// The one observed solve: solve, starting from `warm` when one is
+    /// offered, and record solver metrics into `obs` — a MODI pivot counter
+    /// and histogram plus one `TransportSolve` trace event. A disabled
+    /// handle skips all recording, preserving the untraced path exactly.
+    ///
+    /// `warm` is a spanning-tree basis from a previous round, used instead
+    /// of the Vogel initial-assignment phase. Warm and cold solves reach
+    /// the same objective. A basis that does not fit the instance falls
+    /// back to the cold start and counts as `lp.warm_rejects`; an accepted
+    /// one adds the `rows + cols - 1` initial assignments it skipped to
+    /// `lp.pivots_saved`. The split between `lp.warm_pivots` and
+    /// `lp.cold_pivots` records where the pivots went. A trivial solve, or
+    /// one the up-front capacity check finds infeasible, counts as cold
+    /// whether or not a basis was offered.
+    pub fn solve_with(&self, obs: &dust_obs::ObsHandle, warm: Option<&Basis>) -> TransportSolution {
         let _prof = obs.prof_scope("lp.transport.solve");
-        let (s, warm) = self.solve_inner(opts.warm_start.as_ref(), None);
+        let (s, warm_use) = self.solve_inner(warm, None);
         if obs.is_enabled() {
             obs.counter_inc("lp.transport.solves");
             obs.counter_add("lp.transport.pivots", s.iterations as u64);
             obs.counter_add("lp.degenerate_pivots", s.degenerate_pivots as u64);
             obs.counter_add("lp.cells_priced", s.cells_priced);
             obs.observe("lp.transport.pivots", s.iterations as f64);
-            match warm {
+            match warm_use {
                 WarmUse::Accepted => {
                     obs.counter_inc("lp.warm_solves");
                     obs.counter_add("lp.warm_pivots", s.iterations as u64);
@@ -349,9 +336,9 @@ impl TransportProblem {
         s
     }
 
-    /// Solve with no observability.
+    /// Solve cold with no observability.
     pub fn solve(&self) -> TransportSolution {
-        self.solve_with(&dust_obs::ObsHandle::disabled())
+        self.solve_with(&dust_obs::ObsHandle::disabled(), None)
     }
 
     /// The balanced instance the solver works on — the supply rows, then a
@@ -1931,8 +1918,7 @@ mod warm_tests {
         let p = instance();
         let cold = p.solve();
         let obs = ObsHandle::recording(0);
-        let opts = SolveOptions { warm_start: cold.basis.clone() };
-        let warm = p.solve_with_options(&obs, &opts);
+        let warm = p.solve_with(&obs, cold.basis.as_ref());
         assert_eq!(warm.status, TransportStatus::Optimal);
         assert!(warm.warm_used, "own basis must be accepted");
         assert_eq!(warm.iterations, 0, "an optimal basis needs no pivots");
@@ -1955,8 +1941,7 @@ mod warm_tests {
         q.supply[2] = 21.5;
         q.capacity[1] = 31.0;
         let cold = q.solve();
-        let warm =
-            q.solve_with_options(&ObsHandle::disabled(), &SolveOptions { warm_start: Some(basis) });
+        let warm = q.solve_with(&ObsHandle::disabled(), Some(&basis));
         assert_eq!(cold.status, TransportStatus::Optimal);
         assert_eq!(warm.status, TransportStatus::Optimal);
         assert!(
@@ -1974,7 +1959,7 @@ mod warm_tests {
         // a 2-sink instance cannot absorb a 3-sink basis
         let q = TransportProblem::new(vec![5.0, 5.0], vec![10.0, 10.0], vec![1.0, 2.0, 2.0, 1.0]);
         let obs = ObsHandle::recording(0);
-        let s = q.solve_with_options(&obs, &SolveOptions { warm_start: Some(basis) });
+        let s = q.solve_with(&obs, Some(&basis));
         assert_eq!(s.status, TransportStatus::Optimal);
         assert!(!s.warm_used);
         assert_eq!(obs.counter("lp.warm_rejects"), 1);
@@ -1994,7 +1979,7 @@ mod warm_tests {
             cells: vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 2)],
         };
         let obs = ObsHandle::recording(0);
-        let s = p.solve_with_options(&obs, &SolveOptions { warm_start: Some(cyclic) });
+        let s = p.solve_with(&obs, Some(&cyclic));
         assert_eq!(s.status, TransportStatus::Optimal, "fallback still solves");
         assert!(!s.warm_used);
         assert_eq!(obs.counter("lp.warm_rejects"), 1);
@@ -2006,7 +1991,7 @@ mod warm_tests {
         let reversed = good.cells.iter().rev().copied().collect();
         for cells in [repeated, reversed] {
             let bad = Basis { rows: good.rows, cols: good.cols, cells };
-            let s = p.solve_with_options(&obs, &SolveOptions { warm_start: Some(bad) });
+            let s = p.solve_with(&obs, Some(&bad));
             assert!(s.status == TransportStatus::Optimal && !s.warm_used);
         }
         assert_eq!(obs.counter("lp.warm_rejects"), 3);
@@ -2016,17 +2001,18 @@ mod warm_tests {
     fn infeasible_and_trivial_instances_tolerate_warm_options() {
         let basis = instance().solve().basis.unwrap();
         let infeasible = TransportProblem::new(vec![50.0], vec![10.0], vec![1.0]);
-        let s = infeasible.solve_with_options(
-            &ObsHandle::disabled(),
-            &SolveOptions { warm_start: Some(basis.clone()) },
-        );
+        let obs = ObsHandle::recording(0);
+        let s = infeasible.solve_with(&obs, Some(&basis));
         assert_eq!(s.status, TransportStatus::Infeasible);
         assert!(s.basis.is_none());
         let trivial = TransportProblem::new(vec![0.0], vec![10.0], vec![1.0]);
-        let s = trivial
-            .solve_with_options(&ObsHandle::disabled(), &SolveOptions { warm_start: Some(basis) });
+        let s = trivial.solve_with(&obs, Some(&basis));
         assert_eq!(s.status, TransportStatus::Optimal);
         assert!(s.basis.is_none(), "trivial solves have no basis to export");
+        // both count as cold solves, never as rejected warm starts
+        assert_eq!(obs.counter("lp.warm_rejects"), 0);
+        assert_eq!(obs.counter("lp.warm_solves"), 0);
+        assert_eq!(obs.counter("lp.transport.solves"), 2);
     }
 
     #[test]
@@ -2036,8 +2022,7 @@ mod warm_tests {
         let p = TransportProblem::new(vec![10.0], vec![100.0, 100.0], vec![2.0, 7.0]);
         let basis = p.solve().basis.unwrap();
         let q = TransportProblem::new(vec![10.0], vec![100.0, 100.0], vec![f64::INFINITY, 7.0]);
-        let s =
-            q.solve_with_options(&ObsHandle::disabled(), &SolveOptions { warm_start: Some(basis) });
+        let s = q.solve_with(&ObsHandle::disabled(), Some(&basis));
         assert_eq!(s.status, TransportStatus::Optimal);
         assert!((s.objective - 70.0).abs() < 1e-6);
         assert!(s.flow_at(0, 0).abs() < 1e-9, "no flow on the forbidden route");
@@ -2572,7 +2557,7 @@ mod pivot_cap_tests {
     #[test]
     fn zero_theta_pivots_are_counted() {
         let obs = ObsHandle::recording(0);
-        let s = generic_instance().solve_with(&obs);
+        let s = generic_instance().solve_with(&obs, None);
         assert_eq!(s.degenerate_pivots, 0, "no ties, every pivot moves flow");
         assert_eq!(obs.counter("lp.degenerate_pivots"), 0);
         // every supply equals every other and total supply equals total
@@ -2584,7 +2569,7 @@ mod pivot_cap_tests {
             vec![m as f64; n],
             (0..m * n).map(|_| rng.range_f64(0.1, 20.0)).collect(),
         );
-        let s = p.solve_with(&obs);
+        let s = p.solve_with(&obs, None);
         assert_eq!(s.status, TransportStatus::Optimal);
         assert!(s.degenerate_pivots > 0 && s.degenerate_pivots <= s.iterations, "{s:?}");
         assert_eq!(obs.counter("lp.degenerate_pivots"), s.degenerate_pivots as u64);

@@ -5,7 +5,7 @@
 //! the dense-bitmap solver (rescanning Vogel, bitmap MODI); any faster
 //! replacement must walk the same pivots and so leave every pin unchanged.
 
-use dust_lp::{SolveOptions, TransportProblem, TransportSolution, TransportStatus};
+use dust_lp::{Basis, TransportProblem, TransportSolution, TransportStatus};
 use dust_obs::ObsHandle;
 use dust_topology::SplitMix64;
 
@@ -124,9 +124,9 @@ fn pin(s: &TransportSolution) -> Pin {
 fn solve_three_ways(p: &TransportProblem) -> [Pin; 3] {
     let obs = ObsHandle::disabled();
     let cold = p.solve();
-    let own = p.solve_with_options(&obs, &SolveOptions { warm_start: cold.basis.clone() });
+    let own = p.solve_with(&obs, cold.basis.as_ref());
     let stale = perturbed(p).solve().basis;
-    let drifted = p.solve_with_options(&obs, &SolveOptions { warm_start: stale });
+    let drifted = p.solve_with(&obs, stale.as_ref());
     [pin(&cold), pin(&own), pin(&drifted)]
 }
 
@@ -259,9 +259,9 @@ fn every_kind_pins_its_degenerate_pivots_and_a_pricing_ceiling() {
         for (ki, &kind) in KINDS.iter().enumerate() {
             let p = instance(kind, m, n, 1000 + (si * 4 + ki) as u64);
             let cold = p.solve();
-            let own = p.solve_with_options(&obs, &SolveOptions { warm_start: cold.basis.clone() });
+            let own = p.solve_with(&obs, cold.basis.as_ref());
             let stale = perturbed(&p).solve().basis;
-            let drifted = p.solve_with_options(&obs, &SolveOptions { warm_start: stale });
+            let drifted = p.solve_with(&obs, stale.as_ref());
             actual.push([&cold, &own, &drifted].map(|s| (s.degenerate_pivots, s.cells_priced)));
         }
     }
@@ -408,7 +408,7 @@ mod tie_pins {
     /// instance's (stale) optimal basis, warm from the mirrored instance's.
     fn solve_four_ways(p: &TransportProblem) -> [TiePin; 4] {
         let obs = ObsHandle::disabled();
-        let warm = |basis| p.solve_with_options(&obs, &SolveOptions { warm_start: basis });
+        let warm = |basis: Option<Basis>| p.solve_with(&obs, basis.as_ref());
         let cold = p.solve();
         let own = warm(cold.basis.clone());
         let drifted = warm(perturbed(p).solve().basis);
@@ -746,7 +746,7 @@ mod tie_pins {
         for (si, &(m, n)) in SIZES.iter().enumerate() {
             for (ki, &kind) in KINDS.iter().enumerate() {
                 let p = instance(kind, m, n, 2000 + (si * 4 + ki) as u64);
-                let warm = |basis| p.solve_with_options(&obs, &SolveOptions { warm_start: basis });
+                let warm = |basis: Option<Basis>| p.solve_with(&obs, basis.as_ref());
                 let cold = p.solve();
                 let own = warm(cold.basis.clone());
                 let drifted = warm(perturbed(&p).solve().basis);
@@ -829,7 +829,7 @@ fn pricing_visits_a_fraction_of_the_cells() {
         );
         // a basis that is already optimal is priced once, in full
         let obs = ObsHandle::recording(0);
-        let own = p.solve_with_options(&obs, &SolveOptions { warm_start: cold.basis });
+        let own = p.solve_with(&obs, cold.basis.as_ref());
         assert_eq!((own.iterations, own.cells_priced), (0, full_scan), "{kind:?}");
         assert_eq!(obs.counter("lp.cells_priced"), full_scan);
     }

@@ -642,7 +642,7 @@ impl Manager {
         } else {
             Arc::make_mut(&mut self.graph).take_dirty()
         };
-        self.engine.refresh_drained(&self.graph, dirty);
+        self.engine.refresh(&self.graph, dirty);
         let nmdb = self.snapshot();
         let (placement, out) = match self.try_delta_round(now_ms, &nmdb) {
             Some(delta) => delta,

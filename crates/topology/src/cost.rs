@@ -62,7 +62,7 @@ impl CostMatrix {
         max_hop: Option<usize>,
         engine: PathEngine,
     ) -> Self {
-        CostEngine::sequential().build_matrix(g, sources, destinations, data_mb, max_hop, engine)
+        CostEngine::with_threads(1).build_matrix(g, sources, destinations, data_mb, max_hop, engine)
     }
 
     /// Number of rows (Busy nodes).
@@ -169,8 +169,9 @@ fn dirty_distances(g: &Graph, dirty: &[EdgeId]) -> Vec<usize> {
 /// re-optimizations over an unchanged graph — `io_rate_sweep`, the
 /// periodic re-solve loop — hit the cache instead of re-enumerating. Cached rows store `Σ 1/Lu_e` (not `T_rmin`), so one
 /// row serves every data volume `D_i`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CostEngine {
+    /// Worker count, resolved once at construction: never 0.
     threads: usize,
     cache: RwLock<HashMap<RowKey, Arc<Vec<f64>>>>,
     obs: ObsHandle,
@@ -182,6 +183,12 @@ pub struct CostEngine {
     /// The hop layers routes over this engine's graph backtrack through,
     /// kept from one placement round to the next.
     routes: Mutex<DpScratch>,
+}
+
+impl Default for CostEngine {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Dirty-link fraction (of the edge count) above which
@@ -213,8 +220,13 @@ impl CostEngine {
     }
 
     /// An engine with an explicit worker count; `0` means "use available
-    /// parallelism". `1` is the sequential reference implementation.
+    /// parallelism", read once here. `1` is the sequential reference
+    /// implementation.
     pub fn with_threads(threads: usize) -> Self {
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            n => n,
+        };
         CostEngine {
             threads,
             cache: RwLock::new(HashMap::new()),
@@ -238,19 +250,10 @@ impl CostEngine {
         &self.obs
     }
 
-    /// The sequential reference engine (one thread, no fan-out).
-    pub fn sequential() -> Self {
-        Self::with_threads(1)
-    }
-
-    /// Resolved worker count: the configured value, or available
-    /// parallelism when configured as `0`.
+    /// Resolved worker count: the configured value, or the available
+    /// parallelism read at construction when configured as `0`.
     pub fn threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.threads
-        }
+        self.threads
     }
 
     /// The working memory route extraction runs its DPs in: a round that
@@ -266,24 +269,20 @@ impl CostEngine {
         self.cache.read().expect("cost cache poisoned").len()
     }
 
-    /// Evict rows priced under epochs other than `g`'s current one.
-    /// Long-lived engines re-pricing a mutating graph call this to keep
-    /// the cache from accumulating dead epochs.
-    pub fn retain_epoch(&self, g: &Graph) {
-        let epoch = g.epoch();
-        self.cache.write().expect("cost cache poisoned").retain(|k, _| k.0 == epoch);
-    }
-
     /// Incrementally re-validate the row cache against the mutations `g`
     /// accumulated since the previous refresh, instead of letting the
-    /// epoch bump evict everything.
+    /// epoch bump evict everything. `dirty` is what [`Graph::take_dirty`]
+    /// returned for `g` (`Some(vec![])` when [`Graph::journal_is_empty`]
+    /// said there was nothing to take; `None` when everything is dirty).
+    /// The caller drains the journal, so the refresh only reads the graph
+    /// and a holder of a shared `Arc<Graph>` re-validates the cache
+    /// without copying the topology.
     ///
-    /// Drains `g`'s dirty-link journal ([`Graph::take_dirty`]) and, for
-    /// every row priced at the previous refresh's epoch, decides whether
-    /// any path inside the row's hop bound could traverse a touched link:
-    /// one multi-source BFS from the dirty links' endpoints gives each
-    /// node its distance to the nearest dirty link, and a row from `src`
-    /// under bound `h` is provably unaffected when
+    /// For every row priced at the previous refresh's epoch, the refresh
+    /// decides whether any path inside the row's hop bound could traverse
+    /// a touched link: one multi-source BFS from the dirty links' endpoints
+    /// gives each node its distance to the nearest dirty link, and a row
+    /// from `src` under bound `h` is provably unaffected when
     /// `dist(src, dirty) + 1 > h` — those rows are re-keyed to the
     /// current epoch (same `Arc`, no re-pricing) and every later lookup
     /// hits the cache bit-identically to a from-scratch re-price
@@ -291,24 +290,16 @@ impl CostEngine {
     /// structural mutations journal as all-dirty). Rows a dirty link
     /// *might* reach are dropped and re-priced on demand.
     ///
-    /// Precision degrades safely: an all-dirty journal, an empty cache
-    /// epoch, or a dirty fraction above [`MAX_DIRTY_FRACTION`] (of the
-    /// edge count) falls back to full invalidation, i.e. exactly
-    /// [`CostEngine::retain_epoch`]. Records `cost.rows_migrated`,
-    /// `cost.rows_invalidated`, `cost.refreshes`, and
-    /// `cost.full_invalidations` counters; no trace events, so golden
-    /// digests never depend on refresh cadence.
-    pub fn refresh(&self, g: &mut Graph) -> RefreshStats {
-        let dirty = g.take_dirty();
-        self.refresh_drained(g, dirty)
-    }
-
-    /// [`CostEngine::refresh`] for a caller that drained the journal
-    /// itself: `dirty` is what [`Graph::take_dirty`] returned for `g`
-    /// (`Some(vec![])` when [`Graph::journal_is_empty`] said there was
-    /// nothing to take). Only reads the graph, so a holder of a shared
-    /// `Arc<Graph>` re-validates the cache without copying the topology.
-    pub fn refresh_drained(&self, g: &Graph, dirty: Option<Vec<EdgeId>>) -> RefreshStats {
+    /// Precision degrades safely: an all-dirty journal (`None`), an empty
+    /// cache epoch, or a dirty fraction above [`MAX_DIRTY_FRACTION`] (of
+    /// the edge count) falls back to full invalidation, which evicts every
+    /// row priced under an epoch other than `g`'s current one. A
+    /// long-lived engine re-pricing a graph that is re-drawn wholesale
+    /// calls `refresh(g, None)` to keep the cache from accumulating dead
+    /// epochs. Records `cost.rows_migrated`, `cost.rows_invalidated`,
+    /// `cost.refreshes`, and `cost.full_invalidations` counters; no trace
+    /// events, so golden digests never depend on refresh cadence.
+    pub fn refresh(&self, g: &Graph, dirty: Option<Vec<EdgeId>>) -> RefreshStats {
         let _prof = self.obs.prof_scope("cost.refresh");
         let cur = g.epoch();
         let prev = self.coherent_epoch.swap(cur, Ordering::Relaxed);
@@ -670,7 +661,7 @@ mod tests {
             ([0, 2, 5].as_slice(), [0, 1, 1, 2, 3].as_slice())
         );
         assert!(m.t_rmin.iter().all(|t| t.is_finite()));
-        let eng = CostEngine::sequential();
+        let eng = CostEngine::with_threads(1);
         for (r, &s) in src.iter().enumerate() {
             let raw = &eng.rows(&g, &[s], Some(2), PathEngine::HopBoundedDp)[0];
             for (c, &d) in dst.iter().enumerate() {
@@ -706,11 +697,18 @@ mod engine_tests {
         (g, sources, destinations, data)
     }
 
+    /// Drain `g`'s journal into one refresh of `eng`.
+    fn refresh(eng: &CostEngine, g: &mut Graph) -> RefreshStats {
+        let dirty = g.take_dirty();
+        eng.refresh(g, dirty)
+    }
+
     #[test]
     fn parallel_matrix_is_bit_identical_to_sequential() {
         let (g, src, dst, data) = fat_tree_instance();
         for engine in [PathEngine::Enumerate, PathEngine::HopBoundedDp] {
-            let seq = CostEngine::sequential().build_matrix(&g, &src, &dst, &data, Some(6), engine);
+            let seq =
+                CostEngine::with_threads(1).build_matrix(&g, &src, &dst, &data, Some(6), engine);
             for threads in [2, 3, 8] {
                 let par = CostEngine::with_threads(threads).build_matrix(
                     &g,
@@ -742,7 +740,7 @@ mod engine_tests {
     #[test]
     fn cached_rows_serve_any_data_volume() {
         let (g, src, dst, _) = fat_tree_instance();
-        let eng = CostEngine::sequential();
+        let eng = CostEngine::with_threads(1);
         let ones = vec![1.0; src.len()];
         let base = eng.build_matrix(&g, &src, &dst, &ones, Some(6), PathEngine::HopBoundedDp);
         let n = eng.cached_rows();
@@ -765,7 +763,7 @@ mod engine_tests {
     #[test]
     fn mutation_changes_epoch_and_invalidates() {
         let mut g = example7(Link::default());
-        let eng = CostEngine::sequential();
+        let eng = CostEngine::with_threads(1);
         let src = [NodeId(0)];
         let dst = [NodeId(1), NodeId(5)];
         let before = eng.build_matrix(&g, &src, &dst, &[100.0], None, PathEngine::Enumerate);
@@ -776,10 +774,15 @@ mod engine_tests {
         assert_eq!(eng.cached_rows(), 2, "one row per epoch");
         assert!(after.at(0, 0) > before.at(0, 0), "slower link must raise the cost");
         // evicting dead epochs keeps only the live row
-        eng.retain_epoch(&g);
+        eng.refresh(&g, None);
         assert_eq!(eng.cached_rows(), 1);
         let again = eng.build_matrix(&g, &src, &dst, &[100.0], None, PathEngine::Enumerate);
         assert_eq!(again.t_rmin, after.t_rmin);
+        // told that everything is dirty, a refresh never migrates a row
+        g.link_mut(EdgeId(0)).utilization = 0.9;
+        let stats = eng.refresh(&g, None);
+        assert!(stats.full && stats.migrated == 0, "{stats:?}");
+        assert_eq!(eng.cached_rows(), 0);
     }
 
     #[test]
@@ -856,8 +859,8 @@ mod engine_tests {
         // cannot see it, a 2-hop row from node 0 must re-price
         let mut g = line(8, Link::default());
         let obs = ObsHandle::recording(0);
-        let eng = CostEngine::sequential().with_obs(obs.clone());
-        eng.refresh(&mut g); // first refresh: establishes coherence (full)
+        let eng = CostEngine::with_threads(1).with_obs(obs.clone());
+        refresh(&eng, &mut g); // first refresh: establishes coherence (full)
         let src = [NodeId(0), NodeId(7)];
         let dst: Vec<NodeId> = (1..7).map(NodeId).collect();
         let data = [10.0, 10.0];
@@ -865,7 +868,7 @@ mod engine_tests {
         assert_eq!(eng.cached_rows(), 2);
 
         g.link_mut(EdgeId(0)).utilization = 0.95;
-        let stats = eng.refresh(&mut g);
+        let stats = refresh(&eng, &mut g);
         assert!(!stats.full);
         assert_eq!(stats.migrated, 1, "node 7's bounded row is provably clean");
         assert_eq!(stats.invalidated, 1, "node 0's row crosses the dirty link");
@@ -875,7 +878,7 @@ mod engine_tests {
 
         // the incremental cache must answer bit-identically to a cold engine
         let inc = eng.build_matrix(&g, &src, &dst, &data, Some(2), PathEngine::HopBoundedDp);
-        let cold = CostEngine::sequential().build_matrix(
+        let cold = CostEngine::with_threads(1).build_matrix(
             &g,
             &src,
             &dst,
@@ -894,14 +897,14 @@ mod engine_tests {
     fn refresh_reprices_unbounded_rows_whenever_dirt_is_reachable() {
         use crate::topologies::line;
         let mut g = line(6, Link::default());
-        let eng = CostEngine::sequential();
-        eng.refresh(&mut g);
+        let eng = CostEngine::with_threads(1);
+        refresh(&eng, &mut g);
         let src = [NodeId(5)];
         let dst = [NodeId(0)];
         eng.build_matrix(&g, &src, &dst, &[10.0], None, PathEngine::HopBoundedDp);
         let before = eng.build_matrix(&g, &src, &dst, &[10.0], None, PathEngine::HopBoundedDp);
         g.link_mut(EdgeId(0)).utilization = 0.01;
-        let stats = eng.refresh(&mut g);
+        let stats = refresh(&eng, &mut g);
         assert_eq!(stats.migrated, 0, "an unbounded row sees every link");
         assert_eq!(stats.invalidated, 1);
         let after = eng.build_matrix(&g, &src, &dst, &[10.0], None, PathEngine::HopBoundedDp);
@@ -915,8 +918,8 @@ mod engine_tests {
         use crate::topologies::line;
         let mut g = line(10, Link::default());
         let obs = ObsHandle::recording(0);
-        let eng = CostEngine::sequential().with_obs(obs.clone());
-        eng.refresh(&mut g);
+        let eng = CostEngine::with_threads(1).with_obs(obs.clone());
+        refresh(&eng, &mut g);
         let src: Vec<NodeId> = (0..4).map(NodeId).collect();
         let dst = [NodeId(9)];
         eng.build_matrix(&g, &src, &dst, &[1.0; 4], Some(3), PathEngine::HopBoundedDp);
@@ -924,7 +927,7 @@ mod engine_tests {
         for e in 0..4 {
             g.link_mut(EdgeId(e)).utilization = 0.9;
         }
-        let stats = eng.refresh(&mut g);
+        let stats = refresh(&eng, &mut g);
         assert!(stats.full);
         assert_eq!(stats.migrated, 0);
         assert_eq!(stats.invalidated, 4);
@@ -936,15 +939,15 @@ mod engine_tests {
     fn refresh_handles_structural_mutations_as_all_dirty() {
         use crate::topologies::line;
         let mut g = line(5, Link::default());
-        let eng = CostEngine::sequential();
-        eng.refresh(&mut g);
+        let eng = CostEngine::with_threads(1);
+        refresh(&eng, &mut g);
         let src = [NodeId(4)];
         eng.build_matrix(&g, &src, &[NodeId(0)], &[1.0], Some(2), PathEngine::HopBoundedDp);
         // a new edge changes reachability: the bounded row from node 4
         // would be wrong to keep even though no *link state* was touched
         let n = g.add_node();
         g.add_edge(NodeId(0), n, Link::default());
-        let stats = eng.refresh(&mut g);
+        let stats = refresh(&eng, &mut g);
         assert!(stats.full);
         assert_eq!(eng.cached_rows(), 0);
     }
@@ -953,10 +956,10 @@ mod engine_tests {
     fn refresh_with_no_mutations_keeps_everything() {
         use crate::topologies::line;
         let mut g = line(4, Link::default());
-        let eng = CostEngine::sequential();
-        eng.refresh(&mut g);
+        let eng = CostEngine::with_threads(1);
+        refresh(&eng, &mut g);
         eng.build_matrix(&g, &[NodeId(0)], &[NodeId(3)], &[1.0], None, PathEngine::HopBoundedDp);
-        let stats = eng.refresh(&mut g);
+        let stats = refresh(&eng, &mut g);
         assert_eq!(stats, RefreshStats::default());
         assert_eq!(eng.cached_rows(), 1);
     }
@@ -968,18 +971,18 @@ mod engine_tests {
         // identical matrices
         //
         // `h` takes the same drift but refreshes the way the holder of a
-        // shared graph does — ask the journal, drain only when there is
-        // dirt, hand the result to the `&Graph` body — and must end every
-        // round with the same refresh outcome, cache and prices
+        // shared graph does — ask the journal and drain only when there is
+        // dirt — and must end every round with the same refresh outcome,
+        // cache and prices
         let (mut g, src, dst, data) = fat_tree_instance();
         let mut h = g.clone();
-        let inc = CostEngine::sequential();
-        let by_ref = CostEngine::sequential();
+        let inc = CostEngine::with_threads(1);
+        let by_ref = CostEngine::with_threads(1);
         let refresh_by_ref = |h: &mut Graph| {
             let dirty = if h.journal_is_empty() { Some(Vec::new()) } else { h.take_dirty() };
-            by_ref.refresh_drained(h, dirty)
+            by_ref.refresh(h, dirty)
         };
-        assert_eq!(inc.refresh(&mut g), refresh_by_ref(&mut h));
+        assert_eq!(refresh(&inc, &mut g), refresh_by_ref(&mut h));
         let mut state = 0x5EEDu64;
         let mut split = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -997,12 +1000,12 @@ mod engine_tests {
             }
             // every other round refreshes twice: the second finds nothing
             for _ in 0..1 + round % 2 {
-                assert_eq!(inc.refresh(&mut g), refresh_by_ref(&mut h), "round {round}");
+                assert_eq!(refresh(&inc, &mut g), refresh_by_ref(&mut h), "round {round}");
             }
             let a = inc.build_matrix(&g, &src, &dst, &data, Some(6), PathEngine::HopBoundedDp);
             let b = by_ref.build_matrix(&h, &src, &dst, &data, Some(6), PathEngine::HopBoundedDp);
             assert_eq!(inc.cached_rows(), by_ref.cached_rows(), "round {round}");
-            let cold = CostEngine::sequential().build_matrix(
+            let cold = CostEngine::with_threads(1).build_matrix(
                 &g,
                 &src,
                 &dst,

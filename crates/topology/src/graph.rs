@@ -81,12 +81,6 @@ impl Link {
     pub fn lu(&self) -> f64 {
         self.capacity_mbps * self.utilization
     }
-
-    /// Headroom left on the link in Mbps.
-    #[inline]
-    pub fn available_mbps(&self) -> f64 {
-        self.capacity_mbps * (1.0 - self.utilization)
-    }
 }
 
 impl Default for Link {
@@ -321,7 +315,7 @@ impl Graph {
     /// The journal lives inside the graph, so draining is a write: on a
     /// graph behind a shared `Arc` it costs `Arc::make_mut`'s full copy.
     /// Check [`Graph::journal_is_empty`] first and hand the result to
-    /// [`crate::CostEngine::refresh_drained`], which only reads the graph.
+    /// [`crate::CostEngine::refresh`], which only reads the graph.
     pub fn take_dirty(&mut self) -> Option<Vec<EdgeId>> {
         if self.dirty_all {
             self.dirty_all = false;
@@ -360,15 +354,6 @@ impl Graph {
         }
         let dist = self.hop_distances(NodeId(0));
         dist.iter().all(|&d| d != usize::MAX)
-    }
-
-    /// Nodes within exactly one hop of `v` (the heuristic's candidate pool,
-    /// Algorithm 1 line 4: "within shortest path of max-hop = 1").
-    pub fn one_hop_neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self.neighbors(v).iter().map(|&(w, _)| w).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 
@@ -418,7 +403,6 @@ mod tests {
     fn lu_is_capacity_times_utilization() {
         let l = Link::new(10_000.0, 0.25);
         assert_eq!(l.lu(), 2_500.0);
-        assert_eq!(l.available_mbps(), 7_500.0);
     }
 
     #[test]
@@ -452,16 +436,6 @@ mod tests {
         assert!(!g.is_connected());
         let d = g.hop_distances(NodeId(0));
         assert_eq!(d[2], usize::MAX);
-    }
-
-    #[test]
-    fn one_hop_neighbors_sorted_dedup() {
-        let mut g = Graph::with_nodes(4);
-        g.add_default_edge(NodeId(0), NodeId(2));
-        g.add_default_edge(NodeId(0), NodeId(1));
-        // parallel edge
-        g.add_default_edge(NodeId(0), NodeId(1));
-        assert_eq!(g.one_hop_neighbors(NodeId(0)), vec![NodeId(1), NodeId(2)]);
     }
 
     #[test]

@@ -101,26 +101,6 @@ pub fn leaf_spine(spines: usize, leaves: usize, servers_per_leaf: usize, link: L
     g
 }
 
-/// A 2-D torus of `w × h` nodes (each node links to its four neighbors
-/// with wraparound) — a common HPC interconnect, exercising DUST outside
-/// data-center fabrics (§I's HPC motivation).
-///
-/// # Panics
-/// Panics unless both dimensions are at least 3 (smaller wraps create
-/// parallel edges).
-pub fn torus2d(w: usize, h: usize, link: Link) -> Graph {
-    assert!(w >= 3 && h >= 3, "torus needs both dimensions >= 3, got {w}x{h}");
-    let mut g = Graph::with_nodes(w * h);
-    let id = |x: usize, y: usize| NodeId((y * w + x) as u32);
-    for y in 0..h {
-        for x in 0..w {
-            g.add_edge(id(x, y), id((x + 1) % w, y), link);
-            g.add_edge(id(x, y), id(x, (y + 1) % h), link);
-        }
-    }
-    g
-}
-
 /// The illustrative 7-node / 7-edge topology of the paper's Fig. 4.
 ///
 /// Nodes are `S1..S7` mapped to `NodeId(0)..NodeId(6)`. The edge ids match
@@ -219,26 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn torus_structure() {
-        let g = torus2d(4, 5, Link::default());
-        assert_eq!(g.node_count(), 20);
-        assert_eq!(g.edge_count(), 40); // 2 edges per node
-        assert!(g.is_connected());
-        for n in g.nodes() {
-            assert_eq!(g.degree(n), 4);
-        }
-        // wraparound: corner reaches the opposite corner in w/2 + h/2 hops
-        let d = g.hop_distances(NodeId(0));
-        assert_eq!(d[NodeId(2 + 2 * 4).index()], 4); // (2,2): 2 + 2
-    }
-
-    #[test]
-    #[should_panic(expected = "torus needs")]
-    fn tiny_torus_rejected() {
-        torus2d(2, 3, Link::default());
-    }
-
-    #[test]
     #[should_panic(expected = "at least one spine")]
     fn empty_leaf_spine_rejected() {
         leaf_spine(0, 2, 1, Link::default());
@@ -254,7 +214,7 @@ mod tests {
         assert_eq!((e1.a, e1.b), (NodeId(0), NodeId(2)));
         // busy node S1 has exactly one neighbor (S3)
         let (busy, cands) = example7_roles();
-        assert_eq!(g.one_hop_neighbors(busy), vec![NodeId(2)]);
+        assert_eq!(g.neighbors(busy), [(NodeId(2), EdgeId(0))]);
         assert_eq!(cands, [NodeId(1), NodeId(5)]);
     }
 

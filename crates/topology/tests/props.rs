@@ -191,7 +191,7 @@ fn parallel_cost_engine_matches_sequential_bitwise() {
         let data: Vec<f64> = sources.iter().map(|_| rng.range_f64(1.0, 500.0)).collect();
         let max_hop = if seed % 3 == 0 { None } else { Some(1 + (seed % 6) as usize) };
         for engine in [PathEngine::Enumerate, PathEngine::HopBoundedDp] {
-            let seq = CostEngine::sequential().build_matrix(
+            let seq = CostEngine::with_threads(1).build_matrix(
                 &g,
                 &sources,
                 &destinations,
@@ -242,7 +242,7 @@ fn cache_invalidates_on_epoch_change() {
         assert_ne!(g.epoch(), epoch, "seed {seed}: mutation must move the epoch");
         let after =
             eng.build_matrix(&g, &sources, &destinations, &[100.0], None, PathEngine::Enumerate);
-        let truth = CostEngine::sequential().build_matrix(
+        let truth = CostEngine::with_threads(1).build_matrix(
             &g,
             &sources,
             &destinations,

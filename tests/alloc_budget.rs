@@ -370,7 +370,7 @@ fn a_quiet_placement_round_allocates_per_node_not_per_edge() {
 /// by the few basis adjacency lists a pivot happens to grow.
 #[test]
 fn a_transport_solve_allocates_per_solve_not_per_pivot() {
-    use dust::lp::{SolveOptions, TransportProblem};
+    use dust::lp::{Basis, TransportProblem};
     let (m, n) = (121, 360);
     let mut rng = SplitMix64::new(1008);
     let p = TransportProblem::new(
@@ -381,10 +381,7 @@ fn a_transport_solve_allocates_per_solve_not_per_pivot() {
     let mut mirrored = p.clone();
     mirrored.cost.iter_mut().for_each(|c| *c = 20.1 - *c);
     let obs = ObsHandle::disabled();
-    let solve_from = |basis| {
-        let opts = SolveOptions { warm_start: basis };
-        allocs_in(|| p.solve_with_options(&obs, &opts))
-    };
+    let solve_from = |basis: Option<Basis>| allocs_in(|| p.solve_with(&obs, basis.as_ref()));
     let (none, own) = solve_from(p.solve().basis);
     let (many, far) = solve_from(mirrored.solve().basis);
     assert!(own.warm_used && far.warm_used, "both bases fit: same balances");
