@@ -128,6 +128,25 @@ fn place_output_is_pinned() {
          warm starts: 5 of 6 solved round(s) reused bases; pivots warm = 12, cold = 4, saved = 295\n\
          cost refresh: 4 incremental, 1 full invalidation(s), rows migrated = 0, invalidated = 85\n"
     );
+    // one hop: the drift reaches rows the refresh migrates, so this pins
+    // what the refresh's BFS around the dirty links decides
+    let base = Options { max_hop: Some(1), ..Options::default() };
+    let hop1 = PlaceOptions {
+        base,
+        fat_tree: Some(16),
+        seed: 11,
+        batch: 6,
+        warm: true,
+        ..Default::default()
+    };
+    assert_eq!(
+        run(None, hop1),
+        "place: 6 round(s) on 320 nodes, threads = auto\n\
+         outcomes: optimal = 6, no-busy = 0, infeasible = 0\n\
+         mean beta = 22.117253 s·%\n\
+         warm starts: 5 of 6 solved round(s) reused bases; pivots warm = 71, cold = 58, saved = 1130\n\
+         cost refresh: 4 incremental, 1 full invalidation(s), rows migrated = 72, invalidated = 283\n"
+    );
     for threads in [0, 1, 2] {
         let base = Options { threads, ..Options::default() };
         let shown = if threads == 0 { "auto".to_string() } else { threads.to_string() };
