@@ -651,7 +651,7 @@ mod tests {
         assert!((price(2) - price(1) - gap).abs() < 1e-9, "{:?}", p.shadow_prices);
         // a round with no busy node prices nothing
         let mut quiet = db.clone();
-        quiet.state_mut(NodeId(0)).utilization = 50.0;
+        quiet.states[0].utilization = 50.0;
         assert!(optimize(&quiet, &cfg()).shadow_prices.is_empty());
     }
 
@@ -772,7 +772,7 @@ mod tests {
         // stale basis must be ignored, not trusted
         let mut db2 = db.clone();
         let flipped = first.candidates[0];
-        db2.state_mut(flipped).utilization = 99.0;
+        db2.states[flipped.index()].utilization = 99.0;
         let warm = optimize_with(&db2, &fat_cfg(), &engine, Some(&first.warm)).unwrap();
         assert!(!warm.warm_used);
     }

@@ -124,11 +124,6 @@ impl Nmdb {
         &self.states[n.index()]
     }
 
-    /// Mutable state of one node (applying `STAT` updates).
-    pub fn state_mut(&mut self, n: NodeId) -> &mut NodeState {
-        &mut self.states[n.index()]
-    }
-
     /// Role of one node under `cfg`.
     pub fn role(&self, n: NodeId, cfg: &DustConfig) -> Role {
         classify(&self.states[n.index()], cfg)

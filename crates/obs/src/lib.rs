@@ -216,11 +216,6 @@ impl ObsHandle {
         }
     }
 
-    /// True when [`ObsHandle::enable_profiling`] has been called.
-    pub fn profiling_enabled(&self) -> bool {
-        self.profile().is_some()
-    }
-
     /// The attached profiler, if any.
     pub fn profile(&self) -> Option<&Arc<ProfileRegistry>> {
         self.core.as_ref().and_then(|c| c.profile.get())
@@ -270,7 +265,7 @@ mod tests {
         assert_eq!(h.post_mortem("why"), None);
         assert!(h.prof_scope("x").is_none() && h.prof_fork().is_none());
         h.enable_profiling();
-        assert!(!h.profiling_enabled(), "profiling cannot attach to a disabled handle");
+        assert!(h.profile().is_none(), "profiling cannot attach to a disabled handle");
         assert_eq!(h.profile_report(), None);
         assert_eq!(std::mem::size_of::<ObsHandle>(), std::mem::size_of::<usize>());
     }
@@ -278,11 +273,11 @@ mod tests {
     #[test]
     fn profiling_is_opt_in_on_recording_handles() {
         let h = ObsHandle::recording(1);
-        assert!(!h.profiling_enabled());
+        assert!(h.profile().is_none());
         assert!(h.prof_scope("x").is_none(), "recording alone must not profile");
         h.enable_profiling();
         h.enable_profiling(); // idempotent
-        assert!(h.profiling_enabled());
+        assert!(h.profile().is_some());
         {
             let _outer = h.prof_scope("outer");
             let mut w = h.prof_fork().unwrap();
@@ -293,7 +288,7 @@ mod tests {
         assert!(report.contains("count outer 1\n"), "{report}");
         assert!(report.contains("count outer;job 1\n"), "{report}");
         // clones share the profiler like they share the recorder
-        assert!(h.clone().profiling_enabled());
+        assert!(h.clone().profile().is_some());
     }
 
     #[test]

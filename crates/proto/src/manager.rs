@@ -478,11 +478,6 @@ impl Manager {
         self.placement_rounds
     }
 
-    /// Request ids with an outstanding (still retransmitting) `Release`.
-    pub fn pending_releases(&self) -> Vec<RequestId> {
-        self.releases.keys().copied().collect()
-    }
-
     fn fresh_request(&mut self) -> RequestId {
         self.next_request += 1;
         RequestId(self.next_request)
@@ -1492,11 +1487,11 @@ mod tests {
         m.handle(20, &ClientMsg::Keepalive { node: NodeId(1) });
         m.handle(1000, &ClientMsg::Stat { node: NodeId(0), utilization: 60.0, data_mb: 50.0 });
         assert_eq!(m.tick(1100).len(), 1); // the Release itself
-        assert_eq!(m.pending_releases(), vec![req]);
+        assert_eq!(m.releases.keys().copied().collect::<Vec<_>>(), vec![req]);
         // the Release keeps retransmitting with backoff until the cap
         let mut copies = 0;
         let mut now = 1100u64;
-        while !m.pending_releases().is_empty() {
+        while !m.releases.is_empty() {
             now += 40_000;
             // refresh node 0's STAT so the loop only exercises retransmits
             m.handle(now, &ClientMsg::Stat { node: NodeId(0), utilization: 60.0, data_mb: 50.0 });

@@ -111,10 +111,12 @@ pub fn evaluate_flows(g: &Graph, flows: &[TelemetryFlow], interval_ms: u64) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dust_topology::{min_inv_lu_dp_path, topologies, Link};
+    use dust_topology::{topologies, DpScratch, Link};
 
     fn flow_over(g: &Graph, a: NodeId, b: NodeId, data_mb: f64) -> TelemetryFlow {
-        let (_, route) = min_inv_lu_dp_path(g, a, b, None).expect("route exists");
+        let mut dp = DpScratch::default();
+        dp.run_to(g, a, &[b], None);
+        let (_, route) = dp.route_to(g, b).expect("route exists");
         TelemetryFlow { owner: a, host: b, route, data_mb }
     }
 
@@ -192,9 +194,9 @@ mod tests {
         for (util, expect_ratio) in [(0.5, 1.0), (0.25, 3.0), (0.75, 1.0 / 3.0)] {
             let g = make(util);
             let f = flow_over(&g, NodeId(0), NodeId(1), 10.0);
-            let planner_time = f.route.response_time(&g, 10.0); // D / Lu
-                                                                // 1 ms interval = burst mode: offered >> available, so the
-                                                                // admitted rate is exactly the link's headroom
+            let planner_time = 10.0 * f.route.inv_lu(&g); // D / Lu
+                                                          // 1 ms interval = burst mode: offered >> available, so the
+                                                          // admitted rate is exactly the link's headroom
             let out = evaluate_flows(&g, &[f], 1);
             let ratio = planner_time / out[0].transfer_time_s;
             assert!(

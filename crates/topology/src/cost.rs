@@ -121,41 +121,12 @@ fn price_row_into(
     }
 }
 
-/// Hop distance from every node to the nearest endpoint of any dirty
-/// link (multi-source BFS); `usize::MAX` where no dirty link is
-/// reachable. Utilization-only mutations never change adjacency, so
-/// running this on the post-mutation graph answers for the pre-mutation
-/// one too.
-fn dirty_distances(g: &Graph, dirty: &[EdgeId]) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; g.node_count()];
-    let mut queue = std::collections::VecDeque::new();
-    for &e in dirty {
-        let edge = g.edge(e);
-        for v in [edge.a, edge.b] {
-            if dist[v.index()] == usize::MAX {
-                dist[v.index()] = 0;
-                queue.push_back(v);
-            }
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()];
-        for &(w, _) in g.neighbors(v) {
-            if dist[w.index()] == usize::MAX {
-                dist[w.index()] = d + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
 /// Parallel, memoized `T_rmin` row provider — the single cost authority
 /// behind every placement entry point.
 ///
 /// Pricing a source means computing `min Σ 1/Lu_e` from it to *every*
-/// node ([`min_inv_lu_enumerated_from`](crate::paths::min_inv_lu_enumerated_from)
-/// or [`min_inv_lu_dp_from`](crate::paths::min_inv_lu_dp_from)); the
+/// node, by exhaustive enumeration or by the hop-bounded DP
+/// ([`PathEngine`]); [`CostEngine::rows`] is the one door to a row. The
 /// per-source rows are independent, so `build_matrix` fans them out
 /// across scoped worker threads pulling row indices from a shared cursor
 /// and filling each row into a buffer the calling thread allocated for
@@ -330,7 +301,11 @@ impl CostEngine {
             }
         } else {
             let d = dirty.as_deref().unwrap_or(&[]);
-            let ddist = (!d.is_empty()).then(|| dirty_distances(g, d));
+            // hops from each node to the nearest dirty link's endpoint:
+            // utilization-only mutations never change adjacency, so the
+            // post-mutation graph answers for the pre-mutation one too
+            let ddist = (!d.is_empty())
+                .then(|| g.hop_distances(d.iter().flat_map(|&e| [g.edge(e).a, g.edge(e).b])));
             let keys: Vec<RowKey> = cache.keys().filter(|k| k.0 == prev).copied().collect();
             for key in keys {
                 let (_, src, hopk, engine) = key;
@@ -1023,12 +998,13 @@ mod engine_tests {
 
     #[test]
     fn enumerated_row_matches_per_destination_calls() {
-        use crate::paths::{min_inv_lu_enumerated, min_inv_lu_enumerated_from};
+        use crate::paths::min_inv_lu_enumerated;
         let mut g = example7(Link::default());
         let utils = [0.9, 0.1, 0.8, 0.7, 0.3, 0.6, 0.2];
         g.retarget_utilization(|e, _| utils[e.index()]);
         for bound in [Some(1), Some(2), Some(4), None] {
-            let row = min_inv_lu_enumerated_from(&g, NodeId(0), bound);
+            let mut row = Vec::new();
+            min_inv_lu_enumerated_into(&g, NodeId(0), bound, &mut row, &mut RowScratch::default());
             for v in g.nodes().skip(1) {
                 let per = min_inv_lu_enumerated(&g, NodeId(0), v, bound)
                     .map_or(f64::INFINITY, |(c, _)| c);

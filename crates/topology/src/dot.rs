@@ -134,10 +134,8 @@ mod tests {
     #[test]
     fn placement_overlay_draws_routes() {
         let g = example7(Link::new(10_000.0, 0.5));
-        let route = crate::paths::enumerate_simple_paths(&g, NodeId(0), NodeId(1), Some(2))
-            .into_iter()
-            .next()
-            .unwrap();
+        let (_, route) =
+            crate::paths::min_inv_lu_enumerated(&g, NodeId(0), NodeId(1), Some(2)).unwrap();
         let dot = placement_to_dot(&g, "overlay", &[], &[route]);
         assert!(dot.contains("color=red"));
         assert!(dot.contains("route 0"));

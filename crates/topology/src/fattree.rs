@@ -201,7 +201,7 @@ mod tests {
         // two edge switches in pod 0
         let in_pod0: Vec<_> =
             edges.iter().copied().filter(|n| ft.pods[n.index()] == Some(0)).collect();
-        let d = ft.graph.hop_distances(in_pod0[0]);
+        let d = ft.graph.hop_distances([in_pod0[0]]);
         assert_eq!(d[in_pod0[1].index()], 2);
     }
 
@@ -211,7 +211,7 @@ mod tests {
         let edges = ft.tier_nodes(Tier::Edge);
         let pod0 = edges.iter().copied().find(|n| ft.pods[n.index()] == Some(0)).unwrap();
         let pod1 = edges.iter().copied().find(|n| ft.pods[n.index()] == Some(1)).unwrap();
-        let d = ft.graph.hop_distances(pod0);
+        let d = ft.graph.hop_distances([pod0]);
         assert_eq!(d[pod1.index()], 4);
     }
 

@@ -328,13 +328,18 @@ impl Graph {
         Some(taken)
     }
 
-    /// Hop distances from `src` to every node (BFS). Unreachable nodes get
-    /// `usize::MAX`.
-    pub fn hop_distances(&self, src: NodeId) -> Vec<usize> {
+    /// Hop distance from the nearest of `sources` to every node (one
+    /// multi-source BFS; a repeated source counts once). Nodes no source
+    /// reaches get `usize::MAX` — every node when `sources` is empty.
+    pub fn hop_distances(&self, sources: impl IntoIterator<Item = NodeId>) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.node_count()];
         let mut queue = std::collections::VecDeque::new();
-        dist[src.index()] = 0;
-        queue.push_back(src);
+        for s in sources {
+            if dist[s.index()] == usize::MAX {
+                dist[s.index()] = 0;
+                queue.push_back(s);
+            }
+        }
         while let Some(v) = queue.pop_front() {
             let d = dist[v.index()];
             for &(w, _) in self.neighbors(v) {
@@ -352,7 +357,7 @@ impl Graph {
         if self.node_count() == 0 {
             return true;
         }
-        let dist = self.hop_distances(NodeId(0));
+        let dist = self.hop_distances([NodeId(0)]);
         dist.iter().all(|&d| d != usize::MAX)
     }
 }
@@ -424,7 +429,7 @@ mod tests {
         g.add_default_edge(NodeId(0), NodeId(1));
         g.add_default_edge(NodeId(1), NodeId(2));
         g.add_default_edge(NodeId(2), NodeId(3));
-        let d = g.hop_distances(NodeId(0));
+        let d = g.hop_distances([NodeId(0)]);
         assert_eq!(d, vec![0, 1, 2, 3]);
         assert!(g.is_connected());
     }
@@ -434,7 +439,7 @@ mod tests {
         let mut g = Graph::with_nodes(3);
         g.add_default_edge(NodeId(0), NodeId(1));
         assert!(!g.is_connected());
-        let d = g.hop_distances(NodeId(0));
+        let d = g.hop_distances([NodeId(0)]);
         assert_eq!(d[2], usize::MAX);
     }
 

@@ -39,9 +39,5 @@ pub use cost::{CostEngine, CostMatrix, PathEngine, RefreshStats, MAX_DIRTY_FRACT
 pub use dot::{placement_to_dot, to_dot, NodeStyle};
 pub use fattree::{paper_sizes, FatTree, Tier};
 pub use graph::{Edge, EdgeId, Graph, Link, NodeId};
-pub use paths::{
-    count_simple_paths, enumerate_simple_paths, for_each_simple_path, min_inv_lu_dp,
-    min_inv_lu_dp_from, min_inv_lu_dp_path, min_inv_lu_enumerated, min_inv_lu_enumerated_from,
-    DpScratch, Path,
-};
+pub use paths::{for_each_simple_path, min_inv_lu_enumerated, DpScratch, Path};
 pub use rng::SplitMix64;

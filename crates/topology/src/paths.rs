@@ -2,20 +2,25 @@
 //!
 //! The paper evaluates `Tr_{i,j}` over *all* feasible paths up to a
 //! `max-hop` bound and takes the minimum (Eq. 1–2). Two interchangeable
-//! engines are provided:
+//! engines ([`PathEngine`]) compute it, and each path job has one door:
 //!
-//! * [`for_each_simple_path`] / [`enumerate_simple_paths`] — the
-//!   paper-faithful exhaustive enumerator, whose cost explodes with
-//!   `max-hop` exactly like the computation-time curves of Figs. 8 and 10.
-//!   It and the enumerator's row kernel ([`min_inv_lu_enumerated_from`],
-//!   the `Enumerate` engine's row) are one depth-first walk,
-//!   `walk_simple_paths`, with two visitors: one stops at the destination
-//!   and reports the path, the other lowers every node's minimum;
-//! * [`min_inv_lu_dp`] — a hop-bounded Bellman–Ford dynamic program that
-//!   computes the same minimum in `O(max_hop · |E|)`. Because edge costs
-//!   `1/Lu_e` are strictly positive, a minimum-cost walk never revisits a
-//!   node, so the DP optimum equals the simple-path optimum (ablation 1 in
-//!   DESIGN.md).
+//! * a source's row of minima to every node is
+//!   [`CostEngine::rows`](crate::CostEngine::rows), with either engine;
+//! * a DP pair's cost or route is a [`DpScratch`]: [`DpScratch::run_to`],
+//!   then [`DpScratch::cost_to`] or [`DpScratch::route_to`];
+//! * enumeration is [`for_each_simple_path`], and one pair's optimal
+//!   enumerated route is [`min_inv_lu_enumerated`].
+//!
+//! The `Enumerate` engine is the paper-faithful exhaustive enumerator,
+//! whose cost explodes with `max-hop` exactly like the computation-time
+//! curves of Figs. 8 and 10. [`for_each_simple_path`] and its row kernel
+//! are one depth-first walk, `walk_simple_paths`, with two visitors: one
+//! stops at the destination and reports the path, the other lowers every
+//! node's minimum. The `HopBoundedDp` engine is a hop-bounded
+//! Bellman–Ford dynamic program that computes the same minimum in
+//! `O(max_hop · |E|)`. Because edge costs `1/Lu_e` are strictly positive,
+//! a minimum-cost walk never revisits a node, so the DP optimum equals the
+//! simple-path optimum (ablation 1 in DESIGN.md).
 //!
 //! Per-edge cost is the *inverse utilized bandwidth* `1/Lu_e` (seconds per
 //! megabit); multiplying by the monitoring data volume `D_i` yields the
@@ -72,11 +77,6 @@ impl Path {
     pub fn inv_lu(&self, g: &Graph) -> f64 {
         self.edges.iter().map(|&e| inv_lu_edge(g, e)).sum()
     }
-
-    /// Response time for moving `d_mb` megabits along this path (Eq. 1).
-    pub fn response_time(&self, g: &Graph, d_mb: f64) -> f64 {
-        d_mb * self.inv_lu(g)
-    }
 }
 
 /// Cost of one edge: `1/Lu_e`. An idle link (`Lu = 0`) carries no data-plane
@@ -128,30 +128,6 @@ pub fn for_each_simple_path<F>(
     });
 }
 
-/// Collect every simple path from `src` to `dst` within `max_hop` hops.
-///
-/// Prefer [`for_each_simple_path`] when only aggregate statistics are
-/// needed; this materializes all paths.
-pub fn enumerate_simple_paths(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    max_hop: Option<usize>,
-) -> Vec<Path> {
-    let mut out = Vec::new();
-    for_each_simple_path(g, src, dst, max_hop, |nodes, edges, _| {
-        out.push(Path { nodes: nodes.to_vec(), edges: edges.to_vec() });
-    });
-    out
-}
-
-/// Count simple paths without materializing them.
-pub fn count_simple_paths(g: &Graph, src: NodeId, dst: NodeId, max_hop: Option<usize>) -> u64 {
-    let mut n = 0u64;
-    for_each_simple_path(g, src, dst, max_hop, |_, _, _| n += 1);
-    n
-}
-
 /// Minimum `Σ 1/Lu_e` over all simple paths within `max_hop` hops, found by
 /// exhaustive enumeration; returns the optimal path too. `None` if `dst` is
 /// unreachable within the bound.
@@ -172,21 +148,6 @@ pub fn min_inv_lu_enumerated(
         }
     });
     best
-}
-
-/// Minimum `Σ 1/Lu_e` from `src` to *every* node within `max_hop` hops by
-/// exhaustive simple-path enumeration. Entry `dist[v]` is `f64::INFINITY`
-/// when `v` is unreachable within the bound; `dist[src]` is `0.0`.
-///
-/// One DFS prices the whole row: every simple path from `src` appears as a
-/// stack prefix exactly once, so each destination sees the same path set —
-/// and therefore bit-identical minima — as a per-destination
-/// [`min_inv_lu_enumerated`] call, at a fraction of the work. This is the
-/// row primitive [`crate::CostEngine`] parallelizes over sources.
-pub fn min_inv_lu_enumerated_from(g: &Graph, src: NodeId, max_hop: Option<usize>) -> Vec<f64> {
-    let mut dist = Vec::new();
-    min_inv_lu_enumerated_into(g, src, max_hop, &mut dist, &mut RowScratch::default());
-    dist
 }
 
 /// The working memory of one row pricing — [`min_inv_lu_dp_into`] or
@@ -272,9 +233,17 @@ fn walk_simple_paths(
     }
 }
 
-/// [`min_inv_lu_enumerated_from`] into `dist`, which it sets to one entry
-/// per node (within the capacity it brings, allocating nothing), working
-/// in `scratch`.
+/// Minimum `Σ 1/Lu_e` from `src` to *every* node within `max_hop` hops by
+/// exhaustive simple-path enumeration, into `dist`, which it sets to one
+/// entry per node (within the capacity it brings, allocating nothing),
+/// working in `scratch`. Entry `dist[v]` is `f64::INFINITY` when `v` is
+/// unreachable within the bound; `dist[src]` is `0.0`.
+///
+/// One DFS prices the whole row: every simple path from `src` appears as a
+/// stack prefix exactly once, so each destination sees the same path set —
+/// and therefore bit-identical minima — as a per-destination
+/// [`min_inv_lu_enumerated`] call, at a fraction of the work. This is the
+/// `Enumerate` row [`crate::CostEngine`] parallelizes over sources.
 pub(crate) fn min_inv_lu_enumerated_into(
     g: &Graph,
     src: NodeId,
@@ -333,22 +302,16 @@ fn relax_layer(
 }
 
 /// Minimum `Σ 1/Lu_e` from `src` to *every* node within `max_hop` hops via
-/// hop-bounded Bellman–Ford. Entry `dist[v]` is `f64::INFINITY` when `v` is
-/// unreachable within the bound.
+/// hop-bounded Bellman–Ford, into `dist`, which it sets to one entry per
+/// node (within the capacity it brings, allocating nothing), working in
+/// `scratch`. Entry `dist[v]` is `f64::INFINITY` when `v` is unreachable
+/// within the bound; `dist[src]` is `0.0`.
 ///
 /// With strictly positive edge costs a minimum-cost walk is simple, so this
 /// equals the enumerated optimum at a fraction of the cost. Each layer
 /// relaxes only out of the previous layer's frontier, so a bounded search
-/// costs what it reaches, not `max_hop · |E|`.
-pub fn min_inv_lu_dp_from(g: &Graph, src: NodeId, max_hop: Option<usize>) -> Vec<f64> {
-    let mut dist = Vec::new();
-    min_inv_lu_dp_into(g, src, max_hop, &mut dist, &mut RowScratch::default());
-    dist
-}
-
-/// [`min_inv_lu_dp_from`] into `dist`, which it sets to one entry per
-/// node (within the capacity it brings, allocating nothing), working in
-/// `scratch`.
+/// costs what it reaches, not `max_hop · |E|`. This is the `HopBoundedDp`
+/// row [`crate::CostEngine`] parallelizes over sources.
 pub(crate) fn min_inv_lu_dp_into(
     g: &Graph,
     src: NodeId,
@@ -379,15 +342,6 @@ pub(crate) fn min_inv_lu_dp_into(
     }
     // The source's own distance stays 0 but a path to itself is not
     // meaningful for offloading; callers filter src == dst beforehand.
-}
-
-/// Minimum `Σ 1/Lu_e` between one pair of nodes via the DP engine.
-pub fn min_inv_lu_dp(g: &Graph, src: NodeId, dst: NodeId, max_hop: Option<usize>) -> Option<f64> {
-    if src == dst {
-        return None;
-    }
-    let d = min_inv_lu_dp_from(g, src, max_hop)[dst.index()];
-    d.is_finite().then_some(d)
 }
 
 /// The hop-layered DP from one source toward a set of destinations, kept
@@ -591,27 +545,6 @@ impl DpScratch {
     }
 }
 
-/// Like [`min_inv_lu_dp`] but also reconstructs the optimal route.
-///
-/// Runs the hop-layered DP toward `dst` ([`DpScratch::run_to`]) and
-/// backtracks through its layers; the returned path has at most `max_hop`
-/// edges and its [`Path::inv_lu`] equals the returned cost. A caller
-/// routing many pairs keeps one [`DpScratch`] and routes from each run to
-/// every destination it named.
-pub fn min_inv_lu_dp_path(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    max_hop: Option<usize>,
-) -> Option<(f64, Path)> {
-    if src == dst {
-        return None;
-    }
-    let mut scratch = DpScratch::default();
-    scratch.run_to(g, src, &[dst], max_hop);
-    scratch.route_to(g, dst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -625,10 +558,27 @@ mod tests {
         }
     }
 
+    /// Every simple path from `src` to `dst` within `max_hop`, as the
+    /// enumerator walks them.
+    fn all_paths(g: &Graph, src: NodeId, dst: NodeId, max_hop: Option<usize>) -> Vec<Path> {
+        let mut out = Vec::new();
+        for_each_simple_path(g, src, dst, max_hop, |nodes, edges, _| {
+            out.push(Path { nodes: nodes.to_vec(), edges: edges.to_vec() });
+        });
+        out
+    }
+
+    /// The DP's cost from `src` to `dst`, as a fresh [`DpScratch`] prices it.
+    fn dp_cost(g: &Graph, src: NodeId, dst: NodeId, max_hop: Option<usize>) -> Option<f64> {
+        let mut dp = DpScratch::default();
+        dp.run_to(g, src, &[dst], max_hop);
+        dp.cost_to(g, dst)
+    }
+
     #[test]
     fn ring_has_two_paths() {
         let g = ring(6, Link::default());
-        let paths = enumerate_simple_paths(&g, NodeId(0), NodeId(3), None);
+        let paths = all_paths(&g, NodeId(0), NodeId(3), None);
         assert_eq!(paths.len(), 2);
         let hops: Vec<_> = paths.iter().map(Path::hops).collect();
         assert!(hops.contains(&3));
@@ -640,18 +590,18 @@ mod tests {
     fn max_hop_prunes() {
         let g = ring(6, Link::default());
         // both ways around the 6-ring reach node 3 in exactly 3 hops
-        assert_eq!(count_simple_paths(&g, NodeId(0), NodeId(3), Some(3)), 2);
-        assert_eq!(count_simple_paths(&g, NodeId(0), NodeId(3), Some(2)), 0);
+        assert_eq!(all_paths(&g, NodeId(0), NodeId(3), Some(3)).len(), 2);
+        assert_eq!(all_paths(&g, NodeId(0), NodeId(3), Some(2)).len(), 0);
         // node 2: short way (2 hops) and long way (4 hops)
-        assert_eq!(count_simple_paths(&g, NodeId(0), NodeId(2), Some(3)), 1);
-        assert_eq!(count_simple_paths(&g, NodeId(0), NodeId(2), Some(4)), 2);
+        assert_eq!(all_paths(&g, NodeId(0), NodeId(2), Some(3)).len(), 1);
+        assert_eq!(all_paths(&g, NodeId(0), NodeId(2), Some(4)).len(), 2);
     }
 
     #[test]
     fn example7_has_expected_paths_s1_to_s2() {
         let g = example7(Link::default());
         // S1 = n0, S2 = n1. Paths: e1-e2, e1-e3-e4, e1-e7-e6-e5-e4 (S1,S3,S6,S5,S4,S2)
-        let paths = enumerate_simple_paths(&g, NodeId(0), NodeId(1), None);
+        let paths = all_paths(&g, NodeId(0), NodeId(1), None);
         assert_eq!(paths.len(), 3);
         let mut hops: Vec<_> = paths.iter().map(Path::hops).collect();
         hops.sort_unstable();
@@ -667,7 +617,7 @@ mod tests {
         for max_hop in [Some(2), Some(3), Some(5), None] {
             for dst in [NodeId(1), NodeId(5)] {
                 let enumerated = min_inv_lu_enumerated(&g, NodeId(0), dst, max_hop).map(|(c, _)| c);
-                let dp = min_inv_lu_dp(&g, NodeId(0), dst, max_hop);
+                let dp = dp_cost(&g, NodeId(0), dst, max_hop);
                 match (enumerated, dp) {
                     (Some(a), Some(b)) => {
                         assert!((a - b).abs() < 1e-12, "mismatch {a} vs {b} at {max_hop:?}")
@@ -683,8 +633,8 @@ mod tests {
     fn dp_respects_hop_bound() {
         let g = ring(8, Link::default());
         // opposite side of an 8-ring is 4 hops away
-        assert!(min_inv_lu_dp(&g, NodeId(0), NodeId(4), Some(3)).is_none());
-        assert!(min_inv_lu_dp(&g, NodeId(0), NodeId(4), Some(4)).is_some());
+        assert!(dp_cost(&g, NodeId(0), NodeId(4), Some(3)).is_none());
+        assert!(dp_cost(&g, NodeId(0), NodeId(4), Some(4)).is_some());
     }
 
     #[test]
@@ -694,7 +644,8 @@ mod tests {
         let (cost, path) = min_inv_lu_enumerated(&g, NodeId(0), NodeId(1), None).unwrap();
         assert_eq!(path.hops(), 2);
         assert!((cost - 2.0 / 500.0).abs() < 1e-12);
-        assert!((path.response_time(&g, 100.0) - 100.0 * 2.0 / 500.0).abs() < 1e-12);
+        // moving 100 Mb along it takes D · Σ 1/Lu_e (Eq. 1)
+        assert!((100.0 * path.inv_lu(&g) - 100.0 * 2.0 / 500.0).abs() < 1e-12);
     }
 
     #[test]
@@ -720,14 +671,14 @@ mod tests {
         let (cost, _) = min_inv_lu_enumerated(&g, NodeId(0), NodeId(1), None).unwrap();
         assert!(cost.is_infinite());
         // DP reports unreachable-in-finite-time as None
-        assert!(min_inv_lu_dp(&g, NodeId(0), NodeId(1), None).is_none());
+        assert!(dp_cost(&g, NodeId(0), NodeId(1), None).is_none());
     }
 
     #[test]
     fn src_equals_dst_yields_nothing() {
         let g = ring(4, Link::default());
-        assert_eq!(count_simple_paths(&g, NodeId(0), NodeId(0), None), 0);
-        assert!(min_inv_lu_dp(&g, NodeId(0), NodeId(0), None).is_none());
+        assert_eq!(all_paths(&g, NodeId(0), NodeId(0), None).len(), 0);
+        assert!(dp_cost(&g, NodeId(0), NodeId(0), None).is_none());
     }
 
     #[test]
@@ -737,7 +688,8 @@ mod tests {
         let (a, b) = (edges[0], *edges.last().unwrap());
         let mut prev = 0;
         for h in [2, 4, 6, 8] {
-            let c = count_simple_paths(&ft.graph, a, b, Some(h));
+            let mut c = 0;
+            for_each_simple_path(&ft.graph, a, b, Some(h), |_, _, _| c += 1);
             assert!(c >= prev, "path count must be monotone in max_hop");
             prev = c;
         }
@@ -751,6 +703,19 @@ mod dp_path_tests {
     use crate::graph::{Graph, Link};
     use crate::topologies::example7;
 
+    /// The DP's optimal route from `src` to `dst`, backtracked by a fresh
+    /// [`DpScratch`].
+    fn dp_route(
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        max_hop: Option<usize>,
+    ) -> Option<(f64, Path)> {
+        let mut dp = DpScratch::default();
+        dp.run_to(g, src, &[dst], max_hop);
+        dp.route_to(g, dst)
+    }
+
     #[test]
     fn dp_path_matches_enumerated_route_cost() {
         let mut g = example7(Link::default());
@@ -759,7 +724,7 @@ mod dp_path_tests {
         for max_hop in [Some(2), Some(3), Some(5), None] {
             for dst in [NodeId(1), NodeId(5)] {
                 let e = min_inv_lu_enumerated(&g, NodeId(0), dst, max_hop);
-                let p = min_inv_lu_dp_path(&g, NodeId(0), dst, max_hop);
+                let p = dp_route(&g, NodeId(0), dst, max_hop);
                 match (e, p) {
                     (Some((ce, _)), Some((cp, path))) => {
                         assert!((ce - cp).abs() < 1e-12, "{ce} vs {cp}");
@@ -782,9 +747,9 @@ mod dp_path_tests {
         g.add_edge(NodeId(0), NodeId(1), Link::new(100.0, 1.0));
         g.add_edge(NodeId(0), NodeId(2), Link::new(10_000.0, 1.0));
         g.add_edge(NodeId(2), NodeId(1), Link::new(10_000.0, 1.0));
-        let (_, p1) = min_inv_lu_dp_path(&g, NodeId(0), NodeId(1), Some(1)).unwrap();
+        let (_, p1) = dp_route(&g, NodeId(0), NodeId(1), Some(1)).unwrap();
         assert_eq!(p1.hops(), 1);
-        let (_, p2) = min_inv_lu_dp_path(&g, NodeId(0), NodeId(1), Some(4)).unwrap();
+        let (_, p2) = dp_route(&g, NodeId(0), NodeId(1), Some(4)).unwrap();
         assert_eq!(p2.hops(), 2);
     }
 
@@ -792,7 +757,7 @@ mod dp_path_tests {
     fn dp_path_unreachable_is_none() {
         let mut g = Graph::with_nodes(4);
         g.add_default_edge(NodeId(0), NodeId(1));
-        assert!(min_inv_lu_dp_path(&g, NodeId(0), NodeId(3), None).is_none());
+        assert!(dp_route(&g, NodeId(0), NodeId(3), None).is_none());
     }
 }
 
@@ -808,7 +773,7 @@ mod frontier_tests {
     use crate::SplitMix64;
 
     /// Layered distances by sweeping all edges per layer; the last layer is
-    /// the row `min_inv_lu_dp_from` returns.
+    /// the row `min_inv_lu_dp_into` prices.
     fn full_sweep_layers(g: &Graph, src: NodeId, max_hop: Option<usize>) -> Vec<Vec<f64>> {
         let n = g.node_count();
         let bound = max_hop.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
@@ -909,7 +874,8 @@ mod frontier_tests {
                 // node 0 sits on the idle link; the others spread over tiers
                 for src in [0, 1, n / 3, n / 2, n - 1].map(|v| NodeId(v as u32)) {
                     let want = full_sweep_layers(g, src, max_hop);
-                    let got = min_inv_lu_dp_from(g, src, max_hop);
+                    let mut got = Vec::new();
+                    min_inv_lu_dp_into(g, src, max_hop, &mut got, &mut RowScratch::default());
                     let row = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
                     assert_eq!(
                         row(&got),
@@ -926,7 +892,9 @@ mod frontier_tests {
                         scratch.run_to(g, src, dests, max_hop);
                         for &dst in dests.iter().step_by(1 + dests.len() / 40) {
                             let want = backtrack(g, &want, src, dst);
-                            let alone = min_inv_lu_dp_path(g, src, dst, max_hop);
+                            let mut alone = DpScratch::default();
+                            alone.run_to(g, src, &[dst], max_hop);
+                            let alone = alone.route_to(g, dst);
                             let what = format!("graph {gi} {src:?}->{dst:?} {max_hop:?}");
                             assert_eq!(bits(&alone), bits(&want), "{what}: alone");
                             let shared = scratch.route_to(g, dst);
@@ -952,7 +920,8 @@ mod frontier_tests {
         let (mut pruned, mut full) = (DpScratch::default(), DpScratch::default());
         for _ in 0..24 {
             let src = NodeId(rng.below(all.len() as u64) as u32);
-            let reach = min_inv_lu_dp_from(&g, src, Some(2));
+            let mut reach = Vec::new();
+            min_inv_lu_dp_into(&g, src, Some(2), &mut reach, &mut RowScratch::default());
             let within: Vec<NodeId> =
                 g.nodes().filter(|&v| v != src && reach[v.index()].is_finite()).collect();
             let dst = within[rng.below(within.len() as u64) as usize];

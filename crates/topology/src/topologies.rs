@@ -194,7 +194,7 @@ mod tests {
         // servers are leaves of the tree
         assert_eq!(g.degree(NodeId(6)), 1);
         // any two servers are at most 4 hops apart (server-leaf-spine-leaf-server)
-        let d = g.hop_distances(NodeId(6));
+        let d = g.hop_distances([NodeId(6)]);
         assert!(d.iter().all(|&x| x <= 4));
     }
 
@@ -222,7 +222,7 @@ mod tests {
     fn example7_route_r1_exists() {
         // S1→S3→S2 must be a 2-hop walk in the graph.
         let g = example7(Link::default());
-        let d = g.hop_distances(NodeId(0));
+        let d = g.hop_distances([NodeId(0)]);
         assert_eq!(d[NodeId(1).index()], 2); // S2 two hops from S1
         assert_eq!(d[NodeId(5).index()], 2); // S6 two hops from S1
     }

@@ -3,12 +3,30 @@
 //! must agree everywhere, enumerated paths must be simple and within
 //! bounds, generator invariants must hold for arbitrary parameters, and
 //! the parallel [`CostEngine`] must reproduce the sequential matrices
-//! bit-for-bit under every thread count.
+//! bit-for-bit under every thread count. Each path job is reached through
+//! the door the product uses: rows from [`CostEngine::rows`], a DP pair
+//! from a [`DpScratch`], paths from [`for_each_simple_path`].
 
 use dust_topology::{
-    count_simple_paths, enumerate_simple_paths, min_inv_lu_dp, min_inv_lu_enumerated,
-    topologies::random_regular, CostEngine, FatTree, Graph, Link, NodeId, PathEngine, SplitMix64,
+    for_each_simple_path, min_inv_lu_enumerated, topologies::random_regular, CostEngine, DpScratch,
+    FatTree, Graph, Link, NodeId, Path, PathEngine, SplitMix64,
 };
+
+/// Every simple path from `src` to `dst` within `max_hop` hops.
+fn all_paths(g: &Graph, src: NodeId, dst: NodeId, max_hop: Option<usize>) -> Vec<Path> {
+    let mut out = Vec::new();
+    for_each_simple_path(g, src, dst, max_hop, |nodes, edges, _| {
+        out.push(Path { nodes: nodes.to_vec(), edges: edges.to_vec() });
+    });
+    out
+}
+
+/// The DP's cost from `src` to `dst`, as a fresh [`DpScratch`] prices it.
+fn dp_cost(g: &Graph, src: NodeId, dst: NodeId, max_hop: Option<usize>) -> Option<f64> {
+    let mut dp = DpScratch::default();
+    dp.run_to(g, src, &[dst], max_hop);
+    dp.cost_to(g, dst)
+}
 
 /// A small random connected graph: a spanning line plus extra random
 /// edges, with randomized link states. Deterministic in `seed`.
@@ -32,23 +50,30 @@ fn arb_graph(seed: u64) -> Graph {
     g
 }
 
-/// Enumerated minimum equals DP minimum for every pair and hop bound.
+/// Enumerated minimum equals DP minimum for every pair and hop bound, and
+/// the DP's two doors — the cost engine's row and a [`DpScratch`]'s
+/// `cost_to` — agree to the bit.
 #[test]
 fn dp_matches_enumeration() {
     for seed in 0..64u64 {
         let g = arb_graph(seed);
         let max_hop = 1 + (seed % 6) as usize;
         let n = g.node_count();
+        let engine = CostEngine::with_threads(1);
         for s in 0..n.min(4) {
+            let src = NodeId(s as u32);
+            let row = engine.rows(&g, &[src], Some(max_hop), PathEngine::HopBoundedDp).remove(0);
             for d in 0..n.min(4) {
                 if s == d {
                     continue;
                 }
-                let (src, dst) = (NodeId(s as u32), NodeId(d as u32));
+                let dst = NodeId(d as u32);
                 let e = min_inv_lu_enumerated(&g, src, dst, Some(max_hop))
                     .map(|(c, _)| c)
                     .filter(|c| c.is_finite());
-                let p = min_inv_lu_dp(&g, src, dst, Some(max_hop));
+                let p = dp_cost(&g, src, dst, Some(max_hop));
+                let from_row = Some(row[dst.index()]).filter(|c| c.is_finite());
+                assert_eq!(p.map(f64::to_bits), from_row.map(f64::to_bits), "seed {seed}: row");
                 match (e, p) {
                     (Some(a), Some(b)) => assert!(
                         (a - b).abs() <= 1e-9 * a.abs().max(1.0),
@@ -71,7 +96,7 @@ fn paths_are_simple_and_bounded() {
         let max_hop = 1 + (seed % 5) as usize;
         let src = NodeId(0);
         let dst = NodeId(g.node_count() as u32 - 1);
-        for path in enumerate_simple_paths(&g, src, dst, Some(max_hop)) {
+        for path in all_paths(&g, src, dst, Some(max_hop)) {
             assert!(path.hops() <= max_hop);
             assert_eq!(path.nodes.len(), path.edges.len() + 1);
             assert_eq!(*path.nodes.first().unwrap(), src);
@@ -101,12 +126,12 @@ fn path_count_monotone_in_bound() {
         let dst = NodeId(g.node_count() as u32 - 1);
         let mut prev = 0;
         for h in 1..=g.node_count() {
-            let c = count_simple_paths(&g, src, dst, Some(h));
+            let c = all_paths(&g, src, dst, Some(h)).len();
             assert!(c >= prev, "seed {seed}");
             prev = c;
         }
         assert_eq!(
-            count_simple_paths(&g, src, dst, None),
+            all_paths(&g, src, dst, None).len(),
             prev,
             "unbounded must equal the largest bounded count"
         );
@@ -122,7 +147,7 @@ fn min_cost_monotone_in_bound() {
         let dst = NodeId(g.node_count() as u32 - 1);
         let mut prev = f64::INFINITY;
         for h in 1..=g.node_count() {
-            if let Some(c) = min_inv_lu_dp(&g, src, dst, Some(h)) {
+            if let Some(c) = dp_cost(&g, src, dst, Some(h)) {
                 assert!(c <= prev + 1e-12, "seed {seed}");
                 prev = c;
             }
@@ -167,13 +192,39 @@ fn random_regular_invariants() {
 fn bfs_distance_is_metric_over_edges() {
     for seed in 0..48u64 {
         let g = arb_graph(seed);
-        let dist = g.hop_distances(NodeId(0));
+        let dist = g.hop_distances([NodeId(0)]);
         for e in g.edges() {
             let (da, db) = (dist[e.a.index()], dist[e.b.index()]);
             if da != usize::MAX && db != usize::MAX {
                 assert!(da.abs_diff(db) <= 1, "seed {seed}");
             }
         }
+    }
+}
+
+/// A multi-source BFS gives every node its hop distance to the nearest
+/// source — the minimum over the sources of one-source BFS distances,
+/// repeated sources included — and no source reaches nothing.
+#[test]
+fn multi_source_bfs_is_the_nearest_source() {
+    let mut rng = SplitMix64::new(0xBF5);
+    for seed in 0..48u64 {
+        let g = match seed % 3 {
+            0 => arb_graph(seed),
+            1 => random_regular(8 + 2 * (seed % 8) as usize, 3, seed, Link::default()),
+            _ => FatTree::with_default_links(4).graph,
+        };
+        let n = g.node_count();
+        let sources: Vec<NodeId> =
+            (0..rng.range_u64(1, 5)).map(|_| NodeId(rng.below(n as u64) as u32)).collect();
+        let mut nearest = vec![usize::MAX; n];
+        for &s in &sources {
+            for (near, d) in nearest.iter_mut().zip(g.hop_distances([s])) {
+                *near = (*near).min(d);
+            }
+        }
+        assert_eq!(g.hop_distances(sources.iter().copied()), nearest, "seed {seed} {sources:?}");
+        assert_eq!(g.hop_distances([]), vec![usize::MAX; n], "seed {seed}");
     }
 }
 
@@ -262,14 +313,15 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// 6, a 9-ring, Fig. 7's example and a 3-regular 16-node graph, each with
 /// uniform links (equal-hop routes tie exactly) and with seeded loads from
 /// four values plus one idle link, at hop bounds 1–4, one FNV-1a digest
-/// folds every `min_inv_lu_enumerated_from` row's bits and, for a spread
-/// of pairs, the route `min_inv_lu_enumerated` picks (cost bits, nodes,
-/// edges) and `count_simple_paths`. Which of two tied routes wins, and
-/// where the walk stops, are part of the answer.
+/// folds every `Enumerate` row's bits (through [`CostEngine::rows`]) and,
+/// for a spread of pairs, the route `min_inv_lu_enumerated` picks (cost
+/// bits, nodes, edges) and the count of paths `for_each_simple_path`
+/// visits. Which of two tied routes wins, and where the walk stops, are
+/// part of the answer.
 #[test]
 fn enumerated_rows_routes_and_counts_are_pinned() {
-    use dust_topology::min_inv_lu_enumerated_from;
     use dust_topology::topologies::{example7, ring};
+    let engine = CostEngine::with_threads(1);
     let built: Vec<(&str, Graph)> = vec![
         ("fat-tree 4", FatTree::new(4, Link::default()).graph),
         ("fat-tree 6", FatTree::new(6, Link::default()).graph),
@@ -295,8 +347,9 @@ fn enumerated_rows_routes_and_counts_are_pinned() {
             for max_hop in 1..=4 {
                 let at = format!("{name} {loads} hop {max_hop}");
                 for src in (0..n).map(NodeId) {
-                    let row = min_inv_lu_enumerated_from(&g, src, Some(max_hop));
-                    for d in &row {
+                    let row =
+                        engine.rows(&g, &[src], Some(max_hop), PathEngine::Enumerate).remove(0);
+                    for d in row.iter() {
                         h = fnv1a(h, &d.to_bits().to_le_bytes());
                     }
                     if src.0 % 3 != 0 {
@@ -317,7 +370,8 @@ fn enumerated_rows_routes_and_counts_are_pinned() {
                             }
                             None => h = fnv1a(h, &[0xff]),
                         }
-                        let count = count_simple_paths(&g, src, dst, Some(max_hop));
+                        let mut count = 0u64;
+                        for_each_simple_path(&g, src, dst, Some(max_hop), |_, _, _| count += 1);
                         paths += count;
                         h = fnv1a(h, &count.to_le_bytes());
                     }
