@@ -33,7 +33,7 @@ use crate::runner::{DriftConfig, SimConfig, Simulation, StormConfig};
 use crate::traffic::TrafficModel;
 use crate::transport::FaultConfig;
 use dust_core::{DustConfig, DustError};
-use dust_obs::{ObsHandle, SloEngine};
+use dust_obs::{ObsHandle, SloSpec};
 use dust_topology::{Graph, NodeId, PathEngine};
 
 /// Builder for [`Simulation`]; obtain one via [`Simulation::builder`].
@@ -54,7 +54,7 @@ pub struct SimBuilder {
     /// profile without one is rejected as irreproducible.
     seed_set: bool,
     obs: Option<ObsHandle>,
-    slo: Option<SloEngine>,
+    slo: Option<SloSpec>,
     kills: Vec<(u64, NodeId)>,
     revives: Vec<(u64, NodeId)>,
 }
@@ -141,9 +141,10 @@ impl SimBuilder {
         self
     }
 
-    /// Attach an online SLO engine at construction time.
-    pub fn slo(mut self, slo: SloEngine) -> Self {
-        self.slo = Some(slo);
+    /// Attach an online SLO engine for `spec` at construction time; its
+    /// `overload_dwell` rules count CPU at or above the run's `c_max`.
+    pub fn slo(mut self, spec: SloSpec) -> Self {
+        self.slo = Some(spec);
         self
     }
 
@@ -324,8 +325,8 @@ impl SimBuilder {
         if let Some(obs) = self.obs {
             sim.set_obs(obs);
         }
-        if let Some(slo) = self.slo {
-            sim.set_slo(slo);
+        if let Some(spec) = self.slo {
+            sim.set_slo(spec);
         }
         for (at, node) in self.kills {
             sim.inject_failure(at, node);
@@ -561,14 +562,14 @@ mod tests {
 
     #[test]
     fn obs_and_slo_attach_through_the_builder() {
-        use dust_obs::{ObsHandle, SloEngine, SloSpec};
+        use dust_obs::{ObsHandle, SloSpec};
         let (g, nodes) = two_nodes();
         let obs = ObsHandle::recording(1);
         let sim = Simulation::builder()
             .graph(g)
             .nodes(nodes)
             .obs(obs.clone())
-            .slo(SloEngine::new(SloSpec::parse("convergence<=10000").unwrap(), 25.0))
+            .slo(SloSpec::parse("convergence<=10000").unwrap())
             .build()
             .unwrap();
         assert!(sim.obs().is_enabled());

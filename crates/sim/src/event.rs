@@ -19,50 +19,43 @@
 //!   sample* instead of per emission, and never when no telemetry flow is
 //!   routed (in which case the simulation never writes to the topology
 //!   and goes on sharing the Manager's).
-//! * **Epoch-keyed node caches.** Per-agent CPU/memory walks are cached
-//!   per node, keyed on [`SimNode::agents_epoch`] and the traffic
-//!   fraction's bit pattern; only the burst-window arithmetic (a pure
-//!   function of the cached sum and `now`) runs per event. The shared
-//!   `*_from_raw` / `*_from_agents` helpers on [`SimNode`] keep the
-//!   arithmetic bit-identical with the pure functions.
-//! * **One walk per shared deployment.** A node whose whole walk is an
-//!   interned record ([`SimNode::shared_deployment`]) fills its cache from
-//!   a per-record memo instead of walking: every node of a fleet class
-//!   costs one walk per traffic value, not one each — at the first
-//!   sample, and at every event under a time-varying traffic model.
-//!   Detached, owned and hosting nodes walk on their own.
+//! * **One slot table for every per-node read.** Nodes whose whole walk
+//!   is one interned record ([`SimNode::shared_deployment`]), with equal
+//!   spec bits and offload state, share a *slot*; every other node has a
+//!   slot of its own. Each slot keeps one walk of a representative, keyed
+//!   on its [`SimNode::agents_epoch`] and the traffic fraction's bits, so
+//!   a fleet of one class costs one walk per traffic value, not one per
+//!   node. STAT emission and sampling both read it after re-keying the
+//!   nodes whose epoch moved; per node only the `*_from_raw` arithmetic
+//!   runs, bit-identical with the pure functions.
 //! * **Arena-style buffers.** STAT emission reuses one message buffer
 //!   ([`dust_proto::Client::tick_into`]); the telemetry flow set is
 //!   rebuilt only when the transfer ledger's version moves; liveness is
 //!   a flat bitmap instead of a hash probe per node.
-//! * **One sample per class, one pass per series.** A node's three
-//!   sampled values are a pure function of `(traffic, now)` and, for a
-//!   node whose whole walk is a shared record, of a key: the record, its
-//!   spec's bits and whether it has offloaded agents. Nodes with the same
-//!   key share a *slot*; every other node has a slot of its own. A sample
-//!   computes one `[device-cpu, device-mem, monitor-cpu]` triple per slot,
-//!   from a representative member, so a fleet of one class costs one
-//!   computation per sample, not one per node. The first telemetry sample
-//!   resolves each node's three series to [`SeriesId`] handles and reserves
-//!   every point the run will record (the count follows from the run's own
-//!   duration and sample period) — all handles, then all point lists, so
-//!   the series tables' small allocations do not interleave the large
-//!   lists. The per-slot values are held, and a hold ends when another
-//!   sample would not fit in `SAMPLE_RUN` (8) values per node, at a slot
-//!   change, or at the run's last sample; each series then takes its held
-//!   points back-to-back in one ordered pass. A fleet of one class holds
-//!   the whole run and writes each series once; a fleet of nodes on their
-//!   own writes runs of eight. A node whose key changes (drift detached
-//!   it, an offload or a hosting moved agents) ends the hold before the
-//!   slots are reassigned, so each series gets the same points in the same
-//!   order. The run's last sample writes what is held, so the federation
-//!   is whole when the run ends; nothing reads it before then. A handler
-//!   that comes to read it mid-run must flush the held samples first. The
-//!   flow series, written only while flows are routed, append directly.
-//!   The batch's CPU/memory histogram samples, one per node in node order,
-//!   collect in two reused buffers and reach the recorder in one
-//!   [`dust_obs::ObsHandle::observe_all`] each instead of one lock per
-//!   node.
+//! * **One sample per slot, one pass per series.** A sample computes one
+//!   `[device-cpu, device-mem, monitor-cpu]` triple per slot, so a fleet
+//!   of one class costs one computation per sample, not one per node. The
+//!   first telemetry sample resolves each node's three series to
+//!   [`SeriesId`] handles and reserves every point the run will record
+//!   (the count follows from the run's own duration and sample period) —
+//!   all handles, then all point lists, so the series tables' small
+//!   allocations do not interleave the large lists. The per-slot values
+//!   are held, and a hold ends when another sample would not fit in
+//!   `SAMPLE_RUN` (8) values per node, at a slot change, or at the run's
+//!   last sample; each series then takes its held points back-to-back in
+//!   one ordered pass. A fleet of one class holds the whole run and
+//!   writes each series once; a fleet of nodes on their own writes runs of
+//!   eight. A node whose key changes (drift detached it, an offload or a
+//!   hosting moved agents) ends the hold before the slots are reassigned,
+//!   at the next STAT emission or sample, so each series gets the same
+//!   points in the same order. The run's last sample writes what is held,
+//!   so the federation is whole when the run ends; nothing reads it before
+//!   then. A handler that comes to read it mid-run must flush the held
+//!   samples first. The flow series, written only while flows are routed,
+//!   append directly. The batch's CPU/memory histogram samples, one per
+//!   node in node order, collect in two reused buffers and reach the
+//!   recorder in one [`dust_obs::ObsHandle::observe_all`] each instead of
+//!   one lock per node.
 
 use crate::engine::EventQueue;
 use crate::flows::{evaluate_flows, TelemetryFlow};
@@ -78,22 +71,43 @@ use std::sync::Arc;
 /// single class holds up to `SAMPLE_RUN × nodes` samples.
 const SAMPLE_RUN: usize = 8;
 
-/// What a shared-record node's sampled values depend on besides
-/// `(traffic, now)`: nodes with equal keys share a sample slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What a shared-record node's values depend on besides `(traffic, now)`:
+/// nodes with equal keys share a slot.
+#[derive(Debug, Clone)]
 struct SlotKey {
-    /// Memo index of the node's [`SimNode::shared_deployment`].
-    deployment: usize,
+    /// The node's [`SimNode::shared_deployment`], matched by
+    /// [`Arc::ptr_eq`]. Holding a clone keeps the record alive, so no
+    /// other record can be allocated at its address meanwhile.
+    record: Arc<Vec<MonitorAgent>>,
     /// The bits of its [`crate::node::NodeSpec`].
     spec: [u64; 4],
     /// Whether its `offloaded_agents` is empty (no offload stub).
     local: bool,
 }
 
-/// Per-node cached aggregates, invalidated by agent-ledger epoch (and
-/// traffic fraction for the CPU/data sums, which depend on it).
+impl PartialEq for SlotKey {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.record, &other.record)
+            && self.spec == other.spec
+            && self.local == other.local
+    }
+}
+
+impl SlotKey {
+    /// The key of `node`'s shared slot; `None` for a node on its own.
+    fn of(node: &SimNode) -> Option<SlotKey> {
+        let s = node.spec;
+        Some(SlotKey {
+            record: Arc::clone(node.shared_deployment()?),
+            spec: [s.cpu_cores, s.mem_gib, s.base_cpu_percent, s.base_mem_gib].map(f64::to_bits),
+            local: node.offloaded_agents.is_empty(),
+        })
+    }
+}
+
+/// One slot's walks, each keyed on its representative's agent epoch.
 #[derive(Debug, Clone, Default)]
-struct NodeCache {
+struct SlotWalk {
     /// Key of `raw_cpu`/`data_mb`: `(agents_epoch, traffic.to_bits())`.
     raw_key: Option<(u64, u64)>,
     raw_cpu: f64,
@@ -103,32 +117,9 @@ struct NodeCache {
     mem_percent: f64,
 }
 
-/// The walks of one interned deployment record, shared by every node whose
-/// whole agent walk it is ([`SimNode::shared_deployment`]).
-#[derive(Debug)]
-struct DeploymentWalk {
-    /// Matched by [`Arc::ptr_eq`]. Holding a clone keeps the record alive,
-    /// so no other record can be allocated at its address meanwhile.
-    record: Arc<Vec<MonitorAgent>>,
-    /// Key of `raw_cpu`/`data_mb`: `traffic.to_bits()`.
-    raw_key: Option<u64>,
-    raw_cpu: f64,
-    data_mb: f64,
-    /// [`SimNode::agent_mem_gib`] (traffic-blind).
-    mem_gib: Option<f64>,
-}
-
 /// Hot state owned by the event loop, outside the `Simulation` so the
 /// borrow checker lets handlers mutate both independently.
 struct HotState {
-    cache: Vec<NodeCache>,
-    /// One entry per deployment record seen, in first-seen order, never
-    /// evicted: interleaved node classes do not thrash each other.
-    /// Allocated here, at the run's start: grown at the first sample, its
-    /// block would sit above the run's ≈ 33 MB of point lists, and once
-    /// freed (and cached by the allocator) keep the heap from shrinking
-    /// after the run — the next run's peak RSS read 67 MB instead of 63.
-    memo: Vec<DeploymentWalk>,
     /// Agent walks taken: a CPU/data walk counts one, a memory walk one.
     #[cfg(test)]
     walks: u64,
@@ -150,7 +141,7 @@ struct HotState {
     /// samples, reused across batches and flushed once per batch.
     cpu_batch: Vec<f64>,
     mem_batch: Vec<f64>,
-    /// `slot_of[i]`: node `i`'s sample slot. The shared slots come first,
+    /// `slot_of[i]`: node `i`'s slot. The shared slots come first,
     /// `classes[s]` keying slot `s`; a slot past them is one node's own.
     slot_of: Vec<u32>,
     /// `slot_epoch[i]`: node `i`'s [`SimNode::agents_epoch`] when its slot
@@ -158,6 +149,13 @@ struct HotState {
     slot_epoch: Vec<u64>,
     /// `reps[s]`: the node whose values slot `s` takes.
     reps: Vec<u32>,
+    /// `walked[s]`: slot `s`'s walks. Sized to the node count here, at the
+    /// run's start, like the tables beside it: grown at the first sample,
+    /// its block would sit above the run's ≈ 33 MB of point lists, and
+    /// once freed (and cached by the allocator) keep the heap from
+    /// shrinking after the run — the next run's peak RSS read 67 MB
+    /// instead of 63.
+    walked: Vec<SlotWalk>,
     /// The shared slots' keys, in slot order.
     classes: Vec<SlotKey>,
     /// The held samples' values, slot-major within a sample:
@@ -170,10 +168,10 @@ struct HotState {
 }
 
 impl HotState {
-    fn new(n: usize) -> Self {
-        HotState {
-            cache: vec![NodeCache::default(); n],
-            memo: Vec::with_capacity(4),
+    /// The state of a run over `nodes`, with their slots assigned.
+    fn new(nodes: &[SimNode]) -> Self {
+        let n = nodes.len();
+        let mut hot = HotState {
             #[cfg(test)]
             walks: 0,
             stat_buf: Vec::new(),
@@ -187,10 +185,13 @@ impl HotState {
             slot_of: vec![0; n],
             slot_epoch: vec![0; n],
             reps: Vec::with_capacity(n),
+            walked: Vec::with_capacity(n),
             classes: Vec::with_capacity(4),
             run: Vec::new(),
             run_at: Vec::new(),
-        }
+        };
+        hot.assign_slots(nodes);
+        hot
     }
 
     /// Write the held samples, series by series: each series takes its
@@ -213,17 +214,6 @@ impl HotState {
         self.run_at.clear();
     }
 
-    /// The key of `node`'s shared slot; `None` for a node on its own.
-    fn slot_key(&mut self, node: &SimNode) -> Option<SlotKey> {
-        let deployment = self.deployment(node)?;
-        let s = node.spec;
-        Some(SlotKey {
-            deployment,
-            spec: [s.cpu_cores, s.mem_gib, s.base_cpu_percent, s.base_mem_gib].map(f64::to_bits),
-            local: node.offloaded_agents.is_empty(),
-        })
-    }
-
     /// Give every node its slot: one per distinct key, in first-seen
     /// order, then one per node on its own. Nothing may be held.
     fn assign_slots(&mut self, nodes: &[SimNode]) {
@@ -232,9 +222,9 @@ impl HotState {
         self.reps.clear();
         for (i, n) in nodes.iter().enumerate() {
             self.slot_epoch[i] = n.agents_epoch();
-            self.slot_of[i] = match self.slot_key(n) {
+            self.slot_of[i] = match SlotKey::of(n) {
                 Some(key) => {
-                    let at = self.classes.iter().position(|&c| c == key);
+                    let at = self.classes.iter().position(|c| *c == key);
                     at.unwrap_or_else(|| {
                         self.classes.push(key);
                         self.reps.push(i as u32);
@@ -250,6 +240,8 @@ impl HotState {
                 self.reps.push(i as u32);
             }
         }
+        self.walked.clear();
+        self.walked.resize(self.reps.len(), SlotWalk::default());
     }
 
     /// Whether some node's key moved off its slot's since the slots were
@@ -260,13 +252,21 @@ impl HotState {
             let epoch = n.agents_epoch();
             if self.slot_epoch[i] != epoch {
                 self.slot_epoch[i] = epoch;
-                let assigned = self.classes.get(self.slot_of[i] as usize).copied();
-                if self.slot_key(n) != assigned {
+                if SlotKey::of(n).as_ref() != self.classes.get(self.slot_of[i] as usize) {
                     return true;
                 }
             }
         }
         false
+    }
+
+    /// Bring the slots up to date with the nodes' agent lists: at a slot
+    /// change, write the held samples by the old slots, then reassign.
+    fn sync_slots(&mut self, federation: &mut Federation, nodes: &[SimNode]) {
+        if self.slots_changed(nodes) {
+            self.flush_samples(federation, nodes);
+            self.assign_slots(nodes);
+        }
     }
 
     /// Hold the sample at `now`: one `[device-cpu, device-mem, monitor-cpu]`
@@ -275,33 +275,14 @@ impl HotState {
     /// `SAMPLE_RUN` values per node.
     fn hold_sample(&mut self, nodes: &[SimNode], traffic: f64, now: u64) -> bool {
         for s in 0..self.reps.len() {
-            let i = self.reps[s] as usize;
-            let node = &nodes[i];
-            let (raw, _) = self.raw(node, i, traffic);
-            let mem = self.mem(node, i);
-            let cpu = node.device_cpu_from_raw(raw, now);
+            let (raw, _) = self.raw(nodes, s, traffic);
+            let mem = self.mem(nodes, s);
+            let cpu = nodes[self.reps[s] as usize].device_cpu_from_raw(raw, now);
             let monitor = SimNode::monitoring_cpu_from_raw(raw, now);
             self.run.extend([cpu, mem, monitor]);
         }
         self.run_at.push(now);
         (self.run_at.len() + 1) * self.reps.len() > SAMPLE_RUN * nodes.len()
-    }
-
-    /// The memo index of `node`'s shared deployment, added on first sight;
-    /// `None` for a node that walks on its own.
-    fn deployment(&mut self, node: &SimNode) -> Option<usize> {
-        let record = node.shared_deployment()?;
-        let at = self.memo.iter().position(|d| Arc::ptr_eq(&d.record, record));
-        Some(at.unwrap_or_else(|| {
-            self.memo.push(DeploymentWalk {
-                record: Arc::clone(record),
-                raw_key: None,
-                raw_cpu: 0.0,
-                data_mb: 0.0,
-                mem_gib: None,
-            });
-            self.memo.len() - 1
-        }))
     }
 
     /// One agent walk, `f`; tests count them.
@@ -313,61 +294,41 @@ impl HotState {
         f()
     }
 
-    /// Refresh node `i`'s cached aggregates for `traffic` and return
-    /// `(raw_cpu, data_mb)`.
-    fn raw(&mut self, node: &SimNode, i: usize, traffic: f64) -> (f64, f64) {
-        let key = (node.agents_epoch(), traffic.to_bits());
-        if self.cache[i].raw_key != Some(key) {
-            let d = self.deployment(node);
-            let memoized = d.map(|d| &self.memo[d]).filter(|m| m.raw_key == Some(key.1));
-            let (raw_cpu, data_mb) = match memoized {
-                Some(m) => (m.raw_cpu, m.data_mb),
-                None => {
-                    let sums = self.walk(|| (node.raw_agent_cpu(traffic), node.data_mb(traffic)));
-                    if let Some(d) = d {
-                        let m = &mut self.memo[d];
-                        (m.raw_cpu, m.data_mb) = sums;
-                        m.raw_key = Some(key.1);
-                    }
-                    sums
-                }
-            };
-            let c = &mut self.cache[i];
-            (c.raw_cpu, c.data_mb) = (raw_cpu, data_mb);
-            c.raw_key = Some(key);
+    /// Slot `s`'s `(raw_cpu, data_mb)` at `traffic`: its representative's
+    /// [`SimNode::raw_agent_cpu`] and [`SimNode::data_mb`], walked once per
+    /// agent epoch and traffic value.
+    fn raw(&mut self, nodes: &[SimNode], s: usize, traffic: f64) -> (f64, f64) {
+        let rep = &nodes[self.reps[s] as usize];
+        let key = (rep.agents_epoch(), traffic.to_bits());
+        if self.walked[s].raw_key != Some(key) {
+            let sums = self.walk(|| (rep.raw_agent_cpu(traffic), rep.data_mb(traffic)));
+            let w = &mut self.walked[s];
+            (w.raw_cpu, w.data_mb) = sums;
+            w.raw_key = Some(key);
         }
-        let c = &self.cache[i];
-        (c.raw_cpu, c.data_mb)
+        let w = &self.walked[s];
+        (w.raw_cpu, w.data_mb)
     }
 
-    /// Cached [`SimNode::device_mem_percent`].
-    fn mem(&mut self, node: &SimNode, i: usize) -> f64 {
-        let key = node.agents_epoch();
-        if self.cache[i].mem_key != Some(key) {
-            let d = self.deployment(node);
-            let gib = match d.and_then(|d| self.memo[d].mem_gib) {
-                Some(gib) => gib,
-                None => {
-                    let gib = self.walk(|| node.agent_mem_gib());
-                    if let Some(d) = d {
-                        self.memo[d].mem_gib = Some(gib);
-                    }
-                    gib
-                }
-            };
-            let c = &mut self.cache[i];
-            c.mem_percent = node.device_mem_from_agents(gib);
-            c.mem_key = Some(key);
+    /// Slot `s`'s [`SimNode::device_mem_percent`], walked once per agent
+    /// epoch.
+    fn mem(&mut self, nodes: &[SimNode], s: usize) -> f64 {
+        let rep = &nodes[self.reps[s] as usize];
+        let key = rep.agents_epoch();
+        if self.walked[s].mem_key != Some(key) {
+            let percent = self.walk(|| rep.device_mem_percent());
+            let w = &mut self.walked[s];
+            w.mem_percent = percent;
+            w.mem_key = Some(key);
         }
-        self.cache[i].mem_percent
+        self.walked[s].mem_percent
     }
 }
-
 /// Run `sim` to completion; [`Simulation::run`] is its entry point.
 pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
     let mut report = Simulation::empty_report();
     let mut q: EventQueue<SimEvent> = EventQueue::new();
-    let mut hot = HotState::new(sim.nodes.len());
+    let mut hot = HotState::new(&sim.nodes);
     sim.seed_queue(&mut q, &mut report);
 
     while let Some(ev) = q.pop() {
@@ -386,12 +347,16 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                 // graph, so note the time and apply it before the next
                 // flow evaluation.
                 hot.links_pending = Some(now);
+                hot.sync_slots(&mut report.federation, &sim.nodes);
                 let walk = sim.obs.prof_scope("sim.resource_walk");
                 for i in 0..sim.nodes.len() {
                     if !sim.alive[i] {
                         continue;
                     }
-                    let (raw, data) = hot.raw(&sim.nodes[i], i, traffic);
+                    // a STAT, keepalive or registration draws at most an
+                    // ACK: no agent moves inside this loop
+                    debug_assert_eq!(hot.slot_epoch[i], sim.nodes[i].agents_epoch());
+                    let (raw, data) = hot.raw(&sim.nodes, hot.slot_of[i] as usize, traffic);
                     let cpu = sim.nodes[i].device_cpu_from_raw(raw, now);
                     sim.clients[i].observe(cpu, data);
                     sim.clients[i].tick_into(now, &mut hot.stat_buf);
@@ -411,6 +376,7 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
             SimEvent::TelemetrySample => {
                 let traffic = sim.traffic.fraction(now);
                 let batch = sim.obs.prof_scope("sim.telemetry_batch");
+                hot.sync_slots(&mut report.federation, &sim.nodes);
                 if hot.handles.is_empty() {
                     // first sample: every later one lands `sample_period_ms`
                     // after the last until `duration_ms`, so the point
@@ -425,7 +391,6 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                         [series::DEVICE_CPU, series::DEVICE_MEM, series::MONITOR_CPU]
                             .map(|name| db.series_id(name))
                     }));
-                    hot.assign_slots(&sim.nodes);
                     // `held × slots ≤ SAMPLE_RUN × nodes` and `slots ≥ 1`,
                     // whatever the slots become later in the run
                     let nodes = sim.nodes.len();
@@ -437,10 +402,6 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                             db.reserve(id, points);
                         }
                     }
-                } else if hot.slots_changed(&sim.nodes) {
-                    // the held values are laid out by the old slots
-                    hot.flush_samples(&mut report.federation, &sim.nodes);
-                    hot.assign_slots(&sim.nodes);
                 }
                 let at = hot.run.len();
                 let full = hot.hold_sample(&sim.nodes, traffic, now);
@@ -622,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn each_shared_deployment_walks_once_per_traffic_value() {
+    fn each_slot_walks_once_per_traffic_value() {
         let a = Arc::new(MonitorAgent::standard_deployment());
         let b = Arc::new(MonitorAgent::standard_deployment()[3..].to_vec());
         let spec = NodeSpec::aruba_8325();
@@ -635,10 +596,7 @@ mod tests {
             .collect();
         // …one retuned off `a` onto its own copy…
         let mut detached = SimNode::with_shared_agents(NodeId(8), spec, Arc::clone(&a));
-        for agent in detached.local_agents_mut() {
-            agent.sampling = Some(IntSampling::Probabilistic { p: 0.5 });
-        }
-        detached.note_agents_changed();
+        retune(&mut detached, 0.5);
         // …one still on `b` but hosting an agent of node 0's…
         let mut hosting = SimNode::with_shared_agents(NodeId(9), spec, Arc::clone(&b));
         hosting.host_agents(NodeId(0), &a[..1]);
@@ -646,15 +604,17 @@ mod tests {
         nodes.extend([detached, hosting, SimNode::with_standard_agents(NodeId(10), spec)]);
         let on_their_own = 3;
 
-        let mut hot = HotState::new(nodes.len());
+        let mut hot = HotState::new(&nodes);
+        assert_eq!((hot.classes.len(), hot.reps.len() as u64), (2, 2 + on_their_own));
         let mut walks = 0;
         // `now` crosses the burst window; the last fraction comes back
         for (step, traffic) in [0.2, 0.35, 0.9, 0.2].into_iter().enumerate() {
             let now = step as u64 * 1_000;
             for _ in 0..2 {
                 for (i, n) in nodes.iter().enumerate() {
-                    let (raw, data) = hot.raw(n, i, traffic);
-                    let mem = hot.mem(n, i);
+                    let slot = hot.slot_of[i] as usize;
+                    let (raw, data) = hot.raw(&nodes, slot, traffic);
+                    let mem = hot.mem(&nodes, slot);
                     let at = format!("node {i} traffic {traffic}");
                     let cpu = n.device_cpu_from_raw(raw, now);
                     assert_eq!(cpu.to_bits(), n.device_cpu_percent(now, traffic).to_bits(), "{at}");
@@ -665,23 +625,21 @@ mod tests {
                     assert_eq!(mem.to_bits(), n.device_mem_percent().to_bits(), "{at}");
                 }
             }
-            // one CPU/data walk per record and per node on its own, the
-            // second pass none; memory is traffic-blind, walked once
+            // one CPU/data walk per shared slot and per node on its own,
+            // the second pass none; memory is traffic-blind, walked once
             walks += 2 + on_their_own;
             if step == 0 {
                 walks += 2 + on_their_own;
             }
             assert_eq!(hot.walks, walks, "traffic {traffic}");
         }
-        assert_eq!(hot.memo.len(), 2);
     }
 
     #[test]
     fn every_node_reads_its_own_values_from_its_slot() {
         for seed in 1..=8u64 {
             let mut nodes = node_mix(seed, 48);
-            let mut hot = HotState::new(nodes.len());
-            hot.assign_slots(&nodes);
+            let mut hot = HotState::new(&nodes);
             let at = format!("seed {seed}");
             assert_eq!(hot.reps.len(), distinct_slots(&nodes), "{at}");
             assert!(hot.reps.len() < nodes.len(), "{at}: somebody shares a slot");
@@ -714,12 +672,56 @@ mod tests {
     }
 
     #[test]
+    fn stat_emission_reads_every_node_through_its_slot() {
+        // what a STAT reports per node: its device CPU and its data volume
+        let check = |hot: &mut HotState, nodes: &[SimNode], now: u64, traffic: f64, at: &str| {
+            for (i, n) in nodes.iter().enumerate() {
+                assert_eq!(hot.slot_epoch[i], n.agents_epoch(), "{at}: node {i} synced");
+                let (raw, data) = hot.raw(nodes, hot.slot_of[i] as usize, traffic);
+                let cpu = n.device_cpu_from_raw(raw, now);
+                let at = format!("{at}: node {i}, t {now}, traffic {traffic}");
+                assert_eq!(cpu.to_bits(), n.device_cpu_percent(now, traffic).to_bits(), "{at}");
+                assert_eq!(data.to_bits(), n.data_mb(traffic).to_bits(), "{at}");
+            }
+        };
+        for seed in 1..=8u64 {
+            let mut nodes = node_mix(seed, 48);
+            let mut federation = Federation::new();
+            let mut hot = HotState::new(&nodes);
+            let at = format!("seed {seed}");
+            check(&mut hot, &nodes, 0, 0.2, &at);
+            // a node on its own that stays on its own keeps its slot, and
+            // its slot walks again at the same traffic
+            let own = nodes.iter().position(|n| !n.agents_interned()).expect("a detached node");
+            retune(&mut nodes[own], 0.5);
+            hot.sync_slots(&mut federation, &nodes);
+            check(&mut hot, &nodes, 0, 0.2, &at);
+
+            // retune a shared node, drop a hosting, offload a shared node
+            let shared = nodes.iter().position(|n| n.shared_deployment().is_some()).unwrap();
+            retune(&mut nodes[shared], 0.6);
+            let host =
+                nodes.iter().position(|n| n.agents_interned() && n.shared_deployment().is_none());
+            if let Some(host) = host {
+                nodes[host].drop_hosted_for(NodeId(0));
+            }
+            let sender = nodes.iter().position(|n| n.shared_deployment().is_some()).unwrap();
+            drop(nodes[sender].offload_all_to(NodeId(1)));
+            hot.sync_slots(&mut federation, &nodes);
+            assert_eq!(hot.reps.len(), distinct_slots(&nodes), "{at}");
+            // into, inside and out of the burst window, traffic moving
+            for (now, traffic) in [(1_500, 0.35), (3_000, 0.9), (4_500, 0.2)] {
+                check(&mut hot, &nodes, now, traffic, &at);
+            }
+        }
+    }
+
+    #[test]
     fn a_hold_keeps_sample_run_values_per_node() {
         let spec = NodeSpec::aruba_8325();
         let record = Arc::new(MonitorAgent::standard_deployment());
         let held = |nodes: &[SimNode]| {
-            let mut hot = HotState::new(nodes.len());
-            hot.assign_slots(nodes);
+            let mut hot = HotState::new(nodes);
             (1..).find(|&s| hot.hold_sample(nodes, 0.2, s as u64 * 150)).unwrap()
         };
         let own: Vec<SimNode> =

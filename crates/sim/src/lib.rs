@@ -6,7 +6,8 @@
 //! * [`engine`] — a deterministic event queue firing in `(time, insertion)` order;
 //! * [`builder`] — validating construction ([`Simulation::builder`]);
 //! * [`event`] — the simulation core: the event loop, with per-event-time
-//!   batching, per-node caches and arena-backed hot state;
+//!   batching, one slot table for every per-node read (nodes with equal
+//!   values share a slot and its walk) and arena-backed hot state;
 //! * [`node`] — the device resource model (Aruba-8325-class DUT, servers,
 //!   DPUs) where CPU/memory derive from which monitor agents run where;
 //! * [`traffic`] — VxLAN overlay traffic profiles projected onto links;

@@ -212,8 +212,9 @@ impl SimNode {
 
     /// Raw agent CPU sum in percent of one core at `traffic_fraction` —
     /// local agents then hosted agents, before engine overhead and bursts.
-    /// This is the expensive per-agent walk the event core caches per
-    /// [`SimNode::agents_epoch`], and per [`SimNode::shared_deployment`].
+    /// This is the expensive per-agent walk the event core keeps once per
+    /// slot (a group of nodes whose values are equal), keyed on the
+    /// representative's [`SimNode::agents_epoch`].
     pub fn raw_agent_cpu(&self, traffic_fraction: f64) -> f64 {
         self.local_agents
             .as_slice()
@@ -269,17 +270,11 @@ impl SimNode {
             * 1.3 // engine + TSDB overhead
     }
 
-    /// Device memory from a precomputed [`SimNode::agent_mem_gib`]
-    /// (cached-path variant of [`SimNode::device_mem_percent`]; identical
-    /// arithmetic).
-    pub fn device_mem_from_agents(&self, agents_gib: f64) -> f64 {
-        let stub = if self.offloaded_agents.is_empty() { 0.0 } else { OFFLOAD_STUB_MEM_GIB };
-        ((self.spec.base_mem_gib + agents_gib + stub) / self.spec.mem_gib * 100.0).min(100.0)
-    }
-
     /// Device memory utilization percent.
     pub fn device_mem_percent(&self) -> f64 {
-        self.device_mem_from_agents(self.agent_mem_gib())
+        let stub = if self.offloaded_agents.is_empty() { 0.0 } else { OFFLOAD_STUB_MEM_GIB };
+        ((self.spec.base_mem_gib + self.agent_mem_gib() + stub) / self.spec.mem_gib * 100.0)
+            .min(100.0)
     }
 
     /// Telemetry data volume this node must ship per interval if its local

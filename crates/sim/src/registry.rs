@@ -77,8 +77,6 @@ pub struct Scenario {
     pub slo_spec: &'static str,
     /// Duration when the caller does not override it, ms.
     pub default_duration_ms: u64,
-    /// CPU % treated as overloaded by `overload_dwell` rules.
-    pub overload_cpu: f64,
     /// Sets up the simulation's builder (everything but the SLO engine).
     make: fn(&ScenarioKnobs, u64) -> SimBuilder,
 }
@@ -138,9 +136,7 @@ impl Scenario {
             Some(s) => s.clone(),
             None => self.slo(),
         };
-        (self.make)(knobs, self.duration(knobs))
-            .slo(SloEngine::new(spec, self.overload_cpu))
-            .build()
+        (self.make)(knobs, self.duration(knobs)).slo(spec).build()
     }
 
     /// Build and run to completion.
@@ -168,7 +164,6 @@ static REGISTRY: [Scenario; 7] = [
         summary: "Fig. 5 testbed, full DUST offload, perfect wire",
         slo_spec: "convergence<=20000,abandons<=0",
         default_duration_ms: 120_000,
-        overload_cpu: 20.0,
         make: testbed_builder,
     },
     Scenario {
@@ -176,7 +171,6 @@ static REGISTRY: [Scenario; 7] = [
         summary: "the testbed under a 20% lossy, duplicating, jittery wire",
         slo_spec: "convergence<=60000,abandons<=10",
         default_duration_ms: 120_000,
-        overload_cpu: 20.0,
         make: make_chaos,
     },
     Scenario {
@@ -184,7 +178,6 @@ static REGISTRY: [Scenario; 7] = [
         summary: "testbed + INT per-packet agents (deterministic 1/4 and p=0.25)",
         slo_spec: "convergence<=20000,abandons<=0",
         default_duration_ms: 90_000,
-        overload_cpu: 20.0,
         make: make_int_burst,
     },
     Scenario {
@@ -192,7 +185,6 @@ static REGISTRY: [Scenario; 7] = [
         summary: "testbed under a sinusoidal day curve with seeded noise",
         slo_spec: "convergence<=30000,abandons<=0",
         default_duration_ms: 120_000,
-        overload_cpu: 20.0,
         make: make_diurnal,
     },
     Scenario {
@@ -200,7 +192,6 @@ static REGISTRY: [Scenario; 7] = [
         summary: "testbed under a ramp/hold/decay crowd spike",
         slo_spec: "convergence<=30000,abandons<=0",
         default_duration_ms: 90_000,
-        overload_cpu: 20.0,
         make: make_flash_crowd,
     },
     Scenario {
@@ -208,7 +199,6 @@ static REGISTRY: [Scenario; 7] = [
         summary: "4-k fat-tree: CPU-cascade storm, then a pod-wide outage",
         slo_spec: "convergence<=20000,abandons<=40",
         default_duration_ms: 90_000,
-        overload_cpu: 20.0,
         make: make_zone_storm,
     },
     Scenario {
@@ -216,7 +206,6 @@ static REGISTRY: [Scenario; 7] = [
         summary: "testbed under seeded link/agent drift, warm-started delta re-placement",
         slo_spec: "convergence<=20000,abandons<=5",
         default_duration_ms: 120_000,
-        overload_cpu: 20.0,
         make: make_churn,
     },
 ];
@@ -385,7 +374,7 @@ pub fn fig6_contrast(duration_ms: u64, seed: u64) -> Fig6Result {
 /// audit what the retry/expiry machinery did about it. The duration
 /// defaults to the `chaos` entry's; an SLO engine rides along iff
 /// [`ScenarioKnobs::slo_override`] is set (overload threshold = the
-/// testbed's `c_max`) and comes back holding any breaches. The engine is
+/// run's `c_max`) and comes back holding any breaches. The engine is
 /// a pure observer: the [`ChaosResult`] is bit-identical with or without
 /// it, and with or without a recording `obs`. The reported `loss` is the
 /// Manager → Client drop probability.
@@ -399,7 +388,7 @@ pub fn chaos(faults: FaultConfig, knobs: &ScenarioKnobs) -> (ChaosResult, Option
     let (_, dut) = testbed_topology();
     let mut b = testbed_builder(knobs, entry.duration(knobs)).faults(faults);
     if let Some(spec) = &knobs.slo_override {
-        b = b.slo(SloEngine::new(spec.clone(), testbed_dust_config().c_max));
+        b = b.slo(spec.clone());
     }
     let mut sim = b.build().expect("chaos knobs are consistent");
     let report = sim.run();

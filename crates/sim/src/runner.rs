@@ -32,7 +32,7 @@ use crate::node::SimNode;
 use crate::traffic::TrafficModel;
 use crate::transport::{Direction, FaultConfig, Transport};
 use dust_core::DustConfig;
-use dust_obs::{ObsHandle, SloBreach, SloEngine, TraceEvent};
+use dust_obs::{ObsHandle, SloBreach, SloEngine, SloSpec, TraceEvent};
 use dust_proto::{Client, ClientMsg, Envelope, Manager, ManagerMsg, RequestId, SolverBackend};
 use dust_telemetry::{Federation, IntSampling};
 use dust_topology::{EdgeId, Graph, NodeId, Path, SplitMix64};
@@ -418,14 +418,16 @@ impl Simulation {
         &self.obs
     }
 
-    /// Attach an online SLO engine. The runner feeds it from the event
-    /// loop — protocol counters after Manager activity, CPU samples and
-    /// a tick at each `SimEvent::SloEvaluation` point, and the
+    /// Attach an online SLO engine for `spec`, whose `overload_dwell` rules
+    /// count a node as overloaded at or above the run's `c_max`. The
+    /// runner feeds it from the event loop — protocol counters after
+    /// Manager activity, CPU samples and a tick at each
+    /// `SimEvent::SloEvaluation` point, and the
     /// convergence clock when the first transfer lands — and traces every
     /// breach it fires as a [`TraceEvent::SloBreach`] (plus `slo.breaches`
     /// counters), so alerts are part of the digested event stream.
-    pub(crate) fn set_slo(&mut self, engine: SloEngine) {
-        self.slo = Some(engine);
+    pub(crate) fn set_slo(&mut self, spec: SloSpec) {
+        self.slo = Some(SloEngine::new(spec, self.cfg.dust.c_max));
     }
 
     /// The attached SLO engine, if any (for breach inspection).
@@ -485,7 +487,8 @@ impl Simulation {
 
     /// Pass a Manager → client envelope through the fault gate. An ideal
     /// direction delivers inline; otherwise each surviving copy is queued
-    /// at `now + delay`.
+    /// at `now + delay`, saturating: a copy due past the end of time is
+    /// lost, as one due after `duration_ms` is.
     pub(crate) fn send_to_client(
         &mut self,
         now: u64,
@@ -505,7 +508,7 @@ impl Simulation {
         let copies = self.transport.plan(Direction::ToClient);
         self.record_gate(now, Direction::ToClient, &copies);
         for delay in copies {
-            q.schedule(now + delay, SimEvent::DeliverClient(env.clone()));
+            q.schedule(now.saturating_add(delay), SimEvent::DeliverClient(env.clone()));
         }
     }
 
@@ -534,7 +537,8 @@ impl Simulation {
         }
     }
 
-    /// Pass a client → Manager message through the fault gate.
+    /// Pass a client → Manager message through the fault gate, as
+    /// [`Simulation::send_to_client`] does.
     pub(crate) fn send_to_manager(
         &mut self,
         now: u64,
@@ -554,7 +558,7 @@ impl Simulation {
         let copies = self.transport.plan(Direction::ToManager);
         self.record_gate(now, Direction::ToManager, &copies);
         for delay in copies {
-            q.schedule(now + delay, SimEvent::DeliverManager(msg.clone()));
+            q.schedule(now.saturating_add(delay), SimEvent::DeliverManager(msg.clone()));
         }
     }
 
@@ -1106,6 +1110,13 @@ mod tests {
     /// Lossy control plane: offloading still converges, nothing is lost,
     /// and the fault gate's counters land in the report.
     fn lossy_sim(loss: f64, seed: u64) -> Simulation {
+        let profile =
+            FaultProfile { drop: loss, duplicate: loss / 2.0, delay_ms: 20, jitter_ms: 100 };
+        faulty_sim(profile, seed)
+    }
+
+    /// A Busy DUT and two idle servers behind `profile` in both directions.
+    fn faulty_sim(profile: FaultProfile, seed: u64) -> Simulation {
         let g = topologies::line(3, Link::default());
         let nodes = vec![
             SimNode::with_standard_agents(NodeId(0), NodeSpec::aruba_8325()),
@@ -1113,12 +1124,7 @@ mod tests {
             SimNode::bare(NodeId(2), NodeSpec::server()),
         ];
         let dust = DustConfig::paper_defaults().with_thresholds(25.0, 20.0, 1.0);
-        let faults = FaultConfig::symmetric(FaultProfile {
-            drop: loss,
-            duplicate: loss / 2.0,
-            delay_ms: 20,
-            jitter_ms: 100,
-        });
+        let faults = FaultConfig::symmetric(profile);
         Simulation::builder()
             .graph(g)
             .nodes(nodes)
@@ -1132,6 +1138,21 @@ mod tests {
     }
 
     #[test]
+    fn a_copy_due_past_the_end_of_time_is_lost() {
+        for (delay_ms, jitter_ms) in
+            [(u64::MAX, 0), (0, u64::MAX), (18_446_744_073_709_551_000, 5_000)]
+        {
+            let profile = FaultProfile { delay_ms, jitter_ms, ..FaultProfile::ideal() };
+            let mut sim = faulty_sim(profile, 1);
+            let report = sim.run();
+            let at = format!("delay {delay_ms}, jitter {jitter_ms}");
+            assert!(report.msgs_sent > 0, "{at}");
+            assert_eq!(report.transfers_applied, 0, "{at}: nothing reaches the other side");
+            assert!(report.end_ms <= 60_000, "{at}");
+        }
+    }
+
+    #[test]
     fn lossy_control_plane_still_offloads() {
         let mut sim = lossy_sim(0.2, 11);
         let report = sim.run();
@@ -1142,12 +1163,12 @@ mod tests {
 
     #[test]
     fn slo_convergence_breach_fires_on_the_no_offload_baseline() {
-        use dust_obs::{ObsHandle, SloEngine, SloKind, SloSpec};
+        use dust_obs::{ObsHandle, SloKind, SloSpec};
         // dust disabled → no transfer ever applies → convergence breaches
         let mut sim = two_node_sim(false);
         sim.set_obs(ObsHandle::recording(3));
         let spec = SloSpec::parse("convergence<=10000").unwrap();
-        sim.set_slo(SloEngine::new(spec, 25.0));
+        sim.set_slo(spec);
         sim.run();
         let engine = sim.take_slo().unwrap();
         assert!(engine.breached(), "baseline never offloads, deadline must fire");
@@ -1174,7 +1195,7 @@ mod tests {
             "convergence<=1,retransmit_rate<=0.0,abandons<=0,overload_dwell<=1",
         )
         .unwrap();
-        watched.set_slo(dust_obs::SloEngine::new(spec, 25.0));
+        watched.set_slo(spec);
         let report = watched.run();
         assert!(watched.slo().unwrap().breached(), "tight thresholds must fire");
         assert_eq!(plain.transfers_applied, report.transfers_applied);

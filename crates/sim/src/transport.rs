@@ -170,8 +170,13 @@ impl Transport {
         };
         (0..copies)
             .map(|_| {
-                let jitter = if p.jitter_ms > 0 { self.rng.below(p.jitter_ms + 1) } else { 0 };
-                p.delay_ms + jitter
+                let jitter = match p.jitter_ms {
+                    0 => 0,
+                    // `below(2^64)`: every `u64` is a draw
+                    u64::MAX => self.rng.next_u64(),
+                    j => self.rng.below(j + 1),
+                };
+                p.delay_ms.saturating_add(jitter)
             })
             .collect()
     }
@@ -218,6 +223,14 @@ mod tests {
                 assert!((50..=70).contains(&d), "delay {d} outside [50, 70]");
             }
         }
+    }
+
+    #[test]
+    fn delay_and_jitter_saturate_at_the_end_of_time() {
+        let profile =
+            FaultProfile { delay_ms: u64::MAX, jitter_ms: u64::MAX, ..FaultProfile::ideal() };
+        let mut t = Transport::new(9, FaultConfig::symmetric(profile));
+        assert_eq!(t.plan(Direction::ToManager), vec![u64::MAX]);
     }
 
     #[test]
