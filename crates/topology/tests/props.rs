@@ -382,3 +382,74 @@ fn enumerated_rows_routes_and_counts_are_pinned() {
     assert_eq!((routes, paths), (2_140, 10_244), "digest {h:#018x}");
     assert_eq!(h, 0x6775_dfb4_f122_8989, "digest {h:#018x}");
 }
+
+/// The hop-bounded DP's routes, bit for bit, over the graphs, loads, hop
+/// bounds and pairs of [`enumerated_rows_routes_and_counts_are_pinned`]:
+/// one [`DpScratch::run_to`] per source toward its odd-numbered
+/// destinations, then one FNV-1a digest of each pair's route (cost bits,
+/// nodes, edges). The DP's tie rule — the backtrack's first predecessor in
+/// adjacency order, shorter before longer — is the only rule routes are
+/// picked by, so which of two tied routes wins is part of the answer. Each
+/// cost must equal the enumerated optimum's bits; the count of pairs where
+/// the enumerator picks a different route of that cost is pinned too.
+#[test]
+fn dp_routes_are_pinned() {
+    use dust_topology::topologies::{example7, ring};
+    let built: Vec<(&str, Graph)> = vec![
+        ("fat-tree 4", FatTree::new(4, Link::default()).graph),
+        ("fat-tree 6", FatTree::new(6, Link::default()).graph),
+        ("ring 9", ring(9, Link::default())),
+        ("example7", example7(Link::default())),
+        ("random-regular 16x3", random_regular(16, 3, 5, Link::default())),
+    ];
+    let mut scratch = DpScratch::default();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let (mut routes, mut other_ties) = (0usize, 0usize);
+    for (seed, (name, g)) in built.into_iter().enumerate() {
+        let mut loaded = g.clone();
+        let mut rng = SplitMix64::new(seed as u64 + 11);
+        let idle = loaded.neighbors(NodeId(0))[0].1;
+        loaded.retarget_utilization(|e, _| {
+            if e == idle {
+                0.0
+            } else {
+                [0.25, 0.5, 0.5, 0.75][rng.below(4) as usize]
+            }
+        });
+        for (g, loads) in [(g, "uniform"), (loaded, "loaded")] {
+            let n = g.node_count() as u32;
+            let dests: Vec<NodeId> = (0..n).filter(|d| d % 2 == 1).map(NodeId).collect();
+            for max_hop in 1..=4 {
+                let at = format!("{name} {loads} hop {max_hop}");
+                for src in (0..n).filter(|s| s % 3 == 0).map(NodeId) {
+                    scratch.run_to(&g, src, &dests, Some(max_hop));
+                    for &dst in &dests {
+                        let enumerated = min_inv_lu_enumerated(&g, src, dst, Some(max_hop))
+                            .filter(|(c, _)| c.is_finite());
+                        match scratch.route_to(&g, dst) {
+                            Some((cost, path)) => {
+                                let (want, by_enum) = enumerated.expect("reachable");
+                                assert_eq!(cost.to_bits(), want.to_bits(), "{at} {src}->{dst}");
+                                other_ties += usize::from(path != by_enum);
+                                routes += 1;
+                                h = fnv1a(h, &cost.to_bits().to_le_bytes());
+                                for v in &path.nodes {
+                                    h = fnv1a(h, &v.0.to_le_bytes());
+                                }
+                                for e in &path.edges {
+                                    h = fnv1a(h, &e.0.to_le_bytes());
+                                }
+                            }
+                            None => {
+                                assert!(enumerated.is_none(), "{at} {src}->{dst}");
+                                h = fnv1a(h, &[0xff]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!((routes, other_ties), (2_106, 74), "digest {h:#018x}");
+    assert_eq!(h, 0x9053_836a_6966_d4f1, "digest {h:#018x}");
+}
