@@ -5,6 +5,7 @@
 
 use crate::{experiment_config, experiment_params, mean_secs, timed, Table};
 use dust::prelude::*;
+use dust::topology::min_inv_lu_enumerated_row;
 
 /// Effort level for the sweeps: `quick` trims iteration counts so the full
 /// suite finishes in a couple of minutes; `full` runs paper-scale sweeps.
@@ -76,9 +77,7 @@ pub fn fig7(seed: u64, effort: Effort) -> String {
     let ft = FatTree::with_default_links(4);
     // Fixed C_max = 85, sweep CO_max so Δ_io spans the paper's 0.8..3.5
     // (Δ = (CO_max − 5) / 15; CO_max stays below C_max for the whole sweep).
-    let base = DustConfig::paper_defaults()
-        .with_engine(PathEngine::HopBoundedDp)
-        .with_thresholds(85.0, 20.0, 5.0);
+    let base = DustConfig::paper_defaults().with_thresholds(85.0, 20.0, 5.0);
     let co_sweep: Vec<(f64, f64)> =
         [0.8, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5].iter().map(|d| (85.0, 5.0 + d * 15.0)).collect();
     let pts = io_rate_sweep(&ft.graph, &base, &co_sweep, &experiment_params(), seed, iterations);
@@ -99,15 +98,27 @@ pub fn fig7(seed: u64, effort: Effort) -> String {
     )
 }
 
-/// Fig. 8 — ILP computation time vs max-hop on the 4-k fat-tree, with the
-/// paper-faithful exhaustive path enumeration.
+/// One exact placement as the paper times it (§IV-D): every Busy node's
+/// row of minima by exhaustive path enumeration, then the exact solve.
+/// The solve prices with the hop-bounded DP, whose rows hold the
+/// enumerated ones' bits, so the enumeration is the paper's cost model
+/// and the solve is the product's.
+fn enumerate_and_solve(nmdb: &Nmdb, cfg: &DustConfig) -> Placement {
+    for b in nmdb.busy_nodes(cfg) {
+        std::hint::black_box(min_inv_lu_enumerated_row(&nmdb.graph, b, cfg.max_hop));
+    }
+    optimize(nmdb, cfg)
+}
+
+/// Fig. 8 — computation time vs max-hop on the 4-k fat-tree: enumeration
+/// of every busy row plus the exact solve.
 pub fn fig8(seed: u64, effort: Effort) -> String {
     let iterations = match effort {
         Effort::Quick => 20,
         Effort::Full => 100, // the paper's count
     };
     let ft = FatTree::with_default_links(4);
-    let base = experiment_config().with_engine(PathEngine::Enumerate);
+    let base = experiment_config();
     let mut t = Table::new(&["max-hop", "mean time (ms)", "normalized", "feasible/runs"]);
     let mut first: Option<f64> = None;
     let hops: Vec<Option<usize>> = (1..=12).map(Some).chain(std::iter::once(None)).collect();
@@ -117,7 +128,7 @@ pub fn fig8(seed: u64, effort: Effort) -> String {
         let mut feasible = 0;
         for i in 0..iterations {
             let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), seed + i as u64);
-            let (p, d) = timed(|| optimize(&nmdb, &cfg));
+            let (p, d) = timed(|| enumerate_and_solve(&nmdb, &cfg));
             times.push(d);
             if p.status == PlacementStatus::Optimal {
                 feasible += 1;
@@ -133,7 +144,7 @@ pub fn fig8(seed: u64, effort: Effort) -> String {
         ]);
     }
     format!(
-        "Fig. 8 — ILP computation time vs max-hop (4-k, exhaustive path enumeration)\n{}\n\
+        "Fig. 8 — enumeration of every busy row plus the exact solve vs max-hop (4-k)\n{}\n\
          paper: < 3.5 s unlimited; 0.5 s threshold => recommended max-hop 10.\n\
          note: absolute times are far lower than the paper's Python+Gurobi; compare the growth shape.\n",
         t.render()
@@ -147,7 +158,7 @@ pub fn fig9(seed: u64, effort: Effort) -> String {
         Effort::Full => 1000,
     };
     let ft = FatTree::with_default_links(4);
-    let cfg = experiment_config().with_engine(PathEngine::HopBoundedDp);
+    let cfg = experiment_config();
     let mut tally = SuccessTally::default();
     for nmdb in scenario_stream(&ft.graph, &cfg, &experiment_params(), seed, iterations) {
         tally.record(classify_iteration(&nmdb, &cfg));
@@ -171,7 +182,8 @@ pub fn fig9(seed: u64, effort: Effort) -> String {
     )
 }
 
-/// Figs. 10a/10b — ILP computation time vs max-hop on 8-k and 16-k.
+/// Figs. 10a/10b — enumeration of every busy row plus the exact solve vs
+/// max-hop on 8-k and 16-k.
 pub fn fig10(seed: u64, effort: Effort) -> String {
     let mut out = String::new();
     let plans: &[(usize, Vec<usize>, usize)] = match effort {
@@ -181,7 +193,7 @@ pub fn fig10(seed: u64, effort: Effort) -> String {
     };
     for (k, hops, iterations) in plans {
         let ft = FatTree::with_default_links(*k);
-        let base = experiment_config().with_engine(PathEngine::Enumerate);
+        let base = experiment_config();
         let mut t = Table::new(&["max-hop", "mean time (s)", "normalized"]);
         let mut first: Option<f64> = None;
         for &h in hops {
@@ -189,7 +201,7 @@ pub fn fig10(seed: u64, effort: Effort) -> String {
             let mut times = Vec::new();
             for i in 0..*iterations {
                 let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), seed + i as u64);
-                let (_, d) = timed(|| optimize(&nmdb, &cfg));
+                let (_, d) = timed(|| enumerate_and_solve(&nmdb, &cfg));
                 times.push(d);
             }
             let mean = mean_secs(&times);
@@ -197,7 +209,7 @@ pub fn fig10(seed: u64, effort: Effort) -> String {
             t.row(&[h.to_string(), format!("{mean:.4}"), format!("{:.1}x", mean / norm)]);
         }
         out.push_str(&format!(
-            "Fig. 10{} — ILP time vs max-hop ({k}-k fat-tree, {} nodes, exhaustive enumeration)\n{}\n",
+            "Fig. 10{} — enumeration of every busy row plus the exact solve vs max-hop ({k}-k fat-tree, {} nodes)\n{}\n",
             if *k == 8 { 'a' } else { 'b' },
             ft.node_count(),
             t.render()
@@ -210,9 +222,10 @@ pub fn fig10(seed: u64, effort: Effort) -> String {
     out
 }
 
-/// Figs. 11a/11b — HFR and mean ILP time vs network scale.
+/// Figs. 11a/11b — HFR and the mean time of enumeration of every busy row
+/// plus the exact solve vs network scale.
 pub fn fig11(seed: u64, effort: Effort) -> String {
-    // (k, heuristic iterations, ILP iterations, recommended max-hop)
+    // (k, heuristic iterations, enumerate-and-solve iterations, recommended max-hop)
     let plans: &[(usize, usize, usize, Option<usize>)] = match effort {
         Effort::Quick => {
             &[(4, 100, 10, Some(10)), (8, 40, 5, Some(7)), (16, 15, 2, Some(4)), (64, 3, 0, None)]
@@ -225,15 +238,15 @@ pub fn fig11(seed: u64, effort: Effort) -> String {
         "k",
         "nodes",
         "HFR (%)",
-        "ILP mean (s)",
-        "ILP max-hop",
+        "enum+solve mean (s)",
+        "max-hop",
         "heur iters",
-        "ILP iters",
+        "solve iters",
     ]);
     let mut hfr_points: Vec<(f64, f64)> = Vec::new();
     for &(k, h_iters, ilp_iters, max_hop) in plans {
         let ft = FatTree::with_default_links(k);
-        let cfg_h = experiment_config().with_engine(PathEngine::HopBoundedDp);
+        let cfg_h = experiment_config();
         let mut hfr = 0.0;
         for nmdb in scenario_stream(&ft.graph, &cfg_h, &experiment_params(), seed, h_iters) {
             hfr += heuristic(&nmdb, &cfg_h).hfr_percent();
@@ -242,13 +255,12 @@ pub fn fig11(seed: u64, effort: Effort) -> String {
         hfr_points.push((ft.node_count() as f64, hfr));
 
         let ilp_mean = if ilp_iters > 0 {
-            let cfg_i =
-                experiment_config().with_engine(PathEngine::Enumerate).with_max_hop(max_hop);
+            let cfg_i = experiment_config().with_max_hop(max_hop);
             let mut times = Vec::new();
             for i in 0..ilp_iters {
                 let nmdb =
                     random_nmdb(&ft.graph, &cfg_i, &experiment_params(), seed + 1000 + i as u64);
-                let (_, d) = timed(|| optimize(&nmdb, &cfg_i));
+                let (_, d) = timed(|| enumerate_and_solve(&nmdb, &cfg_i));
                 times.push(d);
             }
             format!("{:.4}", mean_secs(&times))
@@ -269,10 +281,11 @@ pub fn fig11(seed: u64, effort: Effort) -> String {
         .map(|(_, b)| format!("{b:.2}"))
         .unwrap_or_else(|| "n/a".into());
     format!(
-        "Fig. 11 — scalability: HFR of the heuristic (a) and mean ILP time (b) vs network size\n{}\n\
+        "Fig. 11 — scalability: HFR of the heuristic (a) and mean time of enumeration of every\n\
+         busy row plus the exact solve (b) vs network size\n{}\n\
          fitted HFR power-law exponent vs node count: {fit} (paper: ~ -0.5)\n\
          paper: HFR falls 47.92 % -> 11.04 %; ILP time rises 0.2 s -> 153+ s.\n\
-         The ILP column stops at 320 nodes, as in the paper.\n",
+         The enum+solve column stops at 320 nodes, as the paper's ILP column does.\n",
         t.render()
     )
 }
@@ -283,7 +296,7 @@ pub fn fig12(seed: u64, effort: Effort) -> String {
         Effort::Quick => &[(4, 20), (8, 10), (16, 5), (64, 2)],
         Effort::Full => &[(4, 50), (8, 20), (16, 10), (64, 3)],
     };
-    let cfg = experiment_config().with_engine(PathEngine::HopBoundedDp);
+    let cfg = experiment_config();
     let mut t = Table::new(&["k", "nodes", "edges", "mean heuristic time (s)", "normalized"]);
     let mut first: Option<f64> = None;
     for &(k, iters) in plans {
@@ -460,7 +473,7 @@ pub fn zone_storm(seed: u64, effort: Effort) -> String {
 }
 
 /// DESIGN.md's three "design choices to ablate", one table each:
-/// route enumeration vs hop-bounded DP, the transportation solver vs the
+/// enumerated vs hop-bounded DP `T_rmin` rows, the transportation solver vs the
 /// reference simplex (wall-clock plus the deterministic pivot census), and
 /// the heuristic's 1/2/4-hop reach.
 pub fn ablations(seed: u64, effort: Effort) -> String {
@@ -474,19 +487,19 @@ pub fn ablations(seed: u64, effort: Effort) -> String {
         mean_secs(&times)
     }
 
-    // 1. T_rmin matrix, 4 busy x 8 candidate edge switches
+    // 1. T_rmin rows of 4 busy edge switches
     let mut paths = Table::new(&["k", "max-hop", "enumerate (ms)", "DP (ms)", "DP speedup"]);
     for (k, max_hop) in [(4usize, 6usize), (4, 8), (8, 4), (8, 6)] {
         let ft = FatTree::with_default_links(k);
-        let edges = ft.tier_nodes(Tier::Edge);
-        let sources: Vec<NodeId> = edges.iter().copied().take(4).collect();
-        let dests: Vec<NodeId> = edges.iter().copied().rev().take(8).collect();
-        let data = vec![100.0; sources.len()];
-        let [enumerate, dp] = [PathEngine::Enumerate, PathEngine::HopBoundedDp].map(|engine| {
-            mean_of(reps, || {
-                CostMatrix::build(&ft.graph, &sources, &dests, &data, Some(max_hop), engine)
-            })
+        let sources: Vec<NodeId> = ft.tier_nodes(Tier::Edge).iter().copied().take(4).collect();
+        let hop = Some(max_hop);
+        let enumerate = mean_of(reps, || {
+            sources
+                .iter()
+                .map(|&s| min_inv_lu_enumerated_row(&ft.graph, s, hop))
+                .collect::<Vec<_>>()
         });
+        let dp = mean_of(reps, || CostEngine::with_threads(1).rows(&ft.graph, &sources, hop));
         paths.row(&[
             k.to_string(),
             max_hop.to_string(),
@@ -550,7 +563,7 @@ pub fn ablations(seed: u64, effort: Effort) -> String {
 
     // 3. heuristic reach on one seeded NMDB per fabric
     let mut reach = Table::new(&["k", "hops", "mean time (ms)", "HFR (%)"]);
-    let cfg = experiment_config().with_engine(PathEngine::HopBoundedDp);
+    let cfg = experiment_config();
     for k in [8usize, 16] {
         let ft = FatTree::with_default_links(k);
         let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), seed);
@@ -568,7 +581,7 @@ pub fn ablations(seed: u64, effort: Effort) -> String {
     }
 
     format!(
-        "Ablation 1 — T_rmin matrix: exhaustive enumeration vs hop-bounded DP (mean of {reps})\n{}\n\
+        "Ablation 1 — T_rmin rows of 4 busy edge switches: exhaustive enumeration vs hop-bounded DP (mean of {reps})\n{}\n\
          Ablation 2 — transportation (VAM+MODI) vs general simplex, 32 seeded instances per size\n{}\n\
          pivot counts are deterministic; times are this machine's.\n\n\
          Ablation 3 — heuristic reach: Algorithm 1's one hop vs 2 and 4 (mean of {reps})\n{}",
@@ -588,10 +601,10 @@ pub const FIGURES: &[Figure] = &[
     ("fig1", "monitoring-module CPU vs VxLAN traffic (testbed sim)", fig1),
     ("fig6", "local vs DUST resource utilization (testbed sim)", fig6),
     ("fig7", "infeasible-optimization rate vs delta_io (4-k)", fig7),
-    ("fig8", "ILP time vs max-hop, 4-k, exhaustive enumeration", fig8),
+    ("fig8", "busy-row enumeration plus exact solve vs max-hop, 4-k", fig8),
     ("fig9", "heuristic success split vs ILP (4-k)", fig9),
-    ("fig10", "ILP time vs max-hop, 8-k and 16-k", fig10),
-    ("fig11", "HFR and ILP time vs network scale", fig11),
+    ("fig10", "busy-row enumeration plus exact solve vs max-hop, 8-k and 16-k", fig10),
+    ("fig11", "HFR and busy-row enumeration plus exact solve vs network scale", fig11),
     ("fig12", "heuristic runtime vs scale (to 5120 nodes)", fig12),
     ("fleet", "extension: all edge switches offload simultaneously", fleet),
     ("congestion", "extension: QoS squeeze on offloaded telemetry", congestion),
@@ -599,7 +612,7 @@ pub const FIGURES: &[Figure] = &[
     ("storm", "extension: zone_storm scenario convergence ladder", zone_storm),
     (
         "ablations",
-        "DESIGN.md's design choices: path engine, LP solver vs reference, heuristic reach",
+        "DESIGN.md's design choices: enumerated vs DP rows, LP solver vs reference, heuristic reach",
         ablations,
     ),
 ];

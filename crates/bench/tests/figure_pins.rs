@@ -19,9 +19,7 @@ use dust_bench::{experiment_config, experiment_params, DEFAULT_SEED};
 fn fig7_io_rates_are_pinned() {
     const ITERATIONS: usize = 300;
     let ft = FatTree::with_default_links(4);
-    let base = DustConfig::paper_defaults()
-        .with_engine(PathEngine::HopBoundedDp)
-        .with_thresholds(85.0, 20.0, 5.0);
+    let base = DustConfig::paper_defaults().with_thresholds(85.0, 20.0, 5.0);
     let deltas = [0.8, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5];
     let sweep: Vec<(f64, f64)> = deltas.iter().map(|d| (85.0, 5.0 + d * 15.0)).collect();
     let pts =
@@ -76,7 +74,7 @@ fn fig6_testbed_contrast_is_pinned() {
 #[test]
 fn fig9_success_split_is_pinned() {
     let ft = FatTree::with_default_links(4);
-    let cfg = experiment_config().with_engine(PathEngine::HopBoundedDp);
+    let cfg = experiment_config();
     let mut tally = SuccessTally::default();
     for nmdb in scenario_stream(&ft.graph, &cfg, &experiment_params(), DEFAULT_SEED, 200) {
         tally.record(classify_iteration(&nmdb, &cfg));
@@ -90,7 +88,7 @@ fn fig9_success_split_is_pinned() {
 /// power-law exponent fitted to HFR against node count.
 #[test]
 fn fig11a_hfr_is_pinned() {
-    let cfg = experiment_config().with_engine(PathEngine::HopBoundedDp);
+    let cfg = experiment_config();
     let mut points = Vec::new();
     for (k, iterations) in [(4, 100), (8, 40), (16, 15), (64, 3)] {
         let ft = FatTree::with_default_links(k);

@@ -31,7 +31,6 @@ fn base_option(o: &mut Options, flag: &str, it: &mut Iter<String>) -> Result<boo
         "--co-max" => o.co_max = value(it, flag)?,
         "--x-min" => o.x_min = value(it, flag)?,
         "--max-hop" => o.max_hop = Some(value(it, flag)?),
-        "--enumerate" => o.enumerate_paths = true,
         "--threads" => o.threads = value(it, flag)?,
         _ => return Ok(false),
     }
@@ -343,14 +342,17 @@ mod tests {
 
         let inv = parse_file_invocation(
             "heuristic",
-            &argv("net.dust --hops 2 --c-max 85 --co-max 55 --x-min 4 --enumerate"),
+            &argv("net.dust --hops 2 --c-max 85 --co-max 55 --x-min 4"),
         )
         .unwrap();
         assert_eq!((inv.path.as_str(), inv.hops), ("net.dust", 2));
         assert_eq!((inv.opts.c_max, inv.opts.co_max, inv.opts.x_min), (85.0, 55.0, 4.0));
-        assert!(inv.opts.enumerate_paths);
-        let err = parse_file_invocation("optimize", &argv("net.dust --simplex")).unwrap_err();
-        assert_eq!(err, "unknown option \"--simplex\"");
+        // there is one placement solver and one path engine to select
+        for removed in ["simplex", "enumerate"] {
+            let flag = format!("--{removed}");
+            let err = parse_file_invocation("optimize", &argv(&format!("net.dust {flag}")));
+            assert_eq!(err.unwrap_err(), format!("unknown option {flag:?}"));
+        }
         let err = parse_file_invocation("roles", &argv("net.dust --zone-size 3")).unwrap_err();
         assert_eq!(err, "unknown option \"--zone-size\"");
         assert_eq!(parse_file_invocation("optimize", &[]).unwrap_err(), "optimize: missing <file>");

@@ -19,8 +19,6 @@ pub struct Options {
     pub x_min: f64,
     /// Hop bound for controllable routes.
     pub max_hop: Option<usize>,
-    /// Use the paper-faithful path enumeration instead of the fast DP.
-    pub enumerate_paths: bool,
     /// Worker threads pricing `T_rmin` rows (0 = one per core).
     pub threads: usize,
 }
@@ -28,14 +26,7 @@ pub struct Options {
 impl Default for Options {
     fn default() -> Self {
         let d = DustConfig::paper_defaults();
-        Options {
-            c_max: d.c_max,
-            co_max: d.co_max,
-            x_min: d.x_min,
-            max_hop: None,
-            enumerate_paths: false,
-            threads: 0,
-        }
+        Options { c_max: d.c_max, co_max: d.co_max, x_min: d.x_min, max_hop: None, threads: 0 }
     }
 }
 
@@ -44,12 +35,7 @@ impl Options {
     pub fn config(&self) -> Result<DustConfig, String> {
         let cfg = DustConfig::paper_defaults()
             .with_thresholds(self.c_max, self.co_max, self.x_min)
-            .with_max_hop(self.max_hop)
-            .with_engine(if self.enumerate_paths {
-                PathEngine::Enumerate
-            } else {
-                PathEngine::HopBoundedDp
-            });
+            .with_max_hop(self.max_hop);
         cfg.validate()?;
         Ok(cfg)
     }
@@ -1080,11 +1066,10 @@ mod tests {
 
     #[test]
     fn simplex_and_enumerate_flags_work() {
-        // --enumerate prices by exhaustive search and places as the DP
-        // does; --simplex is an unknown option, which args.rs pins
-        let o = Options { enumerate_paths: true, ..Default::default() };
-        let dp = cmd_optimize(&fig4(), &Options::default()).unwrap();
-        assert_eq!(cmd_optimize(&fig4(), &o).unwrap(), dp);
+        // no flag selects a placement solver or a path engine (args.rs
+        // pins both old flags as unknown options), so the command line's
+        // defaults are the library's
+        assert_eq!(Options::default().config(), Ok(DustConfig::paper_defaults()));
     }
 
     #[test]

@@ -44,7 +44,6 @@ options (all commands taking a file):
   --co-max X    candidate threshold (default 50)
   --x-min X     minimum utilization (default 5)
   --max-hop N   hop bound on routes (default unlimited)
-  --enumerate   paper-faithful exhaustive path enumeration
   --threads N   T_rmin pricing threads (default: one per core)
 
 place options (plus the file options above):
@@ -221,7 +220,7 @@ mod tests {
             .collect();
         flags.sort();
         flags.dedup();
-        assert_eq!(flags.len(), 29, "USAGE gained or lost a flag: {flags:?}");
+        assert_eq!(flags.len(), 28, "USAGE gained or lost a flag: {flags:?}");
         for flag in flags {
             let after_name = ["x".to_string(), flag.clone()];
             let alone = &after_name[1..];

@@ -1,6 +1,16 @@
 //! DUST configuration: the user-defined thresholds of §III-B / §IV-A.
 
-use dust_topology::PathEngine;
+/// The routing engine `T_rmin` is priced with: there is one, the
+/// hop-bounded DP, so this selects nothing. It exists only because the
+/// benchmark under `benchmark/` names it through `dust::prelude`
+/// (`.with_engine(PathEngine::HopBoundedDp)`); ROADMAP item 1's
+/// mechanical benchmark edit deletes it with [`DustConfig::with_engine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum PathEngine {
+    /// Hop-bounded Bellman–Ford, the one engine.
+    #[default]
+    HopBoundedDp,
+}
 
 /// Threshold and routing configuration for a DUST deployment.
 ///
@@ -11,8 +21,9 @@ use dust_topology::PathEngine;
 /// * `x_min` — the minimum utilization any node exhibits (constraint 3e);
 ///   also feeds the `Δ_io` feasibility parameter (Eq. 5).
 /// * `max_hop` — hop bound on controllable routes (`None` = unlimited).
-/// * `path_engine` — exhaustive enumeration (paper-faithful) or the
-///   hop-bounded DP (fast equivalent).
+///
+/// `T_rmin` is priced by the hop-bounded DP, which reaches the paper's
+/// enumerated minimum bit for bit (ablation 1 in DESIGN.md).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DustConfig {
     /// Busy-node threshold capacity, percent.
@@ -23,23 +34,15 @@ pub struct DustConfig {
     pub x_min: f64,
     /// Hop bound for controllable routes.
     pub max_hop: Option<usize>,
-    /// Routing engine used to build `T_rmin`.
-    pub path_engine: PathEngine,
 }
 
 impl DustConfig {
     /// A configuration with paper-flavoured defaults:
-    /// `C_max = 80`, `CO_max = 50`, `x_min = 5`, unlimited hops,
-    /// paper-faithful path enumeration. These satisfy the paper's
-    /// recommendation `Δ_io ≥ 2` (Eq. 5: `(50−5)/(100−80) = 2.25`).
+    /// `C_max = 80`, `CO_max = 50`, `x_min = 5`, unlimited hops. These
+    /// satisfy the paper's recommendation `Δ_io ≥ 2` (Eq. 5:
+    /// `(50−5)/(100−80) = 2.25`).
     pub fn paper_defaults() -> Self {
-        DustConfig {
-            c_max: 80.0,
-            co_max: 50.0,
-            x_min: 5.0,
-            max_hop: None,
-            path_engine: PathEngine::Enumerate,
-        }
+        DustConfig { c_max: 80.0, co_max: 50.0, x_min: 5.0, max_hop: None }
     }
 
     /// Validate invariant ordering `0 ≤ x_min ≤ co_max ≤ c_max ≤ 100`.
@@ -99,9 +102,11 @@ impl DustConfig {
         self
     }
 
-    /// Builder-style: set the path engine.
-    pub fn with_engine(mut self, e: PathEngine) -> Self {
-        self.path_engine = e;
+    /// Returns `self`: [`PathEngine`] has one variant, so there is
+    /// nothing to set. It exists only because the benchmark under
+    /// `benchmark/` calls it; ROADMAP item 1's mechanical benchmark edit
+    /// deletes it.
+    pub fn with_engine(self, _: PathEngine) -> Self {
         self
     }
 

@@ -15,7 +15,7 @@ use crate::config::DustConfig;
 use crate::error::DustError;
 use crate::optimizer::{routes_from, Assignment};
 use crate::state::Nmdb;
-use dust_topology::{CostEngine, NodeId, PathEngine};
+use dust_topology::{CostEngine, NodeId};
 use std::time::{Duration, Instant};
 
 /// Result of one heuristic round.
@@ -81,7 +81,7 @@ pub fn heuristic_with(
 
     let busy = nmdb.busy_nodes(cfg);
     // Every Busy row, priced concurrently before the sequential greedy pass.
-    let rows = engine.rows(&nmdb.graph, &busy, Some(hops), PathEngine::HopBoundedDp);
+    let rows = engine.rows(&nmdb.graph, &busy, Some(hops));
     // Remaining spare capacity per node, consumed as assignments land.
     let mut remaining_cd: Vec<f64> = nmdb.graph.nodes().map(|n| nmdb.cd(n, cfg)).collect();
 
@@ -134,8 +134,7 @@ pub fn heuristic_with(
         if !taken.is_empty() {
             dests.clear();
             dests.extend(taken.iter().map(|a| a.to));
-            let dp = PathEngine::HopBoundedDp;
-            let routes = routes_from(&nmdb.graph, b, &dests, Some(hops), dp, &mut scratch);
+            let routes = routes_from(&nmdb.graph, b, &dests, Some(hops), &mut scratch);
             for (a, route) in taken.iter_mut().zip(routes) {
                 a.route = route;
             }
@@ -288,7 +287,7 @@ mod tests {
     #[test]
     fn a_cold_round_looks_up_each_busy_row_once() {
         let ft = dust_topology::FatTree::with_default_links(4);
-        let c = cfg().with_engine(PathEngine::HopBoundedDp);
+        let c = cfg();
         let db = crate::scenario::random_nmdb(&ft.graph, &c, &crate::ScenarioParams::default(), 3);
         let busy = db.busy_nodes(&c);
         assert!(!busy.is_empty());

@@ -18,9 +18,7 @@ use crate::error::DustError;
 use crate::state::Nmdb;
 use dust_lp::{Basis, TransportProblem, TransportSolution, TransportStatus};
 use dust_obs::ObsHandle;
-use dust_topology::{
-    min_inv_lu_enumerated, CostEngine, CostMatrix, DpScratch, Graph, NodeId, Path, PathEngine,
-};
+use dust_topology::{CostEngine, CostMatrix, DpScratch, Graph, NodeId, Path};
 use std::time::{Duration, Instant};
 
 /// The spanning-tree basis carried from one placement round to the next
@@ -96,8 +94,7 @@ pub struct Placement {
     pub busy: Vec<NodeId>,
     /// The Offload-candidate set this round.
     pub candidates: Vec<NodeId>,
-    /// Wall time spent building the `T_rmin` matrix (dominates with the
-    /// enumeration engine — this is what Figs. 8/10 measure growing).
+    /// Wall time spent building the `T_rmin` matrix.
     pub cost_time: Duration,
     /// Wall time spent in the LP solve proper.
     pub solve_time: Duration,
@@ -266,8 +263,8 @@ pub fn solve_placement(
 /// This is the paper's "ILP" (continuous `x_ij`, Eq. 3) solved exactly by
 /// [`solve_placement`]. The `T_rmin` matrix comes from `engine` — parallel
 /// across its worker threads and memoized across calls on an unchanged
-/// graph. Routes for chosen assignments are reconstructed with the same
-/// path engine that produced the costs.
+/// graph. Routes for chosen assignments are backtracked through the same
+/// hop-bounded DP that priced them.
 ///
 /// Warm and cold solves reach the same objective — the basis only skips
 /// the initial-assignment phase and most pivots when the instance drifted
@@ -298,8 +295,7 @@ pub fn optimize_with(
     // ---- T_rmin of the pairs within the hop bound ---------------------------
     let t0 = Instant::now();
     let data: Vec<f64> = busy.iter().map(|&b| nmdb.state(b).data_mb).collect();
-    let costs =
-        engine.build_matrix(&nmdb.graph, &busy, &candidates, &data, cfg.max_hop, cfg.path_engine);
+    let costs = engine.build_matrix(&nmdb.graph, &busy, &candidates, &data, cfg.max_hop);
     let cost_time = t0.elapsed();
 
     let supply: Vec<f64> = busy.iter().map(|&b| nmdb.cs(b, cfg)).collect();
@@ -354,7 +350,7 @@ pub fn optimize_with(
 
 /// The assignments out of `from` for one row's `run` of shipped cells
 /// (their columns index `candidates`), in order, each carrying the route
-/// that realizes its `T_rmin` under `cfg`'s hop bound and path engine.
+/// that realizes its `T_rmin` under `cfg`'s hop bound.
 /// `dests` is scratch for the run's destinations.
 pub fn assign_run<'a>(
     graph: &'a Graph,
@@ -368,7 +364,7 @@ pub fn assign_run<'a>(
     dests.clear();
     dests.extend(run.iter().map(|&(_, c, _, _)| candidates[c]));
     let dests: &'a [NodeId] = dests;
-    let routes = routes_from(graph, from, dests, cfg.max_hop, cfg.path_engine, scratch);
+    let routes = routes_from(graph, from, dests, cfg.max_hop, scratch);
     let assign = move |(&(_, c, amount, t_rmin), route)| Assignment {
         from,
         to: candidates[c],
@@ -380,29 +376,19 @@ pub fn assign_run<'a>(
 }
 
 /// The controllable route from `from` to each of `dests`, in order: the
-/// one realizing the pair's `T_rmin` under `max_hop`, found by the path
-/// engine that priced it. The hop-bounded DP runs once, pruned to the hop
-/// cones of `dests`, and is backtracked to each of them; enumeration
-/// searches each pair on its own.
+/// one realizing the pair's `T_rmin` under `max_hop`. The hop-bounded DP
+/// runs once, pruned to the hop cones of `dests`, and is backtracked to
+/// each of them.
 pub fn routes_from<'a>(
     graph: &'a Graph,
     from: NodeId,
     dests: &'a [NodeId],
     max_hop: Option<usize>,
-    path_engine: PathEngine,
     scratch: &'a mut DpScratch,
 ) -> impl Iterator<Item = Option<Path>> + 'a {
-    if path_engine == PathEngine::HopBoundedDp {
-        scratch.run_to(graph, from, dests, max_hop);
-    }
+    scratch.run_to(graph, from, dests, max_hop);
     let scratch = &*scratch;
-    dests.iter().map(move |&to| {
-        let route = match path_engine {
-            PathEngine::Enumerate => min_inv_lu_enumerated(graph, from, to, max_hop),
-            PathEngine::HopBoundedDp => scratch.route_to(graph, to),
-        };
-        route.map(|(_, p)| p)
-    })
+    dests.iter().map(move |&to| scratch.route_to(graph, to).map(|(_, p)| p))
 }
 
 /// Why a round came back [`PlacementStatus::Infeasible`]:
@@ -421,7 +407,7 @@ pub fn infeasible_cause(
         return DustError::Infeasible;
     }
     let reachable = busy.iter().any(|&b| {
-        let row = &engine.rows(&nmdb.graph, &[b], cfg.max_hop, cfg.path_engine)[0];
+        let row = &engine.rows(&nmdb.graph, &[b], cfg.max_hop)[0];
         candidates.iter().any(|c| row[c.index()].is_finite())
     });
     if reachable {
@@ -611,15 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn engines_produce_same_placement() {
-        let db = simple_nmdb();
-        let e = optimize(&db, &cfg().with_engine(PathEngine::Enumerate));
-        let d = optimize(&db, &cfg().with_engine(PathEngine::HopBoundedDp));
-        assert_eq!(e.status, d.status);
-        assert!((e.beta - d.beta).abs() < 1e-9);
-    }
-
-    #[test]
     fn shadow_prices_identify_binding_candidate() {
         // busy hub (excess 10); cheap candidate with tiny capacity (binds)
         // and an expensive roomy one: the binding candidate's shadow price
@@ -662,16 +639,9 @@ mod tests {
         assert_eq!(p.mean_hops(), Some(2.0));
     }
 
-    /// Thresholds from `cfg()` but `T_rmin` priced by the hop-bounded DP:
-    /// exhaustive enumeration is exponential on fat-trees beyond 4-k, so
-    /// the fat-tree tests would never finish under `paper_defaults`.
-    fn fat_cfg() -> DustConfig {
-        cfg().with_engine(dust_topology::PathEngine::HopBoundedDp)
-    }
-
     fn fat_tree_nmdb(k: usize, seed: u64) -> Nmdb {
         let ft = dust_topology::FatTree::with_default_links(k);
-        crate::scenario::random_nmdb(&ft.graph, &fat_cfg(), &crate::ScenarioParams::default(), seed)
+        crate::scenario::random_nmdb(&ft.graph, &cfg(), &crate::ScenarioParams::default(), seed)
     }
 
     // ---- warm-start rounds ------------------------------------------------
@@ -711,18 +681,18 @@ mod tests {
         for seed in 0..12u64 {
             for topo in 0..2usize {
                 let base = if topo == 0 {
-                    crate::scenario::random_nmdb(&testbed, &fat_cfg(), &params, seed)
+                    crate::scenario::random_nmdb(&testbed, &cfg(), &params, seed)
                 } else {
                     fat_tree_nmdb(16, seed)
                 };
                 let engine = CostEngine::new();
-                let first = optimize_with(&base, &fat_cfg(), &engine, None).unwrap();
+                let first = optimize_with(&base, &cfg(), &engine, None).unwrap();
                 if first.status != PlacementStatus::Optimal {
                     continue;
                 }
                 let next = drifted(&base, seed.wrapping_mul(2654435761).wrapping_add(1));
-                let cold = optimize_with(&next, &fat_cfg(), &engine, None).unwrap();
-                let warm = optimize_with(&next, &fat_cfg(), &engine, Some(&first.warm)).unwrap();
+                let cold = optimize_with(&next, &cfg(), &engine, None).unwrap();
+                let warm = optimize_with(&next, &cfg(), &engine, Some(&first.warm)).unwrap();
                 assert_eq!(cold.status, warm.status, "topo={topo} seed={seed}");
                 if cold.status == PlacementStatus::Optimal {
                     assert!(
@@ -745,12 +715,12 @@ mod tests {
         let db = fat_tree_nmdb(8, 42);
         let obs = dust_obs::ObsHandle::recording(0);
         let engine = CostEngine::new().with_obs(obs.clone());
-        let first = optimize_with(&db, &fat_cfg(), &engine, None).unwrap();
+        let first = optimize_with(&db, &cfg(), &engine, None).unwrap();
         assert_eq!(first.status, PlacementStatus::Optimal);
         assert!(!first.warm.is_empty(), "optimal transportation rounds must export a basis");
         let cached = engine.cached_rows();
         assert!(cached > 0, "the solve must populate the shared cache");
-        let warm = optimize_with(&db, &fat_cfg(), &engine, Some(&first.warm)).unwrap();
+        let warm = optimize_with(&db, &cfg(), &engine, Some(&first.warm)).unwrap();
         assert!(warm.warm_used);
         assert_eq!(engine.cached_rows(), cached, "second solve must be all cache hits");
         // flows are re-derived from the basis by leaf-peeling, so the sum
@@ -766,14 +736,14 @@ mod tests {
     fn warm_bases_are_ignored_when_the_busy_set_changes() {
         let db = fat_tree_nmdb(8, 7);
         let engine = CostEngine::new();
-        let first = optimize_with(&db, &fat_cfg(), &engine, None).unwrap();
+        let first = optimize_with(&db, &cfg(), &engine, None).unwrap();
         assert_eq!(first.status, PlacementStatus::Optimal);
         // flip one candidate to busy: the LP's rows/columns reshape, so the
         // stale basis must be ignored, not trusted
         let mut db2 = db.clone();
         let flipped = first.candidates[0];
         db2.states[flipped.index()].utilization = 99.0;
-        let warm = optimize_with(&db2, &fat_cfg(), &engine, Some(&first.warm)).unwrap();
+        let warm = optimize_with(&db2, &cfg(), &engine, Some(&first.warm)).unwrap();
         assert!(!warm.warm_used);
     }
 

@@ -64,7 +64,7 @@ mod tests {
     use super::*;
     use crate::error::DustError;
     use crate::state::NodeState;
-    use dust_topology::{topologies, Link, PathEngine};
+    use dust_topology::{topologies, Link};
 
     fn cfg() -> DustConfig {
         DustConfig::paper_defaults()
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn shared_engine_reuses_rows_across_strategies() {
         let db = simple_nmdb();
-        let c = cfg().with_engine(PathEngine::HopBoundedDp).with_max_hop(Some(2));
+        let c = cfg().with_max_hop(Some(2));
         let engine = CostEngine::with_threads(2);
         let lp = optimize_with(&db, &c, &engine, None).unwrap();
         let cached = engine.cached_rows();

@@ -6,14 +6,14 @@ use dust_core::{
     heuristic, heuristic_with, optimize, optimize_with, random_nmdb, DustConfig, PlacementStatus,
     ScenarioParams,
 };
-use dust_topology::{CostEngine, FatTree, PathEngine};
+use dust_topology::{CostEngine, FatTree};
 
 #[path = "../../../tests/support/raw_lp.rs"]
 mod raw_lp;
 use raw_lp::beta_via_raw_lp;
 
 fn cfg() -> DustConfig {
-    DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp)
+    DustConfig::paper_defaults()
 }
 
 /// The placement and the reference simplex over the explicit LP agree on

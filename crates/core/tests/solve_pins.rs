@@ -14,7 +14,7 @@
 use dust_core::{heuristic_with, optimize_with, random_nmdb, Assignment, DustConfig, Nmdb};
 use dust_core::{NodeState, Placement, ScenarioParams};
 use dust_obs::ObsHandle;
-use dust_topology::{CostEngine, FatTree, PathEngine, SplitMix64, Tier};
+use dust_topology::{CostEngine, FatTree, SplitMix64, Tier};
 
 /// A decide-shaped snapshot of a `k`-port fat-tree: link utilisations in
 /// `[0.1, 0.9]`, and in every tier a sixth of the switches Busy (82–98 %),
@@ -82,9 +82,7 @@ fn decide_corpus() -> Vec<Pin> {
     let mut pins = Vec::new();
     for k in SIZES {
         for hop in HOPS {
-            let cfg = DustConfig::paper_defaults()
-                .with_max_hop((hop > 0).then_some(hop))
-                .with_engine(PathEngine::HopBoundedDp);
+            let cfg = DustConfig::paper_defaults().with_max_hop((hop > 0).then_some(hop));
             for seed in SEEDS {
                 pins.push(solve(&decide_nmdb(k, seed), &cfg));
             }
@@ -97,7 +95,7 @@ fn decide_corpus() -> Vec<Pin> {
 /// (no hop bound, the hop-bounded DP) over `random_nmdb` at seeds 11–13.
 fn cli_batch() -> Vec<Pin> {
     let graph = FatTree::with_default_links(16).graph;
-    let cfg = DustConfig::paper_defaults().with_max_hop(None).with_engine(PathEngine::HopBoundedDp);
+    let cfg = DustConfig::paper_defaults().with_max_hop(None);
     (11..14)
         .map(|seed| solve(&random_nmdb(&graph, &cfg, &ScenarioParams::default(), seed), &cfg))
         .collect()
@@ -144,8 +142,7 @@ fn the_pinned_corpus_has_the_shapes_it_claims() {
 /// read every cell.
 #[test]
 fn hop_bounded_solves_price_a_third_of_their_ceiling() {
-    let cfg =
-        DustConfig::paper_defaults().with_max_hop(Some(2)).with_engine(PathEngine::HopBoundedDp);
+    let cfg = DustConfig::paper_defaults().with_max_hop(Some(2));
     // the k = 24, hop = 2 block of DECIDE
     let at = (SIZES.len() - 1) * HOPS.len() * SEEDS.len() + SEEDS.len();
     for (pin, seed) in DECIDE[at..at + SEEDS.len()].iter().zip(SEEDS) {
@@ -178,9 +175,7 @@ fn route_digest(assignments: &[Assignment]) -> u64 {
 
 /// The hop-bounded DP under `hop` (`0`: no bound).
 fn dp_cfg(hop: usize) -> DustConfig {
-    DustConfig::paper_defaults()
-        .with_max_hop((hop > 0).then_some(hop))
-        .with_engine(PathEngine::HopBoundedDp)
+    DustConfig::paper_defaults().with_max_hop((hop > 0).then_some(hop))
 }
 
 fn routes_of(nmdb: &Nmdb, cfg: &DustConfig) -> u64 {

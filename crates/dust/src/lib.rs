@@ -60,6 +60,9 @@ pub mod prelude {
         Assignment, DustConfig, DustError, HeuristicOutcome, IoRatePoint, Nmdb, NodeState,
         Placement, PlacementStatus, Role, ScenarioParams, SuccessClass, SuccessTally,
     };
+    // named only by the benchmark under `benchmark/`; ROADMAP item 1's
+    // benchmark edit deletes it
+    pub use dust_core::config::PathEngine;
     pub use dust_obs::{
         build_spans, FlowId, Histogram, MetricsRegistry, ObsHandle, SloBreach, SloEngine, SloKind,
         SloSpec, SpanForest, SpanOutcome, Trace, TraceAssert, TraceEvent,
@@ -79,7 +82,6 @@ pub mod prelude {
         SeriesId, Tsdb,
     };
     pub use dust_topology::{
-        paper_sizes, CostEngine, CostMatrix, FatTree, Graph, Link, NodeId, Path, PathEngine,
-        SplitMix64, Tier,
+        paper_sizes, CostEngine, CostMatrix, FatTree, Graph, Link, NodeId, Path, SplitMix64, Tier,
     };
 }

@@ -2635,7 +2635,7 @@ mod cells_tests {
 #[cfg(test)]
 mod census_tests {
     use super::*;
-    use dust_topology::{CostEngine, FatTree, PathEngine, SplitMix64, Tier};
+    use dust_topology::{CostEngine, FatTree, SplitMix64, Tier};
 
     /// The instance `crates/core/tests/solve_pins.rs` solves for a
     /// decide-shaped `k`-port fat-tree at `seed` and `max_hop`: the same
@@ -2663,14 +2663,8 @@ mod census_tests {
         let busy: Vec<_> = graph.nodes().filter(|n| util[n.index()] >= 80.0).collect();
         let cands: Vec<_> = graph.nodes().filter(|n| util[n.index()] <= 50.0).collect();
         let busy_data: Vec<f64> = busy.iter().map(|b| data[b.index()]).collect();
-        let m = CostEngine::with_threads(1).build_matrix(
-            &graph,
-            &busy,
-            &cands,
-            &busy_data,
-            max_hop,
-            PathEngine::HopBoundedDp,
-        );
+        let m =
+            CostEngine::with_threads(1).build_matrix(&graph, &busy, &cands, &busy_data, max_hop);
         TransportProblem::sparse(
             busy.iter().map(|b| util[b.index()] - 80.0).collect(),
             cands.iter().map(|c| (50.0 - util[c.index()]) / 1.0).collect(),

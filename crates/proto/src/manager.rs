@@ -775,8 +775,7 @@ impl Manager {
         let froms: Vec<NodeId> = hosted_from.into_iter().collect();
         let data: Vec<f64> = froms.iter().map(|&f| nmdb.state(f).data_mb).collect();
         let (graph, cfg) = (&nmdb.graph, &self.cfg);
-        let (max_hop, paths) = (cfg.max_hop, cfg.path_engine);
-        let costs = self.engine.build_matrix(graph, &froms, &candidates, &data, max_hop, paths);
+        let costs = self.engine.build_matrix(graph, &froms, &candidates, &data, cfg.max_hop);
         let cost_time = t0.elapsed();
         // both lists ascend: a node's row or column is a binary search
         let row_of = |n: NodeId| froms.binary_search(&n).expect("a hosted source has a row");

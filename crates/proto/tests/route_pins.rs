@@ -8,7 +8,7 @@
 use dust_core::{DustConfig, Placement};
 use dust_obs::ObsHandle;
 use dust_proto::{ClientMsg, Envelope, Manager, ManagerMsg, SolverBackend};
-use dust_topology::{EdgeId, FatTree, NodeId, Path, PathEngine, SplitMix64, Tier};
+use dust_topology::{EdgeId, FatTree, NodeId, Path, SplitMix64, Tier};
 use std::collections::BTreeMap;
 
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
@@ -117,8 +117,7 @@ fn drive(
         }
     }
     let edges = graph.edge_count() as u64;
-    let cfg =
-        DustConfig::paper_defaults().with_max_hop(max_hop).with_engine(PathEngine::HopBoundedDp);
+    let cfg = DustConfig::paper_defaults().with_max_hop(max_hop);
     let mut m = Manager::new(graph, cfg, SolverBackend::Transportation, 1000, 3000)
         .unwrap()
         .with_delta_placement(0.02, 6)

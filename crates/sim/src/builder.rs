@@ -34,7 +34,7 @@ use crate::traffic::TrafficModel;
 use crate::transport::FaultConfig;
 use dust_core::{DustConfig, DustError};
 use dust_obs::{ObsHandle, SloSpec};
-use dust_topology::{Graph, NodeId, PathEngine};
+use dust_topology::{Graph, NodeId};
 
 /// Builder for [`Simulation`]; obtain one via [`Simulation::builder`].
 ///
@@ -242,22 +242,6 @@ impl SimBuilder {
                 .into());
         }
         cfg.dust.validate().map_err(DustError::BadConfig)?;
-        // The PR 6 footgun: exhaustive path enumeration with no hop bound
-        // is exponential in path count on dense fabrics — on a fat-tree
-        // this size the first placement round effectively hangs. Callers
-        // must either bound hops or pin the hop-bounded DP engine (which
-        // returns the same optimum, property-tested).
-        if cfg.dust.path_engine == PathEngine::Enumerate
-            && cfg.dust.max_hop.is_none()
-            && graph.node_count() >= 80
-        {
-            return bad(format!(
-                "PathEngine::Enumerate without max_hop on a {}-node graph would \
-                 enumerate an exponential path set: pin PathEngine::HopBoundedDp \
-                 (DustConfig::with_engine) or set max_hop",
-                graph.node_count()
-            ));
-        }
         if let Some(storm) = &cfg.storm {
             if !storm.cpu_threshold.is_finite() || storm.cpu_threshold <= 0.0 {
                 return bad(format!(
@@ -487,50 +471,6 @@ mod tests {
         let (g, nodes) = two_nodes();
         let at_end = Simulation::builder().kill_at(10_000, NodeId(1)).revive_at(10_000, NodeId(1));
         assert!(at_end.graph(g).nodes(nodes).duration_ms(10_000).build().is_ok());
-    }
-
-    #[test]
-    fn paper_defaults_on_a_big_fabric_are_rejected_loudly() {
-        // the PR-6 footgun: DustConfig::paper_defaults() keeps the
-        // paper-faithful exhaustive path enumeration with no hop bound,
-        // which is exponential on a real fabric. The builder must refuse
-        // before the first placement round ever runs.
-        use dust_core::DustConfig;
-        use dust_topology::{FatTree, PathEngine};
-        let ft = FatTree::new(8, Link::default()); // 80 nodes
-        let nodes: Vec<SimNode> =
-            ft.graph.nodes().map(|n| SimNode::bare(n, NodeSpec::server())).collect();
-        let err = msg(Simulation::builder()
-            .graph(ft.graph.clone())
-            .nodes(nodes.clone())
-            .dust(DustConfig::paper_defaults())
-            .build()
-            .unwrap_err());
-        assert!(err.contains("HopBoundedDp"), "{err}");
-        assert!(err.contains("80-node"), "{err}");
-        // pinning the DP engine (or a hop bound) makes the same fabric fine
-        let dp = DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp);
-        assert!(Simulation::builder()
-            .graph(ft.graph.clone())
-            .nodes(nodes.clone())
-            .dust(dp)
-            .build()
-            .is_ok());
-        let bounded = DustConfig::paper_defaults().with_max_hop(Some(4));
-        assert!(Simulation::builder()
-            .graph(ft.graph.clone())
-            .nodes(nodes)
-            .dust(bounded)
-            .build()
-            .is_ok());
-        // small topologies keep accepting the paper defaults unchanged
-        let (g, small) = two_nodes();
-        assert!(Simulation::builder()
-            .graph(g)
-            .nodes(small)
-            .dust(DustConfig::paper_defaults())
-            .build()
-            .is_ok());
     }
 
     #[test]

@@ -62,12 +62,7 @@ pub fn testbed_nodes(dut: NodeId) -> Vec<SimNode> {
 /// Thresholds used for the testbed runs: the DUT's ≈ 31 % local reading
 /// must classify as Busy while the idle servers qualify as candidates.
 pub fn testbed_dust_config() -> DustConfig {
-    // The hop-bounded DP engine returns the same optimum as the paper's
-    // exhaustive enumeration (property-tested) at a fraction of the cost;
-    // a deployed Manager would run this engine, so the simulator does too.
-    DustConfig::paper_defaults()
-        .with_thresholds(20.0, 15.0, 1.0)
-        .with_engine(dust_topology::PathEngine::HopBoundedDp)
+    DustConfig::paper_defaults().with_thresholds(20.0, 15.0, 1.0)
 }
 
 /// One Fig. 1 measurement row.
@@ -302,11 +297,8 @@ pub fn scale_fleet_builder(k: usize, duration_ms: u64, seed: u64, obs: ObsHandle
         .nodes()
         .map(|n| SimNode::with_shared_agents(n, appliance, std::sync::Arc::clone(&deployment)))
         .collect();
-    // paper-default thresholds (so nobody classifies Busy), but the path
-    // engine must be pinned: the builder rejects unbounded enumeration on
-    // a fleet this size (it never actually runs here — placement stays
-    // quiet — but the config would be a time bomb).
-    let dust = DustConfig::paper_defaults().with_engine(dust_topology::PathEngine::HopBoundedDp);
+    // paper-default thresholds, so nobody classifies Busy
+    let dust = DustConfig::paper_defaults();
     Simulation::builder()
         .graph(ft.graph)
         .nodes(nodes)

@@ -2,27 +2,16 @@
 //!
 //! The placement LP needs, for every pair `(i ∈ V_b, j ∈ V_o)`, the minimum
 //! response time over all paths within the hop bound. This module builds
-//! that matrix with either the paper-faithful enumerator or the fast DP
-//! (see [`crate::paths`]), parameterized per source by the monitoring data
-//! volume `D_i` in megabits.
+//! that matrix with the hop-bounded DP, whose minimum is the enumerated
+//! one bit for bit (see [`crate::paths`]), parameterized per source by the
+//! monitoring data volume `D_i` in megabits.
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::paths::{min_inv_lu_dp_into, min_inv_lu_enumerated_into, DpScratch, RowScratch};
+use crate::paths::{min_inv_lu_dp_into, DpScratch, RowScratch};
 use dust_obs::{LocalProfiler, ObsHandle, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
-
-/// Which routing engine computes `T_rmin` (ablation 1 in DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PathEngine {
-    /// Exhaustive simple-path enumeration — the paper's approach, whose cost
-    /// grows combinatorially with the hop bound (reproduces Figs. 8/10).
-    #[default]
-    Enumerate,
-    /// Hop-bounded Bellman–Ford — same optimum in `O(max_hop · |E|)`.
-    HopBoundedDp,
-}
 
 /// The minimum response times (seconds) of the `|V_b| × |V_o|` pairs that
 /// have a path inside the hop bound: Eq. 3 has a variable for those pairs
@@ -60,9 +49,8 @@ impl CostMatrix {
         destinations: &[NodeId],
         data_mb: &[f64],
         max_hop: Option<usize>,
-        engine: PathEngine,
     ) -> Self {
-        CostEngine::with_threads(1).build_matrix(g, sources, destinations, data_mb, max_hop, engine)
+        CostEngine::with_threads(1).build_matrix(g, sources, destinations, data_mb, max_hop)
     }
 
     /// Number of rows (Busy nodes).
@@ -96,37 +84,20 @@ impl CostMatrix {
     }
 }
 
-/// Cache key for one priced row: graph epoch, source, hop bound
-/// (`u64::MAX` encodes unbounded), and routing engine.
-type RowKey = (u64, NodeId, u64, PathEngine);
+/// Cache key for one priced row: graph epoch, source and hop bound
+/// (`u64::MAX` encodes unbounded).
+type RowKey = (u64, NodeId, u64);
 
 fn hop_key(max_hop: Option<usize>) -> u64 {
     max_hop.map_or(u64::MAX, |h| h as u64)
-}
-
-/// Price the `Σ 1/Lu_e` row from `src` with `engine` into `row`, which
-/// comes back one entry per node; a buffer with room for them is filled
-/// without allocating.
-fn price_row_into(
-    g: &Graph,
-    src: NodeId,
-    max_hop: Option<usize>,
-    engine: PathEngine,
-    row: &mut Vec<f64>,
-    scratch: &mut RowScratch,
-) {
-    match engine {
-        PathEngine::Enumerate => min_inv_lu_enumerated_into(g, src, max_hop, row, scratch),
-        PathEngine::HopBoundedDp => min_inv_lu_dp_into(g, src, max_hop, row, scratch),
-    }
 }
 
 /// Parallel, memoized `T_rmin` row provider — the single cost authority
 /// behind every placement entry point.
 ///
 /// Pricing a source means computing `min Σ 1/Lu_e` from it to *every*
-/// node, by exhaustive enumeration or by the hop-bounded DP
-/// ([`PathEngine`]); [`CostEngine::rows`] is the one door to a row. The
+/// node with the hop-bounded DP; [`CostEngine::rows`] is the one door to
+/// a row. The
 /// per-source rows are independent, so `build_matrix` fans them out
 /// across scoped worker threads pulling row indices from a shared cursor
 /// and filling each row into a buffer the calling thread allocated for
@@ -134,12 +105,13 @@ fn price_row_into(
 /// node-index order, so output is byte-identical to the sequential path
 /// for any thread count.
 ///
-/// Rows are cached keyed by `(graph epoch, source, hop bound, engine)`.
+/// Rows are cached keyed by `(graph epoch, source, hop bound)`.
 /// The epoch ([`Graph::epoch`]) is reassigned on every graph mutation, so
 /// a changed link utilization can never serve a stale row, while repeated
 /// re-optimizations over an unchanged graph — `io_rate_sweep`, the
-/// periodic re-solve loop — hit the cache instead of re-enumerating. Cached rows store `Σ 1/Lu_e` (not `T_rmin`), so one
-/// row serves every data volume `D_i`.
+/// periodic re-solve loop — hit the cache instead of re-pricing. Cached
+/// rows store `Σ 1/Lu_e` (not `T_rmin`), so one row serves every data
+/// volume `D_i`.
 #[derive(Debug)]
 pub struct CostEngine {
     /// Worker count, resolved once at construction: never 0.
@@ -308,7 +280,7 @@ impl CostEngine {
                 .then(|| g.hop_distances(d.iter().flat_map(|&e| [g.edge(e).a, g.edge(e).b])));
             let keys: Vec<RowKey> = cache.keys().filter(|k| k.0 == prev).copied().collect();
             for key in keys {
-                let (_, src, hopk, engine) = key;
+                let (_, src, hopk) = key;
                 let affected = match &ddist {
                     None => false,
                     Some(dist) => match dist.get(src.index()) {
@@ -322,7 +294,7 @@ impl CostEngine {
                 if affected {
                     stats.invalidated += 1;
                 } else {
-                    cache.insert((cur, src, hopk, engine), row);
+                    cache.insert((cur, src, hopk), row);
                     stats.migrated += 1;
                 }
             }
@@ -350,9 +322,8 @@ impl CostEngine {
         g: &Graph,
         sources: &[NodeId],
         max_hop: Option<usize>,
-        engine: PathEngine,
     ) -> Vec<Arc<Vec<f64>>> {
-        self.rows_counted(g, sources, max_hop, engine).0
+        self.rows_counted(g, sources, max_hop).0
     }
 
     /// Fan-out core returning `(rows, cache_hits, cache_misses)`.
@@ -366,7 +337,6 @@ impl CostEngine {
         g: &Graph,
         sources: &[NodeId],
         max_hop: Option<usize>,
-        engine: PathEngine,
     ) -> (Vec<Arc<Vec<f64>>>, u64, u64) {
         let _prof = self.obs.prof_scope("cost.price_rows");
         let workers = self.threads().min(sources.len());
@@ -377,7 +347,7 @@ impl CostEngine {
         // which thread priced which row. A buffer is allocated with room
         // for its row, not filled: the row kernel writes every entry.
         let n = g.node_count();
-        let key = |src: NodeId| -> RowKey { (g.epoch(), src, hop_key(max_hop), engine) };
+        let key = |src: NodeId| -> RowKey { (g.epoch(), src, hop_key(max_hop)) };
         // a cached row, or the buffer a worker prices the row into
         type RowSlot = Result<Arc<Vec<f64>>, Mutex<Vec<f64>>>;
         let slots: Vec<RowSlot> = {
@@ -410,11 +380,11 @@ impl CostEngine {
         let price = |i: usize, scratch: &mut RowScratch| {
             if let Err(buf) = &slots[i] {
                 let mut row = buf.lock().expect("row buffer poisoned");
-                price_row_into(g, sources[i], max_hop, engine, &mut row, scratch);
+                min_inv_lu_dp_into(g, sources[i], max_hop, &mut row, scratch);
             }
         };
         let mut scratch: Vec<RowScratch> =
-            (0..workers.max(1)).map(|_| RowScratch::reserved(n, engine)).collect();
+            (0..workers.max(1)).map(|_| RowScratch::reserved(n)).collect();
         if workers <= 1 {
             for i in 0..sources.len() {
                 let _row = self.obs.prof_scope("cost.row_price");
@@ -489,14 +459,13 @@ impl CostEngine {
         destinations: &[NodeId],
         data_mb: &[f64],
         max_hop: Option<usize>,
-        engine: PathEngine,
     ) -> CostMatrix {
         assert_eq!(sources.len(), data_mb.len(), "one D_i per source required");
         for &d in data_mb {
             assert!(d.is_finite() && d >= 0.0, "monitoring data volume must be >= 0, got {d}");
         }
         let _prof = self.obs.prof_scope("cost.build_matrix");
-        let (rows, hits, misses) = self.rows_counted(g, sources, max_hop, engine);
+        let (rows, hits, misses) = self.rows_counted(g, sources, max_hop);
         if self.obs.is_enabled() {
             self.obs.counter_inc("cost.builds");
             self.obs.trace(TraceEvent::MatrixBuilt {
@@ -553,37 +522,9 @@ mod tests {
     use crate::topologies::{example7, example7_roles, line};
 
     #[test]
-    fn engines_agree_on_example7() {
-        let mut g = example7(Link::default());
-        let utils = [0.9, 0.1, 0.8, 0.7, 0.3, 0.6, 0.2];
-        g.retarget_utilization(|e, _| utils[e.index()]);
-        let (busy, cands) = example7_roles();
-        let d = [120.0];
-        for max_hop in [Some(2), Some(4), None] {
-            let a = CostMatrix::build(&g, &[busy], &cands, &d, max_hop, PathEngine::Enumerate);
-            let b = CostMatrix::build(&g, &[busy], &cands, &d, max_hop, PathEngine::HopBoundedDp);
-            assert_eq!((&a.row_start, &a.columns), (&b.row_start, &b.columns), "{max_hop:?}");
-            for (i, (&x, &y)) in a.t_rmin.iter().zip(&b.t_rmin).enumerate() {
-                if x.is_infinite() {
-                    assert!(y.is_infinite());
-                } else {
-                    assert!((x - y).abs() < 1e-9, "entry {i}: {x} vs {y}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn unreachable_is_infinite() {
         let g = line(4, Link::default());
-        let m = CostMatrix::build(
-            &g,
-            &[NodeId(0)],
-            &[NodeId(3)],
-            &[10.0],
-            Some(2),
-            PathEngine::Enumerate,
-        );
+        let m = CostMatrix::build(&g, &[NodeId(0)], &[NodeId(3)], &[10.0], Some(2));
         assert!(m.at(0, 0).is_infinite());
         assert!(!m.any_reachable());
     }
@@ -591,24 +532,15 @@ mod tests {
     #[test]
     fn cost_scales_linearly_with_data_volume() {
         let g = line(3, Link::default());
-        let m1 =
-            CostMatrix::build(&g, &[NodeId(0)], &[NodeId(2)], &[10.0], None, PathEngine::Enumerate);
-        let m2 =
-            CostMatrix::build(&g, &[NodeId(0)], &[NodeId(2)], &[20.0], None, PathEngine::Enumerate);
+        let m1 = CostMatrix::build(&g, &[NodeId(0)], &[NodeId(2)], &[10.0], None);
+        let m2 = CostMatrix::build(&g, &[NodeId(0)], &[NodeId(2)], &[20.0], None);
         assert!((m2.at(0, 0) / m1.at(0, 0) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn diagonal_pair_is_zero() {
         let g = line(3, Link::default());
-        let m = CostMatrix::build(
-            &g,
-            &[NodeId(1)],
-            &[NodeId(1)],
-            &[5.0],
-            None,
-            PathEngine::HopBoundedDp,
-        );
+        let m = CostMatrix::build(&g, &[NodeId(1)], &[NodeId(1)], &[5.0], None);
         assert_eq!(m.at(0, 0), 0.0);
     }
 
@@ -616,7 +548,7 @@ mod tests {
     fn row_access_matches_at() {
         let g = example7(Link::default());
         let (busy, cands) = example7_roles();
-        let m = CostMatrix::build(&g, &[busy], &cands, &[50.0], None, PathEngine::HopBoundedDp);
+        let m = CostMatrix::build(&g, &[busy], &cands, &[50.0], None);
         assert_eq!(m.rows(), 1);
         assert_eq!(m.cols(), 2);
         let (cols, t) = m.row(0);
@@ -630,7 +562,7 @@ mod tests {
         // reachable and 3..5 are not; from node 4, nodes 2, 3 and 5
         let g = line(6, Link::default());
         let (src, dst) = ([NodeId(0), NodeId(4)], [NodeId(1), NodeId(2), NodeId(3), NodeId(5)]);
-        let m = CostMatrix::build(&g, &src, &dst, &[10.0, 20.0], Some(2), PathEngine::HopBoundedDp);
+        let m = CostMatrix::build(&g, &src, &dst, &[10.0, 20.0], Some(2));
         assert_eq!(
             (m.row_start.as_slice(), m.columns.as_slice()),
             ([0, 2, 5].as_slice(), [0, 1, 1, 2, 3].as_slice())
@@ -638,7 +570,7 @@ mod tests {
         assert!(m.t_rmin.iter().all(|t| t.is_finite()));
         let eng = CostEngine::with_threads(1);
         for (r, &s) in src.iter().enumerate() {
-            let raw = &eng.rows(&g, &[s], Some(2), PathEngine::HopBoundedDp)[0];
+            let raw = &eng.rows(&g, &[s], Some(2))[0];
             for (c, &d) in dst.iter().enumerate() {
                 let want = [10.0, 20.0][r] * raw[d.index()];
                 assert_eq!(m.at(r, c).to_bits(), want.to_bits(), "{s:?} -> {d:?}");
@@ -651,7 +583,7 @@ mod tests {
     #[should_panic(expected = "one D_i per source")]
     fn mismatched_data_len_rejected() {
         let g = line(3, Link::default());
-        CostMatrix::build(&g, &[NodeId(0)], &[NodeId(2)], &[], None, PathEngine::Enumerate);
+        CostMatrix::build(&g, &[NodeId(0)], &[NodeId(2)], &[], None);
     }
 }
 
@@ -681,22 +613,13 @@ mod engine_tests {
     #[test]
     fn parallel_matrix_is_bit_identical_to_sequential() {
         let (g, src, dst, data) = fat_tree_instance();
-        for engine in [PathEngine::Enumerate, PathEngine::HopBoundedDp] {
-            let seq =
-                CostEngine::with_threads(1).build_matrix(&g, &src, &dst, &data, Some(6), engine);
-            for threads in [2, 3, 8] {
-                let par = CostEngine::with_threads(threads).build_matrix(
-                    &g,
-                    &src,
-                    &dst,
-                    &data,
-                    Some(6),
-                    engine,
-                );
-                let a: Vec<u64> = seq.t_rmin.iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u64> = par.t_rmin.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a, b, "threads={threads} engine={engine:?}");
-            }
+        let seq = CostEngine::with_threads(1).build_matrix(&g, &src, &dst, &data, Some(6));
+        for threads in [2, 3, 8] {
+            let par =
+                CostEngine::with_threads(threads).build_matrix(&g, &src, &dst, &data, Some(6));
+            let a: Vec<u64> = seq.t_rmin.iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u64> = par.t_rmin.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(a, b, "threads={threads}");
         }
     }
 
@@ -705,9 +628,9 @@ mod engine_tests {
         let (g, src, dst, data) = fat_tree_instance();
         let eng = CostEngine::with_threads(4);
         assert_eq!(eng.cached_rows(), 0);
-        let m1 = eng.build_matrix(&g, &src, &dst, &data, Some(6), PathEngine::Enumerate);
+        let m1 = eng.build_matrix(&g, &src, &dst, &data, Some(6));
         assert_eq!(eng.cached_rows(), src.len());
-        let m2 = eng.build_matrix(&g, &src, &dst, &data, Some(6), PathEngine::Enumerate);
+        let m2 = eng.build_matrix(&g, &src, &dst, &data, Some(6));
         assert_eq!(eng.cached_rows(), src.len(), "second build must not price new rows");
         assert_eq!(m1.t_rmin, m2.t_rmin);
     }
@@ -717,16 +640,9 @@ mod engine_tests {
         let (g, src, dst, _) = fat_tree_instance();
         let eng = CostEngine::with_threads(1);
         let ones = vec![1.0; src.len()];
-        let base = eng.build_matrix(&g, &src, &dst, &ones, Some(6), PathEngine::HopBoundedDp);
+        let base = eng.build_matrix(&g, &src, &dst, &ones, Some(6));
         let n = eng.cached_rows();
-        let doubled = eng.build_matrix(
-            &g,
-            &src,
-            &dst,
-            &vec![2.0; src.len()],
-            Some(6),
-            PathEngine::HopBoundedDp,
-        );
+        let doubled = eng.build_matrix(&g, &src, &dst, &vec![2.0; src.len()], Some(6));
         assert_eq!(eng.cached_rows(), n, "different D_i must reuse the same rows");
         for (a, b) in base.t_rmin.iter().zip(&doubled.t_rmin) {
             if a.is_finite() {
@@ -741,17 +657,17 @@ mod engine_tests {
         let eng = CostEngine::with_threads(1);
         let src = [NodeId(0)];
         let dst = [NodeId(1), NodeId(5)];
-        let before = eng.build_matrix(&g, &src, &dst, &[100.0], None, PathEngine::Enumerate);
+        let before = eng.build_matrix(&g, &src, &dst, &[100.0], None);
         let e0 = g.epoch();
         g.link_mut(EdgeId(0)).utilization = 0.05;
         assert_ne!(g.epoch(), e0, "mutation must move the epoch");
-        let after = eng.build_matrix(&g, &src, &dst, &[100.0], None, PathEngine::Enumerate);
+        let after = eng.build_matrix(&g, &src, &dst, &[100.0], None);
         assert_eq!(eng.cached_rows(), 2, "one row per epoch");
         assert!(after.at(0, 0) > before.at(0, 0), "slower link must raise the cost");
         // evicting dead epochs keeps only the live row
         eng.refresh(&g, None);
         assert_eq!(eng.cached_rows(), 1);
-        let again = eng.build_matrix(&g, &src, &dst, &[100.0], None, PathEngine::Enumerate);
+        let again = eng.build_matrix(&g, &src, &dst, &[100.0], None);
         assert_eq!(again.t_rmin, after.t_rmin);
         // told that everything is dirty, a refresh never migrates a row
         g.link_mut(EdgeId(0)).utilization = 0.9;
@@ -783,8 +699,8 @@ mod engine_tests {
         let run = |threads: usize| {
             let obs = ObsHandle::recording(1);
             let eng = CostEngine::with_threads(threads).with_obs(obs.clone());
-            eng.build_matrix(&g, &src, &dst, &data, Some(6), PathEngine::HopBoundedDp);
-            eng.build_matrix(&g, &src, &dst, &data, Some(6), PathEngine::HopBoundedDp);
+            eng.build_matrix(&g, &src, &dst, &data, Some(6));
+            eng.build_matrix(&g, &src, &dst, &data, Some(6));
             let m = obs.metrics().unwrap();
             (
                 m.counter("cost.cache_hits"),
@@ -809,7 +725,7 @@ mod engine_tests {
             let obs = ObsHandle::recording(1);
             obs.enable_profiling();
             let eng = CostEngine::with_threads(threads).with_obs(obs.clone());
-            eng.build_matrix(&g, &src, &dst, &data, Some(6), PathEngine::HopBoundedDp);
+            eng.build_matrix(&g, &src, &dst, &data, Some(6));
             let report = obs.profile_report().unwrap();
             report.lines().filter(|l| l.starts_with("count ")).map(String::from).collect::<Vec<_>>()
         };
@@ -839,7 +755,7 @@ mod engine_tests {
         let src = [NodeId(0), NodeId(7)];
         let dst: Vec<NodeId> = (1..7).map(NodeId).collect();
         let data = [10.0, 10.0];
-        eng.build_matrix(&g, &src, &dst, &data, Some(2), PathEngine::HopBoundedDp);
+        eng.build_matrix(&g, &src, &dst, &data, Some(2));
         assert_eq!(eng.cached_rows(), 2);
 
         g.link_mut(EdgeId(0)).utilization = 0.95;
@@ -852,15 +768,8 @@ mod engine_tests {
         assert_eq!(obs.counter("cost.full_invalidations"), 1, "only the bootstrap refresh");
 
         // the incremental cache must answer bit-identically to a cold engine
-        let inc = eng.build_matrix(&g, &src, &dst, &data, Some(2), PathEngine::HopBoundedDp);
-        let cold = CostEngine::with_threads(1).build_matrix(
-            &g,
-            &src,
-            &dst,
-            &data,
-            Some(2),
-            PathEngine::HopBoundedDp,
-        );
+        let inc = eng.build_matrix(&g, &src, &dst, &data, Some(2));
+        let cold = CostEngine::with_threads(1).build_matrix(&g, &src, &dst, &data, Some(2));
         let a: Vec<u64> = inc.t_rmin.iter().map(|v| v.to_bits()).collect();
         let b: Vec<u64> = cold.t_rmin.iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b, "migrated rows must be indistinguishable from re-priced ones");
@@ -876,13 +785,13 @@ mod engine_tests {
         refresh(&eng, &mut g);
         let src = [NodeId(5)];
         let dst = [NodeId(0)];
-        eng.build_matrix(&g, &src, &dst, &[10.0], None, PathEngine::HopBoundedDp);
-        let before = eng.build_matrix(&g, &src, &dst, &[10.0], None, PathEngine::HopBoundedDp);
+        eng.build_matrix(&g, &src, &dst, &[10.0], None);
+        let before = eng.build_matrix(&g, &src, &dst, &[10.0], None);
         g.link_mut(EdgeId(0)).utilization = 0.01;
         let stats = refresh(&eng, &mut g);
         assert_eq!(stats.migrated, 0, "an unbounded row sees every link");
         assert_eq!(stats.invalidated, 1);
-        let after = eng.build_matrix(&g, &src, &dst, &[10.0], None, PathEngine::HopBoundedDp);
+        let after = eng.build_matrix(&g, &src, &dst, &[10.0], None);
         // Lu = capacity × utilization, Tr = D/Lu: a nearly idle link is a
         // nearly useless link in this model, so the cost must rise
         assert!(after.at(0, 0) > before.at(0, 0), "the mutation must actually show through");
@@ -897,7 +806,7 @@ mod engine_tests {
         refresh(&eng, &mut g);
         let src: Vec<NodeId> = (0..4).map(NodeId).collect();
         let dst = [NodeId(9)];
-        eng.build_matrix(&g, &src, &dst, &[1.0; 4], Some(3), PathEngine::HopBoundedDp);
+        eng.build_matrix(&g, &src, &dst, &[1.0; 4], Some(3));
         // touch 4 of 9 links: 44% dirty > MAX_DIRTY_FRACTION
         for e in 0..4 {
             g.link_mut(EdgeId(e)).utilization = 0.9;
@@ -917,7 +826,7 @@ mod engine_tests {
         let eng = CostEngine::with_threads(1);
         refresh(&eng, &mut g);
         let src = [NodeId(4)];
-        eng.build_matrix(&g, &src, &[NodeId(0)], &[1.0], Some(2), PathEngine::HopBoundedDp);
+        eng.build_matrix(&g, &src, &[NodeId(0)], &[1.0], Some(2));
         // a new edge changes reachability: the bounded row from node 4
         // would be wrong to keep even though no *link state* was touched
         let n = g.add_node();
@@ -933,7 +842,7 @@ mod engine_tests {
         let mut g = line(4, Link::default());
         let eng = CostEngine::with_threads(1);
         refresh(&eng, &mut g);
-        eng.build_matrix(&g, &[NodeId(0)], &[NodeId(3)], &[1.0], None, PathEngine::HopBoundedDp);
+        eng.build_matrix(&g, &[NodeId(0)], &[NodeId(3)], &[1.0], None);
         let stats = refresh(&eng, &mut g);
         assert_eq!(stats, RefreshStats::default());
         assert_eq!(eng.cached_rows(), 1);
@@ -977,17 +886,10 @@ mod engine_tests {
             for _ in 0..1 + round % 2 {
                 assert_eq!(refresh(&inc, &mut g), refresh_by_ref(&mut h), "round {round}");
             }
-            let a = inc.build_matrix(&g, &src, &dst, &data, Some(6), PathEngine::HopBoundedDp);
-            let b = by_ref.build_matrix(&h, &src, &dst, &data, Some(6), PathEngine::HopBoundedDp);
+            let a = inc.build_matrix(&g, &src, &dst, &data, Some(6));
+            let b = by_ref.build_matrix(&h, &src, &dst, &data, Some(6));
             assert_eq!(inc.cached_rows(), by_ref.cached_rows(), "round {round}");
-            let cold = CostEngine::with_threads(1).build_matrix(
-                &g,
-                &src,
-                &dst,
-                &data,
-                Some(6),
-                PathEngine::HopBoundedDp,
-            );
+            let cold = CostEngine::with_threads(1).build_matrix(&g, &src, &dst, &data, Some(6));
             let x: Vec<u64> = a.t_rmin.iter().map(|v| v.to_bits()).collect();
             let y: Vec<u64> = cold.t_rmin.iter().map(|v| v.to_bits()).collect();
             let z: Vec<u64> = b.t_rmin.iter().map(|v| v.to_bits()).collect();
@@ -998,13 +900,12 @@ mod engine_tests {
 
     #[test]
     fn enumerated_row_matches_per_destination_calls() {
-        use crate::paths::min_inv_lu_enumerated;
+        use crate::paths::{min_inv_lu_enumerated, min_inv_lu_enumerated_row};
         let mut g = example7(Link::default());
         let utils = [0.9, 0.1, 0.8, 0.7, 0.3, 0.6, 0.2];
         g.retarget_utilization(|e, _| utils[e.index()]);
         for bound in [Some(1), Some(2), Some(4), None] {
-            let mut row = Vec::new();
-            min_inv_lu_enumerated_into(&g, NodeId(0), bound, &mut row, &mut RowScratch::default());
+            let row = min_inv_lu_enumerated_row(&g, NodeId(0), bound);
             for v in g.nodes().skip(1) {
                 let per = min_inv_lu_enumerated(&g, NodeId(0), v, bound)
                     .map_or(f64::INFINITY, |(c, _)| c);

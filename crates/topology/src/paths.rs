@@ -1,26 +1,29 @@
 //! Bounded path enumeration and hop-constrained minimum-cost routing.
 //!
 //! The paper evaluates `Tr_{i,j}` over *all* feasible paths up to a
-//! `max-hop` bound and takes the minimum (Eq. 1–2). Two interchangeable
-//! engines ([`PathEngine`]) compute it, and each path job has one door:
+//! `max-hop` bound and takes the minimum (Eq. 1–2), and finds it by
+//! enumerating the paths (§IV-D). Pricing and routing compute the same
+//! minimum with one engine, a hop-bounded Bellman–Ford dynamic program,
+//! in `O(max_hop · |E|)`: because edge costs `1/Lu_e` are strictly
+//! positive, a minimum-cost walk never revisits a node, so the DP optimum
+//! equals the simple-path optimum, bit for bit (ablation 1 in DESIGN.md).
+//! Each path job has one door:
 //!
 //! * a source's row of minima to every node is
-//!   [`CostEngine::rows`](crate::CostEngine::rows), with either engine;
-//! * a DP pair's cost or route is a [`DpScratch`]: [`DpScratch::run_to`],
+//!   [`CostEngine::rows`](crate::CostEngine::rows);
+//! * a pair's cost or route is a [`DpScratch`]: [`DpScratch::run_to`],
 //!   then [`DpScratch::cost_to`] or [`DpScratch::route_to`];
-//! * enumeration is [`for_each_simple_path`], and one pair's optimal
-//!   enumerated route is [`min_inv_lu_enumerated`].
+//! * enumeration is [`for_each_simple_path`], one pair's optimal
+//!   enumerated route is [`min_inv_lu_enumerated`], and one source's
+//!   enumerated row is [`min_inv_lu_enumerated_row`].
 //!
-//! The `Enumerate` engine is the paper-faithful exhaustive enumerator,
-//! whose cost explodes with `max-hop` exactly like the computation-time
-//! curves of Figs. 8 and 10. [`for_each_simple_path`] and its row kernel
-//! are one depth-first walk, `walk_simple_paths`, with two visitors: one
-//! stops at the destination and reports the path, the other lowers every
-//! node's minimum. The `HopBoundedDp` engine is a hop-bounded
-//! Bellman–Ford dynamic program that computes the same minimum in
-//! `O(max_hop · |E|)`. Because edge costs `1/Lu_e` are strictly positive,
-//! a minimum-cost walk never revisits a node, so the DP optimum equals the
-//! simple-path optimum (ablation 1 in DESIGN.md).
+//! The enumerator survives as the oracle the DP is checked against and as
+//! the figure harness's model of the paper's enumeration cost, which
+//! explodes with `max-hop` exactly like the computation-time curves of
+//! Figs. 8 and 10. [`for_each_simple_path`] and the enumerated row are one
+//! depth-first walk, `walk_simple_paths`, with two visitors: one stops at
+//! the destination and reports the path, the other lowers every node's
+//! minimum.
 //!
 //! Per-edge cost is the *inverse utilized bandwidth* `1/Lu_e` (seconds per
 //! megabit); multiplying by the monitoring data volume `D_i` yields the
@@ -54,7 +57,6 @@
 //! Every route and every cost bit is the unpruned DP's. Without a hop
 //! bound nothing is pruned.
 
-use crate::cost::PathEngine;
 use crate::graph::{EdgeId, Graph, NodeId};
 
 /// A simple path: node sequence plus the edges traversed.
@@ -112,7 +114,7 @@ pub fn for_each_simple_path<F>(
         return;
     }
     let (mut nodes, mut edges) = (Vec::new(), Vec::new());
-    walk_simple_paths(g, src, max_hop, &mut RowScratch::default(), |w, cost, frames| {
+    walk_simple_paths(g, src, max_hop, |w, cost, frames| {
         if w != dst {
             return true;
         }
@@ -150,37 +152,25 @@ pub fn min_inv_lu_enumerated(
     best
 }
 
-/// The working memory of one row pricing — [`min_inv_lu_dp_into`] or
-/// [`min_inv_lu_enumerated_into`] — reserved up front for a graph's node
-/// count, so a pricing worker fills rows without allocating.
+/// The working memory of one DP row pricing, [`min_inv_lu_dp_into`],
+/// reserved up front for a graph's node count, so a pricing worker fills
+/// rows without allocating.
 #[derive(Debug, Default)]
 pub(crate) struct RowScratch {
     next: Vec<f64>,
     frontier: Vec<NodeId>,
     moved: Vec<NodeId>,
-    visited: Vec<bool>,
-    cost_stack: Vec<f64>,
-    frames: Vec<(NodeId, usize)>,
 }
 
 impl RowScratch {
-    /// Room for every row `engine` prices on an `n`-node graph: a DP
-    /// frontier holds each node at most once, a simple path at most `n`.
-    pub(crate) fn reserved(n: usize, engine: PathEngine) -> RowScratch {
-        let mut s = RowScratch::default();
-        match engine {
-            PathEngine::HopBoundedDp => {
-                s.next.reserve(n);
-                s.frontier.reserve(n);
-                s.moved.reserve(n);
-            }
-            PathEngine::Enumerate => {
-                s.visited.reserve(n);
-                s.cost_stack.reserve(n + 1);
-                s.frames.reserve(n + 1);
-            }
+    /// Room for every row priced on an `n`-node graph: a DP frontier
+    /// holds each node at most once.
+    pub(crate) fn reserved(n: usize) -> RowScratch {
+        RowScratch {
+            next: Vec::with_capacity(n),
+            frontier: Vec::with_capacity(n),
+            moved: Vec::with_capacity(n),
         }
-        s
     }
 }
 
@@ -195,20 +185,15 @@ fn walk_simple_paths(
     g: &Graph,
     src: NodeId,
     max_hop: Option<usize>,
-    scratch: &mut RowScratch,
     mut visit: impl FnMut(NodeId, f64, &[(NodeId, usize)]) -> bool,
 ) {
     let bound = max_hop.unwrap_or(usize::MAX);
     if bound == 0 {
         return;
     }
-    let RowScratch { visited, cost_stack, frames, .. } = scratch;
-    visited.clear();
-    visited.resize(g.node_count(), false);
-    cost_stack.clear();
-    cost_stack.push(0.0);
-    frames.clear();
-    frames.push((src, 0));
+    let mut visited = vec![false; g.node_count()];
+    let mut cost_stack = vec![0.0];
+    let mut frames = vec![(src, 0)];
     visited[src.index()] = true;
     while let Some(&mut (v, ref mut next)) = frames.last_mut() {
         let neighbors = g.neighbors(v);
@@ -224,7 +209,7 @@ fn walk_simple_paths(
             continue;
         }
         let cost = cost_stack.last().unwrap() + inv_lu_edge(g, e);
-        if !visit(w, cost, frames) || frames.len() >= bound {
+        if !visit(w, cost, &frames) || frames.len() >= bound {
             continue;
         }
         visited[w.index()] = true;
@@ -234,32 +219,25 @@ fn walk_simple_paths(
 }
 
 /// Minimum `Σ 1/Lu_e` from `src` to *every* node within `max_hop` hops by
-/// exhaustive simple-path enumeration, into `dist`, which it sets to one
-/// entry per node (within the capacity it brings, allocating nothing),
-/// working in `scratch`. Entry `dist[v]` is `f64::INFINITY` when `v` is
-/// unreachable within the bound; `dist[src]` is `0.0`.
+/// exhaustive simple-path enumeration, one entry per node: `f64::INFINITY`
+/// where a node is unreachable within the bound, `0.0` at `src`.
 ///
 /// One DFS prices the whole row: every simple path from `src` appears as a
 /// stack prefix exactly once, so each destination sees the same path set —
 /// and therefore bit-identical minima — as a per-destination
-/// [`min_inv_lu_enumerated`] call, at a fraction of the work. This is the
-/// `Enumerate` row [`crate::CostEngine`] parallelizes over sources.
-pub(crate) fn min_inv_lu_enumerated_into(
-    g: &Graph,
-    src: NodeId,
-    max_hop: Option<usize>,
-    dist: &mut Vec<f64>,
-    scratch: &mut RowScratch,
-) {
-    dist.clear();
-    dist.resize(g.node_count(), f64::INFINITY);
+/// [`min_inv_lu_enumerated`] call, at a fraction of the work. Nothing in
+/// the product prices with it: it is the oracle the DP row is checked
+/// against, and the enumeration the figure harness times.
+pub fn min_inv_lu_enumerated_row(g: &Graph, src: NodeId, max_hop: Option<usize>) -> Vec<f64> {
+    let mut dist = vec![f64::INFINITY; g.node_count()];
     dist[src.index()] = 0.0;
-    walk_simple_paths(g, src, max_hop, scratch, |w, cost, _| {
+    walk_simple_paths(g, src, max_hop, |w, cost, _| {
         if cost < dist[w.index()] {
             dist[w.index()] = cost;
         }
         true
     });
+    dist
 }
 
 /// One hop layer of the Bellman–Ford DP: relax every edge out of
@@ -310,8 +288,8 @@ fn relax_layer(
 /// With strictly positive edge costs a minimum-cost walk is simple, so this
 /// equals the enumerated optimum at a fraction of the cost. Each layer
 /// relaxes only out of the previous layer's frontier, so a bounded search
-/// costs what it reaches, not `max_hop · |E|`. This is the `HopBoundedDp`
-/// row [`crate::CostEngine`] parallelizes over sources.
+/// costs what it reaches, not `max_hop · |E|`. This is the row
+/// [`crate::CostEngine`] parallelizes over sources.
 pub(crate) fn min_inv_lu_dp_into(
     g: &Graph,
     src: NodeId,
@@ -325,7 +303,7 @@ pub(crate) fn min_inv_lu_dp_into(
     dist.clear();
     dist.resize(n, f64::INFINITY);
     dist[src.index()] = 0.0;
-    let RowScratch { next, frontier, moved, .. } = scratch;
+    let RowScratch { next, frontier, moved } = scratch;
     next.clear();
     next.extend_from_slice(dist);
     frontier.clear();

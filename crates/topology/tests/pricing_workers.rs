@@ -10,7 +10,7 @@
 //! `#[global_allocator]` that sees every thread, and holds one test, so no
 //! other test's allocations land in the count.
 
-use dust_topology::{CostEngine, FatTree, NodeId, PathEngine, Tier};
+use dust_topology::{CostEngine, FatTree, NodeId, Tier};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,31 +75,27 @@ fn pricing_workers_allocate_nothing_per_row() {
     let sources: Vec<NodeId> = ft.tier_nodes(Tier::Edge).to_vec();
     let destinations: Vec<NodeId> = ft.graph.nodes().filter(|n| !sources.contains(n)).collect();
     let data = vec![100.0; sources.len()];
-    for (engine, max_hop) in [(PathEngine::HopBoundedDp, Some(6)), (PathEngine::Enumerate, Some(4))]
-    {
-        let workers_alloc = |rows: usize| {
-            // a fresh engine each time: every row is a miss and is priced
-            let pool = CostEngine::with_threads(2);
-            by_other_threads(|| {
-                let m = pool.build_matrix(
-                    &ft.graph,
-                    &sources[..rows],
-                    &destinations,
-                    &data[..rows],
-                    max_hop,
-                    engine,
-                );
-                assert_eq!(m.rows(), rows);
-            })
-        };
-        // whatever starting a thread costs once per process is paid here
-        workers_alloc(2);
-        let (few, many) = (workers_alloc(2), workers_alloc(sources.len()));
-        assert_eq!(
-            few,
-            many,
-            "{engine:?}: two workers pricing 2 rows allocated {few} times, pricing {} rows {many}",
-            sources.len()
-        );
-    }
+    let workers_alloc = |rows: usize| {
+        // a fresh engine each time: every row is a miss and is priced
+        let pool = CostEngine::with_threads(2);
+        by_other_threads(|| {
+            let m = pool.build_matrix(
+                &ft.graph,
+                &sources[..rows],
+                &destinations,
+                &data[..rows],
+                Some(6),
+            );
+            assert_eq!(m.rows(), rows);
+        })
+    };
+    // whatever starting a thread costs once per process is paid here
+    workers_alloc(2);
+    let (few, many) = (workers_alloc(2), workers_alloc(sources.len()));
+    assert_eq!(
+        few,
+        many,
+        "two workers pricing 2 rows allocated {few} times, pricing {} rows {many}",
+        sources.len()
+    );
 }

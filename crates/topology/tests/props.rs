@@ -1,15 +1,17 @@
 //! Property-based tests for the topology substrate, driven by seeded
-//! random instances: the exhaustive path enumerator and the hop-bounded DP
-//! must agree everywhere, enumerated paths must be simple and within
-//! bounds, generator invariants must hold for arbitrary parameters, and
-//! the parallel [`CostEngine`] must reproduce the sequential matrices
-//! bit-for-bit under every thread count. Each path job is reached through
-//! the door the product uses: rows from [`CostEngine::rows`], a DP pair
-//! from a [`DpScratch`], paths from [`for_each_simple_path`].
+//! random instances: the hop-bounded DP must reach the exhaustive
+//! enumerator's minimum bit for bit everywhere, enumerated paths must be
+//! simple and within bounds, generator invariants must hold for arbitrary
+//! parameters, and the parallel [`CostEngine`] must reproduce the
+//! sequential matrices bit-for-bit under every thread count. Each path job
+//! is reached through its public door: DP rows from [`CostEngine::rows`],
+//! a DP pair from a [`DpScratch`], paths from [`for_each_simple_path`],
+//! enumerated rows from [`min_inv_lu_enumerated_row`].
 
 use dust_topology::{
-    for_each_simple_path, min_inv_lu_enumerated, topologies::random_regular, CostEngine, DpScratch,
-    FatTree, Graph, Link, NodeId, Path, PathEngine, SplitMix64,
+    for_each_simple_path, min_inv_lu_enumerated, min_inv_lu_enumerated_row,
+    topologies::random_regular, CostEngine, DpScratch, FatTree, Graph, Link, NodeId, Path,
+    SplitMix64,
 };
 
 /// Every simple path from `src` to `dst` within `max_hop` hops.
@@ -50,38 +52,27 @@ fn arb_graph(seed: u64) -> Graph {
     g
 }
 
-/// Enumerated minimum equals DP minimum for every pair and hop bound, and
-/// the DP's two doors — the cost engine's row and a [`DpScratch`]'s
-/// `cost_to` — agree to the bit.
+/// The DP reaches the enumerated minimum bit for bit: for every ordered
+/// pair of 400 random graphs, at hop bounds 1–6 and none, the cost
+/// engine's row, the enumerated row and a [`DpScratch`]'s `cost_to` hold
+/// the same bits, and agree on which pairs are reachable. This is the
+/// oracle behind pricing and routing with one engine.
 #[test]
 fn dp_matches_enumeration() {
-    for seed in 0..64u64 {
+    let engine = CostEngine::with_threads(1);
+    for seed in 0..400u64 {
         let g = arb_graph(seed);
-        let max_hop = 1 + (seed % 6) as usize;
-        let n = g.node_count();
-        let engine = CostEngine::with_threads(1);
-        for s in 0..n.min(4) {
-            let src = NodeId(s as u32);
-            let row = engine.rows(&g, &[src], Some(max_hop), PathEngine::HopBoundedDp).remove(0);
-            for d in 0..n.min(4) {
-                if s == d {
-                    continue;
-                }
-                let dst = NodeId(d as u32);
-                let e = min_inv_lu_enumerated(&g, src, dst, Some(max_hop))
-                    .map(|(c, _)| c)
-                    .filter(|c| c.is_finite());
-                let p = dp_cost(&g, src, dst, Some(max_hop));
-                let from_row = Some(row[dst.index()]).filter(|c| c.is_finite());
-                assert_eq!(p.map(f64::to_bits), from_row.map(f64::to_bits), "seed {seed}: row");
-                match (e, p) {
-                    (Some(a), Some(b)) => assert!(
-                        (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                        "seed {seed}: enumerate {a} vs dp {b}"
-                    ),
-                    (None, None) => {}
-                    other => panic!("seed {seed}: reachability mismatch: {other:?}"),
-                }
+        let max_hop =
+            [Some(1), Some(2), Some(3), Some(4), Some(5), Some(6), None][seed as usize % 7];
+        let bits = |row: &[f64]| row.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for src in g.nodes() {
+            let row = engine.rows(&g, &[src], max_hop).remove(0);
+            let enumerated = min_inv_lu_enumerated_row(&g, src, max_hop);
+            assert_eq!(bits(&row), bits(&enumerated), "seed {seed} {src:?} {max_hop:?}");
+            for dst in g.nodes() {
+                let from_row = Some(row[dst.index()]).filter(|c| dst != src && c.is_finite());
+                let p = dp_cost(&g, src, dst, max_hop);
+                assert_eq!(p.map(f64::to_bits), from_row.map(f64::to_bits), "seed {seed}: pair");
             }
         }
     }
@@ -228,9 +219,9 @@ fn multi_source_bfs_is_the_nearest_source() {
     }
 }
 
-/// The parallel `CostEngine` matrix equals the sequential enumerator's
-/// matrix exactly — any topology, any seed, any thread count, both
-/// routing engines (the tentpole's determinism contract).
+/// The parallel `CostEngine` matrix equals the sequential one exactly —
+/// any topology, any seed, any thread count (the engine's determinism
+/// contract).
 #[test]
 fn parallel_cost_engine_matches_sequential_bitwise() {
     for seed in 0..40u64 {
@@ -241,28 +232,19 @@ fn parallel_cost_engine_matches_sequential_bitwise() {
         let destinations: Vec<NodeId> = (0..n as u32).filter(|v| v % 2 == 1).map(NodeId).collect();
         let data: Vec<f64> = sources.iter().map(|_| rng.range_f64(1.0, 500.0)).collect();
         let max_hop = if seed % 3 == 0 { None } else { Some(1 + (seed % 6) as usize) };
-        for engine in [PathEngine::Enumerate, PathEngine::HopBoundedDp] {
-            let seq = CostEngine::with_threads(1).build_matrix(
+        let seq =
+            CostEngine::with_threads(1).build_matrix(&g, &sources, &destinations, &data, max_hop);
+        for threads in [2usize, 3, 5, 16] {
+            let par = CostEngine::with_threads(threads).build_matrix(
                 &g,
                 &sources,
                 &destinations,
                 &data,
                 max_hop,
-                engine,
             );
-            for threads in [2usize, 3, 5, 16] {
-                let par = CostEngine::with_threads(threads).build_matrix(
-                    &g,
-                    &sources,
-                    &destinations,
-                    &data,
-                    max_hop,
-                    engine,
-                );
-                let a: Vec<u64> = seq.t_rmin.iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u64> = par.t_rmin.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a, b, "seed {seed} threads {threads} engine {engine:?}");
-            }
+            let a: Vec<u64> = seq.t_rmin.iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u64> = par.t_rmin.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(a, b, "seed {seed} threads {threads}");
         }
     }
 }
@@ -278,11 +260,9 @@ fn cache_invalidates_on_epoch_change() {
         let sources = vec![NodeId(0)];
         let destinations: Vec<NodeId> = (1..n as u32).map(NodeId).collect();
         let eng = CostEngine::with_threads(4);
-        let before =
-            eng.build_matrix(&g, &sources, &destinations, &[100.0], None, PathEngine::Enumerate);
+        let before = eng.build_matrix(&g, &sources, &destinations, &[100.0], None);
         let cached = eng.cached_rows();
-        let hot =
-            eng.build_matrix(&g, &sources, &destinations, &[100.0], None, PathEngine::Enumerate);
+        let hot = eng.build_matrix(&g, &sources, &destinations, &[100.0], None);
         assert_eq!(eng.cached_rows(), cached, "seed {seed}: warm rebuild must not re-price");
         assert_eq!(before.t_rmin, hot.t_rmin);
         // mutate one link; a fresh sequential engine is the ground truth
@@ -291,16 +271,9 @@ fn cache_invalidates_on_epoch_change() {
         let e = dust_topology::EdgeId(rng.below(g.edge_count() as u64) as u32);
         g.link_mut(e).utilization = 0.001;
         assert_ne!(g.epoch(), epoch, "seed {seed}: mutation must move the epoch");
-        let after =
-            eng.build_matrix(&g, &sources, &destinations, &[100.0], None, PathEngine::Enumerate);
-        let truth = CostEngine::with_threads(1).build_matrix(
-            &g,
-            &sources,
-            &destinations,
-            &[100.0],
-            None,
-            PathEngine::Enumerate,
-        );
+        let after = eng.build_matrix(&g, &sources, &destinations, &[100.0], None);
+        let truth =
+            CostEngine::with_threads(1).build_matrix(&g, &sources, &destinations, &[100.0], None);
         assert_eq!(after.t_rmin, truth.t_rmin, "seed {seed}: stale row served after mutation");
     }
 }
@@ -313,7 +286,7 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// 6, a 9-ring, Fig. 7's example and a 3-regular 16-node graph, each with
 /// uniform links (equal-hop routes tie exactly) and with seeded loads from
 /// four values plus one idle link, at hop bounds 1–4, one FNV-1a digest
-/// folds every `Enumerate` row's bits (through [`CostEngine::rows`]) and,
+/// folds every enumerated row's bits ([`min_inv_lu_enumerated_row`]) and,
 /// for a spread of pairs, the route `min_inv_lu_enumerated` picks (cost
 /// bits, nodes, edges) and the count of paths `for_each_simple_path`
 /// visits. Which of two tied routes wins, and where the walk stops, are
@@ -321,7 +294,6 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 #[test]
 fn enumerated_rows_routes_and_counts_are_pinned() {
     use dust_topology::topologies::{example7, ring};
-    let engine = CostEngine::with_threads(1);
     let built: Vec<(&str, Graph)> = vec![
         ("fat-tree 4", FatTree::new(4, Link::default()).graph),
         ("fat-tree 6", FatTree::new(6, Link::default()).graph),
@@ -347,8 +319,7 @@ fn enumerated_rows_routes_and_counts_are_pinned() {
             for max_hop in 1..=4 {
                 let at = format!("{name} {loads} hop {max_hop}");
                 for src in (0..n).map(NodeId) {
-                    let row =
-                        engine.rows(&g, &[src], Some(max_hop), PathEngine::Enumerate).remove(0);
+                    let row = min_inv_lu_enumerated_row(&g, src, Some(max_hop));
                     for d in row.iter() {
                         h = fnv1a(h, &d.to_bits().to_le_bytes());
                     }

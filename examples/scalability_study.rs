@@ -11,9 +11,9 @@ use std::time::Instant;
 fn main() {
     let seed = 2024;
     let iterations = 5;
-    // The fast DP engine keeps this example snappy; the bench harness uses
-    // the paper-faithful enumeration engine for the timing figures.
-    let cfg = DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp);
+    // The bench harness adds the paper's path enumeration to the timing
+    // figures; this example times the placement the product runs.
+    let cfg = DustConfig::paper_defaults();
 
     println!(
         "{:>6} {:>7} {:>8} {:>12} {:>12} {:>9}",

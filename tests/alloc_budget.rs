@@ -228,7 +228,7 @@ fn quiet_fleet(sample_period_ms: u64, obs: ObsHandle) -> Simulation {
         .graph(ft.graph.clone())
         .nodes(nodes)
         .traffic(TrafficModel::testbed())
-        .dust(DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp))
+        .dust(DustConfig::paper_defaults())
         .dust_enabled(false)
         .duration_ms(10_000)
         .sample_period_ms(sample_period_ms)
@@ -316,7 +316,7 @@ fn fleet_run_allocation_count_is_pinned() {
 fn idle_manager(k: usize, load: f64) -> Manager {
     let graph = FatTree::new(k, Link::new(25_000.0, 0.2)).graph;
     let nodes: Vec<NodeId> = graph.nodes().collect();
-    let cfg = DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp);
+    let cfg = DustConfig::paper_defaults();
     let mut m = Manager::new(graph, cfg, SolverBackend::Transportation, 1_000, 3_000)
         .expect("paper defaults are valid");
     for node in nodes {

@@ -18,9 +18,7 @@ fn placement_equals_first_principles_lp() {
     let mut bounded_assignments = 0;
     for (k, max_hop) in [4, 8].into_iter().flat_map(|k| [Some(1), Some(2), None].map(|h| (k, h))) {
         let ft = FatTree::with_default_links(k);
-        let cfg = DustConfig::paper_defaults()
-            .with_engine(PathEngine::HopBoundedDp)
-            .with_max_hop(max_hop);
+        let cfg = DustConfig::paper_defaults().with_max_hop(max_hop);
         for outer in 0..16u64 {
             let seed = SplitMix64::new(outer).next_u64();
             let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
@@ -67,7 +65,7 @@ fn applying_placement_debusies_network() {
     for outer in 0..16u64 {
         let seed = SplitMix64::new(1000 + outer).next_u64();
         let ft = FatTree::with_default_links(4);
-        let cfg = DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp);
+        let cfg = DustConfig::paper_defaults();
         let mut nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
         let p = optimize(&nmdb, &cfg);
         if p.status != PlacementStatus::Optimal {
@@ -101,7 +99,7 @@ fn applying_placement_debusies_network() {
 fn manager_snapshot_matches_direct_optimization() {
     for seed in 0u64..16 {
         let ft = FatTree::with_default_links(2); // 5 switches: quick
-        let cfg = DustConfig::paper_defaults().with_engine(PathEngine::HopBoundedDp);
+        let cfg = DustConfig::paper_defaults();
         let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
         let mut manager =
             Manager::new(ft.graph.clone(), cfg, SolverBackend::Transportation, 1_000, 4_000)

@@ -41,7 +41,7 @@ fn fig4_example_offloads_to_both_candidates_when_needed() {
 #[test]
 fn ilp_matches_simplex_on_fat_tree_scenarios() {
     let ft = FatTree::with_default_links(4);
-    let cfg = paper_cfg().with_engine(PathEngine::HopBoundedDp);
+    let cfg = paper_cfg();
     for seed in 0..10 {
         let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
         let t = optimize_with(&nmdb, &cfg, &CostEngine::new(), None).unwrap();
@@ -55,22 +55,6 @@ fn ilp_matches_simplex_on_fat_tree_scenarios() {
             (PlacementStatus::Infeasible, None) => {}
             (PlacementStatus::NoBusyNodes, Some(s)) => assert_eq!(s, 0.0, "seed {seed}"),
             (a, b) => panic!("seed {seed}: status mismatch {a:?} vs {b:?}"),
-        }
-    }
-}
-
-#[test]
-fn path_engines_agree_across_whole_placement() {
-    let ft = FatTree::with_default_links(4);
-    for seed in [3u64, 17, 99] {
-        let slow = paper_cfg().with_engine(PathEngine::Enumerate).with_max_hop(Some(6));
-        let fast = paper_cfg().with_engine(PathEngine::HopBoundedDp).with_max_hop(Some(6));
-        let nmdb = random_nmdb(&ft.graph, &slow, &ScenarioParams::default(), seed);
-        let a = optimize(&nmdb, &slow);
-        let b = optimize(&nmdb, &fast);
-        assert_eq!(a.status, b.status);
-        if a.status == PlacementStatus::Optimal {
-            assert!((a.beta - b.beta).abs() < 1e-6 * (1.0 + a.beta.abs()));
         }
     }
 }
@@ -132,7 +116,7 @@ fn heuristic_residual_is_placeable_by_ilp() {
     // Fig. 9's 'partial' bucket: what the heuristic leaves behind, the ILP
     // can still place whenever the ILP is feasible.
     let ft = FatTree::with_default_links(4);
-    let cfg = paper_cfg().with_engine(PathEngine::HopBoundedDp);
+    let cfg = paper_cfg();
     let mut checked = 0;
     for seed in 0..40 {
         let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
@@ -152,7 +136,7 @@ fn heuristic_residual_is_placeable_by_ilp() {
 #[test]
 fn success_classes_partition_iterations() {
     let ft = FatTree::with_default_links(4);
-    let cfg = paper_cfg().with_engine(PathEngine::HopBoundedDp);
+    let cfg = paper_cfg();
     let mut tally = SuccessTally::default();
     let n = 50;
     for nmdb in scenario_stream(&ft.graph, &cfg, &ScenarioParams::default(), 77, n) {

@@ -25,7 +25,7 @@ pub fn beta_via_raw_lp(nmdb: &Nmdb, cfg: &DustConfig) -> (Option<f64>, Option<Co
         return (Some(0.0), None);
     }
     let data: Vec<f64> = busy.iter().map(|&b| nmdb.state(b).data_mb).collect();
-    let costs = CostMatrix::build(&nmdb.graph, &busy, &cands, &data, cfg.max_hop, cfg.path_engine);
+    let costs = CostMatrix::build(&nmdb.graph, &busy, &cands, &data, cfg.max_hop);
     let mut p = Problem::new();
     let mut vars = Vec::new();
     for r in 0..busy.len() {
