@@ -29,6 +29,18 @@ pub fn mean_secs(ds: &[Duration]) -> f64 {
     ds.iter().map(Duration::as_secs_f64).sum::<f64>() / ds.len() as f64
 }
 
+/// Median of a slice of durations, in seconds (the mean of the middle two
+/// for an even count).
+pub fn median_secs(ds: &[Duration]) -> f64 {
+    let mut secs: Vec<f64> = ds.iter().map(Duration::as_secs_f64).collect();
+    secs.sort_by(f64::total_cmp);
+    match secs.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => secs[n / 2],
+        n => (secs[n / 2 - 1] + secs[n / 2]) / 2.0,
+    }
+}
+
 /// A plain-text table that prints aligned columns (the harness output that
 /// EXPERIMENTS.md embeds).
 pub struct Table {

@@ -698,7 +698,8 @@ fn drift_links(g: &mut Graph, seed: u64, round: u64) {
 
 /// The k-port fat-tree `--fat-tree K` asks for. `K` is rejected before
 /// anything is built when it is odd, below 2, or so large that its `5K²/4`
-/// switches would overflow the `u32` behind a node id.
+/// switches would overflow the `u32` behind a node id or its `K³/2` links
+/// the `u32` behind a link id — the generator reserves both up front.
 fn fat_tree_graph(k: usize) -> Result<Graph, String> {
     if k < 2 || !k.is_multiple_of(2) {
         return Err(format!("--fat-tree needs an even K >= 2, got {k}"));
@@ -706,6 +707,11 @@ fn fat_tree_graph(k: usize) -> Result<Graph, String> {
     let switches = k.checked_mul(k).and_then(|k2| (k2 / 4).checked_mul(5));
     if switches.is_none_or(|n| n > u32::MAX as usize) {
         return Err(format!("--fat-tree {k} has more switches than node ids"));
+    }
+    // ids run 0..=u32::MAX, so there are 2^32 of them
+    let links = k.checked_mul(k).and_then(|k2| k2.checked_mul(k / 2));
+    if links.is_none_or(|l| l as u64 > u64::from(u32::MAX) + 1) {
+        return Err(format!("--fat-tree {k} has more links than link ids"));
     }
     Ok(FatTree::with_default_links(k).graph)
 }
@@ -1007,8 +1013,10 @@ mod tests {
     #[test]
     fn place_rejects_a_fat_tree_it_cannot_build() {
         // odd or tiny K would panic in the generator, and a K whose 5K²/4
-        // switches overflow a u32 node id would wrap or exhaust memory
-        for k in [0, 1, 3, 15, 100_000, usize::MAX] {
+        // switches overflow a u32 node id would wrap or exhaust memory; so
+        // would one whose K³/2 links outnumber the 2^32 link ids: 2 050 is
+        // the smallest such K, 58 616 the largest with few enough switches
+        for k in [0, 1, 3, 15, 2_050, 58_616, 100_000, usize::MAX] {
             let opts = PlaceOptions { fat_tree: Some(k), ..Default::default() };
             let err = cmd_place(None, &opts).unwrap_err();
             assert!(err.starts_with("--fat-tree"), "k = {k}: {err}");

@@ -48,7 +48,11 @@ impl FatTree {
         let n_per_pod = k; // k/2 agg + k/2 edge
         let n_total = n_core + k * n_per_pod;
 
-        let mut graph = Graph::with_nodes(n_total);
+        // Cores and aggregation switches have degree k, edge switches k/2;
+        // reserving every list at its degree leaves no growth slack.
+        let is_edge_switch = |v: usize| v >= n_core && (v - n_core) % n_per_pod >= half;
+        let degrees = (0..n_total).map(|v| if is_edge_switch(v) { half } else { k });
+        let mut graph = Graph::with_degrees(degrees, k * k * k / 2);
         let mut tiers = vec![Tier::Core; n_total];
         let mut pods = vec![None; n_total];
 

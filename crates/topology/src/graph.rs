@@ -123,11 +123,16 @@ impl Edge {
 /// rejection are handled at insertion time ([`Graph::add_edge`] forbids
 /// self-loops, allows parallel edges since fat-tree pods never produce them
 /// but ad-hoc topologies may).
+///
+/// Each link is stored once, as its [`Edge`] record; a node's adjacency
+/// list holds only the ids of its edges, and the neighbour across edge `e`
+/// is `edge(e).other(v)`. A generator that knows its degrees builds on
+/// [`Graph::with_degrees`], so no list carries growth slack.
 #[derive(Debug, Clone)]
 pub struct Graph {
     edges: Vec<Edge>,
-    /// `adj[v]` lists `(neighbor, edge)` pairs for node `v`.
-    adj: Vec<Vec<(NodeId, EdgeId)>>,
+    /// `adj[v]` lists the ids of the edges at node `v`, in insertion order.
+    adj: Vec<Vec<EdgeId>>,
     /// Globally-unique state stamp; see [`Graph::epoch`].
     epoch: u64,
     /// True when the dirty journal lost precision (structural mutation,
@@ -159,20 +164,23 @@ impl Default for Graph {
 impl Graph {
     /// An empty graph.
     pub fn new() -> Self {
-        Graph {
-            edges: Vec::new(),
-            adj: Vec::new(),
-            epoch: next_epoch(),
-            dirty_all: true,
-            dirty: Vec::new(),
-        }
+        Self::with_nodes(0)
     }
 
     /// An empty graph with `n` isolated nodes.
     pub fn with_nodes(n: usize) -> Self {
+        Self::with_degrees(std::iter::repeat_n(0, n), 0)
+    }
+
+    /// An empty graph with one isolated node per entry of `degrees`, whose
+    /// adjacency lists and edge list are reserved at their final sizes:
+    /// node `v` will have `degrees[v]` edges, and the graph `links` edges.
+    /// Adding exactly those edges then allocates nothing and leaves no
+    /// spare room; the sizes are a reservation, not a limit.
+    pub fn with_degrees(degrees: impl IntoIterator<Item = usize>, links: usize) -> Self {
         Graph {
-            edges: Vec::new(),
-            adj: vec![Vec::new(); n],
+            edges: Vec::with_capacity(links),
+            adj: degrees.into_iter().map(Vec::with_capacity).collect(),
             epoch: next_epoch(),
             dirty_all: true,
             dirty: Vec::new(),
@@ -209,8 +217,8 @@ impl Graph {
         assert!(b.index() < self.adj.len(), "node {b} out of range");
         let id = EdgeId(u32::try_from(self.edges.len()).expect("more than u32::MAX edges"));
         self.edges.push(Edge { a, b, link });
-        self.adj[a.index()].push((b, id));
-        self.adj[b.index()].push((a, id));
+        self.adj[a.index()].push(id);
+        self.adj[b.index()].push(id);
         self.epoch = next_epoch();
         self.mark_all_dirty();
         id
@@ -250,10 +258,17 @@ impl Graph {
         &self.edges[e.index()]
     }
 
-    /// `(neighbor, edge)` pairs adjacent to `v`.
+    /// The ids of the edges at `v`, in the order they were added.
     #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
+    pub fn incident(&self, v: NodeId) -> &[EdgeId] {
         &self.adj[v.index()]
+    }
+
+    /// `(neighbor, edge)` pairs adjacent to `v`, in the order of
+    /// [`Graph::incident`].
+    #[inline]
+    pub fn neighbors(&self, v: NodeId) -> impl ExactSizeIterator<Item = (NodeId, EdgeId)> + '_ {
+        self.incident(v).iter().map(move |&e| (self.edge(e).other(v), e))
     }
 
     /// Degree of `v`.
@@ -342,7 +357,7 @@ impl Graph {
         }
         while let Some(v) = queue.pop_front() {
             let d = dist[v.index()];
-            for &(w, _) in self.neighbors(v) {
+            for (w, _) in self.neighbors(v) {
                 if dist[w.index()] == usize::MAX {
                     dist[w.index()] = d + 1;
                     queue.push_back(w);
@@ -380,6 +395,18 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.degree(NodeId(0)), 2);
+    }
+
+    #[test]
+    fn fat_tree_lists_are_sized_to_their_degrees() {
+        for k in [2, 4, 24] {
+            let g = crate::fattree::FatTree::with_default_links(k).graph;
+            for v in g.nodes() {
+                assert_eq!(g.adj[v.index()].capacity(), g.degree(v), "k = {k}: {v}");
+            }
+            assert_eq!(g.adj.capacity(), g.node_count(), "k = {k}");
+            assert_eq!(g.edges.capacity(), k * k * k / 2, "k = {k}");
+        }
     }
 
     #[test]

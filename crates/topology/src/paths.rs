@@ -57,7 +57,7 @@
 //! Every route and every cost bit is the unpruned DP's. Without a hop
 //! bound nothing is pruned.
 
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{EdgeId, Graph, Link, NodeId};
 
 /// A simple path: node sequence plus the edges traversed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +86,14 @@ impl Path {
 /// wins the minimum (matching Eq. 1, where `Lu` is the denominator).
 #[inline]
 pub fn inv_lu_edge(g: &Graph, e: EdgeId) -> f64 {
-    let lu = g.edge(e).link.lu();
+    inv_lu(&g.edge(e).link)
+}
+
+/// [`inv_lu_edge`] of a link already in hand, so a kernel that read an
+/// edge's record for its far end prices it from the same load.
+#[inline]
+fn inv_lu(link: &Link) -> f64 {
+    let lu = link.lu();
     if lu > 0.0 {
         1.0 / lu
     } else {
@@ -122,7 +129,7 @@ pub fn for_each_simple_path<F>(
         edges.clear();
         for &(v, next) in frames {
             nodes.push(v);
-            edges.push(g.neighbors(v)[next - 1].1);
+            edges.push(g.incident(v)[next - 1]);
         }
         nodes.push(w);
         f(&nodes, &edges, cost);
@@ -178,9 +185,9 @@ impl RowScratch {
 /// `max_hop` edges, neighbours in adjacency order. Each step to an
 /// unvisited neighbour `w` calls `visit(w, cost, frames)`: `cost` is the
 /// path's `Σ 1/Lu_e` summed from `src` outwards, and `frames` is the path
-/// up to `w`'s predecessor, each node with the index one past the
-/// neighbour the path left it by. `visit` returns whether to extend the
-/// path past `w`; a path at the hop bound is never extended.
+/// up to `w`'s predecessor, each node with the index one past the edge
+/// the path left it by in [`Graph::incident`]. `visit` returns whether to
+/// extend the path past `w`; a path at the hop bound is never extended.
 fn walk_simple_paths(
     g: &Graph,
     src: NodeId,
@@ -196,19 +203,19 @@ fn walk_simple_paths(
     let mut frames = vec![(src, 0)];
     visited[src.index()] = true;
     while let Some(&mut (v, ref mut next)) = frames.last_mut() {
-        let neighbors = g.neighbors(v);
-        if *next >= neighbors.len() {
+        let Some(&e) = g.incident(v).get(*next) else {
             frames.pop();
             visited[v.index()] = false;
             cost_stack.pop();
             continue;
-        }
-        let (w, e) = neighbors[*next];
+        };
         *next += 1;
+        let edge = g.edge(e);
+        let w = edge.other(v);
         if visited[w.index()] {
             continue;
         }
-        let cost = cost_stack.last().unwrap() + inv_lu_edge(g, e);
+        let cost = cost_stack.last().unwrap() + inv_lu(&edge.link);
         if !visit(w, cost, &frames) || frames.len() >= bound {
             continue;
         }
@@ -261,12 +268,16 @@ fn relax_layer(
     moved.clear();
     let mut relaxed = 0;
     for &a in frontier {
-        for &(b, e) in g.neighbors(a) {
+        let from = prev[a.index()];
+        for &e in g.incident(a) {
+            // one read of the edge's record gives its far end and its load
+            let edge = g.edge(e);
+            let b = edge.other(a);
             if !into(b) {
                 continue;
             }
             relaxed += 1;
-            let through = prev[a.index()] + inv_lu_edge(g, e);
+            let through = from + inv_lu(&edge.link);
             let so_far = next[b.index()];
             if through < so_far {
                 if so_far == prev[b.index()] {
@@ -388,7 +399,7 @@ impl DpScratch {
                 if next == 0 {
                     continue;
                 }
-                for &(w, _) in g.neighbors(v) {
+                for (w, _) in g.neighbors(v) {
                     if last_layer[w.index()] == 0 {
                         last_layer[w.index()] = next;
                         cone.push(w);
@@ -497,12 +508,14 @@ impl DpScratch {
                 continue;
             }
             let mut stepped = false;
-            for &(u, e) in g.neighbors(cur) {
+            for &e in g.incident(cur) {
+                let edge = g.edge(e);
+                let u = edge.other(cur);
                 // a neighbour out of reach at h − 1 (∞) cannot match: skip
                 // the division that prices its edge
                 let via = at(h - 1, u);
                 if via.is_finite()
-                    && (via + inv_lu_edge(g, e) - target).abs() <= 1e-12 * target.abs().max(1.0)
+                    && (via + inv_lu(&edge.link) - target).abs() <= 1e-12 * target.abs().max(1.0)
                 {
                     edges.push(e);
                     nodes.push(u);
@@ -797,7 +810,7 @@ mod frontier_tests {
                 h -= 1;
                 continue;
             }
-            let &(u, e) = g.neighbors(cur).iter().find(|&&(u, e)| {
+            let (u, e) = g.neighbors(cur).find(|&(u, e)| {
                 let via = layers[h - 1][u.index()] + inv_lu_edge(g, e);
                 (via - target).abs() <= 1e-12 * target.abs().max(1.0)
             })?;
@@ -815,7 +828,7 @@ mod frontier_tests {
     /// next to node 0.
     fn loaded(mut g: Graph, seed: u64) -> Graph {
         let mut rng = SplitMix64::new(seed);
-        let idle = g.neighbors(NodeId(0))[0].1;
+        let idle = g.incident(NodeId(0))[0];
         g.retarget_utilization(|e, _| if e == idle { 0.0 } else { rng.range_f64(0.05, 0.95) });
         g
     }

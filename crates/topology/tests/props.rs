@@ -10,8 +10,8 @@
 
 use dust_topology::{
     for_each_simple_path, min_inv_lu_enumerated, min_inv_lu_enumerated_row,
-    topologies::random_regular, CostEngine, DpScratch, FatTree, Graph, Link, NodeId, Path,
-    SplitMix64,
+    topologies::{example7, leaf_spine, line, random_regular, ring, star},
+    CostEngine, DpScratch, EdgeId, FatTree, Graph, Link, NodeId, Path, SplitMix64,
 };
 
 /// Every simple path from `src` to `dst` within `max_hop` hops.
@@ -178,6 +178,48 @@ fn random_regular_invariants() {
     }
 }
 
+/// Each link is stored once: a node's adjacency is exactly the edge
+/// list seen from that node — every edge with an end there, in id order,
+/// paired with its other end — on seeded random graphs (parallel edges
+/// included) and on every generator.
+#[test]
+fn adjacency_is_the_edge_list_seen_from_each_end() {
+    let generated = [
+        ("line 7", line(7, Link::default())),
+        ("ring 9", ring(9, Link::default())),
+        ("star 9", star(9, Link::default())),
+        ("random-regular 16x3", random_regular(16, 3, 42, Link::default())),
+        ("leaf-spine 2x4x3", leaf_spine(2, 4, 3, Link::default())),
+        ("example7", example7(Link::default())),
+        ("fat-tree 4", FatTree::with_default_links(4).graph),
+        ("fat-tree 8", FatTree::with_default_links(8).graph),
+    ];
+    let seeded = (0..200u64).map(|s| (format!("seed {s}"), arb_graph(s)));
+    for (what, g) in seeded.chain(generated.map(|(name, g)| (name.to_string(), g))) {
+        let mut degrees = 0;
+        for v in g.nodes() {
+            let want: Vec<(NodeId, EdgeId)> = (0..)
+                .map(EdgeId)
+                .zip(g.edges())
+                .filter_map(|(id, e)| {
+                    if e.a == v {
+                        Some((e.b, id))
+                    } else if e.b == v {
+                        Some((e.a, id))
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            let got: Vec<(NodeId, EdgeId)> = g.neighbors(v).collect();
+            assert_eq!(got, want, "{what}: {v:?}");
+            assert_eq!(g.degree(v), want.len(), "{what}: {v:?}");
+            degrees += want.len();
+        }
+        assert_eq!(degrees, 2 * g.edge_count(), "{what}");
+    }
+}
+
 /// BFS hop distances satisfy the triangle inequality over edges.
 #[test]
 fn bfs_distance_is_metric_over_edges() {
@@ -293,7 +335,6 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// part of the answer.
 #[test]
 fn enumerated_rows_routes_and_counts_are_pinned() {
-    use dust_topology::topologies::{example7, ring};
     let built: Vec<(&str, Graph)> = vec![
         ("fat-tree 4", FatTree::new(4, Link::default()).graph),
         ("fat-tree 6", FatTree::new(6, Link::default()).graph),
@@ -306,7 +347,7 @@ fn enumerated_rows_routes_and_counts_are_pinned() {
     for (seed, (name, g)) in built.into_iter().enumerate() {
         let mut loaded = g.clone();
         let mut rng = SplitMix64::new(seed as u64 + 11);
-        let idle = loaded.neighbors(NodeId(0))[0].1;
+        let idle = loaded.incident(NodeId(0))[0];
         loaded.retarget_utilization(|e, _| {
             if e == idle {
                 0.0
@@ -365,7 +406,6 @@ fn enumerated_rows_routes_and_counts_are_pinned() {
 /// the enumerator picks a different route of that cost is pinned too.
 #[test]
 fn dp_routes_are_pinned() {
-    use dust_topology::topologies::{example7, ring};
     let built: Vec<(&str, Graph)> = vec![
         ("fat-tree 4", FatTree::new(4, Link::default()).graph),
         ("fat-tree 6", FatTree::new(6, Link::default()).graph),
@@ -379,7 +419,7 @@ fn dp_routes_are_pinned() {
     for (seed, (name, g)) in built.into_iter().enumerate() {
         let mut loaded = g.clone();
         let mut rng = SplitMix64::new(seed as u64 + 11);
-        let idle = loaded.neighbors(NodeId(0))[0].1;
+        let idle = loaded.incident(NodeId(0))[0];
         loaded.retarget_utilization(|e, _| {
             if e == idle {
                 0.0

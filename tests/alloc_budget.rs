@@ -346,8 +346,8 @@ fn a_quiet_placement_round_allocates_per_node_not_per_edge() {
     // Busy. The round owns a snapshot's states (32 bytes a node) and the
     // candidate list (every node; 4 bytes each, grown by doubling): 43
     // bytes a node. A copy of the topology alone is 864 edges of 24 bytes
-    // and 180 adjacency lists holding 1 728 entries of 8: 216 bytes a node
-    // here, and 1.4 kB a node at k = 90, where a node has 36 links.
+    // and 180 adjacency lists holding 1 728 edge ids of 4: 178 bytes a
+    // node here, and 1.2 kB a node at k = 90, where a node has 36 links.
     let mut m = idle_manager(12, 20.0);
     let nodes = m.graph().node_count() as u64;
     assert_eq!((nodes, m.graph().edge_count()), (180, 864));
