@@ -696,11 +696,18 @@ fn drift_links(g: &mut Graph, seed: u64, round: u64) {
     }
 }
 
+/// The most memory `--fat-tree K`'s links may ask for up front: 1 GiB
+/// admits K ≤ 406 (the paper's largest fat-tree has K = 64).
+const FAT_TREE_LINK_BYTES: u64 = 1 << 30;
+
 /// The k-port fat-tree `--fat-tree K` asks for. `K` is rejected before
 /// anything is built when it is odd, below 2, or so large that its `5K²/4`
-/// switches would overflow the `u32` behind a node id or its `K³/2` links
-/// the `u32` behind a link id — the generator reserves both up front.
+/// switches would overflow the `u32` behind a node id, its `K³/2` links
+/// the `u32` behind a link id, or the links' storage — one edge record
+/// each, and its id in both ends' lists — [`FAT_TREE_LINK_BYTES`]: the
+/// generator reserves all of it up front.
 fn fat_tree_graph(k: usize) -> Result<Graph, String> {
+    use dust::topology::{Edge, EdgeId};
     if k < 2 || !k.is_multiple_of(2) {
         return Err(format!("--fat-tree needs an even K >= 2, got {k}"));
     }
@@ -710,8 +717,16 @@ fn fat_tree_graph(k: usize) -> Result<Graph, String> {
     }
     // ids run 0..=u32::MAX, so there are 2^32 of them
     let links = k.checked_mul(k).and_then(|k2| k2.checked_mul(k / 2));
-    if links.is_none_or(|l| l as u64 > u64::from(u32::MAX) + 1) {
+    let Some(links) = links.filter(|&l| l as u64 <= u64::from(u32::MAX) + 1) else {
         return Err(format!("--fat-tree {k} has more links than link ids"));
+    };
+    let per_link = std::mem::size_of::<Edge>() + 2 * std::mem::size_of::<EdgeId>();
+    let bytes = links as u64 * per_link as u64;
+    if bytes > FAT_TREE_LINK_BYTES {
+        return Err(format!(
+            "--fat-tree {k} needs {bytes} bytes for its links, over the {FAT_TREE_LINK_BYTES}-byte \
+             ceiling"
+        ));
     }
     Ok(FatTree::with_default_links(k).graph)
 }
@@ -1016,7 +1031,7 @@ mod tests {
         // switches overflow a u32 node id would wrap or exhaust memory; so
         // would one whose K³/2 links outnumber the 2^32 link ids: 2 050 is
         // the smallest such K, 58 616 the largest with few enough switches
-        for k in [0, 1, 3, 15, 2_050, 58_616, 100_000, usize::MAX] {
+        for k in [0, 1, 3, 15, 408, 2_048, 2_050, 58_616, 100_000, usize::MAX] {
             let opts = PlaceOptions { fat_tree: Some(k), ..Default::default() };
             let err = cmd_place(None, &opts).unwrap_err();
             assert!(err.starts_with("--fat-tree"), "k = {k}: {err}");
@@ -1024,6 +1039,21 @@ mod tests {
         // 58 618 is the smallest even K past u32::MAX switches
         assert!(fat_tree_graph(58_618).is_err());
         assert_eq!(fat_tree_graph(2).unwrap().node_count(), 5);
+        // ids enough, but more link storage than the ceiling: K³/2 links of
+        // 32 bytes (a 24-byte record, a 4-byte id at each end) pass 1 GiB
+        // from K = 408. Only rejections are checked: K = 406 would build
+        // ≈ 1 GiB of links
+        for k in [408, 2_048] {
+            let err = fat_tree_graph(k).unwrap_err();
+            let bytes = 16 * (k as u64).pow(3);
+            assert_eq!(
+                err,
+                format!(
+                    "--fat-tree {k} needs {bytes} bytes for its links, over the 1073741824-byte \
+                     ceiling"
+                )
+            );
+        }
     }
 
     #[test]

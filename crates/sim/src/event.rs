@@ -32,37 +32,41 @@
 //!   ([`dust_proto::Client::tick_into`]); the telemetry flow set is
 //!   rebuilt only when the transfer ledger's version moves; liveness is
 //!   a flat bitmap instead of a hash probe per node.
-//! * **One sample per slot, one pass per series.** A sample computes one
+//! * **One sample per slot, one store per class.** A sample computes one
 //!   `[device-cpu, device-mem, monitor-cpu]` triple per slot, so a fleet
 //!   of one class costs one computation per sample, not one per node. The
-//!   first telemetry sample resolves each node's three series to
-//!   [`SeriesId`] handles and reserves every point the run will record
-//!   (the count follows from the run's own duration and sample period) —
-//!   all handles, then all point lists, so the series tables' small
-//!   allocations do not interleave the large lists. The per-slot values
-//!   are held, and a hold ends when another sample would not fit in
+//!   first telemetry sample builds one template store with the three
+//!   series, resolved to [`SeriesId`] handles that hold in every store,
+//!   and shares it to every node ([`Federation::share`]). The per-slot
+//!   values are held, and a hold ends when another sample would not fit in
 //!   `SAMPLE_RUN` (8) values per node, at a slot change, or at the run's
-//!   last sample; each series then takes its held points back-to-back in
-//!   one ordered pass. A fleet of one class holds the whole run and
-//!   writes each series once; a fleet of nodes on their own writes runs of
-//!   eight. A node whose key changes (drift detached it, an offload or a
-//!   hosting moved agents) ends the hold before the slots are reassigned,
-//!   at the next STAT emission or sample, so each series gets the same
-//!   points in the same order. The run's last sample writes what is held,
-//!   so the federation is whole when the run ends; nothing reads it before
-//!   then. A handler that comes to read it mid-run must flush the held
-//!   samples first. The flow series, written only while flows are routed,
-//!   append directly. The batch's CPU/memory histogram samples, one per
-//!   node in node order, collect in two reused buffers and reach the
-//!   recorder in one [`dust_obs::ObsHandle::observe_all`] each instead of
-//!   one lock per node.
+//!   last sample. The flush groups the nodes by the store each held when
+//!   it began and by slot: a group takes the same points, so its first
+//!   node writes them — each series its held points back-to-back in one
+//!   ordered pass, into a list reserved for the rest of the run (the count
+//!   follows from the run's own duration and sample period) — and the
+//!   others share that store. A fleet of one class holds the whole run and
+//!   ends with one store; a fleet of nodes on their own writes runs of
+//!   eight into a store each. A node whose key changes (drift detached it,
+//!   an offload or a hosting moved agents) ends the hold before the slots
+//!   are reassigned, at the next STAT emission or sample, so each series
+//!   gets the same points in the same order, and the next flush parts its
+//!   store from its old class's. The run's last sample writes what is
+//!   held, so the federation is whole when the run ends; nothing reads it
+//!   before then. A handler that comes to read it mid-run must flush the
+//!   held samples first. The flow series, written only while flows are
+//!   routed, append directly, which makes the owner's store its own. The
+//!   batch's CPU/memory histogram samples, one per node in node order,
+//!   collect in two reused buffers and reach the recorder in one
+//!   [`dust_obs::ObsHandle::observe_all`] each instead of one lock per
+//!   node.
 
 use crate::engine::EventQueue;
 use crate::flows::{evaluate_flows, TelemetryFlow};
 use crate::node::SimNode;
 use crate::runner::{series, SimEvent, SimReport, Simulation, UPDATE_INTERVAL_MS};
 use dust_proto::ClientMsg;
-use dust_telemetry::{Federation, MonitorAgent, SeriesId};
+use dust_telemetry::{Federation, MonitorAgent, SeriesId, Tsdb};
 use std::sync::Arc;
 
 /// Held values per node: a hold ends before it would keep more than
@@ -133,10 +137,18 @@ struct HotState {
     links_pending: Option<u64>,
     /// Time whose link state is actually applied to the graph.
     links_applied: Option<u64>,
-    /// `handles[i]`: node `i`'s [`series::DEVICE_CPU`], [`series::DEVICE_MEM`]
-    /// and [`series::MONITOR_CPU`] series in its own store. Empty until
-    /// the first telemetry sample resolves them.
-    handles: Vec<[SeriesId; 3]>,
+    /// The [`series::DEVICE_CPU`], [`series::DEVICE_MEM`] and
+    /// [`series::MONITOR_CPU`] series of every node's store: each store
+    /// starts as the first sample's template, so they are the same three
+    /// in all of them. `None` until the first telemetry sample.
+    handles: Option<[SeriesId; 3]>,
+    /// Points each of those series has yet to take, from the held
+    /// samples' first to the run's last sample.
+    points_left: usize,
+    /// A flush's `(store, slot, node)` triples, one per node: the address
+    /// of the store the node held when the flush began, its slot and its
+    /// index. Sized here, reused by every flush.
+    groups: Vec<(usize, u32, u32)>,
     /// One batch's `sim.node.cpu_percent` / `sim.node.mem_percent`
     /// samples, reused across batches and flushed once per batch.
     cpu_batch: Vec<f64>,
@@ -150,11 +162,13 @@ struct HotState {
     /// `reps[s]`: the node whose values slot `s` takes.
     reps: Vec<u32>,
     /// `walked[s]`: slot `s`'s walks. Sized to the node count here, at the
-    /// run's start, like the tables beside it: grown at the first sample,
-    /// its block would sit above the run's ≈ 33 MB of point lists, and
-    /// once freed (and cached by the allocator) keep the heap from
-    /// shrinking after the run — the next run's peak RSS read 67 MB
-    /// instead of 63.
+    /// run's start, like the tables beside it: a block first allocated
+    /// mid-run can sit above the run's large blocks (the hold buffer, and
+    /// the point lists of a fleet whose nodes keep stores of their own)
+    /// and, once freed and cached by the allocator, keep the heap from
+    /// shrinking after the run — the k = 90 fleet's next run read 67 MB
+    /// instead of 63 while each of its nodes stored ≈ 33 MB of point lists
+    /// of its own.
     walked: Vec<SlotWalk>,
     /// The shared slots' keys, in slot order.
     classes: Vec<SlotKey>,
@@ -179,7 +193,9 @@ impl HotState {
             flows_version: None,
             links_pending: None,
             links_applied: None,
-            handles: Vec::new(),
+            handles: None,
+            points_left: 0,
+            groups: Vec::with_capacity(n),
             cpu_batch: Vec::new(),
             mem_batch: Vec::new(),
             slot_of: vec![0; n],
@@ -194,22 +210,48 @@ impl HotState {
         hot
     }
 
-    /// Write the held samples, series by series: each series takes its
-    /// points back-to-back through [`Tsdb::append_to`], which still checks
-    /// their order.
+    /// Write the held samples once per group of nodes that held the same
+    /// store and share a slot: they take the same points, so they end with
+    /// equal stores. The group's first node writes, series by series —
+    /// each series takes its points back-to-back through
+    /// [`Tsdb::append_to`], which still checks their order, into a list
+    /// reserved for the rest of the run — and the others share its store.
+    /// A store that several groups held is copied for all but the last.
     ///
     /// [`Tsdb::append_to`]: dust_telemetry::Tsdb::append_to
     fn flush_samples(&mut self, federation: &mut Federation, nodes: &[SimNode]) {
+        if self.run_at.is_empty() {
+            return;
+        }
+        let ids = self.handles.expect("the first held sample resolved the handles");
+        self.groups.clear();
+        self.groups.extend(nodes.iter().zip(&self.slot_of).enumerate().map(|(i, (n, &slot))| {
+            let store = federation.store(n.id).map_or(0, |db| std::ptr::from_ref(db) as usize);
+            (store, slot, i as u32)
+        }));
+        self.groups.sort_unstable();
         let stride = self.reps.len() * 3;
-        for ((n, ids), &slot) in nodes.iter().zip(&self.handles).zip(&self.slot_of) {
-            let db = federation.store_mut(n.id);
+        for group in self.groups.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (_, slot, first) = group[0];
+            let writer = nodes[first as usize].id;
+            // the others let go of the store first: a group that held it
+            // alone writes it in place, with no copy
+            for &(.., i) in &group[1..] {
+                federation.attach(nodes[i as usize].id, Tsdb::new());
+            }
+            let db = federation.store_mut(writer);
             for (j, &id) in ids.iter().enumerate() {
+                db.reserve(id, self.points_left);
                 let values = self.run[slot as usize * 3 + j..].iter().step_by(stride);
                 for (&at, &value) in self.run_at.iter().zip(values) {
                     db.append_to(id, at, value);
                 }
             }
+            for &(.., i) in &group[1..] {
+                federation.share(nodes[i as usize].id, writer);
+            }
         }
+        self.points_left = self.points_left.saturating_sub(self.run_at.len());
         self.run.clear();
         self.run_at.clear();
     }
@@ -377,29 +419,28 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                 let traffic = sim.traffic.fraction(now);
                 let batch = sim.obs.prof_scope("sim.telemetry_batch");
                 hot.sync_slots(&mut report.federation, &sim.nodes);
-                if hot.handles.is_empty() {
+                if hot.handles.is_none() {
                     // first sample: every later one lands `sample_period_ms`
                     // after the last until `duration_ms`, so the point
                     // count of each series is known now
                     let points = (sim.cfg.duration_ms - now) / sim.cfg.sample_period_ms + 1;
-                    let points = usize::try_from(points).expect("a run's samples fit in memory");
-                    // resolve every handle first, then size every point
-                    // list: the series tables' small allocations then do
-                    // not fall between the large, equal-sized lists
-                    hot.handles.extend(sim.nodes.iter().map(|n| {
-                        let db = report.federation.store_mut(n.id);
-                        [series::DEVICE_CPU, series::DEVICE_MEM, series::MONITOR_CPU]
-                            .map(|name| db.series_id(name))
-                    }));
+                    hot.points_left = usize::try_from(points).unwrap_or(usize::MAX);
                     // `held × slots ≤ SAMPLE_RUN × nodes` and `slots ≥ 1`,
                     // whatever the slots become later in the run
                     let nodes = sim.nodes.len();
-                    hot.run.reserve_exact(points.min(SAMPLE_RUN) * nodes * 3);
-                    hot.run_at.reserve_exact(points.min(SAMPLE_RUN * nodes));
-                    for (n, ids) in sim.nodes.iter().zip(&hot.handles) {
-                        let db = report.federation.store_mut(n.id);
-                        for &id in ids {
-                            db.reserve(id, points);
+                    hot.run.reserve_exact(hot.points_left.min(SAMPLE_RUN) * nodes * 3);
+                    hot.run_at.reserve_exact(hot.points_left.min(SAMPLE_RUN * nodes));
+                    // one template store, shared by every node until their
+                    // points part (the flushes size the point lists)
+                    let mut template = Tsdb::new();
+                    hot.handles = Some(
+                        [series::DEVICE_CPU, series::DEVICE_MEM, series::MONITOR_CPU]
+                            .map(|name| template.series_id(name)),
+                    );
+                    if let Some((first, rest)) = sim.nodes.split_first() {
+                        report.federation.attach(first.id, template);
+                        for n in rest {
+                            report.federation.share(n.id, first.id);
                         }
                     }
                 }

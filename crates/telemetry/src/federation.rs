@@ -25,9 +25,19 @@
 //! order, so a result is bit for bit what combining a collected list of
 //! per-store means would give. The query allocates for its accumulators
 //! and its result, independent of the number of stores.
+//!
+//! **Equal stores are one store, copy-on-write.** A slot holds either the
+//! node's own [`Tsdb`], inline, or an [`Arc`] of a store other nodes hold
+//! too ([`Federation::share`]); every read goes through either kind the
+//! same way. Writing through [`Federation::store_mut`] first makes a
+//! shared slot the node's own ([`Arc::unwrap_or_clone`]), so a write
+//! through one node never shows in another. A fleet whose nodes record
+//! the same points keeps one copy of them. Own stores stay inline: a
+//! query reaches each store it visits with one load, not two.
 
 use crate::tsdb::{bucket_means, Series, Tsdb};
 use dust_topology::NodeId;
+use std::sync::Arc;
 
 /// How matching points from different nodes combine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,12 +82,29 @@ impl Aggregation {
     }
 }
 
+/// One attached node's store: its own, inline, or one it shares.
+#[derive(Debug, Clone)]
+enum Slot {
+    Own(Tsdb),
+    Shared(Arc<Tsdb>),
+}
+
+impl Slot {
+    fn get(&self) -> &Tsdb {
+        match self {
+            Slot::Own(db) => db,
+            Slot::Shared(db) => db,
+        }
+    }
+}
+
 /// A federation over per-node TSDBs, indexed by [`NodeId::index`] (ids
 /// are graph indices; memory is O(largest id) — see the module docs).
+/// Nodes may share one store copy-on-write ([`Federation::share`]).
 #[derive(Debug, Clone, Default)]
 pub struct Federation {
     /// `stores[i]` is node `i`'s store; `None` marks an id never attached.
-    stores: Vec<Option<Tsdb>>,
+    stores: Vec<Option<Slot>>,
 }
 
 impl Federation {
@@ -87,7 +114,7 @@ impl Federation {
     }
 
     /// Node `node`'s slot, growing the table to reach it.
-    fn slot(&mut self, node: NodeId) -> &mut Option<Tsdb> {
+    fn slot(&mut self, node: NodeId) -> &mut Option<Slot> {
         let i = node.index();
         if i >= self.stores.len() {
             self.stores.resize_with(i + 1, || None);
@@ -95,28 +122,58 @@ impl Federation {
         &mut self.stores[i]
     }
 
-    /// Attached stores with their ids, ascending.
+    /// Attached stores with their ids, ascending; a shared store once per
+    /// node that holds it.
     fn attached(&self) -> impl Iterator<Item = (NodeId, &Tsdb)> {
         self.stores
             .iter()
             .enumerate()
-            .filter_map(|(i, db)| db.as_ref().map(|db| (NodeId(i as u32), db)))
+            .filter_map(|(i, slot)| slot.as_ref().map(|slot| (NodeId(i as u32), slot.get())))
     }
 
     /// Attach (or replace) a node's TSDB.
     pub fn attach(&mut self, node: NodeId, tsdb: Tsdb) {
-        *self.slot(node) = Some(tsdb);
+        *self.slot(node) = Some(Slot::Own(tsdb));
+    }
+
+    /// Make `node` hold `from`'s store, replacing any store it had: both
+    /// read the same points until either is written through
+    /// [`Federation::store_mut`], which copies the store for the writer
+    /// (the last holder takes it without a copy). Sharing copies no point.
+    ///
+    /// # Panics
+    /// Panics if `from` has no store.
+    pub fn share(&mut self, node: NodeId, from: NodeId) {
+        let source = self.stores.get_mut(from.index()).and_then(Option::take);
+        let shared = match source.expect("`share` needs a store to share") {
+            Slot::Own(db) => Arc::new(db),
+            Slot::Shared(db) => db,
+        };
+        self.stores[from.index()] = Some(Slot::Shared(Arc::clone(&shared)));
+        *self.slot(node) = Some(Slot::Shared(shared));
     }
 
     /// Mutable handle to a node's store, creating it if absent (Monitor
-    /// Agents write through this).
+    /// Agents write through this). A store the node shares becomes its
+    /// own first, so the write shows in no other node.
     pub fn store_mut(&mut self, node: NodeId) -> &mut Tsdb {
-        self.slot(node).get_or_insert_with(Tsdb::new)
+        let slot = self.slot(node);
+        if !matches!(slot, Some(Slot::Own(_))) {
+            let db = match slot.take() {
+                Some(Slot::Shared(db)) => Arc::unwrap_or_clone(db),
+                _ => Tsdb::new(),
+            };
+            *slot = Some(Slot::Own(db));
+        }
+        match slot {
+            Some(Slot::Own(db)) => db,
+            _ => unreachable!("the slot was made the node's own above"),
+        }
     }
 
     /// Read handle to a node's store.
     pub fn store(&self, node: NodeId) -> Option<&Tsdb> {
-        self.stores.get(node.index())?.as_ref()
+        self.stores.get(node.index())?.as_ref().map(Slot::get)
     }
 
     /// Participating nodes, ascending.
@@ -143,7 +200,7 @@ impl Federation {
         assert!(bucket_ms > 0, "bucket width must be positive");
         // (bucket start, folded per-node means, nodes folded), ascending
         let mut acc: Vec<(u64, f64, usize)> = Vec::new();
-        for s in self.stores.iter().flatten().filter_map(|db| db.series(series)) {
+        for s in self.attached().filter_map(|(_, db)| db.series(series)) {
             let mut cursor = 0;
             bucket_means(s.range(start_ms, end_ms), bucket_ms, |bucket, mean| {
                 while acc.get(cursor).is_some_and(|a| a.0 < bucket) {
@@ -169,10 +226,8 @@ impl Federation {
     /// Network-wide mean of the latest point of `series` on each node.
     pub fn latest_mean(&self, series: &str) -> Option<f64> {
         let latest = self
-            .stores
-            .iter()
-            .flatten()
-            .filter_map(|db| db.series(series)?.points().last())
+            .attached()
+            .filter_map(|(_, db)| db.series(series)?.points().last())
             .fold((Aggregation::Mean.identity(), 0usize), |(sum, n), p| (sum + p.value, n + 1));
         (latest.1 > 0).then(|| Aggregation::Mean.finish(latest.0, latest.1))
     }
@@ -292,7 +347,7 @@ mod tests {
     /// layout and the folds are checked against; it finds windows and
     /// buckets its own way, not through [`Series::range`] or
     /// [`bucket_means`].
-    #[derive(Default)]
+    #[derive(Clone, Default)]
     struct MapFederation {
         stores: BTreeMap<NodeId, Tsdb>,
     }
@@ -345,21 +400,69 @@ mod tests {
         s.points().iter().map(|p| (p.ts_ms, p.value.to_bits())).collect()
     }
 
+    /// Every read of `dense` against `model`, bit for bit: the node list,
+    /// each store of ids `0..=top + 1`, holders, latest means and queries.
+    fn assert_matches(
+        dense: &Federation,
+        model: &MapFederation,
+        names: &[&str],
+        top: u32,
+        rng: &mut dust_topology::SplitMix64,
+        ctx: &str,
+    ) {
+        assert_eq!(dense.nodes(), model.stores.keys().copied().collect::<Vec<_>>(), "{ctx}");
+        for id in 0..=top + 1 {
+            let (d, m) = (dense.store(NodeId(id)), model.stores.get(&NodeId(id)));
+            assert_eq!(d.is_some(), m.is_some(), "{ctx} id {id}");
+            if let (Some(d), Some(m)) = (d, m) {
+                assert_eq!(d.series_names(), m.series_names(), "{ctx} id {id}");
+                assert!(names.iter().all(|n| d.series(n) == m.series(n)), "{ctx} id {id}");
+            }
+        }
+        let end = model
+            .stores
+            .values()
+            .flat_map(|db| names.iter().filter_map(|n| db.series(n)?.points().last()))
+            .map(|p| p.ts_ms + 1)
+            .max()
+            .unwrap_or(1);
+        for &name in names.iter().chain(&["absent"]) {
+            assert_eq!(dense.holders(name), model.holders(name), "{ctx} {name}");
+            assert_eq!(
+                dense.latest_mean(name).map(f64::to_bits),
+                model.latest_mean(name).map(f64::to_bits),
+                "{ctx} {name}"
+            );
+            let from = rng.below(end);
+            for agg in [Aggregation::Sum, Aggregation::Mean, Aggregation::Max, Aggregation::Min] {
+                assert_eq!(
+                    bits(&dense.query(name, from, end, 70, agg)),
+                    bits(&model.query(name, from, end, 70, agg)),
+                    "{ctx} {name} {agg:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn dense_table_matches_the_ordered_map_model() {
         use dust_topology::SplitMix64;
         // sparse on purpose: id 0, gaps, and the largest id touched first
         const IDS: [u32; 7] = [977, 0, 3, 4, 64, 500, 976];
         const NAMES: [&str; 4] = ["zz", "cpu", "mem", "a"];
+        // writes that landed in a shared store and in an own one
+        let (mut through_shared, mut through_own) = (0, 0);
         for seed in [1u64, 7, 42, 0xDEAD_BEEF] {
             let mut rng = SplitMix64::new(seed);
             let mut dense = Federation::new();
             let mut model = MapFederation::default();
             let mut touched = 0usize;
+            let mut shares = 0;
             for step in 0..600u64 {
+                let ctx = format!("seed {seed} step {step}");
                 // the first step goes to the largest id, then at random
                 let node = NodeId(if step == 0 { IDS[0] } else { IDS[rng.below(7) as usize] });
-                match rng.below(10) {
+                match rng.below(12) {
                     0 => {
                         // attach: a fresh store, replacing any old one
                         let mut db = Tsdb::new();
@@ -372,46 +475,55 @@ mod tests {
                         dense.store_mut(node);
                         model.stores.entry(node).or_default();
                     }
+                    2 | 3 => {
+                        // share: to the model, a copy; to the federation,
+                        // the same store, no point copied
+                        let from = NodeId(IDS[rng.below(7) as usize]);
+                        if let Some(db) = model.stores.get(&from).cloned() {
+                            model.stores.insert(node, db);
+                            dense.share(node, from);
+                            let (a, b) = (dense.store(node).unwrap(), dense.store(from).unwrap());
+                            assert!(std::ptr::eq(a, b), "{ctx}: {node:?} holds {from:?}'s store");
+                            shares += 1;
+                        }
+                    }
+                    4 => {
+                        // a clone reads as its source, and writes to it
+                        // show in neither the source nor its other nodes
+                        let (mut copy, mut copy_model) = (dense.clone(), model.clone());
+                        for _ in 0..8 {
+                            let n = NodeId(IDS[rng.below(7) as usize]);
+                            let (name, v) =
+                                (NAMES[rng.below(4) as usize], rng.range_f64(-50.0, 150.0));
+                            copy.store_mut(n).append(name, step * 10, v);
+                            copy_model.stores.entry(n).or_default().append(name, step * 10, v);
+                        }
+                        assert_matches(&copy, &copy_model, &NAMES, IDS[0], &mut rng, &ctx);
+                        assert_matches(&dense, &model, &NAMES, IDS[0], &mut rng, &ctx);
+                        if rng.below(2) == 0 {
+                            (dense, model) = (copy, copy_model);
+                        }
+                    }
                     _ => {
+                        match dense.stores.get(node.index()) {
+                            Some(Some(Slot::Shared(_))) => through_shared += 1,
+                            Some(Some(Slot::Own(_))) => through_own += 1,
+                            _ => {}
+                        }
                         let (name, v) = (NAMES[rng.below(4) as usize], rng.range_f64(-50.0, 150.0));
                         dense.store_mut(node).append(name, step * 10, v);
                         model.stores.entry(node).or_default().append(name, step * 10, v);
                     }
                 }
                 touched = touched.max(model.stores.len());
-                if step % 50 != 49 {
-                    continue;
-                }
-                assert_eq!(dense.nodes(), model.stores.keys().copied().collect::<Vec<_>>());
-                for id in 0..=IDS[0] + 1 {
-                    let (d, m) = (dense.store(NodeId(id)), model.stores.get(&NodeId(id)));
-                    assert_eq!(d.is_some(), m.is_some(), "seed {seed} step {step} id {id}");
-                    if let (Some(d), Some(m)) = (d, m) {
-                        assert_eq!(d.series_names(), m.series_names());
-                        assert!(NAMES.iter().all(|n| d.series(n) == m.series(n)));
-                    }
-                }
-                for name in NAMES.into_iter().chain(["absent"]) {
-                    assert_eq!(dense.holders(name), model.holders(name), "seed {seed} {name}");
-                    assert_eq!(
-                        dense.latest_mean(name).map(f64::to_bits),
-                        model.latest_mean(name).map(f64::to_bits),
-                        "seed {seed} step {step} {name}"
-                    );
-                    let (from, to) = (rng.below(step * 10), step * 10 + 1);
-                    for agg in
-                        [Aggregation::Sum, Aggregation::Mean, Aggregation::Max, Aggregation::Min]
-                    {
-                        assert_eq!(
-                            bits(&dense.query(name, from, to, 70, agg)),
-                            bits(&model.query(name, from, to, 70, agg)),
-                            "seed {seed} step {step} {name} {agg:?}"
-                        );
-                    }
+                if step % 25 == 24 {
+                    assert_matches(&dense, &model, &NAMES, IDS[0], &mut rng, &ctx);
                 }
             }
             assert_eq!(touched, IDS.len(), "seed {seed}: every id, gaps included, was exercised");
+            assert!(shares > 20, "seed {seed}: {shares} shares");
         }
+        assert!(through_shared > 100 && through_own > 100, "{through_shared} / {through_own}");
     }
 
     /// A value's bits, every NaN as one pattern: Rust leaves a NaN's sign

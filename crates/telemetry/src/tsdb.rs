@@ -323,8 +323,11 @@ impl Tsdb {
 
     /// Make room for exactly `additional` more points in one series, so a
     /// writer that knows its point count up front never regrows the list.
+    /// A size the allocator refuses reserves nothing: the list then grows
+    /// as points arrive, so a run with no end in sight still records.
     pub fn reserve(&mut self, id: SeriesId, additional: usize) {
-        self.series[id.0 as usize].points.reserve_exact(additional);
+        // a refused reservation leaves the list as it was
+        let _ = self.series[id.0 as usize].points.try_reserve_exact(additional);
     }
 
     /// Append to (creating if needed) a named series:
@@ -532,6 +535,24 @@ mod tests {
         db.append_to(b, 7, 3.0);
         let values: Vec<f64> = db.series("b").unwrap().points().iter().map(|p| p.value).collect();
         assert_eq!(values, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn a_reservation_past_the_allocator_reserves_nothing() {
+        let mut db = Tsdb::new();
+        let id = db.series_id("cpu");
+        db.append_to(id, 0, 1.0);
+        // past `isize::MAX` bytes, and 1 PiB: more than an address space
+        for huge in [usize::MAX, isize::MAX as usize / 2, 1 << 46] {
+            db.reserve(id, huge);
+            assert!(db.series[0].points.capacity() < 1 << 20, "{huge}: nothing reserved");
+        }
+        for t in 1..100u64 {
+            db.append_to(id, t, t as f64);
+        }
+        let s = db.series("cpu").unwrap();
+        assert_eq!(s.len(), 100);
+        assert_eq!(s.points()[99], Point { ts_ms: 99, value: 99.0 });
     }
 
     #[test]

@@ -287,19 +287,23 @@ fn shared_fleet_samples_after_the_first_allocate_nothing() {
 #[test]
 fn fleet_run_allocation_count_is_pinned() {
     // `fleet_sim_k90`'s scenario at k = 12: 180 switches, 67 samples. What
-    // one run allocates: 1 651, or 9.2 per node — 8 per node at the first
-    // sample (the store's series table, its name index, three names and three
-    // exactly-sized point lists: 1 440) plus the two buffers that hold a run
-    // of samples, the rest in STAT ingest and the placement rounds. Earlier
-    // values worth keeping: 4 584 (25.5 per node) while each of the 540
-    // series grew its point list by doubling, 2 042 while every snapshot
-    // copied the topology (the run's two placement rounds each cloned 180
-    // adjacency lists and the edge list), and 1 678 while the Manager filed
-    // registrations in an ordered map, whose tree nodes every run allocated
-    // as its clients registered. A ceiling with < 10 % headroom rather than
-    // an equality, because the cost engine sizes its worker pool from the
-    // host.
-    const OBSERVED: u64 = 1_651;
+    // one run allocates: 223, or 1.2 per node — the 180 nodes hold one
+    // store, copy-on-write: the first sample builds a template and shares
+    // it, and the run's one flush writes it in place (about ten
+    // allocations in all, three of them exactly-sized point lists), beside
+    // the two buffers that hold a run of samples; the rest is STAT ingest
+    // and the placement rounds. Earlier values worth keeping: 1 651 (9.2 per node)
+    // while every node had a store of its own, 8 allocations each at the
+    // first sample (the store's series table, its name index, three names
+    // and three exactly-sized point lists: 1 440); 4 584 (25.5 per node)
+    // while each of the 540 series grew its point list by doubling, 2 042
+    // while every snapshot copied the topology (the run's two placement
+    // rounds each cloned 180 adjacency lists and the edge list), and 1 678
+    // while the Manager filed registrations in an ordered map, whose tree
+    // nodes every run allocated as its clients registered. A ceiling with
+    // < 10 % headroom rather than an equality, because the cost engine
+    // sizes its worker pool from the host.
+    const OBSERVED: u64 = 223;
     let mut sim = scale_fleet_sim_on(12, 10_000, 1, ObsHandle::disabled(), EngineKind::Event);
     let (n, report) = allocs_in(|| sim.run());
     assert_eq!(report.federation.nodes().len(), 180);

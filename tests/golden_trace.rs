@@ -621,6 +621,66 @@ fn shared_fleet_slot_changes_are_pinned() {
     assert_eq!(got, pinned);
 }
 
+/// The nodes holding each distinct store of `fed` — one store shared
+/// copy-on-write counts once — each list ascending, the lists ordered by
+/// their first node.
+fn holders_by_store(fed: &Federation) -> Vec<Vec<NodeId>> {
+    let mut groups: Vec<(*const Tsdb, Vec<NodeId>)> = Vec::new();
+    for n in fed.nodes() {
+        let store: *const Tsdb = fed.store(n).expect("listed stores exist");
+        match groups.iter_mut().find(|(s, _)| *s == store) {
+            Some((_, holders)) => holders.push(n),
+            None => groups.push((store, vec![n])),
+        }
+    }
+    groups.into_iter().map(|(_, holders)| holders).collect()
+}
+
+#[test]
+fn fleets_share_exactly_the_stores_that_are_equal() {
+    // nodes that take the same points all run hold one store; a node whose
+    // points part from the others' holds one of its own
+    let report = scale_fleet_sim_on(12, 10_000, 1, ObsHandle::disabled(), EngineKind::Event).run();
+    let held = holders_by_store(&report.federation);
+    assert_eq!(held.iter().map(Vec::len).collect::<Vec<_>>(), [180], "one store, every node");
+
+    // the drift fixtures of `shared_fleet_slot_changes_are_pinned`: each
+    // detached node alone, the nodes still on the record together
+    for (k, nodes_per_tick, period_ms) in [(4, 1, 450), (8, 3, 1_050)] {
+        for duration_ms in [1_200, 10_000] {
+            let drift = dust::sim::DriftConfig { nodes_per_tick, period_ms, ..Default::default() };
+            let mut sim = scale_fleet_builder(k, duration_ms, 2, ObsHandle::disabled())
+                .drift(drift)
+                .build()
+                .expect("scale knobs are consistent");
+            let held = holders_by_store(&sim.run().federation);
+            let (detached, sharing): (Vec<NodeId>, Vec<NodeId>) = sim
+                .nodes()
+                .iter()
+                .map(|n| n.id)
+                .partition(|&id| !sim.nodes()[id.index()].agents_interned());
+            let at = format!("k {k}, {duration_ms} ms");
+            assert!(!detached.is_empty() && !sharing.is_empty(), "{at}");
+            for id in &detached {
+                assert!(held.contains(&vec![*id]), "{at}: detached {id:?} holds its own store");
+            }
+            assert!(held.contains(&sharing), "{at}: the class holds one store");
+            assert_eq!(held.len(), detached.len() + 1, "{at}: and there is no other");
+        }
+    }
+
+    // a flow owner appends its flow's series to its store alone
+    let report = mixed_shared_fleet(4, 3).run();
+    let fed = &report.federation;
+    let owners: Vec<NodeId> = fed.holders(dust::sim::series::TELEMETRY_ADMITTED_MBPS);
+    assert!(!owners.is_empty(), "somebody owned a routed flow");
+    let held = holders_by_store(fed);
+    for id in owners {
+        assert!(held.contains(&vec![id]), "flow owner {id:?} holds its own store");
+    }
+    assert!(held.iter().any(|h| h.len() > 1), "the nodes without a flow still share");
+}
+
 #[test]
 fn scale_fleet_k90_shape_is_pinned() {
     // The `fleet_sim_k90` benchmark workload. The benchmark only checks
