@@ -104,10 +104,7 @@ pub fn parse_sim_invocation(
             "--dup" => s.dup = value(&mut it, a)?,
             "--delay" => s.delay_ms = value(&mut it, a)?,
             "--jitter" => s.jitter_ms = value(&mut it, a)?,
-            "--duration" => {
-                s.duration_ms = value(&mut it, a)?;
-                s.duration_explicit = true;
-            }
+            "--duration" => s.duration_ms = Some(value(&mut it, a)?),
             "--seed" => s.seed = value(&mut it, a)?,
             // -- sim only -------------------------------------------------
             "--sweep" if sim => s.sweep = true,
@@ -213,7 +210,7 @@ mod tests {
     #[test]
     fn defaults_when_no_flags() {
         let inv = parse_sim_invocation(SimCommandKind::Sim, &[]).unwrap();
-        assert_eq!(inv.opts.duration_ms, 120_000);
+        assert_eq!(inv.opts.duration_ms, None);
         assert!(!inv.full && inv.flow.is_none() && inv.phase.is_none());
     }
 
@@ -229,7 +226,7 @@ mod tests {
             assert_eq!(inv.opts.dup, 0.1);
             assert_eq!(inv.opts.delay_ms, 20);
             assert_eq!(inv.opts.jitter_ms, 100);
-            assert_eq!(inv.opts.duration_ms, 60_000);
+            assert_eq!(inv.opts.duration_ms, Some(60_000));
             assert_eq!(inv.opts.seed, 7);
         }
     }
@@ -310,7 +307,7 @@ mod tests {
         for kind in [SimCommandKind::Sim, SimCommandKind::Trace, SimCommandKind::Spans] {
             let inv = parse_sim_invocation(kind, &argv("--scenario churn --seed 17")).unwrap();
             assert_eq!(inv.opts.scenario.as_deref(), Some("churn"));
-            assert!(!inv.opts.duration_explicit, "the scenario keeps its own duration");
+            assert_eq!(inv.opts.duration_ms, None, "the scenario keeps its own duration");
         }
     }
 

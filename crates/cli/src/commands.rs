@@ -57,8 +57,10 @@ pub struct SimOptions {
     pub delay_ms: u64,
     /// Extra uniform delay in `0..=jitter`, ms (reorders when large).
     pub jitter_ms: u64,
-    /// Simulated duration, ms.
-    pub duration_ms: u64,
+    /// Simulated duration, ms. `None` runs the target's default: the
+    /// `chaos` entry's 120 000 ms for a fault run, a scenario's own
+    /// otherwise.
+    pub duration_ms: Option<u64>,
     /// Master seed.
     pub seed: u64,
     /// Sweep the canned loss ladder instead of one `--loss` run.
@@ -84,9 +86,6 @@ pub struct SimOptions {
     /// (`--scenario help` lists the registry). Mutually exclusive with
     /// the fault flags, `--sweep`, and `--inject-breach`.
     pub scenario: Option<String>,
-    /// True when `--duration` was passed explicitly — a scenario run
-    /// otherwise uses the entry's own default duration.
-    pub duration_explicit: bool,
     /// Write the hierarchical wall-clock profile (folded stacks plus the
     /// top self-time table) to this path after the run. Scope *counts*
     /// in the artifact are deterministic per seed; durations are
@@ -101,7 +100,7 @@ impl Default for SimOptions {
             dup: 0.0,
             delay_ms: 0,
             jitter_ms: 0,
-            duration_ms: 120_000,
+            duration_ms: None,
             seed: 0,
             sweep: false,
             metrics: false,
@@ -111,7 +110,6 @@ impl Default for SimOptions {
             postmortem: None,
             inject_breach: false,
             scenario: None,
-            duration_explicit: false,
             profile: None,
         }
     }
@@ -124,7 +122,7 @@ impl SimOptions {
                 return Err(format!("{flag} must lie in [0, 1], got {p}"));
             }
         }
-        if self.duration_ms == 0 {
+        if self.duration_ms == Some(0) {
             return Err("--duration must be positive".into());
         }
         Ok(())
@@ -179,18 +177,16 @@ impl SimOptions {
                 if !flags.is_ideal() {
                     return own_model("--sweep");
                 }
-                let rung = |p| Target::Faults(FaultConfig::symmetric(FaultProfile::chaos(p)));
+                let rung = |p| Target::Faults(FaultProfile::chaos(p));
                 [0.0, 0.05, 0.1, 0.2, 0.4].map(rung).to_vec()
             }
-            None => vec![Target::Faults(FaultConfig::symmetric(flags))],
+            None => vec![Target::Faults(flags)],
         };
         let slo = self.slo.as_deref().map(SloSpec::parse).transpose()?;
         let run_spec = |target| RunSpec {
             target,
             seed: self.seed,
-            // a scenario keeps its own default duration unless --duration was passed
-            duration_ms: (self.duration_explicit || self.scenario.is_none())
-                .then_some(self.duration_ms),
+            duration_ms: self.duration_ms,
             slo: slo.clone(),
             profile: self.profile.is_some(),
         };
@@ -1117,7 +1113,7 @@ mod tests {
             dup: 0.1,
             delay_ms: 20,
             jitter_ms: 100,
-            duration_ms: 60_000,
+            duration_ms: Some(60_000),
             seed: 17,
             ..Default::default()
         };
@@ -1129,7 +1125,8 @@ mod tests {
 
     #[test]
     fn sim_sweep_emits_one_row_per_loss_rate() {
-        let o = SimOptions { sweep: true, duration_ms: 30_000, seed: 3, ..Default::default() };
+        let o =
+            SimOptions { sweep: true, duration_ms: Some(30_000), seed: 3, ..Default::default() };
         let out = cmd_sim(&o).unwrap().output;
         // header + five ladder rows + trailing invariant line
         assert_eq!(out.lines().filter(|l| l.ends_with("ok")).count(), 5, "{out}");
@@ -1142,7 +1139,7 @@ mod tests {
             dup: 0.1,
             delay_ms: 20,
             jitter_ms: 100,
-            duration_ms: 30_000,
+            duration_ms: Some(30_000),
             seed: 23,
             metrics_json: true,
             ..Default::default()
@@ -1158,7 +1155,7 @@ mod tests {
     fn sim_metrics_text_includes_transport_counters() {
         let o = SimOptions {
             loss: 0.2,
-            duration_ms: 30_000,
+            duration_ms: Some(30_000),
             seed: 5,
             metrics: true,
             ..Default::default()
@@ -1177,7 +1174,7 @@ mod tests {
 
     #[test]
     fn trace_census_is_reproducible_and_full_dump_carries_digest() {
-        let o = SimOptions { loss: 0.2, duration_ms: 30_000, seed: 7, ..Default::default() };
+        let o = SimOptions { loss: 0.2, duration_ms: Some(30_000), seed: 7, ..Default::default() };
         let a = trace_to_string(&o, false).unwrap();
         let b = trace_to_string(&o, false).unwrap();
         assert_eq!(a, b);
@@ -1200,7 +1197,7 @@ mod tests {
 
     #[test]
     fn spans_reports_complete_flows_and_phase_quantiles() {
-        let o = SimOptions { duration_ms: 60_000, seed: 42, ..Default::default() };
+        let o = SimOptions { duration_ms: Some(60_000), seed: 42, ..Default::default() };
         let a = cmd_spans(&o, None, None).unwrap();
         let b = cmd_spans(&o, None, None).unwrap();
         assert_eq!(a, b, "span analytics must be byte-identical per seed");
@@ -1233,7 +1230,7 @@ mod tests {
             dup: 0.1,
             delay_ms: 20,
             jitter_ms: 100,
-            duration_ms: 60_000,
+            duration_ms: Some(60_000),
             seed: 9,
             metrics_json: true,
             slo: Some("retransmit_rate<=0.0,convergence<=1".into()),
@@ -1262,7 +1259,7 @@ mod tests {
         let path = std::env::temp_dir().join("dustctl-test-postmortem.txt");
         let _ = std::fs::remove_file(&path);
         let o = SimOptions {
-            duration_ms: 30_000,
+            duration_ms: Some(30_000),
             seed: 5,
             inject_breach: true,
             postmortem: Some(path.to_string_lossy().into_owned()),
@@ -1286,7 +1283,7 @@ mod tests {
     fn sim_prometheus_exposition_renders_all_three_kinds() {
         let o = SimOptions {
             loss: 0.2,
-            duration_ms: 30_000,
+            duration_ms: Some(30_000),
             seed: 5,
             metrics_prom: true,
             ..Default::default()
@@ -1301,7 +1298,7 @@ mod tests {
     fn sim_rejects_bad_probabilities() {
         assert!(cmd_sim(&SimOptions { loss: 1.5, ..Default::default() }).is_err());
         assert!(cmd_sim(&SimOptions { dup: -0.1, ..Default::default() }).is_err());
-        assert!(cmd_sim(&SimOptions { duration_ms: 0, ..Default::default() }).is_err());
+        assert!(cmd_sim(&SimOptions { duration_ms: Some(0), ..Default::default() }).is_err());
     }
 
     #[test]
@@ -1337,8 +1334,7 @@ mod tests {
     fn scenario_duration_override_shrinks_the_run() {
         let o = SimOptions {
             scenario: Some("testbed".into()),
-            duration_ms: 30_000,
-            duration_explicit: true,
+            duration_ms: Some(30_000),
             ..Default::default()
         };
         let run = cmd_sim(&o).unwrap();
@@ -1370,7 +1366,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let plain = SimOptions {
             loss: 0.2,
-            duration_ms: 30_000,
+            duration_ms: Some(30_000),
             seed: 23,
             metrics_json: true,
             ..Default::default()

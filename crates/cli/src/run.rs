@@ -19,7 +19,7 @@ pub const PROFILE_FLEET_DURATION_MS: u64 = 10_000;
 #[derive(Debug, Clone, Copy)]
 pub enum Target {
     /// The Fig. 5 testbed under this control-plane fault model.
-    Faults(FaultConfig),
+    Faults(FaultProfile),
     /// A registry scenario, SLO-gated by its attached spec.
     Scenario(&'static Scenario),
     /// The benchmark fleet at [`PROFILE_FLEET_K`] (not a registry entry:
@@ -31,7 +31,7 @@ impl Target {
     /// How section headers and the profile artefact name this run.
     pub fn label(&self) -> String {
         match self {
-            Target::Faults(f) => format!("loss {:.0}%", f.to_client.drop * 100.0),
+            Target::Faults(f) => format!("loss {:.0}%", f.drop * 100.0),
             Target::Scenario(sc) => format!("scenario {}", sc.name),
             Target::ScaleFleet => format!("scale_fleet (k={PROFILE_FLEET_K})"),
         }
@@ -40,7 +40,7 @@ impl Target {
     /// The field that opens this run's `--metrics-json` object.
     pub fn json_head(&self) -> String {
         match self {
-            Target::Faults(f) => format!("\"loss\":{}", f.to_client.drop),
+            Target::Faults(f) => format!("\"loss\":{}", f.drop),
             Target::Scenario(sc) => format!("\"scenario\":\"{}\"", sc.name),
             Target::ScaleFleet => "\"scenario\":\"scale_fleet\"".to_string(),
         }

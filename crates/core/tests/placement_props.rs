@@ -191,11 +191,12 @@ fn beta_monotone_in_max_hop() {
     }
 }
 
-/// `optimize_with` and `heuristic_with` over an engine built with
-/// `CostEngine::with_threads(t)` reproduce the one-shot `optimize` and
-/// `heuristic` bit-for-bit at every pricing thread count.
+/// The one-shot `optimize` and `heuristic` (each on a fresh engine)
+/// against the `_with` doors on an engine built with
+/// `CostEngine::with_threads(t)` at 1, 2 and 7 pricing threads: the same
+/// status, β bits and assignment count.
 #[test]
-fn builder_matches_legacy_at_every_thread_count() {
+fn one_shot_matches_the_with_doors_at_every_thread_count() {
     let ft = FatTree::with_default_links(4);
     let c = cfg();
     for seed in 0..12u64 {

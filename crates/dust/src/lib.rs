@@ -73,9 +73,8 @@ pub mod prelude {
     pub use dust_sim::{
         evaluate_flows, fig1_curve, fig6_contrast, fleet, registry, scale_fleet_builder,
         scale_fleet_sim_on, testbed_dust_config, testbed_nodes, testbed_topology, ChaosResult,
-        EngineKind, FaultConfig, FaultProfile, FlowOutcome, NodeSpec, Scenario, ScenarioKnobs,
-        ScenarioRun, SimBuilder, SimNode, SimReport, Simulation, StormConfig, TelemetryFlow,
-        TrafficModel, Transport,
+        EngineKind, FaultProfile, FlowOutcome, NodeSpec, Scenario, ScenarioKnobs, ScenarioRun,
+        SimBuilder, SimNode, SimReport, Simulation, TelemetryFlow, TrafficModel, Transport,
     };
     pub use dust_telemetry::{
         aggregate_load, compress, decompress, AgentKind, Federation, MonitorAgent, Series,

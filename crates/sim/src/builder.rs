@@ -6,7 +6,11 @@
 //! instead of a panic deep inside the run loop (or, worse, a silently
 //! meaningless result — the classic one being a lossy fault profile
 //! without an explicit seed, which "works" but makes the run
-//! irreproducible).
+//! irreproducible). Each setting is checked in one layer: the
+//! [`DustConfig`] by the Manager it configures, whose `BadConfig` comes
+//! back unchanged. [`storm`](SimBuilder::storm) and
+//! [`incremental_placement`](SimBuilder::incremental_placement) are
+//! switches: their numbers are constants of the runner.
 //!
 //! ```
 //! use dust_sim::{Simulation, SimNode, NodeSpec, TrafficModel};
@@ -29,9 +33,9 @@
 //! ```
 
 use crate::node::SimNode;
-use crate::runner::{DriftConfig, SimConfig, Simulation, StormConfig};
+use crate::runner::{DriftConfig, SimConfig, Simulation};
 use crate::traffic::TrafficModel;
-use crate::transport::FaultConfig;
+use crate::transport::FaultProfile;
 use dust_core::{DustConfig, DustError};
 use dust_obs::{ObsHandle, SloSpec};
 use dust_topology::{Graph, NodeId};
@@ -121,9 +125,10 @@ impl SimBuilder {
         self
     }
 
-    /// Control-plane fault model. Non-ideal profiles require an explicit
-    /// [`seed`](SimBuilder::seed) or `build` fails.
-    pub fn faults(mut self, faults: FaultConfig) -> Self {
+    /// Control-plane fault model, shared by both directions. A non-ideal
+    /// profile requires an explicit [`seed`](SimBuilder::seed) or `build`
+    /// fails.
+    pub fn faults(mut self, faults: FaultProfile) -> Self {
         self.cfg.faults = faults;
         self
     }
@@ -148,10 +153,13 @@ impl SimBuilder {
         self
     }
 
-    /// Attach a correlated failure storm: cascading overload kills on
+    /// Attach the correlated failure storm: cascading overload kills on
     /// top of any scheduled [`kill_at`](SimBuilder::kill_at) injections.
-    pub fn storm(mut self, storm: StormConfig) -> Self {
-        self.cfg.storm = Some(storm);
+    /// From `min(2 s, duration / 4)` on, every live node at or above
+    /// 30.5 % device CPU at a sample point crashes 2 s later; each node
+    /// cascades at most once, and the storm stops after two kills.
+    pub fn storm(mut self) -> Self {
+        self.cfg.storm = true;
         self
     }
 
@@ -162,19 +170,12 @@ impl SimBuilder {
         self
     }
 
-    /// Warm-start the Manager's solver from the previous round's basis
-    /// (identical objectives, fewer pivots).
-    pub fn warm_start(mut self, on: bool) -> Self {
-        self.cfg.warm_start = on;
-        self
-    }
-
-    /// Enable the Manager's delta-placement path: between full solves
-    /// every `full_every` rounds, only flows whose `T_rmin` degraded
-    /// past `threshold` (relative) are re-homed.
-    pub fn delta_placement(mut self, threshold: f64, full_every: u64) -> Self {
-        self.cfg.delta_threshold = Some(threshold);
-        self.cfg.delta_full_every = full_every;
+    /// Re-optimize incrementally: the Manager's solver warm-starts from
+    /// the previous round's basis (identical objectives, fewer pivots),
+    /// and between full solves every 8th round a delta round re-homes
+    /// only flows whose `T_rmin` degraded past 10 % (relative).
+    pub fn incremental_placement(mut self) -> Self {
+        self.cfg.incremental_placement = true;
         self
     }
 
@@ -190,7 +191,9 @@ impl SimBuilder {
         self
     }
 
-    /// Validate the knob combination and wire up the simulation.
+    /// Validate the knob combination and wire up the simulation. The
+    /// [`DustConfig`] is checked by the Manager it configures, and its
+    /// error comes back unchanged.
     pub fn build(self) -> Result<Simulation, DustError> {
         let bad = |msg: String| Err(DustError::BadConfig(msg));
         let Some(graph) = self.graph else {
@@ -221,68 +224,25 @@ impl SimBuilder {
         if !cfg.link_jitter.is_finite() || !(0.0..=1.0).contains(&cfg.link_jitter) {
             return bad(format!("link_jitter must lie in [0, 1], got {}", cfg.link_jitter));
         }
-        for (dir, p) in
-            [("to_manager", &cfg.faults.to_manager), ("to_client", &cfg.faults.to_client)]
-        {
-            if !p.drop.is_finite()
-                || !p.duplicate.is_finite()
-                || !(0.0..=1.0).contains(&p.drop)
-                || !(0.0..=1.0).contains(&p.duplicate)
-            {
-                return bad(format!(
-                    "fault probabilities for {dir} must lie in [0, 1]: \
-                     drop {} duplicate {}",
-                    p.drop, p.duplicate
-                ));
-            }
+        let p = &cfg.faults;
+        if !(0.0..=1.0).contains(&p.drop) || !(0.0..=1.0).contains(&p.duplicate) {
+            return bad(format!(
+                "fault probabilities must lie in [0, 1]: drop {} duplicate {}",
+                p.drop, p.duplicate
+            ));
         }
         if !cfg.faults.is_ideal() && !self.seed_set {
             return bad("a fault profile without an explicit seed is irreproducible: \
                  call SimBuilder::seed(...) alongside SimBuilder::faults(...)"
                 .into());
         }
-        cfg.dust.validate().map_err(DustError::BadConfig)?;
-        if let Some(storm) = &cfg.storm {
-            if !storm.cpu_threshold.is_finite() || storm.cpu_threshold <= 0.0 {
-                return bad(format!(
-                    "storm cpu_threshold must be a positive CPU percentage, got {}",
-                    storm.cpu_threshold
-                ));
-            }
-            if storm.max_cascades == 0 {
-                return bad("a storm with max_cascades = 0 can never fire: drop the \
-                     storm or give it a kill budget"
-                    .into());
-            }
-        }
         if let Some(d) = &cfg.drift {
             if d.period_ms == 0 {
                 return bad("drift period_ms must be positive".into());
             }
-            if !d.capacity_swing.is_finite() || !(0.0..1.0).contains(&d.capacity_swing) {
-                return bad(format!(
-                    "drift capacity_swing must lie in [0, 1), got {}",
-                    d.capacity_swing
-                ));
-            }
-            if !(d.rate_floor.is_finite() && 0.0 < d.rate_floor && d.rate_floor <= 1.0) {
-                return bad(format!("drift rate_floor must lie in (0, 1], got {}", d.rate_floor));
-            }
             if d.links_per_tick == 0 && d.nodes_per_tick == 0 {
                 return bad("drift with links_per_tick = 0 and nodes_per_tick = 0 never \
                      changes anything: drop the drift or give it work"
-                    .into());
-            }
-        }
-        if let Some(t) = cfg.delta_threshold {
-            if !t.is_finite() || t < 0.0 {
-                return bad(format!(
-                    "delta_placement threshold must be finite and non-negative, got {t}"
-                ));
-            }
-            if cfg.delta_full_every == 0 {
-                return bad("delta_placement full_every must be at least 1: a cadence of 0 \
-                     would never run a full solve"
                     .into());
             }
         }
@@ -305,7 +265,7 @@ impl SimBuilder {
         }
 
         let traffic = self.traffic.unwrap_or_else(TrafficModel::testbed);
-        let mut sim = Simulation::assemble(graph, self.nodes, traffic, self.cfg);
+        let mut sim = Simulation::assemble(graph, self.nodes, traffic, self.cfg)?;
         if let Some(obs) = self.obs {
             sim.set_obs(obs);
         }
@@ -326,7 +286,6 @@ impl SimBuilder {
 mod tests {
     use super::*;
     use crate::node::NodeSpec;
-    use crate::transport::FaultProfile;
     use dust_topology::{topologies, Link};
 
     fn two_nodes() -> (Graph, Vec<SimNode>) {
@@ -378,12 +337,7 @@ mod tests {
     #[test]
     fn faults_without_seed_are_rejected() {
         let (g, nodes) = two_nodes();
-        let faults = FaultConfig::symmetric(FaultProfile {
-            drop: 0.1,
-            duplicate: 0.0,
-            delay_ms: 10,
-            jitter_ms: 50,
-        });
+        let faults = FaultProfile { drop: 0.1, duplicate: 0.0, delay_ms: 10, jitter_ms: 50 };
         let err = msg(Simulation::builder()
             .graph(g.clone())
             .nodes(nodes.clone())
@@ -399,12 +353,7 @@ mod tests {
     #[test]
     fn out_of_range_fault_probability_is_loud() {
         let (g, nodes) = two_nodes();
-        let faults = FaultConfig::symmetric(FaultProfile {
-            drop: 1.5,
-            duplicate: 0.0,
-            delay_ms: 0,
-            jitter_ms: 0,
-        });
+        let faults = FaultProfile { drop: 1.5, duplicate: 0.0, delay_ms: 0, jitter_ms: 0 };
         let err = msg(Simulation::builder()
             .graph(g)
             .nodes(nodes)
@@ -474,30 +423,12 @@ mod tests {
     }
 
     #[test]
-    fn storm_knobs_are_validated() {
-        use crate::runner::StormConfig;
-        let storm = |cpu_threshold: f64, max_cascades: usize| StormConfig {
-            cpu_threshold,
-            start_ms: 0,
-            cascade_delay_ms: 1_000,
-            max_cascades,
-        };
+    fn a_bad_dust_config_comes_back_from_the_manager() {
         let (g, nodes) = two_nodes();
-        let err = msg(Simulation::builder()
-            .graph(g.clone())
-            .nodes(nodes.clone())
-            .storm(storm(f64::NAN, 2))
-            .build()
-            .unwrap_err());
-        assert!(err.contains("cpu_threshold"), "{err}");
-        let err = msg(Simulation::builder()
-            .graph(g.clone())
-            .nodes(nodes.clone())
-            .storm(storm(30.0, 0))
-            .build()
-            .unwrap_err());
-        assert!(err.contains("max_cascades"), "{err}");
-        assert!(Simulation::builder().graph(g).nodes(nodes).storm(storm(30.0, 2)).build().is_ok());
+        let dust = DustConfig::paper_defaults().with_thresholds(60.0, 70.0, 1.0);
+        let expected = dust.validate().unwrap_err();
+        let err = Simulation::builder().graph(g).nodes(nodes).dust(dust).build().unwrap_err();
+        assert_eq!(err, DustError::BadConfig(expected));
     }
 
     #[test]

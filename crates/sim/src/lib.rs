@@ -12,7 +12,8 @@
 //!   DPUs) where CPU/memory derive from which monitor agents run where;
 //! * [`traffic`] — VxLAN overlay traffic profiles projected onto links;
 //! * [`transport`] — a deterministic fault gate dropping, duplicating,
-//!   delaying, and reordering control-plane messages per direction;
+//!   delaying, and reordering control-plane messages, one profile for
+//!   both directions;
 //! * [`runner`] — the full wiring: protocol state machines, placement
 //!   rounds, physical agent movement, metric recording, failure injection;
 //! * [`scenarios`] — the shared Fig. 5 testbed fixtures (topology, agent
@@ -59,10 +60,10 @@ pub use engine::{EngineKind, EventQueue, Scheduled};
 pub use flows::{evaluate_flows, FlowOutcome, TelemetryFlow};
 pub use node::{NodeSpec, SimNode};
 pub use registry::{fig1_curve, fig6_contrast, Scenario, ScenarioKnobs, ScenarioRun};
-pub use runner::{series, DriftConfig, SimReport, Simulation, StormConfig};
+pub use runner::{series, DriftConfig, SimReport, Simulation};
 pub use scenarios::{
     congestion, fleet, scale_fleet_builder, scale_fleet_sim_on, testbed_dust_config, testbed_nodes,
     testbed_topology, ChaosResult, CongestionResult, Fig1Row, Fig6Result, FleetResult,
 };
 pub use traffic::TrafficModel;
-pub use transport::{Direction, FaultConfig, FaultProfile, Transport, TransportStats};
+pub use transport::{FaultProfile, Transport, TransportStats};

@@ -25,19 +25,19 @@
 //! [`ScenarioKnobs`] is the one way to name a run: the registry entries
 //! take it through [`Scenario::run`], and [`chaos`] — the testbed under a
 //! caller-supplied fault model, which is what `dustctl sim --loss …`
-//! drives — takes the same knobs beside its [`FaultConfig`]. The Fig. 1 /
+//! drives — takes the same knobs beside its [`FaultProfile`]. The Fig. 1 /
 //! Fig. 6 experiment helpers ([`fig1_curve`], [`fig6_contrast`]) live
 //! here too.
 
 use crate::builder::SimBuilder;
 use crate::node::SimNode;
-use crate::runner::{DriftConfig, SimReport, Simulation, StormConfig};
+use crate::runner::{DriftConfig, SimReport, Simulation};
 use crate::scenarios::{
     monitored_fat_tree, testbed_dust_config, testbed_nodes, testbed_topology, ChaosResult, Fig1Row,
     Fig6Result,
 };
 use crate::traffic::TrafficModel;
-use crate::transport::{FaultConfig, FaultProfile};
+use crate::transport::FaultProfile;
 use dust_core::DustError;
 use dust_obs::{ObsHandle, SloEngine, SloSpec};
 use dust_telemetry::{IntSampling, MonitorAgent};
@@ -237,7 +237,7 @@ pub(crate) fn testbed_builder(knobs: &ScenarioKnobs, duration: u64) -> SimBuilde
 }
 
 fn make_chaos(knobs: &ScenarioKnobs, duration: u64) -> SimBuilder {
-    testbed_builder(knobs, duration).faults(FaultConfig::symmetric(FaultProfile::chaos(0.2)))
+    testbed_builder(knobs, duration).faults(FaultProfile::chaos(0.2))
 }
 
 fn make_int_burst(knobs: &ScenarioKnobs, duration: u64) -> SimBuilder {
@@ -280,17 +280,12 @@ fn make_flash_crowd(knobs: &ScenarioKnobs, duration: u64) -> SimBuilder {
 fn make_zone_storm(knobs: &ScenarioKnobs, duration: u64) -> SimBuilder {
     let (ft, _, nodes) = monitored_fat_tree(4);
     // Two correlated failure modes layered on the kill/revive path:
-    // a CPU-cascade storm that takes out edge switches still Busy before
-    // placement relieves them, and a zone outage killing all of pod 0
-    // mid-run (revived at two-thirds), exercising REP re-homing at scale.
-    let storm = StormConfig {
-        cpu_threshold: 30.5,
-        start_ms: 2_000.min(duration / 4),
-        cascade_delay_ms: 2_000,
-        max_cascades: 2,
-    };
+    // the CPU-cascade storm, which takes out edge switches still Busy
+    // before placement relieves them, and a zone outage killing all of
+    // pod 0 mid-run (revived at two-thirds), exercising REP re-homing at
+    // scale.
     let pod: Vec<_> = ft.pod_nodes(0);
-    let mut b = offload_builder(ft.graph, nodes, knobs, duration).storm(storm);
+    let mut b = offload_builder(ft.graph, nodes, knobs, duration).storm();
     for &n in &pod {
         b = b.kill_at(duration / 2, n);
     }
@@ -311,8 +306,7 @@ fn make_churn(knobs: &ScenarioKnobs, duration: u64) -> SimBuilder {
     // between full solves every 8th round.
     testbed_builder(knobs, duration)
         .drift(DriftConfig { links_per_tick: 1, ..DriftConfig::default() })
-        .warm_start(true)
-        .delta_placement(0.10, 8)
+        .incremental_placement()
 }
 
 // ---------------------------------------------------------------------
@@ -377,13 +371,13 @@ pub fn fig6_contrast(duration_ms: u64, seed: u64) -> Fig6Result {
 /// run's `c_max`) and comes back holding any breaches. The engine is
 /// a pure observer: the [`ChaosResult`] is bit-identical with or without
 /// it, and with or without a recording `obs`. The reported `loss` is the
-/// Manager → Client drop probability.
+/// profile's drop probability.
 ///
 /// The invariant under test is *conservation*: whatever the control
 /// plane loses, no monitor agent may vanish — every agent is either
 /// local to its owner or hosted somewhere on its behalf, and the
 /// protocol ledgers quiesce to a mutually consistent state.
-pub fn chaos(faults: FaultConfig, knobs: &ScenarioKnobs) -> (ChaosResult, Option<SloEngine>) {
+pub fn chaos(faults: FaultProfile, knobs: &ScenarioKnobs) -> (ChaosResult, Option<SloEngine>) {
     let entry = find("chaos").expect("chaos is a registry entry");
     let (_, dut) = testbed_topology();
     let mut b = testbed_builder(knobs, entry.duration(knobs)).faults(faults);
@@ -427,7 +421,7 @@ pub fn chaos(faults: FaultConfig, knobs: &ScenarioKnobs) -> (ChaosResult, Option
     }
 
     let result = ChaosResult {
-        loss: faults.to_client.drop,
+        loss: faults.drop,
         transfers: report.transfers_applied,
         replicas: report.replicas_applied,
         msgs_sent: report.msgs_sent,
@@ -667,8 +661,7 @@ mod tests {
 
     #[test]
     fn chaos_at_20_percent_loss_conserves_everything() {
-        let (r, _) =
-            chaos(FaultConfig::symmetric(FaultProfile::chaos(0.2)), &ScenarioKnobs::seeded(17));
+        let (r, _) = chaos(FaultProfile::chaos(0.2), &ScenarioKnobs::seeded(17));
         assert!(r.msgs_dropped > 0, "faults must actually fire");
         assert!(r.transfers > 0, "offloading must converge despite 20 % loss");
         assert_eq!(r.agents_present, r.agents_expected, "no monitor agent may ever be lost");
@@ -679,10 +672,8 @@ mod tests {
     #[test]
     fn chaos_degrades_gracefully_up_the_loss_ladder() {
         let knobs = ScenarioKnobs { duration_ms: Some(90_000), ..ScenarioKnobs::seeded(21) };
-        let rows: Vec<ChaosResult> = [0.0, 0.1, 0.3]
-            .iter()
-            .map(|&p| chaos(FaultConfig::symmetric(FaultProfile::chaos(p)), &knobs).0)
-            .collect();
+        let rows: Vec<ChaosResult> =
+            [0.0, 0.1, 0.3].iter().map(|&p| chaos(FaultProfile::chaos(p), &knobs).0).collect();
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(r.transfers > 0, "loss {} must still offload", r.loss);

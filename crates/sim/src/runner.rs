@@ -11,9 +11,10 @@
 //! keepalive → REP replica-substitution path (§III-C).
 //!
 //! Every control-plane envelope crosses the [`Transport`] fault gate
-//! ([`SimBuilder::faults`](crate::SimBuilder::faults)): it may be dropped, duplicated, or delayed with
-//! jitter, per direction, deterministically per seed. An ideal direction
-//! delivers inline (identical to a direct call); any fault profile routes
+//! ([`SimBuilder::faults`](crate::SimBuilder::faults)): it may be
+//! dropped, duplicated, or delayed with jitter, deterministically per
+//! seed, under one [`FaultProfile`] for both directions. An ideal
+//! profile delivers inline (identical to a direct call); any other routes
 //! the copies through the event queue as `SimEvent::DeliverClient` /
 //! `SimEvent::DeliverManager` events, so delayed copies interleave with
 //! the periodic events exactly as wall-clock delivery would.
@@ -30,35 +31,14 @@
 use crate::engine::EventQueue;
 use crate::node::SimNode;
 use crate::traffic::TrafficModel;
-use crate::transport::{Direction, FaultConfig, Transport};
-use dust_core::DustConfig;
+use crate::transport::{FaultProfile, Transport};
+use dust_core::{DustConfig, DustError};
 use dust_obs::{ObsHandle, SloBreach, SloEngine, SloSpec, TraceEvent};
 use dust_proto::{Client, ClientMsg, Envelope, Manager, ManagerMsg, RequestId, SolverBackend};
 use dust_telemetry::{Federation, IntSampling};
 use dust_topology::{EdgeId, Graph, NodeId, Path, SplitMix64};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
-
-/// Correlated failure-storm parameters: overload-induced cascades on top
-/// of the scheduled `kill_at`/`revive_at` injections.
-///
-/// At every telemetry sample point at or after `start_ms`, any live node
-/// whose device CPU is at or above `cpu_threshold` is scheduled to crash
-/// `cascade_delay_ms` later — modeling a zone outage where the surviving
-/// members buckle under the load shed onto them. Each node cascades at
-/// most once, and the storm stops after `max_cascades` kills so a run
-/// cannot annihilate its own fleet.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StormConfig {
-    /// Device CPU (percent) at which a node joins the cascade.
-    pub cpu_threshold: f64,
-    /// Storm checks only fire at/after this time, ms.
-    pub start_ms: u64,
-    /// Delay between threshold crossing and the node's crash, ms.
-    pub cascade_delay_ms: u64,
-    /// Total cascade-kill budget for the run.
-    pub max_cascades: usize,
-}
 
 /// Continuous-churn parameters: seeded link-capacity and agent-rate
 /// drift applied at a fixed cadence, so placement never reaches a
@@ -71,36 +51,41 @@ pub struct StormConfig {
 /// the physical graph and the Manager's pricing view, so telemetry
 /// flows and `T_rmin` costs move together. Agent drift retunes the
 /// per-packet sampling fraction of one seeded node's local agents,
-/// shifting the data volume (`D_i`) its STATs report. Every draw comes
-/// from a SplitMix64 keyed on `(seed, now)`, so a run is bit-identical
-/// across repeats.
+/// shifting the data volume (`D_i`) its STATs report. A retuned link's
+/// capacity is scaled by a factor drawn from `[0.7, 1.3]`; a retuned
+/// sampling fraction is drawn from `[0.4, 1.0]`. Every draw comes from a
+/// SplitMix64 keyed on `(seed, now)`, so a run is bit-identical across
+/// repeats.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Drift cadence, ms.
     pub period_ms: u64,
     /// Links whose capacity is retuned per tick.
     pub links_per_tick: usize,
-    /// Maximum relative capacity change per retuned link (`0.3` means a
-    /// multiplicative factor drawn from `[0.7, 1.3]`). Must lie in
-    /// `[0, 1)` so capacity can never hit zero in one step.
-    pub capacity_swing: f64,
     /// Nodes whose local agents' sampling fraction is retuned per tick.
     pub nodes_per_tick: usize,
-    /// Retuned sampling fractions are drawn from `[rate_floor, 1.0]`.
-    pub rate_floor: f64,
 }
 
 impl Default for DriftConfig {
     fn default() -> Self {
-        DriftConfig {
-            period_ms: 4_000,
-            links_per_tick: 2,
-            capacity_swing: 0.3,
-            nodes_per_tick: 1,
-            rate_floor: 0.4,
-        }
+        DriftConfig { period_ms: 4_000, links_per_tick: 2, nodes_per_tick: 1 }
     }
 }
+
+/// Maximum relative capacity change of a drifted link: the factor is
+/// drawn from `[1 - swing, 1 + swing]`, so capacity never hits zero in
+/// one step.
+const DRIFT_CAPACITY_SWING: f64 = 0.3;
+
+/// Lowest sampling fraction a drifted agent is retuned to.
+const DRIFT_RATE_FLOOR: f64 = 0.4;
+
+/// Relative `T_rmin` degradation past which a delta round re-homes a
+/// flow ([`SimBuilder::incremental_placement`](crate::SimBuilder::incremental_placement)).
+const DELTA_THRESHOLD: f64 = 0.10;
+
+/// Every this-many-th round under incremental placement is a full solve.
+const DELTA_FULL_EVERY: u64 = 8;
 
 /// How often the Manager runs a placement round, ms.
 const PLACEMENT_PERIOD_MS: u64 = 5_000;
@@ -131,22 +116,16 @@ pub(crate) struct SimConfig {
     /// capacity budget — the semantics of the paper's testbed experiment
     /// (§V-A offloaded all ten agents; Fig. 6).
     pub full_monitoring_offload: bool,
-    /// Fault model for the control plane (drop/duplicate/delay per
-    /// direction). [`FaultConfig::ideal`] reproduces the perfect wire.
-    pub faults: FaultConfig,
-    /// Correlated failure storm (cascading overload kills), if any.
-    pub storm: Option<StormConfig>,
+    /// Fault model for the control plane, shared by both directions.
+    /// [`FaultProfile::ideal`] reproduces the perfect wire.
+    pub faults: FaultProfile,
+    /// Run the correlated failure storm (cascading overload kills).
+    pub storm: bool,
     /// Continuous link/agent churn, if any.
     pub drift: Option<DriftConfig>,
-    /// Hand the Manager's solver the previous round's optimal basis as a
-    /// starting point (identical objectives, fewer pivots).
-    pub warm_start: bool,
-    /// When set, the Manager runs the delta-placement path: between
-    /// periodic full solves, only flows whose `T_rmin` degraded past
-    /// this relative threshold are re-homed.
-    pub delta_threshold: Option<f64>,
-    /// Full-solve cadence for the delta path (every Nth round).
-    pub delta_full_every: u64,
+    /// Warm-start the Manager's solver and run delta rounds between
+    /// periodic full solves ([`DELTA_THRESHOLD`], [`DELTA_FULL_EVERY`]).
+    pub incremental_placement: bool,
     /// Master seed.
     pub seed: u64,
 }
@@ -160,12 +139,10 @@ impl Default for SimConfig {
             dust_enabled: true,
             link_jitter: 0.05,
             full_monitoring_offload: false,
-            faults: FaultConfig::ideal(),
-            storm: None,
+            faults: FaultProfile::ideal(),
+            storm: false,
             drift: None,
-            warm_start: false,
-            delta_threshold: None,
-            delta_full_every: 8,
+            incremental_placement: false,
             seed: 0,
         }
     }
@@ -352,14 +329,15 @@ impl Simulation {
         crate::builder::SimBuilder::new()
     }
 
-    /// Internal constructor behind the builder. Panics on node-count
-    /// mismatch; the builder pre-validates and never trips these.
+    /// Internal constructor behind the builder. The [`Manager`] checks
+    /// the [`DustConfig`]; its error comes back as the builder's. Panics
+    /// on a node-count mismatch, which the builder rejects first.
     pub(crate) fn assemble(
         graph: Graph,
         nodes: Vec<SimNode>,
         traffic: TrafficModel,
         cfg: SimConfig,
-    ) -> Self {
+    ) -> Result<Self, DustError> {
         assert_eq!(nodes.len(), graph.node_count(), "one SimNode per vertex");
         // the Manager takes the graph while it is still uniquely owned
         // (it drains the construction-time dirty flag in place) and the
@@ -370,19 +348,17 @@ impl Simulation {
             SolverBackend::Transportation,
             UPDATE_INTERVAL_MS,
             KEEPALIVE_TIMEOUT_MS,
-        )
-        .expect("builder pre-validated the SimConfig")
-        .with_warm_start(cfg.warm_start);
-        if let Some(threshold) = cfg.delta_threshold {
+        )?;
+        if cfg.incremental_placement {
             manager = manager
-                .with_delta_placement(threshold, cfg.delta_full_every)
-                .expect("builder pre-validated the delta knobs");
+                .with_warm_start(true)
+                .with_delta_placement(DELTA_THRESHOLD, DELTA_FULL_EVERY)?;
         }
         let clients =
             nodes.iter().map(|n| Client::new(n.id, true, cfg.dust.co_max + 10.0)).collect();
         let transport = Transport::new(cfg.seed, cfg.faults);
         let n = nodes.len();
-        Simulation {
+        Ok(Simulation {
             graph: Arc::clone(manager.graph()),
             nodes,
             clients,
@@ -398,7 +374,7 @@ impl Simulation {
             storm_triggered: HashSet::new(),
             obs: ObsHandle::disabled(),
             slo: None,
-        }
+        })
     }
 
     /// Attach an observability handle: the Manager, every client, and
@@ -496,7 +472,7 @@ impl Simulation {
         q: &mut EventQueue<SimEvent>,
         report: &mut SimReport,
     ) {
-        if self.cfg.faults.to_client.is_ideal() {
+        if self.cfg.faults.is_ideal() {
             if self.obs.is_enabled() {
                 self.obs.counter_inc("sim.transport.to_client.sent");
                 self.obs.counter_inc("sim.transport.to_client.delivered");
@@ -505,8 +481,8 @@ impl Simulation {
             self.deliver_manager_msg(now, env, q, report);
             return;
         }
-        let copies = self.transport.plan(Direction::ToClient);
-        self.record_gate(now, Direction::ToClient, &copies);
+        let copies = self.transport.plan();
+        self.record_gate(now, false, &copies);
         for delay in copies {
             q.schedule(now.saturating_add(delay), SimEvent::DeliverClient(env.clone()));
         }
@@ -516,11 +492,10 @@ impl Simulation {
     /// sent/delivered/dropped/duplicated counters (the conservation
     /// identity `delivered + dropped == sent + duplicated` holds per
     /// direction), a delay histogram, and drop/duplicate trace events.
-    fn record_gate(&self, now: u64, dir: Direction, copies: &[u64]) {
+    fn record_gate(&self, now: u64, to_manager: bool, copies: &[u64]) {
         if !self.obs.is_enabled() {
             return;
         }
-        let to_manager = dir == Direction::ToManager;
         let prefix =
             if to_manager { "sim.transport.to_manager" } else { "sim.transport.to_client" };
         self.obs.counter_add(&format!("{prefix}.sent"), 1);
@@ -546,7 +521,7 @@ impl Simulation {
         q: &mut EventQueue<SimEvent>,
         report: &mut SimReport,
     ) {
-        if self.cfg.faults.to_manager.is_ideal() {
+        if self.cfg.faults.is_ideal() {
             if self.obs.is_enabled() {
                 self.obs.counter_inc("sim.transport.to_manager.sent");
                 self.obs.counter_inc("sim.transport.to_manager.delivered");
@@ -555,8 +530,8 @@ impl Simulation {
             self.deliver_client_msg(now, &msg, q, report);
             return;
         }
-        let copies = self.transport.plan(Direction::ToManager);
-        self.record_gate(now, Direction::ToManager, &copies);
+        let copies = self.transport.plan();
+        self.record_gate(now, true, &copies);
         for delay in copies {
             q.schedule(now.saturating_add(delay), SimEvent::DeliverManager(msg.clone()));
         }
@@ -794,20 +769,33 @@ impl Simulation {
         self.record_breaches(now, &fired);
     }
 
-    /// Failure-storm check at a telemetry sample point. Nodes are visited
-    /// in id order and CPU comes from the pure
-    /// [`SimNode::device_cpu_percent`], so the cascade decision sequence
-    /// is a function of the seed alone. A triggered node is killed through
-    /// the normal [`SimEvent::NodeKill`] path `cascade_delay_ms` later, so
-    /// the event loop's liveness bookkeeping sees it.
+    /// Device CPU (percent) at which a node joins the failure storm.
+    const STORM_CPU_THRESHOLD: f64 = 30.5;
+    /// Delay between a node's threshold crossing and its crash, ms.
+    const STORM_CASCADE_DELAY_MS: u64 = 2_000;
+    /// Cascade-kill budget for a run.
+    const STORM_MAX_CASCADES: usize = 2;
+
+    /// Failure-storm check at a telemetry sample point
+    /// ([`SimBuilder::storm`](crate::SimBuilder::storm)): from
+    /// `min(2 s, duration / 4)` on, any live node whose device CPU is at
+    /// or above [`Self::STORM_CPU_THRESHOLD`] crashes
+    /// [`Self::STORM_CASCADE_DELAY_MS`] later — a zone outage where the
+    /// survivors buckle under the load shed onto them. Each node cascades
+    /// at most once, and the storm stops after
+    /// [`Self::STORM_MAX_CASCADES`] kills so a run cannot annihilate its
+    /// own fleet. Nodes are visited in id order and CPU comes from the
+    /// pure [`SimNode::device_cpu_percent`], so the cascade decision
+    /// sequence is a function of the seed alone. A triggered node is
+    /// killed through the normal [`SimEvent::NodeKill`] path, so the
+    /// event loop's liveness bookkeeping sees it.
     pub(crate) fn handle_storm_check(&mut self, now: u64, q: &mut EventQueue<SimEvent>) {
-        let Some(storm) = self.cfg.storm else { return };
-        if now < storm.start_ms {
+        if !self.cfg.storm || now < 2_000.min(self.cfg.duration_ms / 4) {
             return;
         }
         let traffic = self.traffic.fraction(now);
         for i in 0..self.nodes.len() {
-            if self.storm_triggered.len() >= storm.max_cascades {
+            if self.storm_triggered.len() >= Self::STORM_MAX_CASCADES {
                 break;
             }
             let id = self.nodes[i].id;
@@ -815,14 +803,14 @@ impl Simulation {
                 continue;
             }
             let cpu = self.nodes[i].device_cpu_percent(now, traffic);
-            if cpu >= storm.cpu_threshold {
+            if cpu >= Self::STORM_CPU_THRESHOLD {
                 self.storm_triggered.insert(id);
                 self.obs.counter_inc("sim.storm_cascades");
                 self.obs.trace_at(
                     now,
                     TraceEvent::StormCascade { node: id.0, cpu_m: (cpu * 1000.0).round() as u64 },
                 );
-                q.schedule(now + storm.cascade_delay_ms, SimEvent::NodeKill(id));
+                q.schedule(now + Self::STORM_CASCADE_DELAY_MS, SimEvent::NodeKill(id));
             }
         }
     }
@@ -846,7 +834,7 @@ impl Simulation {
         let edge_count = self.graph.edge_count();
         for _ in 0..drift.links_per_tick.min(edge_count) {
             let e = EdgeId(rng.below(edge_count as u64) as u32);
-            let factor = rng.range_f64(1.0 - drift.capacity_swing, 1.0 + drift.capacity_swing);
+            let factor = rng.range_f64(1.0 - DRIFT_CAPACITY_SWING, 1.0 + DRIFT_CAPACITY_SWING);
             // random walk with absolute guard rails so a long run can
             // neither collapse a link to zero nor grow it without bound
             let cap = (self.graph.edge(e).link.capacity_mbps * factor).clamp(100.0, 1.0e6);
@@ -857,7 +845,7 @@ impl Simulation {
         let mut agents = 0u32;
         for _ in 0..drift.nodes_per_tick.min(self.nodes.len()) {
             let i = rng.below(self.nodes.len() as u64) as usize;
-            let p = rng.range_f64(drift.rate_floor, 1.0);
+            let p = rng.range_f64(DRIFT_RATE_FLOOR, 1.0);
             let node = &mut self.nodes[i];
             if node.local_agents().is_empty() {
                 continue;
@@ -1124,14 +1112,13 @@ mod tests {
             SimNode::bare(NodeId(2), NodeSpec::server()),
         ];
         let dust = DustConfig::paper_defaults().with_thresholds(25.0, 20.0, 1.0);
-        let faults = FaultConfig::symmetric(profile);
         Simulation::builder()
             .graph(g)
             .nodes(nodes)
             .traffic(TrafficModel::testbed())
             .dust(dust)
             .duration_ms(60_000)
-            .faults(faults)
+            .faults(profile)
             .seed(seed)
             .build()
             .expect("valid config")

@@ -331,7 +331,7 @@ pub fn scale_fleet_sim_on(
 mod tests {
     use super::*;
     use crate::registry::chaos;
-    use crate::transport::{FaultConfig, FaultProfile};
+    use crate::transport::FaultProfile;
     use dust_obs::SloSpec;
 
     #[test]
@@ -381,12 +381,7 @@ mod tests {
 
     #[test]
     fn chaos_slo_engine_is_a_pure_observer_and_catches_loss() {
-        let faults = FaultConfig::symmetric(FaultProfile {
-            drop: 0.25,
-            duplicate: 0.125,
-            delay_ms: 20,
-            jitter_ms: 100,
-        });
+        let faults = FaultProfile { drop: 0.25, duplicate: 0.125, delay_ms: 20, jitter_ms: 100 };
         let knobs = ScenarioKnobs { duration_ms: Some(60_000), ..ScenarioKnobs::seeded(9) };
         let (plain, _) = chaos(faults, &knobs);
         // thresholds tight enough that a 25 % lossy wire must trip them
@@ -402,7 +397,7 @@ mod tests {
 
     #[test]
     fn chaos_counters_bit_identical_per_seed() {
-        let faults = FaultConfig::symmetric(FaultProfile::chaos(0.25));
+        let faults = FaultProfile::chaos(0.25);
         let knobs = ScenarioKnobs { duration_ms: Some(60_000), ..ScenarioKnobs::seeded(9) };
         let (a, _) = chaos(faults, &knobs);
         let (b, _) = chaos(faults, &knobs);

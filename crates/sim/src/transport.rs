@@ -10,13 +10,13 @@
 //!
 //! All randomness comes from one [`SplitMix64`] stream seeded from the
 //! simulation seed, so a run's entire fault pattern is a pure function of
-//! `(seed, config)`: two same-seed runs produce bit-identical message
+//! `(seed, profile)`: two same-seed runs produce bit-identical message
 //! fates, which is what makes chaos scenarios debuggable and the sweep
 //! results in `EXPERIMENTS.md` reproducible.
 
 use dust_topology::SplitMix64;
 
-/// Fault model for one direction of the control plane.
+/// Fault model for the control plane; both directions share it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultProfile {
     /// Probability an envelope is dropped outright, `0.0..=1.0`.
@@ -68,47 +68,6 @@ impl Default for FaultProfile {
     }
 }
 
-/// Fault model for both directions of the Manager ↔ Client plane.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FaultConfig {
-    /// Client → Manager (registrations, STATs, ACKs, keepalives).
-    pub to_manager: FaultProfile,
-    /// Manager → Client (ACKs, offers, REPs, releases).
-    pub to_client: FaultProfile,
-}
-
-impl FaultConfig {
-    /// Perfect wire in both directions.
-    pub const fn ideal() -> Self {
-        FaultConfig { to_manager: FaultProfile::ideal(), to_client: FaultProfile::ideal() }
-    }
-
-    /// The same profile in both directions.
-    pub fn symmetric(p: FaultProfile) -> Self {
-        FaultConfig { to_manager: p, to_client: p }
-    }
-
-    /// True when neither direction ever touches a message.
-    pub fn is_ideal(&self) -> bool {
-        self.to_manager.is_ideal() && self.to_client.is_ideal()
-    }
-
-    /// Panics on invalid probabilities in either direction.
-    pub fn validate(&self) {
-        self.to_manager.validate();
-        self.to_client.validate();
-    }
-}
-
-/// Which way an envelope is travelling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Client → Manager.
-    ToManager,
-    /// Manager → Client.
-    ToClient,
-}
-
 /// Counters the transport keeps while deciding fates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
@@ -124,25 +83,20 @@ pub struct TransportStats {
 #[derive(Debug, Clone)]
 pub struct Transport {
     rng: SplitMix64,
-    cfg: FaultConfig,
+    profile: FaultProfile,
     stats: TransportStats,
 }
 
 impl Transport {
     /// A transport with its own deterministic RNG stream.
-    pub fn new(seed: u64, cfg: FaultConfig) -> Self {
-        cfg.validate();
+    pub fn new(seed: u64, profile: FaultProfile) -> Self {
+        profile.validate();
         // decorrelate from other consumers of the master seed
         Transport {
             rng: SplitMix64::new(seed ^ 0x7261_6e73_706f_7274),
-            cfg,
+            profile,
             stats: TransportStats::default(),
         }
-    }
-
-    /// The active fault configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
     }
 
     /// Counters so far.
@@ -152,11 +106,8 @@ impl Transport {
 
     /// Decide one envelope's fate: the returned vector holds one delivery
     /// delay (ms) per copy to deliver — empty means the envelope was lost.
-    pub fn plan(&mut self, dir: Direction) -> Vec<u64> {
-        let p = match dir {
-            Direction::ToManager => self.cfg.to_manager,
-            Direction::ToClient => self.cfg.to_client,
-        };
+    pub fn plan(&mut self) -> Vec<u64> {
+        let p = self.profile;
         self.stats.sent += 1;
         if p.drop > 0.0 && self.rng.gen_bool(p.drop) {
             self.stats.dropped += 1;
@@ -188,10 +139,9 @@ mod tests {
 
     #[test]
     fn ideal_transport_delivers_exactly_once_instantly() {
-        let mut t = Transport::new(1, FaultConfig::ideal());
-        for _ in 0..100 {
-            assert_eq!(t.plan(Direction::ToManager), vec![0]);
-            assert_eq!(t.plan(Direction::ToClient), vec![0]);
+        let mut t = Transport::new(1, FaultProfile::ideal());
+        for _ in 0..200 {
+            assert_eq!(t.plan(), vec![0]);
         }
         let s = t.stats();
         assert_eq!((s.sent, s.dropped, s.duplicated), (200, 0, 0));
@@ -199,9 +149,9 @@ mod tests {
 
     #[test]
     fn loss_rate_converges_to_configured_probability() {
-        let mut t = Transport::new(7, FaultConfig::symmetric(FaultProfile::lossy(0.3)));
+        let mut t = Transport::new(7, FaultProfile::lossy(0.3));
         let n = 20_000;
-        let lost = (0..n).filter(|_| t.plan(Direction::ToManager).is_empty()).count();
+        let lost = (0..n).filter(|_| t.plan().is_empty()).count();
         let rate = lost as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.02, "observed loss {rate}");
     }
@@ -209,17 +159,17 @@ mod tests {
     #[test]
     fn duplication_yields_two_copies() {
         let profile = FaultProfile { duplicate: 1.0, ..FaultProfile::ideal() };
-        let mut t = Transport::new(3, FaultConfig::symmetric(profile));
-        assert_eq!(t.plan(Direction::ToClient).len(), 2);
+        let mut t = Transport::new(3, profile);
+        assert_eq!(t.plan().len(), 2);
         assert_eq!(t.stats().duplicated, 1);
     }
 
     #[test]
     fn delay_and_jitter_bound_delivery_times() {
         let profile = FaultProfile { delay_ms: 50, jitter_ms: 20, ..FaultProfile::ideal() };
-        let mut t = Transport::new(9, FaultConfig::symmetric(profile));
+        let mut t = Transport::new(9, profile);
         for _ in 0..500 {
-            for d in t.plan(Direction::ToManager) {
+            for d in t.plan() {
                 assert!((50..=70).contains(&d), "delay {d} outside [50, 70]");
             }
         }
@@ -229,26 +179,16 @@ mod tests {
     fn delay_and_jitter_saturate_at_the_end_of_time() {
         let profile =
             FaultProfile { delay_ms: u64::MAX, jitter_ms: u64::MAX, ..FaultProfile::ideal() };
-        let mut t = Transport::new(9, FaultConfig::symmetric(profile));
-        assert_eq!(t.plan(Direction::ToManager), vec![u64::MAX]);
+        let mut t = Transport::new(9, profile);
+        assert_eq!(t.plan(), vec![u64::MAX]);
     }
 
     #[test]
     fn same_seed_same_fates() {
-        let cfg = FaultConfig::symmetric(FaultProfile {
-            drop: 0.2,
-            duplicate: 0.1,
-            delay_ms: 10,
-            jitter_ms: 30,
-        });
+        let profile = FaultProfile { drop: 0.2, duplicate: 0.1, delay_ms: 10, jitter_ms: 30 };
         let run = |seed: u64| {
-            let mut t = Transport::new(seed, cfg);
-            (0..1000)
-                .map(|i| {
-                    let dir = if i % 2 == 0 { Direction::ToManager } else { Direction::ToClient };
-                    t.plan(dir)
-                })
-                .collect::<Vec<_>>()
+            let mut t = Transport::new(seed, profile);
+            (0..1000).map(|_| t.plan()).collect::<Vec<_>>()
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12), "different seeds must diverge");
@@ -257,6 +197,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "fault probabilities")]
     fn invalid_probability_rejected() {
-        Transport::new(0, FaultConfig::symmetric(FaultProfile::lossy(1.5)));
+        Transport::new(0, FaultProfile::lossy(1.5));
     }
 }

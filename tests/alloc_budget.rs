@@ -241,8 +241,9 @@ fn quiet_fleet(sample_period_ms: u64, obs: ObsHandle) -> Simulation {
 fn samples_after_the_first_allocate_nothing() {
     // Same fleet, same 10 s, 3 samples against 67: if any sample after the
     // first allocated — a regrown series, a name copied, a map node — the
-    // longer series would cost more allocations. They cost the same: all
-    // of a run's telemetry allocations happen at its first sample.
+    // longer series would cost more allocations. They cost the same: a
+    // run's sample buffers are sized at its first sample, and a node's
+    // point lists are allocated once, at its first flush (both runs flush).
     let run = |period: u64, obs: ObsHandle| {
         let mut sim = quiet_fleet(period, obs);
         let (n, report) = allocs_in(|| sim.run());

@@ -172,12 +172,7 @@ fn lossy_control_plane_end_to_end() {
     // leave Manager and Client ledgers agreeing once traffic settles.
     let knobs = ScenarioKnobs { duration_ms: Some(180_000), ..ScenarioKnobs::seeded(99) };
     let (r, _) = registry::chaos(
-        FaultConfig::symmetric(FaultProfile {
-            drop: 0.25,
-            duplicate: 0.1,
-            delay_ms: 20,
-            jitter_ms: 120,
-        }),
+        FaultProfile { drop: 0.25, duplicate: 0.1, delay_ms: 20, jitter_ms: 120 },
         &knobs,
     );
     assert!(r.msgs_dropped > 0, "fault gate must actually fire");
@@ -188,12 +183,7 @@ fn lossy_control_plane_end_to_end() {
 
     // determinism across the full e2e path
     let (again, _) = registry::chaos(
-        FaultConfig::symmetric(FaultProfile {
-            drop: 0.25,
-            duplicate: 0.1,
-            delay_ms: 20,
-            jitter_ms: 120,
-        }),
+        FaultProfile { drop: 0.25, duplicate: 0.1, delay_ms: 20, jitter_ms: 120 },
         &knobs,
     );
     assert_eq!(r, again, "same seed must reproduce identical counters");

@@ -47,8 +47,8 @@ fn run_testbed() -> (ObsHandle, SimReport) {
     (obs, report)
 }
 
-fn chaos_faults() -> FaultConfig {
-    FaultConfig::symmetric(FaultProfile { drop: 0.2, duplicate: 0.1, delay_ms: 20, jitter_ms: 100 })
+fn chaos_faults() -> FaultProfile {
+    FaultProfile { drop: 0.2, duplicate: 0.1, delay_ms: 20, jitter_ms: 100 }
 }
 
 fn run_chaos() -> (ObsHandle, ChaosResult) {
@@ -370,7 +370,7 @@ fn testbed_and_chaos_rows() -> Vec<Row> {
         rows.push(("testbed", seed, report_fingerprint(&obs, &report)));
     }
     for (run, loss) in CHAOS_LADDER {
-        let faults = FaultConfig::symmetric(FaultProfile::chaos(loss));
+        let faults = FaultProfile::chaos(loss);
         for seed in SEEDS {
             let obs = ObsHandle::recording(seed);
             let knobs = ScenarioKnobs {
@@ -474,7 +474,7 @@ fn metrics_json_is_pinned() {
     let sc = registry::find("testbed").expect("registered scenario");
     sc.build_unwatched(&knobs(42, 30_000, &testbed)).unwrap().run();
     let chaos = ObsHandle::recording(7);
-    registry::chaos(FaultConfig::symmetric(FaultProfile::chaos(0.2)), &knobs(7, 60_000, &chaos));
+    registry::chaos(FaultProfile::chaos(0.2), &knobs(7, 60_000, &chaos));
     assert_eq!(
         [json_fnv(&testbed), json_fnv(&chaos)],
         [0x5215_fc70_9382_c2f4, 0x4065_8604_7a9f_6210]

@@ -29,14 +29,9 @@ fn loss_for(seed: u64) -> f64 {
     [0.0, 0.1, 0.2, 0.4][(seed % 4) as usize]
 }
 
-fn faults_for(seed: u64) -> FaultConfig {
+fn faults_for(seed: u64) -> FaultProfile {
     let loss = loss_for(seed);
-    FaultConfig::symmetric(FaultProfile {
-        drop: loss,
-        duplicate: loss / 2.0,
-        delay_ms: 20,
-        jitter_ms: 100,
-    })
+    FaultProfile { drop: loss, duplicate: loss / 2.0, delay_ms: 20, jitter_ms: 100 }
 }
 
 /// Build and run the Fig. 5 testbed chaos scenario with the recorder

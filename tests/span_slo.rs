@@ -82,12 +82,7 @@ fn per_phase_quantiles_are_byte_identical_across_runs() {
 
 #[test]
 fn lossy_transfers_grow_backoff_children_but_stay_complete() {
-    let faults = FaultConfig::symmetric(FaultProfile {
-        drop: 0.2,
-        duplicate: 0.1,
-        delay_ms: 20,
-        jitter_ms: 100,
-    });
+    let faults = FaultProfile { drop: 0.2, duplicate: 0.1, delay_ms: 20, jitter_ms: 100 };
     let obs = ObsHandle::recording(7);
     let (r, _) =
         registry::chaos(faults, &ScenarioKnobs { obs: obs.clone(), ..ScenarioKnobs::seeded(7) });
@@ -103,12 +98,7 @@ fn lossy_transfers_grow_backoff_children_but_stay_complete() {
 
 #[test]
 fn slo_breaches_are_traced_deterministically_and_digested() {
-    let faults = FaultConfig::symmetric(FaultProfile {
-        drop: 0.25,
-        duplicate: 0.1,
-        delay_ms: 20,
-        jitter_ms: 100,
-    });
+    let faults = FaultProfile { drop: 0.25, duplicate: 0.1, delay_ms: 20, jitter_ms: 100 };
     let spec = SloSpec::parse("retransmit_rate<=0.0,convergence<=1").unwrap();
     let run = |seed: u64| {
         let obs = ObsHandle::recording(seed);
