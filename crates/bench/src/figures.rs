@@ -573,7 +573,7 @@ pub fn ablations(seed: u64, effort: Effort) -> String {
         let ft = FatTree::with_default_links(k);
         let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), seed);
         for hops in [1usize, 2, 4] {
-            let run = || heuristic_with(&nmdb, &cfg, hops, &CostEngine::new()).unwrap();
+            let run = || heuristic_with(&nmdb, &cfg, hops, &mut CostEngine::new()).unwrap();
             let hfr = run().hfr_percent();
             let secs = mean_of(reps, run);
             reach.row(&[

@@ -538,10 +538,10 @@ pub fn roles(nmdb: &Nmdb, opts: &Options) -> Result<String, String> {
 /// outcome.
 pub fn cmd_optimize(nmdb: &Nmdb, opts: &Options) -> Result<String, String> {
     let cfg = opts.config()?;
-    let engine = opts.engine();
-    let p = optimize_with(nmdb, &cfg, &engine, None).map_err(|e| e.to_string())?;
+    let mut engine = opts.engine();
+    let p = optimize_with(nmdb, &cfg, &mut engine, None).map_err(|e| e.to_string())?;
     if p.status == PlacementStatus::Infeasible {
-        let e = infeasible_cause(nmdb, &cfg, &engine, &p);
+        let e = infeasible_cause(nmdb, &cfg, &mut engine, &p);
         let hint = match e {
             DustError::NoPathWithinHops => "raise --max-hop",
             _ => "raise CO_max / max-hop, or add capacity",
@@ -593,7 +593,7 @@ pub fn cmd_heuristic(nmdb: &Nmdb, opts: &Options, hops: usize) -> Result<String,
     if hops == 0 {
         return Err("--hops must be at least 1".into());
     }
-    let h = heuristic_with(nmdb, &cfg, hops, &opts.engine()).map_err(|e| e.to_string())?;
+    let h = heuristic_with(nmdb, &cfg, hops, &mut opts.engine()).map_err(|e| e.to_string())?;
     let mut out = format!(
         "placed {:.1} of {:.1} capacity-% within {} hop(s); HFR = {:.2}%\n",
         h.total_cs - h.total_cse,
@@ -638,7 +638,7 @@ pub fn cmd_dot(nmdb: &Nmdb, opts: &Options) -> Result<String, String> {
         .collect();
     // an infeasible outcome is data: the graph still renders, just without
     // a route overlay
-    let p = optimize_with(nmdb, &cfg, &opts.engine(), None).map_err(|e| e.to_string())?;
+    let p = optimize_with(nmdb, &cfg, &mut opts.engine(), None).map_err(|e| e.to_string())?;
     let routes: Vec<_> = p.assignments.iter().filter_map(|a| a.route.clone()).collect();
     Ok(placement_to_dot(&nmdb.graph, "dust", &styles, &routes))
 }
@@ -681,7 +681,7 @@ impl Default for PlaceOptions {
 /// of the links' utilizations, leaving node states (and so the
 /// busy/candidate sets) fixed so the previous round's bases stay
 /// offerable. Mutating through `link_mut` journals the touched links,
-/// which lets the shared cost engine re-price only the crossing rows.
+/// which lets the batch's cost engine re-price only the crossing rows.
 fn drift_links(g: &mut Graph, seed: u64, round: u64) {
     use dust::topology::EdgeId;
     let mut rng = SplitMix64::new(seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -747,7 +747,7 @@ fn route_digest(assignments: &[Assignment]) -> u64 {
 /// generated fat-tree — reporting solve throughput (rounds/sec). With
 /// `--warm` the batch becomes one steady-state instance whose links drift
 /// between rounds: node states freeze at round 0 (keeping the
-/// busy/candidate sets fixed), a shared cost engine re-prices only rows
+/// busy/candidate sets fixed), one cost engine re-prices only rows
 /// crossing drifted links, and each solve warm-starts from the previous
 /// round's basis.
 pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String, String> {
@@ -792,7 +792,7 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
     };
     // `--warm` prices every round through this one engine; a cold round
     // gets a fresh engine of its own, so its cache never grows
-    let engine = opts.base.engine().with_obs(obs.clone());
+    let mut engine = opts.base.engine().with_obs(obs.clone());
 
     let mut out = String::new();
     let mut optimal = 0usize;
@@ -821,12 +821,12 @@ pub fn cmd_place(file_nmdb: Option<&Nmdb>, opts: &PlaceOptions) -> Result<String
                 &storage
             }
         };
-        let fresh;
+        let mut fresh;
         let (round_engine, warm) = if opts.warm {
-            (&engine, last.as_ref().map(|pl| &pl.warm))
+            (&mut engine, last.as_ref().map(|pl| &pl.warm))
         } else {
             fresh = opts.base.engine().with_obs(obs.clone());
-            (&fresh, None)
+            (&mut fresh, None)
         };
         let p = optimize_with(nmdb, &cfg, round_engine, warm).map_err(|e| e.to_string())?;
         if p.warm_used {

@@ -49,15 +49,15 @@ pub fn estimate_io_rate(
     seed: u64,
     iterations: usize,
 ) -> IoRatePoint {
-    // One shared engine for the whole loop. Each iteration re-rolls link
+    // One engine for the whole loop. Each iteration re-rolls link
     // utilizations (a fresh graph epoch), so rows never carry over between
     // iterations — a full refresh keeps only the current epoch to bound
     // cache memory.
-    let engine = CostEngine::new();
+    let mut engine = CostEngine::new();
     let mut infeasible = 0usize;
     for nmdb in scenario_stream(graph, cfg, params, seed, iterations) {
         engine.refresh(&nmdb.graph, None);
-        let p = optimize_with(&nmdb, cfg, &engine, None)
+        let p = optimize_with(&nmdb, cfg, &mut engine, None)
             .expect("threshold configs are validated by the sweep caller");
         if p.status == PlacementStatus::Infeasible {
             infeasible += 1;

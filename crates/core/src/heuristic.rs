@@ -57,7 +57,7 @@ impl HeuristicOutcome {
     }
 }
 
-/// Generalized Algorithm 1 with an explicit shared [`CostEngine`]:
+/// Generalized Algorithm 1 with a caller's [`CostEngine`]:
 /// candidates within `hops` of each Busy node. `hops = 1` is the
 /// published algorithm; larger values trade runtime for a lower HFR
 /// (ablation 3 in DESIGN.md). The one-shot
@@ -71,7 +71,7 @@ pub fn heuristic_with(
     nmdb: &Nmdb,
     cfg: &DustConfig,
     hops: usize,
-    engine: &CostEngine,
+    engine: &mut CostEngine,
 ) -> Result<HeuristicOutcome, DustError> {
     if hops == 0 {
         return Err(DustError::BadConfig("heuristic needs at least one hop of reach".to_string()));
@@ -86,7 +86,7 @@ pub fn heuristic_with(
     let mut remaining_cd: Vec<f64> = nmdb.graph.nodes().map(|n| nmdb.cd(n, cfg)).collect();
 
     let mut assignments: Vec<Assignment> = Vec::new();
-    let (mut scratch, mut dests) = (engine.route_scratch(), Vec::new());
+    let (scratch, mut dests) = (engine.route_scratch(), Vec::new());
     let mut residual = Vec::new();
     let mut total_cs = 0.0;
     let mut total_cse = 0.0;
@@ -134,7 +134,7 @@ pub fn heuristic_with(
         if !taken.is_empty() {
             dests.clear();
             dests.extend(taken.iter().map(|a| a.to));
-            let routes = routes_from(&nmdb.graph, b, &dests, Some(hops), &mut scratch);
+            let routes = routes_from(&nmdb.graph, b, &dests, Some(hops), scratch);
             for (a, route) in taken.iter_mut().zip(routes) {
                 a.route = route;
             }
@@ -185,9 +185,9 @@ mod tests {
         assert!((h.hfr_percent() - 100.0).abs() < 1e-9);
         // ...but the generalized 2-hop variant succeeds, and a partial
         // outcome is data, not an error
-        let engine = CostEngine::new();
-        assert!(heuristic_with(&db, &cfg(), 1, &engine).unwrap().nothing_offloaded());
-        let h2 = heuristic_with(&db, &cfg(), 2, &engine).unwrap();
+        let mut engine = CostEngine::new();
+        assert!(heuristic_with(&db, &cfg(), 1, &mut engine).unwrap().nothing_offloaded());
+        let h2 = heuristic_with(&db, &cfg(), 2, &mut engine).unwrap();
         let placed: f64 = h2.assignments.iter().map(|a| a.amount).sum();
         assert!(h2.fully_offloaded() && (placed - 10.0).abs() < 1e-9);
     }
@@ -292,8 +292,8 @@ mod tests {
         let busy = db.busy_nodes(&c);
         assert!(!busy.is_empty());
         let obs = dust_obs::ObsHandle::recording(0);
-        let engine = CostEngine::new().with_obs(obs.clone());
-        heuristic_with(&db, &c, 2, &engine).unwrap();
+        let mut engine = CostEngine::new().with_obs(obs.clone());
+        heuristic_with(&db, &c, 2, &mut engine).unwrap();
         assert_eq!(obs.counter("cost.cache_misses"), busy.len() as u64);
         assert_eq!(obs.counter("cost.cache_hits"), 0);
     }
@@ -302,7 +302,7 @@ mod tests {
     fn zero_hops_rejected() {
         let g = topologies::line(2, Link::default());
         let db = Nmdb::new(g, vec![NodeState::new(90.0, 1.0), NodeState::new(10.0, 1.0)]);
-        let err = heuristic_with(&db, &cfg(), 0, &CostEngine::new()).unwrap_err();
+        let err = heuristic_with(&db, &cfg(), 0, &mut CostEngine::new()).unwrap_err();
         assert!(
             matches!(&err, DustError::BadConfig(msg) if msg.contains("at least one hop")),
             "{err:?}"

@@ -10,7 +10,7 @@
 //! * [`error`] — the typed [`DustError`] every fallible entry point
 //!   returns;
 //! * [`optimizer`] — the min-cost "ILP" of Eq. 3 solved exactly over
-//!   controllable routes, with route extraction, priced by a shared,
+//!   controllable routes, with route extraction, priced by a caller's
 //!   parallel [`CostEngine`](dust_topology::CostEngine);
 //! * [`heuristic`](mod@heuristic) — Algorithm 1 (one-hop candidates) plus HFR (Eq. 4) and
 //!   a generalized h-hop variant;
@@ -36,8 +36,8 @@
 //!     NodeState::new(25.0, 10.0),
 //! ]);
 //! let cfg = DustConfig::paper_defaults();
-//! let engine = CostEngine::with_threads(2);
-//! let p = optimize_with(&nmdb, &cfg, &engine, None)?;
+//! let mut engine = CostEngine::with_threads(2);
+//! let p = optimize_with(&nmdb, &cfg, &mut engine, None)?;
 //! assert_eq!(p.status, PlacementStatus::Optimal);
 //! assert!((p.total_offloaded() - 12.0).abs() < 1e-6);
 //! # Ok::<(), dust_core::DustError>(())

@@ -256,7 +256,7 @@ pub fn solve_placement(
     })
 }
 
-/// Run the optimization engine with an explicit shared [`CostEngine`],
+/// Run the optimization engine with a caller's [`CostEngine`],
 /// warm-started from a previous round's basis ([`Placement::warm`]) when
 /// one is given.
 ///
@@ -276,14 +276,14 @@ pub fn solve_placement(
 pub fn optimize_with(
     nmdb: &Nmdb,
     cfg: &DustConfig,
-    engine: &CostEngine,
+    engine: &mut CostEngine,
     warm: Option<&WarmState>,
 ) -> Result<Placement, DustError> {
     cfg.validate().map_err(DustError::BadConfig)?;
     // Solver metrics (pivots, warm starts) are recorded through the
     // engine's observability handle — attach one with
     // `CostEngine::with_obs`.
-    let obs = engine.obs();
+    let obs = engine.obs().clone();
     obs.counter_inc("core.placements");
     let busy = nmdb.busy_nodes(cfg);
     let candidates = nmdb.candidate_nodes(cfg);
@@ -306,7 +306,7 @@ pub fn optimize_with(
     // ---- LP solve ----------------------------------------------------------
     let t1 = Instant::now();
     let warm_start = warm.filter(|w| w.matches(&busy, &candidates)).and_then(|w| w.basis.clone());
-    let solution = solve_placement(lp, obs, warm_start)?;
+    let solution = solve_placement(lp, &obs, warm_start)?;
     let solve_time = t1.elapsed();
     if !solution.optimal {
         obs.counter_inc("core.placements_infeasible");
@@ -321,11 +321,11 @@ pub fn optimize_with(
     // ---- Route extraction for the chosen pairs -----------------------------
     let routes_scope = obs.prof_scope("core.routes");
     let mut assignments = Vec::with_capacity(solution.shipped.len());
-    let (mut scratch, mut dests) = (engine.route_scratch(), Vec::new());
+    let (scratch, mut dests) = (engine.route_scratch(), Vec::new());
     // a busy row's destinations are one run of the row-major cells
     for run in solution.shipped.chunk_by(|a, b| a.0 == b.0) {
         let from = busy[run[0].0];
-        let run = assign_run(&nmdb.graph, cfg, from, run, &candidates, &mut scratch, &mut dests);
+        let run = assign_run(&nmdb.graph, cfg, from, run, &candidates, scratch, &mut dests);
         assignments.extend(run);
     }
     drop(routes_scope);
@@ -399,7 +399,7 @@ pub fn routes_from<'a>(
 pub fn infeasible_cause(
     nmdb: &Nmdb,
     cfg: &DustConfig,
-    engine: &CostEngine,
+    engine: &mut CostEngine,
     placement: &Placement,
 ) -> DustError {
     let (busy, candidates) = (&placement.busy, &placement.candidates);
@@ -480,7 +480,7 @@ mod tests {
         );
         // an invalid configuration is typed too
         let bad = cfg().with_thresholds(60.0, 70.0, 5.0);
-        let err = optimize_with(&simple_nmdb(), &bad, &CostEngine::new(), None).unwrap_err();
+        let err = optimize_with(&simple_nmdb(), &bad, &mut CostEngine::new(), None).unwrap_err();
         assert!(matches!(err, DustError::BadConfig(_)));
     }
 
@@ -524,10 +524,10 @@ mod tests {
     #[test]
     fn hop_starvation_is_distinguished_from_capacity_shortfall() {
         let cause = |db: &Nmdb, c: &DustConfig| {
-            let engine = CostEngine::new();
-            let p = optimize_with(db, c, &engine, None).unwrap();
+            let mut engine = CostEngine::new();
+            let p = optimize_with(db, c, &mut engine, None).unwrap();
             assert_eq!(p.status, PlacementStatus::Infeasible);
-            infeasible_cause(db, c, &engine, &p)
+            infeasible_cause(db, c, &mut engine, &p)
         };
         // candidate is 2 hops away; a 1-hop bound starves routing
         let starved = cfg().with_max_hop(Some(1));
@@ -685,14 +685,14 @@ mod tests {
                 } else {
                     fat_tree_nmdb(16, seed)
                 };
-                let engine = CostEngine::new();
-                let first = optimize_with(&base, &cfg(), &engine, None).unwrap();
+                let mut engine = CostEngine::new();
+                let first = optimize_with(&base, &cfg(), &mut engine, None).unwrap();
                 if first.status != PlacementStatus::Optimal {
                     continue;
                 }
                 let next = drifted(&base, seed.wrapping_mul(2654435761).wrapping_add(1));
-                let cold = optimize_with(&next, &cfg(), &engine, None).unwrap();
-                let warm = optimize_with(&next, &cfg(), &engine, Some(&first.warm)).unwrap();
+                let cold = optimize_with(&next, &cfg(), &mut engine, None).unwrap();
+                let warm = optimize_with(&next, &cfg(), &mut engine, Some(&first.warm)).unwrap();
                 assert_eq!(cold.status, warm.status, "topo={topo} seed={seed}");
                 if cold.status == PlacementStatus::Optimal {
                     assert!(
@@ -714,13 +714,13 @@ mod tests {
     fn warm_round_over_unchanged_instance_pivots_zero_times() {
         let db = fat_tree_nmdb(8, 42);
         let obs = dust_obs::ObsHandle::recording(0);
-        let engine = CostEngine::new().with_obs(obs.clone());
-        let first = optimize_with(&db, &cfg(), &engine, None).unwrap();
+        let mut engine = CostEngine::new().with_obs(obs.clone());
+        let first = optimize_with(&db, &cfg(), &mut engine, None).unwrap();
         assert_eq!(first.status, PlacementStatus::Optimal);
         assert!(!first.warm.is_empty(), "optimal transportation rounds must export a basis");
         let cached = engine.cached_rows();
         assert!(cached > 0, "the solve must populate the shared cache");
-        let warm = optimize_with(&db, &cfg(), &engine, Some(&first.warm)).unwrap();
+        let warm = optimize_with(&db, &cfg(), &mut engine, Some(&first.warm)).unwrap();
         assert!(warm.warm_used);
         assert_eq!(engine.cached_rows(), cached, "second solve must be all cache hits");
         // flows are re-derived from the basis by leaf-peeling, so the sum
@@ -735,15 +735,15 @@ mod tests {
     #[test]
     fn warm_bases_are_ignored_when_the_busy_set_changes() {
         let db = fat_tree_nmdb(8, 7);
-        let engine = CostEngine::new();
-        let first = optimize_with(&db, &cfg(), &engine, None).unwrap();
+        let mut engine = CostEngine::new();
+        let first = optimize_with(&db, &cfg(), &mut engine, None).unwrap();
         assert_eq!(first.status, PlacementStatus::Optimal);
         // flip one candidate to busy: the LP's rows/columns reshape, so the
         // stale basis must be ignored, not trusted
         let mut db2 = db.clone();
         let flipped = first.candidates[0];
         db2.states[flipped.index()].utilization = 99.0;
-        let warm = optimize_with(&db2, &cfg(), &engine, Some(&first.warm)).unwrap();
+        let warm = optimize_with(&db2, &cfg(), &mut engine, Some(&first.warm)).unwrap();
         assert!(!warm.warm_used);
     }
 
@@ -751,8 +751,8 @@ mod tests {
     fn simplex_backend_carries_no_warm_state() {
         // only an optimal solve exports a basis: a round that never solves
         // (no busy node) or solves to infeasibility carries none
-        let engine = CostEngine::new();
-        let solved = optimize_with(&simple_nmdb(), &cfg(), &engine, None).unwrap();
+        let mut engine = CostEngine::new();
+        let solved = optimize_with(&simple_nmdb(), &cfg(), &mut engine, None).unwrap();
         assert!(!solved.warm.is_empty());
         let g = topologies::line(2, Link::default());
         let quiet = Nmdb::new(g.clone(), vec![NodeState::new(50.0, 1.0); 2]);
@@ -760,7 +760,7 @@ mod tests {
         for (db, status) in
             [(quiet, PlacementStatus::NoBusyNodes), (short, PlacementStatus::Infeasible)]
         {
-            let p = optimize_with(&db, &cfg(), &engine, Some(&solved.warm)).unwrap();
+            let p = optimize_with(&db, &cfg(), &mut engine, Some(&solved.warm)).unwrap();
             assert_eq!(p.status, status);
             assert!(p.warm.is_empty(), "{status:?}");
             assert!(!p.warm_used, "{status:?}");

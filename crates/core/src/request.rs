@@ -21,7 +21,7 @@
 //! let p = optimize(&nmdb, &cfg);
 //! assert!((p.total_offloaded() - 12.0).abs() < 1e-6);
 //! // the candidate is two hops away: Algorithm 1 needs that much reach
-//! let h = heuristic_with(&nmdb, &cfg, 2, &CostEngine::new()).unwrap();
+//! let h = heuristic_with(&nmdb, &cfg, 2, &mut CostEngine::new()).unwrap();
 //! assert!(h.fully_offloaded());
 //! ```
 
@@ -42,7 +42,7 @@ pub fn optimize(nmdb: &Nmdb, cfg: &DustConfig) -> Placement {
     cfg.validate().expect("invalid DustConfig");
     // The pivot cap is not known to be reachable; fold it into the one
     // failure the status enum can express.
-    optimize_with(nmdb, cfg, &CostEngine::new(), None).unwrap_or_else(|_| {
+    optimize_with(nmdb, cfg, &mut CostEngine::new(), None).unwrap_or_else(|_| {
         let (busy, candidates) = (nmdb.busy_nodes(cfg), nmdb.candidate_nodes(cfg));
         Placement::unsolved(PlacementStatus::Infeasible, busy, candidates)
     })
@@ -56,7 +56,7 @@ pub fn optimize(nmdb: &Nmdb, cfg: &DustConfig) -> Placement {
 /// # Panics
 /// Panics when `cfg` is invalid.
 pub fn heuristic(nmdb: &Nmdb, cfg: &DustConfig) -> HeuristicOutcome {
-    heuristic_with(nmdb, cfg, 1, &CostEngine::new()).unwrap_or_else(|e| panic!("{e}"))
+    heuristic_with(nmdb, cfg, 1, &mut CostEngine::new()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -88,8 +88,8 @@ mod tests {
         let db = simple_nmdb();
         let base = optimize(&db, &cfg());
         for n in [1usize, 2, 4, 8] {
-            let engine = CostEngine::with_threads(n);
-            let p = optimize_with(&db, &cfg(), &engine, None).unwrap();
+            let mut engine = CostEngine::with_threads(n);
+            let p = optimize_with(&db, &cfg(), &mut engine, None).unwrap();
             assert_eq!(p.beta.to_bits(), base.beta.to_bits(), "threads {n}");
             assert_eq!(engine.threads(), n);
         }
@@ -101,10 +101,10 @@ mod tests {
         // points they call return it as data
         let db = simple_nmdb();
         let bad = cfg().with_thresholds(60.0, 70.0, 5.0);
-        let engine = CostEngine::new();
-        let err = optimize_with(&db, &bad, &engine, None).unwrap_err();
+        let mut engine = CostEngine::new();
+        let err = optimize_with(&db, &bad, &mut engine, None).unwrap_err();
         assert!(matches!(err, DustError::BadConfig(_)));
-        let err = heuristic_with(&db, &bad, 1, &engine).unwrap_err();
+        let err = heuristic_with(&db, &bad, 1, &mut engine).unwrap_err();
         assert!(matches!(err, DustError::BadConfig(_)));
     }
 
@@ -114,7 +114,7 @@ mod tests {
         let db = simple_nmdb();
         assert!(heuristic(&db, &cfg()).nothing_offloaded());
         // the generalized reach succeeds
-        let h = heuristic_with(&db, &cfg(), 2, &CostEngine::new()).unwrap();
+        let h = heuristic_with(&db, &cfg(), 2, &mut CostEngine::new()).unwrap();
         assert!(h.fully_offloaded());
         let placed: f64 = h.assignments.iter().map(|a| a.amount).sum();
         assert!((placed - 10.0).abs() < 1e-9);
@@ -124,15 +124,15 @@ mod tests {
     fn shared_engine_reuses_rows_across_strategies() {
         let db = simple_nmdb();
         let c = cfg().with_max_hop(Some(2));
-        let engine = CostEngine::with_threads(2);
-        let lp = optimize_with(&db, &c, &engine, None).unwrap();
+        let mut engine = CostEngine::with_threads(2);
+        let lp = optimize_with(&db, &c, &mut engine, None).unwrap();
         let cached = engine.cached_rows();
         assert!(cached > 0, "the solve must populate the shared cache");
-        let again = optimize_with(&db, &c, &engine, None).unwrap();
+        let again = optimize_with(&db, &c, &mut engine, None).unwrap();
         assert_eq!(engine.cached_rows(), cached, "second solve must be all cache hits");
         assert_eq!(lp.beta.to_bits(), again.beta.to_bits());
         // Algorithm 1 at the same reach reads the rows the LP priced
-        let h = heuristic_with(&db, &c, 2, &engine).unwrap();
+        let h = heuristic_with(&db, &c, 2, &mut engine).unwrap();
         assert_eq!(engine.cached_rows(), cached, "the heuristic must reuse the LP's rows");
         assert!(h.fully_offloaded());
         assert_eq!(h.assignments.len(), lp.assignments.len());

@@ -24,7 +24,7 @@ fn backends_agree() {
     let c = cfg();
     for seed in 0..24u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let a = optimize_with(&db, &c, &CostEngine::new(), None).unwrap();
+        let a = optimize_with(&db, &c, &mut CostEngine::new(), None).unwrap();
         match (a.status, beta_via_raw_lp(&db, &c).0) {
             (PlacementStatus::Optimal, Some(b)) => assert!(
                 (a.beta - b).abs() <= 1e-5 * (1.0 + a.beta.abs()),
@@ -110,7 +110,7 @@ fn hfr_bounds_and_monotonicity() {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
         let mut prev = f64::INFINITY;
         for hops in [1usize, 2, 4, 6] {
-            let h = heuristic_with(&db, &c, hops, &CostEngine::new()).unwrap();
+            let h = heuristic_with(&db, &c, hops, &mut CostEngine::new()).unwrap();
             let rate = h.hfr_percent();
             assert!((0.0..=100.0 + 1e-9).contains(&rate), "seed {seed}: HFR {rate} out of range");
             assert!(
@@ -204,12 +204,12 @@ fn one_shot_matches_the_with_doors_at_every_thread_count() {
         let base = optimize(&db, &c);
         let base_h = heuristic(&db, &c);
         for threads in [1usize, 2, 7] {
-            let engine = CostEngine::with_threads(threads);
-            let p = optimize_with(&db, &c, &engine, None).unwrap();
+            let mut engine = CostEngine::with_threads(threads);
+            let p = optimize_with(&db, &c, &mut engine, None).unwrap();
             assert_eq!(p.status, base.status, "seed {seed} threads {threads}");
             assert_eq!(p.beta.to_bits(), base.beta.to_bits(), "seed {seed} threads {threads}");
             assert_eq!(p.assignments.len(), base.assignments.len(), "seed {seed}");
-            let h = heuristic_with(&db, &c, 1, &engine).unwrap();
+            let h = heuristic_with(&db, &c, 1, &mut engine).unwrap();
             assert_eq!(h.beta.to_bits(), base_h.beta.to_bits(), "seed {seed} threads {threads}");
             assert_eq!(h.assignments.len(), base_h.assignments.len(), "seed {seed}");
         }

@@ -54,8 +54,8 @@ type Pin = (u64, u64, u64, u64, u64);
 
 fn solve(nmdb: &Nmdb, cfg: &DustConfig) -> Pin {
     let obs = ObsHandle::recording(0);
-    let engine = CostEngine::with_threads(1).with_obs(obs.clone());
-    let p: Placement = optimize_with(nmdb, cfg, &engine, None).expect("solves");
+    let mut engine = CostEngine::with_threads(1).with_obs(obs.clone());
+    let p: Placement = optimize_with(nmdb, cfg, &mut engine, None).expect("solves");
     let mut h =
         fnv1a(0xcbf2_9ce4_8422_2325, format!("{:?} {:?}", p.status, p.warm.basis).as_bytes());
     for a in &p.assignments {
@@ -179,8 +179,8 @@ fn dp_cfg(hop: usize) -> DustConfig {
 }
 
 fn routes_of(nmdb: &Nmdb, cfg: &DustConfig) -> u64 {
-    let engine = CostEngine::with_threads(1);
-    let p = optimize_with(nmdb, cfg, &engine, None).expect("solves");
+    let mut engine = CostEngine::with_threads(1);
+    let p = optimize_with(nmdb, cfg, &mut engine, None).expect("solves");
     route_digest(&p.assignments)
 }
 
@@ -231,11 +231,11 @@ fn tied_and_heuristic_routes_are_pinned() {
             got.push(routes_of(&uniform_nmdb(seed), &dp_cfg(hop)));
         }
     }
-    let engine = CostEngine::with_threads(1);
+    let mut engine = CostEngine::with_threads(1);
     for hops in [1, 2] {
         for seed in SEEDS {
             for db in [uniform_nmdb(seed), decide_nmdb(16, seed)] {
-                let h = heuristic_with(&db, &DustConfig::paper_defaults(), hops, &engine)
+                let h = heuristic_with(&db, &DustConfig::paper_defaults(), hops, &mut engine)
                     .expect("a valid config and hop count");
                 got.push(route_digest(&h.assignments));
             }

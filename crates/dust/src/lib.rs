@@ -29,15 +29,15 @@
 //!
 //! // exact placement (the paper's ILP), priced by the parallel memoizing
 //! // cost engine; share the engine across rounds to reuse its rows …
-//! let engine = CostEngine::with_threads(4);
-//! let p = optimize_with(&nmdb, &cfg, &engine, None)?;
+//! let mut engine = CostEngine::with_threads(4);
+//! let p = optimize_with(&nmdb, &cfg, &mut engine, None)?;
 //! if p.status == PlacementStatus::Infeasible {
 //!     // hop bound or capacity? the engine already holds the rows to tell
-//!     let _why = infeasible_cause(&nmdb, &cfg, &engine, &p);
+//!     let _why = infeasible_cause(&nmdb, &cfg, &mut engine, &p);
 //! }
 //!
 //! // … and Algorithm 1, with its failure rate
-//! let h = heuristic_with(&nmdb, &cfg, 1, &engine)?;
+//! let h = heuristic_with(&nmdb, &cfg, 1, &mut engine)?;
 //! assert!(h.hfr_percent() >= 0.0);
 //! # Ok::<(), DustError>(())
 //! ```

@@ -28,7 +28,7 @@ use dust_core::{
     Placement, PlacementLp, PlacementStatus, WarmState, FLOW_TOL,
 };
 use dust_obs::{ObsHandle, TraceEvent};
-use dust_topology::{CostEngine, DpScratch, Graph, NodeId, Path};
+use dust_topology::{CostEngine, Graph, NodeId, Path};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -273,10 +273,12 @@ pub struct Manager {
     next_request: u64,
     /// Observability sink for protocol transitions (no-op by default).
     obs: ObsHandle,
-    /// Persistent cost engine: the graph never changes after
-    /// construction, so `T_rmin` rows stay cached across placement
-    /// rounds. Solver metrics flow through its attached [`ObsHandle`].
-    engine: Arc<CostEngine>,
+    /// This Manager's own cost engine: `T_rmin` rows stay cached across
+    /// placement rounds and migrate across the link drift this Manager's
+    /// graph journals; a clone gets a copy of the cache and its epoch, so
+    /// two Managers never price with each other's rows. Solver metrics
+    /// flow through its attached [`ObsHandle`].
+    engine: CostEngine,
 }
 
 impl Manager {
@@ -342,16 +344,16 @@ impl Manager {
             delta_full_every: DEFAULT_DELTA_FULL_EVERY,
             next_request: 0,
             obs: ObsHandle::disabled(),
-            engine: Arc::new(CostEngine::new()),
+            engine: CostEngine::new(),
         })
     }
 
     /// Attach an observability handle: every protocol transition and
-    /// the optimizer's solver/cache metrics record through it. The
-    /// shared cost engine is rebuilt so its accounting lands on the
-    /// same handle; its memoized rows restart cold.
+    /// the optimizer's solver/cache metrics record through it. The cost
+    /// engine is rebuilt so its accounting lands on the same handle; its
+    /// memoized rows restart cold.
     pub fn set_obs(&mut self, obs: ObsHandle) {
-        self.engine = Arc::new(CostEngine::new().with_obs(obs.clone()));
+        self.engine = CostEngine::new().with_obs(obs.clone());
         self.obs = obs;
     }
 
@@ -617,7 +619,7 @@ impl Manager {
     /// duplicate a still-unconfirmed offer (same busy node and destination)
     /// are skipped — the expiry/retry machinery owns those.
     ///
-    /// Before anything solves, the shared cost engine migrates its cached
+    /// Before anything solves, the cost engine migrates its cached
     /// `T_rmin` rows across whatever link drift accumulated since the last
     /// round (incremental when few links moved, a full re-price past
     /// [`dust_topology::MAX_DIRTY_FRACTION`] of them). With
@@ -662,7 +664,8 @@ impl Manager {
         // no plan to act on; fold it into the infeasible outcome like
         // `dust_core::optimize`, but leave a count and a trace event saying
         // which it was.
-        let placement = optimize_with(nmdb, &self.cfg, &self.engine, warm).unwrap_or_else(|err| {
+        let engine = &mut self.engine;
+        let placement = optimize_with(nmdb, &self.cfg, engine, warm).unwrap_or_else(|err| {
             let kind = err.kind();
             self.obs.counter_inc("proto.solve_errors");
             self.obs.counter_inc(&format!("proto.solve_errors.{kind}"));
@@ -818,7 +821,7 @@ impl Manager {
                 // full engine reconcile the whole fleet this round
                 return None;
             }
-            let (mut scratch, mut dests) = (self.engine.route_scratch(), Vec::new());
+            let (scratch, mut dests) = (self.engine.route_scratch(), Vec::new());
             for run in solution.shipped.chunk_by(|a, b| a.0 == b.0) {
                 let req = degraded[run[0].0];
                 let h = &self.hostings[&req];
@@ -831,8 +834,7 @@ impl Manager {
                         continue;
                     }
                 }
-                let run =
-                    assign_run(graph, cfg, h.from, run, &candidates, &mut scratch, &mut dests);
+                let run = assign_run(graph, cfg, h.from, run, &candidates, scratch, &mut dests);
                 rehomes.extend(run.map(|a| (req, a)));
             }
         }
@@ -962,8 +964,6 @@ impl Manager {
                 }
             })
             .collect();
-        let engine = Arc::clone(&self.engine);
-        let mut scratch = engine.route_scratch();
         for failed in failed_dests {
             // re-home every hosting on the failed destination
             let affected: Vec<RequestId> = self
@@ -974,14 +974,7 @@ impl Manager {
                 .collect();
             for req in affected {
                 let Some(hosting) = self.hostings.remove(&req) else { continue };
-                let picked = self.pick_replacement(
-                    now_ms,
-                    failed,
-                    hosting.from,
-                    hosting.amount,
-                    &mut scratch,
-                );
-                match picked {
+                match self.pick_replacement(now_ms, failed, hosting.from, hosting.amount) {
                     Some((replacement, inv_lu, path)) => {
                         let new_req = self.fresh_request();
                         // a fresh controllable route — the old one ran to
@@ -1091,14 +1084,14 @@ impl Manager {
     /// within `CO_max`, and which `from` reaches within the hop bound, the
     /// least loaded, the lowest id on a tie. A registrant the topology
     /// does not have has no route, so it is never a candidate (a snapshot
-    /// ([`Manager::snapshot`]) leaves such registrants out too).
+    /// ([`Manager::snapshot`]) leaves such registrants out too). The DP
+    /// runs in the engine's route scratch.
     fn pick_replacement(
-        &self,
+        &mut self,
         now_ms: u64,
         failed: NodeId,
         from: NodeId,
         amount: f64,
-        scratch: &mut DpScratch,
     ) -> Option<(NodeId, f64, Path)> {
         // what each destination hosts, summed once over the ledger in
         // request-id order — the terms and the order a per-node rescan adds
@@ -1117,6 +1110,7 @@ impl Manager {
             .filter(|(_, load)| load + amount <= self.cfg.co_max)
             .collect();
         let dests: Vec<NodeId> = fitting.iter().map(|&(n, _)| n).collect();
+        let scratch = self.engine.route_scratch();
         scratch.run_to(&self.graph, from, &dests, self.cfg.max_hop);
         let (replica, _) = fitting
             .into_iter()
@@ -1130,7 +1124,7 @@ impl Manager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dust_topology::{topologies, Link};
+    use dust_topology::{topologies, EdgeId, Link};
 
     fn manager_on_line(n: usize) -> Manager {
         Manager::new(
@@ -1600,6 +1594,58 @@ mod tests {
         assert_eq!(slice.graph().edge(e2).link.utilization, 0.9);
     }
 
+    /// A Manager on an 8-node line at hop 2 that has run one round: node 0
+    /// Busy at 95 %, nodes 1–2 candidates at 20 %, the rest Neutral.
+    fn priced_line_manager() -> (Manager, DustConfig) {
+        let cfg = DustConfig::paper_defaults().with_max_hop(Some(2));
+        let g = topologies::line(8, Link::new(1000.0, 0.5));
+        let mut m = Manager::new(g, cfg, SolverBackend::Transportation, 1000, 3000).unwrap();
+        for n in 0..8 {
+            let util = match n {
+                0 => 95.0,
+                1 | 2 => 20.0,
+                _ => 60.0,
+            };
+            register_and_stat(&mut m, NodeId(n), util);
+        }
+        m.run_placement(0);
+        (m, cfg)
+    }
+
+    #[test]
+    fn a_cloned_manager_prices_with_its_own_links() {
+        let (mut original, cfg) = priced_line_manager();
+        let mut clone = original.clone();
+        // the original drifts the Busy node's only link; the clone drifts
+        // one outside that row's hop cone
+        original.graph_mut().link_mut(EdgeId(0)).utilization = 0.05;
+        clone.graph_mut().link_mut(EdgeId(6)).utilization = 0.9;
+        for m in [&mut original, &mut clone] {
+            let (p, _) = m.run_placement(1000);
+            let fresh = optimize_with(&m.snapshot(), &cfg, &mut CostEngine::new(), None).unwrap();
+            assert_eq!(p.status, PlacementStatus::Optimal);
+            assert_eq!(p.beta.to_bits(), fresh.beta.to_bits(), "{} vs {}", p.beta, fresh.beta);
+        }
+    }
+
+    #[test]
+    fn a_clone_given_a_handle_prices_cold_and_leaves_the_original_warm() {
+        let (mut original, _) = priced_line_manager();
+        let original_obs = ObsHandle::recording(0);
+        original.set_obs(original_obs.clone());
+        original.run_placement(1000);
+        let mut clone = original.clone();
+        let obs = ObsHandle::recording(0);
+        clone.set_obs(obs.clone());
+        clone.run_placement(2000);
+        assert_eq!(obs.counter("cost.cache_hits"), 0);
+        assert!(obs.counter("cost.rows_priced") > 0);
+        assert_eq!(obs.counter("cost.cache_misses"), obs.counter("cost.rows_priced"));
+        let priced = original_obs.counter("cost.rows_priced");
+        original.run_placement(2000);
+        assert_eq!(original_obs.counter("cost.rows_priced"), priced, "the original stays warm");
+    }
+
     #[test]
     fn a_graph_someone_else_holds_is_copied_at_the_first_drain_not_before() {
         let shared = Arc::new(topologies::line(3, Link::default()));
@@ -1644,12 +1690,10 @@ mod tests {
         for n in strangers {
             register_and_stat(&mut m, n, 0.0);
         }
-        let pick = |m: &Manager| {
-            m.pick_replacement(0, NodeId(1), NodeId(0), 5.0, &mut DpScratch::default()).map(|r| r.0)
-        };
-        assert_eq!(pick(&m), None);
+        let pick = |m: &mut Manager| m.pick_replacement(0, NodeId(1), NodeId(0), 5.0).map(|r| r.0);
+        assert_eq!(pick(&mut m), None);
         register_and_stat(&mut m, NodeId(2), 40.0);
-        assert_eq!(pick(&m), Some(NodeId(2)));
+        assert_eq!(pick(&mut m), Some(NodeId(2)));
     }
 
     /// A record's fields, floats as bits.

@@ -311,11 +311,6 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Convenience: compress and report the achieved ratio.
-pub fn compression_ratio(series: &Series) -> f64 {
-    compress(series).ratio()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

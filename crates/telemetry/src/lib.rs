@@ -53,7 +53,7 @@ pub mod framing;
 pub mod tsdb;
 
 pub use agents::{aggregate_load, AgentKind, AgentLoad, IntSampler, IntSampling, MonitorAgent};
-pub use compress::{compress, compression_ratio, decompress, CompressedBlock};
+pub use compress::{compress, decompress, CompressedBlock};
 pub use federation::{Aggregation, Federation};
 pub use framing::{crc32, deframe, deframe_stream, frame, FrameError};
 pub use tsdb::{Point, Series, SeriesId, Tsdb};

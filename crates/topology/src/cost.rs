@@ -10,20 +10,19 @@ use crate::graph::{EdgeId, Graph, NodeId};
 use crate::paths::{min_inv_lu_dp_into, DpScratch, RowScratch};
 use dust_obs::{LocalProfiler, ObsHandle, TraceEvent};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The minimum response times (seconds) of the `|V_b| × |V_o|` pairs that
 /// have a path inside the hop bound: Eq. 3 has a variable for those pairs
 /// only. Each row lists its reachable columns in ascending order with their
 /// `T_rmin`; a pair a row does not list has no path within the bound, and
 /// the placement layer must not route between it.
+///
+/// [`CostEngine::build_matrix`] is the one door to a matrix; a one-shot
+/// caller writes `CostEngine::with_threads(1).build_matrix(..)`.
 #[derive(Debug, Clone)]
 pub struct CostMatrix {
-    /// Busy (source) nodes, row order.
-    pub sources: Vec<NodeId>,
-    /// Offload-candidate (destination) nodes, column order.
-    pub destinations: Vec<NodeId>,
     /// Row `r`'s entries are `row_start[r]..row_start[r + 1]` of `columns`
     /// and `t_rmin`.
     pub row_start: Vec<u32>,
@@ -34,37 +33,6 @@ pub struct CostMatrix {
 }
 
 impl CostMatrix {
-    /// Build the matrix sequentially with a throwaway [`CostEngine`].
-    /// `data_mb[r]` is `D_i` (Mb) for `sources[r]`.
-    ///
-    /// Prefer holding a [`CostEngine`] across solves — it parallelizes row
-    /// computation and reuses cached rows between re-optimizations; this
-    /// constructor exists for one-shot and test use.
-    ///
-    /// # Panics
-    /// Panics if `data_mb.len() != sources.len()`.
-    pub fn build(
-        g: &Graph,
-        sources: &[NodeId],
-        destinations: &[NodeId],
-        data_mb: &[f64],
-        max_hop: Option<usize>,
-    ) -> Self {
-        CostEngine::with_threads(1).build_matrix(g, sources, destinations, data_mb, max_hop)
-    }
-
-    /// Number of rows (Busy nodes).
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Number of columns (Offload-candidates).
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.destinations.len()
-    }
-
     /// Row `r`'s reachable columns, ascending, and their `T_rmin`.
     pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
         let at = self.row_start[r] as usize..self.row_start[r + 1] as usize;
@@ -76,11 +44,6 @@ impl CostMatrix {
     pub fn at(&self, r: usize, c: usize) -> f64 {
         let (cols, t) = self.row(r);
         cols.binary_search(&(c as u32)).map_or(f64::INFINITY, |k| t[k])
-    }
-
-    /// True if any (source, destination) pair is connected within the bound.
-    pub fn any_reachable(&self) -> bool {
-        !self.t_rmin.is_empty()
     }
 }
 
@@ -112,20 +75,23 @@ fn hop_key(max_hop: Option<usize>) -> u64 {
 /// periodic re-solve loop — hit the cache instead of re-pricing. Cached
 /// rows store `Σ 1/Lu_e` (not `T_rmin`), so one row serves every data
 /// volume `D_i`.
-#[derive(Debug)]
+///
+/// An engine has one owner: pricing, refreshing and routing take
+/// `&mut self`, and a clone carries a cache and an epoch of its own.
+#[derive(Debug, Clone)]
 pub struct CostEngine {
     /// Worker count, resolved once at construction: never 0.
     threads: usize,
-    cache: RwLock<HashMap<RowKey, Arc<Vec<f64>>>>,
+    cache: HashMap<RowKey, Arc<Vec<f64>>>,
     obs: ObsHandle,
     /// Epoch of the last [`CostEngine::refresh`] snapshot: rows keyed here
     /// predate everything in the graph's dirty journal, so they are the
     /// ones eligible for migration at the next refresh. `0` = never
     /// refreshed (no epoch is ever handed out as 0).
-    coherent_epoch: AtomicU64,
+    coherent_epoch: u64,
     /// The hop layers routes over this engine's graph backtrack through,
     /// kept from one placement round to the next.
-    routes: Mutex<DpScratch>,
+    routes: DpScratch,
 }
 
 impl Default for CostEngine {
@@ -172,10 +138,10 @@ impl CostEngine {
         };
         CostEngine {
             threads,
-            cache: RwLock::new(HashMap::new()),
+            cache: HashMap::new(),
             obs: ObsHandle::disabled(),
-            coherent_epoch: AtomicU64::new(0),
-            routes: Mutex::default(),
+            coherent_epoch: 0,
+            routes: DpScratch::default(),
         }
     }
 
@@ -201,15 +167,14 @@ impl CostEngine {
 
     /// The working memory route extraction runs its DPs in: a round that
     /// routes through it allocates no layers a previous round already
-    /// grew. Every run overwrites what the last one left, so a scratch a
-    /// panicking holder left behind is as good as any.
-    pub fn route_scratch(&self) -> MutexGuard<'_, DpScratch> {
-        self.routes.lock().unwrap_or_else(PoisonError::into_inner)
+    /// grew. Every run overwrites what the last one left.
+    pub fn route_scratch(&mut self) -> &mut DpScratch {
+        &mut self.routes
     }
 
     /// Number of rows currently cached (all epochs).
     pub fn cached_rows(&self) -> usize {
-        self.cache.read().expect("cost cache poisoned").len()
+        self.cache.len()
     }
 
     /// Incrementally re-validate the row cache against the mutations `g`
@@ -242,10 +207,10 @@ impl CostEngine {
     /// epochs. Records `cost.rows_migrated`, `cost.rows_invalidated`,
     /// `cost.refreshes`, and `cost.full_invalidations` counters; no trace
     /// events, so golden digests never depend on refresh cadence.
-    pub fn refresh(&self, g: &Graph, dirty: Option<Vec<EdgeId>>) -> RefreshStats {
+    pub fn refresh(&mut self, g: &Graph, dirty: Option<Vec<EdgeId>>) -> RefreshStats {
         let _prof = self.obs.prof_scope("cost.refresh");
         let cur = g.epoch();
-        let prev = self.coherent_epoch.swap(cur, Ordering::Relaxed);
+        let prev = std::mem::replace(&mut self.coherent_epoch, cur);
         if self.obs.is_enabled() {
             self.obs.counter_inc("cost.refreshes");
         }
@@ -262,7 +227,7 @@ impl CostEngine {
                     || (d.len() as f64) > MAX_DIRTY_FRACTION * g.edge_count() as f64
             }
         };
-        let mut cache = self.cache.write().expect("cost cache poisoned");
+        let cache = &mut self.cache;
         let mut stats = RefreshStats { full, ..RefreshStats::default() };
         if full {
             let before = cache.len();
@@ -290,7 +255,7 @@ impl CostEngine {
                         None => true,
                     },
                 };
-                let row = cache.remove(&key).expect("row key vanished under write lock");
+                let row = cache.remove(&key).expect("a listed key is cached");
                 if affected {
                     stats.invalidated += 1;
                 } else {
@@ -318,7 +283,7 @@ impl CostEngine {
     /// identical for any thread count. One source's cached row is
     /// `rows(g, &[src], ..)[0]`.
     pub fn rows(
-        &self,
+        &mut self,
         g: &Graph,
         sources: &[NodeId],
         max_hop: Option<usize>,
@@ -333,7 +298,7 @@ impl CostEngine {
     /// order); the workers themselves never touch the obs handle, so the
     /// trace is identical for every thread count.
     fn rows_counted(
-        &self,
+        &mut self,
         g: &Graph,
         sources: &[NodeId],
         max_hop: Option<usize>,
@@ -352,10 +317,9 @@ impl CostEngine {
         type RowSlot = Result<Arc<Vec<f64>>, Mutex<Vec<f64>>>;
         let slots: Vec<RowSlot> = {
             let _probe = self.obs.prof_scope("cost.cache_probe");
-            let cache = self.cache.read().expect("cost cache poisoned");
             sources
                 .iter()
-                .map(|&src| match cache.get(&key(src)) {
+                .map(|&src| match self.cache.get(&key(src)) {
                     Some(row) => Ok(Arc::clone(row)),
                     None => Err(Mutex::new(Vec::with_capacity(n))),
                 })
@@ -399,6 +363,7 @@ impl CostEngine {
             let profiles: Vec<OnceLock<LocalProfiler>> =
                 sources.iter().map(|_| OnceLock::new()).collect();
             let cursor = AtomicUsize::new(0);
+            let obs = &self.obs;
             std::thread::scope(|s| {
                 for scratch in &mut scratch {
                     let (price, profiles, cursor) = (&price, &profiles, &cursor);
@@ -407,7 +372,7 @@ impl CostEngine {
                         if i >= sources.len() {
                             break;
                         }
-                        match self.obs.prof_fork() {
+                        match obs.prof_fork() {
                             Some(mut local) => {
                                 local.time("cost.row_price", || price(i, scratch));
                                 profiles[i].set(local).expect("row profiled twice");
@@ -423,7 +388,7 @@ impl CostEngine {
                 }
             }
         }
-        let mut cache = self.cache.write().expect("cost cache poisoned");
+        let cache = &mut self.cache;
         let rows = slots
             .into_iter()
             .zip(sources)
@@ -453,7 +418,7 @@ impl CostEngine {
     /// Panics if `data_mb.len() != sources.len()` or any volume is
     /// negative or non-finite.
     pub fn build_matrix(
-        &self,
+        &mut self,
         g: &Graph,
         sources: &[NodeId],
         destinations: &[NodeId],
@@ -505,13 +470,7 @@ impl CostEngine {
             }
             row_start.push(columns.len() as u32);
         }
-        CostMatrix {
-            sources: sources.to_vec(),
-            destinations: destinations.to_vec(),
-            row_start,
-            columns,
-            t_rmin,
-        }
+        CostMatrix { row_start, columns, t_rmin }
     }
 }
 
@@ -521,26 +480,37 @@ mod tests {
     use crate::graph::Link;
     use crate::topologies::{example7, example7_roles, line};
 
+    /// A matrix from a fresh sequential engine.
+    fn build(
+        g: &Graph,
+        sources: &[NodeId],
+        destinations: &[NodeId],
+        data_mb: &[f64],
+        max_hop: Option<usize>,
+    ) -> CostMatrix {
+        CostEngine::with_threads(1).build_matrix(g, sources, destinations, data_mb, max_hop)
+    }
+
     #[test]
     fn unreachable_is_infinite() {
         let g = line(4, Link::default());
-        let m = CostMatrix::build(&g, &[NodeId(0)], &[NodeId(3)], &[10.0], Some(2));
+        let m = build(&g, &[NodeId(0)], &[NodeId(3)], &[10.0], Some(2));
         assert!(m.at(0, 0).is_infinite());
-        assert!(!m.any_reachable());
+        assert!(m.t_rmin.is_empty(), "no pair is reachable");
     }
 
     #[test]
     fn cost_scales_linearly_with_data_volume() {
         let g = line(3, Link::default());
-        let m1 = CostMatrix::build(&g, &[NodeId(0)], &[NodeId(2)], &[10.0], None);
-        let m2 = CostMatrix::build(&g, &[NodeId(0)], &[NodeId(2)], &[20.0], None);
+        let m1 = build(&g, &[NodeId(0)], &[NodeId(2)], &[10.0], None);
+        let m2 = build(&g, &[NodeId(0)], &[NodeId(2)], &[20.0], None);
         assert!((m2.at(0, 0) / m1.at(0, 0) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn diagonal_pair_is_zero() {
         let g = line(3, Link::default());
-        let m = CostMatrix::build(&g, &[NodeId(1)], &[NodeId(1)], &[5.0], None);
+        let m = build(&g, &[NodeId(1)], &[NodeId(1)], &[5.0], None);
         assert_eq!(m.at(0, 0), 0.0);
     }
 
@@ -548,9 +518,8 @@ mod tests {
     fn row_access_matches_at() {
         let g = example7(Link::default());
         let (busy, cands) = example7_roles();
-        let m = CostMatrix::build(&g, &[busy], &cands, &[50.0], None);
-        assert_eq!(m.rows(), 1);
-        assert_eq!(m.cols(), 2);
+        let m = build(&g, &[busy], &cands, &[50.0], None);
+        assert_eq!(m.row_start, [0, 2], "one row, both columns reachable");
         let (cols, t) = m.row(0);
         assert_eq!(cols, [0, 1]);
         assert_eq!(t[1], m.at(0, 1));
@@ -562,13 +531,13 @@ mod tests {
         // reachable and 3..5 are not; from node 4, nodes 2, 3 and 5
         let g = line(6, Link::default());
         let (src, dst) = ([NodeId(0), NodeId(4)], [NodeId(1), NodeId(2), NodeId(3), NodeId(5)]);
-        let m = CostMatrix::build(&g, &src, &dst, &[10.0, 20.0], Some(2));
+        let m = build(&g, &src, &dst, &[10.0, 20.0], Some(2));
         assert_eq!(
             (m.row_start.as_slice(), m.columns.as_slice()),
             ([0, 2, 5].as_slice(), [0, 1, 1, 2, 3].as_slice())
         );
         assert!(m.t_rmin.iter().all(|t| t.is_finite()));
-        let eng = CostEngine::with_threads(1);
+        let mut eng = CostEngine::with_threads(1);
         for (r, &s) in src.iter().enumerate() {
             let raw = &eng.rows(&g, &[s], Some(2))[0];
             for (c, &d) in dst.iter().enumerate() {
@@ -576,14 +545,13 @@ mod tests {
                 assert_eq!(m.at(r, c).to_bits(), want.to_bits(), "{s:?} -> {d:?}");
             }
         }
-        assert!(m.any_reachable());
     }
 
     #[test]
     #[should_panic(expected = "one D_i per source")]
     fn mismatched_data_len_rejected() {
         let g = line(3, Link::default());
-        CostMatrix::build(&g, &[NodeId(0)], &[NodeId(2)], &[], None);
+        build(&g, &[NodeId(0)], &[NodeId(2)], &[], None);
     }
 }
 
@@ -605,7 +573,7 @@ mod engine_tests {
     }
 
     /// Drain `g`'s journal into one refresh of `eng`.
-    fn refresh(eng: &CostEngine, g: &mut Graph) -> RefreshStats {
+    fn refresh(eng: &mut CostEngine, g: &mut Graph) -> RefreshStats {
         let dirty = g.take_dirty();
         eng.refresh(g, dirty)
     }
@@ -626,7 +594,7 @@ mod engine_tests {
     #[test]
     fn rows_are_cached_across_builds() {
         let (g, src, dst, data) = fat_tree_instance();
-        let eng = CostEngine::with_threads(4);
+        let mut eng = CostEngine::with_threads(4);
         assert_eq!(eng.cached_rows(), 0);
         let m1 = eng.build_matrix(&g, &src, &dst, &data, Some(6));
         assert_eq!(eng.cached_rows(), src.len());
@@ -638,7 +606,7 @@ mod engine_tests {
     #[test]
     fn cached_rows_serve_any_data_volume() {
         let (g, src, dst, _) = fat_tree_instance();
-        let eng = CostEngine::with_threads(1);
+        let mut eng = CostEngine::with_threads(1);
         let ones = vec![1.0; src.len()];
         let base = eng.build_matrix(&g, &src, &dst, &ones, Some(6));
         let n = eng.cached_rows();
@@ -654,7 +622,7 @@ mod engine_tests {
     #[test]
     fn mutation_changes_epoch_and_invalidates() {
         let mut g = example7(Link::default());
-        let eng = CostEngine::with_threads(1);
+        let mut eng = CostEngine::with_threads(1);
         let src = [NodeId(0)];
         let dst = [NodeId(1), NodeId(5)];
         let before = eng.build_matrix(&g, &src, &dst, &[100.0], None);
@@ -698,7 +666,7 @@ mod engine_tests {
         let (g, src, dst, data) = fat_tree_instance();
         let run = |threads: usize| {
             let obs = ObsHandle::recording(1);
-            let eng = CostEngine::with_threads(threads).with_obs(obs.clone());
+            let mut eng = CostEngine::with_threads(threads).with_obs(obs.clone());
             eng.build_matrix(&g, &src, &dst, &data, Some(6));
             eng.build_matrix(&g, &src, &dst, &data, Some(6));
             let m = obs.metrics().unwrap();
@@ -724,7 +692,7 @@ mod engine_tests {
         let run = |threads: usize| {
             let obs = ObsHandle::recording(1);
             obs.enable_profiling();
-            let eng = CostEngine::with_threads(threads).with_obs(obs.clone());
+            let mut eng = CostEngine::with_threads(threads).with_obs(obs.clone());
             eng.build_matrix(&g, &src, &dst, &data, Some(6));
             let report = obs.profile_report().unwrap();
             report.lines().filter(|l| l.starts_with("count ")).map(String::from).collect::<Vec<_>>()
@@ -750,8 +718,8 @@ mod engine_tests {
         // cannot see it, a 2-hop row from node 0 must re-price
         let mut g = line(8, Link::default());
         let obs = ObsHandle::recording(0);
-        let eng = CostEngine::with_threads(1).with_obs(obs.clone());
-        refresh(&eng, &mut g); // first refresh: establishes coherence (full)
+        let mut eng = CostEngine::with_threads(1).with_obs(obs.clone());
+        refresh(&mut eng, &mut g); // first refresh: establishes coherence (full)
         let src = [NodeId(0), NodeId(7)];
         let dst: Vec<NodeId> = (1..7).map(NodeId).collect();
         let data = [10.0, 10.0];
@@ -759,7 +727,7 @@ mod engine_tests {
         assert_eq!(eng.cached_rows(), 2);
 
         g.link_mut(EdgeId(0)).utilization = 0.95;
-        let stats = refresh(&eng, &mut g);
+        let stats = refresh(&mut eng, &mut g);
         assert!(!stats.full);
         assert_eq!(stats.migrated, 1, "node 7's bounded row is provably clean");
         assert_eq!(stats.invalidated, 1, "node 0's row crosses the dirty link");
@@ -781,14 +749,14 @@ mod engine_tests {
     fn refresh_reprices_unbounded_rows_whenever_dirt_is_reachable() {
         use crate::topologies::line;
         let mut g = line(6, Link::default());
-        let eng = CostEngine::with_threads(1);
-        refresh(&eng, &mut g);
+        let mut eng = CostEngine::with_threads(1);
+        refresh(&mut eng, &mut g);
         let src = [NodeId(5)];
         let dst = [NodeId(0)];
         eng.build_matrix(&g, &src, &dst, &[10.0], None);
         let before = eng.build_matrix(&g, &src, &dst, &[10.0], None);
         g.link_mut(EdgeId(0)).utilization = 0.01;
-        let stats = refresh(&eng, &mut g);
+        let stats = refresh(&mut eng, &mut g);
         assert_eq!(stats.migrated, 0, "an unbounded row sees every link");
         assert_eq!(stats.invalidated, 1);
         let after = eng.build_matrix(&g, &src, &dst, &[10.0], None);
@@ -802,8 +770,8 @@ mod engine_tests {
         use crate::topologies::line;
         let mut g = line(10, Link::default());
         let obs = ObsHandle::recording(0);
-        let eng = CostEngine::with_threads(1).with_obs(obs.clone());
-        refresh(&eng, &mut g);
+        let mut eng = CostEngine::with_threads(1).with_obs(obs.clone());
+        refresh(&mut eng, &mut g);
         let src: Vec<NodeId> = (0..4).map(NodeId).collect();
         let dst = [NodeId(9)];
         eng.build_matrix(&g, &src, &dst, &[1.0; 4], Some(3));
@@ -811,7 +779,7 @@ mod engine_tests {
         for e in 0..4 {
             g.link_mut(EdgeId(e)).utilization = 0.9;
         }
-        let stats = refresh(&eng, &mut g);
+        let stats = refresh(&mut eng, &mut g);
         assert!(stats.full);
         assert_eq!(stats.migrated, 0);
         assert_eq!(stats.invalidated, 4);
@@ -823,15 +791,15 @@ mod engine_tests {
     fn refresh_handles_structural_mutations_as_all_dirty() {
         use crate::topologies::line;
         let mut g = line(5, Link::default());
-        let eng = CostEngine::with_threads(1);
-        refresh(&eng, &mut g);
+        let mut eng = CostEngine::with_threads(1);
+        refresh(&mut eng, &mut g);
         let src = [NodeId(4)];
         eng.build_matrix(&g, &src, &[NodeId(0)], &[1.0], Some(2));
         // a new edge changes reachability: the bounded row from node 4
         // would be wrong to keep even though no *link state* was touched
         let n = g.add_node();
         g.add_edge(NodeId(0), n, Link::default());
-        let stats = refresh(&eng, &mut g);
+        let stats = refresh(&mut eng, &mut g);
         assert!(stats.full);
         assert_eq!(eng.cached_rows(), 0);
     }
@@ -840,10 +808,10 @@ mod engine_tests {
     fn refresh_with_no_mutations_keeps_everything() {
         use crate::topologies::line;
         let mut g = line(4, Link::default());
-        let eng = CostEngine::with_threads(1);
-        refresh(&eng, &mut g);
+        let mut eng = CostEngine::with_threads(1);
+        refresh(&mut eng, &mut g);
         eng.build_matrix(&g, &[NodeId(0)], &[NodeId(3)], &[1.0], None);
-        let stats = refresh(&eng, &mut g);
+        let stats = refresh(&mut eng, &mut g);
         assert_eq!(stats, RefreshStats::default());
         assert_eq!(eng.cached_rows(), 1);
     }
@@ -860,13 +828,13 @@ mod engine_tests {
         // cache and prices
         let (mut g, src, dst, data) = fat_tree_instance();
         let mut h = g.clone();
-        let inc = CostEngine::with_threads(1);
-        let by_ref = CostEngine::with_threads(1);
-        let refresh_by_ref = |h: &mut Graph| {
+        let mut inc = CostEngine::with_threads(1);
+        let mut by_ref = CostEngine::with_threads(1);
+        let refresh_by_ref = |by_ref: &mut CostEngine, h: &mut Graph| {
             let dirty = if h.journal_is_empty() { Some(Vec::new()) } else { h.take_dirty() };
             by_ref.refresh(h, dirty)
         };
-        assert_eq!(refresh(&inc, &mut g), refresh_by_ref(&mut h));
+        assert_eq!(refresh(&mut inc, &mut g), refresh_by_ref(&mut by_ref, &mut h));
         let mut state = 0x5EEDu64;
         let mut split = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -884,7 +852,8 @@ mod engine_tests {
             }
             // every other round refreshes twice: the second finds nothing
             for _ in 0..1 + round % 2 {
-                assert_eq!(refresh(&inc, &mut g), refresh_by_ref(&mut h), "round {round}");
+                let by_ref_stats = refresh_by_ref(&mut by_ref, &mut h);
+                assert_eq!(refresh(&mut inc, &mut g), by_ref_stats, "round {round}");
             }
             let a = inc.build_matrix(&g, &src, &dst, &data, Some(6));
             let b = by_ref.build_matrix(&h, &src, &dst, &data, Some(6));

@@ -9,13 +9,14 @@
 //! # Example
 //!
 //! ```
-//! use dust_topology::{FatTree, CostMatrix, Tier};
+//! use dust_topology::{CostEngine, FatTree, Tier};
 //!
 //! let ft = FatTree::with_default_links(4); // 20 switches, 32 links
 //! assert_eq!(ft.node_count(), 20);
 //! let edges = ft.tier_nodes(Tier::Edge);
-//! let m = CostMatrix::build(&ft.graph, &edges[..1], &edges[1..3], &[100.0], Some(6));
-//! assert!(m.any_reachable());
+//! let mut engine = CostEngine::with_threads(1);
+//! let m = engine.build_matrix(&ft.graph, &edges[..1], &edges[1..3], &[100.0], Some(6));
+//! assert!(m.at(0, 1).is_finite());
 //! ```
 
 #![warn(missing_docs)]

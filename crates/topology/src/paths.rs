@@ -338,7 +338,7 @@ pub(crate) fn min_inv_lu_dp_into(
 /// [`DpScratch::run_to`], and so that a caller extracting many routes in
 /// a row refills the layers, frontier lists and cone marks instead of
 /// allocating anew.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct DpScratch {
     layers: Vec<f64>,
     frontier: Vec<NodeId>,

@@ -77,7 +77,7 @@ fn pricing_workers_allocate_nothing_per_row() {
     let data = vec![100.0; sources.len()];
     let workers_alloc = |rows: usize| {
         // a fresh engine each time: every row is a miss and is priced
-        let pool = CostEngine::with_threads(2);
+        let mut pool = CostEngine::with_threads(2);
         by_other_threads(|| {
             let m = pool.build_matrix(
                 &ft.graph,
@@ -86,7 +86,7 @@ fn pricing_workers_allocate_nothing_per_row() {
                 &data[..rows],
                 Some(6),
             );
-            assert_eq!(m.rows(), rows);
+            assert_eq!(m.row_start.len(), rows + 1);
         })
     };
     // whatever starting a thread costs once per process is paid here

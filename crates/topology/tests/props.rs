@@ -59,7 +59,7 @@ fn arb_graph(seed: u64) -> Graph {
 /// oracle behind pricing and routing with one engine.
 #[test]
 fn dp_matches_enumeration() {
-    let engine = CostEngine::with_threads(1);
+    let mut engine = CostEngine::with_threads(1);
     for seed in 0..400u64 {
         let g = arb_graph(seed);
         let max_hop =
@@ -301,7 +301,7 @@ fn cache_invalidates_on_epoch_change() {
         let n = g.node_count();
         let sources = vec![NodeId(0)];
         let destinations: Vec<NodeId> = (1..n as u32).map(NodeId).collect();
-        let eng = CostEngine::with_threads(4);
+        let mut eng = CostEngine::with_threads(4);
         let before = eng.build_matrix(&g, &sources, &destinations, &[100.0], None);
         let cached = eng.cached_rows();
         let hot = eng.build_matrix(&g, &sources, &destinations, &[100.0], None);

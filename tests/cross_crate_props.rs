@@ -22,7 +22,7 @@ fn placement_equals_first_principles_lp() {
         for outer in 0..16u64 {
             let seed = SplitMix64::new(outer).next_u64();
             let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
-            let p = optimize_with(&nmdb, &cfg, &CostEngine::new(), None).unwrap();
+            let p = optimize_with(&nmdb, &cfg, &mut CostEngine::new(), None).unwrap();
             let (raw, costs) = beta_via_raw_lp(&nmdb, &cfg);
             let what = format!("k {k}, max_hop {max_hop:?}, seed {seed}");
             match (p.status, raw) {
@@ -40,8 +40,8 @@ fn placement_equals_first_principles_lp() {
             }
             let Some(costs) = costs else { continue };
             for a in &p.assignments {
-                let r = costs.sources.iter().position(|&b| b == a.from).expect("a Busy source");
-                let c = costs.destinations.iter().position(|&o| o == a.to).expect("a candidate");
+                let r = p.busy.iter().position(|&b| b == a.from).expect("a Busy source");
+                let c = p.candidates.iter().position(|&o| o == a.to).expect("a candidate");
                 assert!(a.t_rmin.is_finite(), "{what}: {a:?}");
                 assert_eq!(a.t_rmin.to_bits(), costs.at(r, c).to_bits(), "{what}: {a:?}");
                 let route = a.route.as_ref().expect("a routed assignment");

@@ -44,7 +44,7 @@ fn ilp_matches_simplex_on_fat_tree_scenarios() {
     let cfg = paper_cfg();
     for seed in 0..10 {
         let nmdb = random_nmdb(&ft.graph, &cfg, &ScenarioParams::default(), seed);
-        let t = optimize_with(&nmdb, &cfg, &CostEngine::new(), None).unwrap();
+        let t = optimize_with(&nmdb, &cfg, &mut CostEngine::new(), None).unwrap();
         match (t.status, beta_via_raw_lp(&nmdb, &cfg).0) {
             (PlacementStatus::Optimal, Some(s)) => assert!(
                 (t.beta - s).abs() < 1e-5 * (1.0 + t.beta.abs()),

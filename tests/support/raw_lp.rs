@@ -7,7 +7,7 @@
 
 use dust_core::{DustConfig, Nmdb};
 use dust_lp::{solve, Cmp, Problem, Status};
-use dust_topology::CostMatrix;
+use dust_topology::{CostEngine, CostMatrix};
 
 /// Rebuild a placement as an explicit LP and return its β with the cost
 /// matrix it was built on: a variable for each pair within the hop bound,
@@ -25,7 +25,8 @@ pub fn beta_via_raw_lp(nmdb: &Nmdb, cfg: &DustConfig) -> (Option<f64>, Option<Co
         return (Some(0.0), None);
     }
     let data: Vec<f64> = busy.iter().map(|&b| nmdb.state(b).data_mb).collect();
-    let costs = CostMatrix::build(&nmdb.graph, &busy, &cands, &data, cfg.max_hop);
+    let costs =
+        CostEngine::with_threads(1).build_matrix(&nmdb.graph, &busy, &cands, &data, cfg.max_hop);
     let mut p = Problem::new();
     let mut vars = Vec::new();
     for r in 0..busy.len() {
