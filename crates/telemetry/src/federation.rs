@@ -545,6 +545,49 @@ mod tests {
     const SPECIALS: [f64; 5] = [-0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
 
     #[test]
+    fn a_cloned_federation_keeps_a_quarter_of_slack() {
+        // `telemetry_rw`'s shape, counted rather than measured: 512 stores
+        // of 8 series, 256 points each one every 100 ms, then rounds of one
+        // append per series, each store trimmed to its newest 256 points
+        // in every 8th round (store `s` in the rounds `≡ s mod 8`); 16
+        // rounds on the template, a clone, 16 rounds on the clone
+        const NAMES: [&str; 8] = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        let advance = |fed: &mut Federation, rounds: std::ops::Range<u64>| {
+            for j in rounds {
+                let ts = (256 + j) * 100;
+                for store in 0..512u32 {
+                    let db = fed.store_mut(NodeId(store));
+                    if j % 8 == u64::from(store % 8) {
+                        db.trim_all(ts, 256 * 100);
+                    }
+                    NAMES.iter().for_each(|name| db.append(name, ts, j as f64));
+                }
+            }
+        };
+        // (slots, live points) over every series
+        let census = |fed: &Federation| {
+            let series = fed.attached().flat_map(|(_, db)| NAMES.map(|n| db.series(n)));
+            series.flatten().fold((0, 0), |(slots, live), s| (slots + s.capacity(), live + s.len()))
+        };
+        let mut template = Federation::new();
+        for t in 0..256u64 {
+            for store in 0..512u32 {
+                let db = template.store_mut(NodeId(store));
+                NAMES.iter().for_each(|name| db.append(name, t * 100, t as f64));
+            }
+        }
+        advance(&mut template, 0..16);
+        let mut clone = template.clone();
+        advance(&mut clone, 16..32);
+        for (fed, which) in [(&template, "template"), (&clone, "clone")] {
+            let (slots, live) = census(fed);
+            assert_eq!(fed.nodes().len(), 512, "{which}");
+            assert!(live >= 512 * 8 * 257, "{which}: {live} live points");
+            assert!(slots * 10 <= live * 13, "{which}: {slots} slots for {live} live points");
+        }
+    }
+
+    #[test]
     fn one_store_one_bucket_keeps_every_bit() {
         // where a fold's starting value shows: `0.0 + -0.0` is `0.0`, but
         // the sum of the one-element list `[-0.0]` is `-0.0`

@@ -17,6 +17,18 @@
 //! at its end, which is why [`Series::push`] can check order against the
 //! list's last element without knowing about `head`.
 //!
+//! **Spare room is a quarter of the live points.** A full list grows by a
+//! quarter of its live points, at least 4 ([`Series::push`]), and a clone
+//! holds its live points plus the same quarter ([`Series::clone`]), so a
+//! cloned store does not regrow on its first append. Growth meets a dead
+//! prefix at most half the live length (a trim leaves no more dead points
+//! than spare slots, and the pushes that fill those slots are live), so
+//! without a [`Tsdb::reserve`] a list never holds more than
+//! `peak + peak / 2 + max(peak / 4, 4)` slots for a peak of `peak` live
+//! points; `Vec`'s doubling allowed 4 × the peak. `telemetry_rw`'s lists,
+//! appended and trimmed at a steady length, hold 1.03–1.29 slots a live
+//! point.
+//!
 //! **A window search starts where the bound should be.** Telemetry is
 //! sampled on a period, so a timestamp's index is close to where it would
 //! sit if the points were evenly spaced between the oldest and the newest.
@@ -132,7 +144,8 @@ pub(crate) fn bucket_means(points: &[Point], bucket_ms: u64, mut emit: impl FnMu
 ///
 /// `points[head..]` are the live points; everything a reader can see —
 /// [`Series::points`], lengths, equality, `Debug`, a clone — is the live
-/// points only. See the module docs for who moves `head`.
+/// points only. See the module docs for who moves `head` and how much
+/// spare room the list keeps.
 #[derive(Default)]
 pub struct Series {
     points: Vec<Point>,
@@ -142,10 +155,22 @@ pub struct Series {
     head: usize,
 }
 
+/// Spare room a full or freshly cloned list gets: a quarter of its `live`
+/// points, at least 4.
+fn slack(live: usize) -> usize {
+    (live / 4).max(4)
+}
+
 impl Clone for Series {
-    /// The live points, in a list of exactly their number.
+    /// The live points, with a quarter of their number spare behind them,
+    /// at least 4 (none for an empty series), so the clone's next appends
+    /// do not regrow it.
     fn clone(&self) -> Self {
-        Series { points: self.points().to_vec(), head: 0 }
+        let live = self.points();
+        let spare = if live.is_empty() { 0 } else { slack(live.len()) };
+        let mut points = Vec::with_capacity(live.len() + spare);
+        points.extend_from_slice(live);
+        Series { points, head: 0 }
     }
 }
 
@@ -167,7 +192,8 @@ impl Series {
         Series { points: Vec::with_capacity(capacity), head: 0 }
     }
 
-    /// Append a point.
+    /// Append a point. A full list first grows by a quarter of its live
+    /// points, at least 4 (see the module docs), not by `Vec`'s doubling.
     ///
     /// # Panics
     /// Panics if `ts_ms` is older than the newest stored point (series are
@@ -176,7 +202,24 @@ impl Series {
         if let Some(last) = self.points.last() {
             assert!(ts_ms >= last.ts_ms, "out-of-order append: {ts_ms} after {}", last.ts_ms);
         }
+        if self.points.len() == self.points.capacity() {
+            self.grow();
+        }
         self.points.push(Point { ts_ms, value });
+    }
+
+    /// Room for [`slack`] more points; kept out of line so that the push
+    /// into a list with room stays small.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        self.points.reserve_exact(slack(self.len()));
+    }
+
+    /// Slots the list holds, live, dead and spare.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.points.capacity()
     }
 
     /// All points.
@@ -323,8 +366,10 @@ impl Tsdb {
 
     /// Make room for exactly `additional` more points in one series, so a
     /// writer that knows its point count up front never regrows the list.
-    /// A size the allocator refuses reserves nothing: the list then grows
-    /// as points arrive, so a run with no end in sight still records.
+    /// The reservation is exact, not rounded up to a quarter's spare room,
+    /// and a list that already has the room is left as it is. A size the
+    /// allocator refuses reserves nothing: the list then grows a quarter at
+    /// a time as points arrive, so a run with no end in sight still records.
     pub fn reserve(&mut self, id: SeriesId, additional: usize) {
         // a refused reservation leaves the list as it was
         let _ = self.series[id.0 as usize].points.try_reserve_exact(additional);
@@ -670,10 +715,11 @@ mod tests {
                     14 => {
                         let copy = s.clone();
                         assert!(copy == s, "{ctx}: a clone equals its source");
+                        let spare = if s.is_empty() { 0 } else { (s.len() / 4).max(4) };
                         assert_eq!(
                             copy.points.capacity(),
-                            s.len(),
-                            "{ctx}: a clone is exactly sized"
+                            s.len() + spare,
+                            "{ctx}: a clone holds its live points and a quarter of them spare"
                         );
                         assert_eq!(format!("{copy:?}"), format!("{s:?}"), "{ctx}");
                         if rng.below(2) == 0 {
@@ -689,8 +735,9 @@ mod tests {
                     }
                 }
                 peak_live = peak_live.max(s.len());
+                // growth meets at most `live / 2` dead points (module docs)
                 assert!(
-                    s.points.capacity() <= 4 * peak_live.max(1),
+                    s.points.capacity() <= peak_live + peak_live / 2 + (peak_live / 4).max(4),
                     "{ctx}: capacity {} with at most {peak_live} ever live",
                     s.points.capacity()
                 );
@@ -725,8 +772,8 @@ mod tests {
 
     #[test]
     fn steady_retention_never_regrows_the_list() {
-        // `telemetry_rw`'s shape: 264 live points in a 512-slot list, then
-        // trim 8 / append 8 for 10 000 rounds
+        // 264 live points in a list reserved at 512 slots, then trim 8 /
+        // append 8 for 10 000 rounds
         let mut s = Series::with_capacity(512);
         for t in 0..264u64 {
             s.push(t * 100, t as f64);
@@ -745,6 +792,54 @@ mod tests {
         }
         // 256 survivors moved once per 17 trims, not once per trim
         assert_eq!(compactions, 10_000 / 17);
+    }
+
+    #[test]
+    fn a_cloned_series_in_steady_retention_keeps_a_quarter_of_slack() {
+        // `telemetry_rw`'s shape at each of its 8 trim phases: 256 points
+        // one every 100 ms, then rounds of one append each, with a trim to
+        // the newest 256 points in every 8th round; 300 rounds on the
+        // template, a clone, 560 rounds on the clone
+        let round = |s: &mut Series, phase: u64, j: u64| {
+            let ts = (256 + j) * 100;
+            let compacted = j % 8 == phase && s.trim(ts, 256 * 100) > 0 && s.head == 0;
+            s.push(ts, j as f64);
+            assert!(
+                s.points.capacity() * 10 <= s.len() * 13,
+                "phase {phase} round {j}: {} slots for {} live points",
+                s.points.capacity(),
+                s.len()
+            );
+            compacted
+        };
+        let mut compactions = [0; 8];
+        for phase in 0..8u64 {
+            let mut template = Series::default();
+            for t in 0..256u64 {
+                template.push(t * 100, t as f64);
+            }
+            for j in 0..300 {
+                round(&mut template, phase, j);
+            }
+            assert_eq!(
+                template.points.capacity(),
+                272,
+                "phase {phase}: 256 grown a quarter at a time"
+            );
+            let mut s = template.clone();
+            let (slots, at) = (s.points.capacity(), s.points.as_ptr());
+            assert_eq!(slots, s.len() + s.len() / 4, "phase {phase}");
+            for j in 300..860 {
+                compactions[phase as usize] += usize::from(round(&mut s, phase, j));
+                assert_eq!(
+                    (s.points.capacity(), s.points.as_ptr()),
+                    (slots, at),
+                    "phase {phase} round {j}: the clone was reallocated"
+                );
+            }
+        }
+        // 70 trims each: once in 5 trims the survivors move, not every trim
+        assert_eq!(compactions, [14; 8]);
     }
 
     #[test]
