@@ -5,9 +5,20 @@
 //! that matrix with the hop-bounded DP, whose minimum is the enumerated
 //! one bit for bit (see [`crate::paths`]), parameterized per source by the
 //! monitoring data volume `D_i` in megabits.
+//!
+//! The rows relax an arc list the [`CostEngine`] owns: per node, its
+//! edges' far ends and costs `1/Lu_e` in one run, 16 B an arc, two arcs an
+//! edge (the [`crate::paths`] module docs have the kernel). A call that
+//! prices a row builds the list unless it is at the graph's epoch; it is
+//! kept past the call only when the last refresh was incremental and at
+//! that epoch, and the next incremental refresh patches the runs of both
+//! endpoints of each dirty link. A full refresh drops it. So a churning
+//! Manager patches a few runs a round, while a round that re-draws every
+//! link, and a one-shot caller, allocate it for the call and free it.
+//! Building and patching are the `cost.arcs` profile scope.
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::paths::{min_inv_lu_dp_into, DpScratch, RowScratch};
+use crate::paths::{min_inv_lu_row_into, ArcList, DpScratch, RowScratch};
 use dust_obs::{LocalProfiler, ObsHandle, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -92,6 +103,16 @@ pub struct CostEngine {
     /// The hop layers routes over this engine's graph backtrack through,
     /// kept from one placement round to the next.
     routes: DpScratch,
+    /// The arc list rows are priced over, held between calls only while
+    /// `keep_arcs` and at `coherent_epoch`.
+    arcs: Option<ArcList>,
+    /// Whether the last refresh that changed the epoch was incremental, so
+    /// the next one can patch the list instead of a pricing call building
+    /// it anew.
+    keep_arcs: bool,
+    /// Arc lists built so far.
+    #[cfg(test)]
+    arc_builds: usize,
 }
 
 impl Default for CostEngine {
@@ -142,6 +163,10 @@ impl CostEngine {
             obs: ObsHandle::disabled(),
             coherent_epoch: 0,
             routes: DpScratch::default(),
+            arcs: None,
+            keep_arcs: false,
+            #[cfg(test)]
+            arc_builds: 0,
         }
     }
 
@@ -227,6 +252,9 @@ impl CostEngine {
                     || (d.len() as f64) > MAX_DIRTY_FRACTION * g.edge_count() as f64
             }
         };
+        // a list at `prev` is patched to `cur`; any other is dropped
+        let arcs = self.arcs.take().filter(|l| !full && l.epoch() == prev);
+        self.keep_arcs = !full;
         let cache = &mut self.cache;
         let mut stats = RefreshStats { full, ..RefreshStats::default() };
         if full {
@@ -238,6 +266,11 @@ impl CostEngine {
             }
         } else {
             let d = dirty.as_deref().unwrap_or(&[]);
+            if let Some(mut list) = arcs {
+                let _arcs = self.obs.prof_scope("cost.arcs");
+                list.patch(g, d);
+                self.arcs = Some(list);
+            }
             // hops from each node to the nearest dirty link's endpoint:
             // utilization-only mutations never change adjacency, so the
             // post-mutation graph answers for the pre-mutation one too
@@ -310,7 +343,8 @@ impl CostEngine {
         // each worker's scratch, the cache entries. Workers only fill
         // buffers, so the heap a round leaves behind does not depend on
         // which thread priced which row. A buffer is allocated with room
-        // for its row, not filled: the row kernel writes every entry.
+        // for its row, not filled: the row kernel writes every entry. The
+        // arc list the rows relax is built here too.
         let n = g.node_count();
         let key = |src: NodeId| -> RowKey { (g.epoch(), src, hop_key(max_hop)) };
         // a cached row, or the buffer a worker prices the row into
@@ -341,10 +375,24 @@ impl CostEngine {
             }
             self.obs.gauge_set("cost.workers", workers.max(1) as f64);
         }
+        // a miss prices over the list at `g`'s epoch: build it unless the
+        // last refresh patched it there
+        if slots.iter().any(Result::is_err)
+            && self.arcs.as_ref().is_none_or(|l| l.epoch() != g.epoch())
+        {
+            let _arcs = self.obs.prof_scope("cost.arcs");
+            self.arcs = Some(ArcList::build(g));
+            #[cfg(test)]
+            {
+                self.arc_builds += 1;
+            }
+        }
+        let arcs = self.arcs.as_ref();
         let price = |i: usize, scratch: &mut RowScratch| {
             if let Err(buf) = &slots[i] {
+                let arcs = arcs.expect("a miss prices over the list built above");
                 let mut row = buf.lock().expect("row buffer poisoned");
-                min_inv_lu_dp_into(g, sources[i], max_hop, &mut row, scratch);
+                min_inv_lu_row_into(arcs, sources[i], max_hop, &mut row, scratch);
             }
         };
         let mut scratch: Vec<RowScratch> =
@@ -402,6 +450,11 @@ impl CostEngine {
                 }
             })
             .collect();
+        // only an incremental refresh's patch keeps the list for the next
+        // call; a cold round re-draws every link and would rebuild it anyway
+        if !(self.keep_arcs && self.coherent_epoch == g.epoch()) {
+            self.arcs = None;
+        }
         (rows, hits, misses)
     }
 
@@ -865,6 +918,86 @@ mod engine_tests {
             assert_eq!(x, y, "round {round}");
             assert_eq!(x, z, "round {round}: by-reference refresh");
         }
+    }
+
+    /// Every row `eng` prices for `sources` on `g` holds the bits a fresh
+    /// engine's does.
+    fn assert_fresh(eng: &mut CostEngine, g: &Graph, sources: &[NodeId], max_hop: Option<usize>) {
+        let bits = |rows: Vec<Arc<Vec<f64>>>| {
+            rows.iter().map(|r| r.iter().map(|c| c.to_bits()).collect()).collect::<Vec<Vec<_>>>()
+        };
+        let want = CostEngine::with_threads(1).rows(g, sources, max_hop);
+        assert_eq!(bits(eng.rows(g, sources, max_hop)), bits(want), "{max_hop:?}");
+    }
+
+    #[test]
+    fn the_arc_list_is_patched_by_incremental_refreshes_and_dropped_otherwise() {
+        use crate::SplitMix64;
+        let ft = FatTree::with_default_links(4);
+        let mut g = ft.graph.clone();
+        g.retarget_utilization(|e, _| 0.1 + 0.8 * (e.index() % 7) as f64 / 7.0);
+        let all: Vec<NodeId> = g.nodes().collect();
+        let mut rng = SplitMix64::new(0xA2C5);
+        // a one-shot caller holds no list after its call
+        let mut once = CostEngine::with_threads(1);
+        once.build_matrix(&g, &all[..4], &all[4..], &[1.0; 4], Some(2));
+        assert_eq!((once.arc_builds, once.arcs.is_none()), (1, true));
+        let mut eng = CostEngine::with_threads(2);
+        let mut clones = 0;
+        for round in 0..60 {
+            let max_hop = [Some(1), Some(2), Some(3), None][rng.below(4) as usize];
+            match rng.below(10) {
+                // a structural change or a wholesale re-draw: a full refresh
+                0 => {
+                    let (a, b) = (rng.below(20) as u32, 1 + rng.below(19) as u32);
+                    g.add_edge(NodeId(a), NodeId((a + b) % 20), Link::new(10_000.0, 0.3));
+                }
+                1 => g.retarget_utilization(|_, _| rng.range_f64(0.05, 0.95)),
+                // 1–3 links drift: an incremental refresh
+                _ => {
+                    for _ in 0..1 + rng.below(3) {
+                        let e = EdgeId(rng.below(g.edge_count() as u64) as u32);
+                        g.link_mut(e).utilization = rng.range_f64(0.05, 0.95);
+                    }
+                }
+            }
+            if rng.below(5) == 0 {
+                // an epoch no refresh reached: the list is built for the
+                // call and not kept
+                let builds = eng.arc_builds;
+                assert_fresh(&mut eng, &g, &all[..7], max_hop);
+                assert_eq!((eng.arc_builds, eng.arcs.is_none()), (builds + 1, true), "{round}");
+            }
+            let held = eng.arcs.is_some();
+            let builds = eng.arc_builds;
+            let stats = refresh(&mut eng, &mut g);
+            if stats.full {
+                assert!(eng.arcs.is_none(), "round {round}: a full refresh drops the list");
+            } else {
+                assert_eq!(eng.arcs.is_some(), held, "round {round}: a held list is patched");
+            }
+            assert_eq!(eng.arc_builds, builds, "round {round}: a refresh builds nothing");
+            let key = |src: NodeId| (g.epoch(), src, hop_key(max_hop));
+            let missed = all.iter().any(|&src| !eng.cache.contains_key(&key(src)));
+            let patched = held && !stats.full;
+            assert_fresh(&mut eng, &g, &all, max_hop);
+            let built = usize::from(missed && !patched);
+            assert_eq!(eng.arc_builds, builds + built, "round {round}: {stats:?}");
+            let kept = patched || (missed && !stats.full);
+            assert_eq!(eng.arcs.is_some(), kept, "round {round}: {stats:?}");
+            if kept && rng.below(3) == 0 {
+                // a clone patches and prices with its own copy
+                clones += 1;
+                let (mut twin, mut h) = (eng.clone(), g.clone());
+                h.link_mut(EdgeId(0)).utilization = rng.range_f64(0.05, 0.95);
+                assert!(!refresh(&mut twin, &mut h).full);
+                assert_fresh(&mut twin, &h, &all, max_hop);
+                assert_eq!(twin.arc_builds, eng.arc_builds, "round {round}: the clone patched");
+                assert_eq!(eng.arcs.as_ref().map(ArcList::epoch), Some(g.epoch()));
+                assert_fresh(&mut eng, &g, &all, Some(2));
+            }
+        }
+        assert!(clones > 0);
     }
 
     #[test]

@@ -56,6 +56,29 @@
 //!
 //! Every route and every cost bit is the unpruned DP's. Without a hop
 //! bound nothing is pruned.
+//!
+//! # Rows relax a packed arc list
+//!
+//! A priced row keeps only its last layer, and it relaxes an `ArcList`
+//! instead of the graph: per node, one contiguous run of `(far end: u32,
+//! 1/Lu_e: f64)` arcs in [`Graph::incident`] order, 16 B an arc and two
+//! arcs an edge. A relaxation then reads one arc, not an edge id, the
+//! edge's record and a division; the additions and their order are the
+//! graph walk's, so every row is the same bits. A layer lowers the row in
+//! place, relaxing from a copy of its frontier's distances as the layer
+//! found them, so no second row is filled and copied back. The last hop
+//! layer feeds no next frontier, so it lowers its entries with a select
+//! and keeps no track of the nodes that moved.
+//!
+//! The [`CostEngine`](crate::CostEngine) owns the list and decides when it
+//! exists: a pricing call that misses a row builds it (exactly sized:
+//! `n + 1` run starts, `2 · |E|` arcs) unless it is already at the
+//! graph's epoch. It outlives the call only when the engine's last
+//! refresh was incremental and brought it to that epoch; the next
+//! incremental refresh then re-prices the runs of both endpoints of every
+//! dirty link instead of rebuilding it. A full refresh drops it, so a
+//! round that re-draws every link, or a one-shot caller, holds none
+//! between calls. Routes still walk the graph ([`DpScratch`]).
 
 use crate::graph::{EdgeId, Graph, Link, NodeId};
 
@@ -159,14 +182,94 @@ pub fn min_inv_lu_enumerated(
     best
 }
 
-/// The working memory of one DP row pricing, [`min_inv_lu_dp_into`],
+/// One arc of an [`ArcList`]: the far end of an edge seen from the node
+/// whose run holds it, and the edge's cost `1/Lu_e` ([`inv_lu_edge`]).
+/// Sixteen bytes: four arcs a cache line.
+#[derive(Debug, Clone, Copy)]
+struct OutArc {
+    to: u32,
+    inv_lu: f64,
+}
+
+/// A graph's edges packed for row pricing: per node, one contiguous run of
+/// [`OutArc`]s in [`Graph::incident`] order, two arcs an edge (16 B each).
+/// A row relaxes runs instead of following edge ids to their records and
+/// dividing `1/Lu_e` again at every relaxation.
+///
+/// The list prices the graph at one epoch ([`Graph::epoch`]).
+/// [`ArcList::patch`] re-prices the runs a link drift reaches; a
+/// structural change needs a new list.
+#[derive(Debug, Clone)]
+pub(crate) struct ArcList {
+    epoch: u64,
+    /// Node `v`'s run is `arcs[start[v]..start[v + 1]]`.
+    start: Vec<u32>,
+    arcs: Vec<OutArc>,
+}
+
+impl ArcList {
+    /// The list of `g` at its epoch, allocated at its exact size: `n + 1`
+    /// starts and `2 · |E|` arcs.
+    pub(crate) fn build(g: &Graph) -> ArcList {
+        let mut start = Vec::with_capacity(g.node_count() + 1);
+        let mut arcs = Vec::with_capacity(2 * g.edge_count());
+        start.push(0);
+        for v in g.nodes() {
+            arcs.extend(g.incident(v).iter().map(|&e| {
+                let edge = g.edge(e);
+                OutArc { to: edge.other(v).0, inv_lu: inv_lu(&edge.link) }
+            }));
+            start.push(u32::try_from(arcs.len()).expect("more than u32::MAX arcs"));
+        }
+        ArcList { epoch: g.epoch(), start, arcs }
+    }
+
+    /// The graph epoch the list prices.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Bring the list to `g`'s epoch after the links in `dirty` drifted:
+    /// both endpoints' runs are re-priced, each arc from its edge's record.
+    /// `g` must have the adjacency the list was built from — only link
+    /// state changed since.
+    pub(crate) fn patch(&mut self, g: &Graph, dirty: &[EdgeId]) {
+        for &e in dirty {
+            let edge = g.edge(e);
+            for v in [edge.a, edge.b] {
+                let run = self.start[v.index()] as usize..self.start[v.index() + 1] as usize;
+                for (arc, &e) in self.arcs[run].iter_mut().zip(g.incident(v)) {
+                    arc.inv_lu = inv_lu(&g.edge(e).link);
+                }
+            }
+        }
+        self.epoch = g.epoch();
+    }
+
+    fn node_count(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    #[inline(always)]
+    fn run(&self, v: NodeId) -> &[OutArc] {
+        &self.arcs[self.start[v.index()] as usize..self.start[v.index() + 1] as usize]
+    }
+}
+
+/// The working memory of one DP row pricing, [`min_inv_lu_row_into`],
 /// reserved up front for a graph's node count, so a pricing worker fills
 /// rows without allocating.
 #[derive(Debug, Default)]
 pub(crate) struct RowScratch {
-    next: Vec<f64>,
+    /// The frontier's distances as the layer found them.
+    from: Vec<f64>,
     frontier: Vec<NodeId>,
     moved: Vec<NodeId>,
+    /// Per node, the stamp of the last layer it moved in.
+    marks: Vec<u32>,
+    /// The current layer's stamp: no mark holds it until the layer writes
+    /// it (the marks are cleared when the stamps wrap).
+    stamp: u32,
 }
 
 impl RowScratch {
@@ -174,9 +277,11 @@ impl RowScratch {
     /// holds each node at most once.
     pub(crate) fn reserved(n: usize) -> RowScratch {
         RowScratch {
-            next: Vec::with_capacity(n),
+            from: Vec::with_capacity(n),
             frontier: Vec::with_capacity(n),
             moved: Vec::with_capacity(n),
+            marks: vec![0; n],
+            stamp: 0,
         }
     }
 }
@@ -291,41 +396,81 @@ fn relax_layer(
 }
 
 /// Minimum `Σ 1/Lu_e` from `src` to *every* node within `max_hop` hops via
-/// hop-bounded Bellman–Ford, into `dist`, which it sets to one entry per
-/// node (within the capacity it brings, allocating nothing), working in
-/// `scratch`. Entry `dist[v]` is `f64::INFINITY` when `v` is unreachable
-/// within the bound; `dist[src]` is `0.0`.
+/// hop-bounded Bellman–Ford over the graph's [`ArcList`], into `dist`,
+/// which it sets to one entry per node (within the capacity it brings,
+/// allocating nothing), working in `scratch`. Entry `dist[v]` is
+/// `f64::INFINITY` when `v` is unreachable within the bound; `dist[src]`
+/// is `0.0`.
 ///
 /// With strictly positive edge costs a minimum-cost walk is simple, so this
 /// equals the enumerated optimum at a fraction of the cost. Each layer
 /// relaxes only out of the previous layer's frontier, so a bounded search
-/// costs what it reaches, not `max_hop · |E|`. This is the row
-/// [`crate::CostEngine`] parallelizes over sources.
-pub(crate) fn min_inv_lu_dp_into(
-    g: &Graph,
+/// costs what it reaches, not `max_hop · |E|`.
+///
+/// A layer lowers `dist` in place: it first copies out the frontier's
+/// distances as the previous layer left them, and relaxes from those, so
+/// an entry lowered earlier in the same layer is never relaxed out of.
+/// Every entry then takes the minimum of the same sums in the same order
+/// as a layer that reads one buffer and writes another ([`relax_layer`]),
+/// so the row is the same bits, with no second row to fill and copy. A
+/// node joins the next frontier at its first drop in a layer, which a
+/// per-node layer stamp tells. The last layer (`h == bound`) feeds no
+/// next frontier: it lowers each entry with a select and keeps no
+/// stamps. This is the row [`crate::CostEngine`] parallelizes over
+/// sources.
+pub(crate) fn min_inv_lu_row_into(
+    arcs: &ArcList,
     src: NodeId,
     max_hop: Option<usize>,
     dist: &mut Vec<f64>,
     scratch: &mut RowScratch,
 ) {
-    let n = g.node_count();
+    let n = arcs.node_count();
     // Unbounded: n-1 hops suffice for any simple path.
     let bound = max_hop.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
     dist.clear();
     dist.resize(n, f64::INFINITY);
     dist[src.index()] = 0.0;
-    let RowScratch { next, frontier, moved } = scratch;
-    next.clear();
-    next.extend_from_slice(dist);
+    let RowScratch { from, frontier, moved, marks, stamp } = scratch;
+    if marks.len() < n {
+        marks.resize(n, 0);
+    }
     frontier.clear();
     frontier.push(src);
-    for _ in 0..bound {
-        relax_layer(g, dist, next, frontier, moved, |_| true);
+    for h in 1..=bound {
+        from.clear();
+        from.extend(frontier.iter().map(|a| dist[a.index()]));
+        if h == bound {
+            for (&a, &from) in frontier.iter().zip(from.iter()) {
+                for arc in arcs.run(a) {
+                    let b = arc.to as usize;
+                    let (through, so_far) = (from + arc.inv_lu, dist[b]);
+                    dist[b] = if through < so_far { through } else { so_far };
+                }
+            }
+            break;
+        }
+        if *stamp == u32::MAX {
+            marks.fill(0);
+            *stamp = 0;
+        }
+        *stamp += 1;
+        moved.clear();
+        for (&a, &from) in frontier.iter().zip(from.iter()) {
+            for arc in arcs.run(a) {
+                let b = arc.to as usize;
+                let through = from + arc.inv_lu;
+                if through < dist[b] {
+                    if marks[b] != *stamp {
+                        marks[b] = *stamp; // b's first drop in this layer
+                        moved.push(NodeId(arc.to));
+                    }
+                    dist[b] = through;
+                }
+            }
+        }
         if moved.is_empty() {
             break; // diameter reached
-        }
-        for &b in moved.iter() {
-            dist[b.index()] = next[b.index()];
         }
         std::mem::swap(frontier, moved);
     }
@@ -764,7 +909,7 @@ mod frontier_tests {
     use crate::SplitMix64;
 
     /// Layered distances by sweeping all edges per layer; the last layer is
-    /// the row `min_inv_lu_dp_into` prices.
+    /// the row `min_inv_lu_row_into` prices.
     fn full_sweep_layers(g: &Graph, src: NodeId, max_hop: Option<usize>) -> Vec<Vec<f64>> {
         let n = g.node_count();
         let bound = max_hop.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
@@ -858,6 +1003,7 @@ mod frontier_tests {
         let mut rng = SplitMix64::new(0xD57);
         let mut scratch = DpScratch::default();
         for (gi, g) in graphs.iter().enumerate() {
+            let arcs = ArcList::build(g);
             let n = g.node_count();
             let all: Vec<NodeId> = g.nodes().collect();
             let stepped: Vec<NodeId> = g.nodes().step_by(1 + n / 40).collect();
@@ -866,7 +1012,7 @@ mod frontier_tests {
                 for src in [0, 1, n / 3, n / 2, n - 1].map(|v| NodeId(v as u32)) {
                     let want = full_sweep_layers(g, src, max_hop);
                     let mut got = Vec::new();
-                    min_inv_lu_dp_into(g, src, max_hop, &mut got, &mut RowScratch::default());
+                    min_inv_lu_row_into(&arcs, src, max_hop, &mut got, &mut RowScratch::default());
                     let row = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
                     assert_eq!(
                         row(&got),
@@ -899,6 +1045,64 @@ mod frontier_tests {
         }
     }
 
+    /// The arc-list row kernel against the enumerator, to the bit: every
+    /// source of the small graphs at hop bounds 0–4 and none, and on the
+    /// 8/16/24-k trees, where enumerating every path is out of reach, a
+    /// spread of sources at bounds 0–4 against the enumerator and with no
+    /// bound against the full sweep. Each loaded graph has an idle link
+    /// (`Lu = 0`, an arc that costs ∞) at node 0, a source. One scratch
+    /// prices every row, across the wrap of its layer stamps.
+    #[test]
+    fn arc_rows_match_the_enumerated_rows_bit_for_bit() {
+        use crate::topologies::random_regular;
+        // one scratch for every row, its first layer stamp the wrap's and
+        // every node marked with the stamp the wrap hands out: what
+        // earlier rows left in it must not show
+        let scratch = std::cell::RefCell::new(RowScratch::default());
+        scratch.borrow_mut().stamp = u32::MAX;
+        scratch.borrow_mut().marks = vec![1; 720];
+        let row_of = |arcs: &ArcList, src: NodeId, max_hop: Option<usize>| {
+            let mut row = Vec::new();
+            min_inv_lu_row_into(arcs, src, max_hop, &mut row, &mut scratch.borrow_mut());
+            row.iter().map(|d| d.to_bits()).collect::<Vec<_>>()
+        };
+        let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        let bounds = [Some(0), Some(1), Some(2), Some(3), Some(4), None];
+        let small = [
+            loaded(FatTree::with_default_links(4).graph, 6),
+            uniform(FatTree::with_default_links(4).graph),
+            loaded(ring(9, Link::default()), 7),
+            loaded(example7(Link::default()), 8),
+            loaded(random_regular(12, 3, 9, Link::default()), 10),
+        ];
+        for (gi, g) in small.iter().enumerate() {
+            let arcs = ArcList::build(g);
+            for max_hop in bounds {
+                for src in g.nodes() {
+                    let want = min_inv_lu_enumerated_row(g, src, max_hop);
+                    let what = format!("small graph {gi} {src:?} {max_hop:?}");
+                    assert_eq!(row_of(&arcs, src, max_hop), bits(&want), "{what}");
+                }
+            }
+        }
+        for (k, seed) in [(8, 11), (16, 12), (24, 13)] {
+            let g = loaded(FatTree::with_default_links(k).graph, seed);
+            let arcs = ArcList::build(&g);
+            let n = g.node_count();
+            // node 0 is a core switch on the idle link; n − 1 an edge switch
+            for src in [0, 1, n / 2, n - 1].map(|v| NodeId(v as u32)) {
+                for max_hop in bounds {
+                    let want = match max_hop {
+                        Some(_) => min_inv_lu_enumerated_row(&g, src, max_hop),
+                        None => full_sweep_layers(&g, src, None).pop().unwrap(),
+                    };
+                    let what = format!("{k}-k {src:?} {max_hop:?}");
+                    assert_eq!(row_of(&arcs, src, max_hop), bits(&want), "{what}");
+                }
+            }
+        }
+    }
+
     /// What the pruning saves: a route two hops out on a loaded 24-k tree,
     /// to a destination a shipped row could route to, relaxes at most a
     /// tenth of what the run to every node relaxes, and lands on the same
@@ -906,13 +1110,14 @@ mod frontier_tests {
     #[test]
     fn a_hop_two_route_relaxes_a_tenth_of_the_unpruned_run() {
         let g = loaded(FatTree::with_default_links(24).graph, 5);
+        let arcs = ArcList::build(&g);
         let all: Vec<NodeId> = g.nodes().collect();
         let mut rng = SplitMix64::new(24);
         let (mut pruned, mut full) = (DpScratch::default(), DpScratch::default());
         for _ in 0..24 {
             let src = NodeId(rng.below(all.len() as u64) as u32);
             let mut reach = Vec::new();
-            min_inv_lu_dp_into(&g, src, Some(2), &mut reach, &mut RowScratch::default());
+            min_inv_lu_row_into(&arcs, src, Some(2), &mut reach, &mut RowScratch::default());
             let within: Vec<NodeId> =
                 g.nodes().filter(|&v| v != src && reach[v.index()].is_finite()).collect();
             let dst = within[rng.below(within.len() as u64) as usize];
