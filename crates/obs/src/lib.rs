@@ -21,9 +21,10 @@
 //!
 //! Both live behind [`ObsHandle`], a cheap clonable handle that is a
 //! **no-op by default**: `ObsHandle::disabled()` (also `Default`)
-//! carries no allocation and every recording call short-circuits on one
-//! `Option` check, so instrumented code pays nothing when observability
-//! is off. `ObsHandle::recording(seed)` turns everything on.
+//! carries no allocation, and every recording call is an inlined
+//! `Option` check in front of an out-of-line, cold body, so instrumented
+//! code pays one branch when observability is off and builds no
+//! [`TraceEvent`]. `ObsHandle::recording(seed)` turns everything on.
 //!
 //! ## Determinism contract
 //!
@@ -76,8 +77,62 @@ struct ObsInner {
     trace: Trace,
 }
 
+/// The recording bodies behind [`ObsHandle`]'s inlined wrappers: out of
+/// line and cold, so a disabled handle's call site keeps one branch and
+/// builds nothing it would pass here.
+impl ObsCore {
+    fn lock(&self) -> MutexGuard<'_, ObsInner> {
+        // recording never panics while holding the lock; if a caller's
+        // assertion ever poisons it, keep recording anyway
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn counter_add(&self, name: &str, n: u64) {
+        self.lock().metrics.counter_add(name, n);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn gauge_set(&self, name: &str, v: f64) {
+        self.lock().metrics.gauge_set(name, v);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn observe_all(&self, name: &str, values: &[f64]) {
+        self.lock().metrics.observe_all(name, values);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn trace_at(&self, t_ms: u64, event: TraceEvent) {
+        self.lock().trace.record(t_ms, event);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn profile(&self) -> Option<&Arc<ProfileRegistry>> {
+        self.profile.get()
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn prof_scope(&self, name: &'static str) -> Option<ScopeTimer> {
+        self.profile().map(|p| p.scope(name))
+    }
+}
+
 /// Shared handle to one run's metrics + trace. Clones are cheap and all
 /// point at the same underlying recorder.
+///
+/// On a disabled handle a recording call (`counter_add`/`counter_inc`,
+/// `trace`/`trace_at`, `gauge_set`, `observe`/`observe_all`, `set_now`,
+/// `is_enabled`, `profile`, `prof_scope`) costs one inlined branch: each is
+/// an `#[inline]` check of the handle in front of a `#[cold]`,
+/// `#[inline(never)]` body that takes the lock, so the call site neither
+/// calls out nor builds the [`TraceEvent`] it would record.
 #[derive(Debug, Clone, Default)]
 pub struct ObsHandle {
     core: Option<Arc<ObsCore>>,
@@ -104,17 +159,13 @@ impl ObsHandle {
     }
 
     /// True when this handle actually records.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.core.is_some()
     }
 
-    fn lock(core: &ObsCore) -> MutexGuard<'_, ObsInner> {
-        // recording never panics while holding the lock; if a caller's
-        // assertion ever poisons it, keep recording anyway
-        core.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Mirror the sim clock (ms). Called by the clock owner per event.
+    #[inline]
     pub fn set_now(&self, t_ms: u64) {
         if let Some(c) = &self.core {
             c.now_ms.store(t_ms, Ordering::Relaxed);
@@ -127,54 +178,60 @@ impl ObsHandle {
     }
 
     /// Add `n` to a counter.
+    #[inline]
     pub fn counter_add(&self, name: &str, n: u64) {
         if let Some(c) = &self.core {
-            Self::lock(c).metrics.counter_add(name, n);
+            c.counter_add(name, n);
         }
     }
 
     /// Add 1 to a counter.
+    #[inline]
     pub fn counter_inc(&self, name: &str) {
         self.counter_add(name, 1);
     }
 
     /// Set a gauge. Must only be called from deterministic (sequential)
     /// context — last write wins.
+    #[inline]
     pub fn gauge_set(&self, name: &str, v: f64) {
         if let Some(c) = &self.core {
-            Self::lock(c).metrics.gauge_set(name, v);
+            c.gauge_set(name, v);
         }
     }
 
     /// Record a histogram sample.
+    #[inline]
     pub fn observe(&self, name: &str, v: f64) {
         if let Some(c) = &self.core {
-            Self::lock(c).metrics.observe(name, v);
+            c.observe_all(name, &[v]);
         }
     }
 
     /// Record a batch of samples into one histogram under a single lock
     /// acquisition, in slice order, so this leaves the registry exactly
     /// as one [`ObsHandle::observe`] per value would.
+    #[inline]
     pub fn observe_all(&self, name: &str, values: &[f64]) {
         if let Some(c) = &self.core {
-            Self::lock(c).metrics.observe_all(name, values);
+            c.observe_all(name, values);
         }
     }
 
     /// Record a trace event at the mirrored sim time. Must only be
     /// called from deterministic (sequential) context.
+    #[inline]
     pub fn trace(&self, event: TraceEvent) {
         if let Some(c) = &self.core {
-            let t = c.now_ms.load(Ordering::Relaxed);
-            Self::lock(c).trace.record(t, event);
+            c.trace_at(c.now_ms.load(Ordering::Relaxed), event);
         }
     }
 
     /// Record a trace event at an explicit sim time.
+    #[inline]
     pub fn trace_at(&self, t_ms: u64, event: TraceEvent) {
         if let Some(c) = &self.core {
-            Self::lock(c).trace.record(t_ms, event);
+            c.trace_at(t_ms, event);
         }
     }
 
@@ -183,27 +240,27 @@ impl ObsHandle {
     /// deterministic: same events in, same bytes out — see
     /// [`Trace::post_mortem`].
     pub fn post_mortem(&self, reason: &str) -> Option<String> {
-        self.core.as_ref().map(|c| Self::lock(c).trace.post_mortem(reason))
+        self.core.as_ref().map(|c| c.lock().trace.post_mortem(reason))
     }
 
     /// Copy of the metrics so far (`None` when disabled).
     pub fn metrics(&self) -> Option<MetricsRegistry> {
-        self.core.as_ref().map(|c| Self::lock(c).metrics.clone())
+        self.core.as_ref().map(|c| c.lock().metrics.clone())
     }
 
     /// Copy of the trace so far (`None` when disabled).
     pub fn trace_snapshot(&self) -> Option<Trace> {
-        self.core.as_ref().map(|c| Self::lock(c).trace.clone())
+        self.core.as_ref().map(|c| c.lock().trace.clone())
     }
 
     /// Current trace digest (`None` when disabled).
     pub fn digest(&self) -> Option<u64> {
-        self.core.as_ref().map(|c| Self::lock(c).trace.digest())
+        self.core.as_ref().map(|c| c.lock().trace.digest())
     }
 
     /// Convenience: counter value, 0 when disabled.
     pub fn counter(&self, name: &str) -> u64 {
-        self.core.as_ref().map_or(0, |c| Self::lock(c).metrics.counter(name))
+        self.core.as_ref().map_or(0, |c| c.lock().metrics.counter(name))
     }
 
     /// Attach a wall-clock [`ProfileRegistry`] to this handle (no-op on
@@ -217,15 +274,18 @@ impl ObsHandle {
     }
 
     /// The attached profiler, if any.
+    #[inline]
     pub fn profile(&self) -> Option<&Arc<ProfileRegistry>> {
-        self.core.as_ref().and_then(|c| c.profile.get())
+        self.core.as_ref().and_then(|c| c.profile())
     }
 
     /// Open a profiling scope (RAII; closes on drop). `None` — costing
-    /// one branch — unless profiling is enabled. Single-threaded use
-    /// only: workers fork with [`ObsHandle::prof_fork`].
+    /// one branch on a disabled handle — unless profiling is enabled.
+    /// Single-threaded use only: workers fork with
+    /// [`ObsHandle::prof_fork`].
+    #[inline]
     pub fn prof_scope(&self, name: &'static str) -> Option<ScopeTimer> {
-        self.profile().map(|p| p.scope(name))
+        self.core.as_ref().and_then(|c| c.prof_scope(name))
     }
 
     /// Fork a private per-worker profiler (see [`LocalProfiler`]).

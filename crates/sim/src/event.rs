@@ -27,7 +27,11 @@
 //!   a fleet of one class costs one walk per traffic value, not one per
 //!   node. STAT emission and sampling both read it after re-keying the
 //!   nodes whose epoch moved; per node only the `*_from_raw` arithmetic
-//!   runs, bit-identical with the pure functions.
+//!   runs, bit-identical with the pure functions. The re-keying scans the
+//!   nodes only after the runner's agents version moved:
+//!   `Simulation::node_mut` is the one door to a node's agent lists
+//!   during a run and bumps it, so a run in which no agent moves never
+//!   scans, and a debug build checks every node's epoch at each skip.
 //! * **Arena-style buffers.** STAT emission reuses one message buffer
 //!   ([`dust_proto::Client::tick_into`]); the telemetry flow set is
 //!   rebuilt only when the transfer ledger's version moves; liveness is
@@ -77,7 +81,7 @@ const SAMPLE_RUN: usize = 8;
 
 /// What a shared-record node's values depend on besides `(traffic, now)`:
 /// nodes with equal keys share a slot.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SlotKey {
     /// The node's [`SimNode::shared_deployment`], matched by
     /// [`Arc::ptr_eq`]. Holding a clone keeps the record alive, so no
@@ -89,23 +93,19 @@ struct SlotKey {
     local: bool,
 }
 
-impl PartialEq for SlotKey {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.record, &other.record)
-            && self.spec == other.spec
-            && self.local == other.local
-    }
+/// The bits of `node`'s [`crate::node::NodeSpec`].
+fn spec_bits(node: &SimNode) -> [u64; 4] {
+    let s = node.spec;
+    [s.cpu_cores, s.mem_gib, s.base_cpu_percent, s.base_mem_gib].map(f64::to_bits)
 }
 
 impl SlotKey {
-    /// The key of `node`'s shared slot; `None` for a node on its own.
-    fn of(node: &SimNode) -> Option<SlotKey> {
-        let s = node.spec;
-        Some(SlotKey {
-            record: Arc::clone(node.shared_deployment()?),
-            spec: [s.cpu_cores, s.mem_gib, s.base_cpu_percent, s.base_mem_gib].map(f64::to_bits),
-            local: node.offloaded_agents.is_empty(),
-        })
+    /// Whether `node` has this key: it shares this very record, with equal
+    /// spec bits and offload state. Compares without cloning the record.
+    fn holds(&self, node: &SimNode) -> bool {
+        node.shared_deployment().is_some_and(|r| Arc::ptr_eq(r, &self.record))
+            && self.spec == spec_bits(node)
+            && self.local == node.offloaded_agents.is_empty()
     }
 }
 
@@ -127,6 +127,19 @@ struct HotState {
     /// Agent walks taken: a CPU/data walk counts one, a memory walk one.
     #[cfg(test)]
     walks: u64,
+    /// Slot syncs, and the node scans they ran.
+    #[cfg(test)]
+    syncs: u64,
+    #[cfg(test)]
+    scans: u64,
+    /// Syncs that found some node's agent epoch moved since the last one,
+    /// counted by comparing every node's epoch: what the scans should be.
+    #[cfg(test)]
+    moved_syncs: u64,
+    /// The runner's agents version ([`Simulation::node_mut`]) at the last
+    /// slot sync: while it holds, no agent list changed and the slots
+    /// stand.
+    synced_version: u64,
     /// Reused STAT/keepalive buffer.
     stat_buf: Vec<ClientMsg>,
     /// Flow arena: rebuilt only when `sim.active_version` moves.
@@ -182,12 +195,20 @@ struct HotState {
 }
 
 impl HotState {
-    /// The state of a run over `nodes`, with their slots assigned.
-    fn new(nodes: &[SimNode]) -> Self {
+    /// The state of a run over `nodes`, with their slots assigned at the
+    /// runner's agents version `version`.
+    fn new(nodes: &[SimNode], version: u64) -> Self {
         let n = nodes.len();
         let mut hot = HotState {
             #[cfg(test)]
             walks: 0,
+            #[cfg(test)]
+            syncs: 0,
+            #[cfg(test)]
+            scans: 0,
+            #[cfg(test)]
+            moved_syncs: 0,
+            synced_version: version,
             stat_buf: Vec::new(),
             flows: Vec::new(),
             flows_version: None,
@@ -264,11 +285,15 @@ impl HotState {
         self.reps.clear();
         for (i, n) in nodes.iter().enumerate() {
             self.slot_epoch[i] = n.agents_epoch();
-            self.slot_of[i] = match SlotKey::of(n) {
-                Some(key) => {
-                    let at = self.classes.iter().position(|c| *c == key);
+            self.slot_of[i] = match n.shared_deployment() {
+                Some(record) => {
+                    let at = self.classes.iter().position(|c| c.holds(n));
                     at.unwrap_or_else(|| {
-                        self.classes.push(key);
+                        self.classes.push(SlotKey {
+                            record: Arc::clone(record),
+                            spec: spec_bits(n),
+                            local: n.offloaded_agents.is_empty(),
+                        });
                         self.reps.push(i as u32);
                         self.classes.len() - 1
                     }) as u32
@@ -294,7 +319,11 @@ impl HotState {
             let epoch = n.agents_epoch();
             if self.slot_epoch[i] != epoch {
                 self.slot_epoch[i] = epoch;
-                if SlotKey::of(n).as_ref() != self.classes.get(self.slot_of[i] as usize) {
+                let moved_off = match self.classes.get(self.slot_of[i] as usize) {
+                    Some(class) => !class.holds(n),
+                    None => n.shared_deployment().is_some(),
+                };
+                if moved_off {
                     return true;
                 }
             }
@@ -302,12 +331,43 @@ impl HotState {
         false
     }
 
-    /// Bring the slots up to date with the nodes' agent lists: at a slot
-    /// change, write the held samples by the old slots, then reassign.
-    fn sync_slots(&mut self, federation: &mut Federation, nodes: &[SimNode]) {
+    /// Whether every node's agent epoch is the one its slot was last
+    /// checked at.
+    fn epochs_current(&self, nodes: &[SimNode]) -> bool {
+        nodes.iter().zip(&self.slot_epoch).all(|(n, &e)| n.agents_epoch() == e)
+    }
+
+    /// Bring the slots up to date with the nodes' agent lists at the
+    /// runner's agents version `version`: at a slot change, write the held
+    /// samples by the old slots, then reassign. While the version stands
+    /// no agent list changed, so nothing is scanned; a debug build checks
+    /// every node's epoch instead.
+    fn sync_slots(&mut self, federation: &mut Federation, nodes: &[SimNode], version: u64) {
+        #[cfg(test)]
+        {
+            self.syncs += 1;
+            self.moved_syncs += u64::from(!self.epochs_current(nodes));
+        }
+        if version == self.synced_version {
+            debug_assert!(
+                self.epochs_current(nodes),
+                "an agent list changed without moving the agents version"
+            );
+            return;
+        }
+        self.synced_version = version;
+        #[cfg(test)]
+        {
+            self.scans += 1;
+        }
         if self.slots_changed(nodes) {
             self.flush_samples(federation, nodes);
             self.assign_slots(nodes);
+        }
+        #[cfg(test)]
+        {
+            let fresh = HotState::new(nodes, version);
+            assert_eq!((&self.slot_of, &self.reps), (&fresh.slot_of, &fresh.reps), "a full scan");
         }
     }
 
@@ -368,9 +428,14 @@ impl HotState {
 }
 /// Run `sim` to completion; [`Simulation::run`] is its entry point.
 pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
+    let mut hot = HotState::new(&sim.nodes, sim.agents_version);
+    run_with(sim, &mut hot)
+}
+
+/// [`run_event`] over the caller's hot state (tests read its counters).
+fn run_with(sim: &mut Simulation, hot: &mut HotState) -> SimReport {
     let mut report = Simulation::empty_report();
     let mut q: EventQueue<SimEvent> = EventQueue::new();
-    let mut hot = HotState::new(&sim.nodes);
     sim.seed_queue(&mut q, &mut report);
 
     while let Some(ev) = q.pop() {
@@ -389,7 +454,7 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
                 // graph, so note the time and apply it before the next
                 // flow evaluation.
                 hot.links_pending = Some(now);
-                hot.sync_slots(&mut report.federation, &sim.nodes);
+                hot.sync_slots(&mut report.federation, &sim.nodes, sim.agents_version);
                 let walk = sim.obs.prof_scope("sim.resource_walk");
                 for i in 0..sim.nodes.len() {
                     if !sim.alive[i] {
@@ -418,7 +483,7 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
             SimEvent::TelemetrySample => {
                 let traffic = sim.traffic.fraction(now);
                 let batch = sim.obs.prof_scope("sim.telemetry_batch");
-                hot.sync_slots(&mut report.federation, &sim.nodes);
+                hot.sync_slots(&mut report.federation, &sim.nodes, sim.agents_version);
                 if hot.handles.is_none() {
                     // first sample: every later one lands `sample_period_ms`
                     // after the last until `duration_ms`, so the point
@@ -542,8 +607,9 @@ pub(crate) fn run_event(sim: &mut Simulation) -> SimReport {
 mod tests {
     use super::*;
     use crate::node::NodeSpec;
+    use dust_obs::{ObsHandle, TraceEvent};
     use dust_telemetry::IntSampling;
-    use dust_topology::{NodeId, SplitMix64};
+    use dust_topology::{NodeId, SplitMix64, Tier};
 
     /// Retune every local agent of `node`, detaching it from its record.
     fn retune(node: &mut SimNode, p: f64) {
@@ -645,7 +711,7 @@ mod tests {
         nodes.extend([detached, hosting, SimNode::with_standard_agents(NodeId(10), spec)]);
         let on_their_own = 3;
 
-        let mut hot = HotState::new(&nodes);
+        let mut hot = HotState::new(&nodes, 0);
         assert_eq!((hot.classes.len(), hot.reps.len() as u64), (2, 2 + on_their_own));
         let mut walks = 0;
         // `now` crosses the burst window; the last fraction comes back
@@ -680,7 +746,7 @@ mod tests {
     fn every_node_reads_its_own_values_from_its_slot() {
         for seed in 1..=8u64 {
             let mut nodes = node_mix(seed, 48);
-            let mut hot = HotState::new(&nodes);
+            let mut hot = HotState::new(&nodes, 0);
             let at = format!("seed {seed}");
             assert_eq!(hot.reps.len(), distinct_slots(&nodes), "{at}");
             assert!(hot.reps.len() < nodes.len(), "{at}: somebody shares a slot");
@@ -728,14 +794,14 @@ mod tests {
         for seed in 1..=8u64 {
             let mut nodes = node_mix(seed, 48);
             let mut federation = Federation::new();
-            let mut hot = HotState::new(&nodes);
+            let mut hot = HotState::new(&nodes, 0);
             let at = format!("seed {seed}");
             check(&mut hot, &nodes, 0, 0.2, &at);
             // a node on its own that stays on its own keeps its slot, and
             // its slot walks again at the same traffic
             let own = nodes.iter().position(|n| !n.agents_interned()).expect("a detached node");
             retune(&mut nodes[own], 0.5);
-            hot.sync_slots(&mut federation, &nodes);
+            hot.sync_slots(&mut federation, &nodes, 1);
             check(&mut hot, &nodes, 0, 0.2, &at);
 
             // retune a shared node, drop a hosting, offload a shared node
@@ -748,7 +814,7 @@ mod tests {
             }
             let sender = nodes.iter().position(|n| n.shared_deployment().is_some()).unwrap();
             drop(nodes[sender].offload_all_to(NodeId(1)));
-            hot.sync_slots(&mut federation, &nodes);
+            hot.sync_slots(&mut federation, &nodes, 2);
             assert_eq!(hot.reps.len(), distinct_slots(&nodes), "{at}");
             // into, inside and out of the burst window, traffic moving
             for (now, traffic) in [(1_500, 0.35), (3_000, 0.9), (4_500, 0.2)] {
@@ -762,7 +828,7 @@ mod tests {
         let spec = NodeSpec::aruba_8325();
         let record = Arc::new(MonitorAgent::standard_deployment());
         let held = |nodes: &[SimNode]| {
-            let mut hot = HotState::new(nodes);
+            let mut hot = HotState::new(nodes, 0);
             (1..).find(|&s| hot.hold_sample(nodes, 0.2, s as u64 * 150)).unwrap()
         };
         let own: Vec<SimNode> =
@@ -777,5 +843,67 @@ mod tests {
         let mixed: Vec<SimNode> =
             shared[..2].iter().cloned().chain(own[2..].iter().cloned()).collect();
         assert_eq!(held(&mixed), 9);
+    }
+
+    /// Run `sim` over a hot state the test keeps, to read its counters.
+    fn run_counted(mut sim: Simulation) -> (SimReport, HotState, Simulation) {
+        let mut hot = HotState::new(&sim.nodes, sim.agents_version);
+        let report = run_with(&mut sim, &mut hot);
+        (report, hot, sim)
+    }
+
+    #[test]
+    fn a_run_in_which_no_agent_moves_never_scans() {
+        let builder = crate::scenarios::scale_fleet_builder(4, 10_000, 1, ObsHandle::disabled());
+        let (report, hot, sim) = run_counted(builder.build().expect("a valid fleet"));
+        assert_eq!((report.transfers_applied, sim.agents_version), (0, 0));
+        // a STAT emission a second and a sample every 150 ms
+        assert!(hot.syncs > 70, "{} syncs", hot.syncs);
+        assert_eq!((hot.scans, hot.moved_syncs), (0, 0));
+    }
+
+    #[test]
+    fn a_run_scans_at_the_first_sync_after_each_move() {
+        // the zone-outage fat-tree with its edge switches on one shared
+        // record and its core switches on a light one: offloads and drift
+        // move nodes off their slot; pod 0 dies mid-run, so hostings are
+        // re-homed (REP) and released
+        let (ft, edges, mut nodes) = crate::scenarios::monitored_fat_tree(4);
+        let (core, pod) = (ft.tier_nodes(Tier::Core), ft.pod_nodes(0));
+        let record = Arc::new(MonitorAgent::standard_deployment());
+        let light = Arc::new(MonitorAgent::standard_deployment()[8..].to_vec());
+        for n in &mut nodes {
+            let record = match core.contains(&n.id) {
+                true => &light,
+                false if edges.contains(&n.id) => &record,
+                false => continue,
+            };
+            *n = SimNode::with_shared_agents(n.id, n.spec, Arc::clone(record));
+        }
+        let obs = ObsHandle::recording(0);
+        let knobs = crate::registry::ScenarioKnobs { obs: obs.clone(), ..Default::default() };
+        let mut builder = crate::registry::offload_builder(ft.graph, nodes, &knobs, 90_000)
+            .drift(crate::runner::DriftConfig { links_per_tick: 1, ..Default::default() });
+        for n in pod {
+            builder = builder.kill_at(45_000, n).revive_at(60_000, n);
+        }
+        let (report, hot, _) = run_counted(builder.build().expect("valid knobs"));
+        assert!(report.transfers_applied > 0, "offloads");
+        assert!(report.replicas_applied > 0, "a REP");
+        assert!(obs.counter("sim.releases_applied") > 0, "Releases");
+        // drift retunes agents after the first offload too, when nothing
+        // else moves them
+        let first = report.first_transfer_ms.expect("an offload");
+        let trace = obs.trace_snapshot().expect("recording");
+        let retuned = trace.entries().iter().filter(|e| {
+            e.t_ms > first
+                && matches!(e.event, TraceEvent::DriftApplied { agents, .. } if agents > 0)
+        });
+        assert!(retuned.count() > 0, "drift");
+        // every sync that followed a move scanned, and no other did (a
+        // skip that missed a move fails the debug oracle); each scan's
+        // slots were checked against a full assignment as it ran
+        assert!(hot.scans > 0 && hot.scans < hot.syncs, "{} of {} syncs", hot.scans, hot.syncs);
+        assert_eq!(hot.scans, hot.moved_syncs);
     }
 }

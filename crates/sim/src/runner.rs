@@ -307,6 +307,10 @@ pub struct Simulation {
     /// Bumped whenever `active` changes; the event core's flow arena
     /// rebuilds only when this moves.
     pub(crate) active_version: u64,
+    /// Bumped whenever [`Simulation::node_mut`] hands out a node, the one
+    /// door to a node's agent lists during a run; the event core re-keys
+    /// its sample slots only when this moves.
+    pub(crate) agents_version: u64,
     /// Failure injections: `(when_ms, node)`.
     pub(crate) kills: Vec<(u64, NodeId)>,
     /// Revival injections.
@@ -369,6 +373,7 @@ impl Simulation {
             alive: vec![true; n],
             active: BTreeMap::new(),
             active_version: 0,
+            agents_version: 0,
             kills: Vec::new(),
             revives: Vec::new(),
             storm_triggered: HashSet::new(),
@@ -537,6 +542,13 @@ impl Simulation {
         }
     }
 
+    /// Node `i`, to change its agent lists: every such change the runner
+    /// makes goes through here, so the agents version moves with it.
+    pub(crate) fn node_mut(&mut self, i: usize) -> &mut SimNode {
+        self.agents_version += 1;
+        &mut self.nodes[i]
+    }
+
     /// A client message reaches the Manager; replies head back through the
     /// fault gate.
     pub(crate) fn deliver_client_msg(
@@ -576,15 +588,15 @@ impl Simulation {
             ) if !self.active.contains_key(request) => {
                 if self.cfg.full_monitoring_offload {
                     // The Busy node sheds its own agents…
-                    let moved = self.nodes[from.index()].offload_all_to(to);
-                    self.nodes[to.index()].host_agents(*from, &moved);
+                    let moved = self.node_mut(from.index()).offload_all_to(to);
+                    self.node_mut(to.index()).host_agents(*from, &moved);
                     // …and redirects any workload it was hosting for others
                     // ("an Offload-destination node can redirect the
                     // workload to another node if it becomes busy", §III-B).
-                    let redirected = self.nodes[from.index()].take_hosted();
+                    let redirected = self.node_mut(from.index()).take_hosted();
                     for (owner, agent) in redirected {
-                        self.nodes[owner.index()].redirect_offloaded(*from, to);
-                        self.nodes[to.index()].host_agents(owner, &[agent]);
+                        self.node_mut(owner.index()).redirect_offloaded(*from, to);
+                        self.node_mut(to.index()).host_agents(owner, &[agent]);
                     }
                     // keep the transfer ledger pointing at the new host
                     // (redirected flows lose their planned route)
@@ -595,8 +607,8 @@ impl Simulation {
                         }
                     }
                 } else {
-                    let moved = self.nodes[from.index()].offload_agents_to(to, *amount, traffic);
-                    self.nodes[to.index()].host_agents(*from, &moved);
+                    let moved = self.node_mut(from.index()).offload_agents_to(to, *amount, traffic);
+                    self.node_mut(to.index()).host_agents(*from, &moved);
                 }
                 self.active.insert(
                     *request,
@@ -620,9 +632,9 @@ impl Simulation {
             ) if !self.active.contains_key(request) => {
                 // re-home: retarget the owner's offloaded agents and move
                 // the hosted copies from the failed node to the new host
-                let rehomed = self.nodes[from.index()].rehome_offloaded(*failed, to);
-                self.nodes[failed.index()].drop_hosted_for(*from);
-                self.nodes[to.index()].host_agents(*from, &rehomed);
+                let rehomed = self.node_mut(from.index()).rehome_offloaded(*failed, to);
+                self.node_mut(failed.index()).drop_hosted_for(*from);
+                self.node_mut(to.index()).host_agents(*from, &rehomed);
                 // the transfer that ran owner → failed is gone; its
                 // replacement lives under the new request id — dropping
                 // the stale entry keeps the flow model truthful
@@ -649,8 +661,8 @@ impl Simulation {
             (ManagerMsg::Release { request }, _) => {
                 if let Some(t) = self.active.remove(request) {
                     self.active_version += 1;
-                    self.nodes[t.owner.index()].reclaim_from(t.host);
-                    self.nodes[t.host.index()].drop_hosted_for(t.owner);
+                    self.node_mut(t.owner.index()).reclaim_from(t.host);
+                    self.node_mut(t.host.index()).drop_hosted_for(t.owner);
                     self.obs.counter_inc("sim.releases_applied");
                     self.obs.trace_at(
                         now,
@@ -846,10 +858,10 @@ impl Simulation {
         for _ in 0..drift.nodes_per_tick.min(self.nodes.len()) {
             let i = rng.below(self.nodes.len() as u64) as usize;
             let p = rng.range_f64(DRIFT_RATE_FLOOR, 1.0);
-            let node = &mut self.nodes[i];
-            if node.local_agents().is_empty() {
+            if self.nodes[i].local_agents().is_empty() {
                 continue;
             }
+            let node = self.node_mut(i);
             for a in node.local_agents_mut() {
                 a.sampling = Some(IntSampling::Probabilistic { p });
             }

@@ -144,12 +144,18 @@ impl Federation {
     /// # Panics
     /// Panics if `from` has no store.
     pub fn share(&mut self, node: NodeId, from: NodeId) {
-        let source = self.stores.get_mut(from.index()).and_then(Option::take);
-        let shared = match source.expect("`share` needs a store to share") {
-            Slot::Own(db) => Arc::new(db),
-            Slot::Shared(db) => db,
+        let source = self.stores.get_mut(from.index()).and_then(Option::as_mut);
+        let source = source.expect("`share` needs a store to share");
+        // an already shared store is cloned where it sits; one `from` owns
+        // moves behind an `Arc` once
+        let shared = match source {
+            Slot::Shared(db) => Arc::clone(db),
+            Slot::Own(db) => {
+                let db = Arc::new(std::mem::take(db));
+                *source = Slot::Shared(Arc::clone(&db));
+                db
+            }
         };
-        self.stores[from.index()] = Some(Slot::Shared(Arc::clone(&shared)));
         *self.slot(node) = Some(Slot::Shared(shared));
     }
 
@@ -662,5 +668,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_shared_store_is_copied_only_for_a_writer_that_is_not_its_last_holder() {
+        // where node `n` reads its `cpu` points, and their bits
+        let at = |f: &Federation, n: u32| {
+            let s = f.store(NodeId(n)).and_then(|db| db.series("cpu")).expect("a cpu series");
+            (s.points().as_ptr(), value_bits(s))
+        };
+        let mut f = fed_with_two_nodes();
+        let (own, points) = at(&f, 0);
+        let (other, other_points) = at(&f, 1);
+        f.share(NodeId(2), NodeId(0)); // from a store its source owns
+        f.share(NodeId(3), NodeId(2)); // from one its source shares
+        f.share(NodeId(3), NodeId(3)); // a shared store onto itself
+        f.share(NodeId(1), NodeId(1)); // an own store onto itself
+        for n in [0, 2, 3] {
+            assert_eq!(at(&f, n), (own, points.clone()), "node {n} reads node 0's points");
+        }
+        assert_eq!(at(&f, 1), (other, other_points.clone()), "sharing copies no point");
+
+        // a write through a holder copies the store for that holder only
+        f.store_mut(NodeId(2)).append("cpu", 1_000, 1.0);
+        let (copy, written) = at(&f, 2);
+        assert_ne!(copy, own);
+        assert_eq!((written.len(), &written[..10]), (11, &points[..]));
+        for n in [0, 3] {
+            assert_eq!(at(&f, n), (own, points.clone()), "node {n} still reads the original");
+        }
+        let db = f.store_mut(NodeId(0));
+        assert_ne!(db.series("cpu").unwrap().points().as_ptr(), own, "node 3 still holds it");
+        db.append("cpu", 1_000, 2.0);
+        assert_eq!(at(&f, 3), (own, points.clone()));
+        // the last holder, and a store shared onto itself, write in place
+        for (n, store) in [(3, own), (1, other)] {
+            let db = f.store_mut(NodeId(n));
+            assert_eq!(db.series("cpu").unwrap().points().as_ptr(), store, "node {n} copies");
+        }
+        assert_eq!(at(&f, 1), (other, other_points));
+        assert_eq!(at(&f, 3), (own, points));
     }
 }

@@ -103,6 +103,9 @@ pub struct CostEngine {
     /// The hop layers routes over this engine's graph backtrack through,
     /// kept from one placement round to the next.
     routes: DpScratch,
+    /// Each pricing worker's scratch, kept like `routes` and fitted to the
+    /// graph at every pricing call.
+    scratch: Vec<RowScratch>,
     /// The arc list rows are priced over, held between calls only while
     /// `keep_arcs` and at `coherent_epoch`.
     arcs: Option<ArcList>,
@@ -163,6 +166,7 @@ impl CostEngine {
             obs: ObsHandle::disabled(),
             coherent_epoch: 0,
             routes: DpScratch::default(),
+            scratch: Vec::new(),
             arcs: None,
             keep_arcs: false,
             #[cfg(test)]
@@ -340,11 +344,11 @@ impl CostEngine {
         let workers = self.threads().min(sources.len());
         // Everything the pricing allocates is allocated here, on the
         // calling thread and in source order: a buffer per uncached row,
-        // each worker's scratch, the cache entries. Workers only fill
-        // buffers, so the heap a round leaves behind does not depend on
-        // which thread priced which row. A buffer is allocated with room
-        // for its row, not filled: the row kernel writes every entry. The
-        // arc list the rows relax is built here too.
+        // the room a kept worker scratch lacks, the cache entries. Workers
+        // only fill buffers, so the heap a round leaves behind does not
+        // depend on which thread priced which row. A buffer is allocated
+        // with room for its row, not filled: the row kernel writes every
+        // entry. The arc list the rows relax is built here too.
         let n = g.node_count();
         let key = |src: NodeId| -> RowKey { (g.epoch(), src, hop_key(max_hop)) };
         // a cached row, or the buffer a worker prices the row into
@@ -395,8 +399,12 @@ impl CostEngine {
                 min_inv_lu_row_into(arcs, sources[i], max_hop, &mut row, scratch);
             }
         };
-        let mut scratch: Vec<RowScratch> =
-            (0..workers.max(1)).map(|_| RowScratch::reserved(n)).collect();
+        let pricers = workers.max(1);
+        if self.scratch.len() < pricers {
+            self.scratch.resize_with(pricers, RowScratch::default);
+        }
+        let scratch = &mut self.scratch[..pricers];
+        scratch.iter_mut().for_each(|s| s.fit(n));
         if workers <= 1 {
             for i in 0..sources.len() {
                 let _row = self.obs.prof_scope("cost.row_price");
@@ -413,7 +421,7 @@ impl CostEngine {
             let cursor = AtomicUsize::new(0);
             let obs = &self.obs;
             std::thread::scope(|s| {
-                for scratch in &mut scratch {
+                for scratch in scratch {
                     let (price, profiles, cursor) = (&price, &profiles, &cursor);
                     s.spawn(move || loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);

@@ -257,9 +257,9 @@ impl ArcList {
 }
 
 /// The working memory of one DP row pricing, [`min_inv_lu_row_into`],
-/// reserved up front for a graph's node count, so a pricing worker fills
-/// rows without allocating.
-#[derive(Debug, Default)]
+/// fitted up front to a graph's node count ([`RowScratch::fit`]), so a
+/// pricing worker fills rows without allocating.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct RowScratch {
     /// The frontier's distances as the layer found them.
     from: Vec<f64>,
@@ -273,15 +273,17 @@ pub(crate) struct RowScratch {
 }
 
 impl RowScratch {
-    /// Room for every row priced on an `n`-node graph: a DP frontier
-    /// holds each node at most once.
-    pub(crate) fn reserved(n: usize) -> RowScratch {
-        RowScratch {
-            from: Vec::with_capacity(n),
-            frontier: Vec::with_capacity(n),
-            moved: Vec::with_capacity(n),
-            marks: vec![0; n],
-            stamp: 0,
+    /// Make room for every row priced on an `n`-node graph, growing only
+    /// what is short: a DP frontier holds each node at most once.
+    pub(crate) fn fit(&mut self, n: usize) {
+        for list in [&mut self.frontier, &mut self.moved] {
+            list.clear();
+            list.reserve(n);
+        }
+        self.from.clear();
+        self.from.reserve(n);
+        if self.marks.len() < n {
+            self.marks.resize(n, 0);
         }
     }
 }
