@@ -86,7 +86,7 @@ pub fn heuristic_with(
     let mut remaining_cd: Vec<f64> = nmdb.graph.nodes().map(|n| nmdb.cd(n, cfg)).collect();
 
     let mut assignments: Vec<Assignment> = Vec::new();
-    let (scratch, mut dests) = (engine.route_scratch(), Vec::new());
+    let (mut scratch, mut dests) = (engine.route_scratch(&nmdb.graph), Vec::new());
     let mut residual = Vec::new();
     let mut total_cs = 0.0;
     let mut total_cse = 0.0;
@@ -134,7 +134,7 @@ pub fn heuristic_with(
         if !taken.is_empty() {
             dests.clear();
             dests.extend(taken.iter().map(|a| a.to));
-            let routes = routes_from(&nmdb.graph, b, &dests, Some(hops), scratch);
+            let routes = routes_from(b, &dests, Some(hops), &mut scratch);
             for (a, route) in taken.iter_mut().zip(routes) {
                 a.route = route;
             }

@@ -18,7 +18,7 @@ use crate::error::DustError;
 use crate::state::Nmdb;
 use dust_lp::{Basis, TransportProblem, TransportSolution, TransportStatus};
 use dust_obs::ObsHandle;
-use dust_topology::{CostEngine, CostMatrix, DpScratch, Graph, NodeId, Path};
+use dust_topology::{CostEngine, CostMatrix, NodeId, Path, RouteScratch};
 use std::time::{Duration, Instant};
 
 /// The spanning-tree basis carried from one placement round to the next
@@ -321,13 +321,13 @@ pub fn optimize_with(
     // ---- Route extraction for the chosen pairs -----------------------------
     let routes_scope = obs.prof_scope("core.routes");
     let mut assignments = Vec::with_capacity(solution.shipped.len());
-    let (scratch, mut dests) = (engine.route_scratch(), Vec::new());
+    let (mut scratch, mut dests) = (engine.route_scratch(&nmdb.graph), Vec::new());
     // a busy row's destinations are one run of the row-major cells
     for run in solution.shipped.chunk_by(|a, b| a.0 == b.0) {
         let from = busy[run[0].0];
-        let run = assign_run(&nmdb.graph, cfg, from, run, &candidates, scratch, &mut dests);
-        assignments.extend(run);
+        assignments.extend(assign_run(cfg, from, run, &candidates, &mut scratch, &mut dests));
     }
+    drop(scratch);
     drop(routes_scope);
 
     obs.counter_inc("core.placements_optimal");
@@ -352,19 +352,18 @@ pub fn optimize_with(
 /// (their columns index `candidates`), in order, each carrying the route
 /// that realizes its `T_rmin` under `cfg`'s hop bound.
 /// `dests` is scratch for the run's destinations.
-pub fn assign_run<'a>(
-    graph: &'a Graph,
+pub fn assign_run<'a, 'e>(
     cfg: &DustConfig,
     from: NodeId,
     run: &'a [(usize, usize, f64, f64)],
     candidates: &'a [NodeId],
-    scratch: &'a mut DpScratch,
+    scratch: &'a mut RouteScratch<'e>,
     dests: &'a mut Vec<NodeId>,
-) -> impl Iterator<Item = Assignment> + 'a {
+) -> impl Iterator<Item = Assignment> + use<'a, 'e> {
     dests.clear();
     dests.extend(run.iter().map(|&(_, c, _, _)| candidates[c]));
     let dests: &'a [NodeId] = dests;
-    let routes = routes_from(graph, from, dests, cfg.max_hop, scratch);
+    let routes = routes_from(from, dests, cfg.max_hop, scratch);
     let assign = move |(&(_, c, amount, t_rmin), route)| Assignment {
         from,
         to: candidates[c],
@@ -379,16 +378,15 @@ pub fn assign_run<'a>(
 /// one realizing the pair's `T_rmin` under `max_hop`. The hop-bounded DP
 /// runs once, pruned to the hop cones of `dests`, and is backtracked to
 /// each of them.
-pub fn routes_from<'a>(
-    graph: &'a Graph,
+pub fn routes_from<'a, 'e>(
     from: NodeId,
     dests: &'a [NodeId],
     max_hop: Option<usize>,
-    scratch: &'a mut DpScratch,
-) -> impl Iterator<Item = Option<Path>> + 'a {
-    scratch.run_to(graph, from, dests, max_hop);
+    scratch: &'a mut RouteScratch<'e>,
+) -> impl Iterator<Item = Option<Path>> + use<'a, 'e> {
+    scratch.run_to(from, dests, max_hop);
     let scratch = &*scratch;
-    dests.iter().map(move |&to| scratch.route_to(graph, to).map(|(_, p)| p))
+    dests.iter().map(move |&to| scratch.route_to(to).map(|(_, p)| p))
 }
 
 /// Why a round came back [`PlacementStatus::Infeasible`]:

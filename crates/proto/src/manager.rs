@@ -821,7 +821,7 @@ impl Manager {
                 // full engine reconcile the whole fleet this round
                 return None;
             }
-            let (scratch, mut dests) = (self.engine.route_scratch(), Vec::new());
+            let (mut scratch, mut dests) = (self.engine.route_scratch(graph), Vec::new());
             for run in solution.shipped.chunk_by(|a, b| a.0 == b.0) {
                 let req = degraded[run[0].0];
                 let h = &self.hostings[&req];
@@ -834,7 +834,7 @@ impl Manager {
                         continue;
                     }
                 }
-                let run = assign_run(graph, cfg, h.from, run, &candidates, scratch, &mut dests);
+                let run = assign_run(cfg, h.from, run, &candidates, &mut scratch, &mut dests);
                 rehomes.extend(run.map(|a| (req, a)));
             }
         }
@@ -1110,13 +1110,13 @@ impl Manager {
             .filter(|(_, load)| load + amount <= self.cfg.co_max)
             .collect();
         let dests: Vec<NodeId> = fitting.iter().map(|&(n, _)| n).collect();
-        let scratch = self.engine.route_scratch();
-        scratch.run_to(&self.graph, from, &dests, self.cfg.max_hop);
+        let mut scratch = self.engine.route_scratch(&self.graph);
+        scratch.run_to(from, &dests, self.cfg.max_hop);
         let (replica, _) = fitting
             .into_iter()
-            .filter(|&(n, _)| scratch.cost_to(&self.graph, n).is_some())
+            .filter(|&(n, _)| scratch.cost_to(n).is_some())
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))?;
-        let (inv_lu, route) = scratch.route_to(&self.graph, replica)?;
+        let (inv_lu, route) = scratch.route_to(replica)?;
         Some((replica, inv_lu, route))
     }
 }

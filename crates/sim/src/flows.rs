@@ -111,12 +111,13 @@ pub fn evaluate_flows(g: &Graph, flows: &[TelemetryFlow], interval_ms: u64) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dust_topology::{topologies, DpScratch, Link};
+    use dust_topology::{topologies, CostEngine, Link};
 
     fn flow_over(g: &Graph, a: NodeId, b: NodeId, data_mb: f64) -> TelemetryFlow {
-        let mut dp = DpScratch::default();
-        dp.run_to(g, a, &[b], None);
-        let (_, route) = dp.route_to(g, b).expect("route exists");
+        let mut engine = CostEngine::with_threads(1);
+        let mut routes = engine.route_scratch(g);
+        routes.run_to(a, &[b], None);
+        let (_, route) = routes.route_to(b).expect("route exists");
         TelemetryFlow { owner: a, host: b, route, data_mb }
     }
 

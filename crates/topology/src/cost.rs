@@ -6,20 +6,24 @@
 //! one bit for bit (see [`crate::paths`]), parameterized per source by the
 //! monitoring data volume `D_i` in megabits.
 //!
-//! The rows relax an arc list the [`CostEngine`] owns: per node, its
-//! edges' far ends and costs `1/Lu_e` in one run, 16 B an arc, two arcs an
-//! edge (the [`crate::paths`] module docs have the kernel). A call that
-//! prices a row builds the list unless it is at the graph's epoch; it is
-//! kept past the call only when the last refresh was incremental and at
-//! that epoch, and the next incremental refresh patches the runs of both
-//! endpoints of each dirty link. A full refresh drops it. So a churning
-//! Manager patches a few runs a round, while a round that re-draws every
-//! link, and a one-shot caller, allocate it for the call and free it.
-//! Building and patching are the `cost.arcs` profile scope.
+//! Rows and routes relax one arc list the [`CostEngine`] owns (the
+//! [`crate::paths`] module docs have the kernel). A pricing call that
+//! misses a row, or a [`CostEngine::route_scratch`], builds it unless it
+//! is at the graph's epoch, so a round's routes relax the list its
+//! pricing built. The end of the round's routes (dropping the
+//! [`RouteScratch`]) keeps it only when the last refresh was incremental
+//! and at its epoch, and frees it otherwise; an incremental refresh
+//! patches a kept list's runs at both endpoints of each dirty link, and a
+//! full refresh drops any list. So a churning Manager patches a few runs a
+//! round, while a cold round or a one-shot caller builds it once and frees
+//! it after its routes; a round without routes (a non-optimal LP) leaves
+//! it for the next refresh. Building and patching are the `cost.arcs`
+//! profile scope.
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::paths::{min_inv_lu_row_into, ArcList, DpScratch, RowScratch};
+use crate::paths::{min_inv_lu_row_into, ArcList, DpScratch, RouteScratch, RowScratch};
 use dust_obs::{LocalProfiler, ObsHandle, TraceEvent};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -100,14 +104,12 @@ pub struct CostEngine {
     /// ones eligible for migration at the next refresh. `0` = never
     /// refreshed (no epoch is ever handed out as 0).
     coherent_epoch: u64,
-    /// The hop layers routes over this engine's graph backtrack through,
-    /// kept from one placement round to the next.
+    /// The working memory of routes, kept from one round to the next.
     routes: DpScratch,
     /// Each pricing worker's scratch, kept like `routes` and fitted to the
     /// graph at every pricing call.
     scratch: Vec<RowScratch>,
-    /// The arc list rows are priced over, held between calls only while
-    /// `keep_arcs` and at `coherent_epoch`.
+    /// The arc list rows and routes relax (the module docs have its life).
     arcs: Option<ArcList>,
     /// Whether the last refresh that changed the epoch was incremental, so
     /// the next one can patch the list instead of a pricing call building
@@ -194,11 +196,34 @@ impl CostEngine {
         self.threads
     }
 
-    /// The working memory route extraction runs its DPs in: a round that
-    /// routes through it allocates no layers a previous round already
-    /// grew. Every run overwrites what the last one left.
-    pub fn route_scratch(&mut self) -> &mut DpScratch {
-        &mut self.routes
+    /// The round's routes over `g`: the returned [`RouteScratch`] runs
+    /// and backtracks over the engine's arc list at `g`'s epoch (the module
+    /// docs have its life), in layers a previous round already grew. No
+    /// run outlives the borrow.
+    pub fn route_scratch(&mut self, g: &Graph) -> RouteScratch<'_> {
+        let arcs = self.arcs_at(g);
+        let arcs = if self.keep_arcs && self.coherent_epoch == g.epoch() {
+            Cow::Borrowed(&*self.arcs.insert(arcs))
+        } else {
+            Cow::Owned(arcs)
+        };
+        RouteScratch::new(arcs, &mut self.routes)
+    }
+
+    /// The arc list at `g`'s epoch, taken out of the engine: the one it
+    /// holds if that is at the epoch, else a new one.
+    fn arcs_at(&mut self, g: &Graph) -> ArcList {
+        match self.arcs.take() {
+            Some(list) if list.epoch() == g.epoch() => list,
+            _ => {
+                let _arcs = self.obs.prof_scope("cost.arcs");
+                #[cfg(test)]
+                {
+                    self.arc_builds += 1;
+                }
+                ArcList::build(g)
+            }
+        }
     }
 
     /// Number of rows currently cached (all epochs).
@@ -379,17 +404,8 @@ impl CostEngine {
             }
             self.obs.gauge_set("cost.workers", workers.max(1) as f64);
         }
-        // a miss prices over the list at `g`'s epoch: build it unless the
-        // last refresh patched it there
-        if slots.iter().any(Result::is_err)
-            && self.arcs.as_ref().is_none_or(|l| l.epoch() != g.epoch())
-        {
-            let _arcs = self.obs.prof_scope("cost.arcs");
-            self.arcs = Some(ArcList::build(g));
-            #[cfg(test)]
-            {
-                self.arc_builds += 1;
-            }
+        if slots.iter().any(Result::is_err) {
+            self.arcs = Some(self.arcs_at(g));
         }
         let arcs = self.arcs.as_ref();
         let price = |i: usize, scratch: &mut RowScratch| {
@@ -458,11 +474,6 @@ impl CostEngine {
                 }
             })
             .collect();
-        // only an incremental refresh's patch keeps the list for the next
-        // call; a cold round re-draws every link and would rebuild it anyway
-        if !(self.keep_arcs && self.coherent_epoch == g.epoch()) {
-            self.arcs = None;
-        }
         (rows, hits, misses)
     }
 
@@ -938,6 +949,31 @@ mod engine_tests {
         assert_eq!(bits(eng.rows(g, sources, max_hop)), bits(want), "{max_hop:?}");
     }
 
+    /// Every route `eng` extracts on `g` from `src` to each of `dests` —
+    /// cost bits, nodes and edges — is a fresh engine's.
+    fn assert_fresh_routes(
+        eng: &mut CostEngine,
+        g: &Graph,
+        src: NodeId,
+        dests: &[NodeId],
+        max_hop: Option<usize>,
+    ) {
+        let routes = |eng: &mut CostEngine| {
+            let mut scratch = eng.route_scratch(g);
+            scratch.run_to(src, dests, max_hop);
+            let route = |&dst: &NodeId| scratch.route_to(dst).map(|(c, p)| (c.to_bits(), p));
+            dests.iter().map(route).collect::<Vec<_>>()
+        };
+        let want = routes(&mut CostEngine::with_threads(1));
+        assert_eq!(routes(eng), want, "{src:?} -> {dests:?} {max_hop:?}");
+    }
+
+    /// The list's life over 60 seeded rounds of drift, re-draws and
+    /// structural changes, each priced and then routed: a full refresh
+    /// drops it and the round builds one, which its pricing and its routes
+    /// share and its routes free; an incremental refresh patches a held
+    /// list, which the round prices and routes over and keeps. Every row
+    /// and every route is a fresh engine's, bit for bit.
     #[test]
     fn the_arc_list_is_patched_by_incremental_refreshes_and_dropped_otherwise() {
         use crate::SplitMix64;
@@ -946,9 +982,11 @@ mod engine_tests {
         g.retarget_utilization(|e, _| 0.1 + 0.8 * (e.index() % 7) as f64 / 7.0);
         let all: Vec<NodeId> = g.nodes().collect();
         let mut rng = SplitMix64::new(0xA2C5);
-        // a one-shot caller holds no list after its call
+        // a one-shot caller builds one list for its pricing and its routes
+        // and holds none after its routes
         let mut once = CostEngine::with_threads(1);
         once.build_matrix(&g, &all[..4], &all[4..], &[1.0; 4], Some(2));
+        assert_fresh_routes(&mut once, &g, all[0], &all[4..9], Some(2));
         assert_eq!((once.arc_builds, once.arcs.is_none()), (1, true));
         let mut eng = CostEngine::with_threads(2);
         let mut clones = 0;
@@ -969,14 +1007,18 @@ mod engine_tests {
                     }
                 }
             }
+            let src = all[rng.below(20) as usize];
+            let dests: Vec<NodeId> =
+                (0..1 + rng.below(4)).map(|_| all[rng.below(20) as usize]).collect();
             if rng.below(5) == 0 {
                 // an epoch no refresh reached: the list is built for the
-                // call and not kept
+                // pricing, shared by the routes and freed after them
                 let builds = eng.arc_builds;
                 assert_fresh(&mut eng, &g, &all[..7], max_hop);
+                assert_fresh_routes(&mut eng, &g, src, &dests, max_hop);
                 assert_eq!((eng.arc_builds, eng.arcs.is_none()), (builds + 1, true), "{round}");
             }
-            let held = eng.arcs.is_some();
+            let held = eng.arcs.as_ref().map(ArcList::epoch) == Some(eng.coherent_epoch);
             let builds = eng.arc_builds;
             let stats = refresh(&mut eng, &mut g);
             if stats.full {
@@ -991,18 +1033,25 @@ mod engine_tests {
             assert_fresh(&mut eng, &g, &all, max_hop);
             let built = usize::from(missed && !patched);
             assert_eq!(eng.arc_builds, builds + built, "round {round}: {stats:?}");
-            let kept = patched || (missed && !stats.full);
+            assert_eq!(eng.arcs.is_some(), patched || missed, "round {round}: {stats:?}");
+            // the routes relax the list the pricing left, or build one
+            assert_fresh_routes(&mut eng, &g, src, &dests, max_hop);
+            assert_eq!(eng.arc_builds, builds + usize::from(!patched), "round {round}");
+            let kept = !stats.full;
             assert_eq!(eng.arcs.is_some(), kept, "round {round}: {stats:?}");
             if kept && rng.below(3) == 0 {
-                // a clone patches and prices with its own copy
+                // a clone patches, prices and routes with its own copy
                 clones += 1;
                 let (mut twin, mut h) = (eng.clone(), g.clone());
                 h.link_mut(EdgeId(0)).utilization = rng.range_f64(0.05, 0.95);
                 assert!(!refresh(&mut twin, &mut h).full);
                 assert_fresh(&mut twin, &h, &all, max_hop);
+                assert_fresh_routes(&mut twin, &h, src, &dests, max_hop);
                 assert_eq!(twin.arc_builds, eng.arc_builds, "round {round}: the clone patched");
                 assert_eq!(eng.arcs.as_ref().map(ArcList::epoch), Some(g.epoch()));
                 assert_fresh(&mut eng, &g, &all, Some(2));
+                assert_fresh_routes(&mut eng, &g, src, &dests, Some(2));
+                assert_eq!(twin.arc_builds, eng.arc_builds, "round {round}: the list was kept");
             }
         }
         assert!(clones > 0);

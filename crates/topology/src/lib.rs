@@ -34,6 +34,6 @@ pub use dot::{placement_to_dot, to_dot, NodeStyle};
 pub use fattree::{paper_sizes, FatTree, Tier};
 pub use graph::{Edge, EdgeId, Graph, Link, NodeId};
 pub use paths::{
-    for_each_simple_path, min_inv_lu_enumerated, min_inv_lu_enumerated_row, DpScratch, Path,
+    for_each_simple_path, min_inv_lu_enumerated, min_inv_lu_enumerated_row, Path, RouteScratch,
 };
 pub use rng::SplitMix64;

@@ -11,8 +11,11 @@
 //!
 //! * a source's row of minima to every node is
 //!   [`CostEngine::rows`](crate::CostEngine::rows);
-//! * a pair's cost or route is a [`DpScratch`]: [`DpScratch::run_to`],
-//!   then [`DpScratch::cost_to`] or [`DpScratch::route_to`];
+//! * a pair's cost or route is a
+//!   [`CostEngine::route_scratch`](crate::CostEngine::route_scratch):
+//!   [`RouteScratch::run_to`](crate::RouteScratch::run_to), then
+//!   [`cost_to`](crate::RouteScratch::cost_to) or
+//!   [`route_to`](crate::RouteScratch::route_to);
 //! * enumeration is [`for_each_simple_path`], one pair's optimal
 //!   enumerated route is [`min_inv_lu_enumerated`], and one source's
 //!   enumerated row is [`min_inv_lu_enumerated_row`].
@@ -29,16 +32,30 @@
 //! megabit); multiplying by the monitoring data volume `D_i` yields the
 //! paper's response time `Tr = Σ_e D_i / Lu_e`.
 //!
+//! # One kernel over a packed arc list
+//!
+//! Rows and routes run one hop-layer kernel, `relax_hop_layers`, over an
+//! `ArcList`: per node, one run of `(far end: u32, edge id: u32,
+//! 1/Lu_e: f64)` arcs in [`Graph::incident`] order, 16 B an arc, two arcs
+//! an edge, so a relaxation reads one arc, not an edge record and a
+//! division. A layer lowers the row in place, relaxing from a copy of its
+//! frontier's distances as the previous layer left them: every entry takes
+//! the minimum of the same sums in the same order as a two-buffer layer,
+//! so rows and routes are the graph walk's bits. The last layer feeds no
+//! frontier and lowers its entries with a select. A row keeps its last
+//! layer; a route run hands each layer to a hook that copies it out, and
+//! its backtrack reads the same arc runs, taking each step's edge id from
+//! the arc. The [`crate::cost`] module docs give the list's life.
+//!
 //! # Routes cost the cones they cross
 //!
-//! A route is backtracked through the DP's hop layers ([`DpScratch`]),
-//! and a route extraction knows its destinations before it runs: the
-//! busy row's shipped columns, a re-home's new hosts, a replica. Under a
-//! hop bound `H`, [`DpScratch::run_to`] therefore keeps, at layer `j`,
-//! only the nodes within `H − j` hops of one of those destinations (a
-//! BFS of depth `H − 1` from them finds each node's last such layer): it
-//! carries only them over from layer `j − 1` and relaxes only into them.
-//! That loses nothing a route reads:
+//! A route extraction knows its destinations before it runs: the busy
+//! row's shipped columns, a re-home's new hosts, a replica. Under a hop
+//! bound `H`, [`RouteScratch::run_to`] therefore relaxes, at
+//! layer `j`, only into the nodes within `H − j` hops of one of those
+//! destinations (a BFS of depth `H − 1` from them over the arc runs finds
+//! each node's last such layer), and keeps only them. That loses nothing
+//! a route reads:
 //!
 //! * A node `b` within `H − j` hops of a destination has every neighbour
 //!   within `H − j + 1` hops, so each neighbour was kept at layer
@@ -49,38 +66,17 @@
 //!   `h − 1` of nodes within `final − h + 1` hops of `d`: all kept, and
 //!   exact. Layer 0 is not read at all: it is 0 at the source and ∞
 //!   elsewhere.
-//! * A pruned run may stop at an earlier layer than an unpruned one, but
-//!   `d`'s value is flat across the layers in between, so the "shorten"
-//!   steps reach the same `(h, d)` and the same predecessor wins every
-//!   tie.
+//! * A pruned run may stop at an earlier layer than an unpruned one, and a
+//!   run that reaches its bound keeps its last layer even when it moved
+//!   nothing, but `d`'s value is flat across the layers in between, so the
+//!   "shorten" steps reach the same `(h, d)` and the same predecessor wins
+//!   every tie.
 //!
 //! Every route and every cost bit is the unpruned DP's. Without a hop
 //! bound nothing is pruned.
-//!
-//! # Rows relax a packed arc list
-//!
-//! A priced row keeps only its last layer, and it relaxes an `ArcList`
-//! instead of the graph: per node, one contiguous run of `(far end: u32,
-//! 1/Lu_e: f64)` arcs in [`Graph::incident`] order, 16 B an arc and two
-//! arcs an edge. A relaxation then reads one arc, not an edge id, the
-//! edge's record and a division; the additions and their order are the
-//! graph walk's, so every row is the same bits. A layer lowers the row in
-//! place, relaxing from a copy of its frontier's distances as the layer
-//! found them, so no second row is filled and copied back. The last hop
-//! layer feeds no next frontier, so it lowers its entries with a select
-//! and keeps no track of the nodes that moved.
-//!
-//! The [`CostEngine`](crate::CostEngine) owns the list and decides when it
-//! exists: a pricing call that misses a row builds it (exactly sized:
-//! `n + 1` run starts, `2 · |E|` arcs) unless it is already at the
-//! graph's epoch. It outlives the call only when the engine's last
-//! refresh was incremental and brought it to that epoch; the next
-//! incremental refresh then re-prices the runs of both endpoints of every
-//! dirty link instead of rebuilding it. A full refresh drops it, so a
-//! round that re-draws every link, or a one-shot caller, holds none
-//! between calls. Routes still walk the graph ([`DpScratch`]).
 
 use crate::graph::{EdgeId, Graph, Link, NodeId};
+use std::borrow::Cow;
 
 /// A simple path: node sequence plus the edges traversed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,20 +179,18 @@ pub fn min_inv_lu_enumerated(
 }
 
 /// One arc of an [`ArcList`]: the far end of an edge seen from the node
-/// whose run holds it, and the edge's cost `1/Lu_e` ([`inv_lu_edge`]).
-/// Sixteen bytes: four arcs a cache line.
+/// whose run holds it, the edge's id, and its cost `1/Lu_e`
+/// ([`inv_lu_edge`]). Sixteen bytes: four arcs a cache line.
 #[derive(Debug, Clone, Copy)]
 struct OutArc {
     to: u32,
+    edge: u32,
     inv_lu: f64,
 }
 
-/// A graph's edges packed for row pricing: per node, one contiguous run of
-/// [`OutArc`]s in [`Graph::incident`] order, two arcs an edge (16 B each).
-/// A row relaxes runs instead of following edge ids to their records and
-/// dividing `1/Lu_e` again at every relaxation.
-///
-/// The list prices the graph at one epoch ([`Graph::epoch`]).
+/// A graph's edges packed for the DP: per node, one contiguous run of
+/// [`OutArc`]s in [`Graph::incident`] order, two arcs an edge. It prices
+/// the graph at one epoch ([`Graph::epoch`]).
 /// [`ArcList::patch`] re-prices the runs a link drift reaches; a
 /// structural change needs a new list.
 #[derive(Debug, Clone)]
@@ -217,7 +211,7 @@ impl ArcList {
         for v in g.nodes() {
             arcs.extend(g.incident(v).iter().map(|&e| {
                 let edge = g.edge(e);
-                OutArc { to: edge.other(v).0, inv_lu: inv_lu(&edge.link) }
+                OutArc { to: edge.other(v).0, edge: e.0, inv_lu: inv_lu(&edge.link) }
             }));
             start.push(u32::try_from(arcs.len()).expect("more than u32::MAX arcs"));
         }
@@ -238,8 +232,8 @@ impl ArcList {
             let edge = g.edge(e);
             for v in [edge.a, edge.b] {
                 let run = self.start[v.index()] as usize..self.start[v.index() + 1] as usize;
-                for (arc, &e) in self.arcs[run].iter_mut().zip(g.incident(v)) {
-                    arc.inv_lu = inv_lu(&g.edge(e).link);
+                for arc in &mut self.arcs[run] {
+                    arc.inv_lu = inv_lu(&g.edge(EdgeId(arc.edge)).link);
                 }
             }
         }
@@ -256,7 +250,7 @@ impl ArcList {
     }
 }
 
-/// The working memory of one DP row pricing, [`min_inv_lu_row_into`],
+/// The working memory of the hop-layer kernel, [`relax_hop_layers`],
 /// fitted up front to a graph's node count ([`RowScratch::fit`]), so a
 /// pricing worker fills rows without allocating.
 #[derive(Debug, Clone, Default)]
@@ -270,6 +264,9 @@ pub(crate) struct RowScratch {
     /// The current layer's stamp: no mark holds it until the layer writes
     /// it (the marks are cleared when the stamps wrap).
     stamp: u32,
+    /// Relaxations made by every run so far.
+    #[cfg(test)]
+    relaxed: usize,
 }
 
 impl RowScratch {
@@ -354,91 +351,42 @@ pub fn min_inv_lu_enumerated_row(g: &Graph, src: NodeId, max_hop: Option<usize>)
     dist
 }
 
-/// One hop layer of the Bellman–Ford DP: relax every edge out of
-/// `frontier` — the nodes whose distance changed in the previous layer —
-/// into the nodes `into` admits, reading `prev` and lowering `next`, which
-/// enters as a copy of `prev`. The nodes whose distance dropped are
-/// collected, once each, in `moved`. Returns the relaxations made.
-///
-/// Skipping the nodes outside the frontier loses nothing: a node that did
-/// not move offered the very same `prev[a] + c` candidates one layer
-/// earlier, so every minimum sees the same floats as a sweep of all edges.
-#[inline(always)]
-fn relax_layer(
-    g: &Graph,
-    prev: &[f64],
-    next: &mut [f64],
-    frontier: &[NodeId],
-    moved: &mut Vec<NodeId>,
-    into: impl Fn(NodeId) -> bool,
-) -> usize {
-    moved.clear();
-    let mut relaxed = 0;
-    for &a in frontier {
-        let from = prev[a.index()];
-        for &e in g.incident(a) {
-            // one read of the edge's record gives its far end and its load
-            let edge = g.edge(e);
-            let b = edge.other(a);
-            if !into(b) {
-                continue;
-            }
-            relaxed += 1;
-            let through = from + inv_lu(&edge.link);
-            let so_far = next[b.index()];
-            if through < so_far {
-                if so_far == prev[b.index()] {
-                    moved.push(b); // b's first drop in this layer
-                }
-                next[b.index()] = through;
-            }
-        }
-    }
-    relaxed
+/// The hop bound a DP over `n` nodes runs to: `max_hop`, or `n − 1` when
+/// unbounded (enough for any simple path), and never more.
+fn layer_bound(max_hop: Option<usize>, n: usize) -> usize {
+    max_hop.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1))
 }
 
-/// Minimum `Σ 1/Lu_e` from `src` to *every* node within `max_hop` hops via
-/// hop-bounded Bellman–Ford over the graph's [`ArcList`], into `dist`,
-/// which it sets to one entry per node (within the capacity it brings,
-/// allocating nothing), working in `scratch`. Entry `dist[v]` is
-/// `f64::INFINITY` when `v` is unreachable within the bound; `dist[src]`
-/// is `0.0`.
-///
-/// With strictly positive edge costs a minimum-cost walk is simple, so this
-/// equals the enumerated optimum at a fraction of the cost. Each layer
-/// relaxes only out of the previous layer's frontier, so a bounded search
-/// costs what it reaches, not `max_hop · |E|`.
-///
-/// A layer lowers `dist` in place: it first copies out the frontier's
-/// distances as the previous layer left them, and relaxes from those, so
-/// an entry lowered earlier in the same layer is never relaxed out of.
-/// Every entry then takes the minimum of the same sums in the same order
-/// as a layer that reads one buffer and writes another ([`relax_layer`]),
-/// so the row is the same bits, with no second row to fill and copy. A
-/// node joins the next frontier at its first drop in a layer, which a
-/// per-node layer stamp tells. The last layer (`h == bound`) feeds no
-/// next frontier: it lowers each entry with a select and keeps no
-/// stamps. This is the row [`crate::CostEngine`] parallelizes over
-/// sources.
-pub(crate) fn min_inv_lu_row_into(
+/// The one hop-layer kernel of the Bellman–Ford DP, for rows and routes
+/// alike (the module docs have its layer): out of `src`, `bound` layers
+/// over `arcs`, lowering `dist` in place, working in `scratch`. `dist`
+/// enters at 0 for `src` and ∞ for every node `into` admits; layer `h`
+/// relaxes only into the nodes `b` with `into(b, h)`, which admits no node
+/// it refused at an earlier layer. Each layer relaxes only out of the
+/// nodes the previous one lowered: a node that did not move offers the
+/// sums it offered before. After each layer that can have moved a node,
+/// `layer(h, dist)` sees the row; returns the last such layer, `0` when
+/// none ran.
+#[inline(always)]
+fn relax_hop_layers(
     arcs: &ArcList,
     src: NodeId,
-    max_hop: Option<usize>,
-    dist: &mut Vec<f64>,
+    bound: usize,
+    dist: &mut [f64],
     scratch: &mut RowScratch,
-) {
+    into: impl Fn(usize, usize) -> bool,
+    mut layer: impl FnMut(usize, &[f64]),
+) -> usize {
     let n = arcs.node_count();
-    // Unbounded: n-1 hops suffice for any simple path.
-    let bound = max_hop.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
-    dist.clear();
-    dist.resize(n, f64::INFINITY);
-    dist[src.index()] = 0.0;
-    let RowScratch { from, frontier, moved, marks, stamp } = scratch;
+    #[cfg(test)]
+    let mut relaxed = 0;
+    let RowScratch { from, frontier, moved, marks, stamp, .. } = scratch;
     if marks.len() < n {
         marks.resize(n, 0);
     }
     frontier.clear();
     frontier.push(src);
+    let mut last = 0;
     for h in 1..=bound {
         from.clear();
         from.extend(frontier.iter().map(|a| dist[a.index()]));
@@ -446,10 +394,19 @@ pub(crate) fn min_inv_lu_row_into(
             for (&a, &from) in frontier.iter().zip(from.iter()) {
                 for arc in arcs.run(a) {
                     let b = arc.to as usize;
+                    if !into(b, h) {
+                        continue;
+                    }
+                    #[cfg(test)]
+                    {
+                        relaxed += 1;
+                    }
                     let (through, so_far) = (from + arc.inv_lu, dist[b]);
                     dist[b] = if through < so_far { through } else { so_far };
                 }
             }
+            layer(h, dist);
+            last = h;
             break;
         }
         if *stamp == u32::MAX {
@@ -461,6 +418,13 @@ pub(crate) fn min_inv_lu_row_into(
         for (&a, &from) in frontier.iter().zip(from.iter()) {
             for arc in arcs.run(a) {
                 let b = arc.to as usize;
+                if !into(b, h) {
+                    continue;
+                }
+                #[cfg(test)]
+                {
+                    relaxed += 1;
+                }
                 let through = from + arc.inv_lu;
                 if through < dist[b] {
                     if marks[b] != *stamp {
@@ -474,22 +438,54 @@ pub(crate) fn min_inv_lu_row_into(
         if moved.is_empty() {
             break; // diameter reached
         }
+        layer(h, dist);
+        last = h;
         std::mem::swap(frontier, moved);
     }
+    #[cfg(test)]
+    {
+        scratch.relaxed += relaxed;
+    }
+    last
+}
+
+/// Minimum `Σ 1/Lu_e` from `src` to *every* node within `max_hop` hops
+/// over the graph's [`ArcList`] — the enumerated optimum's bits — into
+/// `dist`, which it sets to one entry per node (within the capacity it
+/// brings, allocating nothing), working in `scratch`: `f64::INFINITY`
+/// where a node is out of reach, `0.0` at `src`. It is [`relax_hop_layers`]
+/// admitting every node and keeping no layer, the row
+/// [`crate::CostEngine`] parallelizes over sources.
+pub(crate) fn min_inv_lu_row_into(
+    arcs: &ArcList,
+    src: NodeId,
+    max_hop: Option<usize>,
+    dist: &mut Vec<f64>,
+    scratch: &mut RowScratch,
+) {
+    let n = arcs.node_count();
+    dist.clear();
+    dist.resize(n, f64::INFINITY);
+    dist[src.index()] = 0.0;
+    relax_hop_layers(arcs, src, layer_bound(max_hop, n), dist, scratch, |_, _| true, |_, _| {});
     // The source's own distance stays 0 but a path to itself is not
     // meaningful for offloading; callers filter src == dst beforehand.
 }
 
-/// The hop-layered DP from one source toward a set of destinations, kept
-/// so that routes to each of them backtrack through one
-/// [`DpScratch::run_to`], and so that a caller extracting many routes in
-/// a row refills the layers, frontier lists and cone marks instead of
-/// allocating anew.
+/// The working memory of route runs, which the
+/// [`CostEngine`](crate::CostEngine) keeps from one round to the next, so
+/// a caller extracting many routes refills the row, the layers and the
+/// cone marks instead of allocating anew.
 #[derive(Debug, Default, Clone)]
-pub struct DpScratch {
+pub(crate) struct DpScratch {
+    /// The run's row, lowered layer by layer by [`relax_hop_layers`].
+    dist: Vec<f64>,
+    row: RowScratch,
+    /// Layer `h ≥ 1` of the last run, `layers[(h − 1) * n..][v]`: the min
+    /// cost of reaching `v` in `<= h` hops, for every node `v` a route to
+    /// the run's destinations reads. Layer 0 is 0 at the source and ∞
+    /// elsewhere, and is not stored.
     layers: Vec<f64>,
-    frontier: Vec<NodeId>,
-    moved: Vec<NodeId>,
     /// Per node, the last layer that relaxes into it under the last run's
     /// hop bound: `bound − d` for a node `d < bound` hops from a
     /// destination, `0` (never) for the rest.
@@ -500,28 +496,42 @@ pub struct DpScratch {
     /// The last run's hop bound as a last layer when it pruned, `0` when
     /// it did not: a destination's `last_layer`.
     top: u32,
-    /// The source of the last run.
+    /// The source of the last run; `None` when nothing ran.
     src: Option<NodeId>,
-    /// The last layer that moved: `layers` holds `final_layer + 1` of them.
+    /// The last layer that can have moved: `layers` holds that many.
     final_layer: usize,
-    /// Relaxations made by every run so far.
-    #[cfg(test)]
-    relaxed: usize,
 }
 
-impl DpScratch {
+/// Route extraction over a cost engine's arc list at one graph epoch,
+/// borrowed from [`CostEngine::route_scratch`](crate::CostEngine::route_scratch):
+/// [`RouteScratch::run_to`] runs the hop-layered DP out of a source toward
+/// its destinations, then [`RouteScratch::cost_to`] reads a destination's
+/// cost and [`RouteScratch::route_to`] backtracks its route. A run is the
+/// row kernel's, so a route's cost is its row entry's bits.
+#[derive(Debug)]
+pub struct RouteScratch<'a> {
+    /// The list the runs relax: owned when the end of the routes frees
+    /// it, borrowed when the engine keeps it.
+    arcs: Cow<'a, ArcList>,
+    dp: &'a mut DpScratch,
+}
+
+impl<'a> RouteScratch<'a> {
+    /// Routes over `arcs`, run in `dp`, which forgets its last run.
+    pub(crate) fn new(arcs: Cow<'a, ArcList>, dp: &'a mut DpScratch) -> Self {
+        dp.src = None;
+        RouteScratch { arcs, dp }
+    }
+
     /// Run the exact layered DP out of `src` within `max_hop` hops, far
-    /// enough to route to each of `dests`, overwriting whatever a previous
-    /// run left here: layer h, `layers[h * n..][v]`, is the min cost of
-    /// reaching v in <= h hops for every node v a route to `dests` can
-    /// read. Under a hop bound, layer j holds and relaxes only the nodes
-    /// within `bound − j` hops of a destination (the module docs say why
-    /// the routes and their costs stay those of the unpruned DP), so a run
-    /// costs the cones it crosses; without one, every node.
-    pub fn run_to(&mut self, g: &Graph, src: NodeId, dests: &[NodeId], max_hop: Option<usize>) {
-        let n = g.node_count();
-        let bound = max_hop.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
-        let DpScratch { layers, frontier, moved, last_layer, cone, top, .. } = self;
+    /// enough to route to each of `dests`, overwriting what the last run
+    /// left; under a bound it costs only the destinations' hop cones (the
+    /// module docs say why that loses nothing).
+    pub fn run_to(&mut self, src: NodeId, dests: &[NodeId], max_hop: Option<usize>) {
+        let arcs = &*self.arcs;
+        let n = arcs.node_count();
+        let bound = layer_bound(max_hop, n);
+        let DpScratch { dist, row, layers, last_layer, cone, top, .. } = &mut *self.dp;
         for v in cone.drain(..) {
             last_layer[v.index()] = 0;
         }
@@ -546,136 +556,115 @@ impl DpScratch {
                 if next == 0 {
                     continue;
                 }
-                for (w, _) in g.neighbors(v) {
-                    if last_layer[w.index()] == 0 {
-                        last_layer[w.index()] = next;
-                        cone.push(w);
+                for arc in arcs.run(v) {
+                    let w = arc.to as usize;
+                    if last_layer[w] == 0 {
+                        last_layer[w] = next;
+                        cone.push(NodeId(arc.to));
                     }
                 }
             }
         }
         let pruned = *top > 0;
+        // A pruned run reads and writes only its cone (and the source), so
+        // what earlier runs left elsewhere stays, unread.
+        if pruned && dist.len() >= n {
+            for v in cone.iter() {
+                dist[v.index()] = f64::INFINITY;
+            }
+        } else {
+            dist.clear();
+            dist.resize(n, f64::INFINITY);
+        }
+        dist[src.index()] = 0.0;
         // Layers stop growing once a layer moves nothing (diameter
         // reached), so memory is O(diameter · |V|) even when the bound is
         // "unbounded"; room for a small bound's layers is taken up front so
-        // they are one allocation. A pruned run writes only its cone, so
-        // what earlier runs left elsewhere stays, unread.
-        layers.reserve((n * (bound.min(7) + 1)).saturating_sub(layers.len()));
-        if layers.len() < n {
-            layers.resize(n, f64::INFINITY);
-        }
-        if pruned {
-            for v in cone.iter() {
-                layers[v.index()] = f64::INFINITY;
+        // they are one allocation.
+        layers.reserve((n * bound.min(7)).saturating_sub(layers.len()));
+        let (cone, last_layer) = (&*cone, &*last_layer);
+        let keep = |h: usize, dist: &[f64]| {
+            if layers.len() < h * n {
+                layers.resize(h * n, f64::INFINITY);
             }
-        } else {
-            layers[..n].fill(f64::INFINITY);
-        }
-        layers[src.index()] = 0.0;
-        frontier.clear();
-        frontier.push(src);
-        let mut final_layer = 0;
-        #[cfg(test)]
-        let mut relaxed = 0;
-        for h in 1..=bound {
-            if layers.len() < (h + 1) * n {
-                layers.resize((h + 1) * n, f64::INFINITY);
-            }
-            let (prev, next) = layers[(h - 1) * n..(h + 1) * n].split_at_mut(n);
-            let _made = if pruned {
-                // carry the nodes layer h relaxes into over from layer h − 1
+            let layer = &mut layers[(h - 1) * n..h * n];
+            if pruned {
                 let at = h as u32;
                 for v in cone.iter().take_while(|v| at <= last_layer[v.index()]) {
-                    next[v.index()] = prev[v.index()];
+                    layer[v.index()] = dist[v.index()];
                 }
-                relax_layer(g, prev, next, frontier, moved, |b| at <= last_layer[b.index()])
             } else {
-                next.copy_from_slice(prev);
-                relax_layer(g, prev, next, frontier, moved, |_| true)
-            };
-            #[cfg(test)]
-            {
-                relaxed += _made;
+                layer.copy_from_slice(dist);
             }
-            if moved.is_empty() {
-                break;
-            }
-            final_layer = h;
-            std::mem::swap(frontier, moved);
-        }
-        (self.src, self.final_layer) = (Some(src), final_layer);
-        #[cfg(test)]
-        {
-            self.relaxed += relaxed;
+        };
+        self.dp.final_layer = if pruned {
+            let into = |b: usize, h: usize| h as u32 <= last_layer[b];
+            relax_hop_layers(arcs, src, bound, dist, row, into, keep)
+        } else {
+            relax_hop_layers(arcs, src, bound, dist, row, |_, _| true, keep)
+        };
+        self.dp.src = Some(src);
+    }
+
+    /// Layer `h` of the last run at `v`, for a node its routes read.
+    fn at(&self, h: usize, v: NodeId) -> f64 {
+        match h {
+            0 if Some(v) == self.dp.src => 0.0,
+            0 => f64::INFINITY,
+            _ => self.dp.layers[(h - 1) * self.arcs.node_count() + v.index()],
         }
     }
 
-    /// The cost of the optimal route [`DpScratch::route_to`] `dst` would
-    /// backtrack, without backtracking it; `None` where `route_to` is.
-    pub fn cost_to(&self, g: &Graph, dst: NodeId) -> Option<f64> {
-        self.src.filter(|&s| s != dst)?;
+    /// The cost `Σ 1/Lu_e` of the optimal route [`RouteScratch::route_to`]
+    /// `dst` would backtrack, without backtracking it; `None` where
+    /// `route_to` is.
+    pub fn cost_to(&self, dst: NodeId) -> Option<f64> {
+        self.dp.src.filter(|&s| s != dst)?;
         // under a bound, only a destination's layers are there to read
-        if self.top > 0 && self.last_layer[dst.index()] != self.top {
+        if self.dp.top > 0 && self.dp.last_layer[dst.index()] != self.dp.top {
             return None;
         }
-        let best = self.layers[self.final_layer * g.node_count() + dst.index()];
+        let best = self.at(self.dp.final_layer, dst);
         best.is_finite().then_some(best)
     }
 
-    /// The optimal route from the last [`DpScratch::run_to`]'s source to
-    /// `dst` and its cost, backtracked through that run's layers; `g` must
-    /// be the graph it ran on. `None` when `dst` is the source, is out of
-    /// reach within the bound, was not one of that run's destinations
-    /// under a bound, or nothing has run.
-    pub fn route_to(&self, g: &Graph, dst: NodeId) -> Option<(f64, Path)> {
-        let best = self.cost_to(g, dst)?;
-        let src = self.src?;
-        let n = g.node_count();
-        // layer 0 is 0 at the source and ∞ elsewhere; a pruned run wrote
-        // it only where it relaxes, so it is not read back
-        let at = |h: usize, v: NodeId| match h {
-            0 if v == src => 0.0,
-            0 => f64::INFINITY,
-            _ => self.layers[h * n + v.index()],
-        };
+    /// The optimal route from the last [`RouteScratch::run_to`]'s source
+    /// to `dst` and its cost, backtracked through that run's layers over
+    /// the arc runs. `None` when `dst` is the source, is out of reach
+    /// within the bound, was not one of that run's destinations under a
+    /// bound, or nothing has run through this borrow.
+    pub fn route_to(&self, dst: NodeId) -> Option<(f64, Path)> {
+        let best = self.cost_to(dst)?;
+        let src = self.dp.src?;
         // Backtrack exactly: at layer h and node v, find a predecessor u
-        // with layers[h-1][u] + c(u,v) == layers[h][v]; if layers[h-1][v]
-        // already equals layers[h][v] the optimal path is shorter — stay
+        // with layer[h-1][u] + c(u,v) == layer[h][v]; if layer[h-1][v]
+        // already equals layer[h][v] the optimal path is shorter — stay
         // on v. A route has at most `final_layer` hops.
-        let mut nodes = Vec::with_capacity(self.final_layer + 1);
-        let mut edges = Vec::with_capacity(self.final_layer);
+        let mut nodes = Vec::with_capacity(self.dp.final_layer + 1);
+        let mut edges = Vec::with_capacity(self.dp.final_layer);
         nodes.push(dst);
         let mut cur = dst;
-        let mut h = self.final_layer;
+        let mut h = self.dp.final_layer;
         while cur != src {
             debug_assert!(h > 0, "ran out of layers during reconstruction");
-            let target = at(h, cur);
-            if at(h - 1, cur) <= target {
+            let target = self.at(h, cur);
+            if self.at(h - 1, cur) <= target {
                 h -= 1; // same cost with fewer hops: shorten
                 continue;
             }
-            let mut stepped = false;
-            for &e in g.incident(cur) {
-                let edge = g.edge(e);
-                let u = edge.other(cur);
-                // a neighbour out of reach at h − 1 (∞) cannot match: skip
-                // the division that prices its edge
-                let via = at(h - 1, u);
-                if via.is_finite()
-                    && (via + inv_lu(&edge.link) - target).abs() <= 1e-12 * target.abs().max(1.0)
-                {
-                    edges.push(e);
-                    nodes.push(u);
-                    cur = u;
-                    h -= 1;
-                    stepped = true;
-                    break;
-                }
-            }
-            debug_assert!(stepped, "no predecessor found; DP tables inconsistent");
-            if !stepped {
-                return None;
-            }
+            // the first arc in run order that lands on the target wins; a
+            // neighbour out of reach at h − 1 (∞) cannot match
+            let step = self.arcs.run(cur).iter().find(|arc| {
+                let via = self.at(h - 1, NodeId(arc.to));
+                via.is_finite()
+                    && (via + arc.inv_lu - target).abs() <= 1e-12 * target.abs().max(1.0)
+            });
+            debug_assert!(step.is_some(), "no predecessor found; DP tables inconsistent");
+            let arc = step?;
+            edges.push(EdgeId(arc.edge));
+            cur = NodeId(arc.to);
+            nodes.push(cur);
+            h -= 1;
         }
         nodes.reverse();
         edges.reverse();
@@ -706,11 +695,13 @@ mod tests {
         out
     }
 
-    /// The DP's cost from `src` to `dst`, as a fresh [`DpScratch`] prices it.
+    /// The DP's cost from `src` to `dst`, as a fresh [`RouteScratch`]
+    /// prices it.
     fn dp_cost(g: &Graph, src: NodeId, dst: NodeId, max_hop: Option<usize>) -> Option<f64> {
         let mut dp = DpScratch::default();
-        dp.run_to(g, src, &[dst], max_hop);
-        dp.cost_to(g, dst)
+        let mut routes = RouteScratch::new(Cow::Owned(ArcList::build(g)), &mut dp);
+        routes.run_to(src, &[dst], max_hop);
+        routes.cost_to(dst)
     }
 
     #[test]
@@ -842,7 +833,7 @@ mod dp_path_tests {
     use crate::topologies::example7;
 
     /// The DP's optimal route from `src` to `dst`, backtracked by a fresh
-    /// [`DpScratch`].
+    /// [`RouteScratch`].
     fn dp_route(
         g: &Graph,
         src: NodeId,
@@ -850,8 +841,9 @@ mod dp_path_tests {
         max_hop: Option<usize>,
     ) -> Option<(f64, Path)> {
         let mut dp = DpScratch::default();
-        dp.run_to(g, src, &[dst], max_hop);
-        dp.route_to(g, dst)
+        let mut routes = RouteScratch::new(Cow::Owned(ArcList::build(g)), &mut dp);
+        routes.run_to(src, &[dst], max_hop);
+        routes.route_to(dst)
     }
 
     #[test]
@@ -907,7 +899,7 @@ mod frontier_tests {
     use super::*;
     use crate::fattree::FatTree;
     use crate::graph::Link;
-    use crate::topologies::{example7, ring};
+    use crate::topologies::{example7, random_regular, ring};
     use crate::SplitMix64;
 
     /// Layered distances by sweeping all edges per layer; the last layer is
@@ -980,6 +972,18 @@ mod frontier_tests {
         g
     }
 
+    /// `g` with a second link beside every other edge, added after all of
+    /// them: both ends' runs hold the pair, and [`loaded`] loads the two
+    /// differently, so a route names which of them it crosses.
+    fn doubled(mut g: Graph) -> Graph {
+        for e in (0..g.edge_count()).step_by(2) {
+            let edge = g.edge(EdgeId(e as u32));
+            let (a, b) = (edge.a, edge.b);
+            g.add_edge(a, b, Link::default());
+        }
+        g
+    }
+
     /// Every link at the same load: equal-hop routes tie everywhere, so
     /// the backtrack's tie rule picks every route.
     fn uniform(mut g: Graph) -> Graph {
@@ -993,6 +997,11 @@ mod frontier_tests {
         route.as_ref().map(|(c, p)| (c.to_bits(), p))
     }
 
+    /// Rows, costs and routes of the frontier DP against the full sweep
+    /// and its backtrack, bit for bit and edge for edge, on loaded and
+    /// uniform fat trees (ties everywhere), a ring, the paper's example, a
+    /// multigraph whose parallel links carry different loads (so a route
+    /// names the right one of two) and a random regular graph.
     #[test]
     fn frontier_dp_matches_the_full_sweep_bit_for_bit() {
         let graphs = [
@@ -1001,17 +1010,20 @@ mod frontier_tests {
             uniform(FatTree::with_default_links(8).graph),
             loaded(ring(9, Link::default()), 3),
             loaded(example7(Link::default()), 4),
+            loaded(doubled(FatTree::with_default_links(8).graph), 5),
+            loaded(random_regular(40, 5, 6, Link::default()), 7),
         ];
         let mut rng = SplitMix64::new(0xD57);
-        let mut scratch = DpScratch::default();
+        let mut shared = DpScratch::default();
         for (gi, g) in graphs.iter().enumerate() {
             let arcs = ArcList::build(g);
+            let mut scratch = RouteScratch::new(Cow::Borrowed(&arcs), &mut shared);
             let n = g.node_count();
             let all: Vec<NodeId> = g.nodes().collect();
             let stepped: Vec<NodeId> = g.nodes().step_by(1 + n / 40).collect();
             for max_hop in [Some(1), Some(2), Some(4), None] {
                 // node 0 sits on the idle link; the others spread over tiers
-                for src in [0, 1, n / 3, n / 2, n - 1].map(|v| NodeId(v as u32)) {
+                for src in [0, 1, n / 3, n / 2, 2 * n / 3, n - 1].map(|v| NodeId(v as u32)) {
                     let want = full_sweep_layers(g, src, max_hop);
                     let mut got = Vec::new();
                     min_inv_lu_row_into(&arcs, src, max_hop, &mut got, &mut RowScratch::default());
@@ -1021,24 +1033,28 @@ mod frontier_tests {
                         row(want.last().unwrap()),
                         "graph {gi} src {src:?} {max_hop:?}"
                     );
-                    // a run per destination set — one node, three random
-                    // ones, a spread, all of them — routed to each member,
-                    // through one scratch across every graph, bound and
-                    // source: what the last run left behind must not show
+                    // a run per destination set — three random nodes, a
+                    // spread, all of them — routed to each member, through
+                    // one scratch across every graph, bound and source:
+                    // what the last run left behind must not show; and a
+                    // run of its own to a spread of each set's members
                     let three: Vec<NodeId> =
                         (0..3).map(|_| NodeId(rng.below(n as u64) as u32)).collect();
                     for dests in [&three[..], &stepped, &all] {
-                        scratch.run_to(g, src, dests, max_hop);
-                        for &dst in dests.iter().step_by(1 + dests.len() / 40) {
+                        scratch.run_to(src, dests, max_hop);
+                        for (i, &dst) in dests.iter().enumerate() {
                             let want = backtrack(g, &want, src, dst);
-                            let mut alone = DpScratch::default();
-                            alone.run_to(g, src, &[dst], max_hop);
-                            let alone = alone.route_to(g, dst);
                             let what = format!("graph {gi} {src:?}->{dst:?} {max_hop:?}");
-                            assert_eq!(bits(&alone), bits(&want), "{what}: alone");
-                            let shared = scratch.route_to(g, dst);
+                            if i % (1 + dests.len() / 40) == 0 {
+                                let mut dp = DpScratch::default();
+                                let mut alone = RouteScratch::new(Cow::Borrowed(&arcs), &mut dp);
+                                alone.run_to(src, &[dst], max_hop);
+                                let alone = alone.route_to(dst);
+                                assert_eq!(bits(&alone), bits(&want), "{what}: alone");
+                            }
+                            let shared = scratch.route_to(dst);
                             assert_eq!(bits(&shared), bits(&want), "{what}: among {}", dests.len());
-                            let cost = scratch.cost_to(g, dst).map(f64::to_bits);
+                            let cost = scratch.cost_to(dst).map(f64::to_bits);
                             assert_eq!(cost, bits(&want).map(|w| w.0), "{what}: cost");
                         }
                     }
@@ -1056,7 +1072,6 @@ mod frontier_tests {
     /// prices every row, across the wrap of its layer stamps.
     #[test]
     fn arc_rows_match_the_enumerated_rows_bit_for_bit() {
-        use crate::topologies::random_regular;
         // one scratch for every row, its first layer stamp the wrap's and
         // every node marked with the stamp the wrap hands out: what
         // earlier rows left in it must not show
@@ -1115,7 +1130,9 @@ mod frontier_tests {
         let arcs = ArcList::build(&g);
         let all: Vec<NodeId> = g.nodes().collect();
         let mut rng = SplitMix64::new(24);
-        let (mut pruned, mut full) = (DpScratch::default(), DpScratch::default());
+        let (mut pruned_dp, mut full_dp) = (DpScratch::default(), DpScratch::default());
+        let mut pruned = RouteScratch::new(Cow::Borrowed(&arcs), &mut pruned_dp);
+        let mut full = RouteScratch::new(Cow::Borrowed(&arcs), &mut full_dp);
         for _ in 0..24 {
             let src = NodeId(rng.below(all.len() as u64) as u32);
             let mut reach = Vec::new();
@@ -1123,12 +1140,12 @@ mod frontier_tests {
             let within: Vec<NodeId> =
                 g.nodes().filter(|&v| v != src && reach[v.index()].is_finite()).collect();
             let dst = within[rng.below(within.len() as u64) as usize];
-            let (was_pruned, was_full) = (pruned.relaxed, full.relaxed);
-            pruned.run_to(&g, src, &[dst], Some(2));
-            full.run_to(&g, src, &all, Some(2));
-            let (p, f) = (pruned.relaxed - was_pruned, full.relaxed - was_full);
+            let (was_pruned, was_full) = (pruned.dp.row.relaxed, full.dp.row.relaxed);
+            pruned.run_to(src, &[dst], Some(2));
+            full.run_to(src, &all, Some(2));
+            let (p, f) = (pruned.dp.row.relaxed - was_pruned, full.dp.row.relaxed - was_full);
             assert!(10 * p <= f, "{src:?}->{dst:?}: {p} of {f} relaxations");
-            assert_eq!(bits(&pruned.route_to(&g, dst)), bits(&full.route_to(&g, dst)));
+            assert_eq!(bits(&pruned.route_to(dst)), bits(&full.route_to(dst)));
         }
     }
 }

@@ -5,13 +5,13 @@
 //! parameters, and the parallel [`CostEngine`] must reproduce the
 //! sequential matrices bit-for-bit under every thread count. Each path job
 //! is reached through its public door: DP rows from [`CostEngine::rows`],
-//! a DP pair from a [`DpScratch`], paths from [`for_each_simple_path`],
+//! a DP pair from [`CostEngine::route_scratch`], paths from [`for_each_simple_path`],
 //! enumerated rows from [`min_inv_lu_enumerated_row`].
 
 use dust_topology::{
     for_each_simple_path, min_inv_lu_enumerated, min_inv_lu_enumerated_row,
     topologies::{example7, leaf_spine, line, random_regular, ring, star},
-    CostEngine, DpScratch, EdgeId, FatTree, Graph, Link, NodeId, Path, SplitMix64,
+    CostEngine, EdgeId, FatTree, Graph, Link, NodeId, Path, SplitMix64,
 };
 
 /// Every simple path from `src` to `dst` within `max_hop` hops.
@@ -23,11 +23,13 @@ fn all_paths(g: &Graph, src: NodeId, dst: NodeId, max_hop: Option<usize>) -> Vec
     out
 }
 
-/// The DP's cost from `src` to `dst`, as a fresh [`DpScratch`] prices it.
+/// The DP's cost from `src` to `dst`, as a fresh engine's
+/// [`CostEngine::route_scratch`] prices it.
 fn dp_cost(g: &Graph, src: NodeId, dst: NodeId, max_hop: Option<usize>) -> Option<f64> {
-    let mut dp = DpScratch::default();
-    dp.run_to(g, src, &[dst], max_hop);
-    dp.cost_to(g, dst)
+    let mut engine = CostEngine::with_threads(1);
+    let mut dp = engine.route_scratch(g);
+    dp.run_to(src, &[dst], max_hop);
+    dp.cost_to(dst)
 }
 
 /// A small random connected graph: a spanning line plus extra random
@@ -54,7 +56,7 @@ fn arb_graph(seed: u64) -> Graph {
 
 /// The DP reaches the enumerated minimum bit for bit: for every ordered
 /// pair of 400 random graphs, at hop bounds 1–6 and none, the cost
-/// engine's row, the enumerated row and a [`DpScratch`]'s `cost_to` hold
+/// engine's row, the enumerated row and a route scratch's `cost_to` hold
 /// the same bits, and agree on which pairs are reachable. This is the
 /// oracle behind pricing and routing with one engine.
 #[test]
@@ -397,7 +399,7 @@ fn enumerated_rows_routes_and_counts_are_pinned() {
 
 /// The hop-bounded DP's routes, bit for bit, over the graphs, loads, hop
 /// bounds and pairs of [`enumerated_rows_routes_and_counts_are_pinned`]:
-/// one [`DpScratch::run_to`] per source toward its odd-numbered
+/// one [`dust_topology::RouteScratch::run_to`] per source toward its odd-numbered
 /// destinations, then one FNV-1a digest of each pair's route (cost bits,
 /// nodes, edges). The DP's tie rule — the backtrack's first predecessor in
 /// adjacency order, shorter before longer — is the only rule routes are
@@ -413,7 +415,7 @@ fn dp_routes_are_pinned() {
         ("example7", example7(Link::default())),
         ("random-regular 16x3", random_regular(16, 3, 5, Link::default())),
     ];
-    let mut scratch = DpScratch::default();
+    let mut engine = CostEngine::with_threads(1);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let (mut routes, mut other_ties) = (0usize, 0usize);
     for (seed, (name, g)) in built.into_iter().enumerate() {
@@ -430,14 +432,15 @@ fn dp_routes_are_pinned() {
         for (g, loads) in [(g, "uniform"), (loaded, "loaded")] {
             let n = g.node_count() as u32;
             let dests: Vec<NodeId> = (0..n).filter(|d| d % 2 == 1).map(NodeId).collect();
+            let mut scratch = engine.route_scratch(&g);
             for max_hop in 1..=4 {
                 let at = format!("{name} {loads} hop {max_hop}");
                 for src in (0..n).filter(|s| s % 3 == 0).map(NodeId) {
-                    scratch.run_to(&g, src, &dests, Some(max_hop));
+                    scratch.run_to(src, &dests, Some(max_hop));
                     for &dst in &dests {
                         let enumerated = min_inv_lu_enumerated(&g, src, dst, Some(max_hop))
                             .filter(|(c, _)| c.is_finite());
-                        match scratch.route_to(&g, dst) {
+                        match scratch.route_to(dst) {
                             Some((cost, path)) => {
                                 let (want, by_enum) = enumerated.expect("reachable");
                                 assert_eq!(cost.to_bits(), want.to_bits(), "{at} {src}->{dst}");
