@@ -291,9 +291,11 @@ impl Manager {
     /// timeout defaults to `2 × update_interval_ms`; tune it with
     /// [`Manager::with_offer_timeout`].
     ///
-    /// An invalid `cfg` or a zero update interval is a typed
-    /// [`DustError::BadConfig`] — a daemon bootstrapping from an untrusted
-    /// config file must never panic.
+    /// An invalid `cfg`, a zero update interval or a zero keepalive
+    /// timeout is a typed [`DustError::BadConfig`] — a daemon
+    /// bootstrapping from an untrusted config file must never panic. (At a
+    /// zero timeout no STAT is ever fresh, so every confirmed hosting would
+    /// fail over at the next tick with no replica to take it.)
     ///
     /// `graph` is a [`Graph`] (moved behind a fresh `Arc`) or an
     /// `Arc<Graph>`; either way the Manager shares it from here on and
@@ -312,6 +314,9 @@ impl Manager {
         cfg.validate().map_err(DustError::BadConfig)?;
         if update_interval_ms == 0 {
             return Err(DustError::BadConfig("update interval must be positive".to_string()));
+        }
+        if keepalive_timeout_ms == 0 {
+            return Err(DustError::BadConfig("keepalive timeout must be positive".to_string()));
         }
         let mut graph = graph.into();
         // A graph is born all-dirty, and draining that is a write. Do it
@@ -2141,6 +2146,21 @@ mod tests {
         assert_eq!(m.delta_rounds(), 1);
         assert!(obs.counter("core.placements") >= 2, "cadence round must run the engine");
         assert_eq!(obs.counter("lp.warm_solves"), 1, "cadence full round reuses round 0's basis");
+    }
+
+    #[test]
+    fn zero_timings_are_bad_configs() {
+        for (update, keepalive, want) in [
+            (0, 3000, "update interval must be positive"),
+            (1000, 0, "keepalive timeout must be positive"),
+        ] {
+            let g = Graph::with_nodes(2);
+            let cfg = DustConfig::paper_defaults();
+            match Manager::new(g, cfg, SolverBackend::Transportation, update, keepalive) {
+                Err(DustError::BadConfig(msg)) => assert_eq!(msg, want),
+                other => panic!("({update}, {keepalive}) gave {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

@@ -22,11 +22,11 @@
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::paths::{min_inv_lu_row_into, ArcList, DpScratch, RouteScratch, RowScratch};
-use dust_obs::{LocalProfiler, ObsHandle, TraceEvent};
+use dust_obs::{ObsHandle, TraceEvent};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// The minimum response times (seconds) of the `|V_b| × |V_o|` pairs that
 /// have a path inside the hop bound: Eq. 3 has a variable for those pairs
@@ -70,18 +70,39 @@ fn hop_key(max_hop: Option<usize>) -> u64 {
     max_hop.map_or(u64::MAX, |h| h as u64)
 }
 
+/// A cached row, or the buffer a pricing job prices the row into.
+type RowSlot = Result<Arc<Vec<f64>>, Vec<f64>>;
+
+/// One pricing job: price every uncached slot of a chunk from its source
+/// with the job's scratch. Returns the chunk's row count and the job's
+/// elapsed nanoseconds, for the caller's profile; the job touches nothing
+/// else it does not own.
+fn price_chunk(
+    arcs: Option<&ArcList>,
+    max_hop: Option<usize>,
+    ((slots, sources), scratch): ((&mut [RowSlot], &[NodeId]), &mut RowScratch),
+) -> (usize, u64) {
+    let start = Instant::now();
+    for (slot, &src) in slots.iter_mut().zip(sources) {
+        if let Err(row) = slot {
+            let arcs = arcs.expect("a miss prices over the list the caller built");
+            min_inv_lu_row_into(arcs, src, max_hop, row, scratch);
+        }
+    }
+    (sources.len(), u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX))
+}
+
 /// Parallel, memoized `T_rmin` row provider — the single cost authority
 /// behind every placement entry point.
 ///
 /// Pricing a source means computing `min Σ 1/Lu_e` from it to *every*
 /// node with the hop-bounded DP; [`CostEngine::rows`] is the one door to
-/// a row. The
-/// per-source rows are independent, so `build_matrix` fans them out
-/// across scoped worker threads pulling row indices from a shared cursor
-/// and filling each row into a buffer the calling thread allocated for
-/// it. Merging happens in
-/// node-index order, so output is byte-identical to the sequential path
-/// for any thread count.
+/// a row. The per-source rows are independent, so a pricing call splits
+/// its sources into one contiguous chunk per worker; each job fills the
+/// row buffers of its own chunk, which the calling thread allocated, and
+/// returns only its row count and elapsed time. The jobs share nothing
+/// they write, and rows are merged in source order, so output is
+/// byte-identical for any thread count.
 ///
 /// Rows are cached keyed by `(graph epoch, source, hop bound)`.
 /// The epoch ([`Graph::epoch`]) is reassigned on every graph mutation, so
@@ -106,7 +127,7 @@ pub struct CostEngine {
     coherent_epoch: u64,
     /// The working memory of routes, kept from one round to the next.
     routes: DpScratch,
-    /// Each pricing worker's scratch, kept like `routes` and fitted to the
+    /// Each pricing job's scratch, kept like `routes` and fitted to the
     /// graph at every pricing call.
     scratch: Vec<RowScratch>,
     /// The arc list rows and routes relax (the module docs have its life).
@@ -177,9 +198,10 @@ impl CostEngine {
     }
 
     /// Attach an observability handle (builder form). Cache hit/miss
-    /// accounting happens in a sequential pre-pass and the parallel
-    /// workers never touch the handle, so recording cannot perturb
-    /// row-pricing determinism.
+    /// accounting happens in a sequential pre-pass, and the pricing jobs
+    /// never touch the handle: the calling thread records their totals
+    /// once they have ended, so recording cannot perturb row-pricing
+    /// determinism.
     pub fn with_obs(mut self, obs: ObsHandle) -> Self {
         self.obs = obs;
         self
@@ -340,8 +362,8 @@ impl CostEngine {
 
     /// Price the rows for `sources` in parallel, returning them in source
     /// order. This is the fan-out core behind [`CostEngine::build_matrix`]:
-    /// workers pull row indices from a shared cursor and each writes into
-    /// its own slot, so the result — and everything assembled from it — is
+    /// each job prices a contiguous chunk of the sources into slots only
+    /// it holds, so the result — and everything assembled from it — is
     /// identical for any thread count. One source's cached row is
     /// `rows(g, &[src], ..)[0]`.
     pub fn rows(
@@ -357,8 +379,8 @@ impl CostEngine {
     ///
     /// Hit/miss accounting runs in a *sequential pre-pass* over the
     /// cache (counters and `CacheHit`/`CacheMiss` trace events in source
-    /// order); the workers themselves never touch the obs handle, so the
-    /// trace is identical for every thread count.
+    /// order); the pricing jobs never touch the obs handle, so the trace
+    /// is identical for every thread count.
     fn rows_counted(
         &mut self,
         g: &Graph,
@@ -366,25 +388,27 @@ impl CostEngine {
         max_hop: Option<usize>,
     ) -> (Vec<Arc<Vec<f64>>>, u64, u64) {
         let _prof = self.obs.prof_scope("cost.price_rows");
-        let workers = self.threads().min(sources.len());
+        // each job prices one contiguous chunk of the slots with a kept
+        // scratch: at most one job a thread, and at least one scratch
+        let pricers = self.threads().min(sources.len()).max(1);
+        let per = sources.len().div_ceil(pricers).max(1);
+        let jobs = sources.len().div_ceil(per);
         // Everything the pricing allocates is allocated here, on the
         // calling thread and in source order: a buffer per uncached row,
-        // the room a kept worker scratch lacks, the cache entries. Workers
-        // only fill buffers, so the heap a round leaves behind does not
-        // depend on which thread priced which row. A buffer is allocated
-        // with room for its row, not filled: the row kernel writes every
-        // entry. The arc list the rows relax is built here too.
+        // the room a kept job scratch lacks, the cache entries. Jobs only
+        // fill buffers, so the heap a round leaves behind does not depend
+        // on which thread priced which row. A buffer is allocated with
+        // room for its row, not filled: the row kernel writes every entry.
+        // The arc list the rows relax is built here too.
         let n = g.node_count();
         let key = |src: NodeId| -> RowKey { (g.epoch(), src, hop_key(max_hop)) };
-        // a cached row, or the buffer a worker prices the row into
-        type RowSlot = Result<Arc<Vec<f64>>, Mutex<Vec<f64>>>;
-        let slots: Vec<RowSlot> = {
+        let mut slots: Vec<RowSlot> = {
             let _probe = self.obs.prof_scope("cost.cache_probe");
             sources
                 .iter()
                 .map(|&src| match self.cache.get(&key(src)) {
                     Some(row) => Ok(Arc::clone(row)),
-                    None => Err(Mutex::new(Vec::with_capacity(n))),
+                    None => Err(Vec::with_capacity(n)),
                 })
                 .collect()
         };
@@ -402,63 +426,36 @@ impl CostEngine {
                     self.obs.trace(TraceEvent::CacheMiss { node: src.0 });
                 }
             }
-            self.obs.gauge_set("cost.workers", workers.max(1) as f64);
+            self.obs.gauge_set("cost.workers", jobs.max(1) as f64);
         }
         if slots.iter().any(Result::is_err) {
             self.arcs = Some(self.arcs_at(g));
         }
-        let arcs = self.arcs.as_ref();
-        let price = |i: usize, scratch: &mut RowScratch| {
-            if let Err(buf) = &slots[i] {
-                let arcs = arcs.expect("a miss prices over the list built above");
-                let mut row = buf.lock().expect("row buffer poisoned");
-                min_inv_lu_row_into(arcs, sources[i], max_hop, &mut row, scratch);
-            }
-        };
-        let pricers = workers.max(1);
         if self.scratch.len() < pricers {
             self.scratch.resize_with(pricers, RowScratch::default);
         }
         let scratch = &mut self.scratch[..pricers];
         scratch.iter_mut().for_each(|s| s.fit(n));
-        if workers <= 1 {
-            for i in 0..sources.len() {
-                let _row = self.obs.prof_scope("cost.row_price");
-                price(i, &mut scratch[0]);
-            }
+        let (arcs, obs) = (self.arcs.as_ref(), &self.obs);
+        // the jobs' totals, so `cost.row_price` counts every source once
+        // for any thread count
+        let record = |(rows, ns): (usize, u64)| obs.prof_add("cost.row_price", rows as u64, ns);
+        let chunks = slots.chunks_mut(per).zip(sources.chunks(per)).zip(scratch);
+        // one chunk is priced here; several on as many scoped threads,
+        // while this one waits
+        if jobs <= 1 {
+            chunks.for_each(|job| record(price_chunk(arcs, max_hop, job)));
         } else {
-            // Workers never touch the shared obs handle: each job records
-            // into a private forked profiler, and the locals are grafted
-            // back in job-index order after the scope — so profile *counts*
-            // (sources.len() rows) are identical for every thread count,
-            // like everything else.
-            let profiles: Vec<OnceLock<LocalProfiler>> =
-                sources.iter().map(|_| OnceLock::new()).collect();
-            let cursor = AtomicUsize::new(0);
-            let obs = &self.obs;
+            // each job writes its totals to a slot of its own; the scope
+            // ends as the last job returns, so no thread's exit is waited
+            // for (a `join` would wait for it)
+            let mut totals = vec![(0, 0); jobs];
             std::thread::scope(|s| {
-                for scratch in scratch {
-                    let (price, profiles, cursor) = (&price, &profiles, &cursor);
-                    s.spawn(move || loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= sources.len() {
-                            break;
-                        }
-                        match obs.prof_fork() {
-                            Some(mut local) => {
-                                local.time("cost.row_price", || price(i, scratch));
-                                profiles[i].set(local).expect("row profiled twice");
-                            }
-                            None => price(i, scratch),
-                        }
-                    });
+                for (job, total) in chunks.zip(&mut totals) {
+                    s.spawn(move || *total = price_chunk(arcs, max_hop, job));
                 }
             });
-            for local in profiles {
-                if let Some(l) = local.into_inner() {
-                    self.obs.prof_join(l);
-                }
-            }
+            totals.into_iter().for_each(record);
         }
         let cache = &mut self.cache;
         let rows = slots
@@ -468,10 +465,7 @@ impl CostEngine {
                 Ok(row) => row,
                 // a source listed twice keeps its first row, as a second
                 // lookup would have hit it
-                Err(buf) => {
-                    let row = Arc::new(buf.into_inner().expect("row buffer poisoned"));
-                    Arc::clone(cache.entry(key(src)).or_insert(row))
-                }
+                Err(row) => Arc::clone(cache.entry(key(src)).or_insert(Arc::new(row))),
             })
             .collect();
         (rows, hits, misses)
@@ -482,9 +476,9 @@ impl CostEngine {
     /// reaches inside the bound, `0` on the diagonal; the pairs with no path
     /// inside the bound are left out.
     ///
-    /// Rows are priced in parallel across [`CostEngine::threads`] workers
-    /// and merged in row order — output is identical for every thread
-    /// count.
+    /// Rows are priced in parallel, one contiguous chunk of `sources` per
+    /// job and at most [`CostEngine::threads`] jobs, and merged in row
+    /// order — output is identical for every thread count.
     ///
     /// # Panics
     /// Panics if `data_mb.len() != sources.len()` or any volume is

@@ -252,7 +252,7 @@ impl ArcList {
 
 /// The working memory of the hop-layer kernel, [`relax_hop_layers`],
 /// fitted up front to a graph's node count ([`RowScratch::fit`]), so a
-/// pricing worker fills rows without allocating.
+/// pricing job fills rows without allocating.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RowScratch {
     /// The frontier's distances as the layer found them.
