@@ -6,7 +6,10 @@
 //! hand-rolled: one tag byte per message kind, LEB128 varints for
 //! integers, IEEE-754 little-endian bits for floats, and length-prefixed
 //! sequences for routes. Decoding is total — corrupt or truncated frames
-//! return errors, never panic.
+//! return errors, never panic — and a decoder allocates only what its
+//! input's bytes can fill: a route whose claimed length the frame's
+//! remaining bytes cannot hold is [`CodecError::Truncated`] before any
+//! node list is reserved.
 
 use crate::messages::{ClientMsg, ManagerMsg, RequestId};
 use dust_topology::{EdgeId, NodeId, Path};
@@ -140,6 +143,11 @@ fn read_route(r: &mut Reader<'_>) -> Result<Option<Path>, CodecError> {
     }
     if n > 1_000_000 {
         return Err(CodecError::Malformed("absurd route length"));
+    }
+    // `n` node ids and `n - 1` edge ids take a byte each at least: a
+    // length the frame's bytes cannot fill allocates nothing
+    if r.buf.len() - r.pos < 2 * n - 1 {
+        return Err(CodecError::Truncated);
     }
     let mut nodes = Vec::with_capacity(n);
     for _ in 0..n {
@@ -374,6 +382,34 @@ mod tests {
             let r = decode_manager(&bytes[..cut]);
             assert!(r.is_err(), "prefix of {cut} bytes must not decode");
         }
+    }
+
+    #[test]
+    fn a_route_longer_than_its_frame_is_truncated() {
+        // a route length of 1 000 000, then no node id
+        let head = |tag: u8, nodes: &[u8]| {
+            let mut bytes = vec![tag, 5];
+            bytes.extend_from_slice(nodes);
+            bytes.extend_from_slice(&[0; 16]);
+            bytes.extend_from_slice(&[0xC0, 0x84, 0x3D]);
+            bytes
+        };
+        let request = head(TAG_OFFLOAD_REQUEST, &[1]);
+        assert_eq!(request.len(), 22);
+        assert_eq!(decode_manager(&request), Err(CodecError::Truncated));
+        assert_eq!(decode_manager(&head(TAG_REP, &[4, 1])), Err(CodecError::Truncated));
+        // a length the bytes can just hold still reads its ids: two nodes
+        // and one edge, one byte each
+        let mut two = head(TAG_OFFLOAD_REQUEST, &[1]);
+        two.truncate(19);
+        two.extend_from_slice(&[2, 0, 7, 3]);
+        let ManagerMsg::OffloadRequest { route: Some(route), .. } = decode_manager(&two).unwrap()
+        else {
+            panic!("a two-node route")
+        };
+        assert_eq!((route.nodes, route.edges), (vec![NodeId(0), NodeId(7)], vec![EdgeId(3)]));
+        two.pop();
+        assert_eq!(decode_manager(&two), Err(CodecError::Truncated));
     }
 
     #[test]

@@ -26,6 +26,23 @@
 //! per-store means would give. The query allocates for its accumulators
 //! and its result, independent of the number of stores.
 //!
+//! The unit of a whole-federation read — [`Federation::query`],
+//! [`Federation::latest_mean`], [`Federation::holders`] — is a batch of 16
+//! attached stores, not one store. Reaching a store's window is a chain of
+//! dependent loads (slot, name spans, series table, window ends, guessed
+//! index, window), and `telemetry_rw`'s 512 stores hold ≈ 17 MB of points,
+//! more than L2: one store at a time, each chain waits on its own misses
+//! and the fold between two chains is too long for the CPU to overlap them.
+//! So one walk serves all three reads: for a batch it finds every store's
+//! series by name, then every series' window, then loads one point per
+//! 64-byte line of each window (plain loads kept by [`std::hint::black_box`]:
+//! the crate has no `unsafe`, so no prefetch instruction), and only then
+//! folds the batch in store order. The batch's misses are in flight
+//! together, the fold order and so every answer bit are unchanged, and the
+//! batch lives in stack arrays, so a read allocates nothing per store. On
+//! `telemetry_rw`, 16 stores read faster than 8 or 32, and the read-ahead
+//! pays for itself.
+//!
 //! **Equal stores are one store, copy-on-write.** A slot holds either the
 //! node's own [`Tsdb`], inline, or an [`Arc`] of a store other nodes hold
 //! too ([`Federation::share`]); every read goes through either kind the
@@ -35,9 +52,15 @@
 //! the same points keeps one copy of them. Own stores stay inline: a
 //! query reaches each store it visits with one load, not two.
 
-use crate::tsdb::{bucket_means, Series, Tsdb};
+use crate::tsdb::{bucket_means, Point, Series, Tsdb};
 use dust_topology::NodeId;
 use std::sync::Arc;
+
+/// Stores a whole-federation read takes at a time (see the module docs).
+const BATCH: usize = 16;
+
+/// Points to a 64-byte cache line.
+const POINTS_PER_LINE: usize = 64 / std::mem::size_of::<Point>();
 
 /// How matching points from different nodes combine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +103,12 @@ impl Aggregation {
             _ => acc,
         }
     }
+}
+
+/// A series' newest point, as a window of at most one point.
+fn newest(s: &Series) -> &[Point] {
+    let points = s.points();
+    &points[points.len().saturating_sub(1)..]
 }
 
 /// One attached node's store: its own, inline, or one it shares.
@@ -187,9 +216,54 @@ impl Federation {
         self.attached().map(|(n, _)| n).collect()
     }
 
+    /// Every attached store that holds `series`, in ascending id order,
+    /// handed to `visit` with the `window` of its points; the stores are
+    /// taken `BATCH` at a time, in the phases the module docs give.
+    fn walk<'a>(
+        &'a self,
+        series: &str,
+        window: impl Fn(&'a Series) -> &'a [Point],
+        mut visit: impl FnMut(NodeId, &'a [Point]),
+    ) {
+        let mut stores = self.attached();
+        loop {
+            let mut held: [(NodeId, Option<&Series>); BATCH] = [(NodeId(0), None); BATCH];
+            let mut taken = 0;
+            // `zip` stops at a full batch before it takes one more store
+            for (slot, (node, db)) in held.iter_mut().zip(stores.by_ref()) {
+                *slot = (node, db.series(series));
+                taken += 1;
+            }
+            let held = &held[..taken];
+            let mut windows: [&[Point]; BATCH] = [&[]; BATCH];
+            for ((_, s), w) in held.iter().zip(&mut windows) {
+                *w = s.map_or(&[][..], &window);
+            }
+            // plain loads, independent of each other, kept by one
+            // `black_box`: the lines arrive together, before the folds
+            let mut touched = 0;
+            for w in &windows[..taken] {
+                for p in w.iter().step_by(POINTS_PER_LINE) {
+                    touched ^= p.ts_ms;
+                }
+            }
+            std::hint::black_box(touched);
+            for (&(node, s), w) in held.iter().zip(windows) {
+                if s.is_some() {
+                    visit(node, w);
+                }
+            }
+            if taken < BATCH {
+                return;
+            }
+        }
+    }
+
     /// Nodes holding a series with this name, ascending.
     pub fn holders(&self, series: &str) -> Vec<NodeId> {
-        self.attached().filter(|(_, db)| db.series(series).is_some()).map(|(n, _)| n).collect()
+        let mut nodes = Vec::new();
+        self.walk(series, |_| &[], |node, _| nodes.push(node));
+        nodes
     }
 
     /// Federated query: bucket every node's `series` into `bucket_ms`
@@ -206,9 +280,9 @@ impl Federation {
         assert!(bucket_ms > 0, "bucket width must be positive");
         // (bucket start, folded per-node means, nodes folded), ascending
         let mut acc: Vec<(u64, f64, usize)> = Vec::new();
-        for s in self.attached().filter_map(|(_, db)| db.series(series)) {
+        let fold = |_: NodeId, window: &[Point]| {
             let mut cursor = 0;
-            bucket_means(s.range(start_ms, end_ms), bucket_ms, |bucket, mean| {
+            bucket_means(window, bucket_ms, |bucket, mean| {
                 while acc.get(cursor).is_some_and(|a| a.0 < bucket) {
                     cursor += 1;
                 }
@@ -221,7 +295,8 @@ impl Federation {
                 }
                 cursor += 1;
             });
-        }
+        };
+        self.walk(series, |s| s.range(start_ms, end_ms), fold);
         let mut out = Series::with_capacity(acc.len());
         for (bucket, folded, count) in acc {
             out.push(bucket, agg.finish(folded, count));
@@ -231,11 +306,13 @@ impl Federation {
 
     /// Network-wide mean of the latest point of `series` on each node.
     pub fn latest_mean(&self, series: &str) -> Option<f64> {
-        let latest = self
-            .attached()
-            .filter_map(|(_, db)| db.series(series)?.points().last())
-            .fold((Aggregation::Mean.identity(), 0usize), |(sum, n), p| (sum + p.value, n + 1));
-        (latest.1 > 0).then(|| Aggregation::Mean.finish(latest.0, latest.1))
+        let (mut sum, mut n) = (Aggregation::Mean.identity(), 0usize);
+        self.walk(series, newest, |_, latest| {
+            for p in latest {
+                (sum, n) = (sum + p.value, n + 1);
+            }
+        });
+        (n > 0).then(|| Aggregation::Mean.finish(sum, n))
     }
 }
 
@@ -664,6 +741,64 @@ mod tests {
                             value_bits(&model.query("x", from, to, bucket, agg)),
                             "seed {seed} {from}..{to} / {bucket} {agg:?}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_reads_match_a_per_store_walk_at_every_batch_edge() {
+        use dust_topology::SplitMix64;
+        let mut rng = SplitMix64::new(0xBA7C);
+        for stores in [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 3] {
+            let mut f = Federation::new();
+            let mut id = 0;
+            for k in 0..stores {
+                // a gap of 0-2 ids never attached before each store
+                let node = NodeId(id + 1 + rng.below(3) as u32);
+                id = node.0;
+                // a store without the series, an empty series, the first
+                // store shared, or points
+                match k % 5 {
+                    1 => f.store_mut(node).append("other", 500, 1.0),
+                    2 => drop(f.store_mut(node).series_id("x")),
+                    3 => f.share(node, f.nodes()[0]),
+                    _ => {
+                        let mut ts = 100 + rng.below(300);
+                        for _ in 0..1 + rng.below(60) {
+                            f.store_mut(node).append("x", ts, rng.range_f64(-10.0, 10.0));
+                            ts += rng.below(20);
+                        }
+                    }
+                }
+            }
+            assert_eq!(f.nodes().len(), stores);
+            // the reference walks the same stores one at a time
+            let nodes = f.nodes().into_iter();
+            let model =
+                MapFederation { stores: nodes.map(|n| (n, f.store(n).unwrap().clone())).collect() };
+            for name in ["x", "other", "absent"] {
+                let ctx = format!("{stores} stores, {name}");
+                assert_eq!(f.holders(name), model.holders(name), "{ctx}");
+                assert_eq!(
+                    f.latest_mean(name).map(f64::to_bits),
+                    model.latest_mean(name).map(f64::to_bits),
+                    "{ctx}"
+                );
+                // inside the data, across its start, across its end, past
+                // it, before it, and all of it
+                let windows =
+                    [(300, 700), (0, 400), (800, 5_000), (5_000, 6_000), (0, 50), (0, u64::MAX)];
+                for (from, to) in windows {
+                    for bucket in [70, 1_000] {
+                        for agg in AGGS {
+                            assert_eq!(
+                                bits(&f.query(name, from, to, bucket, agg)),
+                                bits(&model.query(name, from, to, bucket, agg)),
+                                "{ctx} {from}..{to} / {bucket} {agg:?}"
+                            );
+                        }
                     }
                 }
             }

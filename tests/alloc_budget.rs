@@ -1,5 +1,6 @@
 //! Allocation budgets of the telemetry write, read and retention paths, of
-//! a transportation solve, and of an NMDB snapshot.
+//! a transportation solve, of an NMDB snapshot, and of a wire frame that
+//! lies about its length.
 //!
 //! "Resolve once, append many" is a claim about allocations as much as
 //! about time: once a series handle is resolved and sized, a sample is an
@@ -7,7 +8,9 @@
 //! copies no name. So is "fold in place": a federated query allocates for
 //! its buckets, not for its stores, and retention allocates nothing. So is
 //! "a snapshot is the states vector only": it shares the topology, so what
-//! a quiet placement round allocates grows with the nodes, not the edges. A
+//! a quiet placement round allocates grows with the nodes, not the edges.
+//! So is "a decoder allocates what its input can fill": a claimed route
+//! length the frame's bytes cannot hold reserves no node list. A
 //! timing cannot pin that on a shared host — a count can, exactly. This binary installs a counting `#[global_allocator]`
 //! (its own test target for that reason) and counts per thread, so the
 //! harness running tests side by side cannot disturb a measurement.
@@ -215,6 +218,30 @@ fn compressing_allocates_only_the_output_buffer() {
     let (n, back) = allocs_in(|| decompress(&block));
     assert_eq!(back.as_ref(), Some(series));
     assert_eq!(n, 1);
+}
+
+/// A frame that claims a route longer than its bytes can hold is refused
+/// before the route's node list is reserved: a 22-byte `OffloadRequest`
+/// claiming 1 000 000 nodes, and its `Rep` twin, allocate (almost) nothing.
+#[test]
+fn a_route_length_the_frame_cannot_fill_allocates_nothing() {
+    use dust::proto::{decode_manager, CodecError};
+    // tag, request 5, [failed 4,] from 1, amount and data 0.0, route length
+    // 1 000 000 as a three-byte varint, then the frame ends
+    let frame = |tag: u8, nodes: &[u8]| {
+        let mut bytes = vec![tag, 5];
+        bytes.extend_from_slice(nodes);
+        bytes.extend_from_slice(&[0; 16]);
+        bytes.extend_from_slice(&[0xC0, 0x84, 0x3D]);
+        bytes
+    };
+    let (request, rep) = (frame(0x12, &[1]), frame(0x13, &[4, 1]));
+    assert_eq!((request.len(), rep.len()), (22, 23));
+    for bytes in [request, rep] {
+        let (n, decoded) = bytes_in(|| decode_manager(&bytes));
+        assert_eq!(decoded, Err(CodecError::Truncated), "tag {:#04x}", bytes[0]);
+        assert!(n <= 64, "tag {:#04x}: {n} bytes allocated", bytes[0]);
+    }
 }
 
 /// A quiet `k = 4` fat-tree fleet (20 switches, no placement), sampling
