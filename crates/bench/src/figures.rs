@@ -482,7 +482,7 @@ pub fn zone_storm(seed: u64, effort: Effort) -> String {
 /// reference simplex (wall-clock plus the deterministic pivot census), and
 /// the heuristic's 1/2/4-hop reach.
 pub fn ablations(seed: u64, effort: Effort) -> String {
-    use dust::lp::{solve, Cmp, Problem, TransportProblem};
+    use dust::lp::{solve, Problem, TransportProblem};
     let reps = match effort {
         Effort::Quick => 10,
         Effort::Full => 50,
@@ -535,17 +535,8 @@ pub fn ablations(seed: u64, effort: Effort) -> String {
             let capacity: Vec<f64> =
                 (0..n).map(|_| rng.range_f64(0.5, 2.0) * total / n as f64 * 1.5).collect();
             let cost: Vec<f64> = (0..m * n).map(|_| rng.range_f64(0.01, 10.0)).collect();
+            let lp = Problem::transportation(&supply, &capacity, &cost);
             let tp = TransportProblem::new(supply, capacity, cost);
-            let mut lp = Problem::new();
-            let vars: Vec<_> = tp.cost.iter().map(|&c| lp.add_nonneg(c)).collect();
-            for (i, &s) in tp.supply.iter().enumerate() {
-                let terms: Vec<_> = (0..n).map(|j| (vars[i * n + j], 1.0)).collect();
-                lp.add_constraint(&terms, Cmp::Eq, s);
-            }
-            for (j, &c) in tp.capacity.iter().enumerate() {
-                let terms: Vec<_> = (0..m).map(|i| (vars[i * n + j], 1.0)).collect();
-                lp.add_constraint(&terms, Cmp::Le, c);
-            }
             let (t, dt) = timed(|| tp.solve());
             let (s, ds) = timed(|| solve(&lp));
             t_times.push(dt);

@@ -64,6 +64,31 @@ impl Problem {
         Self::default()
     }
 
+    /// Eq. 3 written out: `supply.len()` rows by `capacity.len()` columns
+    /// of cells, `cost` row by row, a variable for each finite cell (an
+    /// infinite cost is no variable), laid out row-major; then an `=` row
+    /// per supply and a `≤` row per capacity, each over its cells in order.
+    ///
+    /// # Panics
+    /// Panics if `cost` is not one entry per cell, on a NaN cost, or on a
+    /// supply or capacity that is negative or not finite.
+    pub fn transportation(supply: &[f64], capacity: &[f64], cost: &[f64]) -> Self {
+        let (m, n) = (supply.len(), capacity.len());
+        assert_eq!(cost.len(), m * n, "one cost per cell");
+        assert!(cost.iter().all(|c| !c.is_nan()), "a cell's cost must not be NaN");
+        let mut p = Problem::new();
+        let vars: Vec<_> = cost.iter().map(|&c| c.is_finite().then(|| p.add_nonneg(c))).collect();
+        for (i, &s) in supply.iter().enumerate() {
+            let terms: Vec<_> = (0..n).filter_map(|j| vars[i * n + j].map(|v| (v, 1.0))).collect();
+            p.add_constraint(&terms, Cmp::Eq, s);
+        }
+        for (j, &c) in capacity.iter().enumerate() {
+            let terms: Vec<_> = (0..m).filter_map(|i| vars[i * n + j].map(|v| (v, 1.0))).collect();
+            p.add_constraint(&terms, Cmp::Le, c);
+        }
+        p
+    }
+
     /// Add a variable `x ≥ 0` with objective coefficient `cost`.
     ///
     /// # Panics
@@ -132,6 +157,31 @@ mod tests {
         assert_eq!(p.num_vars(), 2);
         assert_eq!(p.constraints.len(), 1);
         assert_eq!(p.costs, [1.0, 2.0]);
+    }
+
+    #[test]
+    fn transportation_lays_out_cells_then_supply_then_capacity_rows() {
+        // 2 × 3 cells, the middle one of the first row forbidden
+        let p = Problem::transportation(
+            &[4.0, 2.0],
+            &[3.0, 5.0, 1.0],
+            &[1.0, f64::INFINITY, 2.0, 3.0, 4.0, 5.0],
+        );
+        assert_eq!(p.costs, [1.0, 2.0, 3.0, 4.0, 5.0]);
+        let rows: Vec<(Vec<usize>, Cmp, f64)> = p
+            .constraints
+            .iter()
+            .map(|c| (c.terms.iter().map(|&(v, _)| v.0).collect(), c.cmp, c.rhs))
+            .collect();
+        let want = [
+            (vec![0, 1], Cmp::Eq, 4.0),
+            (vec![2, 3, 4], Cmp::Eq, 2.0),
+            (vec![0, 2], Cmp::Le, 3.0),
+            (vec![3], Cmp::Le, 5.0),
+            (vec![1, 4], Cmp::Le, 1.0),
+        ];
+        assert_eq!(rows, want);
+        assert!(p.constraints.iter().all(|c| c.terms.iter().all(|&(_, k)| k == 1.0)));
     }
 
     #[test]

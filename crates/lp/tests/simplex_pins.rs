@@ -28,23 +28,6 @@ fn fold(h: u64, s: &Solution) -> u64 {
     h
 }
 
-/// Eq. 3 written out: a variable per finite cell, an `=` row per supply
-/// and a `≤` row per capacity, as the placement tests' oracle builds it.
-fn transport_lp(supply: &[f64], capacity: &[f64], cost: &[f64]) -> Problem {
-    let (m, n) = (supply.len(), capacity.len());
-    let mut p = Problem::new();
-    let vars: Vec<_> = cost.iter().map(|&c| c.is_finite().then(|| p.add_nonneg(c))).collect();
-    for (i, &s) in supply.iter().enumerate() {
-        let terms: Vec<_> = (0..n).filter_map(|j| vars[i * n + j].map(|v| (v, 1.0))).collect();
-        p.add_constraint(&terms, Cmp::Eq, s);
-    }
-    for (j, &c) in capacity.iter().enumerate() {
-        let terms: Vec<_> = (0..m).filter_map(|i| vars[i * n + j].map(|v| (v, 1.0))).collect();
-        p.add_constraint(&terms, Cmp::Le, c);
-    }
-    p
-}
-
 /// 1–4 supplies of 0–6 units, 1–5 capacities of 0–8, costs drawn from
 /// four values so that entering and leaving candidates tie, and about a
 /// fifth of the cells forbidden.
@@ -60,7 +43,7 @@ fn tiny(seed: u64) -> Problem {
             k => [1.0, 2.0, 2.5, 3.0][(k % 4) as usize],
         })
         .collect();
-    transport_lp(&supply, &capacity, &cost)
+    Problem::transportation(&supply, &capacity, &cost)
 }
 
 #[test]
@@ -96,7 +79,7 @@ fn ablation_two_instances_are_pinned() {
             let capacity: Vec<f64> =
                 (0..n).map(|_| rng.range_f64(0.5, 2.0) * total / n as f64 * 1.5).collect();
             let cost: Vec<f64> = (0..m * n).map(|_| rng.range_f64(0.01, 10.0)).collect();
-            let s = solve(&transport_lp(&supply, &capacity, &cost));
+            let s = solve(&Problem::transportation(&supply, &capacity, &cost));
             assert_eq!(s.status, Status::Optimal, "{m}x{n} #{instance}");
             pivots += s.iterations;
             h = fold(h, &s);
@@ -118,7 +101,7 @@ fn edge_cases_are_pinned() {
     // a supply row with no admissible cell
     cases.push((
         "forbidden row",
-        transport_lp(&[3.0, 2.0], &[9.0], &[1.0, f64::INFINITY]),
+        Problem::transportation(&[3.0, 2.0], &[9.0], &[1.0, f64::INFINITY]),
         Status::Infeasible,
     ));
     // min −x − y with only x − y ≤ 1
@@ -134,7 +117,7 @@ fn edge_cases_are_pinned() {
     p.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Eq, 4.0);
     p.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Eq, 4.0);
     cases.push(("redundant rows", p, Status::Optimal));
-    let mut p = transport_lp(&[2.0, 3.0], &[5.0, 5.0], &[1.0, 1.0, 1.0, 1.0]);
+    let mut p = Problem::transportation(&[2.0, 3.0], &[5.0, 5.0], &[1.0, 1.0, 1.0, 1.0]);
     let v: Vec<_> = (0..p.num_vars()).map(dust_lp::Var).collect();
     p.add_constraint(&[(v[0], 1.0), (v[1], 1.0)], Cmp::Eq, 2.0);
     cases.push(("redundant transport", p, Status::Optimal));
@@ -151,13 +134,13 @@ fn edge_cases_are_pinned() {
     // balanced supply and capacity, every partial sum colliding
     cases.push((
         "balanced",
-        transport_lp(&[2.0, 2.0, 2.0], &[3.0, 3.0], &[1.0, 1.0, 2.0, 2.0, 1.0, 1.0]),
+        Problem::transportation(&[2.0, 2.0, 2.0], &[3.0, 3.0], &[1.0, 1.0, 2.0, 2.0, 1.0, 1.0]),
         Status::Optimal,
     ));
     // zero supplies and zero capacities
     cases.push((
         "zeros",
-        transport_lp(&[0.0, 4.0], &[0.0, 4.0, 0.0], &[1.0, 2.0, 1.0, 2.0, 2.0, 1.0]),
+        Problem::transportation(&[0.0, 4.0], &[0.0, 4.0, 0.0], &[1.0, 2.0, 1.0, 2.0, 2.0, 1.0]),
         Status::Optimal,
     ));
     cases.push(("empty", Problem::new(), Status::Optimal));

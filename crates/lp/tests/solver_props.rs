@@ -4,36 +4,16 @@
 //! match an enumeration of every basis on tiny ones, and LP duality must
 //! hold exactly.
 
-use dust_lp::{solve, Cmp, Problem, Status, TransportProblem, TransportStatus};
+use dust_lp::{solve, Problem, Status, TransportProblem, TransportStatus};
 use dust_topology::SplitMix64;
 
 /// Build the transportation instance as a general LP and solve with simplex:
 /// `Some(objective)` when optimal, `None` when infeasible. Any other stop
 /// panics, so an unfinished oracle never agrees with an infeasible answer.
 fn transport_via_simplex(tp: &TransportProblem) -> Option<f64> {
-    let m = tp.supply.len();
     let n = tp.capacity.len();
-    let mut p = Problem::new();
-    let mut vars = Vec::with_capacity(m * n);
-    for i in 0..m {
-        for j in 0..n {
-            let c = tp.cost_at(i, j);
-            if c.is_finite() {
-                vars.push(Some(p.add_nonneg(c)));
-            } else {
-                vars.push(None); // forbidden: simply omit the variable
-            }
-        }
-    }
-    for i in 0..m {
-        let terms: Vec<_> = (0..n).filter_map(|j| vars[i * n + j].map(|v| (v, 1.0))).collect();
-        p.add_constraint(&terms, Cmp::Eq, tp.supply[i]);
-    }
-    for j in 0..n {
-        let terms: Vec<_> = (0..m).filter_map(|i| vars[i * n + j].map(|v| (v, 1.0))).collect();
-        p.add_constraint(&terms, Cmp::Le, tp.capacity[j]);
-    }
-    let s = solve(&p);
+    let cells: Vec<f64> = (0..tp.supply.len() * n).map(|k| tp.cost_at(k / n, k % n)).collect();
+    let s = solve(&Problem::transportation(&tp.supply, &tp.capacity, &cells));
     match s.status {
         Status::Optimal => Some(s.objective),
         Status::Infeasible => None,

@@ -167,89 +167,14 @@ impl Client {
                 None
             }
             ManagerMsg::OffloadRequest { request, from, amount, data_mb, route: _ } => {
-                if self.released.contains(request) {
-                    // late duplicate of an offer the Manager already ended
-                    self.obs.counter_inc("proto.client.tombstone_refusals");
-                    return Some(ClientMsg::OffloadAck {
-                        node: self.node,
-                        request: *request,
-                        accept: false,
-                    });
-                }
-                if self.hosted.contains_key(request) {
-                    // duplicated delivery (or a Manager retry after a lost
-                    // ACK): re-confirm without double-booking
-                    self.obs.counter_inc("proto.client.reconfirms");
-                    return Some(ClientMsg::OffloadAck {
-                        node: self.node,
-                        request: *request,
-                        accept: true,
-                    });
-                }
-                // Accept only while the added load keeps us under our own
-                // ceiling (the QoS guarantee of §III-C: remote nodes must
-                // not be degraded). A corrupted frame can smuggle NaN or
-                // negative payloads past the codec — those are refused, so
-                // the hosting ledger can never go negative.
-                let accept = self.capable
-                    && sane_payload(*amount, *data_mb)
-                    && self.utilization + self.hosted_amount() + amount <= self.accept_ceiling;
-                if accept {
-                    self.hosted.insert(
-                        *request,
-                        HostedWorkload { from: *from, amount: *amount, data_mb: *data_mb },
-                    );
-                    self.obs.counter_inc("proto.client.accepts");
-                    self.obs.trace_at(
-                        now_ms,
-                        TraceEvent::ClientAccept { request: request.0, node: self.node.0 },
-                    );
-                } else {
-                    self.obs.counter_inc("proto.client.refusals");
-                    self.obs.trace_at(
-                        now_ms,
-                        TraceEvent::ClientRefuse { request: request.0, node: self.node.0 },
-                    );
-                }
-                Some(ClientMsg::OffloadAck { node: self.node, request: *request, accept })
+                let order = HostedWorkload { from: *from, amount: *amount, data_mb: *data_mb };
+                Some(self.hosting_order(now_ms, *request, order, false))
             }
+            // Replica substitution: an unconditional hosting order from the
+            // Manager, which already verified capacity from STATs.
             ManagerMsg::Rep { request, failed: _, from, amount, data_mb, route: _ } => {
-                if self.released.contains(request) {
-                    self.obs.counter_inc("proto.client.tombstone_refusals");
-                    return Some(ClientMsg::OffloadAck {
-                        node: self.node,
-                        request: *request,
-                        accept: false,
-                    });
-                }
-                // A REP is an unconditional hosting order, but a corrupted
-                // frame is not an order: refuse garbage payloads instead of
-                // booking them.
-                if !sane_payload(*amount, *data_mb) {
-                    self.obs.counter_inc("proto.client.refusals");
-                    return Some(ClientMsg::OffloadAck {
-                        node: self.node,
-                        request: *request,
-                        accept: false,
-                    });
-                }
-                // Replica substitution: unconditional hosting order from the
-                // Manager, which already verified capacity from STATs. A
-                // duplicated REP re-confirms without re-inserting.
-                if self.hosted.contains_key(request) {
-                    self.obs.counter_inc("proto.client.reconfirms");
-                } else {
-                    self.hosted.insert(
-                        *request,
-                        HostedWorkload { from: *from, amount: *amount, data_mb: *data_mb },
-                    );
-                    self.obs.counter_inc("proto.client.accepts");
-                    self.obs.trace_at(
-                        now_ms,
-                        TraceEvent::ClientAccept { request: request.0, node: self.node.0 },
-                    );
-                }
-                Some(ClientMsg::OffloadAck { node: self.node, request: *request, accept: true })
+                let order = HostedWorkload { from: *from, amount: *amount, data_mb: *data_mb };
+                Some(self.hosting_order(now_ms, *request, order, true))
             }
             ManagerMsg::Release { request } => {
                 if self.hosted.remove(request).is_some() {
@@ -263,6 +188,51 @@ impl Client {
                 None
             }
         }
+    }
+
+    /// One hosting order, an `Offload-Request` or (`rep`) a `REP`, and its
+    /// `Offload-ACK`. A tombstoned request is refused and one already
+    /// hosted re-confirmed, so a duplicated delivery (or a Manager retry
+    /// after a lost ACK) never double-books. Otherwise the order is booked
+    /// when its payload is sane — a corrupted frame can smuggle NaN or
+    /// negative payloads past the codec, and those must never reach the
+    /// ledger — and, for an `Offload-Request` only, while the added load
+    /// keeps this client under its own ceiling (the QoS guarantee of
+    /// §III-C: remote nodes must not be degraded).
+    fn hosting_order(
+        &mut self,
+        now_ms: u64,
+        request: RequestId,
+        order: HostedWorkload,
+        rep: bool,
+    ) -> ClientMsg {
+        let node = self.node;
+        let ack = |accept| ClientMsg::OffloadAck { node, request, accept };
+        if self.released.contains(&request) {
+            // late duplicate of an offer the Manager already ended
+            self.obs.counter_inc("proto.client.tombstone_refusals");
+            return ack(false);
+        }
+        if self.hosted.contains_key(&request) {
+            self.obs.counter_inc("proto.client.reconfirms");
+            return ack(true);
+        }
+        let fits = || {
+            self.capable
+                && self.utilization + self.hosted_amount() + order.amount <= self.accept_ceiling
+        };
+        let accept = sane_payload(order.amount, order.data_mb) && (rep || fits());
+        if accept {
+            self.hosted.insert(request, order);
+            self.obs.counter_inc("proto.client.accepts");
+            self.obs
+                .trace_at(now_ms, TraceEvent::ClientAccept { request: request.0, node: node.0 });
+        } else {
+            self.obs.counter_inc("proto.client.refusals");
+            self.obs
+                .trace_at(now_ms, TraceEvent::ClientRefuse { request: request.0, node: node.0 });
+        }
+        ack(accept)
     }
 
     /// Advance the clock; emits due periodic messages: the registration
@@ -550,6 +520,30 @@ mod tests {
         let dup = c.handle(5, &rep(6, 10.0)).unwrap();
         assert!(matches!(dup, ClientMsg::OffloadAck { accept: true, .. }));
         assert_eq!(c.hosted_amount(), 10.0);
+    }
+
+    #[test]
+    fn a_corrupt_duplicate_of_a_hosted_rep_reconfirms() {
+        let mut c = active_client();
+        c.handle(0, &rep(6, 10.0));
+        let before: Vec<(RequestId, HostedWorkload)> = c.hosted().map(|(r, w)| (*r, *w)).collect();
+        // the duplicate's payload was garbled on the wire, but the hosting
+        // it names is booked: refusing it would make the Manager drop a
+        // hosting this client keeps carrying
+        for corrupt in [rep(6, f64::NAN), rep(6, -4.0)] {
+            let dup = c.handle(5, &corrupt).unwrap();
+            assert_eq!(
+                dup,
+                ClientMsg::OffloadAck { node: NodeId(1), request: RequestId(6), accept: true }
+            );
+            let after: Vec<(RequestId, HostedWorkload)> =
+                c.hosted().map(|(r, w)| (*r, *w)).collect();
+            assert_eq!(after, before, "the booked workload is unchanged");
+        }
+        // a corrupt REP for a request not hosted is still refused
+        let fresh = c.handle(10, &rep(7, f64::NAN)).unwrap();
+        assert!(matches!(fresh, ClientMsg::OffloadAck { accept: false, .. }));
+        assert_eq!(c.hosted().count(), 1);
     }
 
     #[test]

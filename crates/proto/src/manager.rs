@@ -231,6 +231,11 @@ fn backoff(base_ms: u64, attempts: u32) -> u64 {
     base_ms.saturating_mul(1 << attempts.saturating_sub(1).min(3))
 }
 
+/// Add `amount` to `node`'s running total, its first term kept as it is.
+fn add_load(totals: &mut BTreeMap<NodeId, f64>, node: NodeId, amount: f64) {
+    totals.entry(node).and_modify(|total| *total += amount).or_insert(amount);
+}
+
 /// The placement solver, the transportation solver behind
 /// [`dust_core::solve_placement`] — the only one there is.
 ///
@@ -968,6 +973,12 @@ impl Manager {
             }
         }
         for failed in failed_dests {
+            // what each destination hosts, summed once per silent
+            // destination; each REP's amount is added as it opens. REP ids
+            // exceed every live one and `failed` is never a candidate, so
+            // every candidate's load adds the ledger's terms in the order a
+            // fresh sum would
+            let mut committed = self.committed_load();
             // re-home every hosting on the failed destination
             let affected: Vec<RequestId> = self
                 .hostings
@@ -977,8 +988,15 @@ impl Manager {
                 .collect();
             for req in affected {
                 let Some(hosting) = self.hostings.remove(&req) else { continue };
-                match self.pick_replacement(now_ms, failed, hosting.from, hosting.amount) {
+                match self.pick_replacement(
+                    now_ms,
+                    failed,
+                    hosting.from,
+                    hosting.amount,
+                    &committed,
+                ) {
                     Some((replacement, inv_lu, path)) => {
+                        add_load(&mut committed, replacement, hosting.amount);
                         let new_req = self.fresh_request();
                         // a fresh controllable route — the old one ran to
                         // the failed destination and is useless now
@@ -1068,7 +1086,7 @@ impl Manager {
         // order — the terms and the order a per-hosting rescan would add.
         let mut shed: BTreeMap<NodeId, f64> = BTreeMap::new();
         for h in self.hostings.values().filter(|h| h.confirmed) {
-            shed.entry(h.from).and_modify(|total| *total += h.amount).or_insert(h.amount);
+            add_load(&mut shed, h.from, h.amount);
         }
         let fits = |from: NodeId| match self.registry.get(&from).and_then(|r| r.last_stat) {
             Some((t, util, _)) => {
@@ -1080,10 +1098,21 @@ impl Manager {
         self.hostings.iter().filter(|(_, h)| h.confirmed && fits(h.from)).map(|(r, _)| *r).collect()
     }
 
+    /// What each destination hosts, summed over the ledger in request-id
+    /// order — the terms and the order a per-node rescan adds.
+    fn committed_load(&self) -> BTreeMap<NodeId, f64> {
+        let mut committed = BTreeMap::new();
+        for h in self.hostings.values() {
+            add_load(&mut committed, h.to, h.amount);
+        }
+        committed
+    }
+
     /// Choose a replica destination for the `amount` that `from` shed onto
     /// `failed`, and the route to it with its `Σ 1/Lu_e`: among the
     /// capable nodes whose last STAT is fresh (a stale record is presumed
-    /// dead), whose load plus what they already host plus `amount` stays
+    /// dead), whose load plus what they already host (`committed`, from
+    /// [`Manager::committed_load`]) plus `amount` stays
     /// within `CO_max`, and which `from` reaches within the hop bound, the
     /// least loaded, the lowest id on a tie. A registrant the topology
     /// does not have has no route, so it is never a candidate (a snapshot
@@ -1095,13 +1124,8 @@ impl Manager {
         failed: NodeId,
         from: NodeId,
         amount: f64,
+        committed: &BTreeMap<NodeId, f64>,
     ) -> Option<(NodeId, f64, Path)> {
-        // what each destination hosts, summed once over the ledger in
-        // request-id order — the terms and the order a per-node rescan adds
-        let mut committed: BTreeMap<NodeId, f64> = BTreeMap::new();
-        for h in self.hostings.values() {
-            committed.entry(h.to).and_modify(|total| *total += h.amount).or_insert(h.amount);
-        }
         let nodes = self.graph.node_count();
         let fitting: Vec<(NodeId, f64)> = self
             .registry
@@ -1702,7 +1726,10 @@ mod tests {
         for n in strangers {
             register_and_stat(&mut m, n, 0.0);
         }
-        let pick = |m: &mut Manager| m.pick_replacement(0, NodeId(1), NodeId(0), 5.0).map(|r| r.0);
+        let pick = |m: &mut Manager| {
+            let committed = m.committed_load();
+            m.pick_replacement(0, NodeId(1), NodeId(0), 5.0, &committed).map(|r| r.0)
+        };
         assert_eq!(pick(&mut m), None);
         register_and_stat(&mut m, NodeId(2), 40.0);
         assert_eq!(pick(&mut m), Some(NodeId(2)));
@@ -1901,6 +1928,57 @@ mod tests {
             3,
             "source 2 keeps its three"
         );
+    }
+
+    #[test]
+    fn rehoming_counts_each_rep_against_its_replica() {
+        const NOW: u64 = 5_000;
+        let mut m = manager_on_line(6);
+        let co_max = m.cfg.co_max;
+        // replica 2 has room for two 12-unit flows, not three; replica 3
+        // is heavier but has room for one; the owners 0, 4, 5 are Busy
+        for (node, util) in [(0, 90.0), (1, 10.0), (2, co_max - 30.0), (3, co_max - 15.0)] {
+            register_and_stat(&mut m, NodeId(node), util);
+            m.handle(
+                NOW,
+                &ClientMsg::Stat { node: NodeId(node), utilization: util, data_mb: 50.0 },
+            );
+        }
+        for node in [4, 5] {
+            register_and_stat(&mut m, NodeId(node), 90.0);
+            m.handle(
+                NOW,
+                &ClientMsg::Stat { node: NodeId(node), utilization: 90.0, data_mb: 50.0 },
+            );
+        }
+        // three confirmed flows on destination 1, which never heartbeats
+        for (id, owner) in [(1, 0), (2, 4), (3, 5)] {
+            m.hostings.insert(RequestId(id), hosting(owner, 1, 12.0, true, NOW));
+        }
+        m.next_request = 3;
+        let reps: Vec<(RequestId, NodeId, NodeId)> = m
+            .tick(NOW)
+            .iter()
+            .map(|e| match e.msg {
+                ManagerMsg::Rep { request, from, failed, .. } => {
+                    assert_eq!(failed, NodeId(1));
+                    (request, from, e.to)
+                }
+                ref other => panic!("only REPs are due: {other:?}"),
+            })
+            .collect();
+        // the first two fill replica 2; counted with them it no longer
+        // fits a third, which goes to replica 3
+        let want = [
+            (RequestId(4), NodeId(0), NodeId(2)),
+            (RequestId(5), NodeId(4), NodeId(2)),
+            (RequestId(6), NodeId(5), NodeId(3)),
+        ];
+        assert_eq!(reps, want);
+        assert!(m.orphaned().is_empty());
+        let load = m.committed_load();
+        assert_eq!((load[&NodeId(2)], load[&NodeId(3)]), (24.0, 12.0));
+        assert!(!load.contains_key(&NodeId(1)), "nothing is left on the failed destination");
     }
 
     #[test]

@@ -89,7 +89,8 @@ struct SlotKey {
     record: Arc<Vec<MonitorAgent>>,
     /// The bits of its [`crate::node::NodeSpec`].
     spec: [u64; 4],
-    /// Whether its `offloaded_agents` is empty (no offload stub).
+    /// Whether none of its agents runs elsewhere
+    /// ([`SimNode::remote_agents`] is 0: no offload stub).
     local: bool,
 }
 
@@ -105,7 +106,7 @@ impl SlotKey {
     fn holds(&self, node: &SimNode) -> bool {
         node.shared_deployment().is_some_and(|r| Arc::ptr_eq(r, &self.record))
             && self.spec == spec_bits(node)
-            && self.local == node.offloaded_agents.is_empty()
+            && self.local == (node.remote_agents() == 0)
     }
 }
 
@@ -292,7 +293,7 @@ impl HotState {
                         self.classes.push(SlotKey {
                             record: Arc::clone(record),
                             spec: spec_bits(n),
-                            local: n.offloaded_agents.is_empty(),
+                            local: n.remote_agents() == 0,
                         });
                         self.reps.push(i as u32);
                         self.classes.len() - 1
@@ -637,12 +638,9 @@ mod tests {
                 let mut node = SimNode::with_shared_agents(NodeId(i), spec, Arc::clone(record));
                 match rng.below(8) {
                     0 => retune(&mut node, rng.range_f64(0.4, 1.0)),
-                    1 => node.host_agents(NodeId(0), &record[..1]),
-                    2 => drop(node.offload_all_to(NodeId(0))),
-                    3 => {
-                        node.offloaded_agents.push((NodeId(0), record[0]));
-                        node.note_agents_changed();
-                    }
+                    1 => node.host_agents([(NodeId(0), record[0])]),
+                    2 => drop(node.offload_all()),
+                    3 => node.count_remote(1),
                     _ => {}
                 }
                 node
@@ -662,7 +660,7 @@ mod tests {
             };
             let s = n.spec;
             let spec = [s.cpu_cores, s.mem_gib, s.base_cpu_percent, s.base_mem_gib];
-            let key = (Arc::as_ptr(record), spec.map(f64::to_bits), n.offloaded_agents.is_empty());
+            let key = (Arc::as_ptr(record), spec.map(f64::to_bits), n.remote_agents() == 0);
             if !keys.contains(&key) {
                 keys.push(key);
             }
@@ -706,7 +704,7 @@ mod tests {
         retune(&mut detached, 0.5);
         // …one still on `b` but hosting an agent of node 0's…
         let mut hosting = SimNode::with_shared_agents(NodeId(9), spec, Arc::clone(&b));
-        hosting.host_agents(NodeId(0), &a[..1]);
+        hosting.host_agents([(NodeId(0), a[0])]);
         // …and one that never shared
         nodes.extend([detached, hosting, SimNode::with_standard_agents(NodeId(10), spec)]);
         let on_their_own = 3;
@@ -769,7 +767,7 @@ mod tests {
             let host =
                 nodes.iter().position(|n| n.agents_interned() && n.shared_deployment().is_none());
             if let Some(host) = host {
-                nodes[host].drop_hosted_for(NodeId(0));
+                drop(nodes[host].take_hosted(Some(NodeId(0))));
                 assert!(hot.slots_changed(&nodes), "{at}");
                 hot.assign_slots(&nodes);
             }
@@ -810,10 +808,10 @@ mod tests {
             let host =
                 nodes.iter().position(|n| n.agents_interned() && n.shared_deployment().is_none());
             if let Some(host) = host {
-                nodes[host].drop_hosted_for(NodeId(0));
+                drop(nodes[host].take_hosted(Some(NodeId(0))));
             }
             let sender = nodes.iter().position(|n| n.shared_deployment().is_some()).unwrap();
-            drop(nodes[sender].offload_all_to(NodeId(1)));
+            drop(nodes[sender].offload_all());
             hot.sync_slots(&mut federation, &nodes, 2);
             assert_eq!(hot.reps.len(), distinct_slots(&nodes), "{at}");
             // into, inside and out of the burst window, traffic moving

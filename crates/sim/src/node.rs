@@ -115,8 +115,9 @@ pub struct SimNode {
     /// Read via [`SimNode::local_agents`]; mutate via
     /// [`SimNode::local_agents_mut`] (copy-on-write when interned).
     local_agents: AgentStore,
-    /// Agents monitoring this node but running remotely: `(host, agent)`.
-    pub offloaded_agents: Vec<(NodeId, MonitorAgent)>,
+    /// How many agents monitoring this node run remotely
+    /// ([`SimNode::remote_agents`]).
+    remote: usize,
     /// Agents this node hosts on behalf of others: `(owner, agent)`.
     pub hosted_agents: Vec<(NodeId, MonitorAgent)>,
     /// Bumped on every agent-list mutation; lets callers cache derived
@@ -133,7 +134,7 @@ impl SimNode {
             id,
             spec,
             local_agents: AgentStore::Owned(MonitorAgent::standard_deployment()),
-            offloaded_agents: Vec::new(),
+            remote: 0,
             hosted_agents: Vec::new(),
             epoch: 0,
         }
@@ -149,7 +150,7 @@ impl SimNode {
             id,
             spec,
             local_agents: AgentStore::Shared(agents),
-            offloaded_agents: Vec::new(),
+            remote: 0,
             hosted_agents: Vec::new(),
             epoch: 0,
         }
@@ -161,7 +162,7 @@ impl SimNode {
             id,
             spec,
             local_agents: AgentStore::Owned(Vec::new()),
-            offloaded_agents: Vec::new(),
+            remote: 0,
             hosted_agents: Vec::new(),
             epoch: 0,
         }
@@ -248,7 +249,7 @@ impl SimNode {
     /// [`SimNode::device_cpu_percent`]; identical arithmetic).
     pub fn device_cpu_from_raw(&self, raw_cpu: f64, now_ms: u64) -> f64 {
         let monitoring = Self::monitoring_cpu_from_raw(raw_cpu, now_ms) / self.spec.cpu_cores;
-        let stub = if self.offloaded_agents.is_empty() { 0.0 } else { OFFLOAD_STUB_CPU_PERCENT };
+        let stub = if self.remote == 0 { 0.0 } else { OFFLOAD_STUB_CPU_PERCENT };
         (self.spec.base_cpu_percent + monitoring + stub).min(100.0)
     }
 
@@ -272,7 +273,7 @@ impl SimNode {
 
     /// Device memory utilization percent.
     pub fn device_mem_percent(&self) -> f64 {
-        let stub = if self.offloaded_agents.is_empty() { 0.0 } else { OFFLOAD_STUB_MEM_GIB };
+        let stub = if self.remote == 0 { 0.0 } else { OFFLOAD_STUB_MEM_GIB };
         ((self.spec.base_mem_gib + self.agent_mem_gib() + stub) / self.spec.mem_gib * 100.0)
             .min(100.0)
     }
@@ -283,16 +284,23 @@ impl SimNode {
         self.local_agents.as_slice().iter().map(|a| a.data_mb_per_interval(traffic_fraction)).sum()
     }
 
+    /// How many of this node's agents run elsewhere: offloaded, and not
+    /// yet reclaimed. Where each one runs is on its host's
+    /// [`SimNode::hosted_agents`], as `(owner, agent)`.
+    pub fn remote_agents(&self) -> usize {
+        self.remote
+    }
+
     /// Move up to `cpu_budget_percent` (device-level percent) of local
-    /// agent load to `host`, largest agents first. Returns the agents
-    /// moved. Used when the Manager's placement grants this node an
-    /// offload of `amount` capacity-percent.
-    pub fn offload_agents_to(
+    /// agent load off this node, largest agents first. Returns the agents
+    /// moved as `(this node, agent)` entries for their host's
+    /// [`SimNode::host_agents`]. Used when the Manager's placement grants
+    /// this node an offload of `amount` capacity-percent.
+    pub fn offload_agents(
         &mut self,
-        host: NodeId,
         cpu_budget_percent: f64,
         traffic_fraction: f64,
-    ) -> Vec<MonitorAgent> {
+    ) -> Vec<(NodeId, MonitorAgent)> {
         self.note_agents_changed();
         // device-level contribution of one agent (sampling-aware)
         let cores = self.spec.cpu_cores;
@@ -309,97 +317,63 @@ impl SimNode {
         while i < locals.len() {
             let c = device_cost(&locals[i]);
             if c <= budget + 1e-9 {
-                let agent = locals.remove(i);
                 budget -= c;
-                self.offloaded_agents.push((host, agent));
-                moved.push(agent);
+                moved.push((self.id, locals.remove(i)));
             } else {
                 i += 1;
             }
         }
+        self.remote += moved.len();
         moved
     }
 
-    /// Offload *every* local agent to `host` — the testbed's Fig. 6
-    /// experiment, where the whole monitoring deployment moves.
-    pub fn offload_all_to(&mut self, host: NodeId) -> Vec<MonitorAgent> {
+    /// Offload *every* local agent — the testbed's Fig. 6 experiment,
+    /// where the whole monitoring deployment moves — as
+    /// [`SimNode::offload_agents`] returns them.
+    pub fn offload_all(&mut self) -> Vec<(NodeId, MonitorAgent)> {
         self.note_agents_changed();
-        let moved: Vec<MonitorAgent> =
-            match std::mem::replace(&mut self.local_agents, AgentStore::Owned(Vec::new())) {
-                AgentStore::Shared(a) => a.as_ref().clone(),
-                AgentStore::Owned(v) => v,
-            };
-        for a in &moved {
-            self.offloaded_agents.push((host, *a));
-        }
+        let local = std::mem::replace(&mut self.local_agents, AgentStore::Owned(Vec::new()));
+        let moved: Vec<_> = local.as_slice().iter().map(|&a| (self.id, a)).collect();
+        self.remote += moved.len();
         moved
     }
 
-    /// Accept agents to host for `owner`.
-    pub fn host_agents(&mut self, owner: NodeId, agents: &[MonitorAgent]) {
+    /// Run `entries`, `(owner, agent)` pairs, here: the one way onto
+    /// [`SimNode::hosted_agents`].
+    pub fn host_agents(&mut self, entries: impl IntoIterator<Item = (NodeId, MonitorAgent)>) {
         self.note_agents_changed();
-        for a in agents {
-            self.hosted_agents.push((owner, *a));
+        self.hosted_agents.extend(entries);
+    }
+
+    /// Take the hosted entries of `owner`, or of every owner with `None`,
+    /// in hosting order: to move them onto another host (a REP, §III-C, or
+    /// a Busy host redirecting its workload, §III-B) or back onto their
+    /// owner ([`SimNode::reclaim`]).
+    pub fn take_hosted(&mut self, owner: Option<NodeId>) -> Vec<(NodeId, MonitorAgent)> {
+        self.note_agents_changed();
+        self.hosted_agents.extract_if(.., |(o, _)| owner.is_none_or(|w| w == *o)).collect()
+    }
+
+    /// Reclaim: run this node's `entries`, taken off their host with
+    /// [`SimNode::take_hosted`], locally again, in their hosting order.
+    pub fn reclaim(&mut self, entries: Vec<(NodeId, MonitorAgent)>) {
+        self.note_agents_changed();
+        if entries.is_empty() {
+            return;
         }
+        debug_assert!(entries.iter().all(|(o, _)| *o == self.id), "only the owner reclaims");
+        self.remote -= entries.len();
+        self.local_agents.to_mut().extend(entries.into_iter().map(|(_, a)| a));
     }
 
-    /// Reclaim: bring home every agent offloaded to `host` (the host must
-    /// symmetrically drop them via [`SimNode::drop_hosted_for`]).
-    pub fn reclaim_from(&mut self, host: NodeId) -> usize {
+    /// Count `n` more of this node's agents as running elsewhere while its
+    /// local list stays as it is, so a node that still shares its record
+    /// pays the offload stub: a state no move reaches, which the event
+    /// core's slot keys must still tell apart.
+    #[cfg(test)]
+    pub(crate) fn count_remote(&mut self, n: usize) {
+        self.remote += n;
         self.note_agents_changed();
-        let before = self.offloaded_agents.len();
-        let mut kept = Vec::with_capacity(before);
-        for (h, a) in self.offloaded_agents.drain(..) {
-            if h == host {
-                self.local_agents.to_mut().push(a);
-            } else {
-                kept.push((h, a));
-            }
-        }
-        self.offloaded_agents = kept;
-        before - self.offloaded_agents.len()
-    }
-
-    /// Drop hosted agents belonging to `owner`; returns how many.
-    pub fn drop_hosted_for(&mut self, owner: NodeId) -> usize {
-        self.note_agents_changed();
-        let before = self.hosted_agents.len();
-        self.hosted_agents.retain(|(o, _)| *o != owner);
-        before - self.hosted_agents.len()
-    }
-
-    /// Take every hosted agent (the node is shedding its hosting duties,
-    /// e.g. because it just became Busy itself and redirects the workload,
-    /// §III-B). Returns `(owner, agent)` pairs in hosting order.
-    pub fn take_hosted(&mut self) -> Vec<(NodeId, MonitorAgent)> {
-        self.note_agents_changed();
-        self.hosted_agents.drain(..).collect()
-    }
-
-    /// Re-point every agent offloaded to `from` at `to` (the hosting moved
-    /// wholesale; membership is unchanged).
-    pub fn redirect_offloaded(&mut self, from: NodeId, to: NodeId) {
-        self.note_agents_changed();
-        for (h, _) in self.offloaded_agents.iter_mut() {
-            if *h == from {
-                *h = to;
-            }
-        }
-    }
-
-    /// Re-home agents offloaded to a `failed` host onto `to`, returning
-    /// the moved agents in ledger order (for the new host's
-    /// [`SimNode::host_agents`] call) — the REP replica-substitution path.
-    pub fn rehome_offloaded(&mut self, failed: NodeId, to: NodeId) -> Vec<MonitorAgent> {
-        self.note_agents_changed();
-        let mut rehomed = Vec::new();
-        for (h, a) in self.offloaded_agents.iter_mut() {
-            if *h == failed {
-                *h = to;
-                rehomed.push(*a);
-            }
-        }
-        rehomed
     }
 }
 
@@ -409,6 +383,11 @@ mod tests {
 
     fn dut() -> SimNode {
         SimNode::with_standard_agents(NodeId(0), NodeSpec::aruba_8325())
+    }
+
+    /// `agents` as hosted entries of `owner`.
+    fn of(owner: u32, agents: &[MonitorAgent]) -> Vec<(NodeId, MonitorAgent)> {
+        agents.iter().map(|&a| (NodeId(owner), a)).collect()
     }
 
     #[test]
@@ -441,8 +420,8 @@ mod tests {
     #[test]
     fn fig6_offloaded_readings() {
         let mut n = dut();
-        let moved = n.offload_all_to(NodeId(5));
-        assert_eq!(moved.len(), 10);
+        let moved = n.offload_all();
+        assert_eq!((moved.len(), n.remote_agents()), (10, 10));
         let cpu = n.device_cpu_percent(10_000, 0.2);
         assert!((cpu - 15.5).abs() < 1.0, "offloaded CPU {cpu}");
         let mem = n.device_mem_percent();
@@ -453,7 +432,7 @@ mod tests {
     fn hosting_raises_host_cost() {
         let mut host = SimNode::bare(NodeId(1), NodeSpec::server());
         let before = host.device_cpu_percent(10_000, 0.2);
-        host.host_agents(NodeId(0), &MonitorAgent::standard_deployment());
+        host.host_agents(of(0, &MonitorAgent::standard_deployment()));
         let after = host.device_cpu_percent(10_000, 0.2);
         assert!(after > before);
         // a 32-core server absorbs the same engine load with ~4x less
@@ -465,30 +444,34 @@ mod tests {
     fn budgeted_offload_moves_largest_first() {
         let mut n = dut();
         let traffic = 0.2;
-        let moved = n.offload_agents_to(NodeId(3), 10.0, traffic);
+        let moved = n.offload_agents(10.0, traffic);
         assert!(!moved.is_empty());
         assert!(moved.len() < 10, "10 % budget must not take everything");
         // the first moved agent is the most expensive one
-        let costs: Vec<f64> = moved.iter().map(|a| a.kind.cpu_percent(traffic)).collect();
+        let costs: Vec<f64> = moved.iter().map(|(_, a)| a.kind.cpu_percent(traffic)).collect();
         assert!(costs.windows(2).all(|w| w[0] >= w[1]));
         // remaining + moved = 10
         assert_eq!(n.local_agents().len() + moved.len(), 10);
-        assert_eq!(n.offloaded_agents.len(), moved.len());
+        assert_eq!(n.remote_agents(), moved.len());
     }
 
     #[test]
     fn reclaim_round_trip() {
         let mut dut = dut();
         let mut host = SimNode::bare(NodeId(2), NodeSpec::server());
-        let moved = dut.offload_all_to(NodeId(2));
-        host.host_agents(NodeId(0), &moved);
-        assert_eq!(dut.local_agents().len(), 0);
-        assert_eq!(host.hosted_agents.len(), 10);
+        host.host_agents(of(7, &MonitorAgent::standard_deployment()[..2]));
+        let moved = dut.offload_all();
+        host.host_agents(moved.clone());
+        assert_eq!((dut.local_agents().len(), dut.remote_agents()), (0, 10));
+        assert_eq!(host.hosted_agents.len(), 12);
 
-        assert_eq!(dut.reclaim_from(NodeId(2)), 10);
-        assert_eq!(host.drop_hosted_for(NodeId(0)), 10);
-        assert_eq!(dut.local_agents().len(), 10);
-        assert!(host.hosted_agents.is_empty());
+        // the owner takes back its own entries, in hosting order
+        let back = host.take_hosted(Some(NodeId(0)));
+        assert_eq!(back, moved);
+        dut.reclaim(back);
+        assert_eq!(dut.local_agents(), MonitorAgent::standard_deployment());
+        assert_eq!(dut.remote_agents(), 0);
+        assert_eq!(host.hosted_agents, of(7, &MonitorAgent::standard_deployment()[..2]));
         // back to the calm (burst-free) local reading: 14 + 100/8 = 26.5
         let cpu = dut.device_cpu_percent(10_000, 0.2);
         assert!((cpu - 26.5).abs() < 1.0);
@@ -505,30 +488,28 @@ mod tests {
     fn epoch_tracks_every_mutation() {
         let mut n = dut();
         let e0 = n.agents_epoch();
-        n.offload_all_to(NodeId(1));
+        let moved = n.offload_all();
         assert_ne!(n.agents_epoch(), e0, "offload must bump the epoch");
-        let e1 = n.agents_epoch();
-        n.reclaim_from(NodeId(1));
-        assert_ne!(n.agents_epoch(), e1);
         let mut host = SimNode::bare(NodeId(2), NodeSpec::server());
         let eh = host.agents_epoch();
-        host.host_agents(NodeId(0), &MonitorAgent::standard_deployment());
+        host.host_agents(moved);
         assert_ne!(host.agents_epoch(), eh);
         let eh = host.agents_epoch();
-        assert_eq!(host.take_hosted().len(), 10);
+        let back = host.take_hosted(None);
+        assert_eq!(back.len(), 10);
         assert_ne!(host.agents_epoch(), eh);
-    }
-
-    #[test]
-    fn rehome_and_redirect_preserve_membership() {
-        let mut n = dut();
-        n.offload_all_to(NodeId(1));
-        let rehomed = n.rehome_offloaded(NodeId(1), NodeId(2));
-        assert_eq!(rehomed.len(), 10);
-        assert!(n.offloaded_agents.iter().all(|(h, _)| *h == NodeId(2)));
-        n.redirect_offloaded(NodeId(2), NodeId(3));
-        assert!(n.offloaded_agents.iter().all(|(h, _)| *h == NodeId(3)));
-        assert_eq!(n.offloaded_agents.len(), 10, "membership unchanged");
+        let e1 = n.agents_epoch();
+        n.reclaim(back);
+        assert_ne!(n.agents_epoch(), e1);
+        // taking or reclaiming nothing still bumps: the callers' caches
+        // key on the epoch, never on what moved
+        let (eh, e2) = (host.agents_epoch(), n.agents_epoch());
+        n.reclaim(host.take_hosted(Some(NodeId(0))));
+        assert_ne!(host.agents_epoch(), eh);
+        assert_ne!(n.agents_epoch(), e2);
+        let e3 = n.agents_epoch();
+        n.offload_agents(10.0, 0.2);
+        assert_ne!(n.agents_epoch(), e3);
     }
 
     #[test]
@@ -562,7 +543,7 @@ mod tests {
         assert!(a.agents_interned() && b.agents_interned());
         // the first mutation peels `a` off onto its own copy; `b` and the
         // interned record itself are untouched
-        let moved = a.offload_agents_to(NodeId(3), 10.0, 0.2);
+        let moved = a.offload_agents(10.0, 0.2);
         assert!(!moved.is_empty());
         assert!(!a.agents_interned());
         assert!(b.agents_interned());
@@ -580,7 +561,7 @@ mod tests {
         assert!(shared.shared_deployment().is_some_and(|r| Arc::ptr_eq(r, &record)));
         assert!(dut().shared_deployment().is_none(), "owned agents are nobody's record");
         let mut hosting = on(1);
-        hosting.host_agents(NodeId(7), &MonitorAgent::standard_deployment()[..1]);
+        hosting.host_agents(of(7, &MonitorAgent::standard_deployment()[..1]));
         assert!(hosting.agents_interned() && hosting.shared_deployment().is_none());
         let mut detached = on(2);
         detached.local_agents_mut()[0].sampling = None;
@@ -592,7 +573,7 @@ mod tests {
         let mut n = dut();
         // host five more full deployments to overload
         for i in 0..5 {
-            n.host_agents(NodeId(10 + i), &MonitorAgent::standard_deployment());
+            n.host_agents(of(10 + i, &MonitorAgent::standard_deployment()));
         }
         assert!(n.device_cpu_percent(0, 1.0) <= 100.0);
     }

@@ -420,6 +420,9 @@ pub fn chaos(faults: FaultProfile, knobs: &ScenarioKnobs) -> (ChaosResult, Optio
         }
     }
 
+    // and every owner's remote count is its entries on the hosted lists
+    consistent &= sim.remote_agents_match_hosts();
+
     let result = ChaosResult {
         loss: faults.drop,
         transfers: report.transfers_applied,

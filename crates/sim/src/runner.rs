@@ -588,16 +588,13 @@ impl Simulation {
             ) if !self.active.contains_key(request) => {
                 if self.cfg.full_monitoring_offload {
                     // The Busy node sheds its own agents…
-                    let moved = self.node_mut(from.index()).offload_all_to(to);
-                    self.node_mut(to.index()).host_agents(*from, &moved);
+                    let moved = self.node_mut(from.index()).offload_all();
+                    self.node_mut(to.index()).host_agents(moved);
                     // …and redirects any workload it was hosting for others
                     // ("an Offload-destination node can redirect the
                     // workload to another node if it becomes busy", §III-B).
-                    let redirected = self.node_mut(from.index()).take_hosted();
-                    for (owner, agent) in redirected {
-                        self.node_mut(owner.index()).redirect_offloaded(*from, to);
-                        self.node_mut(to.index()).host_agents(owner, &[agent]);
-                    }
+                    let redirected = self.node_mut(from.index()).take_hosted(None);
+                    self.node_mut(to.index()).host_agents(redirected);
                     // keep the transfer ledger pointing at the new host
                     // (redirected flows lose their planned route)
                     for t in self.active.values_mut() {
@@ -607,8 +604,8 @@ impl Simulation {
                         }
                     }
                 } else {
-                    let moved = self.node_mut(from.index()).offload_agents_to(to, *amount, traffic);
-                    self.node_mut(to.index()).host_agents(*from, &moved);
+                    let moved = self.node_mut(from.index()).offload_agents(*amount, traffic);
+                    self.node_mut(to.index()).host_agents(moved);
                 }
                 self.active.insert(
                     *request,
@@ -630,11 +627,10 @@ impl Simulation {
                 ManagerMsg::Rep { request, failed, from, data_mb, route, .. },
                 Some(ClientMsg::OffloadAck { accept: true, .. }),
             ) if !self.active.contains_key(request) => {
-                // re-home: retarget the owner's offloaded agents and move
-                // the hosted copies from the failed node to the new host
-                let rehomed = self.node_mut(from.index()).rehome_offloaded(*failed, to);
-                self.node_mut(failed.index()).drop_hosted_for(*from);
-                self.node_mut(to.index()).host_agents(*from, &rehomed);
+                // re-home: the owner's agents move off the failed node
+                // onto the new host
+                let rehomed = self.node_mut(failed.index()).take_hosted(Some(*from));
+                self.node_mut(to.index()).host_agents(rehomed);
                 // the transfer that ran owner → failed is gone; its
                 // replacement lives under the new request id — dropping
                 // the stale entry keeps the flow model truthful
@@ -661,8 +657,8 @@ impl Simulation {
             (ManagerMsg::Release { request }, _) => {
                 if let Some(t) = self.active.remove(request) {
                     self.active_version += 1;
-                    self.node_mut(t.owner.index()).reclaim_from(t.host);
-                    self.node_mut(t.host.index()).drop_hosted_for(t.owner);
+                    let back = self.node_mut(t.host.index()).take_hosted(Some(t.owner));
+                    self.node_mut(t.owner.index()).reclaim(back);
                     self.obs.counter_inc("sim.releases_applied");
                     self.obs.trace_at(
                         now,
@@ -905,6 +901,7 @@ impl Simulation {
 
     /// Fill the end-of-run fields from Manager and transport state.
     pub(crate) fn finish_report(&self, report: &mut SimReport) {
+        debug_assert!(self.remote_agents_match_hosts(), "a remote count lost its host entries");
         report.orphaned = self.manager.orphaned().len();
         report.offer_retries = self.manager.offer_retries();
         report.offers_abandoned = self.manager.offers_abandoned();
@@ -954,6 +951,18 @@ impl Simulation {
                 .map(|n| n.hosted_agents.iter().filter(|(o, _)| *o == owner).count())
                 .sum::<usize>()
     }
+
+    /// Whether every node's [`SimNode::remote_agents`] is the number of its
+    /// entries on the fleet's hosted lists: an agent is listed once, on the
+    /// node it runs on, and its owner keeps only that count. A debug build
+    /// checks it at the end of every run.
+    pub fn remote_agents_match_hosts(&self) -> bool {
+        let mut hosted = vec![0; self.nodes.len()];
+        for (owner, _) in self.nodes.iter().flat_map(|n| &n.hosted_agents) {
+            hosted[owner.index()] += 1;
+        }
+        self.nodes.iter().zip(hosted).all(|(n, h)| n.remote_agents() == h)
+    }
 }
 
 #[cfg(test)]
@@ -997,7 +1006,7 @@ mod tests {
         let mut sim = two_node_sim(true);
         let report = sim.run();
         assert!(report.transfers_applied > 0, "placement must fire");
-        assert!(!sim.nodes()[0].offloaded_agents.is_empty(), "agents must physically move");
+        assert!(sim.nodes()[0].remote_agents() > 0, "agents must physically move");
         // CPU in the steady tail must sit below the pre-offload window
         let before = report.mean(NodeId(0), "device-cpu", 0, 5_000).unwrap();
         let after = report.mean(NodeId(0), "device-cpu", 40_000, 60_000).unwrap();

@@ -74,6 +74,6 @@ fn main() {
     println!(
         "  DUT keeps {} local agents, {} offloaded",
         dut_node.local_agents().len(),
-        dut_node.offloaded_agents.len()
+        dut_node.remote_agents()
     );
 }

@@ -34,6 +34,35 @@ const TESTBED_DIGEST: u64 = 0x56baacf9a0c6e5d5;
 /// Golden digest of the chaos trace at `CHAOS_SEED`.
 const CHAOS_DIGEST: u64 = 0x0462984b186d8882;
 
+/// Run `sim` to its end and check that every agent is listed once, where
+/// it runs: each node's remote count is its entries on the fleet's hosted
+/// lists, and its local agents plus that count are the agents it started
+/// with.
+fn run_accounted(sim: &mut Simulation) -> SimReport {
+    let started: Vec<usize> = sim.nodes().iter().map(|n| n.local_agents().len()).collect();
+    let report = sim.run();
+    assert!(sim.remote_agents_match_hosts(), "a remote count lost its host entries");
+    for (n, &had) in sim.nodes().iter().zip(&started) {
+        assert_eq!(n.local_agents().len() + n.remote_agents(), had, "{:?}", n.id);
+    }
+    report
+}
+
+/// [`run_accounted`] over a testbed run, whose DUT keeps its ten agents.
+fn run_testbed_accounted(mut sim: Simulation) -> SimReport {
+    let report = run_accounted(&mut sim);
+    let (_, dut) = dust::sim::testbed_topology();
+    assert_eq!(sim.agent_census(dut), 10, "no agents may be lost");
+    report
+}
+
+/// A registry scenario watched by its own SLO spec, run by [`run_accounted`].
+fn run_watched(sc: &Scenario, knobs: &ScenarioKnobs) -> ScenarioRun {
+    let mut sim = sc.build(knobs).unwrap();
+    let report = run_accounted(&mut sim);
+    ScenarioRun { name: sc.name, report, slo: sim.take_slo().expect("build attached an engine") }
+}
+
 fn run_testbed() -> (ObsHandle, SimReport) {
     let obs = ObsHandle::recording(TESTBED_SEED);
     let knobs = ScenarioKnobs {
@@ -43,7 +72,7 @@ fn run_testbed() -> (ObsHandle, SimReport) {
     };
     // unwatched: an SLO engine would add its own evaluation events
     let testbed = registry::find("testbed").expect("registered scenario");
-    let report = testbed.build_unwatched(&knobs).unwrap().run();
+    let report = run_testbed_accounted(testbed.build_unwatched(&knobs).unwrap());
     (obs, report)
 }
 
@@ -143,7 +172,7 @@ fn run_scenario(name: &str) -> ObsHandle {
         obs: ObsHandle::recording(SCENARIO_SEED),
         ..ScenarioKnobs::seeded(SCENARIO_SEED)
     };
-    let run = sc.run(&knobs).unwrap();
+    let run = run_watched(sc, &knobs);
     assert!(!run.breached(), "{name} must pass its attached SLO:\n{}", run.slo.report());
     assert!(run.report.transfers_applied > 0, "{name} must offload");
     knobs.obs
@@ -366,7 +395,7 @@ fn testbed_and_chaos_rows() -> Vec<Row> {
             obs: obs.clone(),
             ..ScenarioKnobs::seeded(seed)
         };
-        let report = testbed.build_unwatched(&knobs).unwrap().run();
+        let report = run_testbed_accounted(testbed.build_unwatched(&knobs).unwrap());
         rows.push(("testbed", seed, report_fingerprint(&obs, &report)));
     }
     for (run, loss) in CHAOS_LADDER {
@@ -397,7 +426,7 @@ fn scenario_rows() -> Vec<Row> {
                 obs: obs.clone(),
                 ..ScenarioKnobs::seeded(seed)
             };
-            let run = sc.run(&knobs).unwrap();
+            let run = run_watched(sc, &knobs);
             rows.push((name, seed, report_fingerprint(&obs, &run.report)));
         }
     }
@@ -410,7 +439,8 @@ fn scale_fleet_rows() -> Vec<Row> {
     for (run, k) in SCALE_FLEET {
         for seed in SCALE_FLEET_SEEDS {
             let obs = ObsHandle::recording(seed);
-            let report = scale_fleet_sim_on(k, 10_000, seed, obs.clone(), EngineKind::Event).run();
+            let mut sim = scale_fleet_sim_on(k, 10_000, seed, obs.clone(), EngineKind::Event);
+            let report = run_accounted(&mut sim);
             rows.push((run, seed, report_fingerprint(&obs, &report)));
         }
     }
@@ -472,7 +502,7 @@ fn metrics_json_is_pinned() {
     };
     let testbed = ObsHandle::recording(42);
     let sc = registry::find("testbed").expect("registered scenario");
-    sc.build_unwatched(&knobs(42, 30_000, &testbed)).unwrap().run();
+    run_testbed_accounted(sc.build_unwatched(&knobs(42, 30_000, &testbed)).unwrap());
     let chaos = ObsHandle::recording(7);
     registry::chaos(FaultProfile::chaos(0.2), &knobs(7, 60_000, &chaos));
     assert_eq!(
@@ -484,11 +514,11 @@ fn metrics_json_is_pinned() {
 /// [`scale_fleet_sim_on`]'s fleet — every switch an appliance on the one
 /// interned deployment record — under any traffic model.
 fn scale_fleet_under(k: usize, duration_ms: u64, seed: u64, traffic: TrafficModel) -> SimReport {
-    scale_fleet_builder(k, duration_ms, seed, ObsHandle::disabled())
+    let mut sim = scale_fleet_builder(k, duration_ms, seed, ObsHandle::disabled())
         .traffic(traffic)
         .build()
-        .expect("scale knobs are consistent")
-        .run()
+        .expect("scale knobs are consistent");
+    run_accounted(&mut sim)
 }
 
 #[test]
@@ -562,7 +592,7 @@ fn mixed_shared_fleet_digests_are_pinned() {
     let mut digests = Vec::new();
     for seed in [3u64, 11] {
         let mut sim = mixed_shared_fleet(4, seed);
-        let report = sim.run();
+        let report = run_accounted(&mut sim);
         digests.push(federation_digest(&report.federation));
 
         // the run really went down every path
@@ -602,7 +632,7 @@ fn shared_fleet_slot_changes_are_pinned() {
                     .drift(drift)
                     .build()
                     .expect("scale knobs are consistent");
-                let digest = federation_digest(&sim.run().federation);
+                let digest = federation_digest(&run_accounted(&mut sim).federation);
                 (digest, sim.nodes().iter().filter(|n| !n.agents_interned()).count())
             };
             let (quiet, detached) = run(ObsHandle::disabled());
@@ -640,7 +670,8 @@ fn holders_by_store(fed: &Federation) -> Vec<Vec<NodeId>> {
 fn fleets_share_exactly_the_stores_that_are_equal() {
     // nodes that take the same points all run hold one store; a node whose
     // points part from the others' holds one of its own
-    let report = scale_fleet_sim_on(12, 10_000, 1, ObsHandle::disabled(), EngineKind::Event).run();
+    let mut sim = scale_fleet_sim_on(12, 10_000, 1, ObsHandle::disabled(), EngineKind::Event);
+    let report = run_accounted(&mut sim);
     let held = holders_by_store(&report.federation);
     assert_eq!(held.iter().map(Vec::len).collect::<Vec<_>>(), [180], "one store, every node");
 
@@ -653,7 +684,7 @@ fn fleets_share_exactly_the_stores_that_are_equal() {
                 .drift(drift)
                 .build()
                 .expect("scale knobs are consistent");
-            let held = holders_by_store(&sim.run().federation);
+            let held = holders_by_store(&run_accounted(&mut sim).federation);
             let (detached, sharing): (Vec<NodeId>, Vec<NodeId>) = sim
                 .nodes()
                 .iter()
@@ -670,7 +701,7 @@ fn fleets_share_exactly_the_stores_that_are_equal() {
     }
 
     // a flow owner appends its flow's series to its store alone
-    let report = mixed_shared_fleet(4, 3).run();
+    let report = run_accounted(&mut mixed_shared_fleet(4, 3));
     let fed = &report.federation;
     let owners: Vec<NodeId> = fed.holders(dust::sim::series::TELEMETRY_ADMITTED_MBPS);
     assert!(!owners.is_empty(), "somebody owned a routed flow");
@@ -687,7 +718,8 @@ fn scale_fleet_k90_shape_is_pinned() {
     // that this shape repeats run to run; the numbers themselves are
     // pinned here. A change to any of them is a change in simulation
     // behaviour, not in speed.
-    let report = scale_fleet_sim_on(90, 10_000, 1, ObsHandle::disabled(), EngineKind::Event).run();
+    let mut sim = scale_fleet_sim_on(90, 10_000, 1, ObsHandle::disabled(), EngineKind::Event);
+    let report = run_accounted(&mut sim);
     let fed = &report.federation;
     let nodes = fed.nodes();
     assert_eq!(nodes.len(), 10_125);
@@ -731,8 +763,9 @@ fn sample_counts_around_a_run_of_eight_are_pinned() {
     // follow from the sample count, and every point is in the digest.
     let mut got = Vec::new();
     for (k, duration_ms, samples, ..) in SAMPLE_COUNT_PINS {
-        let report =
-            scale_fleet_sim_on(k, duration_ms, 1, ObsHandle::disabled(), EngineKind::Event).run();
+        let mut sim =
+            scale_fleet_sim_on(k, duration_ms, 1, ObsHandle::disabled(), EngineKind::Event);
+        let report = run_accounted(&mut sim);
         let fed = &report.federation;
         let mut points = 0;
         for n in fed.nodes() {

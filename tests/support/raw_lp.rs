@@ -6,7 +6,7 @@
 //! the workspace crates directly.
 
 use dust_core::{DustConfig, Nmdb};
-use dust_lp::{solve, Cmp, Problem, Status};
+use dust_lp::{solve, Problem, Status};
 use dust_topology::{CostEngine, CostMatrix};
 
 /// Rebuild a placement as an explicit LP and return its β with the cost
@@ -27,25 +27,13 @@ pub fn beta_via_raw_lp(nmdb: &Nmdb, cfg: &DustConfig) -> (Option<f64>, Option<Co
     let data: Vec<f64> = busy.iter().map(|&b| nmdb.state(b).data_mb).collect();
     let costs =
         CostEngine::with_threads(1).build_matrix(&nmdb.graph, &busy, &cands, &data, cfg.max_hop);
-    let mut p = Problem::new();
-    let mut vars = Vec::new();
-    for r in 0..busy.len() {
-        for c in 0..cands.len() {
-            let t = costs.at(r, c);
-            vars.push(t.is_finite().then(|| p.add_nonneg(t)));
-        }
-    }
-    for (r, &b) in busy.iter().enumerate() {
-        let terms: Vec<_> =
-            (0..cands.len()).filter_map(|c| vars[r * cands.len() + c].map(|v| (v, 1.0))).collect();
-        p.add_constraint(&terms, Cmp::Eq, nmdb.cs(b, cfg));
-    }
-    for (c, &o) in cands.iter().enumerate() {
-        let terms: Vec<_> =
-            (0..busy.len()).filter_map(|r| vars[r * cands.len() + c].map(|v| (v, 1.0))).collect();
-        p.add_constraint(&terms, Cmp::Le, nmdb.cd(o, cfg));
-    }
-    let s = solve(&p);
+    let supply: Vec<f64> = busy.iter().map(|&b| nmdb.cs(b, cfg)).collect();
+    let capacity: Vec<f64> = cands.iter().map(|&o| nmdb.cd(o, cfg)).collect();
+    let cells: Vec<f64> = (0..busy.len())
+        .flat_map(|r| (0..cands.len()).map(move |c| (r, c)))
+        .map(|(r, c)| costs.at(r, c))
+        .collect();
+    let s = solve(&Problem::transportation(&supply, &capacity, &cells));
     let beta = match s.status {
         Status::Optimal => Some(s.objective),
         Status::Infeasible => None,
