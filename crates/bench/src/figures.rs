@@ -251,7 +251,7 @@ pub fn fig11(seed: u64, effort: Effort) -> String {
     let mut hfr_points: Vec<(f64, f64)> = Vec::new();
     for &(k, h_iters, ilp_iters, max_hop) in plans {
         let ft = FatTree::with_default_links(k);
-        let cfg_h = experiment_config();
+        let cfg_h = experiment_config().with_max_hop(Some(1));
         let mut hfr = 0.0;
         for nmdb in scenario_stream(&ft.graph, &cfg_h, &experiment_params(), seed, h_iters) {
             hfr += heuristic(&nmdb, &cfg_h).hfr_percent();
@@ -301,7 +301,7 @@ pub fn fig12(seed: u64, effort: Effort) -> String {
         Effort::Quick => &[(4, 20), (8, 10), (16, 5), (64, 2)],
         Effort::Full => &[(4, 50), (8, 20), (16, 10), (64, 3)],
     };
-    let cfg = experiment_config();
+    let cfg = experiment_config().with_max_hop(Some(1));
     let mut t = Table::new(&["k", "nodes", "edges", "mean heuristic time (s)", "normalized"]);
     let mut first: Option<f64> = None;
     for &(k, iters) in plans {
@@ -564,7 +564,8 @@ pub fn ablations(seed: u64, effort: Effort) -> String {
         let ft = FatTree::with_default_links(k);
         let nmdb = random_nmdb(&ft.graph, &cfg, &experiment_params(), seed);
         for hops in [1usize, 2, 4] {
-            let run = || heuristic_with(&nmdb, &cfg, hops, &mut CostEngine::new()).unwrap();
+            let cfg_h = cfg.with_max_hop(Some(hops));
+            let run = || heuristic_with(&nmdb, &cfg_h, &mut CostEngine::new()).unwrap();
             let hfr = run().hfr_percent();
             let secs = mean_of(reps, run);
             reach.row(&[

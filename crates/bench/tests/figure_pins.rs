@@ -88,7 +88,7 @@ fn fig9_success_split_is_pinned() {
 /// power-law exponent fitted to HFR against node count.
 #[test]
 fn fig11a_hfr_is_pinned() {
-    let cfg = experiment_config();
+    let cfg = experiment_config().with_max_hop(Some(1));
     let mut points = Vec::new();
     for (k, iterations) in [(4, 100), (8, 40), (16, 15), (64, 3)] {
         let ft = FatTree::with_default_links(k);

@@ -174,8 +174,6 @@ pub struct FileInvocation {
     pub path: String,
     /// Threshold/routing options.
     pub opts: Options,
-    /// `heuristic --hops N` (default one-hop reach).
-    pub hops: usize,
 }
 
 /// Parse `<cmd> <file> [options]` for the commands that read a
@@ -185,15 +183,11 @@ pub fn parse_file_invocation(cmd: &str, args: &[String]) -> Result<FileInvocatio
     let Some(path) = args.first().cloned() else {
         return Err(format!("{cmd}: missing <file>"));
     };
-    let mut inv = FileInvocation { path, opts: Options::default(), hops: 1 };
+    let mut inv = FileInvocation { path, opts: Options::default() };
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
-        if base_option(&mut inv.opts, a, &mut it)? {
-            continue;
-        }
-        match a.as_str() {
-            "--hops" => inv.hops = value(&mut it, a)?,
-            other => return Err(format!("unknown option {other:?}")),
+        if !base_option(&mut inv.opts, a, &mut it)? {
+            return Err(format!("unknown option {a:?}"));
         }
     }
     Ok(inv)
@@ -298,8 +292,6 @@ mod tests {
         }
         let err = parse_place_invocation(&argv("--fat-tree 4 --batch 2.7")).unwrap_err();
         assert_eq!(err, "--batch: invalid number \"2.7\"");
-        let err = parse_file_invocation("heuristic", &argv("net.dust --hops -1")).unwrap_err();
-        assert_eq!(err, "--hops: invalid number \"-1\"");
     }
 
     #[test]
@@ -339,10 +331,10 @@ mod tests {
 
         let inv = parse_file_invocation(
             "heuristic",
-            &argv("net.dust --hops 2 --c-max 85 --co-max 55 --x-min 4"),
+            &argv("net.dust --max-hop 2 --c-max 85 --co-max 55 --x-min 4"),
         )
         .unwrap();
-        assert_eq!((inv.path.as_str(), inv.hops), ("net.dust", 2));
+        assert_eq!((inv.path.as_str(), inv.opts.max_hop), ("net.dust", Some(2)));
         assert_eq!((inv.opts.c_max, inv.opts.co_max, inv.opts.x_min), (85.0, 55.0, 4.0));
         // there is one placement solver and one path engine to select
         for removed in ["simplex", "enumerate"] {

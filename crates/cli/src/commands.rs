@@ -587,13 +587,12 @@ pub fn cmd_optimize(nmdb: &Nmdb, opts: &Options) -> Result<String, String> {
     Ok(out)
 }
 
-/// `dustctl heuristic`: Algorithm 1 (optionally with extended reach).
-pub fn cmd_heuristic(nmdb: &Nmdb, opts: &Options, hops: usize) -> Result<String, String> {
-    let cfg = opts.config()?;
-    if hops == 0 {
-        return Err("--hops must be at least 1".into());
-    }
-    let h = heuristic_with(nmdb, &cfg, hops, &mut opts.engine()).map_err(|e| e.to_string())?;
+/// `dustctl heuristic`: Algorithm 1 with candidates within `--max-hop`,
+/// one hop (the published algorithm) when it is not given.
+pub fn cmd_heuristic(nmdb: &Nmdb, opts: &Options) -> Result<String, String> {
+    let hops = opts.max_hop.unwrap_or(1);
+    let cfg = opts.config()?.with_max_hop(Some(hops));
+    let h = heuristic_with(nmdb, &cfg, &mut opts.engine()).map_err(|e| e.to_string())?;
     let mut out = format!(
         "placed {:.1} of {:.1} capacity-% within {} hop(s); HFR = {:.2}%\n",
         h.total_cs - h.total_cse,
@@ -1074,11 +1073,12 @@ mod tests {
     #[test]
     fn heuristic_reports_failure_on_fig4() {
         // S1's only neighbor is the relay S3 (65 %) — one hop finds nothing
-        let out = cmd_heuristic(&fig4(), &Options::default(), 1).unwrap();
+        let out = cmd_heuristic(&fig4(), &Options::default()).unwrap();
         assert!(out.contains("HFR = 100.00%"), "{out}");
         assert!(out.contains("UNPLACED"), "{out}");
         // two hops reach S2/S6
-        let out2 = cmd_heuristic(&fig4(), &Options::default(), 2).unwrap();
+        let two = Options { max_hop: Some(2), ..Default::default() };
+        let out2 = cmd_heuristic(&fig4(), &two).unwrap();
         assert!(out2.contains("HFR = 0.00%"), "{out2}");
     }
 
@@ -1095,7 +1095,8 @@ mod tests {
     fn invalid_options_surface_errors() {
         let o = Options { co_max: 95.0, ..Default::default() }; // co_max above c_max
         assert!(roles(&fig4(), &o).is_err());
-        assert!(cmd_heuristic(&fig4(), &Options::default(), 0).is_err());
+        let zero = Options { max_hop: Some(0), ..Default::default() };
+        assert!(cmd_heuristic(&fig4(), &zero).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! dustctl example > net.dust
 //! dustctl roles net.dust
 //! dustctl optimize net.dust --max-hop 6
-//! dustctl heuristic net.dust --hops 2
+//! dustctl heuristic net.dust --max-hop 2
 //! ```
 
 use dust::prelude::Nmdb;
@@ -26,7 +26,7 @@ commands:
   optimize  <file>             exact min-cost placement with routes
   place     [file]             exact placement rounds on a file or a generated
                                fat-tree; reports rounds/sec
-  heuristic <file> [--hops N]  Algorithm 1 (default one-hop reach)
+  heuristic <file>             Algorithm 1 (one-hop reach unless --max-hop)
   dot       <file>             Graphviz view: roles colored + chosen routes
   sim                          chaos-run the testbed under a lossy control plane,
                                or run a named registry scenario (--scenario)
@@ -43,7 +43,7 @@ options (all commands taking a file):
   --c-max X     Busy threshold (default 80)
   --co-max X    candidate threshold (default 50)
   --x-min X     minimum utilization (default 5)
-  --max-hop N   hop bound on routes (default unlimited)
+  --max-hop N   hop bound on routes (default unlimited; heuristic: 1)
   --threads N   T_rmin pricing threads (default: one per core)
 
 place options (plus the file options above):
@@ -174,7 +174,7 @@ fn dispatch(args: &[String]) -> Result<(), Failure> {
             let run: fn(&Nmdb, &FileInvocation) -> Result<String, String> = match cmd {
                 "roles" => |db, inv| roles(db, &inv.opts),
                 "optimize" => |db, inv| cmd_optimize(db, &inv.opts),
-                "heuristic" => |db, inv| cmd_heuristic(db, &inv.opts, inv.hops),
+                "heuristic" => |db, inv| cmd_heuristic(db, &inv.opts),
                 "dot" => |db, inv| cmd_dot(db, &inv.opts),
                 other => return Err(Usage(format!("unknown command {other:?}"))),
             };
@@ -220,7 +220,7 @@ mod tests {
             .collect();
         flags.sort();
         flags.dedup();
-        assert_eq!(flags.len(), 28, "USAGE gained or lost a flag: {flags:?}");
+        assert_eq!(flags.len(), 27, "USAGE gained or lost a flag: {flags:?}");
         for flag in flags {
             let after_name = ["x".to_string(), flag.clone()];
             let alone = &after_name[1..];

@@ -2,8 +2,9 @@
 //! `heuristic`, `dot` and `place` on the Fig. 4 example, an all-busy
 //! file and small generated fat-trees, every typed failure's message,
 //! the same text at every `--threads` count, and the exit code and
-//! message of the removed `--simplex` flag. `place`'s wall-clock
-//! `throughput:` line is the one line left out.
+//! message of the removed `--simplex` flag and of Algorithm 1's removed
+//! hop-count flag. `place`'s wall-clock `throughput:` line is the one
+//! line left out.
 
 use dust::prelude::*;
 use dust_cli::commands::{cmd_dot, cmd_heuristic, cmd_optimize, cmd_place, Options, PlaceOptions};
@@ -24,10 +25,14 @@ fn all_busy() -> Nmdb {
 
 /// The exit code and first stderr line of `dustctl args`.
 fn dustctl(args: &[&str]) -> (Option<i32>, String) {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dustctl")).args(args).output();
-    let out = out.expect("dustctl runs");
+    let out = dustctl_output(args);
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
     (out.status.code(), stderr.lines().next().unwrap_or_default().to_string())
+}
+
+fn dustctl_output(args: &[&str]) -> std::process::Output {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dustctl")).args(args).output();
+    out.expect("dustctl runs")
 }
 
 fn without_throughput(out: String) -> String {
@@ -73,19 +78,52 @@ fn optimize_failures_keep_their_messages() {
 #[test]
 fn heuristic_output_is_pinned() {
     for threads in [0, 1, 2] {
-        let o = Options { threads, ..Options::default() };
+        let o = Options { threads, max_hop: Some(2), ..Options::default() };
         assert_eq!(
-            cmd_heuristic(&fig4(), &o, 2).unwrap(),
+            cmd_heuristic(&fig4(), &o).unwrap(),
             "placed 12.0 of 12.0 capacity-% within 2 hop(s); HFR = 0.00%\n  \
              move  12.00% from 0 to 1  (Tr 0.060000s, route 0→2→1)\n",
             "threads {threads}"
         );
     }
     assert_eq!(
-        cmd_heuristic(&all_busy(), &Options::default(), 1).unwrap(),
+        cmd_heuristic(&all_busy(), &Options::default()).unwrap(),
         "placed 0.0 of 37.0 capacity-% within 1 hop(s); HFR = 100.00%\n  \
          UNPLACED 15.00% on node 0\n  UNPLACED 12.00% on node 1\n  UNPLACED 10.00% on node 2\n"
     );
+}
+
+/// `dustctl heuristic` reads its reach from `--max-hop`, one hop when the
+/// flag is not given, and no file command knows the hop-count flag the
+/// heuristic once had beside it.
+#[test]
+fn heuristic_reach_is_the_max_hop_flag() {
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fig4.dust");
+    std::fs::write(&file, example_file()).unwrap();
+    let path = file.to_str().unwrap();
+    let stdout = |args: &[&str]| {
+        let out = dustctl_output(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    assert_eq!(
+        stdout(&["heuristic", path, "--max-hop", "2"]),
+        "placed 12.0 of 12.0 capacity-% within 2 hop(s); HFR = 0.00%\n  \
+         move  12.00% from 0 to 1  (Tr 0.060000s, route 0→2→1)\n"
+    );
+    assert_eq!(
+        stdout(&["heuristic", path]),
+        "placed 0.0 of 12.0 capacity-% within 1 hop(s); HFR = 100.00%\n  \
+         UNPLACED 12.00% on node 0\n"
+    );
+    let removed = format!("--{}", "hops");
+    for cmd in ["roles", "optimize", "heuristic", "dot"] {
+        assert_eq!(
+            dustctl(&[cmd, path, &removed, "2"]),
+            (Some(2), format!("dustctl: unknown option {removed:?}")),
+            "{cmd}"
+        );
+    }
 }
 
 #[test]

@@ -1,19 +1,21 @@
 //! Algorithm 1: the one-hop min-cost heuristic and its HFR metric (Eq. 4).
 //!
-//! For every Busy node the heuristic restricts Offload-candidates to the
-//! node's **directly connected neighbors** (max-hop = 1) and solves the
-//! per-node minimum-cost subproblem. Excess that cannot fit in one-hop
-//! candidates is recorded as `Cse_i`; the Heuristic Failure Rate is
-//! `HFR = Σ Cse_i / Σ Cs_i` (Eq. 4). A generalized `max_hop = h` variant
-//! is provided for `experiments ablations` (ablation 3 in DESIGN.md).
+//! For every Busy node the heuristic restricts Offload-candidates to those
+//! within the configured reach and solves the per-node minimum-cost
+//! subproblem. The published algorithm is `DustConfig::max_hop =
+//! Some(1)`, the node's **directly connected neighbors**; a wider bound is
+//! ablation 3 in DESIGN.md, and `None` is unbounded. Excess that found no
+//! home within the reach is recorded as `Cse_i`; the Heuristic Failure
+//! Rate is `HFR = Σ Cse_i / Σ Cs_i` (Eq. 4).
 //!
 //! Candidate capacity is consumed in Busy-node order (ascending id), so a
-//! candidate adjacent to two Busy nodes cannot be double-booked; the whole
-//! procedure is deterministic.
+//! candidate in reach of two Busy nodes cannot be double-booked; the whole
+//! procedure is deterministic. Pricing and routing are the exact round's
+//! ([`optimize_with`](crate::optimize_with)); only the solve differs.
 
 use crate::config::DustConfig;
 use crate::error::DustError;
-use crate::optimizer::{routes_from, Assignment};
+use crate::optimizer::{price_round, route_cells, Assignment, PlacementLp, Round};
 use crate::state::Nmdb;
 use dust_topology::{CostEngine, NodeId};
 use std::time::{Duration, Instant};
@@ -23,7 +25,7 @@ use std::time::{Duration, Instant};
 pub struct HeuristicOutcome {
     /// Accepted offload decisions (may cover only part of the excess).
     pub assignments: Vec<Assignment>,
-    /// Per-busy-node leftover `Cse_i` that found no one-hop home.
+    /// Per-busy-node leftover `Cse_i` that found no home within the reach.
     pub residual: Vec<(NodeId, f64)>,
     /// `Σ Cs_i` — total excess the round had to place.
     pub total_cs: f64,
@@ -57,93 +59,61 @@ impl HeuristicOutcome {
     }
 }
 
-/// Generalized Algorithm 1 with a caller's [`CostEngine`]:
-/// candidates within `hops` of each Busy node. `hops = 1` is the
-/// published algorithm; larger values trade runtime for a lower HFR
-/// (ablation 3 in DESIGN.md). The one-shot
-/// [`heuristic`](crate::heuristic()) calls it with one hop and a fresh
-/// engine.
+/// Algorithm 1 with a caller's [`CostEngine`]: candidates within
+/// `cfg.max_hop` of each Busy node. `Some(1)` is the published algorithm;
+/// a wider reach trades runtime for a lower HFR (ablation 3 in DESIGN.md).
 ///
-/// Candidate pricing reads one hop-bounded Bellman–Ford row per Busy node
-/// from `engine` — priced in parallel and memoized per graph epoch, so
-/// repeated rounds on an unchanged graph price nothing twice.
+/// The round is priced and routed as [`optimize_with`](crate::optimize_with)'s
+/// is — one `T_rmin` matrix from `engine` (rows priced in parallel and
+/// memoized per graph epoch, so a round on an unchanged graph prices
+/// nothing twice), and one pruned DP per Busy row for the routes of its
+/// accepted moves. Only the solve differs: each Busy row in turn takes
+/// its cheapest candidates' remaining capacity, which is optimal for a
+/// single source (the per-node transportation LP of Algorithm 1 line 8).
 pub fn heuristic_with(
     nmdb: &Nmdb,
     cfg: &DustConfig,
-    hops: usize,
     engine: &mut CostEngine,
 ) -> Result<HeuristicOutcome, DustError> {
-    if hops == 0 {
-        return Err(DustError::BadConfig("heuristic needs at least one hop of reach".to_string()));
-    }
     cfg.validate().map_err(DustError::BadConfig)?;
     let t0 = Instant::now();
+    let Round { busy, candidates, lp, .. } = price_round(nmdb, cfg, engine);
+    let lp = lp.unwrap_or_else(|| PlacementLp::with_rows(0, Vec::new()));
+    let PlacementLp { supply, capacity: mut spare, row_start, columns, t_rmin } = lp;
 
-    let busy = nmdb.busy_nodes(cfg);
-    // Every Busy row, priced concurrently before the sequential greedy pass.
-    let rows = engine.rows(&nmdb.graph, &busy, Some(hops));
-    // Remaining spare capacity per node, consumed as assignments land.
-    let mut remaining_cd: Vec<f64> = nmdb.graph.nodes().map(|n| nmdb.cd(n, cfg)).collect();
-
-    let mut assignments: Vec<Assignment> = Vec::new();
-    let (mut scratch, mut dests) = (engine.route_scratch(&nmdb.graph), Vec::new());
+    let (mut shipped, mut priced) = (Vec::new(), Vec::new());
     let mut residual = Vec::new();
-    let mut total_cs = 0.0;
-    let mut total_cse = 0.0;
+    let (mut total_cs, mut total_cse) = (0.0, 0.0);
     let mut beta = 0.0;
+    for (r, (&b, at)) in busy.iter().zip(row_start.windows(2)).enumerate() {
+        let at = at[0] as usize..at[1] as usize;
+        // the row's candidates with capacity left, cheapest first
+        priced.clear();
+        let row = t_rmin[at.clone()].iter().zip(&columns[at]);
+        priced.extend(row.map(|(&t, &c)| (t, c as usize)).filter(|&(_, c)| spare[c] > 1e-12));
+        priced.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-    for (&b, dist) in busy.iter().zip(&rows) {
-        let mut cs = nmdb.cs(b, cfg);
+        let mut cs = supply[r];
         total_cs += cs;
-        let d_mb = nmdb.state(b).data_mb;
-
-        // Price every in-reach candidate with spare capacity off the
-        // engine's hop-bounded row (for `hops = 1` the row degenerates to
-        // the cheapest direct link per neighbor — the published
-        // algorithm). Sorting cheapest-first then greedy-filling is
-        // optimal for a single source (the per-node transportation LP of
-        // Algorithm 1 line 8).
-        let mut priced: Vec<(f64, NodeId)> = nmdb
-            .graph
-            .nodes()
-            .filter(|&c| c != b && remaining_cd[c.index()] > 1e-12)
-            .filter(|&c| dist[c.index()].is_finite())
-            .map(|c| (d_mb * dist[c.index()], c))
-            .collect();
-        priced.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-        });
-
-        let first = assignments.len();
-        for (t_rmin, c) in priced {
+        for &(t, c) in &priced {
             if cs <= 1e-12 {
                 break;
             }
-            let take = cs.min(remaining_cd[c.index()]);
+            let take = cs.min(spare[c]);
             if take <= 1e-12 {
                 continue;
             }
-            remaining_cd[c.index()] -= take;
+            spare[c] -= take;
             cs -= take;
-            beta += take * t_rmin;
-            assignments.push(Assignment { from: b, to: c, amount: take, t_rmin, route: None });
-        }
-        // Routes are reconstructed only for accepted assignments — a
-        // handful per Busy node — by one DP pruned to their hop cones.
-        let taken = &mut assignments[first..];
-        if !taken.is_empty() {
-            dests.clear();
-            dests.extend(taken.iter().map(|a| a.to));
-            let routes = routes_from(b, &dests, Some(hops), &mut scratch);
-            for (a, route) in taken.iter_mut().zip(routes) {
-                a.route = route;
-            }
+            beta += take * t;
+            shipped.push((r, c, take, t));
         }
         if cs > 1e-12 {
             residual.push((b, cs));
             total_cse += cs;
         }
     }
+    let assignments = route_cells(nmdb, cfg, engine, &busy, &candidates, &shipped);
 
     Ok(HeuristicOutcome { assignments, residual, total_cs, total_cse, beta, elapsed: t0.elapsed() })
 }
@@ -156,7 +126,7 @@ mod tests {
     use dust_topology::{topologies, Graph, Link};
 
     fn cfg() -> DustConfig {
-        DustConfig::paper_defaults() // c_max 80, co_max 50
+        DustConfig::paper_defaults().with_max_hop(Some(1)) // c_max 80, co_max 50
     }
 
     #[test]
@@ -186,8 +156,8 @@ mod tests {
         // ...but the generalized 2-hop variant succeeds, and a partial
         // outcome is data, not an error
         let mut engine = CostEngine::new();
-        assert!(heuristic_with(&db, &cfg(), 1, &mut engine).unwrap().nothing_offloaded());
-        let h2 = heuristic_with(&db, &cfg(), 2, &mut engine).unwrap();
+        assert!(heuristic_with(&db, &cfg(), &mut engine).unwrap().nothing_offloaded());
+        let h2 = heuristic_with(&db, &cfg().with_max_hop(Some(2)), &mut engine).unwrap();
         let placed: f64 = h2.assignments.iter().map(|a| a.amount).sum();
         assert!(h2.fully_offloaded() && (placed - 10.0).abs() < 1e-9);
     }
@@ -287,13 +257,13 @@ mod tests {
     #[test]
     fn a_cold_round_looks_up_each_busy_row_once() {
         let ft = dust_topology::FatTree::with_default_links(4);
-        let c = cfg();
+        let c = cfg().with_max_hop(Some(2));
         let db = crate::scenario::random_nmdb(&ft.graph, &c, &crate::ScenarioParams::default(), 3);
         let busy = db.busy_nodes(&c);
         assert!(!busy.is_empty());
         let obs = dust_obs::ObsHandle::recording(0);
         let mut engine = CostEngine::new().with_obs(obs.clone());
-        heuristic_with(&db, &c, 2, &mut engine).unwrap();
+        heuristic_with(&db, &c, &mut engine).unwrap();
         assert_eq!(obs.counter("cost.cache_misses"), busy.len() as u64);
         assert_eq!(obs.counter("cost.cache_hits"), 0);
     }
@@ -302,9 +272,10 @@ mod tests {
     fn zero_hops_rejected() {
         let g = topologies::line(2, Link::default());
         let db = Nmdb::new(g, vec![NodeState::new(90.0, 1.0), NodeState::new(10.0, 1.0)]);
-        let err = heuristic_with(&db, &cfg(), 0, &mut CostEngine::new()).unwrap_err();
+        let zero = cfg().with_max_hop(Some(0));
+        let err = heuristic_with(&db, &zero, &mut CostEngine::new()).unwrap_err();
         assert!(
-            matches!(&err, DustError::BadConfig(msg) if msg.contains("at least one hop")),
+            matches!(&err, DustError::BadConfig(msg) if msg.contains("max_hop of 0")),
             "{err:?}"
         );
     }

@@ -163,11 +163,11 @@ pub const FLOW_TOL: f64 = 1e-7;
 /// carries nothing.
 #[derive(Debug, Clone)]
 pub struct PlacementLp {
-    supply: Vec<f64>,
-    capacity: Vec<f64>,
-    row_start: Vec<u32>,
-    columns: Vec<u32>,
-    t_rmin: Vec<f64>,
+    pub(crate) supply: Vec<f64>,
+    pub(crate) capacity: Vec<f64>,
+    pub(crate) row_start: Vec<u32>,
+    pub(crate) columns: Vec<u32>,
+    pub(crate) t_rmin: Vec<f64>,
 }
 
 impl PlacementLp {
@@ -285,23 +285,11 @@ pub fn optimize_with(
     // `CostEngine::with_obs`.
     let obs = engine.obs().clone();
     obs.counter_inc("core.placements");
-    let busy = nmdb.busy_nodes(cfg);
-    let candidates = nmdb.candidate_nodes(cfg);
-    if busy.is_empty() {
+    let Round { busy, candidates, lp, cost_time } = price_round(nmdb, cfg, engine);
+    let Some(lp) = lp else {
         obs.counter_inc("core.placements_no_busy");
         return Ok(Placement::unsolved(PlacementStatus::NoBusyNodes, busy, candidates));
-    }
-
-    // ---- T_rmin of the pairs within the hop bound ---------------------------
-    let t0 = Instant::now();
-    let data: Vec<f64> = busy.iter().map(|&b| nmdb.state(b).data_mb).collect();
-    let costs = engine.build_matrix(&nmdb.graph, &busy, &candidates, &data, cfg.max_hop);
-    let cost_time = t0.elapsed();
-
-    let supply: Vec<f64> = busy.iter().map(|&b| nmdb.cs(b, cfg)).collect();
-    let capacity: Vec<f64> = candidates.iter().map(|&c| nmdb.cd(c, cfg)).collect();
-    let CostMatrix { row_start, columns, t_rmin, .. } = costs;
-    let lp = PlacementLp { supply, capacity, row_start, columns, t_rmin };
+    };
 
     // ---- LP solve ----------------------------------------------------------
     let t1 = Instant::now();
@@ -318,18 +306,7 @@ pub fn optimize_with(
         });
     }
 
-    // ---- Route extraction for the chosen pairs -----------------------------
-    let routes_scope = obs.prof_scope("core.routes");
-    let mut assignments = Vec::with_capacity(solution.shipped.len());
-    let (mut scratch, mut dests) = (engine.route_scratch(&nmdb.graph), Vec::new());
-    // a busy row's destinations are one run of the row-major cells
-    for run in solution.shipped.chunk_by(|a, b| a.0 == b.0) {
-        let from = busy[run[0].0];
-        assignments.extend(assign_run(cfg, from, run, &candidates, &mut scratch, &mut dests));
-    }
-    drop(scratch);
-    drop(routes_scope);
-
+    let assignments = route_cells(nmdb, cfg, engine, &busy, &candidates, &solution.shipped);
     obs.counter_inc("core.placements_optimal");
     let shadow_prices = candidates.iter().copied().zip(solution.column_duals).collect();
     let warm =
@@ -346,6 +323,61 @@ pub fn optimize_with(
         warm,
         warm_used: solution.warm_used,
     })
+}
+
+/// One round's instance, the front half both strategies share: the Busy
+/// rows and the candidate columns (node order) and the placement LP
+/// between them, `None` when no node is Busy.
+pub(crate) struct Round {
+    pub(crate) busy: Vec<NodeId>,
+    pub(crate) candidates: Vec<NodeId>,
+    pub(crate) lp: Option<PlacementLp>,
+    /// Wall time of the `T_rmin` matrix.
+    pub(crate) cost_time: Duration,
+}
+
+/// Classify `nmdb` under `cfg` and price its round: each row's `Cs`, each
+/// column's `Cd`, and the `T_rmin` of every pair within `cfg.max_hop` from
+/// one [`CostEngine::build_matrix`] call. A round with no Busy node prices
+/// nothing.
+pub(crate) fn price_round(nmdb: &Nmdb, cfg: &DustConfig, engine: &mut CostEngine) -> Round {
+    let busy = nmdb.busy_nodes(cfg);
+    let candidates = nmdb.candidate_nodes(cfg);
+    if busy.is_empty() {
+        return Round { busy, candidates, lp: None, cost_time: Duration::ZERO };
+    }
+    let t0 = Instant::now();
+    let data: Vec<f64> = busy.iter().map(|&b| nmdb.state(b).data_mb).collect();
+    let costs = engine.build_matrix(&nmdb.graph, &busy, &candidates, &data, cfg.max_hop);
+    let cost_time = t0.elapsed();
+    let supply = busy.iter().map(|&b| nmdb.cs(b, cfg)).collect();
+    let capacity = candidates.iter().map(|&c| nmdb.cd(c, cfg)).collect();
+    let CostMatrix { row_start, columns, t_rmin } = costs;
+    let lp = Some(PlacementLp { supply, capacity, row_start, columns, t_rmin });
+    Round { busy, candidates, lp, cost_time }
+}
+
+/// The back half both strategies share: the assignments for the
+/// row-major `shipped` cells of a [`Round`], `(row, column, x, T_rmin)`,
+/// in order, each routed by [`assign_run`] (profile scope `core.routes`).
+pub(crate) fn route_cells(
+    nmdb: &Nmdb,
+    cfg: &DustConfig,
+    engine: &mut CostEngine,
+    busy: &[NodeId],
+    candidates: &[NodeId],
+    shipped: &[(usize, usize, f64, f64)],
+) -> Vec<Assignment> {
+    let obs = engine.obs().clone();
+    let _routes = obs.prof_scope("core.routes");
+    let mut assignments = Vec::with_capacity(shipped.len());
+    let (mut scratch, mut dests) = (engine.route_scratch(&nmdb.graph), Vec::new());
+    // a busy row's destinations are one run of the row-major cells
+    for run in shipped.chunk_by(|a, b| a.0 == b.0) {
+        let from = busy[run[0].0];
+        assignments.extend(assign_run(cfg, from, run, candidates, &mut scratch, &mut dests));
+    }
+    assignments
 }
 
 /// The assignments out of `from` for one row's `run` of shipped cells

@@ -3,12 +3,13 @@
 //!
 //! [`optimize`] and [`heuristic`] call [`optimize_with`] and
 //! [`heuristic_with`] with `CostEngine::new()`, so a request shares no
-//! cached rows with any other. Callers that run rounds (the Manager,
-//! `dustctl place --warm`) or want Algorithm 1 with more than one hop of
-//! reach call the `_with` functions with an engine of their own instead:
+//! cached rows with any other. Both take their reach from
+//! `DustConfig::max_hop`; Algorithm 1 as published is `Some(1)`. Callers
+//! that run rounds (the Manager, `dustctl place --warm`) call the `_with`
+//! functions with an engine of their own instead:
 //!
 //! ```
-//! use dust_core::{heuristic_with, optimize, DustConfig, Nmdb, NodeState};
+//! use dust_core::{heuristic, heuristic_with, optimize, DustConfig, Nmdb, NodeState};
 //! use dust_topology::{topologies, CostEngine, Link};
 //!
 //! let g = topologies::line(3, Link::default());
@@ -21,7 +22,8 @@
 //! let p = optimize(&nmdb, &cfg);
 //! assert!((p.total_offloaded() - 12.0).abs() < 1e-6);
 //! // the candidate is two hops away: Algorithm 1 needs that much reach
-//! let h = heuristic_with(&nmdb, &cfg, 2, &mut CostEngine::new()).unwrap();
+//! assert!(heuristic(&nmdb, &cfg.with_max_hop(Some(1))).nothing_offloaded());
+//! let h = heuristic_with(&nmdb, &cfg.with_max_hop(Some(2)), &mut CostEngine::new()).unwrap();
 //! assert!(h.fully_offloaded());
 //! ```
 
@@ -48,15 +50,15 @@ pub fn optimize(nmdb: &Nmdb, cfg: &DustConfig) -> Placement {
     })
 }
 
-/// Run Algorithm 1 with the paper's one-hop candidate restriction,
-/// pricing with a fresh [`CostEngine`]. [`heuristic_with`] takes a wider
-/// reach, shares an engine across rounds and returns a bad config as a
-/// typed error.
+/// Run Algorithm 1 with candidates within `cfg.max_hop` (`Some(1)` is the
+/// paper's one-hop restriction), pricing with a fresh [`CostEngine`].
+/// [`heuristic_with`] shares an engine across rounds and returns a bad
+/// config as a typed error.
 ///
 /// # Panics
 /// Panics when `cfg` is invalid.
 pub fn heuristic(nmdb: &Nmdb, cfg: &DustConfig) -> HeuristicOutcome {
-    heuristic_with(nmdb, cfg, 1, &mut CostEngine::new()).unwrap_or_else(|e| panic!("{e}"))
+    heuristic_with(nmdb, cfg, &mut CostEngine::new()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -104,7 +106,7 @@ mod tests {
         let mut engine = CostEngine::new();
         let err = optimize_with(&db, &bad, &mut engine, None).unwrap_err();
         assert!(matches!(err, DustError::BadConfig(_)));
-        let err = heuristic_with(&db, &bad, 1, &mut engine).unwrap_err();
+        let err = heuristic_with(&db, &bad, &mut engine).unwrap_err();
         assert!(matches!(err, DustError::BadConfig(_)));
     }
 
@@ -112,9 +114,9 @@ mod tests {
     fn heuristic_strategy_reports_partial_outcomes_as_data() {
         // two-hop candidate is invisible at one hop: 100% HFR, still a result
         let db = simple_nmdb();
-        assert!(heuristic(&db, &cfg()).nothing_offloaded());
+        assert!(heuristic(&db, &cfg().with_max_hop(Some(1))).nothing_offloaded());
         // the generalized reach succeeds
-        let h = heuristic_with(&db, &cfg(), 2, &mut CostEngine::new()).unwrap();
+        let h = heuristic_with(&db, &cfg().with_max_hop(Some(2)), &mut CostEngine::new()).unwrap();
         assert!(h.fully_offloaded());
         let placed: f64 = h.assignments.iter().map(|a| a.amount).sum();
         assert!((placed - 10.0).abs() < 1e-9);
@@ -132,7 +134,7 @@ mod tests {
         assert_eq!(engine.cached_rows(), cached, "second solve must be all cache hits");
         assert_eq!(lp.beta.to_bits(), again.beta.to_bits());
         // Algorithm 1 at the same reach reads the rows the LP priced
-        let h = heuristic_with(&db, &c, 2, &mut engine).unwrap();
+        let h = heuristic_with(&db, &c, &mut engine).unwrap();
         assert_eq!(engine.cached_rows(), cached, "the heuristic must reuse the LP's rows");
         assert!(h.fully_offloaded());
         assert_eq!(h.assignments.len(), lp.assignments.len());

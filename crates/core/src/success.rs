@@ -71,7 +71,8 @@ impl SuccessTally {
     }
 }
 
-/// Classify one network state by running both algorithms on it.
+/// Classify one network state by running both algorithms on it: the
+/// optimization under `cfg`, and Algorithm 1 at its published one hop.
 pub fn classify_iteration(nmdb: &Nmdb, cfg: &DustConfig) -> SuccessClass {
     let opt = optimize(nmdb, cfg);
     match opt.status {
@@ -79,7 +80,7 @@ pub fn classify_iteration(nmdb: &Nmdb, cfg: &DustConfig) -> SuccessClass {
         PlacementStatus::Infeasible => return SuccessClass::OptimizationInfeasible,
         PlacementStatus::Optimal => {}
     }
-    let h = heuristic(nmdb, cfg);
+    let h = heuristic(nmdb, &cfg.with_max_hop(Some(1)));
     if h.fully_offloaded() {
         SuccessClass::HeuristicFull
     } else if h.nothing_offloaded() {

@@ -16,6 +16,11 @@ fn cfg() -> DustConfig {
     DustConfig::paper_defaults()
 }
 
+/// `cfg()` at Algorithm 1's published one hop of reach.
+fn one_hop() -> DustConfig {
+    cfg().with_max_hop(Some(1))
+}
+
 /// The placement and the reference simplex over the explicit LP agree on
 /// status and objective for random states.
 #[test]
@@ -89,7 +94,7 @@ fn heuristic_never_beats_optimum() {
     for seed in 0..24u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
         let p = optimize(&db, &c);
-        let h = heuristic(&db, &c);
+        let h = heuristic(&db, &one_hop());
         if p.status == PlacementStatus::Optimal && h.fully_offloaded() && h.total_cs > 0.0 {
             assert!(
                 h.beta >= p.beta - 1e-6 * (1.0 + p.beta.abs()),
@@ -109,8 +114,8 @@ fn hfr_bounds_and_monotonicity() {
     for seed in 0..24u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
         let mut prev = f64::INFINITY;
-        for hops in [1usize, 2, 4, 6] {
-            let h = heuristic_with(&db, &c, hops, &mut CostEngine::new()).unwrap();
+        for hops in [Some(1), Some(2), Some(4), Some(6), None] {
+            let h = heuristic_with(&db, &c.with_max_hop(hops), &mut CostEngine::new()).unwrap();
             let rate = h.hfr_percent();
             assert!((0.0..=100.0 + 1e-9).contains(&rate), "seed {seed}: HFR {rate} out of range");
             assert!(
@@ -130,7 +135,7 @@ fn heuristic_conservation() {
     let c = cfg();
     for seed in 0..24u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
-        let h = heuristic(&db, &c);
+        let h = heuristic(&db, &one_hop());
         let placed: f64 = h.assignments.iter().map(|a| a.amount).sum();
         assert!(
             (placed + h.total_cse - h.total_cs).abs() < 1e-6,
@@ -161,8 +166,8 @@ fn determinism() {
         let p2 = optimize(&db2, &c);
         assert_eq!(p1.status, p2.status, "seed {seed}");
         assert_eq!(p1.assignments.len(), p2.assignments.len(), "seed {seed}");
-        let h1 = heuristic(&db1, &c);
-        let h2 = heuristic(&db2, &c);
+        let h1 = heuristic(&db1, &one_hop());
+        let h2 = heuristic(&db2, &one_hop());
         assert!((h1.beta - h2.beta).abs() < 1e-12, "seed {seed}");
     }
 }
@@ -202,14 +207,14 @@ fn one_shot_matches_the_with_doors_at_every_thread_count() {
     for seed in 0..12u64 {
         let db = random_nmdb(&ft.graph, &c, &ScenarioParams::default(), seed);
         let base = optimize(&db, &c);
-        let base_h = heuristic(&db, &c);
+        let base_h = heuristic(&db, &one_hop());
         for threads in [1usize, 2, 7] {
             let mut engine = CostEngine::with_threads(threads);
             let p = optimize_with(&db, &c, &mut engine, None).unwrap();
             assert_eq!(p.status, base.status, "seed {seed} threads {threads}");
             assert_eq!(p.beta.to_bits(), base.beta.to_bits(), "seed {seed} threads {threads}");
             assert_eq!(p.assignments.len(), base.assignments.len(), "seed {seed}");
-            let h = heuristic_with(&db, &c, 1, &mut engine).unwrap();
+            let h = heuristic_with(&db, &one_hop(), &mut engine).unwrap();
             assert_eq!(h.beta.to_bits(), base_h.beta.to_bits(), "seed {seed} threads {threads}");
             assert_eq!(h.assignments.len(), base_h.assignments.len(), "seed {seed}");
         }

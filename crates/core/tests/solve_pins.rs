@@ -235,7 +235,7 @@ fn tied_and_heuristic_routes_are_pinned() {
     for hops in [1, 2] {
         for seed in SEEDS {
             for db in [uniform_nmdb(seed), decide_nmdb(16, seed)] {
-                let h = heuristic_with(&db, &DustConfig::paper_defaults(), hops, &mut engine)
+                let h = heuristic_with(&db, &dp_cfg(hops), &mut engine)
                     .expect("a valid config and hop count");
                 got.push(route_digest(&h.assignments));
             }

@@ -36,8 +36,8 @@
 //!     let _why = infeasible_cause(&nmdb, &cfg, &mut engine, &p);
 //! }
 //!
-//! // … and Algorithm 1, with its failure rate
-//! let h = heuristic_with(&nmdb, &cfg, 1, &mut engine)?;
+//! // … and Algorithm 1 at its published one hop, with its failure rate
+//! let h = heuristic_with(&nmdb, &cfg.with_max_hop(Some(1)), &mut engine)?;
 //! assert!(h.hfr_percent() >= 0.0);
 //! # Ok::<(), DustError>(())
 //! ```

@@ -89,9 +89,6 @@ struct SlotKey {
     record: Arc<Vec<MonitorAgent>>,
     /// The bits of its [`crate::node::NodeSpec`].
     spec: [u64; 4],
-    /// Whether none of its agents runs elsewhere
-    /// ([`SimNode::remote_agents`] is 0: no offload stub).
-    local: bool,
 }
 
 /// The bits of `node`'s [`crate::node::NodeSpec`].
@@ -102,11 +99,10 @@ fn spec_bits(node: &SimNode) -> [u64; 4] {
 
 impl SlotKey {
     /// Whether `node` has this key: it shares this very record, with equal
-    /// spec bits and offload state. Compares without cloning the record.
+    /// spec bits. Compares without cloning the record.
     fn holds(&self, node: &SimNode) -> bool {
         node.shared_deployment().is_some_and(|r| Arc::ptr_eq(r, &self.record))
             && self.spec == spec_bits(node)
-            && self.local == (node.remote_agents() == 0)
     }
 }
 
@@ -288,13 +284,13 @@ impl HotState {
             self.slot_epoch[i] = n.agents_epoch();
             self.slot_of[i] = match n.shared_deployment() {
                 Some(record) => {
+                    // both offloads detach the owner's record, so a shared
+                    // record's node pays no offload stub
+                    debug_assert_eq!(n.remote_agents(), 0, "node {i} shares its record");
                     let at = self.classes.iter().position(|c| c.holds(n));
                     at.unwrap_or_else(|| {
-                        self.classes.push(SlotKey {
-                            record: Arc::clone(record),
-                            spec: spec_bits(n),
-                            local: n.remote_agents() == 0,
-                        });
+                        self.classes
+                            .push(SlotKey { record: Arc::clone(record), spec: spec_bits(n) });
                         self.reps.push(i as u32);
                         self.classes.len() - 1
                     }) as u32
@@ -621,9 +617,7 @@ mod tests {
     }
 
     /// `n` nodes drawn from `seed`: each on one of two records and one of
-    /// two specs, and then left sharing, detached, hosting, offloaded, or
-    /// still sharing while it pays the offload stub for an agent it has
-    /// also sent away.
+    /// two specs, and then left sharing, detached, hosting or offloaded.
     fn node_mix(seed: u64, n: u32) -> Vec<SimNode> {
         let records = [
             Arc::new(MonitorAgent::standard_deployment()),
@@ -640,7 +634,6 @@ mod tests {
                     0 => retune(&mut node, rng.range_f64(0.4, 1.0)),
                     1 => node.host_agents([(NodeId(0), record[0])]),
                     2 => drop(node.offload_all()),
-                    3 => node.count_remote(1),
                     _ => {}
                 }
                 node
@@ -648,8 +641,8 @@ mod tests {
             .collect()
     }
 
-    /// Distinct shared keys — record, spec bits, offload stub — plus the
-    /// nodes on their own, counted without [`HotState`].
+    /// Distinct shared keys — record and spec bits — plus the nodes on
+    /// their own, counted without [`HotState`].
     fn distinct_slots(nodes: &[SimNode]) -> usize {
         let mut keys = Vec::new();
         let mut own = 0;
@@ -660,7 +653,7 @@ mod tests {
             };
             let s = n.spec;
             let spec = [s.cpu_cores, s.mem_gib, s.base_cpu_percent, s.base_mem_gib];
-            let key = (Arc::as_ptr(record), spec.map(f64::to_bits), n.remote_agents() == 0);
+            let key = (Arc::as_ptr(record), spec.map(f64::to_bits));
             if !keys.contains(&key) {
                 keys.push(key);
             }
@@ -738,6 +731,25 @@ mod tests {
             }
             assert_eq!(hot.walks, walks, "traffic {traffic}");
         }
+    }
+
+    #[test]
+    fn both_offloads_take_the_owner_off_its_shared_slot() {
+        let record = Arc::new(MonitorAgent::standard_deployment());
+        let spec = NodeSpec::aruba_8325();
+        let mut nodes: Vec<SimNode> = (0..4u32)
+            .map(|i| SimNode::with_shared_agents(NodeId(i), spec, Arc::clone(&record)))
+            .collect();
+        assert_eq!(HotState::new(&nodes, 0).reps.len(), 1);
+        assert!(!nodes[1].offload_agents(10.0, 0.2).is_empty());
+        assert!(!nodes[2].offload_all().is_empty());
+        for owner in &nodes[1..3] {
+            assert!(owner.remote_agents() > 0 && owner.shared_deployment().is_none());
+        }
+        // the two owners are on slots of their own; the others still share
+        let hot = HotState::new(&nodes, 1);
+        assert_eq!((hot.classes.len(), hot.reps.len()), (1, 3));
+        assert_eq!(hot.slot_of, [0, 1, 2, 0]);
     }
 
     #[test]

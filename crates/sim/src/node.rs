@@ -365,16 +365,6 @@ impl SimNode {
         self.remote -= entries.len();
         self.local_agents.to_mut().extend(entries.into_iter().map(|(_, a)| a));
     }
-
-    /// Count `n` more of this node's agents as running elsewhere while its
-    /// local list stays as it is, so a node that still shares its record
-    /// pays the offload stub: a state no move reaches, which the event
-    /// core's slot keys must still tell apart.
-    #[cfg(test)]
-    pub(crate) fn count_remote(&mut self, n: usize) {
-        self.remote += n;
-        self.note_agents_changed();
-    }
 }
 
 #[cfg(test)]

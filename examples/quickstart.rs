@@ -65,7 +65,7 @@ fn main() {
         exact.mean_hops()
     );
 
-    let h = heuristic(&nmdb, &cfg);
+    let h = heuristic(&nmdb, &cfg.with_max_hop(Some(1)));
     println!(
         "heuristic:  placed {:.1} of {:.1} capacity-% one-hop, HFR {:.1}%",
         h.total_cs - h.total_cse,

@@ -48,7 +48,7 @@ fn main() {
                 ilp_runs += 1;
             }
             let t = Instant::now();
-            let h = heuristic(&nmdb, &cfg);
+            let h = heuristic(&nmdb, &cfg.with_max_hop(Some(1)));
             heur_ms += t.elapsed().as_secs_f64() * 1e3;
             hfr += h.hfr_percent();
         }

@@ -124,7 +124,7 @@ fn heuristic_residual_is_placeable_by_ilp() {
         if p.status != PlacementStatus::Optimal {
             continue;
         }
-        let h = heuristic(&nmdb, &cfg);
+        let h = heuristic(&nmdb, &cfg.with_max_hop(Some(1)));
         // total capacity must cover heuristic residual too (it's a subset
         // of what the ILP placed)
         assert!(h.total_cse <= nmdb.total_cd(&cfg) + 1e-6, "seed {seed}");
